@@ -8,50 +8,47 @@
 //	experiments -experiment F3  # one experiment
 //	experiments -csv            # machine-readable output
 //	experiments -list           # list IDs and titles
-//	experiments -shards 8       # fan each sweep out to 8 worker subprocesses
+//	experiments -shards 8       # evaluate on 8 worker subprocesses
 //	experiments -agent :7101    # serve sweep chunks to a remote coordinator
-//	experiments -agents h1:7101,h2:7101   # dispatch across a cluster fleet
+//	experiments -agents h1:7101,h2:7101   # add TCP agents to the worker list
 //	experiments -metrics :9090  # serve Prometheus /metrics (+ pprof) while running
 //
-// -metrics works in every mode — sequential, coordinator, agent and
-// worker — and announces the bound address on stderr as "metrics
-// listening <addr>". Instrumentation is determinism-safe: tables stay
-// byte-identical with metrics on (see repro/internal/obs).
+// Every run is one sweep engine — the repro/internal/cluster scheduler,
+// which hands the costliest unfinished grid point to whichever worker is
+// free — over a worker list the flags choose: by default GOMAXPROCS
+// in-process workers; with -shards N (N ≥ 2) N subprocesses of this binary
+// instead (own Go runtime and GC each, spawned once and reused for every
+// experiment of the invocation); with -agents one TCP worker per listed
+// `experiments -agent :port` process (any reachable machine running the
+// same binary) in addition, the in-process workers then cut to one: the
+// fleet carries the grid, and the one local worker — which cannot die —
+// keeps the coordinator's memory at one scenario and lets the sweep finish
+// when every agent is gone. Output is byte-identical to the sequential run
+// whatever the list, even when subprocesses or agents die mid-sweep: their
+// in-flight points are re-dispatched (see repro/internal/cluster). When
+// subprocesses or agents take part, each sweep's per-worker point counts
+// are summarised on stderr.
 //
-// With -shards N (N ≥ 2) the command becomes a sweep orchestrator: it
-// re-execs itself once per shard as `experiments -shard i/N -experiment F3
-// -points i,j,k -csv`, each worker evaluates its LPT-assigned slice of the
-// scenario-point grid in its own process (own Go runtime, own GC), and the
-// parent merges the shard output into tables byte-identical to the
-// sequential run. -shards 1 (the default) keeps everything in this process
-// on the worker pool.
-//
-// With -agents the command becomes a cluster coordinator: it connects to
-// the listed `experiments -agent :port` fleet (any reachable machines
-// running the same binary), adds an implicit local agent, and streams
-// chunks to whichever agent is free — costliest unfinished work first, with
-// heartbeat-based failure detection and re-dispatch (see
-// repro/internal/cluster). Output stays byte-identical to the sequential
-// run, even when agents die mid-sweep.
+// -metrics works in every mode — coordinator and agent — and announces the
+// bound address on stderr as "metrics listening <addr>". Instrumentation is
+// determinism-safe: tables stay byte-identical with metrics on (see
+// repro/internal/obs).
 //
 // With -checkpoint the sweep becomes durable: every verified chunk is
 // journaled to the given file (crash-safe append; internal/sweep
-// checkpoint format) and a restarted run — after a coordinator crash, OOM
-// or Ctrl-C — loads the journal, skips the completed points, and still
-// produces output byte-identical to an uninterrupted run. -checkpoint
-// requires -experiment (the journal is per-sweep) and works with or
-// without -agents; delete the file to start over.
+// checkpoint format) and a restarted run — after a crash, OOM or Ctrl-C —
+// loads the journal, skips the completed points, and still produces output
+// byte-identical to an uninterrupted run. -checkpoint requires -experiment
+// (the journal is per-sweep) and works with any worker list; delete the
+// file to start over.
 //
 // -agent accepts -chaos seed, which serves the protocol through the
 // internal/cluster/faultnet fault injector: connection refusals,
 // mid-stream drops, stalls and delayed writes on a schedule that is a pure
 // function of the seed. Coordinators pointed at chaos agents must still
 // merge sequential-identical output — that is the property CI's chaos step
-// exercises.
-//
-// -shard i/N (with -points) is the internal worker mode; it emits the
-// internal/sweep wire format on stdout and is not meant to be called by
-// hand.
+// exercises. `-agent -` serves the same protocol on stdin/stdout; it is how
+// -shards starts its subprocesses and is not meant to be called by hand.
 package main
 
 import (
@@ -59,6 +56,7 @@ import (
 	"fmt"
 	"net"
 	"os"
+	"runtime"
 	"strings"
 	"time"
 
@@ -68,8 +66,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/stats"
-	"repro/internal/sweep"
 )
 
 func main() {
@@ -78,11 +74,9 @@ func main() {
 		expID   = flag.String("experiment", "", "run only this experiment ID (e.g. F3)")
 		csv     = flag.Bool("csv", false, "emit CSV instead of aligned tables")
 		list    = flag.Bool("list", false, "list experiments and exit")
-		shards  = flag.Int("shards", 1, "fan each experiment out to N worker subprocesses (1 = in-process)")
-		shardAt = flag.String("shard", "", "worker mode: evaluate shard i/N of -experiment and emit the sweep wire format (internal)")
-		points  = flag.String("points", "", "worker mode: explicit point assignment i,j,k (internal; default round-robin from -shard)")
-		agent   = flag.String("agent", "", "agent mode: serve sweep chunks on this TCP address (e.g. :7101) until killed")
-		agents  = flag.String("agents", "", "coordinator mode: comma-separated agent addresses to dispatch sweeps across (an implicit local agent is always added)")
+		shards  = flag.Int("shards", 1, "evaluate on N worker subprocesses instead of in-process workers (1 = in-process)")
+		agent   = flag.String("agent", "", "agent mode: serve sweep chunks on this TCP address (e.g. :7101) until killed (- = stdin/stdout, internal)")
+		agents  = flag.String("agents", "", "comma-separated agent addresses to add to the worker list (beside one in-process worker)")
 		ckpt    = flag.String("checkpoint", "", "journal verified chunks to this file and resume from it on restart (requires -experiment)")
 		chaos   = flag.Int64("chaos", 0, "with -agent: serve through the seeded faultnet injector (0 = off)")
 		metrics = flag.String("metrics", "", "serve Prometheus /metrics (+ pprof) on this address (e.g. :9090, :0 picks a port) and enable live instrumentation")
@@ -106,47 +100,25 @@ func main() {
 		return
 	}
 
+	if *agent == "-" {
+		// Subprocess worker of a -shards parent: the parent closing the
+		// pipe (or dying) ends the loop.
+		new(cluster.Agent).ServePipe(os.Stdin, os.Stdout)
+		return
+	}
 	if *agent != "" {
 		logf := func(format string, args ...any) {
 			fmt.Fprintf(os.Stderr, "agent: "+format+"\n", args...)
 		}
+		ln, err := net.Listen("tcp", *agent)
+		if err != nil {
+			fatal(err)
+		}
 		if *chaos != 0 {
-			ln, err := net.Listen("tcp", *agent)
-			if err != nil {
-				fatal(err)
-			}
 			fmt.Fprintf(os.Stderr, "agent: fault injection on, seed %d\n", *chaos)
-			if err := cluster.ServeListener(faultnet.Wrap(ln, *chaos), os.Stdout, logf); err != nil {
-				fatal(err)
-			}
-			return
+			ln = faultnet.Wrap(ln, *chaos)
 		}
-		if err := cluster.ListenAndServe(*agent, os.Stdout, logf); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *shardAt != "" {
-		// Worker mode: one shard of one experiment, wire format on stdout.
-		shard, nShards, err := sweep.ParseShardSpec(*shardAt)
-		if err != nil {
-			fatal(err)
-		}
-		e := harness.ByID(*expID)
-		if e == nil {
-			fatal(fmt.Errorf("experiments: -shard needs a valid -experiment (got %q; use -list)", *expID))
-		}
-		if *points != "" {
-			pts, err := sweep.ParsePoints(*points)
-			if err != nil {
-				fatal(err)
-			}
-			err = sweep.RunWorkerPoints(e, shard, nShards, pts, *quick, os.Stdout)
-		} else {
-			err = sweep.RunWorker(e, shard, nShards, *quick, os.Stdout)
-		}
-		if err != nil {
+		if err := cluster.ServeListener(ln, os.Stdout, logf); err != nil {
 			fatal(err)
 		}
 		return
@@ -160,95 +132,60 @@ func main() {
 		}
 		exps = []*harness.Experiment{e}
 	}
-
-	var coord *cluster.Coordinator
-	if *agents != "" || *ckpt != "" {
-		if *shards > 1 {
-			fatal(fmt.Errorf("experiments: -shards and -agents/-checkpoint are mutually exclusive (the cluster coordinator schedules per chunk; drop one of the flags)"))
-		}
-		if *ckpt != "" && len(exps) != 1 {
-			fatal(fmt.Errorf("experiments: -checkpoint journals one sweep; pick it with -experiment"))
-		}
-		coord = &cluster.Coordinator{
-			Quick:          *quick,
-			CheckpointPath: *ckpt,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		}
-		if *agents != "" {
-			coord.Agents = strings.Split(*agents, ",")
-		}
+	if *ckpt != "" && len(exps) != 1 {
+		fatal(fmt.Errorf("experiments: -checkpoint journals one sweep; pick it with -experiment"))
 	}
 
-	var runner *sweep.Runner
-	if coord == nil && *shards > 1 {
+	local := runtime.GOMAXPROCS(0)
+	if *agents != "" {
+		// The fleet carries the grid; one local worker keeps the
+		// coordinator's footprint at one scenario at a time.
+		local = 1
+	}
+	workers := cluster.InProcess(local)
+	if *shards > 1 {
 		self, err := os.Executable()
 		if err != nil {
 			fatal(fmt.Errorf("experiments: cannot locate own binary for re-exec: %v", err))
 		}
-		workerArgs := []string{"-csv"}
-		if *quick {
-			workerArgs = append(workerArgs, "-quick")
-		}
-		runner = &sweep.Runner{Shards: *shards, Quick: *quick, Spawn: sweep.ExecSpawner(self, workerArgs...)}
+		workers = cluster.Subprocesses(*shards, self, "-agent", "-")
+	}
+	if *agents != "" {
+		workers = append(workers, cluster.Remote(strings.Split(*agents, ",")...)...)
+	}
+	coord := &cluster.Coordinator{
+		Workers:        workers,
+		Quick:          *quick,
+		CheckpointPath: *ckpt,
+		Logf: func(format string, args ...any) {
+			fmt.Fprintf(os.Stderr, format+"\n", args...)
+		},
 	}
 
 	for _, e := range exps {
 		start := time.Now()
-		var table *stats.Table
-		var shardStats []sweep.ShardStats
-		var clusterRes *cluster.Result
-		switch {
-		case coord != nil:
-			res, err := coord.Run(e)
-			if err != nil {
-				fatal(err)
-			}
-			table, clusterRes = res.Table, res
-		case runner != nil:
-			res, err := runner.Run(e)
-			if err != nil {
-				fatal(err)
-			}
-			table, shardStats = res.Table, res.Shards
-		default:
-			// The in-process pool is the fast path for one process; it
-			// needs no wire round-trip, so table cells stay unrestricted.
-			table = e.Run(*quick)
+		res, err := coord.Run(e)
+		if err != nil {
+			coord.Close()
+			fatal(err)
 		}
 		elapsed := time.Since(start).Round(time.Millisecond)
 		if *csv {
-			fmt.Printf("# %s: %s\n%s\n", e.ID, e.Title, table.CSV())
+			fmt.Printf("# %s: %s\n%s\n", e.ID, e.Title, res.Table.CSV())
 		} else {
-			fmt.Printf("%s\nexpected shape: %s\n(wall time %v", table.Render(), e.Expect, elapsed)
-			if runner != nil {
-				fmt.Printf(" across %d shards; slowest shard %v", *shards, slowest(shardStats))
-			}
-			if clusterRes != nil {
-				fmt.Printf(" across %d agents%s", len(clusterRes.Agents), clusterSummary(clusterRes))
-			}
-			fmt.Printf(")\n\n")
+			fmt.Printf("%s\nexpected shape: %s\n(wall time %v)\n\n", res.Table.Render(), e.Expect, elapsed)
+		}
+		if *shards > 1 || *agents != "" {
+			fmt.Fprintf(os.Stderr, "%s: %d workers;%s\n", e.ID, len(workers), clusterSummary(res))
 		}
 	}
+	coord.Close()
 }
 
-// slowest returns the longest per-shard wall time.
-func slowest(sts []sweep.ShardStats) time.Duration {
-	var max int64
-	for _, st := range sts {
-		if st.WallNs > max {
-			max = st.WallNs
-		}
-	}
-	return time.Duration(max).Round(time.Millisecond)
-}
-
-// clusterSummary renders the per-agent point counts, e.g.
-// "; local=3 10.0.0.2:7101=6".
+// clusterSummary renders the per-worker point counts, e.g.
+// " local=3 10.0.0.2:7101=6".
 func clusterSummary(res *cluster.Result) string {
 	var b strings.Builder
-	b.WriteString(";")
 	for _, a := range res.Agents {
 		fmt.Fprintf(&b, " %s=%d", a.Addr, a.Points)
 		if a.Failed {

@@ -1,48 +1,27 @@
 // Command wlanbench measures the evaluation suite's performance and emits a
 // machine-readable JSON report: per-experiment wall time, allocations and
-// simulator event throughput. Successive PRs regenerate the report (CI runs
-// it on every push) so the perf trajectory of the hot paths stays visible.
+// simulator event throughput of the sequential reference run
+// (harness.Grid.Run: one point after another, so allocs/op are exact).
 //
 // Usage:
 //
-//	wlanbench [-ids F1,F2] [-runs 3] [-full] [-workers N] [-shards N] \
-//	          [-clusteragents N | -agents h1:p,h2:p] \
-//	          [-baseline old.json] [-out BENCH_PR10.json]
+//	wlanbench [-ids F1,F2] [-runs 3] [-full] [-baseline old.json] [-out report.json]
 //
-// With -baseline, the report embeds the older report and per-experiment
-// speedup factors, which is how BENCH_PR1.json records the pre-PR seed
-// numbers next to the current ones.
+// The report goes to stdout unless -out names a file. With -baseline, the
+// report embeds the older report and per-experiment speedup factors.
 //
-// Every sequential measurement is an instrumentation A/B: each experiment
-// is measured with metrics off and again with the obs registry live
-// (enabled flag set, 100 ms flush cadence — exactly the -metrics runtime
-// configuration), and the report carries both columns plus the events/s
-// overhead percentage. That is the number the <2% observability budget is
-// enforced against (see PERFORMANCE.md).
+// Every measurement is an instrumentation A/B: each experiment is measured
+// with metrics off and again with the obs registry live (enabled flag set,
+// 100 ms flush cadence — exactly the -metrics runtime configuration), and
+// the report carries both columns plus the events/s overhead percentage.
+// That is the number the <2% observability budget is enforced against (see
+// PERFORMANCE.md).
 //
 // With -metrics addr, the command additionally serves the Prometheus
-// /metrics endpoint (plus pprof) while benching — and in -agent mode,
-// while serving sweep chunks, which is how a fleet of bench agents is
-// scraped mid-run.
+// /metrics endpoint (plus pprof) while benching.
 //
-// With -shards N (N ≥ 2), every experiment is additionally measured
-// through the multi-process sweep engine (internal/sweep): the command
-// re-execs itself once per shard as `wlanbench -shard i/N -experiment F3
-// -points i,j,k`, and each experiment's report entry gains a "sharded"
-// section with the orchestrated wall time and the per-shard timing/allocs
-// roll-up. The primary sequential numbers are unaffected, so allocs/op
-// ceilings (-failallocs) stay exact.
-//
-// With -clusteragents N (or -agents with an explicit fleet), every
-// experiment is additionally measured through the cluster engine
-// (internal/cluster): -clusteragents spawns N loopback agent subprocesses
-// (`wlanbench -agent 127.0.0.1:0`), dispatches each sweep across them with
-// cost-weighted work stealing, and records a "cluster" section with the
-// orchestrated wall time and per-agent roll-up. The local in-process agent
-// is disabled for this measurement so the numbers reflect the agent fleet
-// alone — that is what makes the 1/2/4-agent scaling table in
-// PERFORMANCE.md comparable.
-//
+// With -failallocs report.json, each experiment's allocs/op must not exceed
+// the recorded value (allocations are deterministic, unlike wall times).
 // With -failevents report.json, each experiment's events/s must stay above
 // -eventsslack (default 0.6) of the recorded value — a floor against
 // throughput collapses, deliberately slack because wall-clock throughput is
@@ -56,59 +35,28 @@
 // "multi-billion events with flat RSS" precondition for a long-lived sweep
 // service.
 //
-// With -chaos seed, the command is a durability gate instead of a bench:
-// each experiment's cluster sweep runs with every loopback agent behind
-// the internal/cluster/faultnet injector (connection refusals, mid-stream
-// drops, stalls, delayed writes on a seed-determined schedule) and the
-// merged output is asserted byte-identical to the sequential run. Stdout —
-// the fault schedule window plus per-experiment verdicts — is a pure
-// function of the seed and reproduces bit-for-bit across runs.
-//
-// With -checkpoint path, the cluster measurement journals verified chunks
-// to path.<ID> per experiment and resumes from it on restart (see
-// `experiments -checkpoint` and the README's "Durable sweeps" section).
+// The sweep engine's end-to-end cost (in-process, -shards and -agents
+// worker lists on more than one core) is measured by the repository
+// benchmark's suite-pool, suite-shards and suite-agents workloads (bench/),
+// which drive the built cmd/experiments binary; wlanbench does not
+// duplicate them.
 package main
 
 import (
-	"bufio"
 	"encoding/json"
 	"flag"
 	"fmt"
-	"net"
 	"os"
-	"os/exec"
 	"runtime"
 	"sort"
 	"strings"
 	"time"
 
-	"repro/internal/cluster"
-	"repro/internal/cluster/faultnet"
 	"repro/internal/core"
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/sim"
-	"repro/internal/sweep"
 )
-
-// ShardedResult is one experiment's measurement through the multi-process
-// sweep engine, attached next to the sequential numbers.
-type ShardedResult struct {
-	Shards       int                `json:"shards"`
-	NsPerOp      int64              `json:"ns_per_op"`
-	SpeedupVsSeq float64            `json:"speedup_vs_seq"`
-	PerShard     []sweep.ShardStats `json:"per_shard"`
-}
-
-// ClusterResult is one experiment's measurement through the cluster engine,
-// dispatched across an agent fleet with cost-weighted work stealing.
-type ClusterResult struct {
-	Agents       int                  `json:"agents"`
-	NsPerOp      int64                `json:"ns_per_op"`
-	SpeedupVsSeq float64              `json:"speedup_vs_seq"`
-	Redispatched int                  `json:"redispatched,omitempty"`
-	PerAgent     []cluster.AgentStats `json:"per_agent"`
-}
 
 // ExpResult is one experiment's measurement.
 type ExpResult struct {
@@ -134,20 +82,13 @@ type ExpResult struct {
 	AllocsRatio   float64 `json:"allocs_ratio,omitempty"`
 	BaseNsPerOp   int64   `json:"baseline_ns_per_op,omitempty"`
 	BaseAllocsPer uint64  `json:"baseline_allocs_per_op,omitempty"`
-	// Through the sweep engine, when -shards was supplied.
-	Sharded *ShardedResult `json:"sharded,omitempty"`
-	// Through the cluster engine, when -clusteragents/-agents was supplied.
-	Cluster *ClusterResult `json:"cluster,omitempty"`
 }
 
 // Report is the full JSON document.
 type Report struct {
 	GoVersion   string      `json:"go_version"`
 	GOMAXPROCS  int         `json:"gomaxprocs"`
-	Workers     int         `json:"workers"`
 	Quick       bool        `json:"quick"`
-	Shards      int         `json:"shards,omitempty"`
-	Agents      int         `json:"agents,omitempty"`
 	Experiments []ExpResult `json:"experiments"`
 	Baseline    *Report     `json:"baseline,omitempty"`
 	Notes       []string    `json:"notes,omitempty"`
@@ -157,18 +98,8 @@ func main() {
 	ids := flag.String("ids", "", "comma-separated experiment IDs (default: all)")
 	runs := flag.Int("runs", 3, "measured runs per experiment")
 	full := flag.Bool("full", false, "run full (non-quick) experiment variants")
-	workers := flag.Int("workers", 0, "harness worker pool size (0 = GOMAXPROCS)")
-	shards := flag.Int("shards", 0, "also measure each experiment across N worker subprocesses (0 = skip)")
-	shardAt := flag.String("shard", "", "worker mode: evaluate shard i/N of -experiment and emit the sweep wire format (internal)")
-	points := flag.String("points", "", "worker mode: explicit point assignment i,j,k (internal; default round-robin from -shard)")
-	agentAddr := flag.String("agent", "", "agent mode: serve sweep chunks on this TCP address until killed")
-	agentList := flag.String("agents", "", "also measure each experiment across this comma-separated agent fleet")
-	clusterAgents := flag.Int("clusteragents", 0, "spawn N loopback agent subprocesses and measure each experiment across them (0 = skip)")
-	expID := flag.String("experiment", "", "experiment ID for -shard worker mode")
 	baseline := flag.String("baseline", "", "older report to embed and compare against")
-	chaosSeed := flag.Int64("chaos", 0, "chaos mode: run each experiment's cluster sweep under the seeded faultnet injector and assert byte-identity with sequential (0 = off)")
-	ckpt := flag.String("checkpoint", "", "journal the cluster measurement's verified chunks to this file (per-experiment suffix added) and resume on restart")
-	out := flag.String("out", "BENCH_PR10.json", "output path (- for stdout)")
+	out := flag.String("out", "-", "output path (- for stdout)")
 	note := flag.String("note", "", "free-form measurement note recorded in the report (';'-separated)")
 	failAllocs := flag.String("failallocs", "", "report whose per-experiment allocs/op are a hard ceiling: exit non-zero on any increase (allocs are deterministic, unlike wall times)")
 	failEvents := flag.String("failevents", "", "report whose per-experiment events/s are a regression floor: exit non-zero when throughput drops below -eventsslack of the recorded value")
@@ -187,45 +118,8 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrics listening %s\n", maddr)
 	}
 
-	harness.Workers = *workers
-
 	if *soak > 0 {
 		os.Exit(runSoak(*soak))
-	}
-
-	if *agentAddr != "" {
-		// Agent mode for the cluster measurement: same protocol as
-		// `experiments -agent`.
-		if err := cluster.ListenAndServe(*agentAddr, os.Stdout, nil); err != nil {
-			fatal(err)
-		}
-		return
-	}
-
-	if *shardAt != "" {
-		// Worker mode for the sharded measurement: same protocol as
-		// `experiments -shard i/N`.
-		shard, nShards, err := sweep.ParseShardSpec(*shardAt)
-		if err != nil {
-			fatal(err)
-		}
-		e := harness.ByID(*expID)
-		if e == nil {
-			fatal(fmt.Errorf("wlanbench: -shard needs a valid -experiment (got %q)", *expID))
-		}
-		if *points != "" {
-			pts, perr := sweep.ParsePoints(*points)
-			if perr != nil {
-				fatal(perr)
-			}
-			err = sweep.RunWorkerPoints(e, shard, nShards, pts, !*full, os.Stdout)
-		} else {
-			err = sweep.RunWorker(e, shard, nShards, !*full, os.Stdout)
-		}
-		if err != nil {
-			fatal(err)
-		}
-		return
 	}
 
 	var exps []*harness.Experiment
@@ -242,16 +136,10 @@ func main() {
 		}
 	}
 
-	if *chaosSeed != 0 {
-		os.Exit(runChaos(exps, *chaosSeed, !*full, *ckpt))
-	}
-
 	rep := Report{
 		GoVersion:  runtime.Version(),
 		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Workers:    *workers,
 		Quick:      !*full,
-		Shards:     *shards,
 	}
 	if *note != "" {
 		rep.Notes = strings.Split(*note, ";")
@@ -271,79 +159,10 @@ func main() {
 		floor = readReport(*failEvents)
 	}
 
-	var runner *sweep.Runner
-	if *shards > 1 {
-		self, err := os.Executable()
-		if err != nil {
-			fatal(fmt.Errorf("wlanbench: cannot locate own binary for re-exec: %v", err))
-		}
-		// Forward -workers so a -workers 1 parent (the CI configuration,
-		// chosen for exact allocs/op) gets workers whose self-measured
-		// allocations are equally deterministic.
-		workerArgs := []string{"-workers", fmt.Sprint(*workers)}
-		if *full {
-			workerArgs = append(workerArgs, "-full")
-		}
-		runner = &sweep.Runner{
-			Shards: *shards,
-			Quick:  !*full,
-			Spawn:  sweep.ExecSpawner(self, workerArgs...),
-		}
-	}
-
-	fleet := strings.Split(*agentList, ",")
-	if *agentList == "" {
-		fleet = nil
-	}
-	if *clusterAgents > 0 {
-		self, err := os.Executable()
-		if err != nil {
-			fatal(fmt.Errorf("wlanbench: cannot locate own binary for agent spawn: %v", err))
-		}
-		for i := 0; i < *clusterAgents; i++ {
-			addr, err := spawnAgent(self, *workers)
-			if err != nil {
-				fatal(fmt.Errorf("wlanbench: spawn agent %d: %v", i, err))
-			}
-			fleet = append(fleet, addr)
-		}
-	}
-	var coord *cluster.Coordinator
-	if len(fleet) > 0 {
-		rep.Agents = len(fleet)
-		coord = &cluster.Coordinator{
-			Agents: fleet,
-			Quick:  !*full,
-			// Measure the agent fleet alone: with the implicit local agent
-			// enabled, the coordinator's own process would absorb part of
-			// the grid and the 1/2/4-agent scaling numbers would not be
-			// comparable.
-			DisableLocal: true,
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		}
-	}
-
 	allocsRegressed := false
 	eventsRegressed := false
 	for _, e := range exps {
 		r := measureAB(e, *runs, !*full)
-		if runner != nil {
-			sh, err := measureSharded(e, runner, r.NsPerOp)
-			if err != nil {
-				fatal(err)
-			}
-			r.Sharded = sh
-		}
-		if coord != nil {
-			coord.CheckpointPath = ckptPath(*ckpt, e.ID)
-			cl, err := measureCluster(e, coord, r.NsPerOp)
-			if err != nil {
-				fatal(err)
-			}
-			r.Cluster = cl
-		}
 		if ceiling != nil {
 			matched := false
 			for _, c := range ceiling.Experiments {
@@ -396,19 +215,9 @@ func main() {
 			}
 		}
 		rep.Experiments = append(rep.Experiments, r)
-		fmt.Fprintf(os.Stderr, "%-4s %12d ns/op %10d allocs/op %12.0f events/s   metrics %+.2f%%",
+		fmt.Fprintf(os.Stderr, "%-4s %12d ns/op %10d allocs/op %12.0f events/s   metrics %+.2f%%\n",
 			r.ID, r.NsPerOp, r.AllocsPerOp, r.EventsPerSec, r.MetricsOverheadPct)
-		if r.Sharded != nil {
-			fmt.Fprintf(os.Stderr, "   sharded(%d) %12d ns/op (%.2fx)",
-				r.Sharded.Shards, r.Sharded.NsPerOp, r.Sharded.SpeedupVsSeq)
-		}
-		if r.Cluster != nil {
-			fmt.Fprintf(os.Stderr, "   cluster(%d) %12d ns/op (%.2fx)",
-				r.Cluster.Agents, r.Cluster.NsPerOp, r.Cluster.SpeedupVsSeq)
-		}
-		fmt.Fprintln(os.Stderr)
 	}
-	stopAgents()
 
 	enc, err := json.MarshalIndent(&rep, "", "  ")
 	if err != nil {
@@ -417,14 +226,8 @@ func main() {
 	enc = append(enc, '\n')
 	if *out == "-" {
 		os.Stdout.Write(enc)
-		if allocsRegressed || eventsRegressed {
-			os.Exit(1)
-		}
-		return
-	}
-	if err := os.WriteFile(*out, enc, 0o644); err != nil {
-		fmt.Fprintf(os.Stderr, "wlanbench: %v\n", err)
-		os.Exit(1)
+	} else if err := os.WriteFile(*out, enc, 0o644); err != nil {
+		fatal(err)
 	}
 	if allocsRegressed || eventsRegressed {
 		os.Exit(1)
@@ -490,8 +293,7 @@ const abPairs = 5
 // overhead is the median of the per-pair ratios, discarding outlier
 // pairs that caught a load spike. The headline columns keep each side's
 // best pair (interference only ever slows a run). Global instrumentation
-// state is restored afterwards so the sharded/cluster measurements run
-// under whatever -metrics selected.
+// state is restored afterwards to whatever -metrics selected.
 func measureAB(e *harness.Experiment, runs int, quick bool) ExpResult {
 	prevOn, prevEvery := obs.Enabled(), core.MetricsEvery
 	defer func() {
@@ -531,168 +333,9 @@ func measureAB(e *harness.Experiment, runs int, quick bool) ExpResult {
 	return r
 }
 
-// agentProcs tracks the loopback agent subprocesses -clusteragents spawned
-// so every exit path can reap them.
-var agentProcs []*exec.Cmd
-
-// spawnAgent starts `self -agent 127.0.0.1:0 -workers N` and returns the
-// address the agent announced on its stdout.
-func spawnAgent(self string, workers int) (string, error) {
-	cmd := exec.Command(self, "-agent", "127.0.0.1:0", "-workers", fmt.Sprint(workers))
-	cmd.Stderr = os.Stderr
-	stdout, err := cmd.StdoutPipe()
-	if err != nil {
-		return "", err
-	}
-	if err := cmd.Start(); err != nil {
-		return "", err
-	}
-	line, err := bufio.NewReader(stdout).ReadString('\n')
-	if err != nil {
-		cmd.Process.Kill()
-		cmd.Wait()
-		return "", fmt.Errorf("agent announced nothing: %v", err)
-	}
-	var addr string
-	if _, err := fmt.Sscanf(line, "cluster agent listening %s", &addr); err != nil {
-		cmd.Process.Kill()
-		cmd.Wait()
-		return "", fmt.Errorf("unexpected agent announcement %q", line)
-	}
-	agentProcs = append(agentProcs, cmd)
-	return addr, nil
-}
-
-// stopAgents reaps every spawned agent subprocess.
-func stopAgents() {
-	for _, cmd := range agentProcs {
-		cmd.Process.Kill()
-		cmd.Wait()
-	}
-	agentProcs = nil
-}
-
-// measureCluster runs e once through the cluster engine and rolls the
-// agents' self-reported timing/allocs into the result.
-func measureCluster(e *harness.Experiment, coord *cluster.Coordinator, seqNs int64) (*ClusterResult, error) {
-	t0 := time.Now()
-	res, err := coord.Run(e)
-	if err != nil {
-		return nil, err
-	}
-	wall := time.Since(t0)
-	cl := &ClusterResult{
-		Agents:       len(coord.Agents),
-		NsPerOp:      wall.Nanoseconds(),
-		Redispatched: res.Redispatched,
-		PerAgent:     res.Agents,
-	}
-	if seqNs > 0 {
-		cl.SpeedupVsSeq = round2(float64(seqNs) / float64(wall.Nanoseconds()))
-	}
-	return cl, nil
-}
-
-// measureSharded runs e once through the multi-process sweep engine and
-// rolls the workers' self-reported timing/allocs into the result. One
-// orchestrated run is enough: shard wall times are dominated by the
-// simulation itself, and the per-shard allocs are deterministic.
-func measureSharded(e *harness.Experiment, runner *sweep.Runner, seqNs int64) (*ShardedResult, error) {
-	t0 := time.Now()
-	res, err := runner.Run(e)
-	if err != nil {
-		return nil, err
-	}
-	wall := time.Since(t0)
-	sh := &ShardedResult{
-		Shards:   runner.Shards,
-		NsPerOp:  wall.Nanoseconds(),
-		PerShard: res.Shards,
-	}
-	if seqNs > 0 {
-		sh.SpeedupVsSeq = round2(float64(seqNs) / float64(wall.Nanoseconds()))
-	}
-	return sh, nil
-}
-
-// ckptPath derives the per-experiment checkpoint file from the -checkpoint
-// base (the journal is per-sweep: one experiment, one file).
-func ckptPath(base, id string) string {
-	if base == "" {
-		return ""
-	}
-	return base + "." + id
-}
-
-// chaosAgents is the loopback fleet size of the chaos mode: two agents so
-// re-dispatch has somewhere to go besides the local agent.
-const chaosAgents = 2
-
-// runChaos is the -chaos mode: each experiment's cluster sweep runs with
-// every agent behind a seeded faultnet listener — connection refusals,
-// mid-stream drops, stalls, delayed writes — and the merged output is
-// asserted byte-identical to the sequential run. Everything written to
-// stdout is a pure function of (seed, experiment list): the fault schedule
-// window and the per-experiment verdicts reproduce bit-for-bit across
-// runs, which is the artifact CI diffs. Returns the process exit code.
-func runChaos(exps []*harness.Experiment, seed int64, quick bool, ckpt string) int {
-	for i := 0; i < chaosAgents; i++ {
-		fmt.Printf("agent %d fault schedule (first 16 connections):\n%s", i, faultnet.Describe(seed+int64(i), 16))
-	}
-
-	var addrs []string
-	for i := 0; i < chaosAgents; i++ {
-		inner, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			return 1
-		}
-		ln := faultnet.Wrap(inner, seed+int64(i))
-		a := &cluster.Agent{}
-		go a.Serve(ln)
-		defer a.Close()
-		addrs = append(addrs, inner.Addr().String())
-	}
-
-	code := 0
-	for _, e := range exps {
-		want := e.Run(quick).CSV()
-		coord := &cluster.Coordinator{
-			Agents: addrs,
-			Quick:  quick,
-			// Recovery knobs tightened so injected faults cost milliseconds:
-			// chaos mode is a correctness gate, not a soak test.
-			HeartbeatEvery:   20 * time.Millisecond,
-			HeartbeatTimeout: 200 * time.Millisecond,
-			RetryBackoff:     10 * time.Millisecond,
-			ReadmitEvery:     25 * time.Millisecond,
-			Seed:             seed,
-			CheckpointPath:   ckptPath(ckpt, e.ID),
-			Logf: func(format string, args ...any) {
-				fmt.Fprintf(os.Stderr, format+"\n", args...)
-			},
-		}
-		res, err := coord.Run(e)
-		switch {
-		case err != nil:
-			fmt.Printf("chaos %s: ERROR\n", e.ID)
-			fmt.Fprintf(os.Stderr, "wlanbench: chaos %s: %v\n", e.ID, err)
-			code = 1
-		case res.Table.CSV() != want:
-			fmt.Printf("chaos %s: MISMATCH\n", e.ID)
-			fmt.Fprintf(os.Stderr, "wlanbench: chaos %s: cluster output under fault injection differs from sequential\n", e.ID)
-			code = 1
-		default:
-			fmt.Printf("chaos %s: match\n", e.ID)
-		}
-	}
-	return code
-}
-
 func round2(v float64) float64 { return float64(int64(v*100+0.5)) / 100 }
 
 func fatal(err error) {
-	stopAgents()
 	fmt.Fprintln(os.Stderr, err)
 	os.Exit(1)
 }

@@ -16,23 +16,27 @@
 //
 // The simulator is built around two hot loops — the event kernel and the
 // medium's transmission fan-out — and both run allocation-free in steady
-// state (see PERFORMANCE.md for measurements and BENCH_PR1.json for the
-// tracked trajectory):
+// state (see PERFORMANCE.md for the measurements and bench/README.md for
+// the repository benchmark):
 //
 //   - internal/sim pools Event objects on a free list behind
-//     generation-checked Timer handles, keeps the queue as an inlined
-//     4-ary heap specialized to *Event, and reaps cancelled events lazily
-//     in bulk. ScheduleArg gives hot callers closure-free scheduling.
+//     generation-checked Timer handles, keeps the queue as a
+//     struct-of-arrays 4-ary heap drained one same-timestamp cohort at a
+//     time, and reaps cancelled events lazily in bulk. ScheduleArg gives
+//     hot callers closure-free scheduling.
 //   - internal/medium pools transmissions and arrivals, caches per-link
 //     gain and propagation delay for static radio pairs (invalidated on
 //     movement), prunes fan-out through per-radio neighbor lists, reuses
 //     wire buffers, decodes each transmission once per fan-out, and
 //     memoizes the PHY chunk-error model.
-//   - internal/harness runs each experiment's independent scenario points
-//     on a bounded worker pool (GOMAXPROCS workers) with row order — and
-//     therefore output — bit-identical to sequential execution.
-//   - internal/sweep scales past one process: every experiment exposes its
-//     parameter grid (harness.Grid), and the sweep engine shards the grid
-//     across worker subprocesses (`experiments -shards N`) and merges the
-//     shard output into tables byte-identical to the sequential run.
+//   - internal/harness describes every experiment as a parameter grid of
+//     independent scenario points (harness.Grid); Grid.Run evaluates them
+//     one after another and is the reference for everything below.
+//   - internal/cluster is the one sweep engine: a cost-ordered
+//     work-stealing scheduler over a worker list — in-process goroutines
+//     (the default), subprocesses on stdin/stdout (`experiments -shards
+//     N`), TCP agents (`-agents`) — with re-dispatch, checkpoint/resume and
+//     a merge byte-identical to the sequential run. internal/sweep is its
+//     data format: shard wire format, worker-side evaluation, merge,
+//     checkpoint journal.
 package repro

@@ -1,14 +1,30 @@
-// Package cluster scales the sweep engine past one machine: it splits sweep
-// execution into a control plane (the Coordinator, which owns scheduling,
-// fault handling and the merge) and a data plane of agents (remote
-// processes that evaluate grid points), connected by a line-oriented TCP
-// protocol layered on the internal/sweep shard wire format.
+// Package cluster is the sweep engine: one scheduler decides which grid
+// point of an experiment runs where, fed by an explicit list of workers.
+// The Coordinator owns scheduling, fault handling, the checkpoint journal
+// and the merge; a worker is whatever evaluates the chunks it is handed,
+// reached through one of three transports:
+//
+//   - in-process: a goroutine of the coordinator's own process calls
+//     Grid.Point and delivers the rows directly. No wire round trip, so
+//     table cells are unrestricted, and nothing process-global (MemStats,
+//     the simulator event count) is read, so concurrent in-process workers
+//     cannot attribute each other's work;
+//   - subprocess: a child process running the agent's serve loop on its
+//     stdin/stdout (`experiments -agent -`). Pipe EOF is the liveness
+//     signal in both directions — a dead child fails the coordinator's
+//     read, a dead coordinator ends the child's loop — and a chunk past its
+//     deadline is cancelled by killing the child;
+//   - TCP: an agent process on any reachable machine (`experiments -agent
+//     :7101`), with a heartbeat on a second connection.
+//
+// The subprocess and TCP transports speak the same line protocol, layered
+// on the internal/sweep shard format; the in-process transport skips it.
 //
 // # Wire protocol
 //
 // An agent serves any number of sequential requests per connection. Each
-// request is one line; each response ends with a terminator line, so both
-// sides can frame without byte counts:
+// request is one line (at most 1 MiB); each response ends with a terminator
+// line, so both sides can frame without byte counts:
 //
 //	→ # ping
 //	← # pong
@@ -32,20 +48,20 @@
 //
 // # At-least-once dispatch, exactly-once merge, resume
 //
-// Dispatch is at-least-once: a chunk whose agent fails — connection loss,
-// missed heartbeat, exceeded deadline, or a response that fails validation
-// — is re-dispatched to whichever agent next asks for work, so the same
-// point may be evaluated more than once. The coordinator nevertheless
-// guarantees each grid point lands in the merged table exactly once,
-// whatever fails in between:
+// Dispatch is at-least-once: a chunk whose worker fails — connection loss,
+// a dead subprocess, missed heartbeat, exceeded deadline, or a response
+// that fails validation — is re-dispatched to whichever worker next asks
+// for work, so the same point may be evaluated more than once. The
+// coordinator nevertheless guarantees each grid point lands in the merged
+// table exactly once, whatever fails in between:
 //
 //   - every chunk response is validated against the request (experiment,
 //     quick mode, and the exact point set) before any row is accepted;
-//   - a failed or dead agent's in-flight points are re-dispatched to
-//     surviving agents (ultimately the implicit local agent, so a sweep
-//     degrades to local execution rather than failing); once-live agents
-//     are periodically re-probed and re-admitted to the fleet when they
-//     come back;
+//   - a failed or dead worker's in-flight points are re-dispatched to the
+//     surviving workers (in-process workers cannot die, so a sweep that has
+//     one degrades to local execution rather than failing); once-live
+//     workers are periodically re-probed — re-dialled or re-spawned — and
+//     re-admitted when they come back;
 //   - results are deduplicated by point index — the first valid result for
 //     a point wins and later duplicates from re-dispatch races are
 //     discarded; both results are byte-identical by determinism, so
@@ -54,15 +70,16 @@
 //     point in [0, N) is present exactly once.
 //
 // With Coordinator.CheckpointPath set, the contract extends across
-// coordinator process death: every chunk is journaled (internal/sweep
-// checkpoint format, fsynced append) only after it passes the validation
-// above, so the journal holds nothing unverified. A restarted coordinator
-// re-validates the journal against the sweep identity and grid, truncates
-// at most a torn trailing record (the one a crash may have cut), marks the
-// journaled points delivered before any agent starts, and dispatches only
-// the remainder — the resumed sweep's merged table is byte-identical to an
-// uninterrupted run. Journal duplicates from re-dispatch races are
-// tolerated when byte-identical and rejected loudly otherwise.
+// coordinator process death, whatever the worker list: every chunk is
+// journaled (internal/sweep checkpoint format, fsynced append) only after
+// it passes the validation above, so the journal holds nothing unverified.
+// A restarted coordinator re-validates the journal against the sweep
+// identity and grid, truncates at most a torn trailing record (the one a
+// crash may have cut), marks the journaled points delivered before any
+// worker starts, and dispatches only the remainder — the resumed sweep's
+// merged table is byte-identical to an uninterrupted run. Journal
+// duplicates from re-dispatch races are tolerated when byte-identical and
+// rejected loudly otherwise.
 //
 // Agents are trusted, version-matched binaries (the same experiment
 // registry must be compiled in); the validation above is a seatbelt against
@@ -71,6 +88,7 @@ package cluster
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -91,8 +109,14 @@ const (
 	runPrefix = "# run v1 "
 )
 
-// Agent serves sweep chunks over TCP. The zero value is ready to use;
-// Logf, when set, receives one line per served request.
+// maxRequestLine bounds one request line. An agent port is unauthenticated,
+// so a peer that never sends a newline must not grow the heap without
+// limit; 1 MiB covers any real point list.
+const maxRequestLine = 1 << 20
+
+// Agent serves sweep chunks over TCP listeners (Serve) or a byte stream
+// (ServePipe). The zero value is ready to use; Logf, when set, receives one
+// line per served request.
 type Agent struct {
 	// Logf logs request-level activity (nil silences it).
 	Logf func(format string, args ...any)
@@ -156,7 +180,7 @@ func (a *Agent) logf(format string, args ...any) {
 	}
 }
 
-// serveConn answers pings and run requests until the peer hangs up.
+// serveConn runs the serve loop on one accepted connection.
 func (a *Agent) serveConn(conn net.Conn) {
 	defer func() {
 		conn.Close()
@@ -164,14 +188,19 @@ func (a *Agent) serveConn(conn net.Conn) {
 		delete(a.conns, conn)
 		a.mu.Unlock()
 	}()
-	br := bufio.NewReader(conn)
-	bw := bufio.NewWriter(conn)
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return
-		}
-		line = strings.TrimSuffix(line, "\n")
+	a.ServePipe(conn, conn)
+}
+
+// ServePipe answers pings and run requests read from r on w until r ends
+// or a write fails. It is the serve loop of every transport: a TCP
+// connection, or the stdin/stdout of a subprocess worker, where the
+// coordinator closing the pipe (or dying) is what ends the loop.
+func (a *Agent) ServePipe(r io.Reader, w io.Writer) {
+	sc := bufio.NewScanner(r)
+	sc.Buffer(make([]byte, 0, 4096), maxRequestLine)
+	bw := bufio.NewWriter(w)
+	for sc.Scan() {
+		line := sc.Text()
 		switch {
 		case line == pingLine:
 			fmt.Fprintln(bw, pongLine)
@@ -183,6 +212,10 @@ func (a *Agent) serveConn(conn net.Conn) {
 		if err := bw.Flush(); err != nil {
 			return
 		}
+	}
+	if errors.Is(sc.Err(), bufio.ErrTooLong) {
+		fmt.Fprintf(bw, "%srequest too long\n", errPrefix)
+		bw.Flush()
 	}
 }
 
@@ -202,7 +235,7 @@ func (a *Agent) serveRun(w io.Writer, line string) {
 	a.logf("run %s quick=%t points=%s", expID, quick, sweep.FormatPoints(pts))
 	obs.Agent.Chunks.Inc()
 	obs.Agent.Points.Add(uint64(len(pts)))
-	if err := sweep.RunWorkerPoints(e, 0, 1, pts, quick, w); err != nil {
+	if err := sweep.RunWorkerPoints(e, pts, quick, w); err != nil {
 		// The shard output may already be partially written; the error line
 		// makes the response unparseable on purpose, so the coordinator
 		// discards the chunk instead of merging a truncated shard.
@@ -226,21 +259,11 @@ func parseRunRequest(line string) (expID string, quick bool, pts []int, err erro
 	return expID, quick, pts, nil
 }
 
-// ListenAndServe starts an agent on addr (":0" picks a free port) and
-// announces the bound address on w as "cluster agent listening <addr>" —
-// the line orchestrators that spawn agent subprocesses scan for. It serves
-// until the process exits.
-func ListenAndServe(addr string, w io.Writer, logf func(string, ...any)) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return ServeListener(ln, w, logf)
-}
-
-// ServeListener is ListenAndServe for a caller-provided listener — the
-// hook chaos modes use to interpose a fault-injecting wrapper (see
-// internal/cluster/faultnet) between the agent and its TCP socket.
+// ServeListener serves an agent on ln — a TCP listener, possibly behind a
+// fault-injecting wrapper (see internal/cluster/faultnet) — and announces
+// the bound address on w as "cluster agent listening <addr>", the line
+// orchestrators that spawn agent subprocesses scan for. It serves until the
+// process exits.
 func ServeListener(ln net.Listener, w io.Writer, logf func(string, ...any)) error {
 	fmt.Fprintf(w, "cluster agent listening %s\n", ln.Addr())
 	a := &Agent{Logf: logf}

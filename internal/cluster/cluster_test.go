@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"net"
@@ -27,6 +28,12 @@ func startAgent(t *testing.T) (string, *Agent) {
 	return ln.Addr().String(), a
 }
 
+// fleet is the worker list most tests want: local in-process workers plus
+// one TCP worker per address.
+func fleet(local int, addrs ...string) []*Worker {
+	return append(InProcess(local), Remote(addrs...)...)
+}
+
 func seqRender(t *testing.T, id string) (e *harness.Experiment, render, csv string) {
 	t.Helper()
 	e = harness.ByID(id)
@@ -38,14 +45,14 @@ func seqRender(t *testing.T, id string) (e *harness.Experiment, render, csv stri
 }
 
 // The acceptance property: a sweep dispatched across two loopback agents
-// (plus the implicit local agent) merges to output byte-identical to the
+// plus an in-process worker merges to output byte-identical to the
 // sequential run.
 func TestClusterMergeMatchesSequential(t *testing.T) {
 	addr1, _ := startAgent(t)
 	addr2, _ := startAgent(t)
 	for _, id := range []string{"T1", "F1", "S1"} {
 		e, wantRender, wantCSV := seqRender(t, id)
-		c := &Coordinator{Agents: []string{addr1, addr2}, Quick: true}
+		c := &Coordinator{Workers: fleet(1, addr1, addr2), Quick: true}
 		res, err := c.Run(e)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
@@ -67,13 +74,13 @@ func TestClusterMergeMatchesSequential(t *testing.T) {
 	}
 }
 
-// With the local agent disabled the remote fleet must carry the whole grid
-// — and still reproduce the sequential bytes.
+// With no in-process worker on the list the remote fleet must carry the
+// whole grid — and still reproduce the sequential bytes.
 func TestClusterRemoteOnlyMatchesSequential(t *testing.T) {
 	addr1, _ := startAgent(t)
 	addr2, _ := startAgent(t)
 	e, wantRender, _ := seqRender(t, "T1")
-	c := &Coordinator{Agents: []string{addr1, addr2}, Quick: true, DisableLocal: true}
+	c := &Coordinator{Workers: Remote(addr1, addr2), Quick: true}
 	res, err := c.Run(e)
 	if err != nil {
 		t.Fatal(err)
@@ -83,7 +90,7 @@ func TestClusterRemoteOnlyMatchesSequential(t *testing.T) {
 	}
 	for _, a := range res.Agents {
 		if a.Addr == LocalAgentName {
-			t.Error("local agent participated despite DisableLocal")
+			t.Error("an in-process worker participated without being on the worker list")
 		}
 	}
 }
@@ -146,7 +153,9 @@ func TestClusterDropsConnMidRow(t *testing.T) {
 		conn.Close()
 	}))
 	good, _ := startAgent(t)
-	c := &Coordinator{Agents: []string{addr, good}, Quick: true}
+	// The pause after each chunk guarantees the evil agent gets to pull one
+	// before the in-process worker has eaten the grid.
+	c := &Coordinator{Workers: fleet(1, addr, good), Quick: true, stepDelay: 20 * time.Millisecond}
 	res, err := c.Run(e)
 	if err != nil {
 		t.Fatal(err)
@@ -187,7 +196,7 @@ func TestClusterAgentKilledMidShard(t *testing.T) {
 		victim.Close()
 	}()
 	good, _ := startAgent(t)
-	c := &Coordinator{Agents: []string{ln.Addr().String(), good}, Quick: true}
+	c := &Coordinator{Workers: fleet(1, ln.Addr().String(), good), Quick: true}
 	res, err := c.Run(e)
 	if err != nil {
 		t.Fatal(err)
@@ -200,14 +209,16 @@ func TestClusterAgentKilledMidShard(t *testing.T) {
 // A hung agent — accepts connections, never answers anything — must be
 // detected by the heartbeat and its work re-dispatched.
 func TestClusterHeartbeatDetectsHungAgent(t *testing.T) {
-	// T1's grid has several points, so the hung agent is guaranteed to have
-	// pulled (and be sitting on) a chunk while the local agent is busy with
-	// its first point — the heartbeat must claw that chunk back.
+	// T1's grid has several points and the in-process worker pauses after
+	// each, so the hung agent is guaranteed to have pulled (and be sitting
+	// on) a chunk before the grid runs out — the heartbeat must claw that
+	// chunk back.
 	e, wantRender, _ := seqRender(t, "T1")
 	hung := evilServer(t, func(conn net.Conn) { /* accept and say nothing */ })
 	c := &Coordinator{
-		Agents:           []string{hung},
+		Workers:          fleet(1, hung),
 		Quick:            true,
+		stepDelay:        20 * time.Millisecond,
 		HeartbeatEvery:   10 * time.Millisecond,
 		HeartbeatTimeout: 100 * time.Millisecond,
 	}
@@ -243,7 +254,7 @@ func TestClusterDegradesToLocal(t *testing.T) {
 		ln.Close()
 	}
 	e, wantRender, _ := seqRender(t, "T1")
-	c := &Coordinator{Agents: dead, Quick: true, DialTimeout: time.Second}
+	c := &Coordinator{Workers: fleet(1, dead...), Quick: true, DialTimeout: time.Second}
 	res, err := c.Run(e)
 	if err != nil {
 		t.Fatal(err)
@@ -262,8 +273,8 @@ func TestClusterDegradesToLocal(t *testing.T) {
 	}
 }
 
-// With no local agent and no live remotes the sweep must fail loudly, not
-// hang.
+// With no in-process worker and no live remotes the sweep must fail
+// loudly, not hang.
 func TestClusterAllAgentsDeadFails(t *testing.T) {
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
@@ -272,17 +283,21 @@ func TestClusterAllAgentsDeadFails(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 	e := harness.ByID("S1")
-	c := &Coordinator{Agents: []string{addr}, Quick: true, DisableLocal: true, DialTimeout: time.Second}
+	c := &Coordinator{Workers: Remote(addr), Quick: true, DialTimeout: time.Second}
 	if _, err := c.Run(e); err == nil {
 		t.Fatal("sweep with a fully dead fleet reported success")
 	}
 }
 
-// ListenAndServe must announce its bound address in the exact line
+// ServeListener must announce its bound address in the exact line
 // orchestrators scan for, then serve the protocol.
 func TestListenAndServeAnnouncesAddr(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
 	pr, pw := io.Pipe()
-	go ListenAndServe("127.0.0.1:0", pw, nil) // serves until process exit
+	go ServeListener(ln, pw, nil) // serves until process exit
 	line, err := bufio.NewReader(pr).ReadString('\n')
 	if err != nil {
 		t.Fatal(err)
@@ -306,17 +321,14 @@ func TestListenAndServeAnnouncesAddr(t *testing.T) {
 // The tuning knobs must fall back to sane defaults when unset.
 func TestCoordinatorDefaults(t *testing.T) {
 	c := &Coordinator{}
-	if c.chunkPoints() != 1 {
-		t.Errorf("default chunk size %d, want 1", c.chunkPoints())
-	}
 	if c.heartbeatEvery() <= 0 || c.heartbeatTimeout() <= c.heartbeatEvery() {
 		t.Errorf("heartbeat defaults inconsistent: every=%v timeout=%v", c.heartbeatEvery(), c.heartbeatTimeout())
 	}
 	if c.dialTimeout() <= 0 {
 		t.Errorf("dial timeout default %v", c.dialTimeout())
 	}
-	if _, err := (&Coordinator{DisableLocal: true}).Run(harness.ByID("S1")); err == nil {
-		t.Error("no agents + DisableLocal accepted")
+	if _, err := c.Run(harness.ByID("S1")); err == nil {
+		t.Error("empty worker list accepted")
 	}
 }
 
@@ -363,5 +375,29 @@ func TestAgentProtocolErrors(t *testing.T) {
 	// The connection must still serve a healthy request afterwards.
 	if got := ask(pingLine); got != pongLine {
 		t.Errorf("ping after errors answered %q", got)
+	}
+}
+
+// A peer that never sends a newline must not grow the agent's heap without
+// limit: past maxRequestLine the agent answers an error line and hangs up.
+func TestAgentBoundsRequestLine(t *testing.T) {
+	addr, _ := startAgent(t)
+	conn, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	go conn.Write(bytes.Repeat([]byte{'x'}, 2*maxRequestLine)) // fails once the agent hangs up
+	conn.SetReadDeadline(time.Now().Add(10 * time.Second))
+	br := bufio.NewReader(conn)
+	line, err := br.ReadString('\n')
+	if err != nil {
+		t.Fatalf("no answer to an over-long request: %v", err)
+	}
+	if want := errPrefix + "request too long\n"; line != want {
+		t.Errorf("over-long request answered %q, want %q", line, want)
+	}
+	if _, err := br.ReadString('\n'); err == nil {
+		t.Error("agent kept the connection open after an over-long request")
 	}
 }

@@ -1,15 +1,11 @@
 package cluster
 
 import (
-	"bufio"
-	"bytes"
 	"errors"
 	"fmt"
 	"hash/fnv"
 	"math/rand"
-	"net"
 	"sort"
-	"strings"
 	"sync"
 	"time"
 
@@ -19,32 +15,58 @@ import (
 	"repro/internal/sweep"
 )
 
-// LocalAgentName labels the coordinator's implicit in-process agent in
-// per-agent stats.
+// LocalAgentName labels the in-process workers in per-worker stats; however
+// many there are, they share the one entry.
 const LocalAgentName = "local"
 
-// AgentStats is one agent's contribution to a sweep, rolled up from the
-// per-chunk shard trailers its worker self-measured.
+// Scheduling constants no command and no test ever varied.
+const (
+	// chunkPoints is the number of points a worker pulls per request: 1 is
+	// the finest-grained stealing and re-dispatch.
+	chunkPoints = 1
+	// dialAttempts bounds the connection attempts per (re)connect cycle.
+	// Attempts back off exponentially from RetryBackoff with deterministic
+	// ±50% jitter seeded by Seed, so simultaneous coordinator restarts do
+	// not thundering-herd a recovering agent.
+	dialAttempts = 3
+	// maxStrikes bounds consecutive fruitless reconnect cycles (no chunk
+	// served) before a once-live worker is abandoned for good.
+	maxStrikes = 8
+)
+
+// AgentStats is one worker's contribution to a sweep, rolled up from the
+// per-chunk stats it self-measured.
 type AgentStats struct {
-	Addr   string `json:"addr"`
-	Chunks int    `json:"chunks"`
-	Points int    `json:"points"`
-	Rows   int    `json:"rows"`
-	WallNs int64  `json:"wall_ns"`
-	Allocs uint64 `json:"allocs"`
-	Bytes  uint64 `json:"bytes"`
-	Events uint64 `json:"events"`
-	// Failed marks an agent that died at least once mid-sweep (its
+	Addr   string
+	Chunks int
+	Points int
+	Rows   int
+	// Failed marks a worker that died at least once mid-sweep (its
 	// completed chunks still count above; its in-flight points were
 	// re-dispatched, and it may have been re-admitted later).
-	Failed bool `json:"failed,omitempty"`
+	Failed bool
 	// Readmitted counts successful reconnects after a failure.
-	Readmitted int `json:"readmitted,omitempty"`
-	// Metrics aggregates the obs counter deltas from this agent's chunk
-	// trailers (nil unless the agents ran with metrics enabled). They are
-	// reporting-only: the coordinator never folds them into its own
+	Readmitted int
+	// Metrics aggregates the obs counter deltas from this worker's chunk
+	// trailers (nil unless it is an agent run with metrics enabled). They
+	// are reporting-only: the coordinator never folds them into its own
 	// registry, so its /metrics endpoint counts local work exactly once.
-	Metrics map[string]uint64 `json:"metrics,omitempty"`
+	Metrics map[string]uint64
+}
+
+// add folds b into a.
+func (a *AgentStats) add(b AgentStats) {
+	a.Chunks += b.Chunks
+	a.Points += b.Points
+	a.Rows += b.Rows
+	a.Failed = a.Failed || b.Failed
+	a.Readmitted += b.Readmitted
+	if len(b.Metrics) > 0 && a.Metrics == nil {
+		a.Metrics = make(map[string]uint64, len(b.Metrics))
+	}
+	for k, v := range b.Metrics {
+		a.Metrics[k] += v
+	}
 }
 
 // Result is one experiment's merged cluster sweep.
@@ -59,24 +81,19 @@ type Result struct {
 	Resumed int
 }
 
-// Coordinator fans a sweep out to a fleet of agents with cost-weighted
-// work stealing: agents pull the costliest unfinished chunk next, so fast
-// nodes naturally absorb more of a skewed grid and a slow or dead node
+// Coordinator evaluates a sweep on its worker list with cost-weighted work
+// stealing: workers pull the costliest unfinished chunk next, so fast
+// workers naturally absorb more of a skewed grid and a slow or dead one
 // never straggles the sweep. See the package documentation for the fault
 // tolerance, exactly-once merge and checkpoint/resume contract.
 type Coordinator struct {
-	// Agents lists remote agent addresses (host:port).
-	Agents []string
+	// Workers lists who evaluates chunks: any mix of InProcess,
+	// Subprocesses and Remote workers. A sweep with an in-process worker
+	// cannot fail for lack of workers; one without fails loudly when every
+	// worker is dead.
+	Workers []*Worker
 	// Quick selects the quick-mode grid.
 	Quick bool
-	// DisableLocal drops the implicit local agent. The default (false)
-	// keeps it: the coordinator's own process evaluates chunks alongside
-	// the remotes, and — because it cannot die — guarantees a sweep
-	// degrades to plain local execution when every remote fails.
-	DisableLocal bool
-	// ChunkPoints is the number of points an agent pulls per request
-	// (default 1: finest-grained stealing and re-dispatch).
-	ChunkPoints int
 	// HeartbeatEvery / HeartbeatTimeout tune dead-agent detection
 	// (defaults 200ms / 2s). A missed heartbeat kills the agent's work
 	// connection, which requeues its in-flight chunk. A configured timeout
@@ -87,11 +104,6 @@ type Coordinator struct {
 	HeartbeatTimeout time.Duration
 	// DialTimeout bounds each individual connection attempt (default 5s).
 	DialTimeout time.Duration
-	// DialAttempts bounds the connection attempts per (re)connect cycle
-	// (default 3). Attempts back off exponentially from RetryBackoff with
-	// deterministic ±50% jitter seeded by Seed, so simultaneous
-	// coordinator restarts do not thundering-herd a recovering agent.
-	DialAttempts int
 	// RetryBackoff is the base delay between connection attempts (default
 	// 100ms, doubling per attempt).
 	RetryBackoff time.Duration
@@ -100,9 +112,6 @@ type Coordinator struct {
 	// connected at all are abandoned after their first failed dial cycle —
 	// re-probing only makes sense for nodes known to have existed.
 	ReadmitEvery time.Duration
-	// MaxStrikes bounds consecutive fruitless reconnect cycles (no chunk
-	// served) before a once-live agent is abandoned for good (default 8).
-	MaxStrikes int
 	// ChunkDeadlineFactor cancels a chunk whose wall time exceeds factor ×
 	// its expected cost under the learned ns-per-cost model (EWMA over
 	// completed chunks, trusted after 3 observations). The cancelled
@@ -124,7 +133,7 @@ type Coordinator struct {
 	// checkpoint resume/truncation events (nil silences).
 	Logf func(format string, args ...any)
 
-	// stepDelay throttles the local agent between chunks (tests only: it
+	// stepDelay throttles every worker between chunks (tests only: it
 	// holds a sweep open long enough to kill the coordinator mid-run).
 	stepDelay time.Duration
 }
@@ -133,13 +142,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 	if c.Logf != nil {
 		c.Logf(format, args...)
 	}
-}
-
-func (c *Coordinator) chunkPoints() int {
-	if c.ChunkPoints < 1 {
-		return 1
-	}
-	return c.ChunkPoints
 }
 
 func (c *Coordinator) heartbeatEvery() time.Duration {
@@ -177,13 +179,6 @@ func (c *Coordinator) dialTimeout() time.Duration {
 	return c.DialTimeout
 }
 
-func (c *Coordinator) dialAttempts() int {
-	if c.DialAttempts < 1 {
-		return 3
-	}
-	return c.DialAttempts
-}
-
 func (c *Coordinator) retryBackoff() time.Duration {
 	if c.RetryBackoff <= 0 {
 		return 100 * time.Millisecond
@@ -196,13 +191,6 @@ func (c *Coordinator) readmitEvery() time.Duration {
 		return time.Second
 	}
 	return c.ReadmitEvery
-}
-
-func (c *Coordinator) maxStrikes() int {
-	if c.MaxStrikes < 1 {
-		return 8
-	}
-	return c.MaxStrikes
 }
 
 func (c *Coordinator) chunkDeadlineFactor() float64 {
@@ -232,32 +220,29 @@ func (c *Coordinator) seed() int64 {
 // errFatalAgent marks errors that prove the agent is answering wrongly
 // (experiment skew, malformed-but-framed responses, explicit agent error
 // lines). Reconnecting cannot fix those, so the supervisor abandons the
-// agent instead of retrying. Everything else — dial failures, connection
-// loss, deadlines — is transient.
+// worker instead of retrying. Everything else — dial or spawn failures,
+// connection loss, a dead subprocess, deadlines — is transient.
 var errFatalAgent = errors.New("fatal agent error")
 
 func fatalAgent(err error) error {
 	return fmt.Errorf("%w: %v", errFatalAgent, err)
 }
 
-// Run executes the experiment's grid across the fleet and merges the
-// results into a table byte-identical to e.Run(quick).
+// Run evaluates the experiment's grid on the worker list and merges the
+// results into a table byte-identical to e.Run(quick). Runs of one
+// Coordinator must not overlap; call Close after the last one.
 func (c *Coordinator) Run(e *harness.Experiment) (*Result, error) {
-	if c.DisableLocal && len(c.Agents) == 0 {
-		return nil, fmt.Errorf("cluster: no agents and the local agent is disabled")
+	if len(c.Workers) == 0 {
+		return nil, fmt.Errorf("cluster: no workers")
 	}
 	if c.heartbeatMisconfigured() {
 		c.logf("cluster: HeartbeatTimeout %v <= HeartbeatEvery %v can never observe a pong; clamping timeout to %v",
 			c.HeartbeatTimeout, c.heartbeatEvery(), c.heartbeatTimeout())
 	}
 	g := e.Grid(c.Quick)
-	workers := len(c.Agents)
-	if !c.DisableLocal {
-		workers++
-	}
-	s := newScheduler(g.Costs(), workers)
+	s := newScheduler(g.Costs(), len(c.Workers))
 
-	res := &Result{Agents: make([]AgentStats, 0, workers)}
+	res := &Result{}
 
 	var cp *sweep.Checkpoint
 	if c.CheckpointPath != "" {
@@ -282,27 +267,22 @@ func (c *Coordinator) Run(e *harness.Experiment) (*Result, error) {
 		mu sync.Mutex // guards res roll-up fields
 		wg sync.WaitGroup
 	)
-	record := func(st AgentStats, redispatched int) {
-		mu.Lock()
-		res.Agents = append(res.Agents, st)
-		res.Redispatched += redispatched
-		mu.Unlock()
-	}
-
-	if !c.DisableLocal {
+	for _, w := range c.Workers {
 		wg.Add(1)
-		go func() {
+		go func(w *Worker) {
 			defer wg.Done()
-			record(c.runLocal(e, s, cp), 0)
-		}()
-	}
-	for _, addr := range c.Agents {
-		wg.Add(1)
-		go func(addr string) {
-			defer wg.Done()
-			st, redispatched := c.superviseRemote(e, s, cp, addr)
-			record(st, redispatched)
-		}(addr)
+			st, redispatched := c.supervise(e, s, cp, w)
+			mu.Lock()
+			defer mu.Unlock()
+			res.Redispatched += redispatched
+			for i := range res.Agents {
+				if res.Agents[i].Addr == st.Addr {
+					res.Agents[i].add(st)
+					return
+				}
+			}
+			res.Agents = append(res.Agents, st)
+		}(w)
 	}
 	wg.Wait()
 
@@ -319,47 +299,28 @@ func (c *Coordinator) Run(e *harness.Experiment) (*Result, error) {
 	return res, nil
 }
 
-// runLocal is the implicit local agent: chunks are evaluated in-process
-// through the exact same RunWorkerPoints → wire → parse path as a remote,
-// so the round-trip guards cover local execution identically. A local
-// failure is fatal (it is deterministic — no agent could succeed).
-func (c *Coordinator) runLocal(e *harness.Experiment, s *scheduler, cp *sweep.Checkpoint) AgentStats {
-	st := AgentStats{Addr: LocalAgentName}
-	ab := obs.ClusterAgent(LocalAgentName)
-	for {
-		pts := s.take(c.chunkPoints())
-		if pts == nil {
-			return st
-		}
-		t0 := time.Now()
-		var buf bytes.Buffer
-		if err := sweep.RunWorkerPoints(e, 0, 1, pts, c.Quick, &buf); err != nil {
-			s.fail(fmt.Errorf("local agent: %w", err))
-			return st
-		}
-		if err := c.acceptChunk(e, s, cp, &st, pts, buf.Bytes()); err != nil {
-			s.fail(fmt.Errorf("local agent: %w", err))
-			return st
-		}
-		elapsed := time.Since(t0)
-		ab.Chunks.Inc()
-		ab.ChunkLatency.Observe(uint64(elapsed))
-		s.observe(s.costOf(pts), elapsed)
-		if c.stepDelay > 0 {
-			time.Sleep(c.stepDelay)
+// Close stops the subprocess workers the last Run left running for the
+// next one.
+func (c *Coordinator) Close() {
+	for _, w := range c.Workers {
+		if w.kept != nil {
+			w.kept.close()
+			w.kept = nil
 		}
 	}
 }
 
-// superviseRemote owns one remote agent for the whole sweep: it dials with
-// jittered exponential backoff, serves chunks until the connection (or the
-// agent) fails, classifies the failure, and — for fleet members that had
-// been live — periodically re-probes and re-admits them. It returns when
-// the sweep finishes or the agent is abandoned for good.
-func (c *Coordinator) superviseRemote(e *harness.Experiment, s *scheduler, cp *sweep.Checkpoint, addr string) (AgentStats, int) {
-	st := AgentStats{Addr: addr}
+// supervise owns one worker for the whole sweep: it opens the worker's
+// link with jittered exponential backoff, serves chunks until the link (or
+// what is behind it) fails, classifies the failure, and — for workers that
+// had been live — periodically re-probes and re-admits them. It returns
+// when the sweep finishes or the worker is abandoned for good. In-process
+// links neither fail to open nor fail a chunk, so for them this is the
+// plain take-evaluate-deliver loop.
+func (c *Coordinator) supervise(e *harness.Experiment, s *scheduler, cp *sweep.Checkpoint, w *Worker) (AgentStats, int) {
+	st := AgentStats{Addr: w.name}
 	redispatched := 0
-	rng := rand.New(rand.NewSource(c.seed() ^ addrSeed(addr)))
+	rng := rand.New(rand.NewSource(c.seed() ^ addrSeed(w.name)))
 	everConnected := false
 	strikes := 0
 	// holdsSlot tracks whether this supervisor currently counts toward the
@@ -373,7 +334,7 @@ func (c *Coordinator) superviseRemote(e *harness.Experiment, s *scheduler, cp *s
 		if holdsSlot {
 			s.workerGone()
 		}
-		c.logf("cluster: agent %s abandoned (%v)", addr, why)
+		c.logf("cluster: agent %s abandoned (%v)", w.name, why)
 		return st, redispatched
 	}
 
@@ -381,7 +342,12 @@ func (c *Coordinator) superviseRemote(e *harness.Experiment, s *scheduler, cp *s
 		if s.finished() {
 			return st, redispatched
 		}
-		work, err := c.dialBackoff(addr, s, rng)
+		l := w.kept
+		w.kept = nil
+		var err error
+		if l == nil {
+			l, err = c.openBackoff(w, s, rng)
+		}
 		if err != nil {
 			if s.finished() {
 				return st, redispatched
@@ -391,11 +357,11 @@ func (c *Coordinator) superviseRemote(e *harness.Experiment, s *scheduler, cp *s
 				return abandon(err)
 			}
 			strikes++
-			if strikes >= c.maxStrikes() {
+			if strikes >= maxStrikes {
 				return abandon(fmt.Errorf("%d fruitless reconnect cycles: %w", strikes, err))
 			}
 			st.Failed = true
-			c.logf("cluster: agent %s still down (%v); re-probing in %v", addr, err, c.readmitEvery())
+			c.logf("cluster: agent %s still down (%v); re-probing in %v", w.name, err, c.readmitEvery())
 			if !s.waitOr(c.readmitEvery()) {
 				return st, redispatched
 			}
@@ -407,32 +373,34 @@ func (c *Coordinator) superviseRemote(e *harness.Experiment, s *scheduler, cp *s
 		}
 		if everConnected {
 			st.Readmitted++
-			obs.ClusterAgent(addr).Readmits.Inc()
-			c.logf("cluster: agent %s came back; re-admitted to the fleet", addr)
+			obs.ClusterAgent(w.name).Readmits.Inc()
+			c.logf("cluster: agent %s came back; re-admitted to the fleet", w.name)
 		}
 		everConnected = true
 
-		served, n, serveErr := c.serveConn(e, s, cp, &st, addr, work)
+		served, n, serveErr := c.serve(e, s, cp, &st, l)
 		redispatched += n
 		if serveErr == nil {
-			return st, redispatched // sweep complete
-		}
-		st.Failed = true
-		c.logf("cluster: agent %s failed (%v); %d in-flight point(s) re-dispatched", addr, serveErr, n)
-		if errors.Is(serveErr, errFatalAgent) {
-			s.workerGone()
+			// Sweep complete.
+			if w.persistent {
+				w.kept = l
+			} else {
+				l.close()
+			}
 			return st, redispatched
 		}
+		l.close()
+		st.Failed = true
+		c.logf("cluster: agent %s failed (%v); %d in-flight point(s) re-dispatched", w.name, serveErr, n)
 		s.workerGone()
+		if errors.Is(serveErr, errFatalAgent) {
+			return st, redispatched
+		}
 		holdsSlot = false
 		if served > 0 {
 			strikes = 0
-		} else {
-			strikes++
-			if strikes >= c.maxStrikes() {
-				c.logf("cluster: agent %s abandoned (%d fruitless reconnect cycles)", addr, strikes)
-				return st, redispatched
-			}
+		} else if strikes++; strikes >= maxStrikes {
+			return abandon(fmt.Errorf("%d fruitless reconnect cycles", strikes))
 		}
 		if !s.waitOr(c.readmitEvery()) {
 			return st, redispatched
@@ -440,7 +408,7 @@ func (c *Coordinator) superviseRemote(e *harness.Experiment, s *scheduler, cp *s
 	}
 }
 
-// addrSeed derives a per-agent jitter stream from its address so agents
+// addrSeed derives a per-worker jitter stream from its name so workers
 // sharing a coordinator seed still retry on distinct schedules.
 func addrSeed(addr string) int64 {
 	h := fnv.New64a()
@@ -448,14 +416,15 @@ func addrSeed(addr string) int64 {
 	return int64(h.Sum64())
 }
 
-// dialBackoff attempts to connect up to DialAttempts times with jittered
-// exponential backoff, giving up early when the sweep finishes.
-func (c *Coordinator) dialBackoff(addr string, s *scheduler, rng *rand.Rand) (net.Conn, error) {
+// openBackoff attempts to open the worker's link up to dialAttempts times
+// with jittered exponential backoff, giving up early when the sweep
+// finishes.
+func (c *Coordinator) openBackoff(w *Worker, s *scheduler, rng *rand.Rand) (link, error) {
 	var lastErr error
 	delay := c.retryBackoff()
-	for attempt := 0; attempt < c.dialAttempts(); attempt++ {
+	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
-			obs.ClusterAgent(addr).Retries.Inc()
+			obs.ClusterAgent(w.name).Retries.Inc()
 			// ±50% deterministic jitter.
 			jittered := delay/2 + time.Duration(rng.Int63n(int64(delay)))
 			if !s.waitOr(jittered) {
@@ -463,94 +432,65 @@ func (c *Coordinator) dialBackoff(addr string, s *scheduler, rng *rand.Rand) (ne
 			}
 			delay *= 2
 		}
-		conn, err := net.DialTimeout("tcp", addr, c.dialTimeout())
+		l, err := w.open(c)
 		if err == nil {
-			return conn, nil
+			return l, nil
 		}
 		lastErr = err
 	}
 	return nil, lastErr
 }
 
-// serveConn drives one live work connection: heartbeat up, chunks pulled,
-// dispatched, deadline-guarded and validated until the sweep completes
-// (nil error) or the connection/agent fails. The number of chunks served
-// and the points requeued by a failure are returned alongside the error.
-func (c *Coordinator) serveConn(e *harness.Experiment, s *scheduler, cp *sweep.Checkpoint, st *AgentStats, addr string, work net.Conn) (served, requeued int, err error) {
-	defer work.Close()
-	ab := obs.ClusterAgent(addr)
-
-	// Liveness runs on a second connection so a long-running chunk cannot
-	// be mistaken for a dead agent: the agent answers pings from a separate
-	// handler while the work connection is busy computing. When the process
-	// dies both connections die; the heartbeat notices within its timeout
-	// and closes the work connection, failing the blocked read below.
-	stopHB, hbErr := c.startHeartbeat(addr, work)
-	if hbErr != nil {
-		return 0, 0, hbErr
-	}
-	defer stopHB()
-
-	br := bufio.NewReader(work)
+// serve drives one live link: chunks pulled, evaluated under a deadline
+// and validated until the sweep completes (nil error) or the link fails.
+// The number of chunks served and the points requeued by a failure are
+// returned alongside the error.
+func (c *Coordinator) serve(e *harness.Experiment, s *scheduler, cp *sweep.Checkpoint, st *AgentStats, l link) (served, requeued int, err error) {
+	ab := obs.ClusterAgent(st.Addr)
 	for {
-		pts := s.take(c.chunkPoints())
+		pts := s.take(chunkPoints)
 		if pts == nil {
 			return served, 0, nil
 		}
-		fail := func(err error) (int, int, error) {
-			return served, s.requeue(pts), err
-		}
-		// Deadline: a chunk exceeding factor × its expected cost (learned
-		// ns-per-cost EWMA, floored by MinChunkDeadline) is cancelled by
-		// failing the read; its points go back to the pool.
-		if f := c.chunkDeadlineFactor(); f > 0 {
-			if expect := s.expectNs(s.costOf(pts)); expect > 0 {
-				deadline := time.Duration(f * float64(expect))
-				if min := c.minChunkDeadline(); deadline < min {
-					deadline = min
-				}
-				work.SetReadDeadline(time.Now().Add(deadline))
-			} else {
-				work.SetReadDeadline(time.Time{})
-			}
-		}
 		t0 := time.Now()
-		if _, err := fmt.Fprintln(work, formatRunRequest(e.ID, c.Quick, pts)); err != nil {
-			return fail(err)
+		byPoint, chunkStats, err := l.run(e, c.Quick, pts, c.chunkLimit(s, pts))
+		if err == nil {
+			err = c.acceptChunk(s, cp, st, pts, byPoint, chunkStats)
 		}
-		raw, err := readResponse(br)
 		if err != nil {
-			var ne net.Error
-			if errors.As(err, &ne) && ne.Timeout() {
-				err = fmt.Errorf("chunk deadline exceeded after %v: %w", time.Since(t0).Round(time.Millisecond), err)
-			}
-			return fail(err)
-		}
-		if err := c.acceptChunk(e, s, cp, st, pts, raw); err != nil {
-			return fail(err)
+			return served, s.requeue(pts), err
 		}
 		elapsed := time.Since(t0)
 		ab.Chunks.Inc()
 		ab.ChunkLatency.Observe(uint64(elapsed))
 		s.observe(s.costOf(pts), elapsed)
 		served++
+		if c.stepDelay > 0 {
+			time.Sleep(c.stepDelay)
+		}
 	}
 }
 
-// acceptChunk validates one chunk response against its request and delivers
-// the rows: the response must parse, answer for the right experiment and
-// quick mode, and cover exactly the requested point set. Verified chunks
-// are journaled to the checkpoint (when one is open) before the call
-// returns, so the journal never gets ahead of or behind the merge by more
-// than the chunk in flight.
-func (c *Coordinator) acceptChunk(e *harness.Experiment, s *scheduler, cp *sweep.Checkpoint, st *AgentStats, pts []int, raw []byte) error {
-	h, byPoint, chunkStats, err := sweep.ParseShard(bytes.NewReader(raw))
-	if err != nil {
-		return fatalAgent(err)
+// chunkLimit is the chunk's deadline: factor × its expected cost under the
+// learned ns-per-cost EWMA, floored by MinChunkDeadline; 0 (none) while the
+// model is untrusted or deadlines are disabled.
+func (c *Coordinator) chunkLimit(s *scheduler, pts []int) time.Duration {
+	expect := s.expectNs(s.costOf(pts))
+	if expect <= 0 {
+		return 0
 	}
-	if h.Exp != e.ID || h.Quick != c.Quick {
-		return fatalAgent(fmt.Errorf("agent answered for exp=%s quick=%t, want exp=%s quick=%t", h.Exp, h.Quick, e.ID, c.Quick))
+	limit := time.Duration(c.chunkDeadlineFactor() * float64(expect))
+	if limit > 0 && limit < c.minChunkDeadline() {
+		limit = c.minChunkDeadline()
 	}
+	return limit
+}
+
+// acceptChunk checks that a chunk's result covers exactly the requested
+// point set and delivers the rows. Verified chunks are journaled to the
+// checkpoint (when one is open) before the call returns, so the journal
+// never gets ahead of or behind the merge by more than the chunk in flight.
+func (c *Coordinator) acceptChunk(s *scheduler, cp *sweep.Checkpoint, st *AgentStats, pts []int, byPoint map[int][][]string, chunkStats sweep.ShardStats) error {
 	if len(byPoint) != len(pts) {
 		return fatalAgent(fmt.Errorf("agent returned %d points, requested %d", len(byPoint), len(pts)))
 	}
@@ -568,85 +508,11 @@ func (c *Coordinator) acceptChunk(e *harness.Experiment, s *scheduler, cp *sweep
 			return err
 		}
 	}
-	st.Chunks++
-	st.Points += chunkStats.Points
-	st.Rows += chunkStats.Rows
-	st.WallNs += chunkStats.WallNs
-	st.Allocs += chunkStats.Allocs
-	st.Bytes += chunkStats.Bytes
-	st.Events += chunkStats.Events
-	if len(chunkStats.Metrics) > 0 {
-		if st.Metrics == nil {
-			st.Metrics = make(map[string]uint64, len(chunkStats.Metrics))
-		}
-		for k, v := range chunkStats.Metrics {
-			st.Metrics[k] += v
-		}
-	}
+	st.add(AgentStats{
+		Chunks:  1,
+		Points:  chunkStats.Points,
+		Rows:    chunkStats.Rows,
+		Metrics: chunkStats.Metrics,
+	})
 	return nil
-}
-
-// startHeartbeat dials the agent's control connection and pings it until
-// stopped. On a missed or late pong it closes work, which unblocks the work
-// loop's pending read with an error and triggers re-dispatch.
-func (c *Coordinator) startHeartbeat(addr string, work net.Conn) (stop func(), err error) {
-	hb, err := net.DialTimeout("tcp", addr, c.dialTimeout())
-	if err != nil {
-		return nil, err
-	}
-	done := make(chan struct{})
-	var once sync.Once
-	stop = func() {
-		once.Do(func() {
-			close(done)
-			hb.Close()
-		})
-	}
-	rtt := obs.ClusterAgent(addr).HeartbeatRTT
-	go func() {
-		br := bufio.NewReader(hb)
-		ticker := time.NewTicker(c.heartbeatEvery())
-		defer ticker.Stop()
-		for {
-			select {
-			case <-done:
-				return
-			case <-ticker.C:
-			}
-			hb.SetDeadline(time.Now().Add(c.heartbeatTimeout()))
-			t0 := time.Now()
-			if _, err := fmt.Fprintln(hb, pingLine); err != nil {
-				work.Close()
-				return
-			}
-			line, err := br.ReadString('\n')
-			if err != nil || strings.TrimSuffix(line, "\n") != pongLine {
-				work.Close()
-				return
-			}
-			rtt.Observe(uint64(time.Since(t0)))
-		}
-	}()
-	return stop, nil
-}
-
-// readResponse reads one framed response off the work connection: every
-// line up to and including the "# end" terminator. A "# error:" line from
-// the agent (or a closed connection before the terminator) fails the chunk.
-func readResponse(br *bufio.Reader) ([]byte, error) {
-	var buf bytes.Buffer
-	for {
-		line, err := br.ReadString('\n')
-		if err != nil {
-			return nil, fmt.Errorf("connection lost mid-response: %w", err)
-		}
-		trimmed := strings.TrimSuffix(line, "\n")
-		if strings.HasPrefix(trimmed, errPrefix) {
-			return nil, fatalAgent(fmt.Errorf("agent error: %s", strings.TrimPrefix(trimmed, errPrefix)))
-		}
-		buf.WriteString(line)
-		if trimmed == endLine {
-			return buf.Bytes(), nil
-		}
-	}
 }

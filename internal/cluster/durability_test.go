@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"bufio"
 	"bytes"
 	"fmt"
 	"net"
@@ -9,6 +10,7 @@ import (
 	"path/filepath"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -21,13 +23,36 @@ import (
 // subprocess test: when CLUSTER_COORD_CHILD is set, the test binary runs a
 // checkpointed local-only cluster sweep and exits — a stand-in for
 // `experiments -checkpoint` that the parent test can kill mid-run and
-// restart against the same journal.
+// restart against the same journal. With CLUSTER_TEST_WORKER set it is a
+// subprocess worker instead, a stand-in for `experiments -agent -`.
 func TestMain(m *testing.M) {
 	if os.Getenv("CLUSTER_COORD_CHILD") == "1" {
 		runCoordChild()
 		os.Exit(0)
 	}
+	if mode := os.Getenv("CLUSTER_TEST_WORKER"); mode != "" {
+		runWorkerChild(mode)
+		os.Exit(0)
+	}
 	os.Exit(m.Run())
+}
+
+// runWorkerChild serves the wire protocol on stdin/stdout. The first child
+// to create the CLUSTER_TEST_WORKER_DIE_ONCE marker file instead waits for
+// its first chunk request and SIGKILLs itself holding it; in mode "hang" a
+// child never answers anything.
+func runWorkerChild(mode string) {
+	if mode == "hang" {
+		time.Sleep(time.Hour)
+	}
+	if marker := os.Getenv("CLUSTER_TEST_WORKER_DIE_ONCE"); marker != "" {
+		if f, err := os.OpenFile(marker, os.O_CREATE|os.O_EXCL, 0o644); err == nil {
+			f.Close()
+			bufio.NewReader(os.Stdin).ReadString('\n')
+			syscall.Kill(os.Getpid(), syscall.SIGKILL)
+		}
+	}
+	new(Agent).ServePipe(os.Stdin, os.Stdout)
 }
 
 func runCoordChild() {
@@ -38,12 +63,10 @@ func runCoordChild() {
 	}
 	step, _ := time.ParseDuration(os.Getenv("CLUSTER_CHILD_STEP"))
 	c := &Coordinator{
+		Workers:        InProcess(1),
 		Quick:          true,
 		CheckpointPath: os.Getenv("CLUSTER_CHILD_CKPT"),
 		stepDelay:      step,
-	}
-	if agents := os.Getenv("CLUSTER_CHILD_AGENTS"); agents != "" {
-		c.Agents = strings.Split(agents, ",")
 	}
 	res, err := c.Run(e)
 	if err != nil {
@@ -123,6 +146,73 @@ func TestCoordinatorKilledAndResumedByteIdentical(t *testing.T) {
 	}
 }
 
+// A subprocess worker killed while it holds a chunk must not fail the
+// sweep: its point is re-dispatched, the merge stays byte-identical, and
+// the same worker list serves the next sweep.
+func TestSubprocessWorkerKilledMidChunk(t *testing.T) {
+	if testing.Short() {
+		t.Skip("subprocess re-exec test")
+	}
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Inherited by the children only: the parent is past TestMain.
+	t.Setenv("CLUSTER_TEST_WORKER", "1")
+	t.Setenv("CLUSTER_TEST_WORKER_DIE_ONCE", filepath.Join(t.TempDir(), "died"))
+	c := &Coordinator{
+		Workers:      Subprocesses(2, self),
+		Quick:        true,
+		RetryBackoff: 10 * time.Millisecond,
+		ReadmitEvery: 20 * time.Millisecond,
+	}
+	defer c.Close()
+
+	e, wantRender, wantCSV := seqRender(t, "T1")
+	res, err := c.Run(e)
+	if err != nil {
+		t.Fatalf("a killed subprocess worker failed the sweep: %v", err)
+	}
+	if got := res.Table.Render(); got != wantRender {
+		t.Errorf("Render after a killed subprocess differs from sequential:\n--- merged\n%s--- sequential\n%s", got, wantRender)
+	}
+	if got := res.Table.CSV(); got != wantCSV {
+		t.Error("CSV after a killed subprocess differs from sequential")
+	}
+	if res.Redispatched == 0 {
+		t.Error("the killed worker's chunk was not re-dispatched")
+	}
+	failed := 0
+	for _, a := range res.Agents {
+		if a.Failed {
+			failed++
+		}
+	}
+	if failed != 1 {
+		t.Errorf("%d workers marked failed, want exactly the killed one: %+v", failed, res.Agents)
+	}
+
+	// The survivor stays up between sweeps; the victim is spawned again
+	// when next needed.
+	kept := 0
+	for _, w := range c.Workers {
+		if w.kept != nil {
+			kept++
+		}
+	}
+	if kept == 0 {
+		t.Error("no subprocess was kept for the next sweep")
+	}
+	e2, want2, _ := seqRender(t, "S1")
+	res2, err := c.Run(e2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res2.Table.Render(); got != want2 {
+		t.Error("second sweep on the same worker list differs from sequential")
+	}
+}
+
 // In-process resume: a journal holding a verified prefix of the grid must
 // be loaded, re-validated and skipped — the coordinator evaluates only the
 // remainder and still merges the sequential bytes.
@@ -146,7 +236,7 @@ func TestCheckpointResumeSkipsJournaledPoints(t *testing.T) {
 	}
 	for p := 0; p < half; p++ {
 		var buf bytes.Buffer
-		if err := sweep.RunWorkerPoints(e, 0, 1, []int{p}, true, &buf); err != nil {
+		if err := sweep.RunWorkerPoints(e, []int{p}, true, &buf); err != nil {
 			t.Fatal(err)
 		}
 		_, byPoint, st, err := sweep.ParseShard(&buf)
@@ -162,7 +252,7 @@ func TestCheckpointResumeSkipsJournaledPoints(t *testing.T) {
 	addr, _ := startAgent(t)
 	var evaluated []string
 	c := &Coordinator{
-		Agents:         []string{addr},
+		Workers:        fleet(1, addr),
 		Quick:          true,
 		CheckpointPath: ckpt,
 		Logf:           func(format string, args ...any) { evaluated = append(evaluated, fmt.Sprintf(format, args...)) },
@@ -186,7 +276,7 @@ func TestCheckpointResumeSkipsJournaledPoints(t *testing.T) {
 	}
 
 	// The journal now covers the whole grid; a third run evaluates nothing.
-	c2 := &Coordinator{Agents: []string{addr}, Quick: true, CheckpointPath: ckpt}
+	c2 := &Coordinator{Workers: fleet(1, addr), Quick: true, CheckpointPath: ckpt}
 	res2, err := c2.Run(e)
 	if err != nil {
 		t.Fatal(err)
@@ -210,7 +300,7 @@ func TestCheckpointWrongExperimentFailsLoudly(t *testing.T) {
 	}
 	var buf bytes.Buffer
 	other := harness.ByID("S1")
-	if err := sweep.RunWorkerPoints(other, 0, 1, []int{0}, true, &buf); err != nil {
+	if err := sweep.RunWorkerPoints(other, []int{0}, true, &buf); err != nil {
 		t.Fatal(err)
 	}
 	_, byPoint, st, err := sweep.ParseShard(&buf)
@@ -222,7 +312,7 @@ func TestCheckpointWrongExperimentFailsLoudly(t *testing.T) {
 	}
 	cp.Close()
 
-	c := &Coordinator{Quick: true, CheckpointPath: ckpt}
+	c := &Coordinator{Workers: InProcess(1), Quick: true, CheckpointPath: ckpt}
 	if _, err := c.Run(e); err == nil || !strings.Contains(err.Error(), "belongs to exp=S1") {
 		t.Fatalf("run against another sweep's checkpoint returned %v, want mismatch error", err)
 	}
@@ -248,8 +338,8 @@ func TestClusterChaosByteIdentity(t *testing.T) {
 			addrs = append(addrs, inner.Addr().String())
 		}
 		c := &Coordinator{
-			Agents: addrs,
-			Quick:  true,
+			Workers: fleet(1, addrs...),
+			Quick:   true,
 			// Fast recovery knobs so injected faults cost milliseconds, not
 			// the default re-probe second.
 			HeartbeatEvery:   20 * time.Millisecond,
@@ -289,9 +379,8 @@ func TestClusterReadmitsRecoveredAgent(t *testing.T) {
 	t.Cleanup(a.Close)
 
 	c := &Coordinator{
-		Agents:       []string{inner.Addr().String()},
+		Workers:      Remote(inner.Addr().String()),
 		Quick:        true,
-		DisableLocal: true,
 		RetryBackoff: 10 * time.Millisecond,
 		ReadmitEvery: 20 * time.Millisecond,
 	}
@@ -340,8 +429,14 @@ func (l *flakyListener) Accept() (net.Conn, error) {
 // connection transiently — the re-dispatch path, not a hung sweep.
 func TestChunkDeadlineCancelsStuckChunk(t *testing.T) {
 	e := harness.ByID("T1")
-	// An agent that answers heartbeats but sits on run requests forever.
+	// An agent that answers heartbeats but sits on run requests forever,
+	// and a subprocess worker that never reads its stdin.
 	addr := evilServer(t, pongingHandler(func(net.Conn, string) {}))
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Setenv("CLUSTER_TEST_WORKER", "hang")
 	c := &Coordinator{
 		Quick: true,
 		// Heartbeats are healthy here; only the deadline can recover.
@@ -349,30 +444,32 @@ func TestChunkDeadlineCancelsStuckChunk(t *testing.T) {
 		ChunkDeadlineFactor: 1,
 		MinChunkDeadline:    100 * time.Millisecond,
 	}
-	g := e.Grid(true)
-	s := newScheduler(g.Costs(), 1)
-	// Prime the cost model past its trust threshold: three fast chunks.
-	for i := 0; i < 3; i++ {
-		s.observe(1, time.Millisecond)
-	}
-	work, err := net.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	st := AgentStats{Addr: addr}
-	t0 := time.Now()
-	served, requeued, serveErr := c.serveConn(e, s, nil, &st, addr, work)
-	if serveErr == nil {
-		t.Fatal("serveConn returned success against a stuck agent")
-	}
-	if !strings.Contains(serveErr.Error(), "chunk deadline exceeded") {
-		t.Fatalf("serveConn error = %v, want chunk deadline", serveErr)
-	}
-	if served != 0 || requeued == 0 {
-		t.Errorf("served=%d requeued=%d, want the stuck chunk requeued", served, requeued)
-	}
-	if elapsed := time.Since(t0); elapsed > 5*time.Second {
-		t.Errorf("deadline cancellation took %v", elapsed)
+	for _, w := range append(Remote(addr), Subprocesses(1, self)...) {
+		s := newScheduler(e.Grid(true).Costs(), 1)
+		// Prime the cost model past its trust threshold: three fast chunks.
+		for i := 0; i < 3; i++ {
+			s.observe(1, time.Millisecond)
+		}
+		l, err := w.open(c)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := AgentStats{Addr: w.name}
+		t0 := time.Now()
+		served, requeued, serveErr := c.serve(e, s, nil, &st, l)
+		l.close()
+		if serveErr == nil {
+			t.Fatalf("%s: serve returned success against a stuck worker", w.name)
+		}
+		if !strings.Contains(serveErr.Error(), "chunk deadline exceeded") {
+			t.Fatalf("%s: serve error = %v, want chunk deadline", w.name, serveErr)
+		}
+		if served != 0 || requeued == 0 {
+			t.Errorf("%s: served=%d requeued=%d, want the stuck chunk requeued", w.name, served, requeued)
+		}
+		if elapsed := time.Since(t0); elapsed > 5*time.Second {
+			t.Errorf("%s: deadline cancellation took %v", w.name, elapsed)
+		}
 	}
 }
 
@@ -405,6 +502,7 @@ func TestHeartbeatMisconfigClampedLoudly(t *testing.T) {
 	var mu sync.Mutex
 	var logs []string
 	c := &Coordinator{
+		Workers:          InProcess(1),
 		Quick:            true,
 		HeartbeatEvery:   50 * time.Millisecond,
 		HeartbeatTimeout: 10 * time.Millisecond,

@@ -11,7 +11,7 @@
 // write faults hit shard responses mid-stream — the hardest case for the
 // coordinator's exactly-once merge. The cluster sweep's output under any
 // fault schedule must stay byte-identical to the sequential run; the chaos
-// tests and `wlanbench -chaos seed` pin exactly that.
+// tests pin exactly that.
 package faultnet
 
 import (
@@ -119,8 +119,7 @@ func PlanFor(seed int64, n int) Plan {
 
 // Describe renders the fault schedule for the first n connections under
 // seed, one line per connection. Byte-identical output across runs with
-// the same arguments is the reproducibility artifact `wlanbench -chaos`
-// prints and the determinism test pins.
+// the same arguments is what the determinism test pins.
 func Describe(seed int64, n int) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "# chaos v1 seed=%d conns=%d\n", seed, n)

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"testing"
+	"time"
 
 	"repro/internal/obs"
 )
@@ -26,7 +27,8 @@ func TestClusterSweepFeedsMetrics(t *testing.T) {
 	b2Before := obs.ClusterAgent(addr2).Chunks.Value()
 	localBefore := obs.ClusterAgent(LocalAgentName).Chunks.Value()
 
-	c := &Coordinator{Agents: []string{addr1, addr2}, Quick: true}
+	// The pause after each chunk guarantees the agents get to serve some.
+	c := &Coordinator{Workers: fleet(1, addr1, addr2), Quick: true, stepDelay: 20 * time.Millisecond}
 	res, err := c.Run(e)
 	if err != nil {
 		t.Fatal(err)

@@ -11,7 +11,7 @@ import (
 // failures and re-dispatches happens, every point is delivered exactly once
 // and none are lost. Simulated agents randomly fail chunks (requeueing
 // them) and randomly die; a reliable "local" worker guarantees progress —
-// the same topology the Coordinator builds.
+// the topology of a worker list with one in-process worker.
 func TestSchedulerNeverLosesOrDuplicatesPoints(t *testing.T) {
 	for trial := 0; trial < 50; trial++ {
 		rng := rand.New(rand.NewSource(int64(trial)))
@@ -64,7 +64,7 @@ func TestSchedulerNeverLosesOrDuplicatesPoints(t *testing.T) {
 				}
 			}(int64(trial*100 + a))
 		}
-		// Reliable worker (the implicit local agent).
+		// Reliable worker (an in-process worker).
 		wg.Add(1)
 		go func() {
 			defer wg.Done()

@@ -16,8 +16,8 @@ import (
 // The E family is the city-scale suite enabled by the medium's spatial
 // index and the net80211 ESS layer: E1 pushes raw radio density, E2 walks
 // a station cohort across a multi-AP corridor, E3 drops a flash crowd on a
-// single AP. All three carry Cost hints so the sweep schedulers (LPT
-// binning, cluster work stealing) balance their heavily skewed grids.
+// single AP. All three carry Cost hints so the sweep scheduler's work
+// stealing balances their heavily skewed grids.
 
 func init() {
 	register(&Experiment{

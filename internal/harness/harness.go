@@ -13,16 +13,15 @@
 // the point parameters (sim.DeriveSeed is the canonical mixer for new
 // experiments) — so any subset of points can be evaluated anywhere, in any
 // order, and reassembled into a table byte-identical to the sequential run.
-// That property is what the multi-process sweep engine (internal/sweep) and
-// the in-process worker pool both rely on, and it is pinned by the
-// merge-determinism tests in internal/sweep.
+// That property is what the sweep engine (internal/cluster: one scheduler
+// over in-process, subprocess and TCP workers) relies on; Grid.Run is the
+// plain sequential loop every engine run is compared against, and the
+// merge-determinism tests in internal/sweep pin the equivalence.
 package harness
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -43,8 +42,8 @@ type Experiment struct {
 	Grid func(quick bool) *Grid
 }
 
-// Run evaluates every point of the experiment's grid on the in-process
-// worker pool and returns the finished table.
+// Run evaluates every point of the experiment's grid in point order and
+// returns the finished table: the sequential reference.
 func (e *Experiment) Run(quick bool) *stats.Table { return e.Grid(quick).Run() }
 
 // Grid is an experiment decomposed into its parameter grid: a table
@@ -61,8 +60,8 @@ type Grid struct {
 	// expensive evaluating the point is compared to its siblings. The
 	// canonical derivation is simulated duration × node count (the two
 	// factors event volume scales with); experiments with skewed grids
-	// override it so the sweep schedulers (internal/sweep LPT binning,
-	// internal/cluster work stealing) can balance work instead of counts.
+	// override it so the sweep scheduler (internal/cluster work stealing)
+	// can balance work instead of counts.
 	// Nil (or a non-positive return) means uniform cost 1.
 	Cost func(i int) float64
 }
@@ -100,24 +99,13 @@ func single(f func(i int) []string) func(i int) [][]string {
 	return func(i int) [][]string { return [][]string{f(i)} }
 }
 
-// Run evaluates all points on the worker pool and fills the table in point
+// Run evaluates the points one after another and fills the table in point
 // order.
 func (g *Grid) Run() *stats.Table {
-	groups := make([][][]string, g.N)
-	runParallel(g.N, func(i int) { groups[i] = g.Point(i) })
-	for _, rows := range groups {
-		g.Table.AddRows(rows)
+	for i := 0; i < g.N; i++ {
+		g.Table.AddRows(g.Point(i))
 	}
 	return g.Table
-}
-
-// RunPoints evaluates an explicit subset of points on the worker pool and
-// returns each point's rows, indexed like pts. It is the shard evaluation
-// primitive used by sweep workers.
-func (g *Grid) RunPoints(pts []int) [][][]string {
-	groups := make([][][]string, len(pts))
-	runParallel(len(pts), func(i int) { groups[i] = g.Point(pts[i]) })
-	return groups
 }
 
 // registry holds all experiments keyed by ID.
@@ -167,51 +155,6 @@ func expKey(id string) int {
 	n := 0
 	fmt.Sscanf(id[1:], "%d", &n)
 	return base + n
-}
-
-// --- parallel execution -------------------------------------------------------
-
-// Workers bounds the scenario-point worker pool used by runParallel.
-// Zero (the default) means GOMAXPROCS. Set to 1 to force sequential
-// execution — row output is bit-identical either way, because every
-// scenario point is an independent simulation with its own kernel and
-// seed, and rows are emitted in point order regardless of completion
-// order.
-var Workers int
-
-// runParallel evaluates n independent work items on a bounded worker pool.
-// Each item must be self-contained (no shared state), so results are
-// bit-identical whatever the worker count.
-func runParallel(n int, work func(i int)) {
-	w := Workers
-	if w <= 0 {
-		w = runtime.GOMAXPROCS(0)
-	}
-	if w > n {
-		w = n
-	}
-	if w <= 1 {
-		for i := 0; i < n; i++ {
-			work(i)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	idx := make(chan int)
-	for k := 0; k < w; k++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range idx {
-				work(i)
-			}
-		}()
-	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
-	wg.Wait()
 }
 
 // --- shared scenario builders -------------------------------------------------

@@ -413,10 +413,10 @@ func TestE3FlashCrowd(t *testing.T) {
 	}
 }
 
-func TestCostHintsAndRunPoints(t *testing.T) {
+func TestCostHints(t *testing.T) {
 	// The E family's grids are heavily skewed, which is exactly what the
 	// Cost hints exist for: costs must be positive and strictly increasing
-	// with density so LPT binning and work stealing can balance shards.
+	// with density so work stealing can balance workers.
 	g := ByID("E1").Grid(true)
 	costs := g.Costs()
 	if len(costs) != g.N {
@@ -431,14 +431,5 @@ func TestCostHintsAndRunPoints(t *testing.T) {
 	uniform := &Grid{N: 3}
 	if uniform.PointCost(1) != 1 {
 		t.Fatalf("hintless PointCost = %v, want 1", uniform.PointCost(1))
-	}
-	// RunPoints evaluates an explicit shard and returns rows per point,
-	// identical to what a full Run would produce for those points.
-	rows := g.RunPoints([]int{1, 0})
-	if len(rows) != 2 || len(rows[0]) != 1 || len(rows[1]) != 1 {
-		t.Fatalf("RunPoints shape = %v", rows)
-	}
-	if rows[0][0][0] != "200" || rows[1][0][0] != "50" {
-		t.Fatalf("RunPoints order not preserved: %v / %v", rows[0][0], rows[1][0])
 	}
 }

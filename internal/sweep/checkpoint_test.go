@@ -17,7 +17,7 @@ func journalChunks(t testing.TB, e *harness.Experiment, pts []int) [][]byte {
 	var recs [][]byte
 	for _, p := range pts {
 		var run, rec bytes.Buffer
-		if err := RunWorkerPoints(e, 0, 1, []int{p}, true, &run); err != nil {
+		if err := RunWorkerPoints(e, []int{p}, true, &run); err != nil {
 			t.Fatal(err)
 		}
 		_, byPoint, st, err := ParseShard(&run)
@@ -180,7 +180,7 @@ func TestOpenCheckpointTruncatesAndAppends(t *testing.T) {
 	// Append two more chunks through the real path and re-open.
 	for _, p := range []int{1, 2} {
 		var run bytes.Buffer
-		if err := RunWorkerPoints(e, 0, 1, []int{p}, true, &run); err != nil {
+		if err := RunWorkerPoints(e, []int{p}, true, &run); err != nil {
 			t.Fatal(err)
 		}
 		_, byPoint, st, err := ParseShard(&run)

@@ -1,24 +1,17 @@
-// Package sweep is the control plane for full-fidelity evaluation sweeps:
-// it decomposes any harness.Experiment into deterministic shards (subsets
-// of the experiment's parameter grid), fans the shards out to worker
-// subprocesses — or to in-process workers when no spawner is configured —
-// and merges the shard outputs into a table byte-identical to the one the
-// sequential run produces.
+// Package sweep is the data format of full-fidelity evaluation sweeps and
+// the worker side of the engine: the shard wire format a worker answers a
+// chunk request with (WriteShard, ParseShard), the worker-side evaluation
+// of an explicit point list into that format (RunWorkerPoints), the merge of
+// per-point rows into a table byte-identical to the sequential run (Merge),
+// and the crash-safe checkpoint journal built from the same records. Which
+// point runs where is decided elsewhere — internal/cluster is the engine.
 //
-// The split keeps sweep orchestration (this package) separate from
-// per-scenario simulation (internal/harness and below): a worker evaluates
-// its owned points with a plain harness.Grid and never sees the other
-// shards, so full-mode sweeps scale across processes and machines instead
-// of being bounded by one Go runtime's scheduler and garbage collector.
+// # Shard format
 //
-// # Shard protocol
+// The format is line-oriented CSV with `#`-prefixed framing so a shard dump
+// is also a readable artifact:
 //
-// A worker is any process that writes the wire format of WriteShard to its
-// stdout — cmd/experiments and cmd/wlanbench both expose it behind
-// `-shard i/N -experiment ID`. The format is line-oriented CSV with
-// `#`-prefixed framing so a shard dump is also a readable artifact:
-//
-//	# sweep v1 exp=F1 shard=0/2 quick=true
+//	# sweep v1 exp=F1 shard=0/1 quick=true
 //	# point 0
 //	1,0.85,0.80,0.84,0.79
 //	# point 2
@@ -48,56 +41,6 @@ import (
 	"repro/internal/stats"
 )
 
-// Points returns the point indices shard s of n owns out of total points:
-// the deterministic round-robin assignment {i : i mod n == s}. It is valid
-// for any n ≥ 1, including n greater than total (trailing shards own
-// nothing). Round-robin balances point counts, not costs; orchestrators
-// that know the grid's cost hints use AssignLPT instead and tell workers
-// their points explicitly.
-func Points(shard, shards, total int) []int {
-	var pts []int
-	for i := shard; i < total; i += shards {
-		pts = append(pts, i)
-	}
-	return pts
-}
-
-// AssignLPT partitions points into shards bins by longest-processing-time-
-// first scheduling: points are placed in descending cost order, each into
-// the currently least-loaded bin. LPT's makespan is within 4/3 of optimal,
-// which in practice keeps a skewed grid's slowest shard close to the mean
-// instead of round-robin's worst case (all the expensive points landing on
-// one shard). The assignment is deterministic — ties break on lower point
-// index and lower bin index — and each bin is returned in ascending point
-// order. Every point appears in exactly one bin (pinned by the partition
-// property test).
-func AssignLPT(costs []float64, shards int) [][]int {
-	if shards < 1 {
-		shards = 1
-	}
-	order := make([]int, len(costs))
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return costs[order[a]] > costs[order[b]] })
-	bins := make([][]int, shards)
-	loads := make([]float64, shards)
-	for _, p := range order {
-		best := 0
-		for b := 1; b < shards; b++ {
-			if loads[b] < loads[best] {
-				best = b
-			}
-		}
-		bins[best] = append(bins[best], p)
-		loads[best] += costs[p]
-	}
-	for _, bin := range bins {
-		sort.Ints(bin)
-	}
-	return bins
-}
-
 // Header identifies one shard's output.
 type Header struct {
 	Exp    string
@@ -106,8 +49,8 @@ type Header struct {
 	Quick  bool
 }
 
-// ShardStats is a worker's self-measured cost, rolled up by the parent
-// into per-experiment reports (cmd/wlanbench).
+// ShardStats is a worker's self-measured cost for one chunk, rolled up by
+// the coordinator per worker.
 type ShardStats struct {
 	Shard  int    `json:"shard"`
 	Points int    `json:"points"`
@@ -124,26 +67,13 @@ type ShardStats struct {
 	Metrics map[string]uint64 `json:"metrics,omitempty"`
 }
 
-// RunWorker evaluates the points of e owned by shard under the round-robin
-// assignment and writes the shard protocol to w. Orchestrators that assign
-// points explicitly (LPT binning, cluster work stealing) call
-// RunWorkerPoints instead; both cmd/experiments and cmd/wlanbench reach one
-// of the two from their -shard modes.
-func RunWorker(e *harness.Experiment, shard, shards int, quick bool, w io.Writer) error {
-	if shards < 1 || shard < 0 || shard >= shards {
-		return fmt.Errorf("sweep: invalid shard %d/%d", shard, shards)
-	}
-	return RunWorkerPoints(e, shard, shards, Points(shard, shards, e.Grid(quick).N), quick, w)
-}
-
-// RunWorkerPoints evaluates an explicit point subset of e and writes the
-// shard protocol to w; shard/shards only label the output header. It is the
-// whole worker side of the engine — the subprocess -shard modes, the LPT
-// static assignment and the cluster agent all funnel through it.
-func RunWorkerPoints(e *harness.Experiment, shard, shards int, pts []int, quick bool, w io.Writer) error {
-	if shards < 1 || shard < 0 || shard >= shards {
-		return fmt.Errorf("sweep: invalid shard %d/%d", shard, shards)
-	}
+// RunWorkerPoints evaluates an explicit point subset of e, one point after
+// another, and writes the shard format to w. It is the whole worker side of
+// the engine: the agent's serve loop calls it for every chunk request,
+// whether the request arrived over TCP or over a subprocess's stdin. The
+// trailer's allocs/bytes/events are process-global deltas, exact only while
+// the process evaluates one chunk at a time.
+func RunWorkerPoints(e *harness.Experiment, pts []int, quick bool, w io.Writer) error {
 	g := e.Grid(quick)
 	seen := make(map[int]bool, len(pts))
 	for _, p := range pts {
@@ -151,7 +81,7 @@ func RunWorkerPoints(e *harness.Experiment, shard, shards int, pts []int, quick 
 			return fmt.Errorf("sweep: point %d outside grid of %d", p, g.N)
 		}
 		if seen[p] {
-			return fmt.Errorf("sweep: point %d assigned twice to shard %d/%d", p, shard, shards)
+			return fmt.Errorf("sweep: point %d requested twice", p)
 		}
 		seen[p] = true
 	}
@@ -165,13 +95,18 @@ func RunWorkerPoints(e *harness.Experiment, shard, shards int, pts []int, quick 
 		obsBefore = obs.Default.CounterSnapshot(workerMetricPrefixes...)
 	}
 	t0 := time.Now()
-	groups := g.RunPoints(pts)
+	byPoint := make(map[int][][]string, len(pts))
+	rows := 0
+	for _, p := range pts {
+		byPoint[p] = g.Point(p)
+		rows += len(byPoint[p])
+	}
 	wall := time.Since(t0)
 	runtime.ReadMemStats(&msAfter)
 
 	st := ShardStats{
-		Shard:  shard,
 		Points: len(pts),
+		Rows:   rows,
 		WallNs: wall.Nanoseconds(),
 		Allocs: msAfter.Mallocs - msBefore.Mallocs,
 		Bytes:  msAfter.TotalAlloc - msBefore.TotalAlloc,
@@ -180,15 +115,41 @@ func RunWorkerPoints(e *harness.Experiment, shard, shards int, pts []int, quick 
 	if obsBefore != nil {
 		st.Metrics = diffCounters(obsBefore, obs.Default.CounterSnapshot(workerMetricPrefixes...))
 	}
-	for _, rows := range groups {
-		st.Rows += len(rows)
-	}
+	return WriteShard(w, Header{Exp: e.ID, Shards: 1, Quick: quick}, byPoint, st)
+}
 
-	byPoint := make(map[int][][]string, len(pts))
-	for i, p := range pts {
-		byPoint[p] = groups[i]
+// FormatPoints encodes a chunk's point list for a run request. The empty
+// list encodes as "none" so the field never disappears from the line.
+func FormatPoints(pts []int) string {
+	if len(pts) == 0 {
+		return "none"
 	}
-	return WriteShard(w, Header{Exp: e.ID, Shard: shard, Shards: shards, Quick: quick}, byPoint, st)
+	var b strings.Builder
+	for i, p := range pts {
+		if i > 0 {
+			b.WriteByte(',')
+		}
+		b.WriteString(strconv.Itoa(p))
+	}
+	return b.String()
+}
+
+// ParsePoints decodes a FormatPoints value. It does not validate against a
+// grid — RunWorkerPoints re-checks range and uniqueness.
+func ParsePoints(spec string) ([]int, error) {
+	if spec == "none" {
+		return []int{}, nil
+	}
+	parts := strings.Split(spec, ",")
+	pts := make([]int, 0, len(parts))
+	for _, s := range parts {
+		p, err := strconv.Atoi(s)
+		if err != nil {
+			return nil, fmt.Errorf("sweep: bad point list %q: %v", spec, err)
+		}
+		pts = append(pts, p)
+	}
+	return pts, nil
 }
 
 // WriteShard encodes one shard's row groups in the wire format. Cells must

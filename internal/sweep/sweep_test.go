@@ -2,9 +2,6 @@ package sweep
 
 import (
 	"bytes"
-	"fmt"
-	"os"
-	"os/exec"
 	"reflect"
 	"strings"
 	"testing"
@@ -12,76 +9,6 @@ import (
 	"repro/internal/harness"
 	"repro/internal/stats"
 )
-
-// TestMain doubles as the worker entry point for the subprocess re-exec
-// test: when SWEEP_WORKER_SHARD is set, the test binary behaves exactly
-// like `cmd/experiments -shard i/N -experiment ID` and exits. This keeps
-// the real spawn→parse→merge subprocess path under `go test` without
-// needing the cmd binaries built first.
-func TestMain(m *testing.M) {
-	if spec := os.Getenv("SWEEP_WORKER_SHARD"); spec != "" {
-		shard, shards, err := ParseShardSpec(spec)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		e := harness.ByID(os.Getenv("SWEEP_WORKER_EXP"))
-		if e == nil {
-			fmt.Fprintf(os.Stderr, "unknown experiment %q\n", os.Getenv("SWEEP_WORKER_EXP"))
-			os.Exit(1)
-		}
-		quick := os.Getenv("SWEEP_WORKER_QUICK") == "1"
-		var werr error
-		if pspec := os.Getenv("SWEEP_WORKER_POINTS"); pspec != "" {
-			var pts []int
-			if pts, werr = ParsePoints(pspec); werr == nil {
-				werr = RunWorkerPoints(e, shard, shards, pts, quick, os.Stdout)
-			}
-		} else {
-			werr = RunWorker(e, shard, shards, quick, os.Stdout)
-		}
-		if werr != nil {
-			fmt.Fprintln(os.Stderr, werr)
-			os.Exit(1)
-		}
-		os.Exit(0)
-	}
-	os.Exit(m.Run())
-}
-
-func TestPointsAssignment(t *testing.T) {
-	cases := []struct {
-		shard, shards, total int
-		want                 []int
-	}{
-		{0, 1, 4, []int{0, 1, 2, 3}},
-		{0, 2, 5, []int{0, 2, 4}},
-		{1, 2, 5, []int{1, 3}},
-		{2, 3, 2, nil}, // more shards than points: trailing shard is empty
-		{1, 7, 2, []int{1}},
-	}
-	for _, c := range cases {
-		got := Points(c.shard, c.shards, c.total)
-		if !reflect.DeepEqual(got, c.want) {
-			t.Errorf("Points(%d,%d,%d) = %v, want %v", c.shard, c.shards, c.total, got, c.want)
-		}
-	}
-	// Every shard count must partition the grid exactly.
-	for shards := 1; shards <= 9; shards++ {
-		seen := map[int]bool{}
-		for s := 0; s < shards; s++ {
-			for _, p := range Points(s, shards, 7) {
-				if seen[p] {
-					t.Fatalf("shards=%d: point %d owned twice", shards, p)
-				}
-				seen[p] = true
-			}
-		}
-		if len(seen) != 7 {
-			t.Fatalf("shards=%d: %d of 7 points owned", shards, len(seen))
-		}
-	}
-}
 
 func TestWireRoundTrip(t *testing.T) {
 	h := Header{Exp: "F1", Shard: 1, Shards: 3, Quick: true}
@@ -166,85 +93,56 @@ func TestMergeValidates(t *testing.T) {
 	}
 }
 
-// TestMergeDeterminism is the acceptance property of the whole engine:
-// shard-splitting any experiment's quick grid and merging the shard
-// outputs must reproduce the sequential table byte-for-byte — Render and
-// CSV alike — for the degenerate 1-shard split, an even split, and a
-// split with more shards than points.
-func TestMergeDeterminism(t *testing.T) {
-	for _, e := range harness.All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			t.Parallel()
-			want := e.Run(true)
-			wantRender, wantCSV := want.Render(), want.CSV()
-			n := e.Grid(true).N
-			for _, shards := range []int{1, 2, n + 3} {
-				r := &Runner{Shards: shards, Quick: true}
-				res, err := r.Run(e)
-				if err != nil {
-					t.Fatalf("shards=%d: %v", shards, err)
-				}
-				if got := res.Table.Render(); got != wantRender {
-					t.Errorf("shards=%d: merged Render differs from sequential:\n--- merged\n%s--- sequential\n%s",
-						shards, got, wantRender)
-				}
-				if got := res.Table.CSV(); got != wantCSV {
-					t.Errorf("shards=%d: merged CSV differs from sequential", shards)
-				}
-				if len(res.Shards) != shards {
-					t.Errorf("shards=%d: %d shard stats reported", shards, len(res.Shards))
-				}
-				var pts, rows int
-				for _, st := range res.Shards {
-					pts += st.Points
-					rows += st.Rows
-				}
-				if pts != n || rows != len(want.Rows) {
-					t.Errorf("shards=%d: stats roll-up %d points/%d rows, want %d/%d",
-						shards, pts, rows, n, len(want.Rows))
-				}
-			}
-		})
+// RunWorkerPoints must reject out-of-grid and duplicated point lists
+// loudly instead of corrupting a merge.
+func TestRunWorkerPointsValidates(t *testing.T) {
+	e := harness.ByID("S1")
+	var buf bytes.Buffer
+	if err := RunWorkerPoints(e, []int{99}, true, &buf); err == nil {
+		t.Error("out-of-grid point accepted")
+	}
+	if err := RunWorkerPoints(e, []int{0, 0}, true, &buf); err == nil {
+		t.Error("duplicated point accepted")
 	}
 }
 
-// TestSubprocessReExec drives the real multi-process path: the Runner
-// spawns this test binary as worker subprocesses (see TestMain) and the
-// merged result must still match the sequential run byte-for-byte.
-func TestSubprocessReExec(t *testing.T) {
-	if testing.Short() {
-		t.Skip("subprocess re-exec is not -short")
-	}
-	bin, err := os.Executable()
-	if err != nil {
-		t.Fatal(err)
-	}
-	spawn := func(expID string, shard, shards int, pts []int) ([]byte, error) {
-		cmd := exec.Command(bin)
-		cmd.Env = append(os.Environ(),
-			"SWEEP_WORKER_SHARD="+fmt.Sprintf("%d/%d", shard, shards),
-			"SWEEP_WORKER_EXP="+expID,
-			"SWEEP_WORKER_POINTS="+FormatPoints(pts),
-			"SWEEP_WORKER_QUICK=1")
-		var out, errb bytes.Buffer
-		cmd.Stdout, cmd.Stderr = &out, &errb
-		if err := cmd.Run(); err != nil {
-			return nil, fmt.Errorf("worker: %v: %s", err, errb.String())
-		}
-		return out.Bytes(), nil
-	}
-	for _, id := range []string{"T1", "F3", "S1"} {
-		e := harness.ByID(id)
-		want := e.Run(true).Render()
-		r := &Runner{Shards: 2, Quick: true, Spawn: spawn}
-		res, err := r.Run(e)
+// Point-list round-trip, including the empty sentinel.
+func TestFormatParsePoints(t *testing.T) {
+	for _, pts := range [][]int{{}, {0}, {3, 1, 4}} {
+		got, err := ParsePoints(FormatPoints(pts))
 		if err != nil {
-			t.Fatalf("%s: %v", id, err)
+			t.Fatal(err)
 		}
-		if got := res.Table.Render(); got != want {
-			t.Errorf("%s: subprocess-merged table differs from sequential:\n--- merged\n%s--- sequential\n%s",
-				id, got, want)
+		if len(got) != len(pts) {
+			t.Fatalf("round-trip %v -> %v", pts, got)
+		}
+		for i := range pts {
+			if got[i] != pts[i] {
+				t.Fatalf("round-trip %v -> %v", pts, got)
+			}
 		}
 	}
+	for _, bad := range []string{"1,x", "1x", "1 2", ""} {
+		if _, err := ParsePoints(bad); err == nil {
+			t.Errorf("garbage point list %q accepted", bad)
+		}
+	}
+}
+
+// FuzzParsePoints: the point-list parser never panics, and whatever it
+// accepts survives a FormatPoints round trip.
+func FuzzParsePoints(f *testing.F) {
+	for _, seed := range []string{"none", "0", "3,1,4", "999", "1,x", "1x", "1 2", "", "1,,2", "-1"} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, spec string) {
+		pts, err := ParsePoints(spec)
+		if err != nil {
+			return
+		}
+		again, err := ParsePoints(FormatPoints(pts))
+		if err != nil || !reflect.DeepEqual(again, pts) {
+			t.Fatalf("%q -> %v re-formats to %q -> %v, %v", spec, pts, FormatPoints(pts), again, err)
+		}
+	})
 }
