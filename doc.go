@@ -24,11 +24,11 @@
 //     struct-of-arrays 4-ary heap drained one same-timestamp cohort at a
 //     time, and reaps cancelled events lazily in bulk. ScheduleArg gives
 //     hot callers closure-free scheduling.
-//   - internal/medium pools transmissions and arrivals, caches per-link
-//     gain and propagation delay for static radio pairs (invalidated on
-//     movement), prunes fan-out through per-radio neighbor lists, reuses
-//     wire buffers, decodes each transmission once per fan-out, and
-//     memoizes the PHY chunk-error model.
+//   - internal/medium pools transmissions and arrivals, gives every
+//     static transmitter a fan-out row (the static receivers it reaches,
+//     their power and propagation delay computed once; rebuilt when the
+//     topology changes), reuses wire buffers, decodes each transmission
+//     once per fan-out, and memoizes the PHY chunk-error model.
 //   - internal/harness describes every experiment as a parameter grid of
 //     independent scenario points (harness.Grid); Grid.Run evaluates them
 //     one after another and is the reference for everything below.

@@ -19,7 +19,7 @@ func TestSteadyStateDecodeZeroAlloc(t *testing.T) {
 	f := dataFrame(700)
 	fire := func() { tx.Transmit(f, 3) }
 
-	// Warm the pools, the link cache and the neighbor lists.
+	// Warm the pools and build the fan-out row.
 	for i := 0; i < 8; i++ {
 		k.Schedule(0, "tx", fire)
 		k.Run()
@@ -42,8 +42,9 @@ func TestSteadyStateDecodeZeroAlloc(t *testing.T) {
 	}
 }
 
-// The fan-out variant: one transmitter, seven receivers, one pooled decode
-// serving all of them. Zero allocations per transmission in steady state.
+// The fan-out variant: one static transmitter walking its seven-entry row,
+// one pooled decode serving all receivers. Zero allocations per
+// transmission in steady state, and no row rebuild inside the window.
 func TestSteadyStateFanoutZeroAlloc(t *testing.T) {
 	k, m := testbed(12)
 	tx := addStatic(m, "tx", 0)
@@ -57,12 +58,18 @@ func TestSteadyStateFanoutZeroAlloc(t *testing.T) {
 		k.Schedule(0, "tx", fire)
 		k.Run()
 	}
+	hits, misses := m.LinkCacheHits, m.LinkCacheMisses
 	allocs := testing.AllocsPerRun(200, func() {
 		k.Schedule(0, "tx", fire)
 		k.Run()
 	})
 	if allocs != 0 {
 		t.Fatalf("fan-out to 7 receivers allocates %v/op, want 0", allocs)
+	}
+	// AllocsPerRun calls the function once more than it measures.
+	if got := m.LinkCacheHits - hits; got != 7*201 || m.LinkCacheMisses != misses {
+		t.Fatalf("measured window served %d row entries (want %d) and computed %d links (want 0): not the row walk",
+			got, 7*201, m.LinkCacheMisses-misses)
 	}
 }
 

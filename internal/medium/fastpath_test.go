@@ -20,8 +20,9 @@ func addStatic(m *Medium, name string, x float64) *Radio {
 }
 
 // Steady-state transmit fan-out must stay within a small allocation budget
-// regardless of receiver count: transmissions, arrivals and kernel events
-// are pooled, the wire buffer is reused, and one decode serves the fan-out.
+// regardless of receiver count: the row is built once, transmissions,
+// arrivals and kernel events are pooled, the wire buffer is reused, and one
+// decode serves the fan-out.
 func TestTransmitFanoutAllocsBounded(t *testing.T) {
 	k, m := testbed(42)
 	tx := addStatic(m, "tx", 0)
@@ -30,7 +31,7 @@ func TestTransmitFanoutAllocsBounded(t *testing.T) {
 	}
 	f := dataFrame(500)
 
-	// Warm the pools, the link cache and the neighbor lists.
+	// Warm the pools and build the fan-out row.
 	for i := 0; i < 8; i++ {
 		k.Schedule(0, "tx", func() { tx.Transmit(f, 3) })
 		k.Run()
@@ -47,46 +48,87 @@ func TestTransmitFanoutAllocsBounded(t *testing.T) {
 	if allocs > 1 {
 		t.Fatalf("transmit fan-out to 7 receivers allocates %v/op, want <= 1", allocs)
 	}
+	if m.LinkCacheMisses != 7 || m.LinkCacheHits != 7*m.Transmissions {
+		t.Fatalf("%d transmissions computed %d links and served %d row entries, want 7 and %d: not the row walk",
+			m.Transmissions, m.LinkCacheMisses, m.LinkCacheHits, 7*m.Transmissions)
+	}
 }
 
-// A receiver far outside detection range is pruned by the spatial index;
-// moving it into range must rebuild the index and resume delivery.
-func TestNeighborListInvalidation(t *testing.T) {
+// send transmits one frame from r and runs the kernel dry.
+func send(k *sim.Kernel, r *Radio) {
+	k.Schedule(0, "tx", func() { r.Transmit(dataFrame(200), 0) })
+	k.Run()
+}
+
+// wantMisses sends from each transmitter in turn and checks that
+// LinkCacheMisses rises by exactly rise over all of them — one row rebuild
+// per transmitter, rise being the sum of their static candidate counts —
+// and then stays flat when they all send again.
+func wantMisses(t *testing.T, k *sim.Kernel, m *Medium, rise uint64, why string, txs ...*Radio) {
+	t.Helper()
+	before := m.LinkCacheMisses
+	for _, tx := range txs {
+		send(k, tx)
+	}
+	if got := m.LinkCacheMisses - before; got != rise {
+		t.Fatalf("%s: first sends computed %d static links, want %d", why, got, rise)
+	}
+	for _, tx := range txs {
+		send(k, tx)
+	}
+	if got := m.LinkCacheMisses - before; got != rise {
+		t.Fatalf("%s: repeat sends recomputed %d static links, want none", why, got-rise)
+	}
+}
+
+// A receiver far outside detection range is pruned by the spatial index and
+// never enters the transmitter's row; moving it into range must rebuild the
+// row — once — and resume delivery.
+func TestFanoutRowInvalidation(t *testing.T) {
 	k, m := testbed(7)
 	tx := addStatic(m, "tx", 0)
+	near := &recorder{k: k}
+	addStatic(m, "near", 8).SetListener(near)
 	rec := &recorder{k: k}
 	far := m.AddRadio(RadioConfig{
 		Name: "far", Mode: phy.Mode80211b(),
 		Mobility: geom.Static{P: geom.Pt(1e7, 0)}, TxPower: 15, Listener: rec,
 	})
 
-	k.Schedule(0, "tx", func() { tx.Transmit(dataFrame(200), 0) })
-	k.Run()
+	// Only the near radio survives the index, so only its link is computed.
+	wantMisses(t, k, m, 1, "initial build", tx)
 	if len(rec.frames) != 0 {
 		t.Fatalf("radio 10000 km away decoded %d frames", len(rec.frames))
 	}
-	if !m.sp.ok {
-		t.Fatal("free-space model should enable the spatial index")
+	if len(near.frames) != 2 {
+		t.Fatalf("near radio decoded %d frames, want 2", len(near.frames))
 	}
-	if m.sp.cellOf[far.id] == m.sp.cellOf[tx.id] {
-		t.Fatalf("radio 10000 km away shares cell %v with the transmitter", m.sp.cellOf[tx.id])
+	hits := m.LinkCacheHits
+	send(k, tx)
+	if m.LinkCacheHits != hits+1 {
+		t.Fatalf("a one-entry row served %d entries in one transmission", m.LinkCacheHits-hits)
 	}
 
 	far.SetMobility(geom.Static{P: geom.Pt(5, 0)})
-	if !m.gridDirty {
-		t.Fatal("SetMobility must mark the spatial index for rebuild")
+	wantMisses(t, k, m, 2, "after SetMobility", tx)
+	if len(rec.frames) != 2 {
+		t.Fatalf("moved-in radio decoded %d frames, want 2", len(rec.frames))
 	}
-	k.Schedule(0, "tx", func() { tx.Transmit(dataFrame(200), 0) })
-	k.Run()
-	if len(rec.frames) != 1 {
-		t.Fatalf("moved-in radio decoded %d frames, want 1", len(rec.frames))
+
+	// A radio added mid-run joins every row at the next transmission.
+	late := &recorder{k: k}
+	addStatic(m, "late", 12).SetListener(late)
+	wantMisses(t, k, m, 3, "after AddRadio", tx)
+	if len(late.frames) != 2 {
+		t.Fatalf("late radio decoded %d frames, want 2", len(late.frames))
 	}
 }
 
-// The pre-index neighbor-list path still serves models the spatial index
-// cannot bound (here: shadowing present, loss time-invariant). A margin
-// change must stale every cached list in one epoch bump, not per-radio.
-func TestNeighborListShadowedPath(t *testing.T) {
+// Rows also serve models the spatial index cannot bound (here: shadowing
+// present, loss time-invariant), built from all radios. A margin change and
+// a static→mobile→static round trip must each cost every transmitter
+// exactly one rebuild, and a radio keeps receiving while it is mobile.
+func TestFanoutRowShadowedPath(t *testing.T) {
 	k := sim.NewKernel()
 	src := rng.New(11)
 	model := spectrum.NewModel(
@@ -94,32 +136,49 @@ func TestNeighborListShadowedPath(t *testing.T) {
 		spectrum.NewShadowing(src.Split("shadow"), 3), nil)
 	m := New(k, model, src)
 	tx := addStatic(m, "tx", 0)
+	tx2 := addStatic(m, "tx2", 3)
 	rec := &recorder{k: k}
-	m.AddRadio(RadioConfig{
+	rx := m.AddRadio(RadioConfig{
 		Name: "rx", Mode: phy.Mode80211b(),
 		Mobility: geom.Static{P: geom.Pt(5, 0)}, TxPower: 15, Listener: rec,
 	})
+	far := &recorder{k: k}
+	addStatic(m, "far", 1e7).SetListener(far)
 	if m.sp.enabled {
 		t.Fatal("shadowed model must not enable the spatial index")
 	}
 
-	k.Schedule(0, "tx", func() { tx.Transmit(dataFrame(200), 0) })
-	k.Run()
-	if len(rec.frames) != 1 {
-		t.Fatalf("near receiver decoded %d frames, want 1", len(rec.frames))
-	}
-	if m.neighborBuilt[tx.id] != m.neighborEpoch {
-		t.Fatal("transmit should have built the neighbor list")
-	}
-
-	epoch := m.neighborEpoch
+	// Without the index every other static radio is a candidate: 3 each.
+	wantMisses(t, k, m, 6, "initial build", tx, tx2)
 	m.DetectionMarginDB = 20
-	k.Schedule(0, "tx", func() { tx.Transmit(dataFrame(200), 0) })
-	k.Run()
-	if m.neighborEpoch != epoch+1 {
-		t.Fatalf("margin change bumped the epoch by %d, want exactly 1", m.neighborEpoch-epoch)
+	wantMisses(t, k, m, 6, "after margin change", tx, tx2)
+	rx.SetMobility(geom.Linear{Start: geom.Pt(5, 0), Velocity: geom.Vector{X: 1}})
+	wantMisses(t, k, m, 4, "rx went mobile", tx, tx2)
+	rx.SetMobility(geom.Static{P: geom.Pt(6, 0)})
+	wantMisses(t, k, m, 6, "rx static again", tx, tx2)
+
+	if len(rec.frames) != 16 {
+		t.Fatalf("receiver decoded %d of 16 frames across the mutations", len(rec.frames))
 	}
-	if len(rec.frames) != 2 {
-		t.Fatalf("receiver decoded %d frames after margin change, want 2", len(rec.frames))
+	if len(far.frames) != 0 {
+		t.Fatalf("radio 10000 km away decoded %d frames", len(far.frames))
 	}
+}
+
+// A medium holds at most 1<<linkIDBits radios: one more would alias link
+// ids, and with them shadowing and fading draws.
+func TestAddRadioBound(t *testing.T) {
+	_, m := testbed(3)
+	addStatic(m, "a", 0)
+	m.radios = append(m.radios, make([]*Radio, 1<<linkIDBits-2)...)
+	last := addStatic(m, "last", 1)
+	if got := linkID(last, last); got != 1<<(2*linkIDBits)-1 {
+		t.Fatalf("largest link id = %#x, want 40 bits set", got)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("AddRadio accepted radio number 1<<linkIDBits + 1")
+		}
+	}()
+	addStatic(m, "one too many", 2)
 }

@@ -15,33 +15,33 @@ import (
 type cellKey struct{ x, y int32 }
 
 // spatial is the medium's uniform-grid index over radio positions. It
-// exists to make transmit fan-out sublinear in radio count: instead of
-// walking every radio (or a per-transmitter neighbor list that any
-// movement invalidates wholesale), the fan-out walks only the cells within
-// the transmitter's detection range.
+// exists to make candidate selection sublinear in radio count: instead of
+// walking every radio, a fan-out row build or a mobile transmitter's
+// fan-out walks only the cells within the transmitter's detection range.
 //
 // Per-radio state is struct-of-arrays — positions, cell assignments and
 // detection ranges live in flat parallel slices indexed by radio id — so
 // the candidate scan touches dense memory instead of chasing *Radio
 // pointers.
 //
-// Invalidation contract: the index is rebuilt from scratch on topology
-// mutations (AddRadio, SetMobility, a DetectionMarginDB change — all of
-// which can change detection ranges or the cell size), and migrated
-// incrementally for ordinary mobility: at most once per distinct
-// transmission timestamp, every mobile radio's position is re-sampled from
-// its Mobility and the radio is moved between cells if it crossed a
-// boundary. Cell membership is unordered (swap-remove); candidate order is
-// re-established per query by an ascending-id sort, which keeps fan-out
-// iteration — and therefore event ordering — bit-identical to the
-// all-pairs walk.
+// Invalidation contract: the index is rebuilt from scratch when the
+// medium's topology generation advances (AddRadio, SetMobility, a
+// DetectionMarginDB change — all of which can change detection ranges or
+// the cell size), and migrated incrementally for ordinary mobility: at most
+// once per distinct transmission timestamp, every mobile radio's position
+// is re-sampled from its Mobility and the radio is moved between cells if
+// it crossed a boundary. Cell membership is unordered (swap-remove);
+// candidate order is re-established per query by an ascending-id sort,
+// which keeps fan-out iteration — and therefore event ordering —
+// bit-identical to the all-pairs walk.
 type spatial struct {
-	enabled bool // model shape allows spatial pruning at all
-	ok      bool // index built and consistent with the current topology
+	enabled bool   // model shape allows spatial pruning at all
+	ok      bool   // index built and consistent with the current topology
+	gen     uint64 // topology generation the index was built in
 	bounder spectrum.RangeBounder
 
 	cellSize float64
-	margin   float64 // DetectionMarginDB the ranges were derived from
+	margin   float64 // DetectionMarginDB the current generation was cut for
 	minFloor float64 // lowest noise floor (dBm) over all radios
 
 	cells map[cellKey][]int32
@@ -51,7 +51,7 @@ type spatial struct {
 	cellOf     []cellKey
 	rangeM     []float64 // per-transmitter detection range, metres
 
-	mobile   []int32 // ids of non-static radios, refreshed per timestamp
+	mobile   []*Radio // the non-static radios, ascending id
 	posTime  sim.Time
 	posFresh bool
 
@@ -59,18 +59,30 @@ type spatial struct {
 	candRadios []*Radio // query scratch: candidates resolved for fan-out
 }
 
-// gridReady (re)builds the spatial index if a topology mutation or margin
-// change made it stale, and reports whether it is usable. A failed build —
-// a path-loss configuration whose range cannot be bounded — leaves the
-// index off until the next mutation, and fan-out falls back to the
-// neighbor-list / all-pairs paths.
+// gridReady brings the topology generation (DetectionMarginDB is a plain
+// field, so its changes are noticed here), the mobile list and, where the
+// model allows one, the spatial index up to date, and reports whether the
+// index is usable. A failed build — a path-loss configuration whose range
+// cannot be bounded — leaves the index off until the next mutation, and
+// candidates come from all radios.
+//
+//wlan:hotpath
 func (m *Medium) gridReady() bool {
 	g := &m.sp
-	if !m.gridDirty && g.margin == m.DetectionMarginDB {
-		return g.ok
+	if g.margin != m.DetectionMarginDB {
+		g.margin = m.DetectionMarginDB
+		m.topoGen++
 	}
-	m.gridDirty = false
-	g.ok = m.rebuildGrid()
+	if g.gen != m.topoGen {
+		g.gen = m.topoGen
+		g.mobile = g.mobile[:0]
+		for _, r := range m.radios {
+			if !r.static {
+				g.mobile = append(g.mobile, r)
+			}
+		}
+		g.ok = g.enabled && m.rebuildGrid()
+	}
 	return g.ok
 }
 
@@ -80,7 +92,6 @@ func (m *Medium) gridReady() bool {
 func (m *Medium) rebuildGrid() bool {
 	g := &m.sp
 	n := len(m.radios)
-	g.margin = m.DetectionMarginDB
 	if n == 0 {
 		return false
 	}
@@ -123,7 +134,6 @@ func (m *Medium) rebuildGrid() bool {
 	for k, s := range g.cells {
 		g.cells[k] = s[:0]
 	}
-	g.mobile = g.mobile[:0]
 	now := m.kernel.Now()
 	for i, r := range m.radios {
 		p := r.mobility.PositionAt(now)
@@ -131,9 +141,6 @@ func (m *Medium) rebuildGrid() bool {
 		k := g.keyFor(p.X, p.Y)
 		g.cellOf[i] = k
 		g.cells[k] = append(g.cells[k], int32(i))
-		if !r.static {
-			g.mobile = append(g.mobile, int32(i))
-		}
 	}
 	g.posTime = now
 	g.posFresh = true
@@ -154,9 +161,9 @@ func (m *Medium) refreshPositions(at sim.Time) {
 	if g.posFresh && g.posTime == at {
 		return
 	}
-	for _, id := range g.mobile {
-		p := m.radios[id].mobility.PositionAt(at)
-		m.placeRadio(int(id), p.X, p.Y)
+	for _, r := range g.mobile {
+		p := r.mobility.PositionAt(at)
+		m.placeRadio(r.id, p.X, p.Y)
 	}
 	g.posTime = at
 	g.posFresh = true
@@ -188,10 +195,17 @@ func (m *Medium) placeRadio(id int, x, y float64) {
 	g.cells[k] = append(g.cells[k], int32(id))
 }
 
+// within reports whether radio id's indexed ground position lies inside the
+// circle of squared radius r2 around (x, y).
+func (g *spatial) within(id int, x, y, r2 float64) bool {
+	dx, dy := g.posX[id]-x, g.posY[id]-y
+	return dx*dx+dy*dy <= r2
+}
+
 // gridCandidates returns the radios within detection range of the
 // transmission, ascending by id, excluding the transmitter. The set is a
-// conservative superset of what the exact per-receiver power filter in
-// transmit keeps — pruning uses ground distance against the transmitter's
+// conservative superset of what the exact per-receiver power filter
+// keeps — pruning uses ground distance against the transmitter's
 // inverted worst-case range — so filtering the returned list is
 // bit-identical to filtering all radios, and the ascending-id order keeps
 // the scheduled arrival sequence identical too.
@@ -212,11 +226,7 @@ func (m *Medium) gridCandidates(r *Radio, t *transmission) []*Radio {
 	for cy := y0; cy <= y1; cy++ {
 		for cx := x0; cx <= x1; cx++ {
 			for _, id := range m.sp.cells[cellKey{cx, cy}] {
-				if int(id) == r.id {
-					continue
-				}
-				dx, dy := g.posX[id]-x, g.posY[id]-y
-				if dx*dx+dy*dy <= r2 {
+				if int(id) != r.id && g.within(int(id), x, y, r2) {
 					g.cand = append(g.cand, id)
 				}
 			}

@@ -331,7 +331,7 @@ func benchFanout(b *testing.B, n int, grid bool) {
 		k.Run()
 	}
 	m.sp.enabled = grid
-	m.gridDirty = true
+	m.topoGen++
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		k.Schedule(0, "tx", fire)

@@ -7,19 +7,29 @@
 // a Radio observes exactly the signals a driver sees — CCA busy/idle edges,
 // decoded frames with RSSI/SINR metadata, FCS errors and TX completions.
 //
-// # Fan-out pruning and the spatial index
+// # Fan-out rows and the spatial index
 //
-// On fading-free channels whose path-loss model can bound detection range
-// (spectrum.RangeBounder), transmit fan-out walks a uniform-grid spatial
-// index instead of every radio. The index's invalidation contract: topology
-// mutations — AddRadio, SetMobility and DetectionMarginDB changes, all of
-// which can change detection ranges or the cell size — rebuild it from
-// scratch before the next transmission, while ordinary mobility migrates
-// radios between cells incrementally (once per distinct transmission
-// timestamp, driven by geom.Mobility positions). Pruning is always a
-// conservative superset of the exact per-receiver power filter, and
-// candidates are walked in ascending radio-id order, so delivered arrivals
-// and event order are bit-identical to the all-pairs walk.
+// Every static transmitter owns a lazily built fan-out row: the
+// ascending-id list of static receivers it can reach, with received power,
+// its linear-milliwatt conversion and propagation delay computed once. A
+// transmission from a static radio is a linear walk over that row, merged
+// in id order with the mobile radios (if any), whose physics is computed
+// per transmission. On channels without fast fading a row holds only the
+// receivers that pass the detection-margin filter; with fast fading it holds
+// every static radio, and the fading gain and the filter are applied per
+// transmission. Mobile transmitters compute every link per transmission.
+//
+// Rows are built from, and mobile transmitters walk, one candidate source:
+// on fading-free channels whose path-loss model can bound detection range
+// (spectrum.RangeBounder) a uniform-grid spatial index, otherwise every
+// radio. One topology generation — advanced by AddRadio, SetMobility and a
+// DetectionMarginDB change, all of which can change who reaches whom —
+// stales every row and the index; each is rebuilt on next use, while
+// ordinary mobility migrates radios between cells incrementally (once per
+// distinct transmission timestamp, driven by geom.Mobility positions).
+// Pruning is always a conservative superset of the exact per-receiver power
+// filter, and receivers are walked in ascending radio-id order, so delivered
+// arrivals and event order are bit-identical to the all-pairs walk.
 package medium
 
 import (
@@ -98,28 +108,26 @@ type transmission struct {
 	decoded *frame.Frame
 }
 
-// linkCacheEntry caches the propagation physics of one directed static
-// radio pair: received power (excluding fast fading), its linear-milliwatt
-// conversion (a math.Pow otherwise re-done per arrival), and propagation
-// delay. Entries live in a direct-mapped cache (linkWays slots per
-// transmitter) tagged by receiver id plus both endpoints' invalidation
-// generations: a stale or evicted entry is simply recomputed, which is
-// bit-identical because link physics is a pure function of the endpoints.
-type linkCacheEntry struct {
+// linkIDBits is the width of a radio id inside a link id and a fan-out
+// entry; AddRadio refuses to grow a medium past 1<<linkIDBits radios.
+const linkIDBits = 20
+
+// linkID names the directed link tx→rx to the shadowing and fading
+// processes.
+func linkID(tx, rx *Radio) uint64 { return uint64(tx.id)<<linkIDBits | uint64(rx.id) }
+
+// fanoutEntry is one static receiver in a static transmitter's fan-out row:
+// received power excluding fast fading, its linear-milliwatt conversion (a
+// math.Pow otherwise re-done per arrival) and the propagation delay, packed
+// above the receiver id so an entry is 24 bytes.
+type fanoutEntry struct {
 	power   units.DBm
 	powerMW float64
-	delay   sim.Duration
-	rxTag   int32 // rx.id+1; 0 marks an empty slot
-	txGen   uint32
-	rxGen   uint32
+	rxDelay uint64 // delay<<linkIDBits | rx id
 }
 
-// linkWays is the per-transmitter associativity of the link cache. Must be
-// a power of two. The old row-major [tx][rx] layout was O(N²) memory —
-// ~4 GB at 10k radios — where this is linkWays×N entries total; at city
-// scale the spatial index keeps fan-outs local, so the slots a transmitter
-// actually uses stay far below N.
-const linkWays = 64
+func (e *fanoutEntry) rx() int             { return int(e.rxDelay & (1<<linkIDBits - 1)) }
+func (e *fanoutEntry) delay() sim.Duration { return sim.Duration(e.rxDelay >> linkIDBits) }
 
 // Medium couples radios to the propagation model.
 type Medium struct {
@@ -144,41 +152,24 @@ type Medium struct {
 	Transmissions    uint64
 	FanoutCandidates uint64 // candidate receivers walked per transmission
 	FanoutDelivered  uint64 // arrivals actually scheduled
-	LinkCacheHits    uint64 // linkPhysics cache hits on the static path
-	LinkCacheMisses  uint64 // linkPhysics recomputes on the static path
+	LinkCacheHits    uint64 // fan-out row entries served
+	LinkCacheMisses  uint64 // static-pair physics computed while (re)building rows
 	GridMigrations   uint64 // radios moved between spatial-grid cells
 
-	// Fast-path state: pooled transmissions/arrivals/decoded frames and the
-	// per-link gain cache (direct-mapped, linkWays slots per transmitter,
-	// static pairs only). linkGen[i] is radio i's invalidation generation:
-	// bumping it orphans every cached entry touching i in O(1).
+	// Fast-path state: pooled transmissions/arrivals/decoded frames.
 	txPool      []*transmission
 	arrPool     []*arrival
 	framePool   []*frame.Frame
-	links       []linkCacheEntry
-	linkGen     []uint32
-	shadowConst bool // shadow gain is time-invariant: base power cacheable
-	noFast      bool // no fast fading: cached power is the exact rx power
-	noShadow    bool // no shadowing either: loss is pure distance, so the
-	// spatial index's range bounds hold
+	shadowConst bool // shadow gain is time-invariant: static links precomputable
+	noFast      bool // no fast fading: row power is the exact rx power
 
-	// sp is the uniform-grid spatial index (see grid.go); gridDirty marks
-	// it stale after topology mutations.
-	sp        spatial
-	gridDirty bool
+	// topoGen is the topology generation: fan-out rows (Radio.row) and the
+	// spatial index are valid only for the generation they were built in.
+	topoGen    uint64
+	rowScratch []fanoutEntry // buildRow scratch: rows are stored at exact size
 
-	// neighbors[i] caches, for static transmitter i on a fading-free
-	// channel whose loss cannot be range-bounded (so the spatial index is
-	// unavailable), the radios its transmissions can possibly reach: every
-	// non-static radio plus each static radio whose link power clears the
-	// detection margin. Fan-out walks this list instead of all radios.
-	// Channel mismatches are still filtered per transmission, so channel
-	// switches need no invalidation; mobility and margin changes do — by
-	// bumping neighborEpoch, which stales every list in O(1).
-	neighbors      [][]*Radio
-	neighborBuilt  []uint64
-	neighborEpoch  uint64
-	neighborMargin float64
+	// sp is the uniform-grid spatial index (see grid.go).
+	sp spatial
 }
 
 // New creates an empty medium on the kernel with the given channel model.
@@ -190,27 +181,20 @@ func New(k *sim.Kernel, model *spectrum.Model, src *rng.Source) *Medium {
 		DetectionMarginDB: 10,
 		rng:               src.Split("medium"),
 	}
-	switch model.Shadow.(type) {
-	case spectrum.NoFading, *spectrum.Shadowing:
-		m.shadowConst = true
-	}
-	if _, ok := model.Shadow.(spectrum.NoFading); ok {
-		m.noShadow = true
-	}
-	if _, ok := model.Fast.(spectrum.NoFading); ok {
-		m.noFast = true
-	}
+	_, noShadow := model.Shadow.(spectrum.NoFading)
+	_, shadowing := model.Shadow.(*spectrum.Shadowing)
+	m.shadowConst = noShadow || shadowing
+	_, m.noFast = model.Fast.(spectrum.NoFading)
 	// The spatial index needs loss to be a pure, invertible function of
 	// distance: no fast fading, no shadowing, and a range-boundable
 	// path-loss model. Shadowing is excluded even though it is
 	// time-invariant — its per-link Gaussian offset is unbounded, so no
 	// distance can guarantee a link stays below the detection threshold.
-	if rb, ok := model.PathLoss.(spectrum.RangeBounder); ok && m.noFast && m.noShadow {
+	if rb, ok := model.PathLoss.(spectrum.RangeBounder); ok && m.noFast && noShadow {
 		m.sp.bounder = rb
 		m.sp.enabled = true
 	}
 	m.sp.cells = make(map[cellKey][]int32)
-	m.neighborEpoch = 1 // zero-valued neighborBuilt entries read as stale
 	return m
 }
 
@@ -243,6 +227,9 @@ type RadioConfig struct {
 func (m *Medium) AddRadio(cfg RadioConfig) *Radio {
 	if cfg.Mode == nil {
 		panic("medium: radio needs a PHY mode")
+	}
+	if len(m.radios) >= 1<<linkIDBits {
+		panic(fmt.Sprintf("medium: more than %d radios: link ids would alias", 1<<linkIDBits))
 	}
 	if cfg.Mobility == nil {
 		cfg.Mobility = geom.Static{}
@@ -286,62 +273,10 @@ func (m *Medium) AddRadio(cfg RadioConfig) *Radio {
 		r.listener.OnTxDone()
 	}
 	m.radios = append(m.radios, r)
-	// Grow the direct-mapped link cache by one transmitter row; fresh
-	// zero entries carry no tags, so nothing needs clearing.
-	var empty [linkWays]linkCacheEntry
-	m.links = append(m.links, empty[:]...)
-	m.linkGen = append(m.linkGen, 0)
-	m.neighbors = append(m.neighbors, nil)
-	m.neighborBuilt = append(m.neighborBuilt, 0)
 	// The new radio may appear in any transmitter's fan-out, and its noise
-	// floor can tighten every detection range: stale every neighbor list
-	// and rebuild the spatial index before the next transmission.
-	m.neighborEpoch++
-	m.gridDirty = true
+	// floor can tighten every detection range.
+	m.topoGen++
 	return r
-}
-
-// invalidateLinks drops cached gains for every link touching radio id
-// (O(1): the radio's generation advances, orphaning its tagged entries),
-// stales every neighbor list (the radio may have entered or left detection
-// range of any transmitter), and marks the spatial index for rebuild.
-func (m *Medium) invalidateLinks(id int) {
-	m.linkGen[id]++
-	m.neighborEpoch++
-	m.gridDirty = true
-}
-
-// neighborCandidates returns (building lazily if needed) the fan-out list
-// for static transmitter r. Valid only when noFast && shadowConst: then the
-// cached link power is exactly what linkPhysics would return, so filtering
-// here is bit-identical to filtering inside the fan-out loop.
-func (m *Medium) neighborCandidates(r *Radio, t *transmission) []*Radio {
-	if m.DetectionMarginDB != m.neighborMargin {
-		m.neighborEpoch++ // one bump stales every list
-		m.neighborMargin = m.DetectionMarginDB
-	}
-	if m.neighborBuilt[r.id] == m.neighborEpoch {
-		return m.neighbors[r.id]
-	}
-	list := m.neighbors[r.id][:0]
-	for _, rx := range m.radios {
-		if rx == r {
-			continue
-		}
-		if !rx.static {
-			// Moving receivers stay in the list; their power is computed
-			// per transmission.
-			list = append(list, rx)
-			continue
-		}
-		power, _, _ := m.linkPhysics(r, rx, t)
-		if float64(power) >= float64(rx.noiseFloor)-m.DetectionMarginDB {
-			list = append(list, rx)
-		}
-	}
-	m.neighbors[r.id] = list
-	m.neighborBuilt[r.id] = m.neighborEpoch
-	return list
 }
 
 // --- object pools ---------------------------------------------------------
@@ -418,42 +353,47 @@ func arrivalEndFn(x any)   { a := x.(*arrival); a.rx.arrivalEnd(a) }
 // Radios returns all registered radios.
 func (m *Medium) Radios() []*Radio { return m.radios }
 
-// linkPhysics returns the received power and propagation delay for a
-// transmission from r to rx, consulting the per-link cache when both
-// endpoints are static and the shadow process is time-invariant. Cached
-// values reproduce the uncached computation bit-for-bit: the cache stores
-// txPower-loss+shadow with the same operation order RxPower uses, and fast
-// fading (when present) is re-applied per transmission.
-// The second return is the cached linear-milliwatt power, or -1 when the
-// caller must convert (fast fading applied, or the link is uncacheable).
-func (m *Medium) linkPhysics(r, rx *Radio, t *transmission) (units.DBm, float64, sim.Duration) {
-	linkID := uint64(r.id)<<20 | uint64(rx.id)
-	if m.shadowConst && r.static && rx.static {
-		lc := &m.links[r.id*linkWays+rx.id&(linkWays-1)]
-		if lc.rxTag == int32(rx.id)+1 && lc.txGen == m.linkGen[r.id] && lc.rxGen == m.linkGen[rx.id] {
-			m.LinkCacheHits++
-		} else {
-			m.LinkCacheMisses++
-			rxPos := rx.mobility.PositionAt(t.start)
-			base := r.txPower.Add(-m.model.PathLoss.Loss(t.txPos, rxPos)).Add(m.model.Shadow.Gain(linkID, t.start))
-			d := t.txPos.Distance(rxPos)
-			lc.power = base
-			lc.powerMW = linearOrZero(base)
-			lc.delay = sim.Duration(d / units.SpeedOfLight * float64(sim.Second))
-			lc.rxTag = int32(rx.id) + 1
-			lc.txGen = m.linkGen[r.id]
-			lc.rxGen = m.linkGen[rx.id]
-		}
-		if !m.noFast {
-			power := lc.power.Add(m.model.Fast.Gain(linkID, t.start))
-			return power, -1, lc.delay
-		}
-		return lc.power, lc.powerMW, lc.delay
+// tooWeak reports whether an arrival at power is so far below rx's noise
+// floor that it is irrelevant both as signal and as interference.
+func (m *Medium) tooWeak(power units.DBm, rx *Radio) bool {
+	return float64(power) < float64(rx.noiseFloor)-m.DetectionMarginDB
+}
+
+// propDelay is the time light takes to cover d metres.
+func propDelay(d float64) sim.Duration {
+	return sim.Duration(d / units.SpeedOfLight * float64(sim.Second))
+}
+
+// buildRow computes static transmitter r's fan-out row from the candidate
+// source. An entry reproduces the per-transmission computation bit-for-bit:
+// it stores txPower-loss+shadow with the same operation order RxPower uses,
+// and fast fading (when present) is applied per transmission by fanout.
+func (m *Medium) buildRow(r *Radio, t *transmission, grid bool) {
+	cands := m.radios
+	if grid {
+		cands = m.gridCandidates(r, t)
 	}
-	rxPos := rx.mobility.PositionAt(t.start)
-	power := m.model.RxPower(r.txPower, t.txPos, rxPos, linkID, t.start)
-	d := t.txPos.Distance(rxPos)
-	return power, -1, sim.Duration(d / units.SpeedOfLight * float64(sim.Second))
+	row := m.rowScratch[:0]
+	for _, rx := range cands {
+		if rx == r || !rx.static {
+			continue
+		}
+		m.LinkCacheMisses++
+		rxPos := rx.mobility.PositionAt(t.start)
+		base := r.txPower.Add(-m.model.PathLoss.Loss(t.txPos, rxPos)).Add(m.model.Shadow.Gain(linkID(r, rx), t.start))
+		if m.noFast && m.tooWeak(base, rx) {
+			continue
+		}
+		delay := propDelay(t.txPos.Distance(rxPos))
+		if delay>>(64-linkIDBits) != 0 {
+			panic(fmt.Sprintf("medium: propagation delay %s→%s does not fit a fan-out entry", r.name, rx.name))
+		}
+		row = append(row, fanoutEntry{base, linearOrZero(base), uint64(delay)<<linkIDBits | uint64(rx.id)})
+	}
+	m.rowScratch = row
+	r.row = make([]fanoutEntry, len(row)) // exact size: rows are the medium's bulk
+	copy(r.row, row)
+	r.rowGen = m.topoGen
 }
 
 // transmit puts a wire image on the air from radio r.
@@ -479,34 +419,76 @@ func (m *Medium) transmit(r *Radio, f *frame.Frame, rate phy.RateIdx) sim.Durati
 			Detail: fmt.Sprintf("rate=%v airtime=%v", r.mode.Rate(rate), airtime),
 		})
 	}
-
-	// Deliver arrival start/end events to every other radio on the channel.
-	// Candidate pruning — the spatial index when the model supports it,
-	// else the per-transmitter neighbor list — only ever drops receivers
-	// the power filter below would drop, and preserves ascending-id
-	// order, so the delivered arrivals are identical to the full walk.
-	cands := m.radios
-	if m.sp.enabled && m.gridReady() {
-		cands = m.gridCandidates(r, t)
-	} else if m.noFast && m.shadowConst && r.static {
-		cands = m.neighborCandidates(r, t)
+	m.fanout(r, t)
+	if t.refs == 0 {
+		m.putTransmission(t)
 	}
-	m.FanoutCandidates += uint64(len(cands))
-	for _, rx := range cands {
-		if rx == r || rx.channel != r.channel {
-			continue
+	return airtime
+}
+
+// fanout schedules arrival start/end events at every other radio on the
+// channel that the power filter keeps. A static transmitter walks its row,
+// merged in ascending-id order with the mobile radios in range; any other
+// transmitter walks the candidate source. Links off the row are computed
+// for this transmission. Pruning — the row's build-time filter, the
+// spatial index — only ever drops receivers the power filter would drop,
+// and every path keeps ascending-id order, so the scheduled arrivals are
+// identical to the full walk.
+//
+//wlan:hotpath
+func (m *Medium) fanout(r *Radio, t *transmission) {
+	var row []fanoutEntry
+	others := m.radios    // receivers whose link is computed per transmission
+	var reach2 float64    // when positive, others are pruned to this range²
+	grid := m.gridReady() // also brings topoGen and the mobile list up to date
+	if r.static && m.shadowConst {
+		if r.rowGen != m.topoGen {
+			m.buildRow(r, t, grid)
 		}
-		power, powerMW, delay := m.linkPhysics(r, rx, t)
-		// Ignore arrivals far below the receiver's noise floor: they are
-		// irrelevant both as signal and as interference.
-		if float64(power) < float64(rx.noiseFloor)-m.DetectionMarginDB {
-			continue
+		row, others = r.row, m.sp.mobile
+		if grid {
+			m.refreshPositions(t.start)
+			reach2 = m.sp.rangeM[r.id] * m.sp.rangeM[r.id]
+		}
+	} else if grid {
+		others = m.gridCandidates(r, t)
+	}
+	m.LinkCacheHits += uint64(len(row))
+	m.FanoutCandidates += uint64(len(row))
+	for i, j := 0, 0; i < len(row) || j < len(others); {
+		var rx *Radio
+		var power units.DBm
+		var powerMW float64
+		var delay sim.Duration
+		if j == len(others) || i < len(row) && row[i].rx() < others[j].id {
+			e := &row[i]
+			i++
+			rx, power, powerMW, delay = m.radios[e.rx()], e.power, e.powerMW, e.delay()
+			if rx.channel != t.channel {
+				continue
+			}
+			if !m.noFast {
+				power, powerMW = power.Add(m.model.Fast.Gain(linkID(r, rx), t.start)), -1
+			}
+		} else {
+			rx = others[j]
+			j++
+			if rx == r || rx.channel != t.channel || reach2 > 0 && !m.sp.within(rx.id, t.txPos.X, t.txPos.Y, reach2) {
+				continue
+			}
+			m.FanoutCandidates++
+			rxPos := rx.mobility.PositionAt(t.start)
+			power, powerMW = m.model.RxPower(r.txPower, t.txPos, rxPos, linkID(r, rx), t.start), -1
+			delay = propDelay(t.txPos.Distance(rxPos))
+		}
+		if powerMW < 0 { // computed for this transmission: filter, then convert
+			if m.tooWeak(power, rx) {
+				continue
+			}
+			powerMW = linearOrZero(power)
 		}
 		if !m.PropagationDelay {
 			delay = 0
-		}
-		if powerMW < 0 {
-			powerMW = linearOrZero(power)
 		}
 		arr := m.getArrival()
 		arr.t = t
@@ -516,12 +498,8 @@ func (m *Medium) transmit(r *Radio, f *frame.Frame, rate phy.RateIdx) sim.Durati
 		t.refs++
 		m.FanoutDelivered++
 		m.kernel.ScheduleArg(delay, rx.nameRxStart, arrivalStartFn, arr)
-		m.kernel.ScheduleArg(delay+airtime, rx.nameRxEnd, arrivalEndFn, arr)
+		m.kernel.ScheduleArg(delay+t.airtime, rx.nameRxEnd, arrivalEndFn, arr)
 	}
-	if t.refs == 0 {
-		m.putTransmission(t)
-	}
-	return airtime
 }
 
 func (m *Medium) String() string {

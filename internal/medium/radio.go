@@ -162,9 +162,13 @@ type Radio struct {
 	ccaBusy  bool
 	txEnd    sim.Timer
 
-	// Fast-path state: static mobility (gain cacheable), event names built
-	// once at AddRadio, and the tx-done callback allocated once.
+	// Fast-path state: static mobility (links precomputable: row is this
+	// radio's fan-out, valid while rowGen is the medium's topology
+	// generation), event names built once at AddRadio, and the tx-done
+	// callback allocated once.
 	static      bool
+	row         []fanoutEntry
+	rowGen      uint64
 	nameRxStart string
 	nameRxEnd   string
 	nameTxDone  string
@@ -198,12 +202,13 @@ func (r *Radio) Position() geom.Point {
 	return r.mobility.PositionAt(r.medium.kernel.Now())
 }
 
-// SetMobility replaces the mobility model and invalidates cached link gains
-// involving this radio.
+// SetMobility replaces the mobility model. The radio may have entered or
+// left detection range of any transmitter, so every fan-out row and the
+// spatial index go stale.
 func (r *Radio) SetMobility(m geom.Mobility) {
 	r.mobility = m
 	_, r.static = m.(geom.Static)
-	r.medium.invalidateLinks(r.id)
+	r.medium.topoGen++
 }
 
 // SetListener installs the MAC-side event consumer.

@@ -39,20 +39,20 @@ var Sim = SimMetrics{
 // from the medium's plain diagnostic counters.
 type MediumMetrics struct {
 	Transmissions    *Counter // transmissions started
-	FanoutCandidates *Counter // grid candidate radios considered across transmissions
+	FanoutCandidates *Counter // receivers walked across transmissions
 	FanoutDelivered  *Counter // arrivals actually scheduled
-	LinkCacheHits    *Counter // link-physics direct-mapped cache hits
-	LinkCacheMisses  *Counter // link-physics cache misses (recomputes)
+	LinkCacheHits    *Counter // fan-out row entries served
+	LinkCacheMisses  *Counter // static links computed while (re)building rows
 	GridMigrations   *Counter // radios moved between grid cells
 }
 
 // Medium is the propagation bundle on the Default registry.
 var Medium = MediumMetrics{
 	Transmissions:    Default.Counter("wlan_medium_transmissions_total", "Transmissions started on the shared medium."),
-	FanoutCandidates: Default.Counter("wlan_medium_fanout_candidates_total", "Candidate receivers returned by the grid spatial index."),
+	FanoutCandidates: Default.Counter("wlan_medium_fanout_candidates_total", "Candidate receivers walked: fan-out row entries, and radios whose link is computed per transmission."),
 	FanoutDelivered:  Default.Counter("wlan_medium_fanout_delivered_total", "Arrivals actually scheduled on candidate receivers."),
-	LinkCacheHits:    Default.Counter("wlan_medium_link_cache_hits_total", "Link-physics cache hits."),
-	LinkCacheMisses:  Default.Counter("wlan_medium_link_cache_misses_total", "Link-physics cache misses (full recomputes)."),
+	LinkCacheHits:    Default.Counter("wlan_medium_link_cache_hits_total", "Precomputed static links served from transmitters' fan-out rows."),
+	LinkCacheMisses:  Default.Counter("wlan_medium_link_cache_misses_total", "Static links computed while (re)building fan-out rows."),
 	GridMigrations:   Default.Counter("wlan_medium_grid_migrations_total", "Radio migrations between spatial-grid cells."),
 }
 
