@@ -21,14 +21,15 @@
 //
 //   - internal/sim pools Event objects on a free list behind
 //     generation-checked Timer handles, keeps the queue as a
-//     struct-of-arrays 4-ary heap drained one same-timestamp cohort at a
-//     time, and reaps cancelled events lazily in bulk. ScheduleArg gives
+//     struct-of-arrays 4-ary heap popped one event at a time in (at, seq)
+//     order, and reaps cancelled events lazily in bulk. ScheduleArg gives
 //     hot callers closure-free scheduling.
 //   - internal/medium pools transmissions and arrivals, gives every
 //     static transmitter a fan-out row (the static receivers it reaches,
 //     their power and propagation delay computed once; rebuilt when the
 //     topology changes), reuses wire buffers, decodes each transmission
-//     once per fan-out, and memoizes the PHY chunk-error model.
+//     once per fan-out, and folds each constant-interference span of a
+//     reception through internal/phy's error model as it closes.
 //   - internal/harness describes every experiment as a parameter grid of
 //     independent scenario points (harness.Grid); Grid.Run evaluates them
 //     one after another and is the reference for everything below.

@@ -13,6 +13,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"sync/atomic"
@@ -168,12 +169,14 @@ func NewNetwork(cfg Config) *Network {
 	case cfg.Fading == "" || cfg.Fading == "none":
 	case cfg.Fading == "rayleigh":
 		fast = spectrum.NewRayleigh(root.Split("fading"), cfg.FadingCoherence)
-	case strings.HasPrefix(cfg.Fading, "rician"):
+	case cfg.Fading == "rician" || strings.HasPrefix(cfg.Fading, "rician:"):
 		kf := 5.0
-		if i := strings.IndexByte(cfg.Fading, ':'); i >= 0 {
-			if v, err := strconv.ParseFloat(cfg.Fading[i+1:], 64); err == nil {
-				kf = v
+		if spec, ok := strings.CutPrefix(cfg.Fading, "rician:"); ok {
+			v, err := strconv.ParseFloat(spec, 64)
+			if err != nil || math.IsNaN(v) || v < 0 || math.IsInf(v, 1) {
+				panic(fmt.Sprintf("core: bad fading spec %q", cfg.Fading))
 			}
+			kf = v
 		}
 		fast = spectrum.NewRician(root.Split("fading"), kf, cfg.FadingCoherence)
 	default:
@@ -241,11 +244,17 @@ func (n *Network) rateController(name, spec string) mac.RateController {
 	panic(fmt.Sprintf("core: unknown rate adaptation %q", spec))
 }
 
-// newStack builds radio+MAC for a node.
-func (n *Network) newStack(name string, mob geom.Mobility, rateSpec string) (*medium.Radio, *mac.DCF) {
+// claimName panics when a node called name already exists.
+func (n *Network) claimName(name string) {
 	if _, dup := n.nodes[name]; dup {
 		panic(fmt.Sprintf("core: duplicate node name %q", name))
 	}
+}
+
+// newStack builds radio+MAC for an AP, station or ad-hoc node. Zero opts
+// fields fall back to the network-wide config.
+func (n *Network) newStack(name string, mob geom.Mobility, opts NodeOpts) (*medium.Radio, *mac.DCF) {
+	n.claimName(name)
 	r := n.medium.AddRadio(medium.RadioConfig{
 		Name:           name,
 		Mode:           n.mode,
@@ -255,15 +264,22 @@ func (n *Network) newStack(name string, mob geom.Mobility, rateSpec string) (*me
 		CaptureEnabled: n.cfg.Capture,
 		CaptureMargin:  units.DB(n.cfg.CaptureMarginDB),
 	})
+	pickInt := func(v, def int) int {
+		if v != 0 {
+			return v
+		}
+		return def
+	}
 	d := mac.New(n.kernel, r, mac.Config{
 		Address:       n.alloc.Next(),
 		Mode:          n.mode,
 		RTSThreshold:  n.cfg.RTSThreshold,
 		FragThreshold: n.cfg.FragThreshold,
-		CWmin:         n.cfg.CWmin,
-		CWmax:         n.cfg.CWmax,
-		QueueCap:      n.cfg.QueueCap,
-	}, n.rateController(name, rateSpec), n.root)
+		CWmin:         pickInt(opts.CWmin, n.cfg.CWmin),
+		CWmax:         pickInt(opts.CWmax, n.cfg.CWmax),
+		AIFSN:         opts.AIFSN,
+		QueueCap:      pickInt(opts.QueueCap, n.cfg.QueueCap),
+	}, n.rateController(name, opts.RateAdapt), n.root)
 	return r, d
 }
 
@@ -275,7 +291,7 @@ func (n *Network) register(node *Node) *Node {
 
 // AddAP creates an access point node.
 func (n *Network) AddAP(name string, at geom.Point, cfg net80211.APConfig) *Node {
-	r, d := n.newStack(name, geom.Static{P: at}, "")
+	r, d := n.newStack(name, geom.Static{P: at}, NodeOpts{})
 	node := &Node{Name: name, Radio: r, MAC: d, net: n}
 	node.AP = net80211.NewAP(n.kernel, d, cfg)
 	node.AP.OnDeliver = func(_, _ frame.MACAddr, payload []byte) { n.sink.Deliver(payload) }
@@ -289,7 +305,7 @@ func (n *Network) AddStation(name string, at geom.Point, cfg net80211.STAConfig)
 
 // AddMobileStation creates a station with an arbitrary mobility model.
 func (n *Network) AddMobileStation(name string, mob geom.Mobility, cfg net80211.STAConfig) *Node {
-	r, d := n.newStack(name, mob, "")
+	r, d := n.newStack(name, mob, NodeOpts{})
 	node := &Node{Name: name, Radio: r, MAC: d, net: n}
 	node.STA = net80211.NewSTA(n.kernel, d, cfg)
 	node.STA.OnReceive = func(_, _ frame.MACAddr, payload []byte) { n.sink.Deliver(payload) }
@@ -323,34 +339,7 @@ type NodeOpts struct {
 
 // AddAdhocOpts creates an IBSS node with per-node MAC overrides.
 func (n *Network) AddAdhocOpts(name string, at geom.Point, opts NodeOpts) *Node {
-	if _, dup := n.nodes[name]; dup {
-		panic(fmt.Sprintf("core: duplicate node name %q", name))
-	}
-	r := n.medium.AddRadio(medium.RadioConfig{
-		Name:           name,
-		Mode:           n.mode,
-		Channel:        n.cfg.Channel,
-		Mobility:       geom.Static{P: at},
-		TxPower:        n.cfg.TxPower,
-		CaptureEnabled: n.cfg.Capture,
-		CaptureMargin:  units.DB(n.cfg.CaptureMarginDB),
-	})
-	pickInt := func(v, def int) int {
-		if v != 0 {
-			return v
-		}
-		return def
-	}
-	d := mac.New(n.kernel, r, mac.Config{
-		Address:       n.alloc.Next(),
-		Mode:          n.mode,
-		RTSThreshold:  n.cfg.RTSThreshold,
-		FragThreshold: n.cfg.FragThreshold,
-		CWmin:         pickInt(opts.CWmin, n.cfg.CWmin),
-		CWmax:         pickInt(opts.CWmax, n.cfg.CWmax),
-		AIFSN:         opts.AIFSN,
-		QueueCap:      pickInt(opts.QueueCap, n.cfg.QueueCap),
-	}, n.rateController(name, opts.RateAdapt), n.root)
+	r, d := n.newStack(name, geom.Static{P: at}, opts)
 	node := &Node{Name: name, Radio: r, MAC: d, net: n}
 	node.Adhoc = net80211.NewAdhoc(n.kernel, d, net80211.IBSSID())
 	node.Adhoc.OnReceive = func(_, _ frame.MACAddr, payload []byte) { n.sink.Deliver(payload) }
@@ -361,9 +350,7 @@ func (n *Network) AddAdhocOpts(name string, at geom.Point, opts NodeOpts) *Node 
 // and every overheard frame is handed to the callback. Monitors never
 // transmit (nothing is addressed to them, so no ACKs either).
 func (n *Network) AddMonitor(name string, at geom.Point, capture func(f *frame.Frame, info medium.RxInfo)) *Node {
-	if _, dup := n.nodes[name]; dup {
-		panic(fmt.Sprintf("core: duplicate node name %q", name))
-	}
+	n.claimName(name)
 	r := n.medium.AddRadio(medium.RadioConfig{
 		Name:     name,
 		Mode:     n.mode,
@@ -485,17 +472,18 @@ var simEvents atomic.Uint64
 // networks since process start.
 func SimEvents() uint64 { return simEvents.Load() }
 
-// Run advances the scenario by d of virtual time. With metrics enabled
-// the run is chunked at core.MetricsEvery flush boundaries — same events,
-// same order, live gauges.
+// Run advances the scenario by d of virtual time, or by less when a
+// callback stops the kernel. With metrics enabled the run is chunked at
+// core.MetricsEvery flush boundaries — same events, same order, live
+// gauges.
 func (n *Network) Run(d sim.Duration) {
-	before := n.kernel.Processed()
+	before, start := n.kernel.Processed(), n.kernel.Now()
 	if obs.Enabled() {
 		n.runObserved(d)
 	} else {
 		n.kernel.RunFor(d)
 	}
-	n.ran += d
+	n.ran += n.kernel.Now().Sub(start)
 	simEvents.Add(n.kernel.Processed() - before)
 }
 

@@ -74,6 +74,8 @@ func TestBadConfigsPanic(t *testing.T) {
 		{Mode: "802.11ax"},
 		{RateAdapt: "magic"},
 		{Fading: "quantum"},
+		{Fading: "rician:lots"},
+		{Fading: "rician:-1"},
 		{RateAdapt: "fixed:x"},
 	}
 	for _, cfg := range cases {
@@ -160,6 +162,24 @@ func TestStopTraffic(t *testing.T) {
 	after := net.FlowStats(flow).Received
 	if after > before+2 {
 		t.Errorf("traffic kept flowing after stop: %d -> %d", before, after)
+	}
+}
+
+// A run cut short by Kernel.Stop counts only the virtual time it covered,
+// and the next Run resumes the events the stop left queued.
+func TestRunStoppedCountsTimeActuallyRun(t *testing.T) {
+	net := NewNetwork(Config{Seed: 6})
+	k := net.Kernel()
+	later := false
+	k.Schedule(200*sim.Millisecond, "stop", k.Stop)
+	k.Schedule(300*sim.Millisecond, "later", func() { later = true })
+	net.Run(1 * sim.Second)
+	if net.Elapsed() != 200*sim.Millisecond {
+		t.Fatalf("Elapsed = %v after a run stopped at 200ms, want 200ms", net.Elapsed())
+	}
+	net.Run(1 * sim.Second)
+	if !later || net.Elapsed() != 1200*sim.Millisecond {
+		t.Fatalf("after resuming: later ran=%v Elapsed=%v, want true and 1.2s", later, net.Elapsed())
 	}
 }
 

@@ -6,9 +6,10 @@ package obs
 // instrumentation sites a typed handle instead of a string lookup.
 
 // cohortBounds are the inclusive upper edges for the cohort-size
-// histogram. They mirror the sim kernel's power-of-two bucket array:
-// kernel bucket i (sizes in (2^(i-1), 2^i]) folds into histogram bucket i,
-// with the 8th kernel bucket landing in +Inf.
+// histogram, a cohort being a run of consecutively executed events that
+// share a timestamp. They mirror the sim kernel's power-of-two bucket
+// array: kernel bucket i (lengths in (2^(i-1), 2^i]) folds into histogram
+// bucket i, with the 8th kernel bucket landing in +Inf.
 var cohortBounds = []uint64{1, 2, 4, 8, 16, 32, 64}
 
 // SimMetrics is the kernel family. The kernel itself never touches these —
@@ -16,7 +17,7 @@ var cohortBounds = []uint64{1, 2, 4, 8, 16, 32, 64}
 // deltas here at run-chunk boundaries. All values are sim-time quantities.
 type SimMetrics struct {
 	Events        *Counter   // events executed
-	CohortSize    *Histogram // same-timestamp cohort sizes from the drain path
+	CohortSize    *Histogram // lengths of same-timestamp event runs
 	NowNs         *Gauge     // sim clock, nanoseconds
 	HeapDepth     *Gauge     // pending events in the SoA heap
 	HeapHighWater *Gauge     // max heap depth seen
@@ -27,7 +28,7 @@ type SimMetrics struct {
 // Sim is the kernel bundle on the Default registry.
 var Sim = SimMetrics{
 	Events:        Default.Counter("wlan_sim_events_total", "Simulation events executed by the kernel."),
-	CohortSize:    Default.Histogram("wlan_sim_cohort_size", "Size of same-timestamp event cohorts drained per heap repair.", cohortBounds),
+	CohortSize:    Default.Histogram("wlan_sim_cohort_size", "Length of runs of consecutively executed events sharing one timestamp.", cohortBounds),
 	NowNs:         Default.Gauge("wlan_sim_now_ns", "Current simulation clock in virtual nanoseconds."),
 	HeapDepth:     Default.Gauge("wlan_sim_heap_depth", "Events pending in the kernel's SoA heap."),
 	HeapHighWater: Default.Gauge("wlan_sim_heap_high_water", "Maximum heap depth observed since process start."),

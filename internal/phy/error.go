@@ -25,6 +25,8 @@ func qfunc(x float64) float64 {
 
 // berForModulation returns the bit error probability at a given linear
 // per-bit SNR (Eb/N0).
+//
+//wlan:hotpath
 func berForModulation(mod Modulation, ebN0 float64) float64 {
 	if ebN0 <= 0 {
 		return 0.5
@@ -55,6 +57,8 @@ func berForModulation(mod Modulation, ebN0 float64) float64 {
 // BER returns the bit error rate for rate ri of mode m at the given linear
 // SINR (signal power over noise-plus-interference power, both in the mode
 // bandwidth).
+//
+//wlan:hotpath
 func (m *Mode) BER(ri RateIdx, sinrLinear float64) float64 {
 	if sinrLinear <= 0 {
 		return 0.5
@@ -69,7 +73,10 @@ func (m *Mode) BER(ri RateIdx, sinrLinear float64) float64 {
 }
 
 // ChunkSuccess returns the probability that nBits consecutive bits decode
-// without error at the given SINR.
+// without error at the given SINR. The medium calls it once per
+// constant-interference span of every locked reception.
+//
+//wlan:hotpath
 func (m *Mode) ChunkSuccess(ri RateIdx, sinrLinear float64, nBits int) float64 {
 	if nBits <= 0 {
 		return 1

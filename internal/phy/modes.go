@@ -10,7 +10,6 @@ package phy
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/sim"
 	"repro/internal/units"
@@ -103,37 +102,7 @@ type Mode struct {
 	// plcpLong / plcpShort are DSSS/FHSS preamble+PLCP header durations.
 	plcpLong  sim.Duration
 	plcpShort sim.Duration
-
-	// memo points this instance at the process-wide airtime table for its
-	// parameters; pre records the preamble the table was resolved for, so
-	// UseShortPreamble (or a direct Preamble write) re-resolves.
-	memo struct {
-		pre   PreambleKind
-		table []sim.Duration // immutable shared table, rate-major rows
-	}
 }
-
-// memoMaxMPDU caps the memo table at the largest legal 802.11 MPDU.
-const memoMaxMPDU = 2346
-
-// airtimeKey identifies every parameter the airtime computation reads, so
-// modes with identical framing share one immutable table. Rates beyond
-// the array bound (no standard mode has more than 8) disable memoization.
-type airtimeKey struct {
-	pre       PreambleKind
-	ofdm      bool
-	nRates    int
-	signalExt sim.Duration
-	plcpLong  sim.Duration
-	plcpShort sim.Duration
-	rates     [12]units.BitRate
-}
-
-// airtimeTables maps airtimeKey -> []sim.Duration: fully computed,
-// immutable rate-major tables covering MPDU lengths 0..memoMaxMPDU. The
-// tables are shared process-wide — a scenario's Mode resolves its table
-// once instead of allocating (and GC-churning) a private copy per run.
-var airtimeTables sync.Map
 
 // The four modes built here. They are exposed as functions returning fresh
 // values so callers can tweak copies (e.g. short preamble) without aliasing.
@@ -304,73 +273,11 @@ func (m *Mode) plcpOverhead() sim.Duration {
 }
 
 // Airtime returns the on-air duration of an MPDU of mpduBytes transmitted
-// at rate index ri, including preamble and PLCP framing. Lookups hit an
-// immutable per-(rate, mpduBytes) table shared by every mode with the same
-// framing parameters; lengths outside 0..2346 (and modes with rate tables
-// larger than any standard's) fall back to the computed path. The rate
-// entries of a Mode must not be mutated in place after the first Airtime
-// call — build a fresh Mode instead (the constructors always do).
+// at rate index ri (clamped into the rate table), including preamble and
+// PLCP framing.
 //
 //wlan:hotpath
 func (m *Mode) Airtime(ri RateIdx, mpduBytes int) sim.Duration {
-	if ri < 0 {
-		ri = 0
-	} else if int(ri) >= len(m.Rates) {
-		ri = RateIdx(len(m.Rates) - 1)
-	}
-	if uint(mpduBytes) <= memoMaxMPDU {
-		mm := &m.memo
-		if mm.table != nil && mm.pre == m.Preamble {
-			return mm.table[int(ri)*(memoMaxMPDU+1)+mpduBytes]
-		}
-		return m.memoAirtime(ri, mpduBytes)
-	}
-	return m.computeAirtime(ri, mpduBytes)
-}
-
-// memoAirtime is the Airtime resolution path: find (or compute once,
-// process-wide) the shared table for this mode's parameters, then answer
-// from it. Modes with oversized rate tables stay on the computed path.
-func (m *Mode) memoAirtime(ri RateIdx, mpduBytes int) sim.Duration {
-	key := airtimeKey{
-		pre:       m.Preamble,
-		ofdm:      m.ofdm,
-		nRates:    len(m.Rates),
-		signalExt: m.signalExt,
-		plcpLong:  m.plcpLong,
-		plcpShort: m.plcpShort,
-	}
-	if len(m.Rates) > len(key.rates) {
-		return m.computeAirtime(ri, mpduBytes)
-	}
-	for i, r := range m.Rates {
-		key.rates[i] = r.BitRate
-	}
-	var table []sim.Duration
-	if v, ok := airtimeTables.Load(key); ok {
-		table = v.([]sim.Duration)
-	} else {
-		table = make([]sim.Duration, len(m.Rates)*(memoMaxMPDU+1))
-		for r := range m.Rates {
-			row := table[r*(memoMaxMPDU+1):]
-			for n := 0; n <= memoMaxMPDU; n++ {
-				row[n] = m.computeAirtime(RateIdx(r), n)
-			}
-		}
-		if prev, loaded := airtimeTables.LoadOrStore(key, table); loaded {
-			table = prev.([]sim.Duration)
-		}
-	}
-	m.memo.pre = m.Preamble
-	m.memo.table = table
-	return table[int(ri)*(memoMaxMPDU+1)+mpduBytes]
-}
-
-// computeAirtime is the unmemoized airtime computation. ri must already be
-// clamped into the rate table.
-//
-//wlan:hotpath
-func (m *Mode) computeAirtime(ri RateIdx, mpduBytes int) sim.Duration {
 	r := m.Rate(ri)
 	if m.ofdm {
 		// 16 µs preamble + 4 µs SIGNAL, then 4 µs symbols carrying

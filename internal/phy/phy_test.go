@@ -167,6 +167,79 @@ func TestAirtimeMonotonicInLength(t *testing.T) {
 	}
 }
 
+// The four tests below keep the names they had when a lookup table sat in
+// front of Airtime; what they pin are properties of Airtime itself.
+
+// bothPreambles returns every mode in its long- and short-preamble variant.
+func bothPreambles() []*Mode {
+	ms := allModes()
+	for _, m := range allModes() {
+		m.UseShortPreamble()
+		ms = append(ms, m)
+	}
+	return ms
+}
+
+// Out-of-range rate indices clamp to the ends of the rate table.
+func TestAirtimeMemoClamping(t *testing.T) {
+	m := Mode80211b()
+	if got, want := m.Airtime(-3, 100), m.Airtime(0, 100); got != want {
+		t.Fatalf("negative rate index: %v, want clamp to %v", got, want)
+	}
+	if got, want := m.Airtime(RateIdx(len(m.Rates)+5), 100), m.Airtime(m.MaxRate(), 100); got != want {
+		t.Fatalf("oversized rate index: %v, want clamp to %v", got, want)
+	}
+}
+
+// Lengths beyond the largest legal MPDU (2346 B) are still answered, and
+// airtime stays monotone across that boundary.
+func TestAirtimeMemoFallback(t *testing.T) {
+	for _, m := range bothPreambles() {
+		for ri := RateIdx(0); ri <= m.MaxRate(); ri++ {
+			prev := m.Airtime(ri, 2346)
+			for _, n := range []int{2347, 4096, 65535} {
+				at := m.Airtime(ri, n)
+				if at < prev {
+					t.Fatalf("%s pre=%d rate=%d: airtime %v at %d B below %v at the previous length",
+						m.Name, m.Preamble, ri, at, n, prev)
+				}
+				prev = at
+			}
+		}
+	}
+}
+
+// A preamble switch after the first Airtime call takes effect at once and
+// agrees with a mode that was switched before any call.
+func TestAirtimeMemoPreambleSwitch(t *testing.T) {
+	m := Mode80211b()
+	long := m.Airtime(0, 500)
+	m.UseShortPreamble()
+	short := m.Airtime(0, 500)
+	if short != long-96*sim.Microsecond {
+		t.Fatalf("short preamble airtime %v, want %v", short, long-96*sim.Microsecond)
+	}
+	fresh := Mode80211b()
+	fresh.UseShortPreamble()
+	if got := fresh.Airtime(0, 500); short != got {
+		t.Fatalf("switched mode %v != fresh short-preamble mode %v", short, got)
+	}
+}
+
+// Airtime runs once per transmission and per NAV computation: 0 allocs.
+func TestAirtimeMemoZeroAlloc(t *testing.T) {
+	for _, m := range bothPreambles() {
+		n := 0
+		allocs := testing.AllocsPerRun(1000, func() {
+			m.Airtime(RateIdx(n%len(m.Rates)), n%4096)
+			n++
+		})
+		if allocs != 0 {
+			t.Fatalf("%s pre=%d: Airtime allocates %v/op, want 0", m.Name, m.Preamble, allocs)
+		}
+	}
+}
+
 func TestFasterRateShorterAirtime(t *testing.T) {
 	for _, m := range allModes() {
 		for ri := 1; ri < m.NumRates(); ri++ {

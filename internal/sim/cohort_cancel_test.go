@@ -2,10 +2,8 @@ package sim
 
 import "testing"
 
-// Regression test for the cancel → schedule-same-tick → drain interleaving
-// under the batch-drain path. Event A and event B share a timestamp, so both
-// are drained into the same cohort before either runs. A cancels B — already
-// drained, so heap-based cancel accounting never sees it — and schedules a
+// Regression test for the cancel → schedule-same-tick → run interleaving.
+// Event A and event B share a timestamp. A cancels B and schedules a
 // replacement C at the same tick. B must not fire (no double delivery), C
 // must fire exactly once, and the clock must still be at T when it does.
 func TestCancelRescheduleSameTickExactlyOnce(t *testing.T) {
@@ -49,7 +47,7 @@ func TestCancelRescheduleSameTickExactlyOnce(t *testing.T) {
 	}
 }
 
-// The symmetric interleaving: the cancelled-in-cohort event's Timer is
+// The symmetric interleaving: the cancelled same-tick event's Timer is
 // reused for a fresh schedule at the same tick. The recycled Event object
 // must not leak the old cancel flag or deliver under the old identity.
 func TestCancelThenNewTimerSameTick(t *testing.T) {

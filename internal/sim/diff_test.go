@@ -85,9 +85,9 @@ func (h *refHeap) pop() (refKey, bool) {
 
 // TestDifferentialHeap drives the kernel and the naive reference heap with
 // the same seeded randomized schedule/cancel/reschedule/pop workload for
-// over a million operations and requires bit-identical pop sequences. Delays
-// are quantized so many events collide on the same timestamp, forcing the
-// cohort batch-drain path constantly.
+// over a million operations and requires bit-identical pop sequences and
+// live-event counts. Delays are quantized so many events collide on the same
+// timestamp, making the seq tie-break carry the order constantly.
 func TestDifferentialHeap(t *testing.T) {
 	const loopOps = 1_000_000
 
@@ -158,6 +158,9 @@ func TestDifferentialHeap(t *testing.T) {
 			t.Fatalf("clock mismatch: kernel %v, reference %v", k.Now(), key.at)
 		}
 		entries[id].popped = true
+		if live := len(ref.keys) - len(ref.cancelled); k.Pending() != live {
+			t.Fatalf("op %d: kernel reports %d pending, reference holds %d live keys", ops, k.Pending(), live)
+		}
 		ops++
 		return true
 	}
@@ -197,10 +200,10 @@ func TestDifferentialHeap(t *testing.T) {
 	t.Logf("differential workload: %d ops, %d schedules, %d pops, all identical", ops, nextID, len(got))
 }
 
-// TestCohortDrainProperty checks the batch-drain ordering contract directly:
-// every event queued at timestamp T runs before the clock advances past T,
-// in seq (schedule) order — including events that cohort callbacks schedule
-// at T while the cohort is draining, which join with later seq.
+// TestCohortDrainProperty checks the same-timestamp ordering contract
+// directly: every event queued at timestamp T runs before the clock advances
+// past T, in seq (schedule) order — including events that callbacks schedule
+// at T while the tick is running, which join with later seq.
 func TestCohortDrainProperty(t *testing.T) {
 	k := NewKernel()
 	const T = Time(1000)

@@ -13,27 +13,17 @@
 // generation-checked Timer handles, so a recycled Event can never be
 // cancelled by a stale handle.
 //
-// # Cohort drain ordering contract
-//
-// The run loop drains same-timestamp event cohorts in batches: when the
-// earliest pending timestamp is T, every event queued at T is extracted
-// from the heap in one fix-up pass and executed in (at, seq) order — i.e.
-// schedule order, exactly the order the one-pop-per-event loop delivered.
-// The clock never advances past T until the cohort (including any events a
-// cohort callback schedules at T, which join with later seq) is fully
-// delivered. Cancelling an already-drained cohort event from within an
-// earlier cohort event still suppresses it, and a cancel-then-reschedule
-// at the same tick delivers exactly once (the rescheduled event). Timer
-// handles observe drained-but-unexecuted events as still Scheduled, again
-// matching the per-pop loop, where the window between pop and execution
-// was unobservable.
+// The run loop pops one event at a time, and (at, seq) pop order is the
+// whole ordering contract: events run in timestamp order, same-timestamp
+// events in schedule order, and an event a callback schedules at the
+// current instant runs after everything already queued for that instant
+// and before the clock advances.
 package sim
 
 import (
 	"fmt"
 	"math"
 	"math/bits"
-	"slices"
 )
 
 // Time is a point in virtual time, in nanoseconds since the start of the
@@ -87,7 +77,7 @@ type Event struct {
 	at     Time
 	seq    uint64 // tie-break: schedule order
 	slot   int32  // permanent index into Kernel.slots; heap keys carry it
-	loc    int8   // where the event lives: free list, heap, or cohort
+	loc    int8   // where the event lives: free list or heap
 	gen    uint32 // bumped on each recycle; Timer handles carry a copy
 	fn     func()
 	argFn  func(any) // static-dispatch alternative to fn; arg carries state
@@ -99,9 +89,8 @@ type Event struct {
 // Event locations. The heap does not track exact positions — sifts move
 // only keys — so the kernel records which structure owns each event.
 const (
-	locFree   int8 = iota // on the free list, or executed and detached
-	locHeap               // queued in the heap
-	locCohort             // drained into the current same-timestamp cohort
+	locFree int8 = iota // on the free list, or executed and detached
+	locHeap             // queued in the heap
 )
 
 // Timer is a cancellable handle to a scheduled event. The zero value is an
@@ -122,10 +111,9 @@ func (t Timer) At() Time {
 	return t.e.at
 }
 
-// Scheduled reports whether the event is still pending. An event drained
-// into the current cohort but not yet executed is still pending: the
-// per-pop loop this kernel replaced had no observable window between pop
-// and execution, so the cohort window must not be observable either.
+// Scheduled reports whether the event is still pending: queued, not
+// cancelled and not yet executed. An event stops being pending the moment
+// its callback starts, so a callback sees its own timer as not scheduled.
 func (t Timer) Scheduled() bool {
 	return t.e != nil && t.e.gen == t.gen && t.e.loc != locFree && !t.e.cancel
 }
@@ -158,30 +146,25 @@ type Kernel struct {
 	// slots is the payload side of the struct-of-arrays heap: every Event
 	// this kernel ever created, at its permanent slot index. Events never
 	// move, so heap keys can name them with an int32.
-	slots []*Event
-	free  []int32 // recycled events, by slot id — no pointers, no barriers
-	seq   uint64
-	// cohort is the drained batch of same-timestamp heap keys, sorted by
-	// seq; cohortPos is the next key to execute. cohortCancelled counts
-	// unexecuted cohort events cancelled after the drain.
-	cohort          []heapKey
-	cohortPos       int
-	cohortCancelled int
-	crown           []int32 // scratch: heap indices of the cohort crown
-	cancelled       int     // cancelled events still sitting in the heap
-	stopped         bool
+	slots     []*Event
+	free      []int32 // recycled events, by slot id — no pointers, no barriers
+	seq       uint64
+	cancelled int // cancelled events still sitting in the heap
+	stopped   bool
 	// Hooks for instrumentation; may be nil.
 	OnEvent func(at Time, name string)
 	// processed counts events executed, for diagnostics and tests.
 	processed uint64
-	// Cohort statistics from the drain path, in power-of-two size buckets:
-	// cohortSizes[i] counts cohorts of size in (2^(i-1), 2^i], the last
-	// bucket catching everything larger; cohortEvents sums the sizes.
-	// Plain fields — internal/core flushes them into the metrics registry
-	// at run-chunk boundaries, so the drain path never pays an atomic.
-	cohortSizes  [8]uint64
-	cohortEvents uint64
-	heapHW       int // max heap depth observed, for diagnostics
+	// Same-timestamp run statistics, an observation of the executed
+	// sequence: runLen events have executed back to back at runAt. A
+	// closed run lands in cohortSizes[i] when its length is in
+	// (2^(i-1), 2^i], the last bucket catching everything larger. Plain
+	// fields — internal/core flushes them into the metrics registry at
+	// run-chunk boundaries, so the run loop never pays an atomic.
+	runAt       Time
+	runLen      uint64
+	cohortSizes [8]uint64
+	heapHW      int // max heap depth observed, for diagnostics
 }
 
 // NewKernel returns a kernel with the clock at zero and an empty queue.
@@ -195,18 +178,34 @@ func (k *Kernel) Now() Time { return k.now }
 // Processed returns the number of events executed so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
 
-// Pending returns the number of live (non-cancelled) events in the queue,
-// including drained cohort events that have not executed yet.
-func (k *Kernel) Pending() int {
-	return len(k.heap) - k.cancelled + (len(k.cohort) - k.cohortPos - k.cohortCancelled)
-}
+// Pending returns the number of live (non-cancelled) events in the queue.
+func (k *Kernel) Pending() int { return len(k.heap) - k.cancelled }
 
-// CohortSizes returns the drain-path cohort statistics: per-bucket cohort
-// counts (bucket i holds cohorts of size in (2^(i-1), 2^i], the last bucket
-// unbounded) and the total number of events delivered through cohorts.
+// CohortSizes returns the same-timestamp run statistics: a cohort is a
+// maximal run of consecutively executed events sharing one timestamp.
+// buckets[i] counts runs of length in (2^(i-1), 2^i] (the last bucket
+// unbounded) and events sums the lengths. The call closes the run in
+// progress — later events at the same timestamp start a new one — so
+// every executed event is in a counted run and events equals Processed.
 // internal/core diffs successive snapshots to feed the metrics registry.
 func (k *Kernel) CohortSizes() (buckets [8]uint64, events uint64) {
-	return k.cohortSizes, k.cohortEvents
+	k.closeRun()
+	return k.cohortSizes, k.processed
+}
+
+// closeRun files the same-timestamp run in progress under its size bucket.
+//
+//wlan:hotpath
+func (k *Kernel) closeRun() {
+	if k.runLen == 0 {
+		return
+	}
+	b := bits.Len64(k.runLen - 1)
+	if b > 7 {
+		b = 7
+	}
+	k.cohortSizes[b]++
+	k.runLen = 0
 }
 
 // HeapDepth returns the number of heap-resident events right now
@@ -362,8 +361,8 @@ func (k *Kernel) ScheduleArgAt(at Time, name string, fn func(any), arg any) Time
 
 // Cancel marks an event so it will not fire. Cancelling zero, fired or
 // already-cancelled handles is a no-op. Cancelled events are reclaimed
-// lazily: on drain if still heaped, in bulk once they exceed half the
-// queue, or when the run loop reaches them in the current cohort.
+// lazily: when the run loop pops them, or in bulk once they exceed half
+// the queue.
 func (k *Kernel) Cancel(t Timer) {
 	e := t.e
 	if e == nil || e.gen != t.gen || e.loc == locFree || e.cancel {
@@ -373,13 +372,6 @@ func (k *Kernel) Cancel(t Timer) {
 	e.fn = nil
 	e.argFn = nil
 	e.arg = nil
-	if e.loc == locCohort {
-		// Already drained into the current same-timestamp cohort but not
-		// yet executed: the drain loop skips it. Tracked separately from
-		// heap accounting — it no longer occupies a heap slot.
-		k.cohortCancelled++
-		return
-	}
 	k.cancelled++
 	if k.cancelled > 16 && k.cancelled > len(k.heap)/2 {
 		k.reapCancelled()
@@ -413,122 +405,7 @@ func (k *Kernel) Stop() { k.stopped = true }
 // maxTime is the far-future deadline Run uses to drain everything.
 const maxTime = Time(math.MaxInt64)
 
-// cohortSeqLess orders cohort keys ascending by seq. It is the fallback
-// comparator for pathologically large cohorts; package-level so the batch
-// drain stays closure-free.
-func cohortSeqLess(a, b heapKey) int {
-	if a.seq < b.seq {
-		return -1
-	}
-	return 1
-}
-
-// drainCohort extracts every heap key with timestamp at (the current
-// minimum) into the cohort buffer in one fix-up pass, sorted by seq.
-// Cancelled events encountered during extraction are recycled immediately.
-//
-// All keys equal to the minimum form a "crown": the heap property forces
-// every ancestor of an at-timestamp key to carry the same timestamp, so
-// the cohort is an upward-closed subtree containing the root. The crown is
-// collected by a BFS that prunes at the first later timestamp, the holes
-// are refilled from the heap tail, and heap order is repaired with a
-// single descending sift-down pass over the refilled positions — one
-// fix-up pass for the whole cohort instead of one root pop per event.
-//
-//wlan:hotpath
-func (k *Kernel) drainCohort(at Time) {
-	h := k.heap
-	k.crown = append(k.crown[:0], 0)
-	for p := 0; p < len(k.crown); p++ {
-		c := int(k.crown[p])<<2 + 1
-		end := c + 4
-		if end > len(h) {
-			end = len(h)
-		}
-		for ; c < end; c++ {
-			if h[c].at == at {
-				k.crown = append(k.crown, int32(c))
-			}
-		}
-	}
-
-	// Move crown keys into the cohort buffer (dropping cancelled events),
-	// then deliver in (at, seq) order — identical to per-event popping.
-	for _, i := range k.crown {
-		key := h[i]
-		e := k.slots[key.slot]
-		if e.cancel {
-			k.cancelled--
-			k.putEvent(e)
-			continue
-		}
-		e.loc = locCohort
-		k.cohort = append(k.cohort, key)
-	}
-	// Bucket the live cohort size for the drain-path statistics that
-	// internal/core flushes into the metrics registry.
-	if sz := len(k.cohort); sz > 0 {
-		b := bits.Len(uint(sz - 1))
-		if b > 7 {
-			b = 7
-		}
-		k.cohortSizes[b]++
-		k.cohortEvents += uint64(sz)
-	}
-	// Cohort keys arrive in heap order; delivery order is ascending seq.
-	// Cohorts are a transmission fan-out — a few dozen keys at most — so a
-	// direct insertion sort beats the generic sort's dispatch overhead;
-	// pathological cohorts fall back to the library sort.
-	coh := k.cohort
-	if len(coh) <= 48 {
-		for i := 1; i < len(coh); i++ {
-			key := coh[i]
-			j := i - 1
-			for j >= 0 && coh[j].seq > key.seq {
-				coh[j+1] = coh[j]
-				j--
-			}
-			coh[j+1] = key
-		}
-	} else {
-		slices.SortFunc(coh, cohortSeqLess)
-	}
-
-	// Compact: fill each hole below the new length from the heap tail,
-	// skipping tail positions that are themselves holes. The crown is
-	// already ascending: the BFS appends children 4p+1..4p+4 of crown
-	// entries whose own indices strictly increase, so each batch starts
-	// past the previous one — no sort needed.
-	n := len(h)
-	c := len(k.crown)
-	n2 := n - c
-	j := c - 1
-	last := n - 1
-	for _, hi := range k.crown {
-		hole := int(hi)
-		if hole >= n2 {
-			break
-		}
-		for j >= 0 && int(k.crown[j]) == last {
-			j--
-			last--
-		}
-		h[hole] = h[last]
-		last--
-	}
-	k.heap = h[:n2]
-
-	// Repair: descending order guarantees each sift-down sees valid
-	// subtrees below (holes are upward-closed, so a hole's children are
-	// either untouched heaps or already-repaired holes).
-	for i := c - 1; i >= 0; i-- {
-		if hole := int(k.crown[i]); hole < n2 {
-			k.down(hole)
-		}
-	}
-}
-
-// execute runs one live, drained event at key.at.
+// execute runs one live, popped event at key.at.
 //
 //wlan:hotpath
 func (k *Kernel) execute(key heapKey, e *Event) {
@@ -536,6 +413,11 @@ func (k *Kernel) execute(key heapKey, e *Event) {
 		panic("sim: queue yielded event in the past")
 	}
 	k.now = key.at
+	if key.at != k.runAt {
+		k.closeRun()
+		k.runAt = key.at
+	}
+	k.runLen++
 	if k.OnEvent != nil {
 		k.OnEvent(key.at, e.name)
 	}
@@ -549,76 +431,34 @@ func (k *Kernel) execute(key heapKey, e *Event) {
 	}
 }
 
-// drainStep executes the next runnable event at or before deadline,
-// refilling the cohort buffer from the heap as needed. It reports false
+// drainStep pops the earliest event at or before deadline and executes
+// it, recycling any cancelled events it meets on the way. It reports false
 // when nothing remains at or before the deadline.
 //
 //wlan:hotpath
 func (k *Kernel) drainStep(deadline Time) bool {
-	for {
-		for k.cohortPos < len(k.cohort) {
-			key := k.cohort[k.cohortPos]
-			if key.at > deadline {
-				return false
-			}
-			k.cohortPos++
-			e := k.slots[key.slot]
-			if e.cancel {
-				k.cohortCancelled--
-				k.putEvent(e)
-				continue
-			}
-			k.execute(key, e)
-			return true
-		}
-		if k.cohortPos > 0 {
-			k.cohort = k.cohort[:0]
-			k.cohortPos = 0
-			k.cohortCancelled = 0
-		}
+	for len(k.heap) > 0 {
 		h := k.heap
-		if len(h) == 0 {
-			return false
-		}
 		key := h[0]
 		if key.at > deadline {
 			return false
 		}
-		// Solo fast path: the heap property puts every same-timestamp event
-		// in an upward-closed crown, so if no child of the root shares its
-		// timestamp the cohort is exactly the root — pop it directly and
-		// skip the batch machinery.
-		solo := true
-		end := 5
-		if end > len(h) {
-			end = len(h)
+		n := len(h) - 1
+		k.heap = h[:n]
+		if n > 0 {
+			h[0] = h[n]
+			k.down(0)
 		}
-		for j := 1; j < end; j++ {
-			if h[j].at == key.at {
-				solo = false
-				break
-			}
+		e := k.slots[key.slot]
+		if e.cancel {
+			k.cancelled--
+			k.putEvent(e)
+			continue
 		}
-		if solo {
-			n := len(h) - 1
-			k.heap = h[:n]
-			if n > 0 {
-				h[0] = h[n]
-				k.down(0)
-			}
-			e := k.slots[key.slot]
-			if e.cancel {
-				k.cancelled--
-				k.putEvent(e)
-				continue
-			}
-			k.cohortSizes[0]++
-			k.cohortEvents++
-			k.execute(key, e)
-			return true
-		}
-		k.drainCohort(key.at)
+		k.execute(key, e)
+		return true
 	}
+	return false
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -629,12 +469,14 @@ func (k *Kernel) Run() {
 }
 
 // RunUntil executes events with timestamps <= deadline, then sets the clock
-// to the deadline (if it is in the future) and returns.
+// to the deadline (if it is in the future) and returns. A run cut short by
+// Stop leaves the clock at the last executed event: events at or before the
+// deadline may still be queued, and the next Run or RunUntil resumes them.
 func (k *Kernel) RunUntil(deadline Time) {
 	k.stopped = false
 	for !k.stopped && k.drainStep(deadline) {
 	}
-	if k.now < deadline {
+	if !k.stopped && k.now < deadline {
 		k.now = deadline
 	}
 }

@@ -152,6 +152,65 @@ func TestStop(t *testing.T) {
 	}
 }
 
+// A RunUntil cut short by Stop must leave the clock at the stopping event,
+// not jump it to the deadline over events still queued before it: the next
+// Run used to panic with "queue yielded event in the past".
+func TestStopThenRunUntilResumes(t *testing.T) {
+	k := NewKernel()
+	var at []Time
+	k.Schedule(1*Microsecond, "a", func() { at = append(at, k.Now()); k.Stop() })
+	k.Schedule(2*Microsecond, "b", func() { at = append(at, k.Now()) })
+	k.RunUntil(Time(10 * Microsecond))
+	if !k.Stopped() || k.Now() != Time(1*Microsecond) {
+		t.Fatalf("after Stop: stopped=%v clock=%v, want true at 1µs", k.Stopped(), k.Now())
+	}
+	k.Run()
+	if len(at) != 2 || at[1] != Time(2*Microsecond) {
+		t.Fatalf("events ran at %v, want [1µs 2µs]", at)
+	}
+	k.RunUntil(Time(10 * Microsecond))
+	if k.Now() != Time(10*Microsecond) {
+		t.Fatalf("clock = %v after an unstopped RunUntil, want 10µs", k.Now())
+	}
+}
+
+// CohortSizes observes maximal runs of consecutively executed events that
+// share a timestamp: bucket i counts runs of length in (2^(i-1), 2^i], the
+// last bucket everything above 64, and the event total is Processed. A
+// same-tick event scheduled from inside a callback extends the run in
+// progress; a cancelled event is not part of any run.
+func TestCohortSizesRunLength(t *testing.T) {
+	k := NewKernel()
+	nop := func() {}
+	k.ScheduleAt(10, "solo", nop)
+	k.ScheduleAt(20, "a", func() { k.Schedule(0, "c", nop) }) // run of 3: a, b, c
+	k.ScheduleAt(20, "b", nop)
+	k.Cancel(k.ScheduleAt(20, "cancelled", nop))
+	for i := 0; i < 70; i++ {
+		k.ScheduleAt(30, "big", nop)
+	}
+	k.Run()
+
+	buckets, events := k.CohortSizes()
+	want := [8]uint64{0: 1, 2: 1, 7: 1} // runs of 1, 3 and 70
+	if buckets != want {
+		t.Fatalf("buckets = %v, want %v", buckets, want)
+	}
+	if events != 74 || events != k.Processed() {
+		t.Fatalf("cohort events = %d, Processed = %d, want 74 for both", events, k.Processed())
+	}
+
+	// The accessor closed the run at t=30: one more event at the same
+	// timestamp starts a new run instead of growing the run of 70.
+	k.ScheduleAt(30, "late", nop)
+	k.Run()
+	want[0]++
+	if buckets, events = k.CohortSizes(); buckets != want || events != k.Processed() {
+		t.Fatalf("after a same-tick event past the snapshot: buckets = %v events = %d, want %v and %d",
+			buckets, events, want, k.Processed())
+	}
+}
+
 func TestEventsScheduledDuringRun(t *testing.T) {
 	k := NewKernel()
 	var order []string

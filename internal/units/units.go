@@ -57,6 +57,8 @@ func DBmFromMilliWatt(mw float64) DBm {
 func DBmFromWatt(w float64) DBm { return DBmFromMilliWatt(w * 1000) }
 
 // DBFromLinear converts a linear ratio to dB.
+//
+//wlan:hotpath
 func DBFromLinear(r float64) DB {
 	if r <= 0 {
 		return DB(math.Inf(-1))
