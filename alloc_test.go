@@ -1,0 +1,48 @@
+package repro_test
+
+import (
+	"runtime"
+	"testing"
+
+	"repro/internal/harness"
+)
+
+// quickRunAllocs is the heap-allocation count of one warmed quick run of
+// each experiment (harness.Grid.Run: one point after another on this
+// goroutine, so the count is a property of the code, not of the host; it
+// moves by a handful between runs with map growth).
+var quickRunAllocs = map[string]uint64{
+	"T1": 1592, "F1": 10322, "F2": 8106, "F3": 1312, "F4": 39783,
+	"F5": 2270, "F6": 3913, "F7": 25085, "F8": 9104, "F9": 1326,
+	"F10": 1108, "F11": 413705, "F12": 1267, "F13": 5474,
+	"E1": 63609, "E2": 2853, "E3": 1803, "S1": 39, "A1": 1561, "A2": 1322,
+}
+
+// TestQuickRunAllocCeiling fails when any experiment allocates over 10 %
+// more than the table: a per-event or per-frame allocation on a data path
+// multiplies these counts. A count that falls over 10 % below fails too, so
+// the ceiling follows every gain down instead of going slack. Update the
+// entry with the printed value when the change is intended.
+func TestQuickRunAllocCeiling(t *testing.T) {
+	exps := harness.All()
+	if len(exps) != len(quickRunAllocs) {
+		t.Errorf("%d experiments registered, %d in quickRunAllocs", len(exps), len(quickRunAllocs))
+	}
+	var ms runtime.MemStats
+	for _, e := range exps {
+		want, ok := quickRunAllocs[e.ID]
+		if !ok {
+			t.Errorf("%s has no entry in quickRunAllocs", e.ID)
+			continue
+		}
+		e.Run(true) // grow pools, page in code paths
+		runtime.ReadMemStats(&ms)
+		before := ms.Mallocs
+		e.Run(true)
+		runtime.ReadMemStats(&ms)
+		got := ms.Mallocs - before
+		if got*10 > want*11 || got*10 < want*9 {
+			t.Errorf("%s: %d allocs per quick run, table says %d (±10 %%)", e.ID, got, want)
+		}
+	}
+}

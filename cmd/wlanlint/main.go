@@ -4,18 +4,9 @@
 // and pre-commit hooks can gate on it:
 //
 //	go run ./cmd/wlanlint ./...
-//	go run ./cmd/wlanlint -json ./... | jq .
-//
-// It also speaks enough of the cmd/go vettool protocol to be used as
-//
-//	go vet -vettool=$(which wlanlint) ./...
-//
-// (standalone mode is the supported path; the vettool mode type-checks
-// from the build units cmd/go hands it).
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"os"
@@ -24,29 +15,11 @@ import (
 )
 
 func main() {
-	// cmd/go probes vettools with -V=full for its action cache key, with
-	// -flags for the JSON flag inventory it can forward, and then invokes
-	// them with a single *.cfg argument per package.
-	if len(os.Args) == 2 && os.Args[1] == "-V=full" {
-		fmt.Println("wlanlint version wlan-1")
-		return
-	}
-	if len(os.Args) == 2 && os.Args[1] == "-flags" {
-		// No forwardable flags; an empty inventory keeps cmd/go happy.
-		fmt.Println("[]")
-		return
-	}
-	if len(os.Args) == 2 && len(os.Args[1]) > 4 && os.Args[1][len(os.Args[1])-4:] == ".cfg" {
-		os.Exit(vettoolMode(os.Args[1]))
-	}
-
-	jsonOut := flag.Bool("json", false, "emit diagnostics as a JSON array on stdout (machine-readable, for CI ratchets)")
 	flag.Usage = func() {
-		fmt.Fprintf(flag.CommandLine.Output(), "usage: wlanlint [-json] packages...\n\nAnalyzers:\n")
+		fmt.Fprintf(flag.CommandLine.Output(), "usage: wlanlint packages...\n\nAnalyzers:\n")
 		for _, a := range analysis.All() {
 			fmt.Fprintf(flag.CommandLine.Output(), "  %-14s %s\n", a.Name, a.Doc)
 		}
-		flag.PrintDefaults()
 	}
 	flag.Parse()
 	patterns := flag.Args()
@@ -67,62 +40,14 @@ func main() {
 	if err != nil {
 		fatal(err)
 	}
-	if *jsonOut {
-		printJSON(pkgs, diags)
-	} else {
-		for _, d := range diags {
-			pos := pkgs[0].Fset.Position(d.Pos)
-			fmt.Printf("%s: %s: %s\n", pos, d.Analyzer, d.Message)
-		}
-	}
-	if len(diags) > 0 {
-		if !*jsonOut {
-			fmt.Fprintf(os.Stderr, "wlanlint: %d contract violation(s)\n", len(diags))
-		}
-		os.Exit(1)
-	}
-}
-
-// jsonDiagnostic is the -json wire shape; future CI tooling ratchets on
-// counts per analyzer, so the fields are stable.
-type jsonDiagnostic struct {
-	File     string `json:"file"`
-	Line     int    `json:"line"`
-	Column   int    `json:"column"`
-	Analyzer string `json:"analyzer"`
-	Message  string `json:"message"`
-}
-
-func printJSON(pkgs []*analysis.Package, diags []analysis.Diagnostic) {
-	out := make([]jsonDiagnostic, 0, len(diags))
 	for _, d := range diags {
 		pos := pkgs[0].Fset.Position(d.Pos)
-		out = append(out, jsonDiagnostic{
-			File: pos.Filename, Line: pos.Line, Column: pos.Column,
-			Analyzer: d.Analyzer, Message: d.Message,
-		})
-	}
-	enc := json.NewEncoder(os.Stdout)
-	enc.SetIndent("", "  ")
-	if err := enc.Encode(out); err != nil {
-		fatal(err)
-	}
-}
-
-// vettoolMode analyzes one build unit described by a cmd/go vet config.
-func vettoolMode(cfgPath string) int {
-	diags, err := analysis.RunVetUnit(cfgPath, analysis.All())
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "wlanlint: %v\n", err)
-		return 1
-	}
-	for _, d := range diags {
-		fmt.Fprintln(os.Stderr, d)
+		fmt.Printf("%s: %s: %s\n", pos, d.Analyzer, d.Message)
 	}
 	if len(diags) > 0 {
-		return 2
+		fmt.Fprintf(os.Stderr, "wlanlint: %d contract violation(s)\n", len(diags))
+		os.Exit(1)
 	}
-	return 0
 }
 
 func fatal(err error) {

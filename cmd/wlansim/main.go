@@ -48,6 +48,18 @@ func main() {
 	if *rts > 0 {
 		cfg.RTSThreshold = *rts
 	}
+	err := cfg.Validate()
+	switch {
+	case err != nil:
+	case *n < 1:
+		err = fmt.Errorf("-n %d: need at least one sending station", *n)
+	case *payload < 1:
+		err = fmt.Errorf("-payload %d: need at least one byte", *payload)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "wlansim:", err)
+		os.Exit(2)
+	}
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {

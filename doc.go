@@ -7,10 +7,10 @@
 // regenerates the full evaluation suite.
 //
 // Start with README.md (architecture map, quickstart and the experiment
-// index with expected shapes) and PERFORMANCE.md (fast-path architecture
-// and the measured trajectory). The public scenario API lives in
+// index with expected shapes) and PERFORMANCE.md (fast-path architecture,
+// regression walls and measurements). The public scenario API lives in
 // internal/core; the runnable entry points are cmd/wlansim,
-// cmd/experiments, cmd/wlantrace, cmd/wlanbench and the examples tree.
+// cmd/experiments, cmd/wlantrace, cmd/wlanlint and the examples tree.
 //
 // # Performance architecture
 //

@@ -17,7 +17,7 @@
 //     allocation-inducing constructs (escaping composite literals,
 //     fresh-slice appends, closures, interface boxing, string<->[]byte
 //     conversions) — the compile-time complement to the runtime
-//     -failallocs and -soak walls.
+//     zero-alloc tests and TestSoakSteadyState.
 //
 // The package deliberately mirrors the golang.org/x/tools/go/analysis API
 // shape (Analyzer, Pass, Diagnostic) so the analyzers could be rehosted on

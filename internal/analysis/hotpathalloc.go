@@ -7,9 +7,10 @@ import (
 )
 
 // HotPathAlloc checks functions annotated //wlan:hotpath for
-// allocation-inducing constructs. The runtime walls (-failallocs, -soak)
-// prove the steady state is 0 allocs/op after the fact; this analyzer
-// rejects the constructs that would break them at vet time.
+// allocation-inducing constructs. The runtime walls (the zero-alloc tests,
+// core's TestSoakSteadyState) prove the steady state is 0 allocs/op after
+// the fact; this analyzer rejects the constructs that would break them
+// before the code runs.
 var HotPathAlloc = &Analyzer{
 	Name: "hotpathalloc",
 	Doc: "in //wlan:hotpath functions, flag escaping composite literals, make/new, " +

@@ -118,6 +118,7 @@ type Network struct {
 	kernel *sim.Kernel
 	medium *medium.Medium
 	mode   *phy.Mode
+	rate   rateBuilder // the network-wide RateAdapt
 	root   *rng.Source
 	alloc  frame.AddrAllocator
 
@@ -132,15 +133,106 @@ type Network struct {
 	obsLast  obsSnapshot // counter values at the last metrics flush
 }
 
-// NewNetwork builds an empty network from the config.
-func NewNetwork(cfg Config) *Network {
-	if cfg.Mode == "" {
-		cfg.Mode = "802.11b"
+// specs is what a Config's Mode, Fading and RateAdapt strings resolve to.
+type specs struct {
+	mode   *phy.Mode
+	fading fadingBuilder // nil: no fast fading
+	rate   rateBuilder
+}
+
+// fadingBuilder constructs the fast-fading process of a parsed Fading spec.
+type fadingBuilder func(src *rng.Source, coherence sim.Duration) spectrum.Fading
+
+// rateBuilder constructs one node's controller for a parsed RateAdapt spec.
+type rateBuilder func(n *Network, name string) mac.RateController
+
+// resolve is the one place mode, fading and network-wide rate specs are
+// parsed.
+func (c Config) resolve() (s specs, err error) {
+	name := c.Mode
+	if name == "" {
+		name = "802.11b"
 	}
-	mode, err := phy.ModeByName(cfg.Mode)
+	if s.mode, err = phy.ModeByName(name); err == nil {
+		if s.fading, err = parseFading(c.Fading); err == nil {
+			s.rate, err = parseRate(c.RateAdapt, s.mode)
+		}
+	}
+	return s, err
+}
+
+// Validate reports the first Mode, Fading or RateAdapt spec that does not
+// parse — the error NewNetwork panics with. Commands taking those strings
+// from a user call it first.
+func (c Config) Validate() error {
+	_, err := c.resolve()
+	return err
+}
+
+func parseFading(spec string) (fadingBuilder, error) {
+	switch {
+	case spec == "" || spec == "none":
+		return nil, nil
+	case spec == "rayleigh":
+		return func(src *rng.Source, coherence sim.Duration) spectrum.Fading {
+			return spectrum.NewRayleigh(src, coherence)
+		}, nil
+	case spec == "rician" || strings.HasPrefix(spec, "rician:"):
+		kf := 5.0
+		if k, ok := strings.CutPrefix(spec, "rician:"); ok {
+			v, err := strconv.ParseFloat(k, 64)
+			if err != nil || math.IsNaN(v) || v < 0 || math.IsInf(v, 1) {
+				return nil, fmt.Errorf("core: bad fading spec %q", spec)
+			}
+			kf = v
+		}
+		return func(src *rng.Source, coherence sim.Duration) spectrum.Fading {
+			return spectrum.NewRician(src, kf, coherence)
+		}, nil
+	}
+	return nil, fmt.Errorf("core: unknown fading model %q", spec)
+}
+
+func parseRate(spec string, mode *phy.Mode) (rateBuilder, error) {
+	fixed := func(idx phy.RateIdx) rateBuilder {
+		return func(n *Network, _ string) mac.RateController { return rate.NewFixed(n.mode, idx) }
+	}
+	switch {
+	case spec == "" || spec == "fixed":
+		return fixed(mode.MaxRate()), nil
+	case strings.HasPrefix(spec, "fixed:"):
+		idx, err := strconv.Atoi(spec[len("fixed:"):])
+		if err != nil {
+			return nil, fmt.Errorf("core: bad rate spec %q", spec)
+		}
+		if idx < 0 || idx >= len(mode.Rates) {
+			return nil, fmt.Errorf("core: bad rate spec %q: %s has rates 0..%d", spec, mode.Name, mode.MaxRate())
+		}
+		return fixed(phy.RateIdx(idx)), nil
+	case spec == "arf":
+		return func(n *Network, _ string) mac.RateController { return rate.NewARF(n.mode) }, nil
+	case spec == "aarf":
+		return func(n *Network, _ string) mac.RateController { return rate.NewAARF(n.mode) }, nil
+	case spec == "samplerate":
+		return func(n *Network, name string) mac.RateController {
+			return rate.NewSampleRate(n.mode, n.root.Split("rc:"+name))
+		}, nil
+	case spec == "minstrel":
+		return func(n *Network, name string) mac.RateController {
+			return rate.NewMinstrel(n.mode, n.root.Split("rc:"+name))
+		}, nil
+	}
+	return nil, fmt.Errorf("core: unknown rate adaptation %q", spec)
+}
+
+// NewNetwork builds an empty network from the config. It panics with the
+// error of cfg.Validate when a spec does not parse.
+func NewNetwork(cfg Config) *Network {
+	sp, err := cfg.resolve()
 	if err != nil {
 		panic(err)
 	}
+	mode := sp.mode
 	if cfg.ShortPreamble {
 		mode.UseShortPreamble()
 	}
@@ -165,22 +257,8 @@ func NewNetwork(cfg Config) *Network {
 		shadow = spectrum.NewShadowing(root.Split("shadow"), cfg.ShadowSigmaDB)
 	}
 	var fast spectrum.Fading
-	switch {
-	case cfg.Fading == "" || cfg.Fading == "none":
-	case cfg.Fading == "rayleigh":
-		fast = spectrum.NewRayleigh(root.Split("fading"), cfg.FadingCoherence)
-	case cfg.Fading == "rician" || strings.HasPrefix(cfg.Fading, "rician:"):
-		kf := 5.0
-		if spec, ok := strings.CutPrefix(cfg.Fading, "rician:"); ok {
-			v, err := strconv.ParseFloat(spec, 64)
-			if err != nil || math.IsNaN(v) || v < 0 || math.IsInf(v, 1) {
-				panic(fmt.Sprintf("core: bad fading spec %q", cfg.Fading))
-			}
-			kf = v
-		}
-		fast = spectrum.NewRician(root.Split("fading"), kf, cfg.FadingCoherence)
-	default:
-		panic(fmt.Sprintf("core: unknown fading model %q", cfg.Fading))
+	if sp.fading != nil {
+		fast = sp.fading(root.Split("fading"), cfg.FadingCoherence)
 	}
 
 	m := medium.New(k, spectrum.NewModel(pl, shadow, fast), root)
@@ -192,6 +270,7 @@ func NewNetwork(cfg Config) *Network {
 		kernel: k,
 		medium: m,
 		mode:   mode,
+		rate:   sp.rate,
 		root:   root,
 		nodes:  make(map[string]*Node),
 	}
@@ -218,30 +297,17 @@ func (n *Network) Nodes() []*Node { return n.order }
 func (n *Network) Node(name string) *Node { return n.nodes[name] }
 
 // rateController builds a fresh controller per node. An empty spec falls
-// back to the network-wide config.
+// back to the network-wide config; a per-node spec that does not parse
+// panics.
 func (n *Network) rateController(name, spec string) mac.RateController {
-	if spec == "" {
-		spec = n.cfg.RateAdapt
-	}
-	switch {
-	case spec == "" || spec == "fixed":
-		return rate.NewFixed(n.mode, n.mode.MaxRate())
-	case strings.HasPrefix(spec, "fixed:"):
-		idx, err := strconv.Atoi(spec[len("fixed:"):])
-		if err != nil {
-			panic(fmt.Sprintf("core: bad rate spec %q", spec))
+	build := n.rate
+	if spec != "" {
+		var err error
+		if build, err = parseRate(spec, n.mode); err != nil {
+			panic(err)
 		}
-		return rate.NewFixed(n.mode, phy.RateIdx(idx))
-	case spec == "arf":
-		return rate.NewARF(n.mode)
-	case spec == "aarf":
-		return rate.NewAARF(n.mode)
-	case spec == "samplerate":
-		return rate.NewSampleRate(n.mode, n.root.Split("rc:"+name))
-	case spec == "minstrel":
-		return rate.NewMinstrel(n.mode, n.root.Split("rc:"+name))
 	}
-	panic(fmt.Sprintf("core: unknown rate adaptation %q", spec))
+	return build(n, name)
 }
 
 // claimName panics when a node called name already exists.
@@ -464,8 +530,8 @@ func (n *Network) Generators() []*traffic.Generator { return n.gens }
 // --- running and results -----------------------------------------------------
 
 // simEvents counts kernel events executed by every Network.Run across the
-// process, including runs on harness worker goroutines. Benchmarks and
-// cmd/wlanbench read deltas of this counter to report events/sec.
+// process, including runs on harness worker goroutines. Sweep workers
+// report deltas of it per chunk.
 var simEvents atomic.Uint64
 
 // SimEvents returns the total number of simulation events processed by all

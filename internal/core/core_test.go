@@ -1,6 +1,7 @@
 package core
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/geom"
@@ -69,25 +70,65 @@ func TestConfigVariants(t *testing.T) {
 	}
 }
 
-func TestBadConfigsPanic(t *testing.T) {
-	cases := []Config{
-		{Mode: "802.11ax"},
-		{RateAdapt: "magic"},
-		{Fading: "quantum"},
-		{Fading: "rician:lots"},
-		{Fading: "rician:-1"},
-		{RateAdapt: "fixed:x"},
+// badConfigs pairs each spec NewNetwork must reject with a fragment of the
+// error naming it.
+var badConfigs = []struct {
+	cfg  Config
+	want string
+}{
+	{Config{Mode: "802.11ax"}, `unknown mode "802.11ax"`},
+	{Config{Fading: "quantum"}, `unknown fading model "quantum"`},
+	{Config{Fading: "rician:lots"}, `bad fading spec "rician:lots"`},
+	{Config{Fading: "rician:NaN"}, `bad fading spec "rician:NaN"`},
+	{Config{Fading: "rician:-1"}, `bad fading spec "rician:-1"`},
+	{Config{RateAdapt: "magic"}, `unknown rate adaptation "magic"`},
+	{Config{RateAdapt: "fixed:x"}, `bad rate spec "fixed:x"`},
+	{Config{RateAdapt: "fixed:4"}, `802.11b has rates 0..3`},
+	{Config{RateAdapt: "fixed:-1"}, `802.11b has rates 0..3`},
+	{Config{Mode: "802.11g", RateAdapt: "fixed:8"}, `802.11g has rates 0..7`},
+}
+
+func TestConfigValidate(t *testing.T) {
+	for _, tc := range badConfigs {
+		err := tc.cfg.Validate()
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("Validate(%+v) = %v, want an error containing %q", tc.cfg, err, tc.want)
+		}
 	}
-	for _, cfg := range cases {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("config %+v did not panic", cfg)
-				}
-			}()
-			n := NewNetwork(cfg)
-			n.AddAdhoc("a", geom.Pt(0, 0)) // rate controller built here
-		}()
+	// Every spec the harness, the benchmark and the examples use.
+	good := []Config{{}, {Fading: "none"}, {Fading: "rician"}, {Fading: "rician:8"}, {Fading: "rician:0"}}
+	for _, m := range []string{"802.11", "802.11a", "802.11b", "802.11g"} {
+		good = append(good, Config{Mode: m, RateAdapt: "fixed:0"})
+	}
+	for _, r := range []string{"fixed", "fixed:1", "fixed:3", "arf", "aarf", "samplerate", "minstrel"} {
+		good = append(good, Config{RateAdapt: r, Fading: "rayleigh"})
+	}
+	good = append(good, Config{Mode: "802.11g", RateAdapt: "fixed:7"})
+	for _, cfg := range good {
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
+		}
+	}
+}
+
+// NewNetwork panics with exactly the error Validate reports, and a
+// per-node rate override goes through the same parser.
+func TestBadConfigsPanic(t *testing.T) {
+	panicOf := func(f func()) (v any) {
+		defer func() { v = recover() }()
+		f()
+		return nil
+	}
+	for _, tc := range badConfigs {
+		got, _ := panicOf(func() { NewNetwork(tc.cfg) }).(error)
+		if want := tc.cfg.Validate(); got == nil || got.Error() != want.Error() {
+			t.Errorf("NewNetwork(%+v) panicked with %v, want %v", tc.cfg, got, want)
+		}
+	}
+	for _, spec := range []string{"magic", "fixed:x", "fixed:4"} {
+		if panicOf(func() { NewNetwork(Config{}).AddAdhocRate("a", geom.Pt(0, 0), spec) }) == nil {
+			t.Errorf("per-node rate spec %q did not panic", spec)
+		}
 	}
 }
 

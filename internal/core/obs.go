@@ -17,9 +17,9 @@ import (
 
 // MetricsEvery is the sim-time interval between metric flushes inside a
 // single Network.Run call. Zero (the default) flushes only at Run
-// boundaries. cmd/experiments and cmd/wlanbench set it alongside
-// obs.SetEnabled when -metrics is given, so a long-running point exposes
-// live kernel gauges instead of going dark until it finishes.
+// boundaries. cmd/experiments sets it alongside obs.SetEnabled when
+// -metrics is given, so a long-running point exposes live kernel gauges
+// instead of going dark until it finishes.
 var MetricsEvery sim.Duration
 
 // obsSnapshot remembers the per-network counter values at the last flush

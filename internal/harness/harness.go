@@ -38,7 +38,7 @@ type Experiment struct {
 	// Expect describes the shape the literature predicts.
 	Expect string
 	// Grid describes the experiment's parameter grid; quick mode trades
-	// points/runtime for speed (used by tests and benchmarks).
+	// points/runtime for speed (used by tests).
 	Grid func(quick bool) *Grid
 }
 

@@ -181,7 +181,7 @@ func bothPreambles() []*Mode {
 }
 
 // Out-of-range rate indices clamp to the ends of the rate table.
-func TestAirtimeMemoClamping(t *testing.T) {
+func TestAirtimeClamping(t *testing.T) {
 	m := Mode80211b()
 	if got, want := m.Airtime(-3, 100), m.Airtime(0, 100); got != want {
 		t.Fatalf("negative rate index: %v, want clamp to %v", got, want)
@@ -193,7 +193,7 @@ func TestAirtimeMemoClamping(t *testing.T) {
 
 // Lengths beyond the largest legal MPDU (2346 B) are still answered, and
 // airtime stays monotone across that boundary.
-func TestAirtimeMemoFallback(t *testing.T) {
+func TestAirtimeFallback(t *testing.T) {
 	for _, m := range bothPreambles() {
 		for ri := RateIdx(0); ri <= m.MaxRate(); ri++ {
 			prev := m.Airtime(ri, 2346)
@@ -211,7 +211,7 @@ func TestAirtimeMemoFallback(t *testing.T) {
 
 // A preamble switch after the first Airtime call takes effect at once and
 // agrees with a mode that was switched before any call.
-func TestAirtimeMemoPreambleSwitch(t *testing.T) {
+func TestAirtimePreambleSwitch(t *testing.T) {
 	m := Mode80211b()
 	long := m.Airtime(0, 500)
 	m.UseShortPreamble()
@@ -227,7 +227,7 @@ func TestAirtimeMemoPreambleSwitch(t *testing.T) {
 }
 
 // Airtime runs once per transmission and per NAV computation: 0 allocs.
-func TestAirtimeMemoZeroAlloc(t *testing.T) {
+func TestAirtimeZeroAlloc(t *testing.T) {
 	for _, m := range bothPreambles() {
 		n := 0
 		allocs := testing.AllocsPerRun(1000, func() {

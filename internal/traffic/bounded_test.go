@@ -58,7 +58,7 @@ func TestBoundedSinkForgetsBeyondWindow(t *testing.T) {
 }
 
 // The bounded sink's steady state performs zero allocations per delivery —
-// the property the soak gate depends on.
+// the property core's TestSoakSteadyState depends on.
 func TestBoundedSinkZeroAllocSteadyState(t *testing.T) {
 	k := sim.NewKernel()
 	s := NewSink(k)
