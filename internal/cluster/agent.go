@@ -4,11 +4,9 @@
 // and the merge; a worker is whatever evaluates the chunks it is handed,
 // reached through one of three transports:
 //
-//   - in-process: a goroutine of the coordinator's own process calls
-//     Grid.Point and delivers the rows directly. No wire round trip, so
-//     table cells are unrestricted, and nothing process-global (MemStats,
-//     the simulator event count) is read, so concurrent in-process workers
-//     cannot attribute each other's work;
+//   - in-process: a goroutine of the coordinator's own process evaluates
+//     the chunk and delivers the rows directly. No wire round trip, so
+//     table cells are unrestricted;
 //   - subprocess: a child process running the agent's serve loop on its
 //     stdin/stdout (`experiments -agent -`). Pipe EOF is the liveness
 //     signal in both directions — a dead child fails the coordinator's
@@ -17,8 +15,10 @@
 //   - TCP: an agent process on any reachable machine (`experiments -agent
 //     :7101`), with a heartbeat on a second connection.
 //
-// The subprocess and TCP transports speak the same line protocol, layered
-// on the internal/sweep shard format; the in-process transport skips it.
+// Every transport evaluates a chunk with the same function,
+// sweep.EvalPoints. The subprocess and TCP transports carry its result over
+// one line protocol, layered on the internal/sweep shard format; the
+// in-process transport skips the encoding.
 //
 // # Wire protocol
 //
@@ -34,12 +34,13 @@
 //	← # point 0
 //	← 1,0.85,0.80,0.84,0.79
 //	← ...
-//	← # stats points=3 rows=3 wall_ns=... allocs=... bytes=... events=...
+//	← # stats points=3 rows=3
 //	← # end
 //
 // The run response is exactly the sweep.WriteShard wire format (readable as
-// an artifact, guarded by the same loud round-trip checks), produced by
-// sweep.RunWorkerPoints for the explicit point list. A request the agent
+// an artifact, guarded by the same loud round-trip checks) and nothing else:
+// a worker answers with rows, and what it costs to produce them is read from
+// its own -metrics endpoint, not from the response. A request the agent
 // cannot serve answers `# error: <reason>` instead of a shard. Point
 // evaluation is deterministic — a point's rows depend only on the
 // experiment, quick mode and point index — which is what lets the
@@ -235,7 +236,15 @@ func (a *Agent) serveRun(w io.Writer, line string) {
 	a.logf("run %s quick=%t points=%s", expID, quick, sweep.FormatPoints(pts))
 	obs.Agent.Chunks.Inc()
 	obs.Agent.Points.Add(uint64(len(pts)))
-	if err := sweep.RunWorkerPoints(e, pts, quick, w); err != nil {
+	byPoint, err := sweep.EvalPoints(e, quick, pts)
+	if err == nil {
+		st := sweep.ShardStats{Points: len(byPoint)}
+		for _, rows := range byPoint {
+			st.Rows += len(rows)
+		}
+		err = sweep.WriteShard(w, sweep.Header{Exp: e.ID, Shards: 1, Quick: quick}, byPoint, st)
+	}
+	if err != nil {
 		// The shard output may already be partially written; the error line
 		// makes the response unparseable on purpose, so the coordinator
 		// discards the chunk instead of merging a truncated shard.

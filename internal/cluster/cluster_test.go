@@ -372,9 +372,19 @@ func TestAgentProtocolErrors(t *testing.T) {
 	if got := ask("# run v1 exp=S1 quick=true points=999"); !strings.HasPrefix(got, errPrefix) {
 		t.Errorf("out-of-grid point answered %q, want error line", got)
 	}
+	if got := ask("# run v1 exp=S1 quick=true points=0,0"); !strings.HasPrefix(got, errPrefix) {
+		t.Errorf("duplicated point answered %q, want error line", got)
+	}
 	// The connection must still serve a healthy request afterwards.
 	if got := ask(pingLine); got != pongLine {
 		t.Errorf("ping after errors answered %q", got)
+	}
+	// The in-process transport evaluates through the same function, so it
+	// refuses the same point lists.
+	for _, pts := range [][]int{{999}, {0, 0}} {
+		if _, err := (inProcess{}).run(harness.ByID("S1"), true, pts, 0); err == nil {
+			t.Errorf("in-process worker evaluated the bad point list %v", pts)
+		}
 	}
 }
 

@@ -35,7 +35,7 @@ const (
 )
 
 // AgentStats is one worker's contribution to a sweep, rolled up from the
-// per-chunk stats it self-measured.
+// chunks it delivered.
 type AgentStats struct {
 	Addr   string
 	Chunks int
@@ -47,11 +47,6 @@ type AgentStats struct {
 	Failed bool
 	// Readmitted counts successful reconnects after a failure.
 	Readmitted int
-	// Metrics aggregates the obs counter deltas from this worker's chunk
-	// trailers (nil unless it is an agent run with metrics enabled). They
-	// are reporting-only: the coordinator never folds them into its own
-	// registry, so its /metrics endpoint counts local work exactly once.
-	Metrics map[string]uint64
 }
 
 // add folds b into a.
@@ -61,12 +56,6 @@ func (a *AgentStats) add(b AgentStats) {
 	a.Rows += b.Rows
 	a.Failed = a.Failed || b.Failed
 	a.Readmitted += b.Readmitted
-	if len(b.Metrics) > 0 && a.Metrics == nil {
-		a.Metrics = make(map[string]uint64, len(b.Metrics))
-	}
-	for k, v := range b.Metrics {
-		a.Metrics[k] += v
-	}
 }
 
 // Result is one experiment's merged cluster sweep.
@@ -453,9 +442,9 @@ func (c *Coordinator) serve(e *harness.Experiment, s *scheduler, cp *sweep.Check
 			return served, 0, nil
 		}
 		t0 := time.Now()
-		byPoint, chunkStats, err := l.run(e, c.Quick, pts, c.chunkLimit(s, pts))
+		byPoint, err := l.run(e, c.Quick, pts, c.chunkLimit(s, pts))
 		if err == nil {
-			err = c.acceptChunk(s, cp, st, pts, byPoint, chunkStats)
+			err = c.acceptChunk(s, cp, st, pts, byPoint)
 		}
 		if err != nil {
 			return served, s.requeue(pts), err
@@ -490,7 +479,7 @@ func (c *Coordinator) chunkLimit(s *scheduler, pts []int) time.Duration {
 // point set and delivers the rows. Verified chunks are journaled to the
 // checkpoint (when one is open) before the call returns, so the journal
 // never gets ahead of or behind the merge by more than the chunk in flight.
-func (c *Coordinator) acceptChunk(s *scheduler, cp *sweep.Checkpoint, st *AgentStats, pts []int, byPoint map[int][][]string, chunkStats sweep.ShardStats) error {
+func (c *Coordinator) acceptChunk(s *scheduler, cp *sweep.Checkpoint, st *AgentStats, pts []int, byPoint map[int][][]string) error {
 	if len(byPoint) != len(pts) {
 		return fatalAgent(fmt.Errorf("agent returned %d points, requested %d", len(byPoint), len(pts)))
 	}
@@ -498,6 +487,10 @@ func (c *Coordinator) acceptChunk(s *scheduler, cp *sweep.Checkpoint, st *AgentS
 		if _, ok := byPoint[p]; !ok {
 			return fatalAgent(fmt.Errorf("agent response missing requested point %d", p))
 		}
+	}
+	chunkStats := sweep.ShardStats{Points: len(byPoint)}
+	for _, rows := range byPoint {
+		chunkStats.Rows += len(rows)
 	}
 	fresh := s.deliver(byPoint)
 	if cp != nil && fresh > 0 {
@@ -508,11 +501,6 @@ func (c *Coordinator) acceptChunk(s *scheduler, cp *sweep.Checkpoint, st *AgentS
 			return err
 		}
 	}
-	st.add(AgentStats{
-		Chunks:  1,
-		Points:  chunkStats.Points,
-		Rows:    chunkStats.Rows,
-		Metrics: chunkStats.Metrics,
-	})
+	st.add(AgentStats{Chunks: 1, Points: chunkStats.Points, Rows: chunkStats.Rows})
 	return nil
 }

@@ -235,15 +235,11 @@ func TestCheckpointResumeSkipsJournaledPoints(t *testing.T) {
 		half = 1
 	}
 	for p := 0; p < half; p++ {
-		var buf bytes.Buffer
-		if err := sweep.RunWorkerPoints(e, []int{p}, true, &buf); err != nil {
-			t.Fatal(err)
-		}
-		_, byPoint, st, err := sweep.ParseShard(&buf)
+		byPoint, err := sweep.EvalPoints(e, true, []int{p})
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cp.AppendChunk(byPoint, st); err != nil {
+		if err := cp.AppendChunk(byPoint, sweep.ShardStats{Points: 1, Rows: len(byPoint[p])}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -298,16 +294,11 @@ func TestCheckpointWrongExperimentFailsLoudly(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	var buf bytes.Buffer
-	other := harness.ByID("S1")
-	if err := sweep.RunWorkerPoints(other, []int{0}, true, &buf); err != nil {
-		t.Fatal(err)
-	}
-	_, byPoint, st, err := sweep.ParseShard(&buf)
+	byPoint, err := sweep.EvalPoints(harness.ByID("S1"), true, []int{0})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.AppendChunk(byPoint, st); err != nil {
+	if err := cp.AppendChunk(byPoint, sweep.ShardStats{Points: 1, Rows: len(byPoint[0])}); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()

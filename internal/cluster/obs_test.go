@@ -1,6 +1,8 @@
 package cluster
 
 import (
+	"bytes"
+	"strings"
 	"testing"
 	"time"
 
@@ -8,11 +10,11 @@ import (
 )
 
 // TestClusterSweepFeedsMetrics runs a metrics-enabled loopback sweep and
-// checks the three cluster-side surfaces: per-agent coordinator bundles
-// (chunks + latency), the agent-process serve counters, and the
-// AgentStats.Metrics rollup carried back in chunk trailers. The agents
-// here share the test process, so the agent-side counters are observable
-// directly.
+// checks the cluster-side surfaces: per-agent coordinator bundles (chunks +
+// latency) and the agent-process serve counters. The agents here share the
+// test process, so the agent-side counters are observable directly. What a
+// worker answers with must not depend on any of it: the bytes ServePipe
+// writes for a run request are the same with metrics on and off.
 func TestClusterSweepFeedsMetrics(t *testing.T) {
 	obs.SetEnabled(true)
 	defer obs.SetEnabled(false)
@@ -47,10 +49,8 @@ func TestClusterSweepFeedsMetrics(t *testing.T) {
 		(obs.ClusterAgent(addr2).Chunks.Value() - b2Before) +
 		(obs.ClusterAgent(LocalAgentName).Chunks.Value() - localBefore)
 	var statChunks int
-	var trailerEvents uint64
 	for _, a := range res.Agents {
 		statChunks += a.Chunks
-		trailerEvents += a.Metrics["wlan_sim_events_total"]
 	}
 	if coordChunks != uint64(statChunks) {
 		t.Errorf("coordinator bundles saw %d chunks, AgentStats say %d", coordChunks, statChunks)
@@ -60,7 +60,15 @@ func TestClusterSweepFeedsMetrics(t *testing.T) {
 		obs.ClusterAgent(addr2).ChunkLatency.Count(); lat == 0 {
 		t.Error("no chunk latencies observed")
 	}
-	if trailerEvents == 0 {
-		t.Error("chunk trailers carried no wlan_sim_events_total rollup")
+
+	serve := func(on bool) string {
+		obs.SetEnabled(on)
+		var out bytes.Buffer
+		new(Agent).ServePipe(strings.NewReader(formatRunRequest(e.ID, true, []int{0, 2})+"\n"), &out)
+		return out.String()
+	}
+	on, off := serve(true), serve(false)
+	if on != off || !strings.HasSuffix(on, "# stats points=2 rows=2\n# end\n") {
+		t.Errorf("a run response depends on metrics collection:\n--- on\n%s--- off\n%s", on, off)
 	}
 }

@@ -32,11 +32,10 @@ type Worker struct {
 // link is the transport seam: one live connection to something that
 // evaluates chunks.
 type link interface {
-	// run evaluates the points of one chunk and returns their rows with
-	// the evaluator's self-measured stats. A positive limit cancels a
-	// chunk that takes longer by closing the link (transports that cannot
-	// cancel ignore it).
-	run(e *harness.Experiment, quick bool, pts []int, limit time.Duration) (map[int][][]string, sweep.ShardStats, error)
+	// run evaluates the points of one chunk and returns their rows. A
+	// positive limit cancels a chunk that takes longer by closing the link
+	// (transports that cannot cancel ignore it).
+	run(e *harness.Experiment, quick bool, pts []int, limit time.Duration) (map[int][][]string, error)
 	close()
 }
 
@@ -99,20 +98,11 @@ func Remote(addrs ...string) []*Worker {
 	return ws
 }
 
-// inProcess evaluates chunks by calling Grid.Point directly.
+// inProcess evaluates chunks on the calling goroutine.
 type inProcess struct{}
 
-func (inProcess) run(e *harness.Experiment, quick bool, pts []int, _ time.Duration) (map[int][][]string, sweep.ShardStats, error) {
-	g := e.Grid(quick)
-	byPoint := make(map[int][][]string, len(pts))
-	st := sweep.ShardStats{Points: len(pts)}
-	t0 := time.Now()
-	for _, p := range pts {
-		byPoint[p] = g.Point(p)
-		st.Rows += len(byPoint[p])
-	}
-	st.WallNs = time.Since(t0).Nanoseconds()
-	return byPoint, st, nil
+func (inProcess) run(e *harness.Experiment, quick bool, pts []int, _ time.Duration) (map[int][][]string, error) {
+	return sweep.EvalPoints(e, quick, pts)
 }
 
 func (inProcess) close() {}
@@ -128,7 +118,7 @@ func newWireLink(conn io.ReadWriteCloser) *wireLink {
 	return &wireLink{conn: conn, br: bufio.NewReader(conn)}
 }
 
-func (l *wireLink) run(e *harness.Experiment, quick bool, pts []int, limit time.Duration) (map[int][][]string, sweep.ShardStats, error) {
+func (l *wireLink) run(e *harness.Experiment, quick bool, pts []int, limit time.Duration) (map[int][][]string, error) {
 	t0 := time.Now()
 	if limit > 0 {
 		// Closing the link is the one cancel every byte transport has: it
@@ -136,23 +126,23 @@ func (l *wireLink) run(e *harness.Experiment, quick bool, pts []int, limit time.
 		defer time.AfterFunc(limit, l.close).Stop()
 	}
 	if _, err := fmt.Fprintln(l.conn, formatRunRequest(e.ID, quick, pts)); err != nil {
-		return nil, sweep.ShardStats{}, err
+		return nil, err
 	}
 	raw, err := readResponse(l.br)
 	if err != nil {
 		if elapsed := time.Since(t0); limit > 0 && elapsed >= limit {
 			err = fmt.Errorf("chunk deadline exceeded after %v: %w", elapsed.Round(time.Millisecond), err)
 		}
-		return nil, sweep.ShardStats{}, err
+		return nil, err
 	}
-	h, byPoint, st, err := sweep.ParseShard(bytes.NewReader(raw))
+	h, byPoint, _, err := sweep.ParseShard(bytes.NewReader(raw))
 	if err != nil {
-		return nil, st, fatalAgent(err)
+		return nil, fatalAgent(err)
 	}
 	if h.Exp != e.ID || h.Quick != quick {
-		return nil, st, fatalAgent(fmt.Errorf("agent answered for exp=%s quick=%t, want exp=%s quick=%t", h.Exp, h.Quick, e.ID, quick))
+		return nil, fatalAgent(fmt.Errorf("agent answered for exp=%s quick=%t, want exp=%s quick=%t", h.Exp, h.Quick, e.ID, quick))
 	}
-	return byPoint, st, nil
+	return byPoint, nil
 }
 
 func (l *wireLink) close() { l.conn.Close() }

@@ -16,7 +16,6 @@ import (
 	"math"
 	"strconv"
 	"strings"
-	"sync/atomic"
 
 	"repro/internal/ether"
 	"repro/internal/frame"
@@ -529,28 +528,18 @@ func (n *Network) Generators() []*traffic.Generator { return n.gens }
 
 // --- running and results -----------------------------------------------------
 
-// simEvents counts kernel events executed by every Network.Run across the
-// process, including runs on harness worker goroutines. Sweep workers
-// report deltas of it per chunk.
-var simEvents atomic.Uint64
-
-// SimEvents returns the total number of simulation events processed by all
-// networks since process start.
-func SimEvents() uint64 { return simEvents.Load() }
-
 // Run advances the scenario by d of virtual time, or by less when a
 // callback stops the kernel. With metrics enabled the run is chunked at
 // core.MetricsEvery flush boundaries — same events, same order, live
 // gauges.
 func (n *Network) Run(d sim.Duration) {
-	before, start := n.kernel.Processed(), n.kernel.Now()
+	start := n.kernel.Now()
 	if obs.Enabled() {
 		n.runObserved(d)
 	} else {
 		n.kernel.RunFor(d)
 	}
 	n.ran += n.kernel.Now().Sub(start)
-	simEvents.Add(n.kernel.Processed() - before)
 }
 
 // Elapsed returns total virtual time run so far.

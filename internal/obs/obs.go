@@ -1,10 +1,10 @@
 // Package obs is the zero-allocation, determinism-safe metrics subsystem:
 // counters, gauges and fixed-bucket histograms backed by padded atomic
 // registers, registered once at construction so the hot path is a single
-// atomic add. It feeds two consumers — the Prometheus text-exposition HTTP
-// endpoint behind the -metrics flag (see Serve) and the per-run counter
-// snapshot the sweep engine appends to its stats trailer — without touching
-// the byte-identity of any experiment table.
+// atomic add. It feeds one consumer — the Prometheus text-exposition HTTP
+// endpoint behind the -metrics flag (see Serve), one per process, sweep
+// agents included — without touching the byte-identity of any experiment
+// table.
 //
 // # Determinism contract
 //
@@ -212,10 +212,10 @@ func NewRegistry() *Registry {
 // into and the -metrics endpoint serves.
 var Default = NewRegistry()
 
-// enabled gates the flush-side instrumentation (core's run-chunk flushes,
-// sweep trailer snapshots). Individual atomic adds are cheap enough to run
-// unconditionally; the switch exists so the chunked-Run flush cadence and
-// trailer emission only engage when someone asked for metrics.
+// enabled gates the flush-side instrumentation (core's run-chunk flushes).
+// Individual atomic adds are cheap enough to run unconditionally; the
+// switch exists so the chunked-Run flush cadence only engages when someone
+// asked for metrics.
 var enabled atomic.Bool
 
 // Enabled reports whether metrics collection was requested (-metrics).
@@ -315,36 +315,4 @@ func (r *Registry) Histogram(name, help string, bounds []uint64, labels ...Label
 		m.h = &Histogram{buckets: make([]atomic.Uint64, len(b)+1), bounds: b}
 	}
 	return m.h
-}
-
-// CounterSnapshot copies the current value of every counter whose family
-// name starts with one of the prefixes (all counters when none are given)
-// into a fresh map keyed by name+labels. The sweep engine diffs two
-// snapshots around a chunk to report per-chunk counter deltas in the stats
-// trailer; prefix filtering keeps coordinator-side churn (cluster
-// counters racing in other goroutines) out of worker trailers.
-func (r *Registry) CounterSnapshot(prefixes ...string) map[string]uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]uint64)
-	//wlan:allow-nondeterminism map collection into a map; no order reaches output
-	for key, m := range r.metrics {
-		if m.kind != counterKind || m.c == nil {
-			continue
-		}
-		if len(prefixes) > 0 && !hasAnyPrefix(m.name, prefixes) {
-			continue
-		}
-		out[key] = m.c.Value()
-	}
-	return out
-}
-
-func hasAnyPrefix(name string, prefixes []string) bool {
-	for _, p := range prefixes {
-		if strings.HasPrefix(name, p) {
-			return true
-		}
-	}
-	return false
 }

@@ -208,22 +208,6 @@ func TestLabelEscaping(t *testing.T) {
 	}
 }
 
-func TestCounterSnapshot(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("wlan_sim_events_total", "h").Add(10)
-	r.Counter("wlan_cluster_chunks_total", "h", Label{Key: "agent", Value: "x"}).Add(2)
-	r.Gauge("wlan_sim_now_ns", "h").Set(99) // gauges never appear in snapshots
-
-	all := r.CounterSnapshot()
-	if len(all) != 2 {
-		t.Fatalf("unfiltered snapshot has %d entries, want 2: %v", len(all), all)
-	}
-	sim := r.CounterSnapshot("wlan_sim_")
-	if len(sim) != 1 || sim["wlan_sim_events_total"] != 10 {
-		t.Fatalf("filtered snapshot wrong: %v", sim)
-	}
-}
-
 func TestEnabledSwitch(t *testing.T) {
 	defer SetEnabled(false)
 	if Enabled() {

@@ -4,11 +4,23 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
 	"repro/internal/harness"
 )
+
+// evalChunk evaluates one point of e the way a worker does and returns it
+// with its integrity pair, ready for WriteShard or AppendChunk.
+func evalChunk(t testing.TB, e *harness.Experiment, p int) (map[int][][]string, ShardStats) {
+	t.Helper()
+	byPoint, err := EvalPoints(e, true, []int{p})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return byPoint, ShardStats{Points: 1, Rows: len(byPoint[p])}
+}
 
 // journalChunks renders n single-point records for e through the real
 // worker path and returns them individually.
@@ -16,20 +28,73 @@ func journalChunks(t testing.TB, e *harness.Experiment, pts []int) [][]byte {
 	t.Helper()
 	var recs [][]byte
 	for _, p := range pts {
-		var run, rec bytes.Buffer
-		if err := RunWorkerPoints(e, []int{p}, true, &run); err != nil {
-			t.Fatal(err)
-		}
-		_, byPoint, st, err := ParseShard(&run)
-		if err != nil {
-			t.Fatal(err)
-		}
+		var rec bytes.Buffer
+		byPoint, st := evalChunk(t, e, p)
 		if err := WriteShard(&rec, Header{Exp: e.ID, Shard: 0, Shards: 1, Quick: true}, byPoint, st); err != nil {
 			t.Fatal(err)
 		}
 		recs = append(recs, rec.Bytes())
 	}
 	return recs
+}
+
+// oldFormatRecord is one chunk response exactly as the parent of the
+// trailer-shrinking change wrote it (`experiments -agent - -metrics …`
+// answering T1 point 0), self-measurement fields and `# metric` lines
+// included. Journals full of these exist; they must keep opening.
+const oldFormatRecord = `# sweep v1 exp=T1 shard=0/1 quick=true
+# point 0
+802.11,2.00,1.70,84.8
+# stats points=1 rows=1 wall_ns=465373 allocs=386 bytes=159304 events=2155
+# metric wlan_medium_fanout_candidates_total 289
+# metric wlan_medium_fanout_delivered_total 289
+# metric wlan_medium_link_cache_hits_total 289
+# metric wlan_medium_link_cache_misses_total 2
+# metric wlan_medium_transmissions_total 289
+# metric wlan_sim_events_total 2155
+# end
+`
+
+// A checkpoint written before the trailer shrank must open with nothing
+// torn, resume, and merge to the sequential bytes.
+func TestOpenCheckpointOldFormatRecord(t *testing.T) {
+	e := harness.ByID("T1")
+	n := e.Grid(true).N
+	path := filepath.Join(t.TempDir(), "old.ckpt")
+	if err := os.WriteFile(path, []byte(oldFormatRecord), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cp, done, torn, err := OpenCheckpoint(path, e.ID, true, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if torn != 0 || len(done) != 1 || len(done[0]) != 1 {
+		t.Fatalf("old-format journal: torn=%d done=%v, want point 0 intact", torn, done)
+	}
+	for p := 1; p < n; p++ {
+		if err := cp.AppendChunk(evalChunk(t, e, p)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	cp.Close()
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(data, []byte(oldFormatRecord)) {
+		t.Fatal("resuming rewrote the old-format record")
+	}
+	all, valid, err := ParseCheckpoint(data, e.ID, true, n)
+	if err != nil || valid != len(data) {
+		t.Fatalf("mixed-format journal: valid=%d/%d err=%v", valid, len(data), err)
+	}
+	merged, err := Merge(e.Grid(true).Table, n, []map[int][][]string{all})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, want := merged.CSV(), e.Run(true).CSV(); got != want {
+		t.Errorf("table merged from the old-format journal differs from sequential:\n%s\n%s", got, want)
+	}
 }
 
 func TestParseCheckpointRoundTrip(t *testing.T) {
@@ -179,15 +244,7 @@ func TestOpenCheckpointTruncatesAndAppends(t *testing.T) {
 	}
 	// Append two more chunks through the real path and re-open.
 	for _, p := range []int{1, 2} {
-		var run bytes.Buffer
-		if err := RunWorkerPoints(e, []int{p}, true, &run); err != nil {
-			t.Fatal(err)
-		}
-		_, byPoint, st, err := ParseShard(&run)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := cp.AppendChunk(byPoint, st); err != nil {
+		if err := cp.AppendChunk(evalChunk(t, e, p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -254,6 +311,10 @@ func FuzzParseCheckpoint(f *testing.F) {
 	f.Add([]byte("# stats points=1 rows=1 wall_ns=1 allocs=1 bytes=1 events=1\n# end\n")) // stats-trailer-only
 	f.Add([]byte("# sweep v1 exp=T1 shard=0/1 quick=true\n# end\n"))
 	f.Add([]byte{})
+	for _, seed := range shardSeeds() {
+		f.Add(seed)
+	}
+	f.Add(append([]byte(oldFormatRecord), recs[1]...)) // mixed-format journal
 	f.Fuzz(func(t *testing.T, data []byte) {
 		done, valid, err := ParseCheckpoint(data, e.ID, true, n)
 		if err != nil {
@@ -270,7 +331,7 @@ func FuzzParseCheckpoint(f *testing.F) {
 		// The trusted prefix must re-parse to the identical result: the
 		// "valid" claim is a promise about resumability, not a guess.
 		done2, valid2, err2 := ParseCheckpoint(data[:valid], e.ID, true, n)
-		if err2 != nil || valid2 != valid || len(done2) != len(done) {
+		if err2 != nil || valid2 != valid || !reflect.DeepEqual(done2, done) {
 			t.Fatalf("trusted prefix does not re-parse: valid=%d->%d points=%d->%d err=%v",
 				valid, valid2, len(done), len(done2), err2)
 		}

@@ -1,10 +1,11 @@
 // Package sweep is the data format of full-fidelity evaluation sweeps and
-// the worker side of the engine: the shard wire format a worker answers a
-// chunk request with (WriteShard, ParseShard), the worker-side evaluation
-// of an explicit point list into that format (RunWorkerPoints), the merge of
-// per-point rows into a table byte-identical to the sequential run (Merge),
-// and the crash-safe checkpoint journal built from the same records. Which
-// point runs where is decided elsewhere — internal/cluster is the engine.
+// the worker side of the engine: the evaluation of an explicit point list
+// every worker performs, whatever its transport (EvalPoints), the shard
+// wire format a worker answers a chunk request with (WriteShard,
+// ParseShard), the merge of per-point rows into a table byte-identical to
+// the sequential run (Merge), and the crash-safe checkpoint journal built
+// from the same records. Which point runs where is decided elsewhere —
+// internal/cluster is the engine.
 //
 // # Shard format
 //
@@ -16,28 +17,26 @@
 //	1,0.85,0.80,0.84,0.79
 //	# point 2
 //	10,4.71,4.40,4.60,4.47
-//	# stats points=2 rows=2 wall_ns=41873232 allocs=10352 bytes=1204224 events=1310720
+//	# stats points=2 rows=2
 //	# end
 //
-// Because rows carry the exact pre-rendered cells, the parent can rebuild
-// the table skeleton locally (same binary, same grid) and append the rows
-// in point order; Render and CSV output are then byte-identical to the
-// sequential run. That property is pinned by TestMergeDeterminism.
+// The stats trailer is an integrity pair: ParseShard rejects a shard whose
+// parsed points and rows disagree with it. Because rows carry the exact
+// pre-rendered cells, the parent can rebuild the table skeleton locally
+// (same binary, same grid) and append the rows in point order; Render and
+// CSV output are then byte-identical to the sequential run. That property
+// is pinned by TestMergeDeterminism.
 package sweep
 
 import (
 	"bufio"
 	"fmt"
 	"io"
-	"runtime"
 	"sort"
 	"strconv"
 	"strings"
-	"time"
 
-	"repro/internal/core"
 	"repro/internal/harness"
-	"repro/internal/obs"
 	"repro/internal/stats"
 )
 
@@ -49,73 +48,34 @@ type Header struct {
 	Quick  bool
 }
 
-// ShardStats is a worker's self-measured cost for one chunk, rolled up by
-// the coordinator per worker.
+// ShardStats is the integrity pair of a shard's trailer: how many points
+// and rows the writer encoded, checked by ParseShard against what it parsed.
 type ShardStats struct {
-	Shard  int    `json:"shard"`
-	Points int    `json:"points"`
-	Rows   int    `json:"rows"`
-	WallNs int64  `json:"wall_ns"`
-	Allocs uint64 `json:"allocs"`
-	Bytes  uint64 `json:"bytes"`
-	Events uint64 `json:"events"`
-	// Metrics holds per-run obs counter deltas (keyed by metric
-	// name+labels), populated only when metrics collection is enabled.
-	// They ride the wire as `# metric` trailer lines after `# stats` —
-	// unknown to older parsers, outside the row data, and excluded from
-	// checkpoint duplicate comparison, so they never perturb table bytes.
-	Metrics map[string]uint64 `json:"metrics,omitempty"`
+	Points int
+	Rows   int
 }
 
-// RunWorkerPoints evaluates an explicit point subset of e, one point after
-// another, and writes the shard format to w. It is the whole worker side of
-// the engine: the agent's serve loop calls it for every chunk request,
-// whether the request arrived over TCP or over a subprocess's stdin. The
-// trailer's allocs/bytes/events are process-global deltas, exact only while
-// the process evaluates one chunk at a time.
-func RunWorkerPoints(e *harness.Experiment, pts []int, quick bool, w io.Writer) error {
+// EvalPoints evaluates an explicit point subset of e, one point after
+// another. It is the whole worker side of the engine on every transport: an
+// in-process worker delivers the result as it is, an agent encodes it with
+// WriteShard. Out-of-grid and duplicated points are rejected before any
+// point runs.
+func EvalPoints(e *harness.Experiment, quick bool, pts []int) (map[int][][]string, error) {
 	g := e.Grid(quick)
-	seen := make(map[int]bool, len(pts))
+	byPoint := make(map[int][][]string, len(pts))
 	for _, p := range pts {
 		if p < 0 || p >= g.N {
-			return fmt.Errorf("sweep: point %d outside grid of %d", p, g.N)
+			return nil, fmt.Errorf("sweep: point %d outside grid of %d", p, g.N)
 		}
-		if seen[p] {
-			return fmt.Errorf("sweep: point %d requested twice", p)
+		if _, dup := byPoint[p]; dup {
+			return nil, fmt.Errorf("sweep: point %d requested twice", p)
 		}
-		seen[p] = true
+		byPoint[p] = nil
 	}
-
-	var msBefore, msAfter runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&msBefore)
-	evBefore := core.SimEvents()
-	var obsBefore map[string]uint64
-	if obs.Enabled() {
-		obsBefore = obs.Default.CounterSnapshot(workerMetricPrefixes...)
-	}
-	t0 := time.Now()
-	byPoint := make(map[int][][]string, len(pts))
-	rows := 0
 	for _, p := range pts {
 		byPoint[p] = g.Point(p)
-		rows += len(byPoint[p])
 	}
-	wall := time.Since(t0)
-	runtime.ReadMemStats(&msAfter)
-
-	st := ShardStats{
-		Points: len(pts),
-		Rows:   rows,
-		WallNs: wall.Nanoseconds(),
-		Allocs: msAfter.Mallocs - msBefore.Mallocs,
-		Bytes:  msAfter.TotalAlloc - msBefore.TotalAlloc,
-		Events: core.SimEvents() - evBefore,
-	}
-	if obsBefore != nil {
-		st.Metrics = diffCounters(obsBefore, obs.Default.CounterSnapshot(workerMetricPrefixes...))
-	}
-	return WriteShard(w, Header{Exp: e.ID, Shards: 1, Quick: quick}, byPoint, st)
+	return byPoint, nil
 }
 
 // FormatPoints encodes a chunk's point list for a run request. The empty
@@ -135,7 +95,7 @@ func FormatPoints(pts []int) string {
 }
 
 // ParsePoints decodes a FormatPoints value. It does not validate against a
-// grid — RunWorkerPoints re-checks range and uniqueness.
+// grid — EvalPoints checks range and uniqueness.
 func ParsePoints(spec string) ([]int, error) {
 	if spec == "none" {
 		return []int{}, nil
@@ -152,10 +112,11 @@ func ParsePoints(spec string) ([]int, error) {
 	return pts, nil
 }
 
-// WriteShard encodes one shard's row groups in the wire format. Cells must
-// round-trip through one CSV line each; a cell containing a comma, a
-// newline or a leading '#' cannot, and makes WriteShard fail loudly rather
-// than corrupt the merged table.
+// WriteShard encodes one shard's row groups in the wire format. Rows must
+// round-trip through one CSV line each; a cell containing a comma or a line
+// break ('\n', '\r'), a row that starts with '#' and a row of no cells
+// cannot, and make WriteShard fail loudly rather than corrupt the merged
+// table.
 func WriteShard(w io.Writer, h Header, byPoint map[int][][]string, st ShardStats) error {
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "# sweep v1 exp=%s shard=%d/%d quick=%t\n", h.Exp, h.Shard, h.Shards, h.Quick)
@@ -167,8 +128,11 @@ func WriteShard(w io.Writer, h Header, byPoint map[int][][]string, st ShardStats
 	for _, p := range pts {
 		fmt.Fprintf(bw, "# point %d\n", p)
 		for _, row := range byPoint[p] {
+			if len(row) == 0 {
+				return fmt.Errorf("sweep: a row of no cells of %s point %d cannot round-trip the wire format", h.Exp, p)
+			}
 			for i, cell := range row {
-				if strings.ContainsAny(cell, ",\n") || strings.HasPrefix(cell, "#") {
+				if strings.ContainsAny(cell, ",\n\r") || i == 0 && strings.HasPrefix(cell, "#") {
 					return fmt.Errorf("sweep: cell %q of %s point %d cannot round-trip the wire format", cell, h.Exp, p)
 				}
 				if i > 0 {
@@ -179,42 +143,8 @@ func WriteShard(w io.Writer, h Header, byPoint map[int][][]string, st ShardStats
 			bw.WriteByte('\n')
 		}
 	}
-	fmt.Fprintf(bw, "# stats points=%d rows=%d wall_ns=%d allocs=%d bytes=%d events=%d\n",
-		st.Points, st.Rows, st.WallNs, st.Allocs, st.Bytes, st.Events)
-	if len(st.Metrics) > 0 {
-		names := make([]string, 0, len(st.Metrics))
-		for name := range st.Metrics {
-			names = append(names, name)
-		}
-		sort.Strings(names)
-		for _, name := range names {
-			fmt.Fprintf(bw, "# metric %s %d\n", name, st.Metrics[name])
-		}
-	}
-	fmt.Fprintf(bw, "# end\n")
+	fmt.Fprintf(bw, "# stats points=%d rows=%d\n# end\n", st.Points, st.Rows)
 	return bw.Flush()
-}
-
-// workerMetricPrefixes selects the counter families a worker reports in
-// its stats trailer: only the sim/medium/trace families its own point set
-// drives, so the trailer is a pure function of the chunk. Coordinator-side
-// cluster counters (racing in other goroutines of the same process) are
-// deliberately excluded.
-var workerMetricPrefixes = []string{"wlan_sim_", "wlan_medium_", "wlan_trace_"}
-
-// diffCounters returns after-minus-before, dropping zero deltas; nil when
-// nothing moved.
-func diffCounters(before, after map[string]uint64) map[string]uint64 {
-	d := make(map[string]uint64, len(after))
-	for k, v := range after {
-		if dv := v - before[k]; dv > 0 {
-			d[k] = dv
-		}
-	}
-	if len(d) == 0 {
-		return nil
-	}
-	return d
 }
 
 // ParseShard decodes one shard's output.
@@ -250,32 +180,22 @@ func ParseShard(r io.Reader) (Header, map[int][][]string, ShardStats, error) {
 			}
 			byPoint[point] = nil
 		case strings.HasPrefix(line, "# stats "):
-			if _, err := fmt.Sscanf(line, "# stats points=%d rows=%d wall_ns=%d allocs=%d bytes=%d events=%d",
-				&st.Points, &st.Rows, &st.WallNs, &st.Allocs, &st.Bytes, &st.Events); err != nil {
+			// Records written before the trailer shrank carry more fields on
+			// this line; Sscanf stops after the pair.
+			if _, err := fmt.Sscanf(line, "# stats points=%d rows=%d", &st.Points, &st.Rows); err != nil {
 				return h, nil, st, fmt.Errorf("sweep: bad stats line %q: %v", line, err)
 			}
-			st.Shard = h.Shard
-		case strings.HasPrefix(line, "# metric "):
-			rest := line[len("# metric "):]
-			i := strings.LastIndexByte(rest, ' ')
-			if i <= 0 {
-				return h, nil, st, fmt.Errorf("sweep: bad metric line %q", line)
-			}
-			v, err := strconv.ParseUint(rest[i+1:], 10, 64)
-			if err != nil {
-				return h, nil, st, fmt.Errorf("sweep: bad metric line %q: %v", line, err)
-			}
-			if st.Metrics == nil {
-				st.Metrics = map[string]uint64{}
-			}
-			st.Metrics[rest[:i]] = v
 		case line == "# end":
 			ended = true
 		case strings.HasPrefix(line, "#"):
-			// Unknown framing from a newer writer: ignore.
+			// Unknown framing from another version's writer: ignore.
 		default:
 			if point < 0 {
 				return h, nil, st, fmt.Errorf("sweep: row %q before any point marker", line)
+			}
+			if strings.ContainsRune(line, '\r') {
+				// Past the one ScanLines strips, WriteShard writes no '\r'.
+				return h, nil, st, fmt.Errorf("sweep: row %q holds a carriage return", line)
 			}
 			byPoint[point] = append(byPoint[point], strings.Split(line, ","))
 		}
