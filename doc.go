@@ -23,10 +23,13 @@
 //     generation-checked Timer handles, keeps the queue as a
 //     struct-of-arrays 4-ary heap popped one event at a time in (at, seq)
 //     order, and reaps cancelled events lazily in bulk. ScheduleArg gives
-//     hot callers closure-free scheduling.
-//   - internal/medium pools transmissions and arrivals, gives every
-//     static transmitter a fan-out row (the static receivers it reaches,
-//     their power and propagation delay computed once; rebuilt when the
+//     hot callers closure-free scheduling; ReserveSeq + ScheduleArgSeq let
+//     one heap entry stand for a train of events known in advance.
+//   - internal/medium pools transmissions, each owning its arrivals and
+//     delivering their edges through two self-re-queuing kernel events
+//     instead of two per receiver; gives every static transmitter a
+//     fan-out row (the static receivers it reaches, their power,
+//     propagation delay and edge order computed once; rebuilt when the
 //     topology changes), reuses wire buffers, decodes each transmission
 //     once per fan-out, and folds each constant-interference span of a
 //     reception through internal/phy's error model as it closes.

@@ -1,6 +1,7 @@
 package medium
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"slices"
@@ -8,6 +9,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/phy"
 	"repro/internal/rng"
@@ -192,5 +194,235 @@ func TestTransmitDifferentialAllRadios(t *testing.T) {
 				t.Fatalf("row path not exercised: %d entries served, %d built", m.LinkCacheHits, m.LinkCacheMisses)
 			}
 		})
+	}
+}
+
+// --- edge cursors ----------------------------------------------------------
+
+// edgeRadio places a quiet static radio at (x, 0), strong enough to be
+// heard a kilometre away.
+func edgeRadio(m *Medium, name string, x float64, l Listener) *Radio {
+	return m.AddRadio(RadioConfig{
+		Name: name, Mode: phy.Mode80211b(), Channel: 1,
+		Mobility: geom.Static{P: geom.Pt(x, 0)}, TxPower: 30, Listener: l,
+	})
+}
+
+// TestEdgeCursorOrder pins what the two cursors deliver, edge by edge and
+// against other events on the same instants, to what per-receiver events
+// scheduled in ascending receiver id at transmit time would deliver: at
+// each instant, events scheduled before the transmission, then that
+// instant's edges in receiver-id order, then events scheduled after it. The
+// row is static and its delay order is not its id order, so the row's
+// precomputed edge order is in use exactly until one of its entries is
+// filtered by channel; with propagation delay off every edge is due at once.
+func TestEdgeCursorOrder(t *testing.T) {
+	k, m := testbed(21)
+	tx := edgeRadio(m, "r0", 0, nil)
+	for i, x := range []float64{300, 30, 150, 30, 600} { // r2 and r4 tie
+		edgeRadio(m, fmt.Sprintf("r%d", i+1), x, nil)
+	}
+	cases := []struct {
+		what    string
+		prepare func()
+		rowUsed bool
+	}{
+		{"whole row", func() {}, true},
+		{"row entry filtered by channel", func() { m.radios[3].SetChannel(6) }, false},
+		{"propagation delay off", func() { m.radios[3].SetChannel(1); m.PropagationDelay = false }, false},
+	}
+	for _, c := range cases {
+		c.prepare()
+		var got, want []string
+		rowUsed := false
+		k.OnEvent = func(at sim.Time, name string) {
+			if !strings.HasPrefix(name, "tx") {
+				got = append(got, fmt.Sprintf("%d %s", at, name))
+			}
+		}
+		k.Schedule(0, "tx", func() {
+			start := k.Now()
+			airtime := tx.mode.Airtime(0, len(dataFrame(200).AppendWire(nil)))
+			type edge struct {
+				at sim.Time
+				rx int
+			}
+			var edges []edge
+			for _, rx := range m.radios[1:] {
+				if rx.channel != tx.channel {
+					continue
+				}
+				at := start
+				if m.PropagationDelay {
+					at = at.Add(propDelay(rx.Position().X))
+				}
+				edges = append(edges, edge{at, rx.id}, edge{at.Add(airtime), rx.id})
+			}
+			slices.SortStableFunc(edges, func(a, b edge) int { return cmp.Compare(a.at, b.at) })
+			for i, e := range edges {
+				if i == 0 || e.at != edges[i-1].at {
+					k.ScheduleAt(e.at, "before", func() {})
+				}
+			}
+			tx.Transmit(dataFrame(200), 0)
+			for i, e := range edges {
+				if i == 0 || e.at != edges[i-1].at {
+					want = append(want, fmt.Sprintf("%d before", e.at))
+				}
+				kind := "rx-start"
+				if e.at >= start.Add(airtime) {
+					kind = "rx-end"
+				}
+				want = append(want, fmt.Sprintf("%d %s:r%d", e.at, kind, e.rx))
+				if i == len(edges)-1 || e.at != edges[i+1].at {
+					k.ScheduleAt(e.at, "after", func() {
+						if in := m.radios[1].inFlight; len(in) == 1 {
+							rowUsed = &in[0].t.order[0] == &tx.rowOrder[0]
+						}
+					})
+					want = append(want, fmt.Sprintf("%d after", e.at))
+				}
+			}
+		})
+		k.Run()
+		k.OnEvent = nil
+		if !slices.Equal(got, want) {
+			t.Fatalf("%s: kernel ran\n  %v\nper-receiver events would have run\n  %v", c.what, got, want)
+		}
+		if rowUsed != c.rowUsed {
+			t.Fatalf("%s: transmission walked the row's edge order = %v, want %v", c.what, rowUsed, c.rowUsed)
+		}
+		if len(m.txPool) != 1 {
+			t.Fatalf("%s: %d transmissions pooled after the run, want 1", c.what, len(m.txPool))
+		}
+	}
+}
+
+// frameCheck is a listener that checks every delivered frame against the
+// transmission it must have come from.
+type frameCheck struct {
+	NopListener
+	t    *testing.T
+	name string
+	want map[int]RxInfo // by body length
+	got  []int
+}
+
+func (c *frameCheck) OnRxFrame(f *frame.Frame, info RxInfo) {
+	w, ok := c.want[len(f.Body)]
+	if !ok || info.Rate != w.Rate || info.Airtime != w.Airtime {
+		c.t.Errorf("%s: %d-byte frame delivered with rate %v airtime %v: another transmission's fields", c.name, len(f.Body), info.Rate, info.Airtime)
+	}
+	c.got = append(c.got, len(f.Body))
+}
+
+// TestTransmissionOutlivesItsEdges holds the lifetime rule: receivers point
+// into their transmission's arrival slice, so the transmission stays out of
+// the pool — through a receiver that retunes away between its two edges
+// and a transmitter already sending its next frame — until the trailing
+// cursor has walked the last edge, and no later.
+func TestTransmissionOutlivesItsEdges(t *testing.T) {
+	k, m := testbed(22)
+	tx := edgeRadio(m, "tx", 0, nil)
+	checks := map[string]*frameCheck{}
+	for _, c := range []struct {
+		name string
+		x    float64
+	}{{"near", 10}, {"mid", 1500}, {"far", 3000}} {
+		checks[c.name] = &frameCheck{t: t, name: c.name, want: map[int]RxInfo{}}
+		edgeRadio(m, c.name, c.x, checks[c.name])
+	}
+	mid := m.radios[2]
+	first, second := dataFrame(100), dataFrame(700)
+	air := [2]sim.Duration{}
+	for i, f := range []*frame.Frame{first, second} {
+		rate := phy.RateIdx(3 * i)
+		air[i] = tx.mode.Airtime(rate, len(f.AppendWire(nil)))
+		for _, c := range checks {
+			c.want[len(f.Body)] = RxInfo{Rate: rate, Airtime: air[i]}
+		}
+	}
+
+	// At every event, whatever a radio still points at belongs to a
+	// transmission that is on the air, and is that radio's own arrival.
+	k.OnEvent = func(sim.Time, string) {
+		for _, r := range m.radios {
+			held := r.inFlight
+			if r.lock != nil {
+				held = append(held[:len(held):len(held)], r.lock)
+			}
+			for _, a := range held {
+				if a.t.tx != tx || a.rx != r || slices.Contains(m.txPool, a.t) {
+					t.Fatalf("%v: %s holds an arrival of a recycled transmission", k.Now(), r.name)
+				}
+			}
+		}
+	}
+	for round := 0; round < 3; round++ {
+		k.Schedule(0, "go", func() {
+			tx.Transmit(first, 0)
+			// mid leaves between its leading and trailing edge and is back
+			// as the second frame launches; its stale arrival's trailing
+			// edge and the second frame's leading edge share an instant.
+			k.Schedule(air[0]/2, "away", func() { mid.SetChannel(6) })
+			k.Schedule(air[0]-sim.Microsecond, "back", func() { mid.SetChannel(1) })
+			// The first frame's trailing cursor is still walking (far is
+			// 10 µs out) when its transmitter sends again.
+			k.Schedule(air[0], "again", func() {
+				if len(m.txPool) != 0 && round == 0 {
+					t.Errorf("first transmission recycled before its last trailing edge")
+				}
+				tx.Transmit(second, 3)
+			})
+		})
+		k.Run()
+		if len(m.txPool) != 2 {
+			t.Fatalf("round %d: %d transmissions pooled, want the 2 that overlapped", round, len(m.txPool))
+		}
+	}
+	for name, want := range map[string][]int{"near": {100, 700}, "mid": {700}, "far": {100, 700}} {
+		want = slices.Concat(want, want, want)
+		if got := checks[name].got; !slices.Equal(got, want) {
+			t.Errorf("%s decoded frames of %v bytes, want %v", name, got, want)
+		}
+	}
+}
+
+// TestHeapDepthIndependentOfFanout is the host-independent form of what
+// the cursors buy: on a static single-channel grid under Poisson load the
+// kernel heap holds two entries per transmission on the air plus each
+// radio's own two timers, however many receivers a transmission reaches.
+func TestHeapDepthIndependentOfFanout(t *testing.T) {
+	const n = 100
+	var fanout [2]float64
+	for i, pitch := range []float64{10, 100} {
+		k, m := testbed(23)
+		src := rng.New(23)
+		for j, p := range geom.Grid(n, pitch, geom.Pt(0, 0)) {
+			r := m.AddRadio(RadioConfig{Name: fmt.Sprintf("r%d", j), Mode: phy.Mode80211b(),
+				Mobility: geom.Static{P: p}, TxPower: -20})
+			var send func()
+			send = func() {
+				if k.Now() > sim.Time(100*sim.Millisecond) {
+					return
+				}
+				airtime := r.Transmit(dataFrame(200), 0)
+				gap := sim.Duration(src.ExpFloat64() * float64(5*sim.Millisecond))
+				k.Schedule(airtime+sim.Microsecond+gap, "send", send)
+			}
+			k.Schedule(sim.Duration(src.ExpFloat64()*float64(5*sim.Millisecond)), "send", send)
+		}
+		k.Run()
+		// The pool grows only when every transmission it ever made is on
+		// the air, so once drained its size is the peak number concurrent.
+		peak := len(m.txPool)
+		fanout[i] = float64(m.FanoutDelivered) / float64(m.Transmissions)
+		if hw, limit := k.HeapHighWater(), 2*peak+2*n; hw > limit {
+			t.Errorf("pitch %v m: heap high water %d with %d transmissions concurrent at peak and fan-out %.1f, want <= %d",
+				pitch, hw, peak, fanout[i], limit)
+		}
+	}
+	if fanout[0] < 5*fanout[1] {
+		t.Fatalf("fan-out per transmission %.1f and %.1f: the two pitches must differ 5x", fanout[0], fanout[1])
 	}
 }

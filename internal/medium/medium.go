@@ -30,11 +30,33 @@
 // Pruning is always a conservative superset of the exact per-receiver power
 // filter, and receivers are walked in ascending radio-id order, so delivered
 // arrivals and event order are bit-identical to the all-pairs walk.
+//
+// # Edge cursors
+//
+// A transmission owns its receivers. Its arrivals sit in one slice in
+// ascending receiver id, and instead of two kernel events per receiver the
+// heap holds two per transmission: a leading-edge and a trailing-edge
+// cursor, each of which handles one receiver's edge per pop and re-queues
+// itself on the next receiver's, in (delay, receiver index) order. At
+// transmit time the medium reserves the block of schedule-order numbers the
+// per-receiver events would have taken (sim.Kernel.ReserveSeq) and every
+// cursor pop runs under the (time, seq) and the rx-start:/rx-end: name its
+// receiver's own event would have had, so pop order, same-tick interleaving
+// with MAC timers and the event count are those of per-receiver
+// scheduling; heap depth is O(transmissions on the air + timers), not
+// O(transmissions × fan-out). A static row carries its edge order, computed
+// when the row is built; a transmission whose arrivals are not exactly its
+// row (an entry filtered by channel or fading, a mobile receiver merged in,
+// a mobile transmitter, PropagationDelay off) sorts its own. Radios point
+// into the arrival slice while an arrival is in flight, so a transmission
+// is recycled only when its trailing cursor has walked the last edge.
 package medium
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 
 	"repro/internal/frame"
 	"repro/internal/geom"
@@ -84,9 +106,13 @@ func (NopListener) OnRxFrame(*frame.Frame, RxInfo) {}
 func (NopListener) OnRxError(RxInfo)               {}
 func (NopListener) OnTxDone()                      {}
 
-// transmission is one MPDU on the air. Transmissions are pooled: refs
-// counts the arrivals still pointing at this object, and the wire buffer's
-// capacity is reused across transmissions once refs drains to zero.
+// transmission is one MPDU on the air, and owns its receivers: arrs holds
+// one arrival per receiver in ascending receiver id, and two kernel events —
+// a leading-edge and a trailing-edge cursor — walk them in arrival order
+// (see fanout). Transmissions are pooled, with the capacity of wire, arrs
+// and own: Radio.inFlight and Radio.lock point into arrs, so arrs never
+// grows after fanout returns and the transmission returns to the pool only
+// when the trailing cursor has walked its last edge.
 type transmission struct {
 	id      uint64
 	tx      *Radio
@@ -98,13 +124,20 @@ type transmission struct {
 	start   sim.Time
 	airtime sim.Duration
 	txPos   geom.Point
-	refs    int
+	arrs    []arrival
+	// order lists arrs indices by (delay, index) — the pop order of the
+	// per-receiver events the cursors stand for, arrival i's leading edge
+	// at seq0+2i and trailing edge at seq0+2i+1. It is the transmitter's
+	// rowOrder when arrs is exactly its row, otherwise own.
+	order, own  []int32
+	seq0        uint64
+	lead, trail int // each cursor's next position in order
 	// decoded caches the parsed wire image: every receiver that decodes
 	// this transmission sees the same bytes, and received frames are
 	// read-only views by convention (rx paths Clone what they keep), so one
 	// zero-copy UnmarshalInto serves the whole fan-out. The Frame struct is
 	// pooled with the transmission and its Body aliases wire, so it is only
-	// valid until the transmission's last arrival releases.
+	// valid until the transmission's last trailing edge.
 	decoded *frame.Frame
 }
 
@@ -156,9 +189,8 @@ type Medium struct {
 	LinkCacheMisses  uint64 // static-pair physics computed while (re)building rows
 	GridMigrations   uint64 // radios moved between spatial-grid cells
 
-	// Fast-path state: pooled transmissions/arrivals/decoded frames.
+	// Fast-path state: pooled transmissions/decoded frames.
 	txPool      []*transmission
-	arrPool     []*arrival
 	framePool   []*frame.Frame
 	shadowConst bool // shadow gain is time-invariant: static links precomputable
 	noFast      bool // no fast fading: row power is the exact rx power
@@ -167,6 +199,7 @@ type Medium struct {
 	// spatial index are valid only for the generation they were built in.
 	topoGen    uint64
 	rowScratch []fanoutEntry // buildRow scratch: rows are stored at exact size
+	edgeKeys   []edgeKey     // edgeOrder scratch
 
 	// sp is the uniform-grid spatial index (see grid.go).
 	sp spatial
@@ -293,6 +326,7 @@ func (m *Medium) getTransmission() *transmission {
 func (m *Medium) putTransmission(t *transmission) {
 	t.tx = nil
 	t.mode = nil
+	t.order = nil
 	if t.decoded != nil {
 		t.decoded.Body = nil // drop the wire alias before pooling
 		m.framePool = append(m.framePool, t.decoded)
@@ -324,31 +358,80 @@ func (m *Medium) decodeFrame(t *transmission) *frame.Frame {
 	return f
 }
 
-func (m *Medium) getArrival() *arrival {
-	if n := len(m.arrPool); n > 0 {
-		a := m.arrPool[n-1]
-		m.arrPool = m.arrPool[:n-1]
-		return a
-	}
-	return &arrival{}
+// --- edge cursors ---------------------------------------------------------
+
+// edgeKey places arrival (or row entry) idx in edge order.
+type edgeKey struct {
+	delay sim.Duration
+	idx   int32
 }
 
-// releaseArrival recycles an arrival after its trailing edge has been fully
-// processed, and recycles the transmission once its last arrival releases.
-func (m *Medium) releaseArrival(a *arrival) {
-	t := a.t
-	*a = arrival{}
-	m.arrPool = append(m.arrPool, a)
-	t.refs--
-	if t.refs == 0 {
+func cmpEdgeKey(a, b edgeKey) int {
+	if c := cmp.Compare(a.delay, b.delay); c != 0 {
+		return c
+	}
+	return cmp.Compare(a.idx, b.idx)
+}
+
+// edgeOrder appends the indices of m.edgeKeys to dst in (delay, index)
+// order, sorting only when the delays are not already non-decreasing.
+//
+//wlan:hotpath
+func (m *Medium) edgeOrder(dst []int32) []int32 {
+	if !slices.IsSortedFunc(m.edgeKeys, cmpEdgeKey) {
+		slices.SortFunc(m.edgeKeys, cmpEdgeKey)
+	}
+	for _, k := range m.edgeKeys {
+		dst = append(dst, k.idx)
+	}
+	return dst
+}
+
+// queueLead and queueTrail queue a cursor on its next edge, under the
+// receiver's event name and the (at, seq) that receiver's own event would
+// have had.
+//
+//wlan:hotpath
+func (m *Medium) queueLead(t *transmission) {
+	i := t.order[t.lead]
+	a := &t.arrs[i]
+	m.kernel.ScheduleArgSeq(t.start.Add(a.delay), t.seq0+2*uint64(i), a.rx.nameRxStart, leadEdgeFn, t)
+}
+
+//wlan:hotpath
+func (m *Medium) queueTrail(t *transmission) {
+	i := t.order[t.trail]
+	a := &t.arrs[i]
+	m.kernel.ScheduleArgSeq(t.start.Add(a.delay+t.airtime), t.seq0+2*uint64(i)+1, a.rx.nameRxEnd, trailEdgeFn, t)
+}
+
+// leadEdgeFn and trailEdgeFn are the cursors: one pop handles one
+// receiver's edge, after re-queueing the cursor on the next receiver's.
+// The last trailing edge is the transmission's last event.
+//
+//wlan:hotpath
+func leadEdgeFn(x any) {
+	t := x.(*transmission)
+	a := &t.arrs[t.order[t.lead]]
+	if t.lead++; t.lead < len(t.order) {
+		t.tx.medium.queueLead(t)
+	}
+	a.rx.arrivalStart(a)
+}
+
+//wlan:hotpath
+func trailEdgeFn(x any) {
+	t := x.(*transmission)
+	m := t.tx.medium
+	a := &t.arrs[t.order[t.trail]]
+	if t.trail++; t.trail < len(t.order) {
+		m.queueTrail(t)
+	}
+	a.rx.arrivalEnd(a)
+	if t.trail == len(t.order) {
 		m.putTransmission(t)
 	}
 }
-
-// Static dispatch targets for ScheduleArg: package-level funcs carry the
-// arrival pointer through the kernel without a closure allocation.
-func arrivalStartFn(x any) { a := x.(*arrival); a.rx.arrivalStart(a) }
-func arrivalEndFn(x any)   { a := x.(*arrival); a.rx.arrivalEnd(a) }
 
 // Radios returns all registered radios.
 func (m *Medium) Radios() []*Radio { return m.radios }
@@ -393,6 +476,12 @@ func (m *Medium) buildRow(r *Radio, t *transmission, grid bool) {
 	m.rowScratch = row
 	r.row = make([]fanoutEntry, len(row)) // exact size: rows are the medium's bulk
 	copy(r.row, row)
+	keys := m.edgeKeys[:0]
+	for i := range row {
+		keys = append(keys, edgeKey{row[i].delay(), int32(i)})
+	}
+	m.edgeKeys = keys
+	r.rowOrder = m.edgeOrder(make([]int32, 0, len(row)))
 	r.rowGen = m.topoGen
 }
 
@@ -412,7 +501,6 @@ func (m *Medium) transmit(r *Radio, f *frame.Frame, rate phy.RateIdx) sim.Durati
 	t.start = m.kernel.Now()
 	t.airtime = airtime
 	t.txPos = r.mobility.PositionAt(t.start)
-	t.refs = 0
 	if m.Tracer != nil {
 		m.Tracer.Trace(trace.Event{
 			At: t.start, Node: r.name, Kind: trace.KindTx, Frame: f,
@@ -420,20 +508,21 @@ func (m *Medium) transmit(r *Radio, f *frame.Frame, rate phy.RateIdx) sim.Durati
 		})
 	}
 	m.fanout(r, t)
-	if t.refs == 0 {
-		m.putTransmission(t)
-	}
 	return airtime
 }
 
-// fanout schedules arrival start/end events at every other radio on the
-// channel that the power filter keeps. A static transmitter walks its row,
-// merged in ascending-id order with the mobile radios in range; any other
-// transmitter walks the candidate source. Links off the row are computed
-// for this transmission. Pruning — the row's build-time filter, the
-// spatial index — only ever drops receivers the power filter would drop,
-// and every path keeps ascending-id order, so the scheduled arrivals are
-// identical to the full walk.
+// fanout collects an arrival for every other radio on the channel that the
+// power filter keeps, and queues the two cursors that deliver their edges.
+// A static transmitter walks its row, merged in ascending-id order with the
+// mobile radios in range; any other transmitter walks the candidate source.
+// Links off the row are computed for this transmission. Pruning — the
+// row's build-time filter, the spatial index — only ever drops receivers
+// the power filter would drop, and every path keeps ascending-id order, so
+// the arrivals are identical to the full walk.
+//
+// Edge order is the row's own when the arrivals are exactly the row (no
+// entry filtered, no mobile receiver merged in, delays in force);
+// otherwise it is worked out for this transmission.
 //
 //wlan:hotpath
 func (m *Medium) fanout(r *Radio, t *transmission) {
@@ -455,6 +544,8 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 	}
 	m.LinkCacheHits += uint64(len(row))
 	m.FanoutCandidates += uint64(len(row))
+	arrs := t.arrs[:0]
+	offRow := 0 // arrivals that did not come from the row
 	for i, j := 0, 0; i < len(row) || j < len(others); {
 		var rx *Radio
 		var power units.DBm
@@ -477,6 +568,7 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 				continue
 			}
 			m.FanoutCandidates++
+			offRow++
 			rxPos := rx.mobility.PositionAt(t.start)
 			power, powerMW = m.model.RxPower(r.txPower, t.txPos, rxPos, linkID(r, rx), t.start), -1
 			delay = propDelay(t.txPos.Distance(rxPos))
@@ -490,16 +582,29 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 		if !m.PropagationDelay {
 			delay = 0
 		}
-		arr := m.getArrival()
-		arr.t = t
-		arr.rx = rx
-		arr.power = power
-		arr.powerMW = powerMW
-		t.refs++
-		m.FanoutDelivered++
-		m.kernel.ScheduleArg(delay, rx.nameRxStart, arrivalStartFn, arr)
-		m.kernel.ScheduleArg(delay+t.airtime, rx.nameRxEnd, arrivalEndFn, arr)
+		arrs = append(arrs, arrival{t: t, rx: rx, power: power, powerMW: powerMW, delay: delay})
 	}
+	t.arrs = arrs
+	m.FanoutDelivered += uint64(len(arrs))
+	if len(arrs) == 0 {
+		m.putTransmission(t)
+		return
+	}
+	if len(arrs) == len(row) && offRow == 0 && m.PropagationDelay {
+		t.order = r.rowOrder
+	} else {
+		keys := m.edgeKeys[:0]
+		for i := range arrs {
+			keys = append(keys, edgeKey{arrs[i].delay, int32(i)})
+		}
+		m.edgeKeys = keys
+		t.own = m.edgeOrder(t.own[:0])
+		t.order = t.own
+	}
+	t.seq0 = m.kernel.ReserveSeq(2 * len(arrs))
+	t.lead, t.trail = 0, 0
+	m.queueLead(t)
+	m.queueTrail(t)
 }
 
 func (m *Medium) String() string {

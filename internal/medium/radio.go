@@ -37,13 +37,14 @@ func (s radioState) String() string {
 	return "?"
 }
 
-// arrival is one transmission as seen by one receiver. Arrivals are pooled
-// by the medium and recycled after their trailing edge is processed.
+// arrival is one transmission as seen by one receiver: an element of its
+// transmission's arrs, live until that transmission is recycled.
 type arrival struct {
 	t       *transmission
-	rx      *Radio // the receiver; lets kernel events dispatch without closures
+	rx      *Radio
 	power   units.DBm
 	powerMW float64 // power in linear mW, converted once per arrival
+	delay   sim.Duration
 	// lockable records whether the receiver was able to start decoding.
 	locked bool
 	ended  bool
@@ -168,6 +169,7 @@ type Radio struct {
 	// callback allocated once.
 	static      bool
 	row         []fanoutEntry
+	rowOrder    []int32 // row indices by (delay, index): the row's edge order
 	rowGen      uint64
 	nameRxStart string
 	nameRxEnd   string
@@ -419,11 +421,9 @@ func (r *Radio) foldSpan(to sim.Time) {
 	}
 }
 
-// arrivalEnd processes the trailing edge of a transmission. The arrival is
-// recycled on every exit path: the end event is its last reference.
+// arrivalEnd processes the trailing edge of a transmission.
 func (r *Radio) arrivalEnd(a *arrival) {
 	if a.stale {
-		r.medium.releaseArrival(a)
 		return
 	}
 	a.ended = true
@@ -446,7 +446,6 @@ func (r *Radio) arrivalEnd(a *arrival) {
 		r.closeSegment()
 	}
 	r.updateCCA()
-	r.medium.releaseArrival(a)
 }
 
 // finishLock folds the final span, evaluates the locked frame's fate from

@@ -24,7 +24,7 @@ func splitMix64(state *uint64) uint64 {
 }
 
 // Source is a deterministic xoshiro256++ generator. The zero value is not
-// usable; construct with New or derive with Split.
+// usable; construct with New or derive with Split or Derive.
 type Source struct {
 	s [4]uint64
 	// cached normal deviate for the Box-Muller pair
@@ -35,6 +35,12 @@ type Source struct {
 // New returns a Source seeded from seed. Distinct seeds yield independent
 // looking streams; seed 0 is valid.
 func New(seed uint64) *Source {
+	s := seeded(seed)
+	return &s
+}
+
+// seeded expands seed into xoshiro state through SplitMix64.
+func seeded(seed uint64) Source {
 	var sm = seed
 	var s Source
 	for i := range s.s {
@@ -44,7 +50,7 @@ func New(seed uint64) *Source {
 	if s.s[0]|s.s[1]|s.s[2]|s.s[3] == 0 {
 		s.s[0] = 0x9e3779b97f4a7c15
 	}
-	return &s
+	return s
 }
 
 // hashLabel folds a label string into 64 bits with FNV-1a.
@@ -66,10 +72,18 @@ func hashLabel(label string) uint64 {
 // values the parent has produced, so stream layouts are stable under code
 // motion.
 func (s *Source) Split(label string) *Source {
+	c := s.Derive(label)
+	return &c
+}
+
+// Derive is Split by value: the same child stream, draw for draw, for a
+// caller that uses it up on its own stack (a per-link, per-block fading
+// draw) and would otherwise put a Source on the heap per call.
+func (s *Source) Derive(label string) Source {
 	// Mix the original state words with the label hash through SplitMix64.
 	h := hashLabel(label)
 	mix := s.s[0] ^ (s.s[1] << 1) ^ (s.s[2] << 2) ^ (s.s[3] << 3) ^ h
-	return New(mix)
+	return seeded(mix)
 }
 
 func rotl(x uint64, k uint) uint64 { return (x << k) | (x >> (64 - k)) }

@@ -1,6 +1,7 @@
 package rng
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -224,5 +225,23 @@ func BenchmarkNormFloat64(b *testing.B) {
 	s := New(1)
 	for i := 0; i < b.N; i++ {
 		_ = s.NormFloat64()
+	}
+}
+
+// Derive is Split without the heap object: the same stream, draw for draw.
+func TestDeriveMatchesSplit(t *testing.T) {
+	parent := New(99)
+	parent.Uint64() // neither depends on the parent's position
+	for i := 0; i < 1000; i++ {
+		label := fmt.Sprintf("fade:%d", i*i)
+		want, got := parent.Split(label), parent.Derive(label)
+		for j := 0; j < 8; j++ {
+			if w, g := want.Uint64(), got.Uint64(); w != g {
+				t.Fatalf("label %q draw %d: Derive %#x, Split %#x", label, j, g, w)
+			}
+		}
+		if w, g := want.NormFloat64(), got.NormFloat64(); w != g {
+			t.Fatalf("label %q: Derive normal %v, Split %v", label, g, w)
+		}
 	}
 }

@@ -2,6 +2,8 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
+	"strings"
 	"testing"
 )
 
@@ -265,5 +267,202 @@ func TestCohortDrainProperty(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("delivery[%d] = %d, want %d (full: %v)", i, order[i], want[i], order)
 		}
+	}
+}
+
+// --- reserved-seq trains ---------------------------------------------------
+//
+// A train is what a transmission is to the medium: n receivers with delays
+// dᵢ in no particular order and an airtime, i.e. a leading edge at start+dᵢ
+// and a trailing edge at start+dᵢ+air per receiver, scheduled receiver by
+// receiver. trainSim plays one seeded script of trains, ordinary timers,
+// cancels, same-tick reschedules, Stop calls and RunUntil deadlines in one
+// of two forms: every edge scheduled up front with ScheduleArgAt, or 2n seq
+// numbers reserved and two self-re-queuing cursors walking the edges in
+// (delay, index) order.
+
+type trainSim struct {
+	k      *Kernel
+	rng    *rand.Rand
+	cursor bool
+	timers []Timer
+	trains int
+}
+
+type train struct {
+	s      *trainSim
+	start  Time
+	air    Duration
+	delays []Duration
+	names  [2][]string // leading, trailing
+	order  []int       // receiver indices by (delay, index)
+	seq0   uint64
+	pos    [2]int
+}
+
+type trainEdge struct {
+	tr   *train
+	i, e int
+}
+
+func (tr *train) at(i, e int) Time {
+	return tr.start.Add(tr.delays[i] + Duration(e)*tr.air)
+}
+
+func (tr *train) queue(e int) {
+	i := tr.order[tr.pos[e]]
+	tr.s.k.ScheduleArgSeq(tr.at(i, e), tr.seq0+2*uint64(i)+uint64(e), tr.names[e][i], trainCursor(e), tr)
+}
+
+func trainCursor(e int) func(any) {
+	if e == 0 {
+		return trainLead
+	}
+	return trainTrail
+}
+
+func trainLead(x any)  { x.(*train).step(0) }
+func trainTrail(x any) { x.(*train).step(1) }
+
+func (tr *train) step(e int) {
+	i := tr.order[tr.pos[e]]
+	if tr.pos[e]++; tr.pos[e] < len(tr.order) {
+		tr.queue(e)
+	}
+	tr.s.edge(tr, i, e)
+}
+
+func (s *trainSim) startTrain() {
+	n := 1 + s.rng.Intn(12)
+	tr := &train{s: s, start: s.k.Now(), air: Duration(s.rng.Intn(6)) * 10 * Microsecond}
+	for i := 0; i < n; i++ {
+		tr.delays = append(tr.delays, Duration(s.rng.Intn(8))*10*Microsecond)
+		for e, kind := range [2]string{"lead", "trail"} {
+			tr.names[e] = append(tr.names[e], kind+":"+string(rune('A'+s.trains%26))+string(rune('a'+i)))
+		}
+	}
+	s.trains++
+	if !s.cursor {
+		for i := 0; i < n; i++ {
+			for e := 0; e < 2; e++ {
+				s.k.ScheduleArgAt(tr.at(i, e), tr.names[e][i], func(x any) {
+					ed := x.(*trainEdge)
+					s.edge(ed.tr, ed.i, ed.e)
+				}, &trainEdge{tr, i, e})
+			}
+		}
+		return
+	}
+	for i := 0; i < n; i++ {
+		tr.order = append(tr.order, i)
+	}
+	sort.SliceStable(tr.order, func(a, b int) bool { return tr.delays[tr.order[a]] < tr.delays[tr.order[b]] })
+	tr.seq0 = s.k.ReserveSeq(2 * n)
+	tr.queue(0)
+	tr.queue(1)
+}
+
+// edge is the model's reaction to one edge, the same in both forms.
+func (s *trainSim) edge(tr *train, i, e int) {
+	if s.k.Now() != tr.at(i, e) {
+		panic("train edge ran at the wrong time")
+	}
+	switch c := s.rng.Intn(20); {
+	case c < 3:
+		s.timer(0) // same-tick: after everything already queued for now
+	case c < 5:
+		s.cancel()
+	case c == 5:
+		s.k.Stop() // mid-train: the next RunUntil resumes it
+	case c == 6:
+		s.startTrain()
+	}
+}
+
+func (s *trainSim) timer(d Duration) {
+	s.timers = append(s.timers, s.k.Schedule(d, "timer", func() {
+		if s.rng.Intn(4) == 0 {
+			s.timer(0)
+		}
+	}))
+}
+
+func (s *trainSim) cancel() {
+	if len(s.timers) > 0 {
+		s.k.Cancel(s.timers[s.rng.Intn(len(s.timers))])
+	}
+}
+
+type trainRec struct {
+	at        Time
+	name      string
+	processed uint64
+}
+
+// playTrains runs the script for seed and returns every executed (at, name)
+// plus a record of the clock and Processed after each RunUntil.
+func playTrains(seed int64, cursor bool) []trainRec {
+	s := &trainSim{k: NewKernel(), rng: rand.New(rand.NewSource(seed)), cursor: cursor}
+	var log []trainRec
+	s.k.OnEvent = func(at Time, name string) { log = append(log, trainRec{at: at, name: name}) }
+	for op := 0; op < 3000; op++ {
+		switch c := s.rng.Intn(10); {
+		case c < 2:
+			s.startTrain()
+		case c < 5:
+			s.timer(Duration(s.rng.Intn(16)) * 5 * Microsecond)
+		case c < 6:
+			s.cancel()
+		default:
+			s.k.RunUntil(s.k.Now().Add(Duration(s.rng.Intn(12)) * 5 * Microsecond))
+			log = append(log, trainRec{s.k.Now(), "until", s.k.Processed()})
+		}
+	}
+	s.k.Run()
+	for s.k.Stopped() {
+		s.k.Run()
+	}
+	return append(log, trainRec{s.k.Now(), "end", s.k.Processed()})
+}
+
+// TestReservedSeqTrains is the wall for ReserveSeq + ScheduleArgSeq: an
+// event queued with a reserved seq pops exactly where an event scheduled
+// when that seq was reserved would have popped.
+func TestReservedSeqTrains(t *testing.T) {
+	edges := 0
+	for seed := int64(1); seed <= 16; seed++ {
+		want, got := playTrains(seed, false), playTrains(seed, true)
+		if len(got) != len(want) {
+			t.Fatalf("seed %d: cursor form logged %d records, up-front form %d", seed, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("seed %d: record %d: cursor form %+v, up-front form %+v", seed, i, got[i], want[i])
+			}
+		}
+		edges += len(want)
+	}
+	t.Logf("%d records identical in both forms", edges)
+}
+
+func TestScheduleArgSeqPanics(t *testing.T) {
+	mustPanic := func(name, want string, f func()) {
+		t.Helper()
+		defer func() {
+			if msg, _ := recover().(string); !strings.Contains(msg, want) {
+				t.Fatalf("%s: panic %q, want one containing %q", name, msg, want)
+			}
+		}()
+		f()
+	}
+	k := NewKernel()
+	k.Schedule(10, "advance", func() {})
+	k.Run()
+	seq := k.ReserveSeq(1)
+	mustPanic("past time", "before now", func() { k.ScheduleArgSeq(k.Now()-1, seq, "late", func(any) {}, nil) })
+	mustPanic("unreserved seq", "never reserved", func() { k.ScheduleArgSeq(k.Now(), seq+1, "greedy", func(any) {}, nil) })
+	k.ScheduleArgSeq(k.Now(), seq, "fine", func(any) {}, nil)
+	if k.Run(); k.Processed() != 2 {
+		t.Fatalf("processed %d events, want 2", k.Processed())
 	}
 }

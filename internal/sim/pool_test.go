@@ -60,6 +60,25 @@ func TestScheduleArgZeroAlloc(t *testing.T) {
 	if p.hits == 0 {
 		t.Fatal("ScheduleArg callback never ran")
 	}
+
+	// The cursor form: one event re-queueing itself over four reserved seqs.
+	var seq0 uint64
+	var cursor func(any)
+	cursor = func(x any) {
+		p := x.(*payload)
+		if p.hits++; p.hits < 4 {
+			k.ScheduleArgSeq(k.Now().Add(Microsecond), seq0+uint64(p.hits), "cursor", cursor, p)
+		}
+	}
+	allocs = testing.AllocsPerRun(1000, func() {
+		p.hits = 0
+		seq0 = k.ReserveSeq(4)
+		k.ScheduleArgSeq(k.Now(), seq0, "cursor", cursor, p)
+		k.Run()
+	})
+	if allocs != 0 || p.hits != 4 {
+		t.Fatalf("steady-state cursor allocates %v/op over %d edges, want 0 over 4", allocs, p.hits)
+	}
 }
 
 // Cancelled events must not accumulate in the queue: once they exceed half

@@ -17,7 +17,12 @@
 // whole ordering contract: events run in timestamp order, same-timestamp
 // events in schedule order, and an event a callback schedules at the
 // current instant runs after everything already queued for that instant
-// and before the clock advances.
+// and before the clock advances. A model that knows a train of events in
+// advance may take their schedule-order numbers out of the sequence at
+// once (ReserveSeq) and keep a single heap entry that re-queues itself
+// from edge to edge (ScheduleArgSeq): an event queued with a reserved seq
+// pops exactly where an event scheduled when that seq was reserved would
+// have popped.
 package sim
 
 import (
@@ -307,21 +312,36 @@ func (k *Kernel) putEvent(e *Event) {
 
 // --- scheduling ----------------------------------------------------------
 
-// scheduleAt is the shared slow-free insert path.
+// scheduleAt queues an event under the next schedule-order number.
 func (k *Kernel) scheduleAt(at Time, name string, fn func(), argFn func(any), arg any) Timer {
+	if at < k.now {
+		k.badSchedule(at, k.seq, name)
+	}
+	return k.insert(at, k.ReserveSeq(1), name, fn, argFn, arg)
+}
+
+// badSchedule builds the panic for an event in the past or on a seq that
+// was never reserved, away from the annotated insert paths.
+func (k *Kernel) badSchedule(at Time, seq uint64, name string) {
 	if at < k.now {
 		panic(fmt.Sprintf("sim: event %q scheduled at %v before now %v", name, at, k.now))
 	}
+	panic(fmt.Sprintf("sim: event %q queued with seq %d, never reserved (next is %d)", name, seq, k.seq))
+}
+
+// insert is the shared allocation-free insert path.
+//
+//wlan:hotpath
+func (k *Kernel) insert(at Time, seq uint64, name string, fn func(), argFn func(any), arg any) Timer {
 	e := k.getEvent()
 	e.at = at
-	e.seq = k.seq
+	e.seq = seq
 	e.fn = fn
 	e.argFn = argFn
 	e.arg = arg
 	e.name = name
 	e.loc = locHeap
-	k.seq++
-	k.heap = append(k.heap, heapKey{at: at, seq: e.seq, slot: e.slot})
+	k.heap = append(k.heap, heapKey{at: at, seq: seq, slot: e.slot})
 	if len(k.heap) > k.heapHW {
 		k.heapHW = len(k.heap)
 	}
@@ -357,6 +377,31 @@ func (k *Kernel) ScheduleArg(d Duration, name string, fn func(any), arg any) Tim
 // ScheduleArgAt is ScheduleArg with an absolute time.
 func (k *Kernel) ScheduleArgAt(at Time, name string, fn func(any), arg any) Timer {
 	return k.scheduleAt(at, name, nil, fn, arg)
+}
+
+// ReserveSeq takes the next n schedule-order numbers out of the sequence
+// and returns the first: exactly the numbers n Schedule calls made now
+// would have consumed. Each is good for one ScheduleArgSeq.
+//
+//wlan:hotpath
+func (k *Kernel) ReserveSeq(n int) uint64 {
+	seq := k.seq
+	k.seq += uint64(n)
+	return seq
+}
+
+// ScheduleArgSeq is ScheduleArgAt under a schedule-order number taken
+// earlier with ReserveSeq: the event pops where one scheduled at
+// reservation time would have. Like every schedule call it panics on a time
+// in the past, and on a seq that was never reserved; queueing one seq twice
+// is a caller bug the kernel does not detect.
+//
+//wlan:hotpath
+func (k *Kernel) ScheduleArgSeq(at Time, seq uint64, name string, fn func(any), arg any) Timer {
+	if at < k.now || seq >= k.seq {
+		k.badSchedule(at, seq, name)
+	}
+	return k.insert(at, seq, name, nil, fn, arg)
 }
 
 // Cancel marks an event so it will not fire. Cancelling zero, fired or

@@ -254,7 +254,7 @@ func NewRayleigh(src *rng.Source, coherence sim.Duration) *Rayleigh {
 // Gain implements Fading.
 func (r *Rayleigh) Gain(linkID uint64, t sim.Time) units.DB {
 	block := uint64(t) / uint64(r.Coherence)
-	src := r.rng.Split(fadeLabel(linkID, block))
+	src := r.rng.Derive(fadeLabel(linkID, block))
 	// |h|^2 for complex Gaussian h is exponential with mean 1.
 	power := src.ExpFloat64()
 	if power < 1e-9 {
@@ -282,7 +282,7 @@ func NewRician(src *rng.Source, k float64, coherence sim.Duration) *Rician {
 // Gain implements Fading.
 func (r *Rician) Gain(linkID uint64, t sim.Time) units.DB {
 	block := uint64(t) / uint64(r.Coherence)
-	src := r.rng.Split(fadeLabel(linkID, block))
+	src := r.rng.Derive(fadeLabel(linkID, block))
 	// h = sqrt(K/(K+1)) + sqrt(1/(K+1)) * CN(0,1); power = |h|^2.
 	los := math.Sqrt(r.K / (r.K + 1))
 	sigma := math.Sqrt(1 / (2 * (r.K + 1)))

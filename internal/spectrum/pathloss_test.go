@@ -299,3 +299,20 @@ func TestMaxRangeEdgeCases(t *testing.T) {
 		t.Errorf("log-distance MaxRange below the reference loss = %v, want the 1 m reference clamp", d)
 	}
 }
+
+// A fading draw derives its per-link, per-block stream on the stack.
+func TestFadingGainZeroAlloc(t *testing.T) {
+	for name, f := range map[string]Fading{
+		"rayleigh": NewRayleigh(rng.New(5), 0),
+		"rician":   NewRician(rng.New(5), 4, 0),
+	} {
+		link := uint64(0)
+		allocs := testing.AllocsPerRun(1000, func() {
+			link++
+			f.Gain(link, sim.Time(link)*sim.Time(sim.Millisecond))
+		})
+		if allocs != 0 {
+			t.Errorf("%s: Gain allocates %v/op, want 0", name, allocs)
+		}
+	}
+}
