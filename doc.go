@@ -22,9 +22,10 @@
 //   - internal/sim pools Event objects on a free list behind
 //     generation-checked Timer handles, keeps the queue as a
 //     struct-of-arrays 4-ary heap popped one event at a time in (at, seq)
-//     order, and reaps cancelled events lazily in bulk. ScheduleArg gives
-//     hot callers closure-free scheduling; ReserveSeq + ScheduleArgSeq let
-//     one heap entry stand for a train of events known in advance.
+//     order — a pop leaves the root for the callback's first insert, so an
+//     event that re-queues itself costs one sift — and reaps cancelled
+//     events lazily in bulk. ReserveSeq + ScheduleArgSeq let one
+//     closure-free heap entry stand for a train of events known in advance.
 //   - internal/medium pools transmissions, each owning its arrivals and
 //     delivering their edges through two self-re-queuing kernel events
 //     instead of two per receiver; gives every static transmitter a

@@ -49,7 +49,9 @@
 // row (an entry filtered by channel or fading, a mobile receiver merged in,
 // a mobile transmitter, PropagationDelay off) sorts its own. Radios point
 // into the arrival slice while an arrival is in flight, so a transmission
-// is recycled only when its trailing cursor has walked the last edge.
+// is recycled only when its trailing cursor has walked the last edge. A
+// cursor re-queues itself before it calls arrivalStart/arrivalEnd, so that
+// it, not a MAC timer the upcall schedules, takes the root its pop vacated.
 package medium
 
 import (
@@ -406,8 +408,9 @@ func (m *Medium) queueTrail(t *transmission) {
 }
 
 // leadEdgeFn and trailEdgeFn are the cursors: one pop handles one
-// receiver's edge, after re-queueing the cursor on the next receiver's.
-// The last trailing edge is the transmission's last event.
+// receiver's edge, after re-queueing the cursor on the next receiver's —
+// first, so that its key, not an upcall's timer, lands in the kernel's vacant
+// root (package sim). The last trailing edge is the transmission's last event.
 //
 //wlan:hotpath
 func leadEdgeFn(x any) {

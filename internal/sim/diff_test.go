@@ -49,31 +49,35 @@ func (h *refHeap) push(k refKey) {
 	}
 }
 
+// popRoot removes and returns the minimum key, cancelled or not.
+func (h *refHeap) popRoot() refKey {
+	min := h.keys[0]
+	n := len(h.keys) - 1
+	h.keys[0] = h.keys[n]
+	h.keys = h.keys[:n]
+	i := 0
+	for {
+		c := 2*i + 1
+		if c >= n {
+			break
+		}
+		if c+1 < n && refLess(h.keys[c+1], h.keys[c]) {
+			c++
+		}
+		if !refLess(h.keys[c], h.keys[i]) {
+			break
+		}
+		h.keys[i], h.keys[c] = h.keys[c], h.keys[i]
+		i = c
+	}
+	return min
+}
+
 // pop removes and returns the minimum live key, skipping cancelled entries.
 // ok is false when the heap holds no live keys.
 func (h *refHeap) pop() (refKey, bool) {
 	for len(h.keys) > 0 {
-		min := h.keys[0]
-		n := len(h.keys) - 1
-		h.keys[0] = h.keys[n]
-		h.keys = h.keys[:n]
-		if n > 0 {
-			i := 0
-			for {
-				c := 2*i + 1
-				if c >= n {
-					break
-				}
-				if c+1 < n && refLess(h.keys[c+1], h.keys[c]) {
-					c++
-				}
-				if !refLess(h.keys[c], h.keys[i]) {
-					break
-				}
-				h.keys[i], h.keys[c] = h.keys[c], h.keys[i]
-				i = c
-			}
-		}
+		min := h.popRoot()
 		if h.cancelled[min.seq] {
 			delete(h.cancelled, min.seq)
 			continue
@@ -277,7 +281,7 @@ func TestCohortDrainProperty(t *testing.T) {
 // and a trailing edge at start+dᵢ+air per receiver, scheduled receiver by
 // receiver. trainSim plays one seeded script of trains, ordinary timers,
 // cancels, same-tick reschedules, Stop calls and RunUntil deadlines in one
-// of two forms: every edge scheduled up front with ScheduleArgAt, or 2n seq
+// of two forms: every edge scheduled up front with ScheduleAt, or 2n seq
 // numbers reserved and two self-re-queuing cursors walking the edges in
 // (delay, index) order.
 
@@ -298,11 +302,6 @@ type train struct {
 	order  []int       // receiver indices by (delay, index)
 	seq0   uint64
 	pos    [2]int
-}
-
-type trainEdge struct {
-	tr   *train
-	i, e int
 }
 
 func (tr *train) at(i, e int) Time {
@@ -345,10 +344,7 @@ func (s *trainSim) startTrain() {
 	if !s.cursor {
 		for i := 0; i < n; i++ {
 			for e := 0; e < 2; e++ {
-				s.k.ScheduleArgAt(tr.at(i, e), tr.names[e][i], func(x any) {
-					ed := x.(*trainEdge)
-					s.edge(ed.tr, ed.i, ed.e)
-				}, &trainEdge{tr, i, e})
+				s.k.ScheduleAt(tr.at(i, e), tr.names[e][i], func() { s.edge(tr, i, e) })
 			}
 		}
 		return

@@ -23,6 +23,12 @@
 // from edge to edge (ScheduleArgSeq): an event queued with a reserved seq
 // pops exactly where an event scheduled when that seq was reserved would
 // have popped.
+//
+// A pop only reads the root and leaves it vacant. The next insert — usually
+// the running callback re-queueing itself — writes its key there and sifts
+// down once, which for a key that belongs at the front moves nothing; the
+// next pop otherwise moves the last leaf up first, as a textbook pop does at
+// once. A pop that re-queues is one sift, and layout never reaches pop order.
 package sim
 
 import (
@@ -107,15 +113,6 @@ type Timer struct {
 	gen uint32
 }
 
-// At returns the virtual time the event is scheduled for, or 0 when the
-// handle is no longer live.
-func (t Timer) At() Time {
-	if t.e == nil || t.e.gen != t.gen {
-		return 0
-	}
-	return t.e.at
-}
-
 // Scheduled reports whether the event is still pending: queued, not
 // cancelled and not yet executed. An event stops being pending the moment
 // its callback starts, so a callback sees its own timer as not scheduled.
@@ -148,6 +145,9 @@ func keyLess(a, b heapKey) bool {
 type Kernel struct {
 	now  Time
 	heap []heapKey // 4-ary min-heap on (at, seq); payloads stay in slots
+	// vacant: the last pop left its dead key at heap[0]. The next insert
+	// overwrites it, the next pop or bulk reap settles it, nothing counts it.
+	vacant bool
 	// slots is the payload side of the struct-of-arrays heap: every Event
 	// this kernel ever created, at its permanent slot index. Events never
 	// move, so heap keys can name them with an int32.
@@ -184,7 +184,7 @@ func (k *Kernel) Now() Time { return k.now }
 func (k *Kernel) Processed() uint64 { return k.processed }
 
 // Pending returns the number of live (non-cancelled) events in the queue.
-func (k *Kernel) Pending() int { return len(k.heap) - k.cancelled }
+func (k *Kernel) Pending() int { return k.HeapDepth() - k.cancelled }
 
 // CohortSizes returns the same-timestamp run statistics: a cohort is a
 // maximal run of consecutively executed events sharing one timestamp.
@@ -215,7 +215,12 @@ func (k *Kernel) closeRun() {
 
 // HeapDepth returns the number of heap-resident events right now
 // (including cancelled ones not yet reaped).
-func (k *Kernel) HeapDepth() int { return len(k.heap) }
+func (k *Kernel) HeapDepth() int {
+	if k.vacant {
+		return len(k.heap) - 1
+	}
+	return len(k.heap)
+}
 
 // HeapHighWater returns the maximum heap depth observed so far.
 func (k *Kernel) HeapHighWater() int { return k.heapHW }
@@ -281,6 +286,20 @@ func (k *Kernel) down(i int) {
 	h[i] = key
 }
 
+// settle fills the vacant root with the last leaf: the second half of a
+// textbook pop, for when no insert took the root first.
+//
+//wlan:hotpath
+func (k *Kernel) settle() {
+	k.vacant = false
+	n := len(k.heap) - 1
+	k.heap[0] = k.heap[n]
+	k.heap = k.heap[:n]
+	if n > 0 {
+		k.down(0)
+	}
+}
+
 // --- event pool ----------------------------------------------------------
 
 func (k *Kernel) getEvent() *Event {
@@ -296,7 +315,7 @@ func (k *Kernel) getEvent() *Event {
 
 // putEvent recycles a detached event. Bumping gen invalidates every Timer
 // handle that still points at it. The callback fields are deliberately NOT
-// cleared — the next scheduleAt overwrites every one of them, and nilling
+// cleared — the next insert overwrites every one of them, and nilling
 // pointers here costs a GC write barrier per recycled event on the hottest
 // kernel path. A free-listed event may therefore briefly pin its last
 // callback and argument; both belong to the same scenario as the kernel,
@@ -311,14 +330,6 @@ func (k *Kernel) putEvent(e *Event) {
 }
 
 // --- scheduling ----------------------------------------------------------
-
-// scheduleAt queues an event under the next schedule-order number.
-func (k *Kernel) scheduleAt(at Time, name string, fn func(), argFn func(any), arg any) Timer {
-	if at < k.now {
-		k.badSchedule(at, k.seq, name)
-	}
-	return k.insert(at, k.ReserveSeq(1), name, fn, argFn, arg)
-}
 
 // badSchedule builds the panic for an event in the past or on a seq that
 // was never reserved, away from the annotated insert paths.
@@ -341,18 +352,28 @@ func (k *Kernel) insert(at Time, seq uint64, name string, fn func(), argFn func(
 	e.arg = arg
 	e.name = name
 	e.loc = locHeap
-	k.heap = append(k.heap, heapKey{at: at, seq: seq, slot: e.slot})
+	key := heapKey{at: at, seq: seq, slot: e.slot}
+	if k.vacant {
+		k.vacant = false
+		k.heap[0] = key
+		k.down(0)
+	} else {
+		k.heap = append(k.heap, key)
+		k.up(len(k.heap) - 1)
+	}
 	if len(k.heap) > k.heapHW {
 		k.heapHW = len(k.heap)
 	}
-	k.up(len(k.heap) - 1)
 	return Timer{e: e, gen: e.gen}
 }
 
 // ScheduleAt queues fn to run at the absolute time at. Scheduling in the
 // past panics: that is always a model bug.
 func (k *Kernel) ScheduleAt(at Time, name string, fn func()) Timer {
-	return k.scheduleAt(at, name, fn, nil, nil)
+	if at < k.now {
+		k.badSchedule(at, k.seq, name)
+	}
+	return k.insert(at, k.ReserveSeq(1), name, fn, nil, nil)
 }
 
 // Schedule queues fn to run after delay d (which may be zero: the event runs
@@ -361,22 +382,7 @@ func (k *Kernel) Schedule(d Duration, name string, fn func()) Timer {
 	if d < 0 {
 		panic(fmt.Sprintf("sim: negative delay %v for event %q", d, name))
 	}
-	return k.scheduleAt(k.now.Add(d), name, fn, nil, nil)
-}
-
-// ScheduleArg queues a static callback with an argument after delay d. It
-// exists for hot paths: passing a package-level func and a pointer argument
-// avoids the closure allocation Schedule forces on its callers.
-func (k *Kernel) ScheduleArg(d Duration, name string, fn func(any), arg any) Timer {
-	if d < 0 {
-		panic(fmt.Sprintf("sim: negative delay %v for event %q", d, name))
-	}
-	return k.scheduleAt(k.now.Add(d), name, nil, fn, arg)
-}
-
-// ScheduleArgAt is ScheduleArg with an absolute time.
-func (k *Kernel) ScheduleArgAt(at Time, name string, fn func(any), arg any) Timer {
-	return k.scheduleAt(at, name, nil, fn, arg)
+	return k.ScheduleAt(k.now.Add(d), name, fn)
 }
 
 // ReserveSeq takes the next n schedule-order numbers out of the sequence
@@ -390,11 +396,12 @@ func (k *Kernel) ReserveSeq(n int) uint64 {
 	return seq
 }
 
-// ScheduleArgSeq is ScheduleArgAt under a schedule-order number taken
-// earlier with ReserveSeq: the event pops where one scheduled at
-// reservation time would have. Like every schedule call it panics on a time
-// in the past, and on a seq that was never reserved; queueing one seq twice
-// is a caller bug the kernel does not detect.
+// ScheduleArgSeq queues a static callback and its argument (package-level
+// func + pointer: no closure is allocated) at the absolute time at, under a
+// schedule-order number taken earlier with ReserveSeq: the event pops where
+// one scheduled at reservation time would have. Like every schedule call it
+// panics on a time in the past, and on a seq that was never reserved;
+// queueing one seq twice is a caller bug the kernel does not detect.
 //
 //wlan:hotpath
 func (k *Kernel) ScheduleArgSeq(at Time, seq uint64, name string, fn func(any), arg any) Timer {
@@ -418,7 +425,7 @@ func (k *Kernel) Cancel(t Timer) {
 	e.argFn = nil
 	e.arg = nil
 	k.cancelled++
-	if k.cancelled > 16 && k.cancelled > len(k.heap)/2 {
+	if k.cancelled > 16 && k.cancelled > k.HeapDepth()/2 {
 		k.reapCancelled()
 	}
 }
@@ -427,6 +434,9 @@ func (k *Kernel) Cancel(t Timer) {
 // them. Heap layout among live events does not affect pop order — (at, seq)
 // is a strict total order — so rebuilding cannot perturb determinism.
 func (k *Kernel) reapCancelled() {
+	if k.vacant {
+		k.settle()
+	}
 	h := k.heap
 	live := h[:0]
 	for _, key := range h {
@@ -478,22 +488,20 @@ func (k *Kernel) execute(key heapKey, e *Event) {
 
 // drainStep pops the earliest event at or before deadline and executes
 // it, recycling any cancelled events it meets on the way. It reports false
-// when nothing remains at or before the deadline.
+// when nothing remains at or before the deadline. The pop leaves the root
+// vacant for whatever the callback inserts first.
 //
 //wlan:hotpath
 func (k *Kernel) drainStep(deadline Time) bool {
-	for len(k.heap) > 0 {
-		h := k.heap
-		key := h[0]
-		if key.at > deadline {
+	for {
+		if k.vacant {
+			k.settle()
+		}
+		if len(k.heap) == 0 || k.heap[0].at > deadline {
 			return false
 		}
-		n := len(h) - 1
-		k.heap = h[:n]
-		if n > 0 {
-			h[0] = h[n]
-			k.down(0)
-		}
+		key := k.heap[0]
+		k.vacant = true
 		e := k.slots[key.slot]
 		if e.cancel {
 			k.cancelled--
@@ -503,7 +511,6 @@ func (k *Kernel) drainStep(deadline Time) bool {
 		k.execute(key, e)
 		return true
 	}
-	return false
 }
 
 // Run executes events until the queue drains or Stop is called.
