@@ -15,7 +15,7 @@ var quickRunAllocs = map[string]uint64{
 	"T1": 1592, "F1": 9793, "F2": 7389, "F3": 1312, "F4": 5668,
 	"F5": 2270, "F6": 3686, "F7": 21980, "F8": 9104, "F9": 1326,
 	"F10": 1108, "F11": 413705, "F12": 1267, "F13": 5245,
-	"E1": 15781, "E2": 2853, "E3": 1648, "S1": 39, "A1": 1561, "A2": 1322,
+	"E1": 15781, "E2": 2726, "E3": 1560, "S1": 39, "A1": 1561, "A2": 1322,
 }
 
 // TestQuickRunAllocCeiling fails when any experiment allocates over 10 %

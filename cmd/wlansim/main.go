@@ -16,6 +16,7 @@ import (
 	"time"
 
 	"repro/internal/core"
+	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/net80211"
 	"repro/internal/sim"
@@ -53,8 +54,12 @@ func main() {
 	case err != nil:
 	case *n < 1:
 		err = fmt.Errorf("-n %d: need at least one sending station", *n)
-	case *payload < 1:
-		err = fmt.Errorf("-payload %d: need at least one byte", *payload)
+	case *payload < 1 || *payload > frame.MaxMSDU-frame.SnapHeaderLen:
+		err = fmt.Errorf("-payload %d: want 1 to %d bytes (an MSDU less its LLC/SNAP header)", *payload, frame.MaxMSDU-frame.SnapHeaderLen)
+	case *duration <= 0:
+		err = fmt.Errorf("-duration %v: need a positive run time", *duration)
+	case *topology != "adhoc" && *topology != "infra":
+		err = fmt.Errorf("-topology %q: want adhoc or infra", *topology)
 	}
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "wlansim:", err)
@@ -94,9 +99,6 @@ func main() {
 		for _, s := range nodes {
 			flows = append(flows, net.Saturate(s, ap, *payload))
 		}
-	default:
-		fmt.Fprintf(os.Stderr, "wlansim: unknown topology %q\n", *topology)
-		os.Exit(1)
 	}
 
 	net.Run(dur)

@@ -141,11 +141,15 @@ func checkHandler(pass *Pass, body *ast.BlockStmt, param *ast.Ident) {
 	ast.Inspect(body, func(n ast.Node) bool {
 		switch n := n.(type) {
 		case *ast.AssignStmt:
-			for i := range n.Lhs {
-				if i >= len(n.Rhs) {
-					break
+			for i, lhs := range n.Lhs {
+				rhs := n.Rhs[0]
+				if len(n.Rhs) == len(n.Lhs) {
+					rhs = n.Rhs[i]
+				} else if !holdsView(pass.TypeOf(lhs)) {
+					// d, ok := frame.LookupIE(f.Body, id): of a decoder's
+					// results only slices and structs carry the view on.
+					continue
 				}
-				lhs, rhs := n.Lhs[i], n.Rhs[i]
 				// Aliasing into a fresh local keeps the value a view:
 				// extend the tracked set instead of flagging.
 				if id, ok := unparen(lhs).(*ast.Ident); ok {
@@ -188,8 +192,8 @@ func checkHandler(pass *Pass, body *ast.BlockStmt, param *ast.Ident) {
 }
 
 // isViewExpr reports whether e is (a slice of) the delivered view: the
-// tracked frame pointer itself, its Body field, or an index/slice
-// expression over either.
+// tracked frame pointer itself, its Body field, an index/slice expression
+// over either, or what one of frame's decoders returns for any of those.
 func isViewExpr(pass *Pass, tracked map[types.Object]bool, e ast.Expr) bool {
 	switch e := unparen(e).(type) {
 	case *ast.Ident:
@@ -208,8 +212,35 @@ func isViewExpr(pass *Pass, tracked map[types.Object]bool, e ast.Expr) bool {
 		return isViewExpr(pass, tracked, e.X)
 	case *ast.StarExpr:
 		return isViewExpr(pass, tracked, e.X)
+	case *ast.CallExpr:
+		// frame's decoders return views of their input: LookupIE's data,
+		// DecapSNAP's payload, the []byte fields of a Parse* result (which
+		// the selector rule above picks out once the result is tracked).
+		sel, _ := unparen(e.Fun).(*ast.SelectorExpr)
+		if sel == nil {
+			return false
+		}
+		fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+		if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "frame" ||
+			fn.Name() != "LookupIE" && fn.Name() != "DecapSNAP" && !strings.HasPrefix(fn.Name(), "Parse") {
+			return false
+		}
+		for _, arg := range e.Args {
+			if isViewExpr(pass, tracked, arg) {
+				return true
+			}
+		}
 	}
 	return false
+}
+
+// holdsView reports whether a value of type t can alias a decode buffer.
+func holdsView(t types.Type) bool {
+	if t == nil {
+		return false
+	}
+	_, isStruct := t.Underlying().(*types.Struct)
+	return isStruct || isByteSlice(t)
 }
 
 // storedViewIn returns the view expression that rhs would store, nil if

@@ -13,7 +13,8 @@ import (
 // delivery accounting. All methods are safe for concurrent use.
 //
 // Invariants (pinned by the scheduler property tests):
-//   - a point is pending, in flight, or delivered — never two at once;
+//   - a point is pending, in flight (taken, in neither set below), or
+//     delivered — never two at once;
 //   - deliver records the first result for a point and discards any later
 //     duplicate, so a re-dispatched point merges exactly once;
 //   - requeue returns only undelivered points to the pool, so a chunk that
@@ -24,7 +25,6 @@ type scheduler struct {
 
 	costs     []float64
 	pending   []int // cost-descending; take pops from the front
-	inflight  map[int]bool
 	delivered map[int][][]string
 
 	total   int
@@ -48,7 +48,6 @@ type scheduler struct {
 func newScheduler(costs []float64, workers int) *scheduler {
 	s := &scheduler{
 		costs:     costs,
-		inflight:  make(map[int]bool),
 		delivered: make(map[int][][]string, len(costs)),
 		total:     len(costs),
 		workers:   workers,
@@ -155,9 +154,6 @@ func (s *scheduler) take(max int) []int {
 	pts := make([]int, max)
 	copy(pts, s.pending[:max])
 	s.pending = s.pending[:copy(s.pending, s.pending[max:])]
-	for _, p := range pts {
-		s.inflight[p] = true
-	}
 	obs.Cluster.QueueDepth.Set(int64(len(s.pending)))
 	return pts
 }
@@ -170,7 +166,6 @@ func (s *scheduler) deliver(byPoint map[int][][]string) int {
 	defer s.mu.Unlock()
 	fresh := 0
 	for p, rows := range byPoint {
-		delete(s.inflight, p)
 		if _, dup := s.delivered[p]; dup {
 			continue
 		}
@@ -192,7 +187,6 @@ func (s *scheduler) requeue(pts []int) int {
 	defer s.mu.Unlock()
 	n := 0
 	for _, p := range pts {
-		delete(s.inflight, p)
 		if _, done := s.delivered[p]; done {
 			continue
 		}

@@ -1,9 +1,15 @@
 // Package frame implements the IEEE 802.11 MAC frame wire format: frame
 // control bits, the four-address header, sequence control, management and
 // control frame layouts, information elements, LLC/SNAP encapsulation and
-// the CRC-32 frame check sequence. Frames marshal to and from real byte
-// layouts so the security layer (WEP/CCMP) and the tracer operate on honest
-// wire images rather than structs.
+// the CRC-32 frame check sequence. Frames travel as real byte layouts so the
+// security layer (WEP/CCMP) and the tracer operate on honest wire images
+// rather than structs.
+//
+// There is one codec, views in and appends out. Decoders (UnmarshalInto,
+// ForEachIE, LookupIE, Parse*, DecapSNAP) never copy: what they return
+// aliases the input and lives only as long as it (Frame.Clone or a copy
+// keeps one). Encoders (AppendWire, AppendIE, Append*, AppendSNAP) append
+// to the caller's buffer: capacity makes them allocation-free, nil one-off.
 package frame
 
 import (

@@ -214,7 +214,7 @@ func (f *Frame) IsRTSOrPSPoll() bool {
 }
 
 // WireLen returns the MPDU length in bytes, including the FCS, without
-// marshalling.
+// encoding.
 func (f *Frame) WireLen() int {
 	switch {
 	case f.IsCTSOrACK():
@@ -276,15 +276,10 @@ func (f *Frame) setFrameControl(b0, b1 byte) error {
 	return nil
 }
 
-// Marshal serialises the frame to its wire layout and appends the computed
-// FCS.
-func (f *Frame) Marshal() []byte {
-	return f.AppendWire(make([]byte, 0, f.WireLen()))
-}
-
-// AppendWire serialises the frame onto buf and returns the extended slice.
-// It is the allocation-free form of Marshal: the medium reuses transmission
-// buffers across frames, so the hot path never allocates a wire image.
+// AppendWire serialises the frame to its wire layout onto buf, appends the
+// computed FCS and returns the extended slice. It is the only MPDU encoder:
+// the medium reuses transmission buffers across frames, so the hot path never
+// allocates a wire image, and AppendWire(nil) is the one-off form.
 //
 //wlan:hotpath
 func (f *Frame) AppendWire(buf []byte) []byte {
@@ -313,7 +308,7 @@ func (f *Frame) AppendWire(buf []byte) []byte {
 	return buf
 }
 
-// Unmarshal errors.
+// UnmarshalInto errors.
 var (
 	ErrShortFrame = errors.New("frame: truncated")
 	ErrBadFCS     = errors.New("frame: FCS mismatch")
@@ -381,19 +376,6 @@ func UnmarshalInto(f *Frame, b []byte) error {
 	return nil
 }
 
-// Unmarshal parses a wire image, verifying the FCS. The body is copied, so
-// the result is independent of b; hot paths use UnmarshalInto instead.
-func Unmarshal(b []byte) (*Frame, error) {
-	var f Frame
-	if err := UnmarshalInto(&f, b); err != nil {
-		return nil, err
-	}
-	if f.Body != nil {
-		f.Body = append([]byte(nil), f.Body...)
-	}
-	return &f, nil
-}
-
 // Clone returns a deep copy of the frame: the body is copied into fresh
 // storage, so the clone survives reuse of the wire buffer a zero-copy view
 // aliases. It is the retention escape hatch for UnmarshalInto consumers.
@@ -456,26 +438,17 @@ func NewNullData(ra, ta, bssid MACAddr, toDS bool) *Frame {
 // SNAP extension in real networks; we reproduce it so payload sizes on the
 // wire are honest.
 
-// SnapHeader returns the 8-byte LLC/SNAP header for an EtherType.
-func SnapHeader(etherType uint16) []byte {
-	return []byte{0xaa, 0xaa, 0x03, 0x00, 0x00, 0x00, byte(etherType >> 8), byte(etherType)}
-}
-
 // AppendSNAP appends an LLC/SNAP header followed by the payload onto dst and
-// returns the extended slice. It is the allocation-free form of EncapSNAP:
-// the transmit fast path builds every data-frame body into a reused
-// per-node buffer, so steady-state sends never allocate an encapsulation.
+// returns the extended slice: the transmit fast path builds every
+// data-frame body into a reused per-node buffer, so steady-state sends
+// never allocate an encapsulation.
 func AppendSNAP(dst []byte, etherType uint16, payload []byte) []byte {
 	dst = append(dst, 0xaa, 0xaa, 0x03, 0x00, 0x00, 0x00, byte(etherType>>8), byte(etherType))
 	return append(dst, payload...)
 }
 
-// EncapSNAP prepends an LLC/SNAP header to a payload.
-func EncapSNAP(etherType uint16, payload []byte) []byte {
-	return AppendSNAP(make([]byte, 0, SnapHeaderLen+len(payload)), etherType, payload)
-}
-
-// DecapSNAP splits an LLC/SNAP body into EtherType and payload.
+// DecapSNAP splits an LLC/SNAP body into EtherType and payload; payload is
+// a view aliasing body.
 func DecapSNAP(body []byte) (etherType uint16, payload []byte, err error) {
 	if len(body) < SnapHeaderLen {
 		return 0, nil, ErrShortFrame

@@ -13,6 +13,14 @@ var (
 	addrD = MACAddr{0x02, 0, 0, 0, 0, 0x04}
 )
 
+// decode is UnmarshalInto for tests that want the frame by value; the body
+// is a view of wire.
+func decode(wire []byte) (Frame, error) {
+	var f Frame
+	err := UnmarshalInto(&f, wire)
+	return f, err
+}
+
 func TestDataRoundTrip(t *testing.T) {
 	f := NewData(addrA, addrB, addrC, true, false, []byte("hello wireless world"))
 	f.Seq = 1234
@@ -20,10 +28,9 @@ func TestDataRoundTrip(t *testing.T) {
 	f.Retry = true
 	f.Duration = 314
 
-	wire := f.Marshal()
-	got, err := Unmarshal(wire)
+	got, err := decode(f.AppendWire(nil))
 	if err != nil {
-		t.Fatalf("Unmarshal: %v", err)
+		t.Fatalf("UnmarshalInto: %v", err)
 	}
 	if got.Type != TypeData || got.Subtype != SubtypeData {
 		t.Errorf("type/subtype = %v/%v", got.Type, got.Subtype)
@@ -60,45 +67,45 @@ func TestWireLenMatchesMarshal(t *testing.T) {
 			Addr1: addrA, Addr2: addrB, Addr3: addrC, Addr4: addrD, Body: make([]byte, 10)},
 	}
 	for _, f := range frames {
-		if got, want := len(f.Marshal()), f.WireLen(); got != want {
-			t.Errorf("%s: marshal len %d != WireLen %d", Name(f.Type, f.Subtype), got, want)
+		if got, want := len(f.AppendWire(nil)), f.WireLen(); got != want {
+			t.Errorf("%s: wire len %d != WireLen %d", Name(f.Type, f.Subtype), got, want)
 		}
 	}
 }
 
 func TestControlFrameSizes(t *testing.T) {
-	if n := len(NewRTS(addrA, addrB, 0).Marshal()); n != 20 {
+	if n := len(NewRTS(addrA, addrB, 0).AppendWire(nil)); n != 20 {
 		t.Errorf("RTS is %d bytes, want 20", n)
 	}
-	if n := len(NewCTS(addrA, 0).Marshal()); n != 14 {
+	if n := len(NewCTS(addrA, 0).AppendWire(nil)); n != 14 {
 		t.Errorf("CTS is %d bytes, want 14", n)
 	}
-	if n := len(NewACK(addrA, 0).Marshal()); n != 14 {
+	if n := len(NewACK(addrA, 0).AppendWire(nil)); n != 14 {
 		t.Errorf("ACK is %d bytes, want 14", n)
 	}
 }
 
 func TestFCSDetectsCorruption(t *testing.T) {
 	f := NewData(addrA, addrB, addrC, false, false, []byte("payload"))
-	wire := f.Marshal()
+	wire := f.AppendWire(nil)
 	for bit := 0; bit < len(wire)*8; bit += 17 {
 		corrupted := append([]byte(nil), wire...)
 		corrupted[bit/8] ^= 1 << (bit % 8)
-		if _, err := Unmarshal(corrupted); err == nil {
+		if _, err := decode(corrupted); err == nil {
 			t.Fatalf("single-bit corruption at bit %d not detected", bit)
 		}
 	}
 }
 
 func TestUnmarshalShort(t *testing.T) {
-	if _, err := Unmarshal([]byte{1, 2, 3}); err == nil {
+	if _, err := decode([]byte{1, 2, 3}); err == nil {
 		t.Error("short buffer accepted")
 	}
 }
 
 func TestControlRoundTrip(t *testing.T) {
 	rts := NewRTS(addrA, addrB, 412)
-	got, err := Unmarshal(rts.Marshal())
+	got, err := decode(rts.AppendWire(nil))
 	if err != nil {
 		t.Fatalf("RTS: %v", err)
 	}
@@ -107,7 +114,7 @@ func TestControlRoundTrip(t *testing.T) {
 	}
 
 	cts := NewCTS(addrB, 300)
-	got, err = Unmarshal(cts.Marshal())
+	got, err = decode(cts.AppendWire(nil))
 	if err != nil {
 		t.Fatalf("CTS: %v", err)
 	}
@@ -116,7 +123,7 @@ func TestControlRoundTrip(t *testing.T) {
 	}
 
 	ack := NewACK(addrC, 0)
-	got, err = Unmarshal(ack.Marshal())
+	got, err = decode(ack.AppendWire(nil))
 	if err != nil {
 		t.Fatalf("ACK: %v", err)
 	}
@@ -127,7 +134,7 @@ func TestControlRoundTrip(t *testing.T) {
 
 func TestPSPollAID(t *testing.T) {
 	f := NewPSPoll(addrA, addrB, 7)
-	got, err := Unmarshal(f.Marshal())
+	got, err := decode(f.AppendWire(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -145,7 +152,7 @@ func TestFourAddressFrame(t *testing.T) {
 		Addr1: addrA, Addr2: addrB, Addr3: addrC, Addr4: addrD,
 		Body: []byte("wds"),
 	}
-	got, err := Unmarshal(f.Marshal())
+	got, err := decode(f.AppendWire(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,7 +189,7 @@ func TestSeqNumberMasking(t *testing.T) {
 	f := NewData(addrA, addrB, addrC, false, false, nil)
 	f.Seq = 4095
 	f.Frag = 15
-	got, err := Unmarshal(f.Marshal())
+	got, err := decode(f.AppendWire(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -204,7 +211,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 			Seq: seqRaw % MaxSeq, Frag: fragRaw % 16,
 			Body: body,
 		}
-		got, err := Unmarshal(f.Marshal())
+		got, err := decode(f.AppendWire(nil))
 		if err != nil {
 			return false
 		}
@@ -218,7 +225,7 @@ func TestPropertyRoundTrip(t *testing.T) {
 }
 
 func TestSNAP(t *testing.T) {
-	body := EncapSNAP(0x0800, []byte("ip packet"))
+	body := AppendSNAP(nil, 0x0800, []byte("ip packet"))
 	if len(body) != SnapHeaderLen+9 {
 		t.Fatalf("SNAP body length %d", len(body))
 	}
@@ -294,19 +301,21 @@ func TestNameCoverage(t *testing.T) {
 	}
 }
 
-func BenchmarkMarshalData1500(b *testing.B) {
+func BenchmarkAppendWireData1500(b *testing.B) {
 	f := NewData(addrA, addrB, addrC, true, false, make([]byte, 1500))
+	buf := make([]byte, 0, f.WireLen())
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = f.Marshal()
+		buf = f.AppendWire(buf[:0])
 	}
 }
 
-func BenchmarkUnmarshalData1500(b *testing.B) {
-	wire := NewData(addrA, addrB, addrC, true, false, make([]byte, 1500)).Marshal()
+func BenchmarkUnmarshalIntoData1500(b *testing.B) {
+	wire := NewData(addrA, addrB, addrC, true, false, make([]byte, 1500)).AppendWire(nil)
+	var f Frame
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := Unmarshal(wire); err != nil {
+		if err := UnmarshalInto(&f, wire); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -3,7 +3,7 @@ package frame
 import "testing"
 
 func TestLookupIEZeroAllocCheck(t *testing.T) {
-	body := MarshalIEs([]IE{{ID: 0, Data: []byte("ssid")}, {ID: 3, Data: []byte{6}}})
+	body := AppendIE(AppendIE(nil, IESSID, []byte("ssid")), IEDSParam, []byte{6})
 	allocs := testing.AllocsPerRun(100, func() {
 		if _, ok := LookupIE(body, 3); !ok {
 			t.Fatal("missing")

@@ -3,7 +3,6 @@ package frame
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 )
 
 // Information element IDs used by the management plane.
@@ -14,24 +13,9 @@ const (
 	IETIM            = 5
 )
 
-// IE is a type-length-value information element.
-type IE struct {
-	ID   uint8
-	Data []byte
-}
-
-// MarshalIEs serialises a list of information elements.
-func MarshalIEs(ies []IE) []byte {
-	var out []byte
-	for _, ie := range ies {
-		out = AppendIE(out, ie.ID, ie.Data)
-	}
-	return out
-}
-
-// AppendIE appends one information element to dst and returns the extended
-// slice. It is the allocation-free building block the append-style
-// marshalling paths (AppendBeacon) are made of.
+// AppendIE appends one type-length-value information element to dst and
+// returns the extended slice. It is the building block the management-body
+// encoders (AppendBeacon, AppendAuth, AppendAssoc*) are made of.
 //
 //wlan:hotpath
 func AppendIE(dst []byte, id uint8, data []byte) []byte {
@@ -41,8 +25,8 @@ func AppendIE(dst []byte, id uint8, data []byte) []byte {
 
 // ForEachIE walks the information elements of b in order without copying:
 // the data slice passed to fn aliases b. It stops early when fn returns
-// false, and reports ErrShortFrame on a truncated element. It is the
-// zero-allocation core of ParseIEs and LookupIE.
+// false, and reports ErrShortFrame on a truncated element. Every
+// management-body decoder in this package is one such walk.
 //
 //wlan:hotpath
 func ForEachIE(b []byte, fn func(id uint8, data []byte) bool) error {
@@ -77,28 +61,25 @@ func LookupIE(b []byte, id uint8) (data []byte, ok bool) {
 	return data, ok
 }
 
-// ParseIEs parses information elements until the buffer is exhausted. Each
-// element's data is copied, so the result is independent of b.
-func ParseIEs(b []byte) ([]IE, error) {
-	var ies []IE
-	err := ForEachIE(b, func(id uint8, data []byte) bool {
-		ies = append(ies, IE{ID: id, Data: append([]byte(nil), data...)})
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return ies, nil
+// ieSlot is where firstIEs puts the first element with the given ID.
+type ieSlot struct {
+	id  uint8
+	dst *[]byte
 }
 
-// FindIE returns the first element with the given ID, or nil.
-func FindIE(ies []IE, id uint8) *IE {
-	for i := range ies {
-		if ies[i].ID == id {
-			return &ies[i]
+// firstIEs is the one rule every management-body decoder applies to its
+// element list: it must walk cleanly to its end or the body is rejected, of
+// a repeated element the first occurrence counts (as in LookupIE), unknown
+// elements are skipped. A slot's dst becomes a view of b, nil when absent.
+func firstIEs(b []byte, slots ...ieSlot) error {
+	return ForEachIE(b, func(id uint8, data []byte) bool {
+		for _, s := range slots {
+			if s.id == id && *s.dst == nil {
+				*s.dst = data
+			}
 		}
-	}
-	return nil
+		return true
+	})
 }
 
 // Capability bits advertised in beacons and (re)association frames.
@@ -108,7 +89,8 @@ const (
 	CapPrivacy = 1 << 4
 )
 
-// Beacon is the parsed body of a beacon or probe-response frame.
+// Beacon is the body of a beacon or probe-response frame as AppendBeacon
+// encodes it; receivers decode one with ParseBeacon.
 type Beacon struct {
 	Timestamp  uint64 // TSF in microseconds
 	IntervalTU uint16 // beacon interval in time units (1024 µs)
@@ -130,8 +112,6 @@ type TIM struct {
 	// the virtual bitmap exactly; parsing recovers this list.
 	AIDs []uint16
 }
-
-func (t *TIM) marshal() []byte { return t.appendBody(nil) }
 
 // appendBody appends the TIM element body (count, period, bitmap control,
 // partial virtual bitmap) to dst without intermediate buffers.
@@ -158,18 +138,9 @@ func (t *TIM) appendBody(dst []byte) []byte {
 	return dst
 }
 
-func parseTIM(b []byte) (*TIM, error) {
-	t := &TIM{}
-	if err := ParseTIMInto(t, b); err != nil {
-		return nil, err
-	}
-	return t, nil
-}
-
-// ParseTIMInto decodes a TIM element body into t, reusing t.AIDs' backing
-// storage — the allocation-free counterpart of the TIM parse inside
-// ParseBeacon, used by receivers that keep a TIM scratch (the station's
-// beacon hot path).
+// ParseTIMInto decodes a TIM element body (BeaconView.TIM) into t, reusing
+// t.AIDs' backing storage: receivers keep a TIM scratch, so the station's
+// beacon hot path allocates nothing.
 func ParseTIMInto(t *TIM, b []byte) error {
 	if len(b) < 4 {
 		return errors.New("frame: TIM too short")
@@ -201,16 +172,16 @@ func (t *TIM) HasAID(aid uint16) bool {
 	return false
 }
 
-// MarshalBeacon builds a beacon/probe-response body.
-func MarshalBeacon(b *Beacon) []byte { return AppendBeacon(nil, b) }
+// beaconFixedLen is the fixed part of a beacon/probe-response body:
+// timestamp (8), beacon interval (2), capability (2); elements follow.
+const beaconFixedLen = 12
 
 // AppendBeacon appends a beacon/probe-response body to dst and returns the
-// extended slice, byte-identical to MarshalBeacon but with zero
-// intermediate allocations — appending into a buffer with capacity (the
-// AP's pooled TX body) marshals the whole beacon without touching the
-// heap, which is what keeps an idle BSS allocation-free.
+// extended slice with zero intermediate allocations — into a buffer with
+// capacity (the AP's pooled TX body) the whole beacon is encoded without
+// touching the heap, which is what keeps an idle BSS allocation-free.
 func AppendBeacon(dst []byte, b *Beacon) []byte {
-	var hdr [12]byte
+	var hdr [beaconFixedLen]byte
 	binary.LittleEndian.PutUint64(hdr[0:8], b.Timestamp)
 	binary.LittleEndian.PutUint16(hdr[8:10], b.IntervalTU)
 	binary.LittleEndian.PutUint16(hdr[10:12], b.Capability)
@@ -220,51 +191,46 @@ func AppendBeacon(dst []byte, b *Beacon) []byte {
 	dst = AppendIE(dst, IESupportedRates, b.Rates)
 	dst = append(dst, IEDSParam, 1, b.Channel)
 	if b.TIM != nil {
-		// The element length is the fixed TIM header plus the bitmap, whose
-		// size only depends on the highest buffered AID.
-		maxAID := uint16(0)
-		for _, a := range b.TIM.AIDs {
-			if a > maxAID {
-				maxAID = a
-			}
-		}
-		dst = append(dst, IETIM, byte(3+int(maxAID)/8+1))
+		dst = append(dst, IETIM, 0)
+		start := len(dst)
 		dst = b.TIM.appendBody(dst)
+		dst[start-1] = byte(len(dst) - start) // appendBody sizes the bitmap
 	}
 	return dst
 }
 
-// ParseBeacon parses a beacon/probe-response body.
-func ParseBeacon(body []byte) (*Beacon, error) {
-	if len(body) < 12 {
-		return nil, ErrShortFrame
+// BeaconView is a decoded beacon/probe-response body. Its slices alias the
+// body (copy what outlives it); nil means the element was absent.
+type BeaconView struct {
+	Timestamp  uint64 // TSF in microseconds
+	IntervalTU uint16
+	Capability uint16
+	SSID       []byte
+	Rates      []byte
+	Channel    uint8  // 0 when the DS parameter element is absent or not one byte
+	TIM        []byte // TIM element body, decoded on demand by ParseTIMInto
+}
+
+// ParseBeacon decodes a beacon/probe-response body as a view, without
+// allocating; it is the only reader of the layout AppendBeacon writes. A
+// body is used whole or not at all: a short fixed header or an element
+// list firstIEs rejects is an error, and the result is not to be used.
+func ParseBeacon(body []byte) (BeaconView, error) {
+	if len(body) < beaconFixedLen {
+		return BeaconView{}, ErrShortFrame
 	}
-	b := &Beacon{
+	v := BeaconView{
 		Timestamp:  binary.LittleEndian.Uint64(body[0:8]),
 		IntervalTU: binary.LittleEndian.Uint16(body[8:10]),
 		Capability: binary.LittleEndian.Uint16(body[10:12]),
 	}
-	ies, err := ParseIEs(body[12:])
-	if err != nil {
-		return nil, err
+	var ds []byte
+	err := firstIEs(body[beaconFixedLen:], ieSlot{IESSID, &v.SSID}, ieSlot{IESupportedRates, &v.Rates},
+		ieSlot{IEDSParam, &ds}, ieSlot{IETIM, &v.TIM})
+	if len(ds) == 1 {
+		v.Channel = ds[0]
 	}
-	if ie := FindIE(ies, IESSID); ie != nil {
-		b.SSID = string(ie.Data)
-	}
-	if ie := FindIE(ies, IESupportedRates); ie != nil {
-		b.Rates = ie.Data
-	}
-	if ie := FindIE(ies, IEDSParam); ie != nil && len(ie.Data) == 1 {
-		b.Channel = ie.Data[0]
-	}
-	if ie := FindIE(ies, IETIM); ie != nil {
-		tim, err := parseTIM(ie.Data)
-		if err != nil {
-			return nil, err
-		}
-		b.TIM = tim
-	}
-	return b, nil
+	return v, err
 }
 
 // Authentication algorithm numbers.
@@ -283,7 +249,8 @@ const (
 	StatusRatesUnsupp    = 18
 )
 
-// Auth is the body of an authentication frame.
+// Auth is the body of an authentication frame; from ParseAuth, Challenge
+// aliases the parsed body.
 type Auth struct {
 	Algorithm uint16
 	SeqNum    uint16
@@ -294,12 +261,9 @@ type Auth struct {
 // IEChallenge is the shared-key challenge text element.
 const IEChallenge = 16
 
-// MarshalAuth builds an authentication frame body.
-func MarshalAuth(a *Auth) []byte { return AppendAuth(nil, a) }
-
-// AppendAuth appends an authentication frame body to dst, byte-identical
-// to MarshalAuth with zero intermediate allocations — the append-style
-// path the pooled TX bodies of the management plane marshal through.
+// AppendAuth appends an authentication frame body to dst with zero
+// intermediate allocations — the path the pooled TX bodies of the
+// management plane encode through.
 func AppendAuth(dst []byte, a *Auth) []byte {
 	var hdr [6]byte
 	binary.LittleEndian.PutUint16(hdr[0:2], a.Algorithm)
@@ -312,74 +276,57 @@ func AppendAuth(dst []byte, a *Auth) []byte {
 	return dst
 }
 
-// ParseAuth parses an authentication frame body.
-func ParseAuth(body []byte) (*Auth, error) {
+// ParseAuth decodes an authentication frame body as a view, under
+// ParseBeacon's rule.
+func ParseAuth(body []byte) (Auth, error) {
 	if len(body) < 6 {
-		return nil, ErrShortFrame
+		return Auth{}, ErrShortFrame
 	}
-	a := &Auth{
+	a := Auth{
 		Algorithm: binary.LittleEndian.Uint16(body[0:2]),
 		SeqNum:    binary.LittleEndian.Uint16(body[2:4]),
 		Status:    binary.LittleEndian.Uint16(body[4:6]),
 	}
-	if len(body) > 6 {
-		ies, err := ParseIEs(body[6:])
-		if err != nil {
-			return nil, err
-		}
-		if ie := FindIE(ies, IEChallenge); ie != nil {
-			a.Challenge = ie.Data
-		}
-	}
-	return a, nil
+	err := firstIEs(body[6:], ieSlot{IEChallenge, &a.Challenge})
+	return a, err
 }
 
-// AssocReq is the body of an association request.
+// AssocReq is the body of an association request; from ParseAssocReq,
+// SSID and Rates alias the parsed body.
 type AssocReq struct {
 	Capability uint16
 	ListenIntv uint16
-	SSID       string
+	SSID       []byte
 	Rates      []byte
 }
 
-// MarshalAssocReq builds an association-request body.
-func MarshalAssocReq(a *AssocReq) []byte { return AppendAssocReq(nil, a) }
-
-// AppendAssocReq appends an association-request body to dst,
-// byte-identical to MarshalAssocReq with zero intermediate allocations.
+// AppendAssocReq appends an association-request body to dst with zero
+// intermediate allocations.
 func AppendAssocReq(dst []byte, a *AssocReq) []byte {
 	var hdr [4]byte
 	binary.LittleEndian.PutUint16(hdr[0:2], a.Capability)
 	binary.LittleEndian.PutUint16(hdr[2:4], a.ListenIntv)
 	dst = append(dst, hdr[:]...)
-	dst = append(dst, IESSID, byte(len(a.SSID)))
-	dst = append(dst, a.SSID...)
+	dst = AppendIE(dst, IESSID, a.SSID)
 	return AppendIE(dst, IESupportedRates, a.Rates)
 }
 
-// ParseAssocReq parses an association-request body.
-func ParseAssocReq(body []byte) (*AssocReq, error) {
+// ParseAssocReq decodes an association-request body as a view, under
+// ParseBeacon's rule.
+func ParseAssocReq(body []byte) (AssocReq, error) {
 	if len(body) < 4 {
-		return nil, ErrShortFrame
+		return AssocReq{}, ErrShortFrame
 	}
-	a := &AssocReq{
+	a := AssocReq{
 		Capability: binary.LittleEndian.Uint16(body[0:2]),
 		ListenIntv: binary.LittleEndian.Uint16(body[2:4]),
 	}
-	ies, err := ParseIEs(body[4:])
-	if err != nil {
-		return nil, err
-	}
-	if ie := FindIE(ies, IESSID); ie != nil {
-		a.SSID = string(ie.Data)
-	}
-	if ie := FindIE(ies, IESupportedRates); ie != nil {
-		a.Rates = ie.Data
-	}
-	return a, nil
+	err := firstIEs(body[4:], ieSlot{IESSID, &a.SSID}, ieSlot{IESupportedRates, &a.Rates})
+	return a, err
 }
 
-// AssocResp is the body of an association response.
+// AssocResp is the body of an association response; from ParseAssocResp,
+// Rates aliases the parsed body.
 type AssocResp struct {
 	Capability uint16
 	Status     uint16
@@ -387,11 +334,8 @@ type AssocResp struct {
 	Rates      []byte
 }
 
-// MarshalAssocResp builds an association-response body.
-func MarshalAssocResp(a *AssocResp) []byte { return AppendAssocResp(nil, a) }
-
-// AppendAssocResp appends an association-response body to dst,
-// byte-identical to MarshalAssocResp with zero intermediate allocations.
+// AppendAssocResp appends an association-response body to dst with zero
+// intermediate allocations.
 func AppendAssocResp(dst []byte, a *AssocResp) []byte {
 	var hdr [6]byte
 	binary.LittleEndian.PutUint16(hdr[0:2], a.Capability)
@@ -401,47 +345,19 @@ func AppendAssocResp(dst []byte, a *AssocResp) []byte {
 	return AppendIE(dst, IESupportedRates, a.Rates)
 }
 
-// ParseAssocResp parses an association-response body.
-func ParseAssocResp(body []byte) (*AssocResp, error) {
+// ParseAssocResp decodes an association-response body as a view, under
+// ParseBeacon's rule.
+func ParseAssocResp(body []byte) (AssocResp, error) {
 	if len(body) < 6 {
-		return nil, ErrShortFrame
+		return AssocResp{}, ErrShortFrame
 	}
-	a := &AssocResp{
+	a := AssocResp{
 		Capability: binary.LittleEndian.Uint16(body[0:2]),
 		Status:     binary.LittleEndian.Uint16(body[2:4]),
 		AID:        binary.LittleEndian.Uint16(body[4:6]),
 	}
-	ies, err := ParseIEs(body[6:])
-	if err != nil {
-		return nil, err
-	}
-	if ie := FindIE(ies, IESupportedRates); ie != nil {
-		a.Rates = ie.Data
-	}
-	return a, nil
-}
-
-// Reason codes for deauthentication/disassociation.
-const (
-	ReasonUnspecified = 1
-	ReasonAuthExpired = 2
-	ReasonLeavingBSS  = 3
-	ReasonInactivity  = 4
-)
-
-// MarshalReason builds a deauth/disassoc body.
-func MarshalReason(reason uint16) []byte {
-	out := make([]byte, 2)
-	binary.LittleEndian.PutUint16(out, reason)
-	return out
-}
-
-// ParseReason parses a deauth/disassoc body.
-func ParseReason(body []byte) (uint16, error) {
-	if len(body) < 2 {
-		return 0, ErrShortFrame
-	}
-	return binary.LittleEndian.Uint16(body), nil
+	err := firstIEs(body[6:], ieSlot{IESupportedRates, &a.Rates})
+	return a, err
 }
 
 // NewMgmt builds a management frame with the common 3-address layout: RA,
@@ -463,7 +379,3 @@ func RateByte(halfMbps int, basic bool) byte {
 func DecodeRateByte(b byte) (halfMbps int, basic bool) {
 	return int(b & 0x7f), b&0x80 != 0
 }
-
-// ErrNotMgmt is returned when parsing a management body from a frame of the
-// wrong type.
-var ErrNotMgmt = fmt.Errorf("frame: not a management frame")

@@ -15,7 +15,7 @@ func TestBeaconRoundTrip(t *testing.T) {
 		Rates:      []byte{RateByte(2, true), RateByte(22, false)},
 		Channel:    6,
 	}
-	got, err := ParseBeacon(MarshalBeacon(b))
+	got, err := ParseBeacon(AppendBeacon(nil, b))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -25,7 +25,7 @@ func TestBeaconRoundTrip(t *testing.T) {
 	if got.IntervalTU != 100 || got.Capability != (CapESS|CapPrivacy) {
 		t.Errorf("interval/cap = %d/%#x", got.IntervalTU, got.Capability)
 	}
-	if got.SSID != "testnet" {
+	if string(got.SSID) != "testnet" {
 		t.Errorf("ssid = %q", got.SSID)
 	}
 	if got.Channel != 6 {
@@ -52,22 +52,26 @@ func TestBeaconWithTIM(t *testing.T) {
 			AIDs:       []uint16{1, 5, 17},
 		},
 	}
-	got, err := ParseBeacon(MarshalBeacon(b))
+	got, err := ParseBeacon(AppendBeacon(nil, b))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if got.TIM == nil {
 		t.Fatal("TIM lost")
 	}
-	if got.TIM.DTIMCount != 1 || got.TIM.DTIMPeriod != 3 || !got.TIM.Multicast {
-		t.Errorf("TIM header: %+v", got.TIM)
+	var tim TIM
+	if err := ParseTIMInto(&tim, got.TIM); err != nil {
+		t.Fatal(err)
+	}
+	if tim.DTIMCount != 1 || tim.DTIMPeriod != 3 || !tim.Multicast {
+		t.Errorf("TIM header: %+v", tim)
 	}
 	for _, aid := range []uint16{1, 5, 17} {
-		if !got.TIM.HasAID(aid) {
+		if !tim.HasAID(aid) {
 			t.Errorf("TIM missing AID %d", aid)
 		}
 	}
-	if got.TIM.HasAID(2) {
+	if tim.HasAID(2) {
 		t.Error("TIM has spurious AID 2")
 	}
 	var nilTIM *TIM
@@ -89,8 +93,8 @@ func TestTIMPropertyRoundTrip(t *testing.T) {
 			aids = append(aids, a)
 		}
 		tim := &TIM{DTIMCount: count, DTIMPeriod: period, Multicast: mc, AIDs: aids}
-		got, err := parseTIM(tim.marshal())
-		if err != nil {
+		var got TIM
+		if err := ParseTIMInto(&got, tim.appendBody(nil)); err != nil {
 			return false
 		}
 		if got.Multicast != mc {
@@ -115,7 +119,7 @@ func TestTIMPropertyRoundTrip(t *testing.T) {
 
 func TestAuthRoundTrip(t *testing.T) {
 	a := &Auth{Algorithm: AuthAlgoSharedKey, SeqNum: 2, Status: StatusSuccess, Challenge: []byte("challenge-text-128")}
-	got, err := ParseAuth(MarshalAuth(a))
+	got, err := ParseAuth(AppendAuth(nil, a))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -127,7 +131,7 @@ func TestAuthRoundTrip(t *testing.T) {
 	}
 	// Without challenge.
 	a2 := &Auth{Algorithm: AuthAlgoOpen, SeqNum: 1}
-	got2, err := ParseAuth(MarshalAuth(a2))
+	got2, err := ParseAuth(AppendAuth(nil, a2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,17 +141,17 @@ func TestAuthRoundTrip(t *testing.T) {
 }
 
 func TestAssocRoundTrip(t *testing.T) {
-	req := &AssocReq{Capability: CapESS, ListenIntv: 10, SSID: "net", Rates: []byte{0x82, 0x84}}
-	gotReq, err := ParseAssocReq(MarshalAssocReq(req))
+	req := &AssocReq{Capability: CapESS, ListenIntv: 10, SSID: []byte("net"), Rates: []byte{0x82, 0x84}}
+	gotReq, err := ParseAssocReq(AppendAssocReq(nil, req))
 	if err != nil {
 		t.Fatal(err)
 	}
-	if gotReq.SSID != "net" || gotReq.ListenIntv != 10 || !bytes.Equal(gotReq.Rates, req.Rates) {
+	if string(gotReq.SSID) != "net" || gotReq.ListenIntv != 10 || !bytes.Equal(gotReq.Rates, req.Rates) {
 		t.Errorf("assoc req: %+v", gotReq)
 	}
 
 	resp := &AssocResp{Capability: CapESS, Status: StatusSuccess, AID: 3, Rates: []byte{0x82}}
-	gotResp, err := ParseAssocResp(MarshalAssocResp(resp))
+	gotResp, err := ParseAssocResp(AppendAssocResp(nil, resp))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -156,44 +160,40 @@ func TestAssocRoundTrip(t *testing.T) {
 	}
 }
 
-func TestReasonRoundTrip(t *testing.T) {
-	body := MarshalReason(ReasonLeavingBSS)
-	r, err := ParseReason(body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if r != ReasonLeavingBSS {
-		t.Errorf("reason = %d", r)
-	}
-	if _, err := ParseReason(nil); err == nil {
-		t.Error("empty reason accepted")
-	}
-}
-
 func TestIEParsing(t *testing.T) {
-	raw := MarshalIEs([]IE{
-		{ID: IESSID, Data: []byte("abc")},
-		{ID: IEDSParam, Data: []byte{11}},
-	})
-	ies, err := ParseIEs(raw)
-	if err != nil {
+	raw := AppendIE(AppendIE(nil, IESSID, []byte("abc")), IEDSParam, []byte{11})
+	var ids []uint8
+	if err := ForEachIE(raw, func(id uint8, _ []byte) bool {
+		ids = append(ids, id)
+		return true
+	}); err != nil {
 		t.Fatal(err)
 	}
-	if len(ies) != 2 {
-		t.Fatalf("parsed %d IEs", len(ies))
+	if len(ids) != 2 || ids[0] != IESSID || ids[1] != IEDSParam {
+		t.Fatalf("walked elements %v", ids)
 	}
-	if ie := FindIE(ies, IESSID); ie == nil || string(ie.Data) != "abc" {
+	if d, ok := LookupIE(raw, IESSID); !ok || string(d) != "abc" {
 		t.Error("SSID IE lost")
 	}
-	if FindIE(ies, IETIM) != nil {
+	if _, ok := LookupIE(raw, IETIM); ok {
 		t.Error("phantom TIM IE")
 	}
 	// Truncated IEs must error, not panic.
-	if _, err := ParseIEs([]byte{0, 5, 1}); err == nil {
+	if _, err := countIEs([]byte{0, 5, 1}); err == nil {
 		t.Error("truncated IE accepted")
 	}
-	if _, err := ParseIEs([]byte{0}); err == nil {
+	if _, err := countIEs([]byte{0}); err == nil {
 		t.Error("lone ID byte accepted")
+	}
+	// A repeated element: the first occurrence counts, in LookupIE and in
+	// every body decoder alike.
+	twice := AppendIE(AppendIE(nil, IESSID, []byte("first")), IESSID, []byte("second"))
+	if d, _ := LookupIE(twice, IESSID); string(d) != "first" {
+		t.Errorf("LookupIE on a repeated element = %q", d)
+	}
+	v, err := ParseBeacon(append(make([]byte, 12), twice...))
+	if err != nil || string(v.SSID) != "first" {
+		t.Errorf("ParseBeacon on a repeated element = %q, %v", v.SSID, err)
 	}
 }
 
@@ -212,8 +212,8 @@ func TestRateByte(t *testing.T) {
 
 func TestMgmtFrameInsideMPDU(t *testing.T) {
 	beacon := &Beacon{IntervalTU: 100, SSID: "x", Rates: []byte{0x82}, Channel: 1}
-	f := NewMgmt(SubtypeBeacon, Broadcast, addrB, addrB, MarshalBeacon(beacon))
-	got, err := Unmarshal(f.Marshal())
+	f := NewMgmt(SubtypeBeacon, Broadcast, addrB, addrB, AppendBeacon(nil, beacon))
+	got, err := decode(f.AppendWire(nil))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -224,7 +224,7 @@ func TestMgmtFrameInsideMPDU(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if parsed.SSID != "x" {
+	if string(parsed.SSID) != "x" {
 		t.Errorf("beacon ssid through MPDU = %q", parsed.SSID)
 	}
 }

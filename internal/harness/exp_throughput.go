@@ -124,29 +124,21 @@ func gridF2(quick bool) *Grid {
 		net.Run(dur)
 
 		delivered := sumThroughput(net, flows)
-		var lat stats.Welford
 		var latH stats.Histogram
 		var offered, got uint64
 		for _, g := range net.Generators() {
 			offered += g.Offered
 		}
+		var totalLat float64 // per-flow mean delay weighted by frames received
 		for _, id := range flows {
 			if fs := net.FlowStats(id); fs != nil {
 				got += fs.Received
-				lat.Add(fs.Latency.Mean() * float64(fs.Received))
+				totalLat += fs.Latency.Mean() * float64(fs.Received)
 				latH.Add(fs.LatencyH.Quantile(0.95))
 			}
 		}
 		var meanDelay float64
 		if got > 0 {
-			// lat accumulated sum-of-means*counts; recompute properly:
-			meanDelay = 0
-			var totalLat float64
-			for _, id := range flows {
-				if fs := net.FlowStats(id); fs != nil {
-					totalLat += fs.Latency.Mean() * float64(fs.Received)
-				}
-			}
 			meanDelay = totalLat / float64(got)
 		}
 		loss := 0.0

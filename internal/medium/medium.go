@@ -352,7 +352,7 @@ func (m *Medium) decodeFrame(t *transmission) *frame.Frame {
 		f = &frame.Frame{}
 	}
 	if err := frame.UnmarshalInto(f, t.wire); err != nil {
-		// The wire image was built by Marshal, so this means model
+		// The wire image was built by AppendWire, so this means model
 		// corruption, not channel noise.
 		panic("medium: undecodable wire image: " + err.Error())
 	}

@@ -520,7 +520,7 @@ func (ap *AP) handleAuth(f *frame.Frame) {
 
 func (ap *AP) handleAssoc(f *frame.Frame) {
 	req, err := frame.ParseAssocReq(f.Body)
-	if err != nil || req.SSID != ap.ssid {
+	if err != nil || string(req.SSID) != ap.ssid {
 		return
 	}
 	e := ap.entry(f.Addr2)

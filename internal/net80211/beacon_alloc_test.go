@@ -5,6 +5,7 @@ import (
 
 	"repro/internal/frame"
 	"repro/internal/geom"
+	"repro/internal/medium"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
 	"repro/internal/units"
@@ -43,34 +44,55 @@ func TestAPBeaconZeroAlloc(t *testing.T) {
 	}
 }
 
-// AppendBeacon must produce exactly MarshalBeacon's bytes — the golden
-// traces pin the simulation, this pins the marshalling equivalence on a
-// representative body (TIM present, multicast bit, sparse AIDs).
-func TestAppendBeaconMatchesMarshal(t *testing.T) {
-	b := &frame.Beacon{
-		Timestamp:  0x1122334455667788,
-		IntervalTU: 100,
-		Capability: frame.CapESS | frame.CapPrivacy,
-		SSID:       "equivalence",
-		Rates:      []byte{0x82, 0x84, 0x0b, 0x16},
-		Channel:    11,
-		TIM: &frame.TIM{
-			DTIMCount: 1, DTIMPeriod: 3, Multicast: true,
-			AIDs: []uint16{1, 9, 42},
-		},
+// The hostile half of the beacon path: handleBeacon fed every truncation of
+// a valid beacon body, each inside a frame with a valid FCS (so nothing
+// upstream filters it). A body cut anywhere but on an element boundary is
+// rejected whole — not counted, no candidate created from the half of the
+// list that did parse — and one cut on a boundary is used as far as it goes.
+func TestHandleBeaconTruncatedBodies(t *testing.T) {
+	w := newWorld(34, spectrum.FreeSpace{Freq: 2412 * units.MHz})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(0, 0), 1), STAConfig{SSID: "cut"})
+	full := frame.AppendBeacon(nil, &frame.Beacon{
+		IntervalTU: 100, Capability: frame.CapESS | frame.CapPrivacy,
+		SSID: "cut", Rates: []byte{0x82, 0x84}, Channel: 6,
+		TIM: &frame.TIM{DTIMPeriod: 3, AIDs: []uint16{1, 9}},
+	})
+	// Element boundaries, walked by hand: fixed header, then each element.
+	boundary := map[int]bool{12: true}
+	for off := 12; off < len(full); {
+		off += 2 + int(full[off+1])
+		boundary[off] = true
 	}
-	want := frame.MarshalBeacon(b)
-	scratch := make([]byte, 0, 256)
-	got := frame.AppendBeacon(scratch, b)
-	if string(got) != string(want) {
-		t.Fatalf("AppendBeacon bytes differ from MarshalBeacon:\n got %x\nwant %x", got, want)
-	}
-	// And parsing recovers the TIM exactly.
-	parsed, err := frame.ParseBeacon(got)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if parsed.TIM == nil || !parsed.TIM.Multicast || len(parsed.TIM.AIDs) != 3 {
-		t.Fatalf("parsed TIM lost information: %+v", parsed.TIM)
+	const ssidEnd, channelEnd = 12 + 2 + 3, 12 + 2 + 3 + 2 + 2 + 3
+	var alloc frame.AddrAllocator
+	for cut := 0; cut <= len(full); cut++ {
+		bssid := alloc.Next()
+		wire := frame.NewMgmt(frame.SubtypeBeacon, frame.Broadcast, bssid, bssid, full[:cut]).AppendWire(nil)
+		var f frame.Frame
+		if err := frame.UnmarshalInto(&f, wire); err != nil {
+			t.Fatalf("cut=%d: %v", cut, err)
+		}
+		seen, cands := sta.Stats.BeaconsSeen, len(sta.cands)
+		sta.handleBeacon(&f, medium.RxInfo{RSSI: -50})
+		c := sta.cands[bssid]
+		if !boundary[cut] {
+			if c != nil || len(sta.cands) != cands || sta.Stats.BeaconsSeen != seen {
+				t.Fatalf("cut=%d: a rejected body touched the candidate table (%+v)", cut, c)
+			}
+			continue
+		}
+		if c == nil || sta.Stats.BeaconsSeen != seen+1 {
+			t.Fatalf("cut=%d: a well-formed body was ignored", cut)
+		}
+		wantSSID, wantCh := "", 1 // the radio's channel until the DS element says otherwise
+		if cut >= ssidEnd {
+			wantSSID = "cut"
+		}
+		if cut >= channelEnd {
+			wantCh = 6
+		}
+		if c.ssid != wantSSID || c.channel != wantCh || !c.privacy {
+			t.Fatalf("cut=%d: candidate %+v, want ssid %q channel %d privacy", cut, c, wantSSID, wantCh)
+		}
 	}
 }

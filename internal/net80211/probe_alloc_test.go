@@ -29,10 +29,8 @@ func TestAPProbeResponseZeroAlloc(t *testing.T) {
 	// Stop the beacons so the measured window holds only the probe exchange.
 	ap.Stop()
 	req := frame.NewMgmt(frame.SubtypeProbeReq, frame.Broadcast, sta.Address(), frame.Broadcast,
-		frame.MarshalIEs([]frame.IE{
-			{ID: frame.IESSID, Data: []byte("probe")},
-			{ID: frame.IESupportedRates, Data: []byte{frame.RateByte(2, true)}},
-		}))
+		frame.AppendIE(frame.AppendIE(nil, frame.IESSID, []byte("probe")),
+			frame.IESupportedRates, []byte{frame.RateByte(2, true)}))
 	exchange := func() {
 		ap.handleProbe(req)
 		w.k.RunFor(5 * sim.Millisecond)

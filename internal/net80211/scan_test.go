@@ -86,10 +86,10 @@ func TestDeauthForcesRescan(t *testing.T) {
 	}
 	assocsBefore := sta.Stats.Associations
 
-	// AP kicks the station.
+	// AP kicks the station. Neither side reads a deauth body; 4 is the
+	// standard's reason code for inactivity.
 	w.k.Schedule(0, "deauth", func() {
-		f := frame.NewMgmt(frame.SubtypeDeauth, sta.Address(), ap.BSSID(), ap.BSSID(),
-			frame.MarshalReason(frame.ReasonInactivity))
+		f := frame.NewMgmt(frame.SubtypeDeauth, sta.Address(), ap.BSSID(), ap.BSSID(), []byte{4, 0})
 		ap.MAC().Enqueue(f)
 	})
 	w.k.RunUntil(sim.Time(4 * sim.Second))

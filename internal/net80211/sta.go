@@ -1,7 +1,6 @@
 package net80211
 
 import (
-	"encoding/binary"
 	"fmt"
 
 	"repro/internal/frame"
@@ -385,7 +384,7 @@ func (s *STA) sendAssocReq() {
 	req := frame.AssocReq{
 		Capability: frame.CapESS,
 		ListenIntv: 10,
-		SSID:       s.cfg.SSID,
+		SSID:       s.ssidBytes,
 		Rates:      s.rates,
 	}
 	slot := s.tx.slot()
@@ -440,19 +439,17 @@ func (s *STA) handleMgmt(f *frame.Frame, info medium.RxInfo) {
 	}
 }
 
-// handleBeacon consumes a beacon/probe-response as views into the frame
-// body — LookupIE for the elements, ParseTIMInto into the reusable TIM
-// scratch — so steady-state beacon reception allocates nothing (the SSID
-// string is only materialised when it actually changes). This is the rx
-// half of the idle-BSS alloc wall; the AP's AppendBeacon is the tx half.
+// handleBeacon consumes a beacon/probe-response through frame.ParseBeacon,
+// whose result is a view into the frame body, and ParseTIMInto into the
+// reusable TIM scratch — so steady-state beacon reception allocates nothing
+// (the SSID string is only materialised when it actually changes). A body
+// the decoder rejects is ignored whole. This is the rx half of the idle-BSS
+// alloc wall; the AP's AppendBeacon is the tx half.
 func (s *STA) handleBeacon(f *frame.Frame, info medium.RxInfo) {
-	body := f.Body
-	if len(body) < 12 {
+	b, err := frame.ParseBeacon(f.Body)
+	if err != nil {
 		return
 	}
-	intervalTU := binary.LittleEndian.Uint16(body[8:10])
-	capBits := binary.LittleEndian.Uint16(body[10:12])
-	ies := body[12:]
 	s.Stats.BeaconsSeen++
 	c := s.cands[f.Addr2]
 	if c == nil {
@@ -460,21 +457,21 @@ func (s *STA) handleBeacon(f *frame.Frame, info medium.RxInfo) {
 		s.cands[f.Addr2] = c
 		c.rssi = float64(info.RSSI)
 	}
-	if ssid, ok := frame.LookupIE(ies, frame.IESSID); ok && string(ssid) != c.ssid {
-		c.ssid = string(ssid)
+	if b.SSID != nil && string(b.SSID) != c.ssid {
+		c.ssid = string(b.SSID)
 	}
-	c.privacy = capBits&frame.CapPrivacy != 0
+	c.privacy = b.Capability&frame.CapPrivacy != 0
 	c.lastSeen = s.k.Now()
 	c.rssi = 0.8*c.rssi + 0.2*float64(info.RSSI)
-	if ch, ok := frame.LookupIE(ies, frame.IEDSParam); ok && len(ch) == 1 && ch[0] != 0 {
-		c.channel = int(ch[0])
+	if b.Channel != 0 {
+		c.channel = int(b.Channel)
 	}
 
 	if s.state == staAssociated && f.Addr2 == s.bssid {
 		s.missed = 0
 		s.servRSSI = c.rssi
-		if intervalTU > 0 {
-			s.beaconInt = sim.Duration(intervalTU) * TU
+		if b.IntervalTU > 0 {
+			s.beaconInt = sim.Duration(b.IntervalTU) * TU
 		}
 		if s.cfg.PowerSave {
 			// Sync the doze cycle to the AP's actual beacon schedule: wake
@@ -484,13 +481,9 @@ func (s *STA) handleBeacon(f *frame.Frame, info medium.RxInfo) {
 				guard = s.beaconInt / 4
 			}
 			s.armPSWake(s.beaconInt - guard)
-			var tim *frame.TIM
-			if data, ok := frame.LookupIE(ies, frame.IETIM); ok {
-				if err := frame.ParseTIMInto(&s.timScratch, data); err == nil {
-					tim = &s.timScratch
-				}
+			if frame.ParseTIMInto(&s.timScratch, b.TIM) == nil {
+				s.handleTIM(&s.timScratch)
 			}
-			s.handleTIM(tim)
 			s.k.Schedule(5*sim.Millisecond, "ps-doze", s.scheduleDoze)
 		}
 		s.maybeRoam()
