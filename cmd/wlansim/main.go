@@ -31,6 +31,8 @@ func main() {
 		mode     = flag.String("mode", "802.11b", "PHY mode: 802.11, 802.11a, 802.11b, 802.11g")
 		rateCtl  = flag.String("rate", "fixed", "rate control: fixed[:idx], arf, aarf, samplerate, minstrel")
 		fading   = flag.String("fading", "", "fading: none, rayleigh, rician:<K>")
+		blockLen = flag.Duration("coherence", 0, "fading coherence time (0 = 10ms)")
+		shadow   = flag.Float64("shadow", 0, "log-normal shadowing deviation in dB (0 = none)")
 		rts      = flag.Int("rts", 0, "RTS threshold in bytes (0 = off)")
 		payload  = flag.Int("payload", 1500, "payload bytes per packet")
 		distance = flag.Float64("distance", 5, "sender distance from the sink/AP in metres")
@@ -41,10 +43,12 @@ func main() {
 	flag.Parse()
 
 	cfg := core.Config{
-		Seed:      *seed,
-		Mode:      *mode,
-		RateAdapt: *rateCtl,
-		Fading:    *fading,
+		Seed:            *seed,
+		Mode:            *mode,
+		RateAdapt:       *rateCtl,
+		Fading:          *fading,
+		FadingCoherence: sim.Duration(blockLen.Nanoseconds()),
+		ShadowSigmaDB:   *shadow,
 	}
 	if *rts > 0 {
 		cfg.RTSThreshold = *rts

@@ -48,11 +48,11 @@ type Config struct {
 
 	// PathLoss overrides the default log-distance exponent-3 model.
 	PathLoss spectrum.PathLoss
-	// ShadowSigmaDB enables log-normal shadowing when > 0.
+	// ShadowSigmaDB enables log-normal shadowing when > 0 (negative: refused).
 	ShadowSigmaDB float64
 	// Fading: "", "none", "rayleigh", "rician:<K>".
 	Fading string
-	// FadingCoherence defaults to 10 ms.
+	// FadingCoherence is the fading block length: 0 means 10 ms, < 0 is refused.
 	FadingCoherence sim.Duration
 
 	// RateAdapt names the driver rate policy: "fixed" / "fixed:<idx>"
@@ -146,7 +146,7 @@ type fadingBuilder func(src *rng.Source, coherence sim.Duration) spectrum.Fading
 type rateBuilder func(n *Network, name string) mac.RateController
 
 // resolve is the one place mode, fading and network-wide rate specs are
-// parsed.
+// parsed and the channel's numbers checked.
 func (c Config) resolve() (s specs, err error) {
 	name := c.Mode
 	if name == "" {
@@ -157,12 +157,17 @@ func (c Config) resolve() (s specs, err error) {
 			s.rate, err = parseRate(c.RateAdapt, s.mode)
 		}
 	}
+	if err == nil && c.FadingCoherence < 0 {
+		err = fmt.Errorf("core: bad fading coherence %v: want a positive time, or 0 for 10 ms", c.FadingCoherence)
+	} else if err == nil && (!(c.ShadowSigmaDB >= 0) || math.IsInf(c.ShadowSigmaDB, 1)) {
+		err = fmt.Errorf("core: bad shadowing sigma %v dB: want a positive deviation, or 0 for none", c.ShadowSigmaDB)
+	}
 	return s, err
 }
 
 // Validate reports the first Mode, Fading or RateAdapt spec that does not
-// parse — the error NewNetwork panics with. Commands taking those strings
-// from a user call it first.
+// parse, or a negative FadingCoherence or ShadowSigmaDB — the error
+// NewNetwork panics with. Commands taking those from a user call it first.
 func (c Config) Validate() error {
 	_, err := c.resolve()
 	return err

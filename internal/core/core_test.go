@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -81,6 +82,11 @@ var badConfigs = []struct {
 	{Config{Fading: "rician:lots"}, `bad fading spec "rician:lots"`},
 	{Config{Fading: "rician:NaN"}, `bad fading spec "rician:NaN"`},
 	{Config{Fading: "rician:-1"}, `bad fading spec "rician:-1"`},
+	{Config{Fading: "rayleigh", FadingCoherence: -sim.Millisecond}, `bad fading coherence -1`},
+	{Config{FadingCoherence: -1}, `bad fading coherence -1ns`},
+	{Config{ShadowSigmaDB: -4}, `bad shadowing sigma -4 dB`},
+	{Config{ShadowSigmaDB: math.NaN()}, `bad shadowing sigma NaN dB`},
+	{Config{ShadowSigmaDB: math.Inf(1)}, `bad shadowing sigma +Inf dB`},
 	{Config{RateAdapt: "magic"}, `unknown rate adaptation "magic"`},
 	{Config{RateAdapt: "fixed:x"}, `bad rate spec "fixed:x"`},
 	{Config{RateAdapt: "fixed:4"}, `802.11b has rates 0..3`},
@@ -96,7 +102,8 @@ func TestConfigValidate(t *testing.T) {
 		}
 	}
 	// Every spec the harness, the benchmark and the examples use.
-	good := []Config{{}, {Fading: "none"}, {Fading: "rician"}, {Fading: "rician:8"}, {Fading: "rician:0"}}
+	good := []Config{{}, {Fading: "none"}, {Fading: "rician"}, {Fading: "rician:8"}, {Fading: "rician:0"},
+		{Fading: "rayleigh", FadingCoherence: sim.Millisecond, ShadowSigmaDB: 4}}
 	for _, m := range []string{"802.11", "802.11a", "802.11b", "802.11g"} {
 		good = append(good, Config{Mode: m, RateAdapt: "fixed:0"})
 	}

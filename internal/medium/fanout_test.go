@@ -79,7 +79,10 @@ func transmitAndCompare(t *testing.T, k *sim.Kernel, m *Medium, tx *Radio, what 
 	k.Schedule(0, "tx", func() {
 		start = k.Now()
 		want = referenceArrivals(m, tx)
+		cf, _ := m.model.Fast.(*countingFading)
+		cf.count(true)
 		tx.Transmit(dataFrame(200), 0)
+		cf.count(false)
 	})
 	// Every leading edge (delays are microseconds) and no trailing edge
 	// (airtime is over a millisecond) has run: each receiver holds exactly
@@ -98,6 +101,86 @@ func transmitAndCompare(t *testing.T, k *sim.Kernel, m *Medium, tx *Radio, what 
 		t.Fatalf("%s: tx %d at %v scheduled\n  %v\nreference says\n  %v", what, tx.id, start, got, want)
 	}
 	k.Run()
+}
+
+// countingFading counts the fast-fading gains Transmit itself draws (on is
+// set around it, so the reference's own draws do not count). Before the
+// fading memo a transmission drew one gain per other radio on its channel;
+// what a static transmitter draws less than that, its row remembered.
+type countingFading struct {
+	spectrum.Fading
+	on    bool
+	draws int
+}
+
+func (c *countingFading) Gain(link uint64, t sim.Time) units.DB {
+	if c.on {
+		c.draws++
+	}
+	return c.Fading.Gain(link, t)
+}
+
+// count switches counting on or off; a nil counter (no fast fading) ignores it.
+func (c *countingFading) count(on bool) {
+	if c != nil {
+		c.on = on
+	}
+}
+
+// countFast wraps the model's fast-fading process in a counter; nil when
+// the channel has none.
+func countFast(model *spectrum.Model) *countingFading {
+	if _, none := model.Fast.(spectrum.NoFading); none {
+		return nil
+	}
+	cf := &countingFading{Fading: model.Fast}
+	model.Fast = cf
+	return cf
+}
+
+// onChannel counts the radios a transmission from tx reaches for: all
+// others on its channel, and the mobile ones among them.
+func onChannel(m *Medium, tx *Radio) (all, mobile int) {
+	for _, rx := range m.radios {
+		if rx != tx && rx.channel == tx.channel {
+			all++
+			if !rx.static {
+				mobile++
+			}
+		}
+	}
+	return all, mobile
+}
+
+// memoTally compares what one transmission drew with what it reached for.
+type memoTally struct{ hits, misses int }
+
+// transmit is transmitAndCompare with, on a fast-fading channel (cf != nil),
+// the draws checked: a static transmitter may draw less than one gain per
+// receiver (a repeat inside a block named by repeat draws for its mobile
+// receivers only), a mobile one computes every link per transmission.
+func (c *memoTally) transmit(t *testing.T, k *sim.Kernel, m *Medium, cf *countingFading, tx *Radio, repeat bool, what string) {
+	t.Helper()
+	if cf == nil {
+		transmitAndCompare(t, k, m, tx, what)
+		return
+	}
+	before := cf.draws
+	all, mobile := onChannel(m, tx)
+	transmitAndCompare(t, k, m, tx, what)
+	drew := cf.draws - before
+	switch {
+	case !tx.static && drew != all:
+		t.Fatalf("%s: mobile tx %d drew %d gains for %d receivers: mobile links are computed per transmission", what, tx.id, drew, all)
+	case drew > all || drew < mobile:
+		t.Fatalf("%s: tx %d drew %d gains for %d receivers, %d of them mobile", what, tx.id, drew, all, mobile)
+	case repeat && drew != mobile:
+		t.Fatalf("%s: tx %d drew %d gains repeating inside a block, want one per mobile receiver (%d)", what, tx.id, drew, mobile)
+	}
+	if tx.static {
+		c.hits += all - drew
+		c.misses += drew - mobile
+	}
 }
 
 // wallTopology interleaves static and mobile ids on a 30 m grid, with
@@ -125,6 +208,7 @@ func wallRadio(i int, p geom.Point) RadioConfig {
 
 func TestTransmitDifferentialAllRadios(t *testing.T) {
 	free := spectrum.FreeSpace{Freq: 2412 * units.MHz}
+	const coherence = 10 * sim.Millisecond
 	channels := []struct {
 		name  string
 		model func(src *rng.Source) *spectrum.Model
@@ -139,7 +223,11 @@ func TestTransmitDifferentialAllRadios(t *testing.T) {
 		}, false},
 		{"shadowed+rayleigh", func(src *rng.Source) *spectrum.Model {
 			return spectrum.NewModel(free, spectrum.NewShadowing(src.Split("shadow"), 4),
-				spectrum.NewRayleigh(src.Split("fast"), 0))
+				spectrum.NewRayleigh(src.Split("fast"), coherence))
+		}, false},
+		{"shadowed+rician", func(src *rng.Source) *spectrum.Model {
+			return spectrum.NewModel(free, spectrum.NewShadowing(src.Split("shadow"), 4),
+				spectrum.NewRician(src.Split("fast"), 4, coherence))
 		}, false},
 	}
 	const steps = 40
@@ -147,12 +235,15 @@ func TestTransmitDifferentialAllRadios(t *testing.T) {
 		t.Run(ch.name, func(t *testing.T) {
 			k := sim.NewKernel()
 			src := rng.New(31)
-			m := New(k, ch.model(src), src)
+			model := ch.model(src)
+			cf := countFast(model)
+			m := New(k, model, src)
 			wallTopology(m, 25)
 			if m.sp.enabled != ch.grid {
 				t.Fatalf("spatial index enabled = %v, want %v", m.sp.enabled, ch.grid)
 			}
 			delivered, filtered := uint64(0), 0
+			var memo memoTally
 			for step := 0; step < steps; step++ {
 				what := "steady state"
 				switch step {
@@ -179,21 +270,98 @@ func TestTransmitDifferentialAllRadios(t *testing.T) {
 					what = "after PropagationDelay=false"
 					m.PropagationDelay = false
 				}
+				what = fmt.Sprintf("step %d (%s)", step, what)
 				for _, tx := range m.radios {
 					before := m.FanoutDelivered
-					transmitAndCompare(t, k, m, tx, fmt.Sprintf("step %d (%s)", step, what))
+					memo.transmit(t, k, m, cf, tx, false, what)
 					delivered += m.FanoutDelivered - before
 					filtered += len(m.radios) - 1 - int(m.FanoutDelivered-before)
+				}
+				// A round of ~2 ms frames crosses five coherence blocks and
+				// never repeats a transmitter inside one. So, on fading
+				// channels, two static transmitters then alternate inside a
+				// single block: the second frame of each finds every static
+				// link of its row already drawn.
+				for i := 0; cf != nil && i < 4; i++ {
+					if i == 0 {
+						k.RunFor(coherence - sim.Duration(k.Now())%coherence)
+					}
+					memo.transmit(t, k, m, cf, m.radios[4+5*(i%2)], i >= 2, what+", inside one block")
+					if i == 3 && model.Fast.Block(k.Now()) != model.Fast.Block(k.Now().Add(-8*sim.Millisecond)) {
+						t.Fatalf("%s: four frames did not fit one coherence block", what)
+					}
 				}
 				k.RunFor(7 * sim.Millisecond) // movers move, fading blocks turn over
 			}
 			if delivered == 0 || filtered == 0 {
 				t.Fatalf("%d arrivals delivered, %d filtered: the wall must see both", delivered, filtered)
 			}
+			if cf != nil && (memo.hits == 0 || memo.misses == 0) {
+				t.Fatalf("fading memo: %d links remembered, %d drawn: the wall must see both", memo.hits, memo.misses)
+			}
 			if m.LinkCacheHits == 0 || m.LinkCacheMisses == 0 {
 				t.Fatalf("row path not exercised: %d entries served, %d built", m.LinkCacheHits, m.LinkCacheMisses)
 			}
 		})
+	}
+}
+
+// TestFadingMemoInvalidation changes, inside a single coherence block,
+// everything a remembered link can depend on besides the block: a receiver
+// retunes away and back (the memo must survive, on the right entries), the
+// detection margin moves (every too-weak verdict is void), radios join, a
+// radio in the middle of every row starts moving and settles elsewhere
+// (rows are rebuilt; entries shift). After each, every radio's arrivals
+// must be those of the per-transmission computation.
+func TestFadingMemoInvalidation(t *testing.T) {
+	k := sim.NewKernel()
+	src := rng.New(33)
+	model := spectrum.NewModel(spectrum.FreeSpace{Freq: 2412 * units.MHz},
+		spectrum.NewShadowing(src.Split("shadow"), 4), spectrum.NewRician(src.Split("fast"), 4, sim.Second))
+	cf := countFast(model)
+	m := New(k, model, src)
+	wallTopology(m, 25)
+	var memo memoTally
+	round := func(what string) (delivered uint64) {
+		t.Helper()
+		before := m.FanoutDelivered
+		for _, tx := range m.radios {
+			memo.transmit(t, k, m, cf, tx, false, what)
+		}
+		return m.FanoutDelivered - before
+	}
+	steps := []struct {
+		what   string
+		change func()
+	}{
+		{"first draw", func() {}},
+		{"after SetChannel away", func() { m.radios[2].SetChannel(6); m.radios[12].SetChannel(6) }},
+		{"after SetChannel back", func() { m.radios[2].SetChannel(1); m.radios[12].SetChannel(1) }},
+		{"after margin change", func() { m.DetectionMarginDB = 3 }},
+		{"after AddRadio", func() {
+			m.AddRadio(wallRadio(25, geom.Pt(40, 70)))
+			m.AddRadio(wallRadio(26, geom.Pt(70, 40)))
+		}},
+		{"after static→mobile", func() {
+			m.radios[10].SetMobility(geom.Linear{Start: geom.Pt(0, 60), Velocity: geom.Vector{X: 3, Y: -1}, T0: k.Now()})
+		}},
+		{"after mobile→static", func() { m.radios[10].SetMobility(geom.Static{P: geom.Pt(95, 35)}) }},
+	}
+	var delivered []uint64
+	for _, s := range steps {
+		s.change()
+		delivered = append(delivered, round(s.what))
+		// Whatever the change voided has been drawn again by now.
+		hits := memo.hits
+		if round(s.what + ", again"); memo.hits == hits {
+			t.Fatalf("%s: a second round served no link from the memo", s.what)
+		}
+	}
+	if delivered[3] >= delivered[2] {
+		t.Fatalf("margin 10 → 3 dB delivered %d arrivals after %d: no verdict changed", delivered[3], delivered[2])
+	}
+	if model.Fast.Block(k.Now()) != 0 {
+		t.Fatalf("the run left the first coherence block at %v", k.Now())
 	}
 }
 

@@ -16,8 +16,10 @@
 // in id order with the mobile radios (if any), whose physics is computed
 // per transmission. On channels without fast fading a row holds only the
 // receivers that pass the detection-margin filter; with fast fading it holds
-// every static radio, and the fading gain and the filter are applied per
-// transmission. Mobile transmitters compute every link per transmission.
+// every static radio, and the fading gain, the filter and the milliwatt
+// conversion are applied once per coherence block (spectrum.Fading.Block):
+// beside each entry the row remembers the block it last drew in and what
+// came of it. Mobile transmitters compute every link per transmission.
 //
 // Rows are built from, and mobile transmitters walk, one candidate source:
 // on fading-free channels whose path-loss model can bound detection range
@@ -163,6 +165,15 @@ type fanoutEntry struct {
 
 func (e *fanoutEntry) rx() int             { return int(e.rxDelay & (1<<linkIDBits - 1)) }
 func (e *fanoutEntry) delay() sim.Duration { return sim.Duration(e.rxDelay >> linkIDBits) }
+
+// fadeSlot is what a row entry's link came to in one fast-fading coherence
+// block: the faded power and its milliwatts, or powerMW < 0 when the power
+// filter dropped it. key is the block index plus one: a zero slot matches none.
+type fadeSlot struct {
+	key     uint64
+	power   units.DBm
+	powerMW float64
+}
 
 // Medium couples radios to the propagation model.
 type Medium struct {
@@ -453,7 +464,7 @@ func propDelay(d float64) sim.Duration {
 // buildRow computes static transmitter r's fan-out row from the candidate
 // source. An entry reproduces the per-transmission computation bit-for-bit:
 // it stores txPower-loss+shadow with the same operation order RxPower uses,
-// and fast fading (when present) is applied per transmission by fanout.
+// and fast fading (when present) is applied per coherence block by fanout.
 func (m *Medium) buildRow(r *Radio, t *transmission, grid bool) {
 	cands := m.radios
 	if grid {
@@ -479,6 +490,10 @@ func (m *Medium) buildRow(r *Radio, t *transmission, grid bool) {
 	m.rowScratch = row
 	r.row = make([]fanoutEntry, len(row)) // exact size: rows are the medium's bulk
 	copy(r.row, row)
+	r.rowFade = nil // the memo is the row's: a rebuilt row has drawn nothing yet
+	if !m.noFast {
+		r.rowFade = make([]fadeSlot, len(row))
+	}
 	keys := m.edgeKeys[:0]
 	for i := range row {
 		keys = append(keys, edgeKey{row[i].delay(), int32(i)})
@@ -530,6 +545,7 @@ func (m *Medium) transmit(r *Radio, f *frame.Frame, rate phy.RateIdx) sim.Durati
 //wlan:hotpath
 func (m *Medium) fanout(r *Radio, t *transmission) {
 	var row []fanoutEntry
+	var fade []fadeSlot   // the row's fast-fading memo, nil without fast fading
 	others := m.radios    // receivers whose link is computed per transmission
 	var reach2 float64    // when positive, others are pruned to this range²
 	grid := m.gridReady() // also brings topoGen and the mobile list up to date
@@ -537,7 +553,7 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 		if r.rowGen != m.topoGen {
 			m.buildRow(r, t, grid)
 		}
-		row, others = r.row, m.sp.mobile
+		row, fade, others = r.row, r.rowFade, m.sp.mobile
 		if grid {
 			m.refreshPositions(t.start)
 			reach2 = m.sp.rangeM[r.id] * m.sp.rangeM[r.id]
@@ -545,6 +561,7 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 	} else if grid {
 		others = m.gridCandidates(r, t)
 	}
+	fadeKey := m.model.Fast.Block(t.start) + 1 // t.start's coherence block, as fade keys it
 	m.LinkCacheHits += uint64(len(row))
 	m.FanoutCandidates += uint64(len(row))
 	arrs := t.arrs[:0]
@@ -561,8 +578,17 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 			if rx.channel != t.channel {
 				continue
 			}
-			if !m.noFast {
-				power, powerMW = power.Add(m.model.Fast.Gain(linkID(r, rx), t.start)), -1
+			if fade != nil {
+				s := &fade[i-1]
+				if s.key != fadeKey { // the link's first transmission in this block: draw, filter, convert
+					s.key, s.power, s.powerMW = fadeKey, power.Add(m.model.Fast.Gain(linkID(r, rx), t.start)), -1
+					if !m.tooWeak(s.power, rx) {
+						s.powerMW = linearOrZero(s.power)
+					}
+				}
+				if power, powerMW = s.power, s.powerMW; powerMW < 0 {
+					continue
+				}
 			}
 		} else {
 			rx = others[j]
@@ -573,14 +599,12 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 			m.FanoutCandidates++
 			offRow++
 			rxPos := rx.mobility.PositionAt(t.start)
-			power, powerMW = m.model.RxPower(r.txPower, t.txPos, rxPos, linkID(r, rx), t.start), -1
-			delay = propDelay(t.txPos.Distance(rxPos))
-		}
-		if powerMW < 0 { // computed for this transmission: filter, then convert
+			power = m.model.RxPower(r.txPower, t.txPos, rxPos, linkID(r, rx), t.start)
 			if m.tooWeak(power, rx) {
 				continue
 			}
 			powerMW = linearOrZero(power)
+			delay = propDelay(t.txPos.Distance(rxPos))
 		}
 		if !m.PropagationDelay {
 			delay = 0

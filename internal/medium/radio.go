@@ -169,7 +169,8 @@ type Radio struct {
 	// callback allocated once.
 	static      bool
 	row         []fanoutEntry
-	rowOrder    []int32 // row indices by (delay, index): the row's edge order
+	rowOrder    []int32    // row indices by (delay, index): the row's edge order
+	rowFade     []fadeSlot // per row entry, its last fast-fading block (nil without fast fading)
 	rowGen      uint64
 	nameRxStart string
 	nameRxEnd   string

@@ -17,6 +17,11 @@ import (
 // *spacing* of the rate ladder is correct, so rate adaptation sees the
 // right crossover structure. README.md's model-fidelity notes record this
 // substitution.
+//
+// The curves are evaluated only where they decide something: above a
+// per-modulation Eb/N0 knee (sureEbN0, measured from the curves at package
+// init) a chunk of up to sureBits bits succeeds with probability exactly 1.0
+// in float64, and ChunkSuccess says so without an erfc, a log1p or an exp.
 
 // qfunc is the Gaussian tail function Q(x).
 func qfunc(x float64) float64 {
@@ -64,24 +69,57 @@ func (m *Mode) BER(ri RateIdx, sinrLinear float64) float64 {
 		return 0.5
 	}
 	r := m.Rate(ri)
-	ebN0 := sinrLinear * float64(m.Bandwidth) / float64(r.BitRate)
-	ber := berForModulation(r.Mod, ebN0)
-	if ber > 0.5 {
-		ber = 0.5
-	}
-	return ber
+	return min(0.5, berForModulation(r.Mod, sinrLinear*float64(m.Bandwidth)/float64(r.BitRate)))
 }
+
+// sureBits is the longest chunk the sure-success knees vouch for; it is
+// above any 802.11 MPDU, and a longer chunk takes the curves.
+const sureBits = 1 << 15
+
+// sureEbN0 holds, per modulation, an Eb/N0 from which chunkSuccess of up to
+// sureBits bits is bit-for-bit 1.0: the smallest such, bisected on
+// chunkSuccess itself (non-decreasing in Eb/N0, non-increasing in the bit
+// count), plus 5 % — at the knee that moves the BER tenfold, out of reach of
+// ulp-level wobble in exp or erfc. Keyed by modulation, not by mode, so a
+// Mode's Rates and Bandwidth stay mutable; only read after init.
+var sureEbN0 = func() (knee [ModQAM64 + 1]float64) {
+	for mod := range knee {
+		lo, hi := 1e-3, 1e6 // chunkSuccess < 1 at lo, == 1 at hi
+		for i := 0; i < 64; i++ {
+			if mid := math.Sqrt(lo * hi); chunkSuccess(Modulation(mod), mid, sureBits) == 1 {
+				hi = mid
+			} else {
+				lo = mid
+			}
+		}
+		knee[mod] = hi * 1.05
+	}
+	return knee
+}()
 
 // ChunkSuccess returns the probability that nBits consecutive bits decode
 // without error at the given SINR. The medium calls it once per
-// constant-interference span of every locked reception.
+// constant-interference span of every locked reception. A NaN SINR and a
+// modulation outside the knee table take the curves like any other.
 //
 //wlan:hotpath
 func (m *Mode) ChunkSuccess(ri RateIdx, sinrLinear float64, nBits int) float64 {
 	if nBits <= 0 {
 		return 1
 	}
-	ber := m.BER(ri, sinrLinear)
+	r := m.Rate(ri)
+	ebN0 := sinrLinear * float64(m.Bandwidth) / float64(r.BitRate)
+	if int(r.Mod) < len(sureEbN0) && ebN0 >= sureEbN0[r.Mod] && nBits <= sureBits {
+		return 1
+	}
+	return chunkSuccess(r.Mod, ebN0, nBits)
+}
+
+// chunkSuccess is ChunkSuccess past the rate lookup, from the curves.
+//
+//wlan:hotpath
+func chunkSuccess(mod Modulation, ebN0 float64, nBits int) float64 {
+	ber := berForModulation(mod, ebN0)
 	if ber <= 0 {
 		return 1
 	}

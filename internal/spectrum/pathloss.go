@@ -185,11 +185,16 @@ func (m MatrixLoss) Loss(tx, rx geom.Point) units.DB {
 }
 
 // Fading is a time-varying multiplicative channel gain (usually a loss,
-// sometimes a small gain) sampled per frame per link.
+// sometimes a small gain) per link, constant within a coherence block.
 type Fading interface {
 	// Gain returns the fading gain in dB for a transmission on the directed
 	// link (tx, rx) at time t. Negative values are fades.
 	Gain(linkID uint64, t sim.Time) units.DB
+	// Block returns the index of the coherence block t falls in, and is the
+	// model's promise that Gain(l, t) depends on t only through Block(t): a
+	// caller may keep a link's gain for as long as Block does not change. A
+	// time-invariant process has the single block 0.
+	Block(t sim.Time) uint64
 }
 
 // NoFading is the identity fading process.
@@ -197,6 +202,9 @@ type NoFading struct{}
 
 // Gain implements Fading.
 func (NoFading) Gain(uint64, sim.Time) units.DB { return 0 }
+
+// Block implements Fading.
+func (NoFading) Block(sim.Time) uint64 { return 0 }
 
 // Shadowing adds a log-normal (normal in dB) offset per link, constant in
 // time — the standard model for obstruction variance between node pairs.
@@ -224,6 +232,9 @@ func (s *Shadowing) Gain(linkID uint64, _ sim.Time) units.DB {
 	return g
 }
 
+// Block implements Fading: the offset never changes.
+func (*Shadowing) Block(sim.Time) uint64 { return 0 }
+
 func shadowLabel(linkID uint64) string {
 	buf := [20]byte{'s', 'h', 'a', 'd', ':'}
 	n := 5
@@ -243,18 +254,21 @@ type Rayleigh struct {
 	rng       *rng.Source
 }
 
-// NewRayleigh builds a Rayleigh fading process.
+// NewRayleigh builds a Rayleigh fading process. The coherence time must be
+// positive; core.Config.Validate is where a user's value is refused.
 func NewRayleigh(src *rng.Source, coherence sim.Duration) *Rayleigh {
 	if coherence <= 0 {
-		coherence = 10 * sim.Millisecond
+		panic("spectrum: fading coherence time must be positive")
 	}
 	return &Rayleigh{Coherence: coherence, rng: src}
 }
 
+// Block implements Fading.
+func (r *Rayleigh) Block(t sim.Time) uint64 { return uint64(t) / uint64(r.Coherence) }
+
 // Gain implements Fading.
 func (r *Rayleigh) Gain(linkID uint64, t sim.Time) units.DB {
-	block := uint64(t) / uint64(r.Coherence)
-	src := r.rng.Derive(fadeLabel(linkID, block))
+	src := r.rng.Derive(fadeLabel(linkID, r.Block(t)))
 	// |h|^2 for complex Gaussian h is exponential with mean 1.
 	power := src.ExpFloat64()
 	if power < 1e-9 {
@@ -271,18 +285,21 @@ type Rician struct {
 	rng       *rng.Source
 }
 
-// NewRician builds a Rician fading process with the given K factor.
+// NewRician builds a Rician fading process with the given K factor and a
+// positive coherence time.
 func NewRician(src *rng.Source, k float64, coherence sim.Duration) *Rician {
 	if coherence <= 0 {
-		coherence = 10 * sim.Millisecond
+		panic("spectrum: fading coherence time must be positive")
 	}
 	return &Rician{K: k, Coherence: coherence, rng: src}
 }
 
+// Block implements Fading.
+func (r *Rician) Block(t sim.Time) uint64 { return uint64(t) / uint64(r.Coherence) }
+
 // Gain implements Fading.
 func (r *Rician) Gain(linkID uint64, t sim.Time) units.DB {
-	block := uint64(t) / uint64(r.Coherence)
-	src := r.rng.Derive(fadeLabel(linkID, block))
+	src := r.rng.Derive(fadeLabel(linkID, r.Block(t)))
 	// h = sqrt(K/(K+1)) + sqrt(1/(K+1)) * CN(0,1); power = |h|^2.
 	los := math.Sqrt(r.K / (r.K + 1))
 	sigma := math.Sqrt(1 / (2 * (r.K + 1)))

@@ -169,6 +169,55 @@ func TestRayleighBlockConstant(t *testing.T) {
 	}
 }
 
+// TestFadingBlockContract holds what Block promises for every in-tree
+// process: instants with equal Block have equal Gain on every link (the
+// medium keeps a link's gain on the strength of it), blocks are coherence
+// intervals counted from zero, and a time-invariant process has one.
+func TestFadingBlockContract(t *testing.T) {
+	const coh = 3 * sim.Millisecond
+	for name, f := range map[string]Fading{
+		"none":     NoFading{},
+		"shadow":   NewShadowing(rng.New(8), 6),
+		"rayleigh": NewRayleigh(rng.New(8), coh),
+		"rician":   NewRician(rng.New(8), 3, coh),
+	} {
+		_, fast := map[string]bool{"rayleigh": true, "rician": true}[name]
+		changed := false
+		for link := uint64(0); link < 8; link++ {
+			prevBlock, prevGain := f.Block(0), f.Gain(link, 0)
+			for at := sim.Time(0); at < sim.Time(20*coh); at += sim.Time(coh / 7) {
+				b, g := f.Block(at), f.Gain(link, at)
+				if want := uint64(at) / uint64(coh); fast && b != want || !fast && b != 0 {
+					t.Fatalf("%s: Block(%v) = %d", name, at, b)
+				}
+				if b == prevBlock && g != prevGain {
+					t.Fatalf("%s: link %d gain moved from %v to %v inside block %d", name, link, prevGain, g, b)
+				}
+				changed = changed || g != prevGain
+				prevBlock, prevGain = b, g
+			}
+		}
+		if changed != fast {
+			t.Errorf("%s: gain changed over time = %v, want %v", name, changed, fast)
+		}
+	}
+	for _, coherence := range []sim.Duration{0, -sim.Millisecond} {
+		for name, build := range map[string]func(){
+			"rayleigh": func() { NewRayleigh(rng.New(1), coherence) },
+			"rician":   func() { NewRician(rng.New(1), 2, coherence) },
+		} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Errorf("%s accepted coherence %v", name, coherence)
+					}
+				}()
+				build()
+			}()
+		}
+	}
+}
+
 func TestRayleighMeanPowerUnity(t *testing.T) {
 	r := NewRayleigh(rng.New(4), sim.Millisecond)
 	var sum float64
@@ -303,8 +352,8 @@ func TestMaxRangeEdgeCases(t *testing.T) {
 // A fading draw derives its per-link, per-block stream on the stack.
 func TestFadingGainZeroAlloc(t *testing.T) {
 	for name, f := range map[string]Fading{
-		"rayleigh": NewRayleigh(rng.New(5), 0),
-		"rician":   NewRician(rng.New(5), 4, 0),
+		"rayleigh": NewRayleigh(rng.New(5), 10*sim.Millisecond),
+		"rician":   NewRician(rng.New(5), 4, 10*sim.Millisecond),
 	} {
 		link := uint64(0)
 		allocs := testing.AllocsPerRun(1000, func() {
