@@ -49,9 +49,7 @@ func main() {
 		Fading:          *fading,
 		FadingCoherence: sim.Duration(blockLen.Nanoseconds()),
 		ShadowSigmaDB:   *shadow,
-	}
-	if *rts > 0 {
-		cfg.RTSThreshold = *rts
+		RTSThreshold:    *rts,
 	}
 	err := cfg.Validate()
 	switch {

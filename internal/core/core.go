@@ -60,7 +60,8 @@ type Config struct {
 	// "minstrel".
 	RateAdapt string
 
-	// MAC parameter overrides applied to every node (zero = defaults).
+	// MAC parameter overrides applied to every node (zero = defaults,
+	// negative or CWmin > CWmax: refused).
 	RTSThreshold  int
 	FragThreshold int
 	CWmin, CWmax  int
@@ -161,13 +162,22 @@ func (c Config) resolve() (s specs, err error) {
 		err = fmt.Errorf("core: bad fading coherence %v: want a positive time, or 0 for 10 ms", c.FadingCoherence)
 	} else if err == nil && (!(c.ShadowSigmaDB >= 0) || math.IsInf(c.ShadowSigmaDB, 1)) {
 		err = fmt.Errorf("core: bad shadowing sigma %v dB: want a positive deviation, or 0 for none", c.ShadowSigmaDB)
+	} else if err == nil && min(c.QueueCap, c.CWmin, c.CWmax, c.RTSThreshold, c.FragThreshold) < 0 {
+		// A negative QueueCap fails every Enqueue, management frames included.
+		err = fmt.Errorf("core: bad MAC override, want 0 (the default) or more: QueueCap %d, CWmin %d, CWmax %d, RTSThreshold %d, FragThreshold %d",
+			c.QueueCap, c.CWmin, c.CWmax, c.RTSThreshold, c.FragThreshold)
+	} else if err == nil {
+		if lo, hi := pickInt(c.CWmin, s.mode.CWmin), pickInt(c.CWmax, s.mode.CWmax); lo > hi {
+			err = fmt.Errorf("core: bad contention window: CWmin %d above CWmax %d", lo, hi)
+		}
 	}
 	return s, err
 }
 
 // Validate reports the first Mode, Fading or RateAdapt spec that does not
-// parse, or a negative FadingCoherence or ShadowSigmaDB — the error
-// NewNetwork panics with. Commands taking those from a user call it first.
+// parse, a negative FadingCoherence, ShadowSigmaDB or MAC override, or CWmin
+// above CWmax — the error NewNetwork panics with. Commands taking those from
+// a user call it first.
 func (c Config) Validate() error {
 	_, err := c.resolve()
 	return err
@@ -334,12 +344,6 @@ func (n *Network) newStack(name string, mob geom.Mobility, opts NodeOpts) (*medi
 		CaptureEnabled: n.cfg.Capture,
 		CaptureMargin:  units.DB(n.cfg.CaptureMarginDB),
 	})
-	pickInt := func(v, def int) int {
-		if v != 0 {
-			return v
-		}
-		return def
-	}
 	d := mac.New(n.kernel, r, mac.Config{
 		Address:       n.alloc.Next(),
 		Mode:          n.mode,
@@ -351,6 +355,13 @@ func (n *Network) newStack(name string, mob geom.Mobility, opts NodeOpts) (*medi
 		QueueCap:      pickInt(opts.QueueCap, n.cfg.QueueCap),
 	}, n.rateController(name, opts.RateAdapt), n.root)
 	return r, d
+}
+
+func pickInt(v, def int) int {
+	if v != 0 {
+		return v
+	}
+	return def
 }
 
 func (n *Network) register(node *Node) *Node {
@@ -480,14 +491,26 @@ func (n *Network) AddESS(ssid string, positions []geom.Point, cfg net80211.APCon
 
 // --- flows -----------------------------------------------------------------
 
-// Saturate attaches a backlogged flow from src to dst and returns its ID.
+// Saturate attaches a backlogged flow from src to dst and returns its ID. An
+// ad-hoc source waits on its MAC queue for room (a refused Adhoc.Send is one
+// TryReserve failure: a count); a station or AP source offers again every
+// millisecond, because its refused send is not pure — STA.Send re-arms the
+// doze timer, and both consume a WEP IV before the queue refuses.
 func (n *Network) Saturate(src, dst *Node, size int) uint32 {
+	if src.Adhoc != nil {
+		return n.saturate(src, dst, size, src.MAC)
+	}
+	return n.saturate(src, dst, size, nil)
+}
+
+// saturate is the test seam: a nil backlog polls whatever the source is.
+func (n *Network) saturate(src, dst *Node, size int, backlog traffic.Backlog) uint32 {
 	n.nextFlow++
 	id := n.nextFlow
 	dstAddr := dst.Address()
 	g := traffic.NewSaturator(n.kernel, id, size, func(p []byte) bool {
 		return src.Send(dstAddr, p)
-	})
+	}, backlog)
 	n.gens = append(n.gens, g)
 	return id
 }
@@ -536,7 +559,8 @@ func (n *Network) Generators() []*traffic.Generator { return n.gens }
 // Run advances the scenario by d of virtual time, or by less when a
 // callback stops the kernel. With metrics enabled the run is chunked at
 // core.MetricsEvery flush boundaries — same events, same order, live
-// gauges.
+// gauges. Parked saturators are settled before it returns: generator and MAC
+// counters read between runs are exact.
 func (n *Network) Run(d sim.Duration) {
 	start := n.kernel.Now()
 	if obs.Enabled() {
@@ -545,6 +569,9 @@ func (n *Network) Run(d sim.Duration) {
 		n.kernel.RunFor(d)
 	}
 	n.ran += n.kernel.Now().Sub(start)
+	for _, g := range n.gens {
+		g.Settle()
+	}
 }
 
 // Elapsed returns total virtual time run so far.

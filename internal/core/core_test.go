@@ -87,6 +87,14 @@ var badConfigs = []struct {
 	{Config{ShadowSigmaDB: -4}, `bad shadowing sigma -4 dB`},
 	{Config{ShadowSigmaDB: math.NaN()}, `bad shadowing sigma NaN dB`},
 	{Config{ShadowSigmaDB: math.Inf(1)}, `bad shadowing sigma +Inf dB`},
+	{Config{QueueCap: -1}, `bad MAC override, want 0 (the default) or more: QueueCap -1,`},
+	{Config{CWmin: -31}, `bad MAC override, want 0 (the default) or more: QueueCap 0, CWmin -31,`},
+	{Config{CWmax: -1023}, `CWmax -1023,`},
+	{Config{RTSThreshold: -5}, `RTSThreshold -5,`},
+	{Config{FragThreshold: -256}, `FragThreshold -256`},
+	{Config{CWmin: 63, CWmax: 31}, `CWmin 63 above CWmax 31`},
+	{Config{CWmin: 2047}, `CWmin 2047 above CWmax 1023`},
+	{Config{Mode: "802.11a", CWmax: 7}, `CWmin 15 above CWmax 7`},
 	{Config{RateAdapt: "magic"}, `unknown rate adaptation "magic"`},
 	{Config{RateAdapt: "fixed:x"}, `bad rate spec "fixed:x"`},
 	{Config{RateAdapt: "fixed:4"}, `802.11b has rates 0..3`},
@@ -110,7 +118,8 @@ func TestConfigValidate(t *testing.T) {
 	for _, r := range []string{"fixed", "fixed:1", "fixed:3", "arf", "aarf", "samplerate", "minstrel"} {
 		good = append(good, Config{RateAdapt: r, Fading: "rayleigh"})
 	}
-	good = append(good, Config{Mode: "802.11g", RateAdapt: "fixed:7"})
+	good = append(good, Config{Mode: "802.11g", RateAdapt: "fixed:7"},
+		Config{QueueCap: 1, CWmin: 1023, RTSThreshold: 1, FragThreshold: 256}, Config{CWmin: 7, CWmax: 7})
 	for _, cfg := range good {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)

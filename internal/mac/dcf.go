@@ -33,6 +33,8 @@ type DCF struct {
 	// reserved counts queue slots promised by TryReserve but not yet
 	// consumed by Enqueue; they are part of the queue's occupancy.
 	reserved int
+	// spaceWaiters are the AwaitSpace callbacks owed a call at the next dequeue.
+	spaceWaiters []func()
 
 	// Channel state tracking.
 	busy         bool     // physical CCA (includes own TX)
@@ -159,6 +161,15 @@ func (d *DCF) Release() {
 		d.reserved--
 	}
 }
+
+// AwaitSpace has fn called once, the next time an MSDU leaves the transmit
+// queue: a source that found it full waits here instead of offering again on
+// a timer (traffic.Backlog). fn runs inside tryAccess and must not call back
+// into the MAC; it is there to schedule an event.
+func (d *DCF) AwaitSpace(fn func()) { d.spaceWaiters = append(d.spaceWaiters, fn) }
+
+// Refuse counts n sends a waiting source did not make: TryReserve refusals.
+func (d *DCF) Refuse(n uint64) { d.stats.QueueDrops += n }
 
 // Enqueue accepts an MSDU (data or management frame) for transmission. The
 // caller sets the address fields; the MAC owns Seq/Frag/Retry/Duration. It
@@ -339,6 +350,10 @@ func (d *DCF) tryAccess() {
 			d.queue = d.queue[:n]
 			d.qHead = 0
 		}
+		for _, fn := range d.spaceWaiters { // a slot is free for whoever comes first
+			fn()
+		}
+		d.spaceWaiters = d.spaceWaiters[:0]
 	}
 	if d.radio.Transmitting() || d.pending != respNone || d.sifsEvent.Scheduled() {
 		return

@@ -377,6 +377,45 @@ func TestQueueCapacity(t *testing.T) {
 	}
 }
 
+// TestAwaitSpaceWakesEveryWaiterAtEachDequeue: every AwaitSpace callback is
+// called at the next dequeue — all of them, once, with a slot already free —
+// and Refuse lands in QueueDrops.
+func TestAwaitSpaceWakesEveryWaiterAtEachDequeue(t *testing.T) {
+	b := newBed(11, spectrum.FreeSpace{Freq: 2412 * units.MHz})
+	a := b.addNode("a", geom.Pt(0, 0), Config{QueueCap: 2})
+	c := b.addNode("c", geom.Pt(10, 0), Config{})
+
+	var calls [2]int
+	var roomAtWake []int
+	b.k.Schedule(0, "fill", func() {
+		for a.dcf.Enqueue(data(c.dcf.Address(), a.dcf.Address(), 200)) {
+		}
+		for i := range calls {
+			i := i
+			a.dcf.AwaitSpace(func() {
+				calls[i]++
+				roomAtWake = append(roomAtWake, a.dcf.QueueCap()-a.dcf.QueueLen())
+			})
+		}
+		a.dcf.Refuse(7)
+	})
+	b.k.RunFor(1 * sim.Second)
+
+	st := a.dcf.Stats()
+	if st.MSDUDelivered != 3 {
+		t.Fatalf("delivered %d MSDUs, want flight + 2 queued", st.MSDUDelivered)
+	}
+	if calls != [2]int{1, 1} {
+		t.Errorf("waiters called %v times over 2 dequeues, want once each at the first", calls)
+	}
+	if len(roomAtWake) != 2 || roomAtWake[0] != 1 || roomAtWake[1] != 1 {
+		t.Errorf("free slots seen by the waiters: %v, want [1 1]", roomAtWake)
+	}
+	if st.QueueDrops != 1+7 {
+		t.Errorf("queue drops = %d, want 1 refused Enqueue + 7 from Refuse", st.QueueDrops)
+	}
+}
+
 func TestSaturationThroughputSingleStation(t *testing.T) {
 	// One backlogged station should achieve close to the no-contention
 	// theoretical throughput for its mode.

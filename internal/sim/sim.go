@@ -22,7 +22,11 @@
 // once (ReserveSeq) and keep a single heap entry that re-queues itself
 // from edge to edge (ScheduleArgSeq): an event queued with a reserved seq
 // pops exactly where an event scheduled when that seq was reserved would
-// have popped.
+// have popped. A periodic source may hold one number for life (traffic's
+// saturator): a tick's key is then (instant, that number) whether or not the
+// ticks before it ran, so the source can skip idle ticks and ask Passed which
+// instants are behind it. The price is the exact-nanosecond tie: such a tick
+// runs before every event scheduled after the number was taken.
 //
 // A pop only reads the root and leaves it vacant. The next insert — usually
 // the running callback re-queueing itself — writes its key there and sifts
@@ -143,8 +147,9 @@ func keyLess(a, b heapKey) bool {
 // Kernel is the simulation executive. The zero value is not usable;
 // construct with NewKernel.
 type Kernel struct {
-	now  Time
-	heap []heapKey // 4-ary min-heap on (at, seq); payloads stay in slots
+	now    Time
+	runSeq uint64    // seq of the event running or last run: (now, runSeq) is where the loop is
+	heap   []heapKey // 4-ary min-heap on (at, seq); payloads stay in slots
 	// vacant: the last pop left its dead key at heap[0]. The next insert
 	// overwrites it, the next pop or bulk reap settles it, nothing counts it.
 	vacant bool
@@ -179,6 +184,14 @@ func NewKernel() *Kernel {
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() Time { return k.now }
+
+// Passed reports whether the run loop is beyond the key (at, seq): an event
+// queued under it in time would have run. Inside a callback that is every key
+// before the running event's; after RunUntil reached its deadline, every key
+// at or before the clock.
+func (k *Kernel) Passed(at Time, seq uint64) bool {
+	return at < k.now || at == k.now && seq < k.runSeq
+}
 
 // Processed returns the number of events executed so far.
 func (k *Kernel) Processed() uint64 { return k.processed }
@@ -467,7 +480,7 @@ func (k *Kernel) execute(key heapKey, e *Event) {
 	if key.at < k.now {
 		panic("sim: queue yielded event in the past")
 	}
-	k.now = key.at
+	k.now, k.runSeq = key.at, key.seq
 	if key.at != k.runAt {
 		k.closeRun()
 		k.runAt = key.at
@@ -528,8 +541,8 @@ func (k *Kernel) RunUntil(deadline Time) {
 	k.stopped = false
 	for !k.stopped && k.drainStep(deadline) {
 	}
-	if !k.stopped && k.now < deadline {
-		k.now = deadline
+	if !k.stopped && k.now <= deadline {
+		k.now, k.runSeq = deadline, math.MaxUint64 // beyond every key of that instant
 	}
 }
 

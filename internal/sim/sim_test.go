@@ -376,3 +376,43 @@ func BenchmarkScheduleRun(b *testing.B) {
 	}
 	k.Run()
 }
+
+// TestPassed pins the question a source that skips its idle ticks asks the
+// kernel: is the run loop beyond the key (at, seq)?
+func TestPassed(t *testing.T) {
+	k := NewKernel()
+	older := k.ReserveSeq(1)
+	var inside [4]bool
+	k.ScheduleAt(10, "probe", func() {
+		inside = [4]bool{k.Passed(9, 1<<40), k.Passed(10, older), k.Passed(10, older+5), k.Passed(11, 0)}
+		k.Stop()
+	})
+	younger := k.ReserveSeq(1)
+	if k.Passed(0, older) {
+		t.Error("a fresh kernel has passed a key at its own instant")
+	}
+	k.RunUntil(20)
+	// Earlier instant; same instant ordered before the running event; same
+	// instant ordered after it; later instant.
+	if want := [4]bool{true, true, false, false}; inside != want {
+		t.Errorf("inside the event at (10, %d): Passed = %v, want %v", older+1, inside, want)
+	}
+	// Stop left the clock on the stopped event: a younger key of that
+	// instant may still be queued.
+	if k.Now() != 10 || !k.Passed(10, older) || k.Passed(10, younger) {
+		t.Errorf("after Stop at %v: Passed(older) %v, Passed(younger) %v, want true false", k.Now(), k.Passed(10, older), k.Passed(10, younger))
+	}
+	k.RunUntil(20)
+	if !k.Passed(20, younger) || !k.Passed(20, 1<<40) || k.Passed(21, 0) {
+		t.Error("a run that reached its deadline has passed every key up to it and none beyond")
+	}
+	// A deadline behind the clock runs nothing and passes nothing new.
+	k.ScheduleAt(20, "late", func() {})
+	k.RunUntil(20)
+	k.ScheduleAt(25, "next", func() { k.Stop() })
+	k.RunUntil(30)
+	k.RunUntil(22)
+	if k.Now() != 25 || k.Passed(25, 1<<40) {
+		t.Errorf("RunUntil into the past moved the kernel: now %v, Passed(25, far) %v", k.Now(), k.Passed(25, 1<<40))
+	}
+}

@@ -3,6 +3,11 @@
 // small header (flow ID, sequence number, departure timestamp) so the sink
 // can compute per-flow goodput, delivery ratio, loss and latency without
 // any side channel — exactly the way testbed tools like iperf do it.
+//
+// A saturator given a Backlog (an ad-hoc source's MAC) parks on it once the
+// queue refuses and runs no event until a packet leaves; the top-ups it
+// skipped are settled as counts. One given none (station and AP sources,
+// whose refused send is not pure) runs every top-up. See NewSaturator.
 package traffic
 
 import (
@@ -49,6 +54,16 @@ func DecodeHeader(buf []byte) (h Header, ok bool) {
 // packet).
 type SendFunc func(payload []byte) bool
 
+// Backlog is the transmit queue behind a saturator's SendFunc, where a send
+// the queue refuses does nothing but count itself: the saturator waits for
+// room instead of making sends it knows will be refused, and reports them.
+type Backlog interface {
+	// AwaitSpace has fn called once, the next time a packet leaves the queue.
+	AwaitSpace(fn func())
+	// Refuse counts n sends the full queue would have refused.
+	Refuse(n uint64)
+}
+
 // Generator is a running traffic source.
 type Generator struct {
 	k      *sim.Kernel
@@ -56,13 +71,19 @@ type Generator struct {
 	size   int
 	send   SendFunc
 
-	// next returns the gap to the next packet; nil means "saturate".
+	// next returns the gap to the next packet (saturators have none).
 	next func() sim.Duration
 
-	// Saturation support.
-	saturate bool
-	topUp    sim.Duration
-	burst    int
+	// Saturation support: top-ups sit on the grid start + i*topUp, all under
+	// the schedule-order number tick; last is the latest grid instant run or
+	// settled. A parked saturator has none queued: backlog will call wakeFn.
+	topUp   sim.Duration
+	burst   int
+	backlog Backlog
+	tick    uint64
+	last    sim.Time
+	parked  bool
+	wakeFn  func()
 
 	seq     uint64
 	Offered uint64 // packets handed to send
@@ -80,8 +101,12 @@ type Generator struct {
 	buf []byte
 }
 
-// Stop halts the generator after the current event.
-func (g *Generator) Stop() { g.stopped = true }
+// Stop halts the generator after the current event (a parked saturator is
+// settled first: its counters are final).
+func (g *Generator) Stop() {
+	g.Settle()
+	g.stopped = true
+}
 
 // Sent returns the number of accepted packets.
 func (g *Generator) Sent() uint64 { return g.Offered - g.Refused }
@@ -113,26 +138,54 @@ func (g *Generator) run() {
 	g.k.Schedule(gap, "traffic", g.runFn)
 }
 
+func runSaturateArg(g any) { g.(*Generator).runSaturate() }
+
 func (g *Generator) runSaturate() {
 	if g.stopped {
 		return
 	}
-	// Keep the queue topped up: push until refused, then check back soon.
-	for i := 0; i < g.burst; i++ {
-		if !g.emit() {
-			break
-		}
+	// Keep the queue topped up: push until refused, then wait for room on
+	// the backlog, or check back soon.
+	g.last = g.k.Now()
+	refused := false
+	for i := 0; i < g.burst && !refused; i++ {
+		refused = !g.emit()
 	}
-	g.k.Schedule(g.topUp, "traffic-sat", g.runFn)
+	if g.parked = refused && g.backlog != nil; g.parked {
+		g.backlog.AwaitSpace(g.wakeFn)
+		return
+	}
+	g.k.ScheduleArgSeq(g.last.Add(g.topUp), g.tick, "traffic-sat", runSaturateArg, g)
+}
+
+// Settle brings a parked saturator's counters up to the clock: every grid
+// instant the run loop has passed since last offered one packet to a
+// still-full queue and had it refused, nothing else. Otherwise a no-op.
+func (g *Generator) Settle() {
+	if !g.parked || g.stopped {
+		return
+	}
+	n := g.k.Now().Sub(g.last) / g.topUp
+	if n > 0 && !g.k.Passed(g.last.Add(n*g.topUp), g.tick) {
+		n-- // this instant's top-up is ordered after the running event
+	}
+	g.last = g.last.Add(n * g.topUp)
+	g.seq, g.Offered, g.Refused = g.seq+uint64(n), g.Offered+uint64(n), g.Refused+uint64(n)
+	g.backlog.Refuse(uint64(n))
+}
+
+// wake is the AwaitSpace callback: a packet left the queue, so the next
+// top-up, the first grid instant not passed, is queued.
+func (g *Generator) wake() {
+	if !g.stopped {
+		g.Settle()
+		g.parked = false
+		g.k.ScheduleArgSeq(g.last.Add(g.topUp), g.tick, "traffic-sat", runSaturateArg, g)
+	}
 }
 
 // start begins generation at t=now (first packet immediately).
 func (g *Generator) start() {
-	if g.saturate {
-		g.runFn = g.runSaturate
-		g.k.Schedule(0, "traffic-sat", g.runFn)
-		return
-	}
 	g.runFn = g.run
 	g.k.Schedule(0, "traffic", g.runFn)
 }
@@ -189,16 +242,23 @@ func NewOnOff(k *sim.Kernel, flowID uint32, size int, interval, meanOn, meanOff 
 	return g
 }
 
-// NewSaturator starts a source that keeps the MAC queue backlogged: it
-// pushes packets until the queue refuses, then tops up every topUp (default
-// 1 ms).
-func NewSaturator(k *sim.Kernel, flowID uint32, size int, send SendFunc) *Generator {
+// NewSaturator starts a source that keeps the transmit queue backlogged: it
+// pushes packets until the queue refuses, then tops up every topUp (1 ms).
+// Every top-up is queued under one schedule-order number taken here, so at an
+// exact-nanosecond tie it runs before any event scheduled after the saturator
+// started and after any scheduled before. With a backlog, a top-up that ends
+// refused queues no successor: the wake-up settles the top-ups skipped since
+// and queues the next one on the grid, so accepted packets carry the Seq,
+// SentAt and queue position polling gives them, and Offered/Refused are
+// current whenever the saturator is not parked, and after Settle or Stop.
+func NewSaturator(k *sim.Kernel, flowID uint32, size int, send SendFunc, backlog Backlog) *Generator {
 	if size < HeaderLen {
 		size = HeaderLen
 	}
 	g := &Generator{k: k, flowID: flowID, size: size, send: send,
-		saturate: true, topUp: sim.Millisecond, burst: 512}
-	g.start()
+		topUp: sim.Millisecond, burst: 512, backlog: backlog, tick: k.ReserveSeq(1)}
+	g.wakeFn = g.wake
+	k.ScheduleArgSeq(k.Now(), g.tick, "traffic-sat", runSaturateArg, g)
 	return g
 }
 

@@ -128,7 +128,7 @@ func TestSaturatorBackpressure(t *testing.T) {
 		}
 		queue++
 		return true
-	})
+	}, nil)
 	// Drain 10 per millisecond.
 	k.Ticker(sim.Millisecond, "drain", func() {
 		queue -= 10
