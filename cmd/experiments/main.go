@@ -13,34 +13,37 @@
 //	experiments -agents h1:7101,h2:7101   # add TCP agents to the worker list
 //	experiments -metrics :9090  # serve Prometheus /metrics (+ pprof) while running
 //
-// Every run is one sweep engine — the repro/internal/cluster scheduler,
-// which hands the costliest unfinished grid point to whichever worker is
-// free — over a worker list the flags choose: by default GOMAXPROCS
-// in-process workers; with -shards N (N ≥ 2) N subprocesses of this binary
-// instead (own Go runtime and GC each, spawned once and reused for every
-// experiment of the invocation); with -agents one TCP worker per listed
-// `experiments -agent :port` process (any reachable machine running the
-// same binary) in addition, the in-process workers then cut to one: the
-// fleet carries the grid, and the one local worker — which cannot die —
-// keeps the coordinator's memory at one scenario and lets the sweep finish
-// when every agent is gone. Output is byte-identical to the sequential run
-// whatever the list, even when subprocesses or agents die mid-sweep: their
-// in-flight points are re-dispatched (see repro/internal/cluster). When
-// subprocesses or agents take part, each sweep's per-worker point counts
-// are summarised on stderr.
+// Every invocation is one run of the sweep engine (repro/internal/cluster):
+// one queue over every (experiment, grid point) of the invocation hands the
+// first unfinished point, in (experiment, cost descending) order, to
+// whichever worker is free, so no worker waits for an experiment to drain
+// before starting on the next; tables are printed in suite order, each as
+// soon as it and every table before it is complete. The flags choose the
+// worker list: by default GOMAXPROCS in-process workers; with -shards N
+// (N ≥ 2) N subprocesses of this binary instead (own Go runtime and GC each,
+// started once for the run); with -agents one TCP worker per listed
+// `experiments -agent :port` process (any reachable machine running the same
+// binary, dialled once for the run) in addition, the in-process workers then
+// cut to one: the fleet carries the grids, and the one local worker — which
+// cannot die — keeps the coordinator's memory at one scenario and lets the
+// run finish when every agent is gone. Output is byte-identical to the
+// sequential run whatever the list, even when subprocesses or agents die
+// mid-run: their in-flight points are re-dispatched. When subprocesses or
+// agents take part, one line on stderr summarises the run's per-worker
+// point counts.
 //
 // -metrics works in every mode — coordinator and agent — and announces the
 // bound address on stderr as "metrics listening <addr>". Instrumentation is
 // determinism-safe: tables stay byte-identical with metrics on (see
 // repro/internal/obs).
 //
-// With -checkpoint the sweep becomes durable: every verified chunk is
+// With -checkpoint the run becomes durable: every verified point is
 // journaled to the given file (crash-safe append; internal/sweep
-// checkpoint format) and a restarted run — after a crash, OOM or Ctrl-C —
-// loads the journal, skips the completed points, and still produces output
-// byte-identical to an uninterrupted run. -checkpoint requires -experiment
-// (the journal is per-sweep) and works with any worker list; delete the
-// file to start over.
+// checkpoint format, one journal for the whole run) and a restarted run —
+// after a crash, OOM or Ctrl-C — loads the journal, skips the completed
+// points, and still produces output byte-identical to an uninterrupted run.
+// It works with any worker list; the restart must select the experiments
+// the journal holds. Delete the file to start over.
 //
 // -agent accepts -chaos seed, which serves the protocol through the
 // internal/cluster/faultnet fault injector: connection refusals,
@@ -49,6 +52,10 @@
 // merge sequential-identical output — that is the property CI's chaos step
 // exercises. `-agent -` serves the same protocol on stdin/stdout; it is how
 // -shards starts its subprocesses and is not meant to be called by hand.
+//
+// A flag combination that would be ignored — -shards below 1, -chaos
+// without a TCP -agent, -checkpoint with -agent, an empty address in
+// -agents — is one line on stderr and exit status 2, before anything runs.
 package main
 
 import (
@@ -57,6 +64,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"time"
 
@@ -66,6 +74,7 @@ import (
 	"repro/internal/harness"
 	"repro/internal/obs"
 	"repro/internal/sim"
+	"repro/internal/stats"
 )
 
 func main() {
@@ -77,11 +86,26 @@ func main() {
 		shards  = flag.Int("shards", 1, "evaluate on N worker subprocesses instead of in-process workers (1 = in-process)")
 		agent   = flag.String("agent", "", "agent mode: serve sweep chunks on this TCP address (e.g. :7101) until killed (- = stdin/stdout, internal)")
 		agents  = flag.String("agents", "", "comma-separated agent addresses to add to the worker list (beside one in-process worker)")
-		ckpt    = flag.String("checkpoint", "", "journal verified chunks to this file and resume from it on restart (requires -experiment)")
+		ckpt    = flag.String("checkpoint", "", "journal verified points to this file and resume from it on restart")
 		chaos   = flag.Int64("chaos", 0, "with -agent: serve through the seeded faultnet injector (0 = off)")
 		metrics = flag.String("metrics", "", "serve Prometheus /metrics (+ pprof) on this address (e.g. :9090, :0 picks a port) and enable live instrumentation")
 	)
 	flag.Parse()
+
+	var addrs []string
+	if *agents != "" {
+		addrs = strings.Split(*agents, ",")
+	}
+	switch {
+	case *shards < 1:
+		usage("-shards %d: want at least 1 (1 = in-process workers)", *shards)
+	case *chaos != 0 && (*agent == "" || *agent == "-"):
+		usage("-chaos injects faults into a TCP agent; it needs -agent host:port")
+	case *ckpt != "" && *agent != "":
+		usage("-checkpoint journals a coordinator's run; an -agent has none")
+	case slices.Contains(addrs, ""):
+		usage("-agents %q holds an empty address", *agents)
+	}
 
 	if *metrics != "" {
 		obs.SetEnabled(true)
@@ -132,13 +156,10 @@ func main() {
 		}
 		exps = []*harness.Experiment{e}
 	}
-	if *ckpt != "" && len(exps) != 1 {
-		fatal(fmt.Errorf("experiments: -checkpoint journals one sweep; pick it with -experiment"))
-	}
 
 	local := runtime.GOMAXPROCS(0)
-	if *agents != "" {
-		// The fleet carries the grid; one local worker keeps the
+	if addrs != nil {
+		// The fleet carries the grids; one local worker keeps the
 		// coordinator's footprint at one scenario at a time.
 		local = 1
 	}
@@ -150,9 +171,7 @@ func main() {
 		}
 		workers = cluster.Subprocesses(*shards, self, "-agent", "-")
 	}
-	if *agents != "" {
-		workers = append(workers, cluster.Remote(strings.Split(*agents, ",")...)...)
-	}
+	workers = append(workers, cluster.Remote(addrs...)...)
 	coord := &cluster.Coordinator{
 		Workers:        workers,
 		Quick:          *quick,
@@ -162,27 +181,24 @@ func main() {
 		},
 	}
 
-	for _, e := range exps {
-		start := time.Now()
-		res, err := coord.Run(e)
-		if err != nil {
-			coord.Close()
-			fatal(err)
-		}
-		elapsed := time.Since(start).Round(time.Millisecond)
+	start := time.Now()
+	res, err := coord.Run(exps, func(i int, t *stats.Table) {
+		e := exps[i]
 		if *csv {
-			fmt.Printf("# %s: %s\n%s\n", e.ID, e.Title, res.Table.CSV())
+			fmt.Printf("# %s: %s\n%s\n", e.ID, e.Title, t.CSV())
 		} else {
-			fmt.Printf("%s\nexpected shape: %s\n(wall time %v)\n\n", res.Table.Render(), e.Expect, elapsed)
+			fmt.Printf("%s\nexpected shape: %s\n(%v into the run)\n\n", t.Render(), e.Expect, time.Since(start).Round(time.Millisecond))
 		}
-		if *shards > 1 || *agents != "" {
-			fmt.Fprintf(os.Stderr, "%s: %d workers;%s\n", e.ID, len(workers), clusterSummary(res))
-		}
+	})
+	if err != nil {
+		fatal(err)
 	}
-	coord.Close()
+	if *shards > 1 || addrs != nil {
+		fmt.Fprintf(os.Stderr, "experiments: %d workers;%s\n", len(workers), clusterSummary(res))
+	}
 }
 
-// clusterSummary renders the per-worker point counts, e.g.
+// clusterSummary renders the run's per-worker point counts, e.g.
 // " local=3 10.0.0.2:7101=6".
 func clusterSummary(res *cluster.Result) string {
 	var b strings.Builder
@@ -199,6 +215,12 @@ func clusterSummary(res *cluster.Result) string {
 		fmt.Fprintf(&b, "; %d point(s) resumed from checkpoint", res.Resumed)
 	}
 	return b.String()
+}
+
+// usage reports a flag combination that would otherwise be ignored.
+func usage(format string, args ...any) {
+	fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
+	os.Exit(2)
 }
 
 func fatal(err error) {

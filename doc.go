@@ -37,11 +37,12 @@
 //   - internal/harness describes every experiment as a parameter grid of
 //     independent scenario points (harness.Grid); Grid.Run evaluates them
 //     one after another and is the reference for everything below.
-//   - internal/cluster is the one sweep engine: a cost-ordered
-//     work-stealing scheduler over a worker list — in-process goroutines
-//     (the default), subprocesses on stdin/stdout (`experiments -shards
-//     N`), TCP agents (`-agents`) — with re-dispatch, checkpoint/resume and
-//     a merge byte-identical to the sequential run. internal/sweep is its
-//     data format: shard wire format, worker-side evaluation, merge,
-//     checkpoint journal.
+//   - internal/cluster is the one sweep engine: one cost-ordered
+//     work-stealing queue over every (experiment, point) of an invocation
+//     and a worker list — in-process goroutines (the default), subprocesses
+//     on stdin/stdout (`experiments -shards N`), TCP agents (`-agents`),
+//     each opened once per run — with re-dispatch, one checkpoint journal
+//     per run and merges byte-identical to the sequential run, emitted in
+//     suite order. internal/sweep is its data format: shard wire format,
+//     worker-side evaluation, merge, checkpoint journal.
 package repro

@@ -1,21 +1,32 @@
 // Package cluster is the sweep engine: one scheduler decides which grid
-// point of an experiment runs where, fed by an explicit list of workers.
-// The Coordinator owns scheduling, fault handling, the checkpoint journal
-// and the merge; a worker is whatever evaluates the chunks it is handed,
-// reached through one of three transports:
+// point of which experiment runs where, fed by an explicit list of workers.
+// The Coordinator is handed the whole list of experiments of an invocation
+// and owns scheduling, fault handling, the checkpoint journal and the
+// merges; a worker is whatever evaluates the points it is handed, reached
+// through one of three transports:
 //
 //   - in-process: a goroutine of the coordinator's own process evaluates
-//     the chunk and delivers the rows directly. No wire round trip, so
+//     the point and delivers the rows directly. No wire round trip, so
 //     table cells are unrestricted;
 //   - subprocess: a child process running the agent's serve loop on its
 //     stdin/stdout (`experiments -agent -`). Pipe EOF is the liveness
 //     signal in both directions — a dead child fails the coordinator's
-//     read, a dead coordinator ends the child's loop — and a chunk past its
+//     read, a dead coordinator ends the child's loop — and a point past its
 //     deadline is cancelled by killing the child;
 //   - TCP: an agent process on any reachable machine (`experiments -agent
 //     :7101`), with a heartbeat on a second connection.
 //
-// Every transport evaluates a chunk with the same function,
+// A run is one queue over every (experiment, point) of the list, ordered by
+// (position in the list, cost descending, point ascending): a worker that
+// finds an experiment fully in flight takes the next one's costliest point
+// instead of waiting, so there is no barrier between experiments. Tables are
+// merged and emitted in list order, each as soon as it and every table
+// before it is complete. A link to a worker is opened when the run first
+// needs it and lives exactly as long as the run; one journal covers the run;
+// Result — who served how much, what was re-dispatched or resumed — is per
+// run, because worker failure was never a property of an experiment.
+//
+// Every transport evaluates a point with the same function,
 // sweep.EvalPoints. The subprocess and TCP transports carry its result over
 // one line protocol, layered on the internal/sweep shard format; the
 // in-process transport skips the encoding.
@@ -41,46 +52,49 @@
 // an artifact, guarded by the same loud round-trip checks) and nothing else:
 // a worker answers with rows, and what it costs to produce them is read from
 // its own -metrics endpoint, not from the response. A request the agent
-// cannot serve answers `# error: <reason>` instead of a shard. Point
-// evaluation is deterministic — a point's rows depend only on the
-// experiment, quick mode and point index — which is what lets the
-// coordinator re-dispatch work anywhere and still merge tables
-// byte-identical to the sequential run.
+// cannot serve answers `# error: <reason>` instead of a shard. An agent
+// evaluates whatever point list it is sent; this coordinator asks for one
+// point per request — the finest-grained stealing and re-dispatch — and
+// buffers at most 4 MiB of a response. Point evaluation is deterministic — a
+// point's rows depend only on the experiment, quick mode and point index —
+// which is what lets the coordinator re-dispatch work anywhere and still
+// merge tables byte-identical to the sequential run.
 //
 // # At-least-once dispatch, exactly-once merge, resume
 //
-// Dispatch is at-least-once: a chunk whose worker fails — connection loss,
+// Dispatch is at-least-once: a point whose worker fails — connection loss,
 // a dead subprocess, missed heartbeat, exceeded deadline, or a response
 // that fails validation — is re-dispatched to whichever worker next asks
 // for work, so the same point may be evaluated more than once. The
-// coordinator nevertheless guarantees each grid point lands in the merged
+// coordinator nevertheless guarantees each grid point lands in its merged
 // table exactly once, whatever fails in between:
 //
-//   - every chunk response is validated against the request (experiment,
-//     quick mode, and the exact point set) before any row is accepted;
-//   - a failed or dead worker's in-flight points are re-dispatched to the
-//     surviving workers (in-process workers cannot die, so a sweep that has
+//   - every response is validated against the request (experiment, quick
+//     mode, and the one point asked for) before any row is accepted;
+//   - a failed or dead worker's in-flight point is re-dispatched to the
+//     surviving workers (in-process workers cannot die, so a run that has
 //     one degrades to local execution rather than failing); once-live
 //     workers are periodically re-probed — re-dialled or re-spawned — and
 //     re-admitted when they come back;
-//   - results are deduplicated by point index — the first valid result for
-//     a point wins and later duplicates from re-dispatch races are
+//   - results are deduplicated by (experiment, point) — the first valid
+//     result wins and later duplicates from re-dispatch races are
 //     discarded; both results are byte-identical by determinism, so
 //     "first wins" is not a race on content;
-//   - the final merge (sweep.Merge) independently re-verifies that every
-//     point in [0, N) is present exactly once.
+//   - each merge (sweep.Merge) independently re-verifies that every point
+//     in [0, N) is present exactly once.
 //
 // With Coordinator.CheckpointPath set, the contract extends across
-// coordinator process death, whatever the worker list: every chunk is
-// journaled (internal/sweep checkpoint format, fsynced append) only after
-// it passes the validation above, so the journal holds nothing unverified.
-// A restarted coordinator re-validates the journal against the sweep
-// identity and grid, truncates at most a torn trailing record (the one a
-// crash may have cut), marks the journaled points delivered before any
-// worker starts, and dispatches only the remainder — the resumed sweep's
-// merged table is byte-identical to an uninterrupted run. Journal
-// duplicates from re-dispatch races are tolerated when byte-identical and
-// rejected loudly otherwise.
+// coordinator process death, whatever the worker list: every point is
+// journaled (internal/sweep checkpoint format, fsynced append, each record
+// naming its experiment) only after it passes the validation above, so the
+// journal holds nothing unverified. A restarted coordinator re-validates the
+// journal against the run's quick mode and grids — a record of an experiment
+// the run does not evaluate is a loud error, never a truncation — truncates
+// at most a torn trailing record (the one a crash may have cut), marks the
+// journaled points delivered before any worker starts, and dispatches only
+// the remainder: the resumed run's tables are byte-identical to an
+// uninterrupted run's. Journal duplicates from re-dispatch races are
+// tolerated when byte-identical and rejected loudly otherwise.
 //
 // Agents are trusted, version-matched binaries (the same experiment
 // registry must be compiled in); the validation above is a seatbelt against
@@ -114,6 +128,12 @@ const (
 // so a peer that never sends a newline must not grow the heap without
 // limit; 1 MiB covers any real point list.
 const maxRequestLine = 1 << 20
+
+// maxResponse bounds what a coordinator buffers of one response. It asks for
+// one point at a time and a point's rows are a few hundred bytes, so a peer
+// that never sends "# end" is cut off here instead of growing the heap until
+// a deadline that does not exist while the cost model is untrusted.
+const maxResponse = 4 << 20
 
 // Agent serves sweep chunks over TCP listeners (Serve) or a byte stream
 // (ServePipe). The zero value is ready to use; Logf, when set, receives one

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bufio"
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -12,6 +13,7 @@ import (
 	"time"
 
 	"repro/internal/harness"
+	"repro/internal/stats"
 )
 
 // startAgent serves a real Agent on a loopback listener and returns its
@@ -34,6 +36,21 @@ func fleet(local int, addrs ...string) []*Worker {
 	return append(InProcess(local), Remote(addrs...)...)
 }
 
+// runOne is Run for a single experiment: its one table beside the result.
+func runOne(c *Coordinator, e *harness.Experiment) (*stats.Table, *Result, error) {
+	var table *stats.Table
+	res, err := c.Run([]*harness.Experiment{e}, func(_ int, t *stats.Table) { table = t })
+	return table, res, err
+}
+
+// setTiming replaces the package's timing for the length of the test.
+func setTiming(t *testing.T, tm timings) {
+	t.Helper()
+	old := timing
+	timing = tm
+	t.Cleanup(func() { timing = old })
+}
+
 func seqRender(t *testing.T, id string) (e *harness.Experiment, render, csv string) {
 	t.Helper()
 	e = harness.ByID(id)
@@ -53,15 +70,15 @@ func TestClusterMergeMatchesSequential(t *testing.T) {
 	for _, id := range []string{"T1", "F1", "S1"} {
 		e, wantRender, wantCSV := seqRender(t, id)
 		c := &Coordinator{Workers: fleet(1, addr1, addr2), Quick: true}
-		res, err := c.Run(e)
+		table, res, err := runOne(c, e)
 		if err != nil {
 			t.Fatalf("%s: %v", id, err)
 		}
-		if got := res.Table.Render(); got != wantRender {
+		if got := table.Render(); got != wantRender {
 			t.Errorf("%s: cluster-merged Render differs from sequential:\n--- cluster\n%s--- sequential\n%s",
 				id, got, wantRender)
 		}
-		if got := res.Table.CSV(); got != wantCSV {
+		if got := table.CSV(); got != wantCSV {
 			t.Errorf("%s: cluster-merged CSV differs from sequential", id)
 		}
 		var pts int
@@ -81,11 +98,11 @@ func TestClusterRemoteOnlyMatchesSequential(t *testing.T) {
 	addr2, _ := startAgent(t)
 	e, wantRender, _ := seqRender(t, "T1")
 	c := &Coordinator{Workers: Remote(addr1, addr2), Quick: true}
-	res, err := c.Run(e)
+	table, res, err := runOne(c, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Table.Render(); got != wantRender {
+	if got := table.Render(); got != wantRender {
 		t.Errorf("remote-only Render differs from sequential:\n--- cluster\n%s--- sequential\n%s", got, wantRender)
 	}
 	for _, a := range res.Agents {
@@ -156,11 +173,11 @@ func TestClusterDropsConnMidRow(t *testing.T) {
 	// The pause after each chunk guarantees the evil agent gets to pull one
 	// before the in-process worker has eaten the grid.
 	c := &Coordinator{Workers: fleet(1, addr, good), Quick: true, stepDelay: 20 * time.Millisecond}
-	res, err := c.Run(e)
+	table, res, err := runOne(c, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Table.Render(); got != wantRender {
+	if got := table.Render(); got != wantRender {
 		t.Errorf("merge after mid-row drop differs from sequential:\n--- cluster\n%s--- sequential\n%s", got, wantRender)
 	}
 	if res.Redispatched == 0 {
@@ -197,11 +214,11 @@ func TestClusterAgentKilledMidShard(t *testing.T) {
 	}()
 	good, _ := startAgent(t)
 	c := &Coordinator{Workers: fleet(1, ln.Addr().String(), good), Quick: true}
-	res, err := c.Run(e)
+	table, _, err := runOne(c, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Table.Render(); got != wantRender {
+	if got := table.Render(); got != wantRender {
 		t.Errorf("merge after agent kill differs from sequential:\n--- cluster\n%s--- sequential\n%s", got, wantRender)
 	}
 }
@@ -215,19 +232,16 @@ func TestClusterHeartbeatDetectsHungAgent(t *testing.T) {
 	// chunk back.
 	e, wantRender, _ := seqRender(t, "T1")
 	hung := evilServer(t, func(conn net.Conn) { /* accept and say nothing */ })
-	c := &Coordinator{
-		Workers:          fleet(1, hung),
-		Quick:            true,
-		stepDelay:        20 * time.Millisecond,
-		HeartbeatEvery:   10 * time.Millisecond,
-		HeartbeatTimeout: 100 * time.Millisecond,
-	}
+	tm := timing
+	tm.heartbeatEvery, tm.heartbeatTimeout = 10*time.Millisecond, 100*time.Millisecond
+	setTiming(t, tm)
+	c := &Coordinator{Workers: fleet(1, hung), Quick: true, stepDelay: 20 * time.Millisecond}
 	start := time.Now()
-	res, err := c.Run(e)
+	table, res, err := runOne(c, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Table.Render(); got != wantRender {
+	if got := table.Render(); got != wantRender {
 		t.Errorf("merge after hung agent differs from sequential")
 	}
 	if elapsed := time.Since(start); elapsed > 10*time.Second {
@@ -254,12 +268,12 @@ func TestClusterDegradesToLocal(t *testing.T) {
 		ln.Close()
 	}
 	e, wantRender, _ := seqRender(t, "T1")
-	c := &Coordinator{Workers: fleet(1, dead...), Quick: true, DialTimeout: time.Second}
-	res, err := c.Run(e)
+	c := &Coordinator{Workers: fleet(1, dead...), Quick: true}
+	table, res, err := runOne(c, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Table.Render(); got != wantRender {
+	if got := table.Render(); got != wantRender {
 		t.Errorf("degraded-to-local Render differs from sequential")
 	}
 	var local AgentStats
@@ -283,9 +297,12 @@ func TestClusterAllAgentsDeadFails(t *testing.T) {
 	addr := ln.Addr().String()
 	ln.Close()
 	e := harness.ByID("S1")
-	c := &Coordinator{Workers: Remote(addr), Quick: true, DialTimeout: time.Second}
-	if _, err := c.Run(e); err == nil {
+	c := &Coordinator{Workers: Remote(addr), Quick: true}
+	if _, _, err := runOne(c, e); err == nil {
 		t.Fatal("sweep with a fully dead fleet reported success")
+	}
+	if _, _, err := runOne(&Coordinator{Quick: true}, e); err == nil {
+		t.Error("empty worker list accepted")
 	}
 }
 
@@ -318,29 +335,15 @@ func TestListenAndServeAnnouncesAddr(t *testing.T) {
 	}
 }
 
-// The tuning knobs must fall back to sane defaults when unset.
-func TestCoordinatorDefaults(t *testing.T) {
-	c := &Coordinator{}
-	if c.heartbeatEvery() <= 0 || c.heartbeatTimeout() <= c.heartbeatEvery() {
-		t.Errorf("heartbeat defaults inconsistent: every=%v timeout=%v", c.heartbeatEvery(), c.heartbeatTimeout())
-	}
-	if c.dialTimeout() <= 0 {
-		t.Errorf("dial timeout default %v", c.dialTimeout())
-	}
-	if _, err := c.Run(harness.ByID("S1")); err == nil {
-		t.Error("empty worker list accepted")
-	}
-}
-
 // A fatal scheduler error must unblock takers and surface from result.
 func TestSchedulerFailAborts(t *testing.T) {
-	s := newScheduler([]float64{1, 1}, 1)
+	s := newScheduler([][]float64{{1, 1}}, nil)
 	s.fail(fmt.Errorf("boom"))
-	if pts := s.take(1); pts != nil {
-		t.Fatalf("take after fail returned %v", pts)
+	if j, ok := s.take(); ok {
+		t.Fatalf("take after fail returned %v", j)
 	}
-	if _, err := s.result(); err == nil || !strings.Contains(err.Error(), "boom") {
-		t.Fatalf("result error = %v, want the fatal error", err)
+	if _, err := s.await(0); err == nil || !strings.Contains(err.Error(), "boom") {
+		t.Fatalf("await error = %v, want the fatal error", err)
 	}
 }
 
@@ -380,11 +383,56 @@ func TestAgentProtocolErrors(t *testing.T) {
 		t.Errorf("ping after errors answered %q", got)
 	}
 	// The in-process transport evaluates through the same function, so it
-	// refuses the same point lists.
-	for _, pts := range [][]int{{999}, {0, 0}} {
-		if _, err := (inProcess{}).run(harness.ByID("S1"), true, pts, 0); err == nil {
-			t.Errorf("in-process worker evaluated the bad point list %v", pts)
+	// refuses the same points.
+	for _, p := range []int{999, -1} {
+		if _, err := (inProcess{}).run(harness.ByID("S1"), true, p, 0); err == nil {
+			t.Errorf("in-process worker evaluated the out-of-grid point %d", p)
 		}
+	}
+}
+
+// The coordinator side of the same protocol: an answer that is anything but
+// the one requested point of the requested sweep fails the point as a fatal
+// agent error — reconnecting cannot fix a peer that answers wrongly — and
+// nothing a peer sends makes the coordinator buffer without bound.
+func TestCoordinatorProtocolErrors(t *testing.T) {
+	e := harness.ByID("T1")
+	answerTo := func(id string, quick bool, pts ...int) string {
+		var out bytes.Buffer
+		new(Agent).ServePipe(strings.NewReader(formatRunRequest(id, quick, pts)+"\n"), &out)
+		return out.String()
+	}
+	cases := []struct {
+		name, answer, want string
+	}{
+		{"error line", errPrefix + "no such luck\n", "agent error: no such luck"},
+		{"another experiment", answerTo("S1", true, 0), "answered exp=S1"},
+		{"the other quick mode", answerTo("T1", false, 0), "answered exp=T1 quick=false"},
+		{"another point", answerTo("T1", true, 1), "want exp=T1 quick=true point 0 alone"},
+		{"a point too many", answerTo("T1", true, 0, 1), "with 2 point(s)"},
+		{"trailer disagrees", "# sweep v1 exp=T1 shard=0/1 quick=true\n# point 0\n# stats points=2 rows=0\n# end\n", "integrity"},
+		// Never "# end": rows until the coordinator stops reading.
+		{"endless response", "", "response exceeds"},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			coord, peer := net.Pipe()
+			l := newWireLink(coord)
+			defer l.close()
+			go func() {
+				bufio.NewReader(peer).ReadString('\n') // the request
+				io.WriteString(peer, tc.answer)
+				for tc.answer == "" {
+					if _, err := io.WriteString(peer, strings.Repeat("x,y\n", 1<<10)); err != nil {
+						return
+					}
+				}
+			}()
+			_, err := l.run(e, true, 0, 0)
+			if !errors.Is(err, errFatalAgent) || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("run = %v, want a fatal agent error holding %q", err, tc.want)
+			}
+		})
 	}
 }
 

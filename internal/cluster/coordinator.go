@@ -21,29 +21,66 @@ const LocalAgentName = "local"
 
 // Scheduling constants no command and no test ever varied.
 const (
-	// chunkPoints is the number of points a worker pulls per request: 1 is
-	// the finest-grained stealing and re-dispatch.
-	chunkPoints = 1
 	// dialAttempts bounds the connection attempts per (re)connect cycle.
-	// Attempts back off exponentially from RetryBackoff with deterministic
-	// ±50% jitter seeded by Seed, so simultaneous coordinator restarts do
-	// not thundering-herd a recovering agent.
+	// Attempts back off exponentially from timing.retryBackoff with
+	// deterministic ±50% jitter seeded by timing.seed, so simultaneous
+	// coordinator restarts do not thundering-herd a recovering agent.
 	dialAttempts = 3
-	// maxStrikes bounds consecutive fruitless reconnect cycles (no chunk
+	// maxStrikes bounds consecutive fruitless reconnect cycles (no point
 	// served) before a once-live worker is abandoned for good.
 	maxStrikes = 8
 )
 
-// AgentStats is one worker's contribution to a sweep, rolled up from the
-// chunks it delivered.
+// timings is the coordinator's clockwork. No command sets any of it: the
+// package value below is what every run uses, and tests that need faults to
+// cost milliseconds replace it whole.
+type timings struct {
+	// heartbeatEvery / heartbeatTimeout tune dead-agent detection. A missed
+	// heartbeat kills the agent's work connection, which requeues its
+	// in-flight point.
+	heartbeatEvery, heartbeatTimeout time.Duration
+	// dialTimeout bounds each individual connection attempt.
+	dialTimeout time.Duration
+	// retryBackoff is the base delay between connection attempts (doubling
+	// per attempt).
+	retryBackoff time.Duration
+	// readmitEvery is how often a worker that was connected and then died is
+	// re-probed for re-admission. Workers that never connected at all are
+	// abandoned after their first failed dial cycle — re-probing only makes
+	// sense for nodes known to have existed.
+	readmitEvery time.Duration
+	// deadlineFactor cancels a point whose wall time exceeds factor × its
+	// expected cost under the learned ns-per-cost model (see
+	// scheduler.observe), floored by minDeadline so noisy estimates of cheap
+	// points cannot cancel healthy work. The cancelled point is
+	// re-dispatched; the worker is treated as failed transiently and may
+	// reconnect.
+	deadlineFactor float64
+	minDeadline    time.Duration
+	// seed fixes the backoff-jitter randomness: two runs retry on the same
+	// schedule.
+	seed int64
+}
+
+var timing = timings{
+	heartbeatEvery:   200 * time.Millisecond,
+	heartbeatTimeout: 2 * time.Second,
+	dialTimeout:      5 * time.Second,
+	retryBackoff:     100 * time.Millisecond,
+	readmitEvery:     time.Second,
+	deadlineFactor:   8,
+	minDeadline:      2 * time.Second,
+	seed:             1,
+}
+
+// AgentStats is one worker's contribution to a run.
 type AgentStats struct {
 	Addr   string
-	Chunks int
 	Points int
 	Rows   int
-	// Failed marks a worker that died at least once mid-sweep (its
-	// completed chunks still count above; its in-flight points were
-	// re-dispatched, and it may have been re-admitted later).
+	// Failed marks a worker that died at least once mid-run (its completed
+	// points still count above; its in-flight point was re-dispatched, and
+	// it may have been re-admitted later).
 	Failed bool
 	// Readmitted counts successful reconnects after a failure.
 	Readmitted int
@@ -51,79 +88,50 @@ type AgentStats struct {
 
 // add folds b into a.
 func (a *AgentStats) add(b AgentStats) {
-	a.Chunks += b.Chunks
 	a.Points += b.Points
 	a.Rows += b.Rows
 	a.Failed = a.Failed || b.Failed
 	a.Readmitted += b.Readmitted
 }
 
-// Result is one experiment's merged cluster sweep.
+// Result is what a run has to say beside its tables: worker failure was
+// never a property of an experiment.
 type Result struct {
-	Table  *stats.Table
 	Agents []AgentStats
-	// Redispatched counts points that had to be returned to the pool after
-	// an agent failure or a chunk deadline (0 on a healthy sweep).
+	// Redispatched counts points that had to be returned to the queue after
+	// a worker failure or a deadline (0 on a healthy run).
 	Redispatched int
 	// Resumed counts points loaded from the checkpoint instead of being
 	// evaluated (0 without CheckpointPath or on a fresh run).
 	Resumed int
 }
 
-// Coordinator evaluates a sweep on its worker list with cost-weighted work
-// stealing: workers pull the costliest unfinished chunk next, so fast
-// workers naturally absorb more of a skewed grid and a slow or dead one
-// never straggles the sweep. See the package documentation for the fault
-// tolerance, exactly-once merge and checkpoint/resume contract.
+// Coordinator evaluates a list of experiments on its worker list with
+// cost-weighted work stealing: workers pull the first unfinished point in
+// (experiment, cost descending) order, so fast workers naturally absorb more
+// of a skewed grid, a slow or dead one never straggles the run, and nobody
+// idles while one experiment's last points finish. See the package
+// documentation for the fault tolerance, exactly-once merge and
+// checkpoint/resume contract.
 type Coordinator struct {
-	// Workers lists who evaluates chunks: any mix of InProcess,
-	// Subprocesses and Remote workers. A sweep with an in-process worker
+	// Workers lists who evaluates points: any mix of InProcess,
+	// Subprocesses and Remote workers. A run with an in-process worker
 	// cannot fail for lack of workers; one without fails loudly when every
 	// worker is dead.
 	Workers []*Worker
-	// Quick selects the quick-mode grid.
+	// Quick selects the quick-mode grids.
 	Quick bool
-	// HeartbeatEvery / HeartbeatTimeout tune dead-agent detection
-	// (defaults 200ms / 2s). A missed heartbeat kills the agent's work
-	// connection, which requeues its in-flight chunk. A configured timeout
-	// that does not exceed the interval cannot ever observe a pong in
-	// time; Run clamps it to 4× the interval with a logged warning instead
-	// of silently misbehaving.
-	HeartbeatEvery   time.Duration
-	HeartbeatTimeout time.Duration
-	// DialTimeout bounds each individual connection attempt (default 5s).
-	DialTimeout time.Duration
-	// RetryBackoff is the base delay between connection attempts (default
-	// 100ms, doubling per attempt).
-	RetryBackoff time.Duration
-	// ReadmitEvery is how often a fleet member that was connected and then
-	// died is re-probed for re-admission (default 1s). Agents that never
-	// connected at all are abandoned after their first failed dial cycle —
-	// re-probing only makes sense for nodes known to have existed.
-	ReadmitEvery time.Duration
-	// ChunkDeadlineFactor cancels a chunk whose wall time exceeds factor ×
-	// its expected cost under the learned ns-per-cost model (EWMA over
-	// completed chunks, trusted after 3 observations). The cancelled
-	// chunk's points are re-dispatched; the agent is treated as failed
-	// transiently and may reconnect. Default 8; negative disables.
-	ChunkDeadlineFactor float64
-	// MinChunkDeadline floors the per-chunk deadline so noisy estimates of
-	// cheap points cannot cancel healthy work (default 2s).
-	MinChunkDeadline time.Duration
-	// CheckpointPath, when set, journals every verified chunk to this file
-	// (internal/sweep checkpoint format) and resumes from it: completed
-	// points found in the journal are re-validated, skipped, and merged
-	// from their journaled rows, byte-identical to re-evaluation.
+	// CheckpointPath, when set, journals every verified point of the run to
+	// this file (internal/sweep checkpoint format) and resumes from it:
+	// completed points found in the journal are re-validated, skipped, and
+	// merged from their journaled rows, byte-identical to re-evaluation.
 	CheckpointPath string
-	// Seed fixes the backoff-jitter randomness (default 1): two runs with
-	// the same seed retry on the same schedule.
-	Seed int64
-	// Logf reports agent failures, re-dispatches, re-admissions and
+	// Logf reports worker failures, re-dispatches, re-admissions and
 	// checkpoint resume/truncation events (nil silences).
 	Logf func(format string, args ...any)
 
-	// stepDelay throttles every worker between chunks (tests only: it
-	// holds a sweep open long enough to kill the coordinator mid-run).
+	// stepDelay throttles every worker between points (tests only: it holds
+	// a run open long enough to kill the coordinator mid-run).
 	stepDelay time.Duration
 }
 
@@ -131,79 +139,6 @@ func (c *Coordinator) logf(format string, args ...any) {
 	if c.Logf != nil {
 		c.Logf(format, args...)
 	}
-}
-
-func (c *Coordinator) heartbeatEvery() time.Duration {
-	if c.HeartbeatEvery <= 0 {
-		return 200 * time.Millisecond
-	}
-	return c.HeartbeatEvery
-}
-
-func (c *Coordinator) heartbeatTimeout() time.Duration {
-	every := c.heartbeatEvery()
-	t := c.HeartbeatTimeout
-	if t <= 0 {
-		t = 2 * time.Second
-	}
-	if t <= every {
-		// A timeout that cannot outlast one interval would declare every
-		// agent dead on its first ping; clamp rather than misbehave. Run
-		// logs the clamp once up front.
-		t = 4 * every
-	}
-	return t
-}
-
-// heartbeatMisconfigured reports whether the configured heartbeat values
-// needed clamping (see heartbeatTimeout).
-func (c *Coordinator) heartbeatMisconfigured() bool {
-	return c.HeartbeatTimeout > 0 && c.HeartbeatTimeout <= c.heartbeatEvery()
-}
-
-func (c *Coordinator) dialTimeout() time.Duration {
-	if c.DialTimeout <= 0 {
-		return 5 * time.Second
-	}
-	return c.DialTimeout
-}
-
-func (c *Coordinator) retryBackoff() time.Duration {
-	if c.RetryBackoff <= 0 {
-		return 100 * time.Millisecond
-	}
-	return c.RetryBackoff
-}
-
-func (c *Coordinator) readmitEvery() time.Duration {
-	if c.ReadmitEvery <= 0 {
-		return time.Second
-	}
-	return c.ReadmitEvery
-}
-
-func (c *Coordinator) chunkDeadlineFactor() float64 {
-	if c.ChunkDeadlineFactor < 0 {
-		return 0 // disabled
-	}
-	if c.ChunkDeadlineFactor == 0 {
-		return 8
-	}
-	return c.ChunkDeadlineFactor
-}
-
-func (c *Coordinator) minChunkDeadline() time.Duration {
-	if c.MinChunkDeadline <= 0 {
-		return 2 * time.Second
-	}
-	return c.MinChunkDeadline
-}
-
-func (c *Coordinator) seed() int64 {
-	if c.Seed == 0 {
-		return 1
-	}
-	return c.Seed
 }
 
 // errFatalAgent marks errors that prove the agent is answering wrongly
@@ -217,40 +152,54 @@ func fatalAgent(err error) error {
 	return fmt.Errorf("%w: %v", errFatalAgent, err)
 }
 
-// Run evaluates the experiment's grid on the worker list and merges the
-// results into a table byte-identical to e.Run(quick). Runs of one
-// Coordinator must not overlap; call Close after the last one.
-func (c *Coordinator) Run(e *harness.Experiment) (*Result, error) {
+// run is the state of one Run that its supervisors share.
+type run struct {
+	*Coordinator
+	exps []*harness.Experiment
+	s    *scheduler
+	cp   *sweep.Checkpoint // nil without CheckpointPath
+}
+
+// Run evaluates every experiment's grid on the worker list and hands emit
+// each merged table — byte-identical to exps[i].Run(quick) — in list order,
+// each as soon as it and every table before it is complete. Links to the
+// workers are opened when first needed and closed before Run returns.
+func (c *Coordinator) Run(exps []*harness.Experiment, emit func(i int, t *stats.Table)) (*Result, error) {
 	if len(c.Workers) == 0 {
 		return nil, fmt.Errorf("cluster: no workers")
 	}
-	if c.heartbeatMisconfigured() {
-		c.logf("cluster: HeartbeatTimeout %v <= HeartbeatEvery %v can never observe a pong; clamping timeout to %v",
-			c.HeartbeatTimeout, c.heartbeatEvery(), c.heartbeatTimeout())
+	grids := make([]*harness.Grid, len(exps))
+	costs := make([][]float64, len(exps))
+	sizes := make(map[string]int, len(exps))
+	for i, e := range exps {
+		grids[i] = e.Grid(c.Quick)
+		costs[i] = grids[i].Costs()
+		sizes[e.ID] = grids[i].N
 	}
-	g := e.Grid(c.Quick)
-	s := newScheduler(g.Costs(), len(c.Workers))
 
+	r := &run{Coordinator: c, exps: exps}
 	res := &Result{}
-
-	var cp *sweep.Checkpoint
+	var done []map[int][][]string
 	if c.CheckpointPath != "" {
-		var done map[int][][]string
-		var torn int
-		var err error
-		cp, done, torn, err = sweep.OpenCheckpoint(c.CheckpointPath, e.ID, c.Quick, g.N)
+		cp, byExp, torn, err := sweep.OpenCheckpoint(c.CheckpointPath, c.Quick, sizes)
 		if err != nil {
-			return nil, fmt.Errorf("cluster: %s: %w", e.ID, err)
+			return nil, fmt.Errorf("cluster: %w", err)
 		}
 		defer cp.Close()
+		r.cp = cp
 		if torn > 0 {
 			c.logf("cluster: checkpoint %s: truncated %d byte(s) of torn tail", c.CheckpointPath, torn)
 		}
-		if n := s.prefill(done); n > 0 {
-			res.Resumed = n
-			c.logf("cluster: resumed %d completed point(s) from checkpoint %s", n, c.CheckpointPath)
+		done = make([]map[int][][]string, len(exps))
+		for i, e := range exps {
+			done[i] = byExp[e.ID]
+			res.Resumed += len(done[i])
+		}
+		if res.Resumed > 0 {
+			c.logf("cluster: resumed %d completed point(s) from checkpoint %s", res.Resumed, c.CheckpointPath)
 		}
 	}
+	r.s = newScheduler(costs, done)
 
 	var (
 		mu sync.Mutex // guards res roll-up fields
@@ -260,7 +209,7 @@ func (c *Coordinator) Run(e *harness.Experiment) (*Result, error) {
 		wg.Add(1)
 		go func(w *Worker) {
 			defer wg.Done()
-			st, redispatched := c.supervise(e, s, cp, w)
+			st, redispatched := r.supervise(w)
 			mu.Lock()
 			defer mu.Unlock()
 			res.Redispatched += redispatched
@@ -273,57 +222,49 @@ func (c *Coordinator) Run(e *harness.Experiment) (*Result, error) {
 			res.Agents = append(res.Agents, st)
 		}(w)
 	}
-	wg.Wait()
-
-	byPoint, err := s.result()
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", e.ID, err)
+	go func() {
+		wg.Wait()
+		r.s.orphaned()
+	}()
+	for i, g := range grids {
+		rows, err := r.s.await(i)
+		if err != nil {
+			break
+		}
+		table, err := sweep.Merge(g.Table, g.N, []map[int][][]string{rows})
+		if err != nil {
+			r.s.fail(fmt.Errorf("cluster: %s: %w", exps[i].ID, err))
+			break
+		}
+		emit(i, table)
 	}
-	table, err := sweep.Merge(g.Table, g.N, []map[int][][]string{byPoint})
-	if err != nil {
-		return nil, fmt.Errorf("cluster: %s: %w", e.ID, err)
+	wg.Wait()
+	// Asked last: a journal append can fail after the last table is out.
+	if err := r.s.failure(); err != nil {
+		return nil, err
 	}
 	sort.Slice(res.Agents, func(i, j int) bool { return res.Agents[i].Addr < res.Agents[j].Addr })
-	res.Table = table
 	return res, nil
 }
 
-// Close stops the subprocess workers the last Run left running for the
-// next one.
-func (c *Coordinator) Close() {
-	for _, w := range c.Workers {
-		if w.kept != nil {
-			w.kept.close()
-			w.kept = nil
-		}
-	}
-}
-
-// supervise owns one worker for the whole sweep: it opens the worker's
-// link with jittered exponential backoff, serves chunks until the link (or
-// what is behind it) fails, classifies the failure, and — for workers that
-// had been live — periodically re-probes and re-admits them. It returns
-// when the sweep finishes or the worker is abandoned for good. In-process
-// links neither fail to open nor fail a chunk, so for them this is the
-// plain take-evaluate-deliver loop.
-func (c *Coordinator) supervise(e *harness.Experiment, s *scheduler, cp *sweep.Checkpoint, w *Worker) (AgentStats, int) {
+// supervise owns one worker for the whole run: it opens the worker's link
+// with jittered exponential backoff, serves points until the link (or what
+// is behind it) fails, classifies the failure, and — for workers that had
+// been live — periodically re-probes and re-admits them. It returns when
+// the run finishes or the worker is abandoned for good. In-process links
+// neither fail to open nor fail a point, so for them this is the plain
+// take-evaluate-deliver loop.
+func (r *run) supervise(w *Worker) (AgentStats, int) {
+	s := r.s
 	st := AgentStats{Addr: w.name}
 	redispatched := 0
-	rng := rand.New(rand.NewSource(c.seed() ^ addrSeed(w.name)))
+	rng := rand.New(rand.NewSource(timing.seed ^ addrSeed(w.name)))
 	everConnected := false
 	strikes := 0
-	// holdsSlot tracks whether this supervisor currently counts toward the
-	// scheduler's live-worker total (it does from construction); releasing
-	// the slot while disconnected is what lets a sweep with no other live
-	// workers fail loudly instead of waiting on a re-probe forever.
-	holdsSlot := true
 
 	abandon := func(why error) (AgentStats, int) {
 		st.Failed = true
-		if holdsSlot {
-			s.workerGone()
-		}
-		c.logf("cluster: agent %s abandoned (%v)", w.name, why)
+		r.logf("cluster: agent %s abandoned (%v)", w.name, why)
 		return st, redispatched
 	}
 
@@ -331,12 +272,7 @@ func (c *Coordinator) supervise(e *harness.Experiment, s *scheduler, cp *sweep.C
 		if s.finished() {
 			return st, redispatched
 		}
-		l := w.kept
-		w.kept = nil
-		var err error
-		if l == nil {
-			l, err = c.openBackoff(w, s, rng)
-		}
+		l, err := r.openBackoff(w, rng)
 		if err != nil {
 			if s.finished() {
 				return st, redispatched
@@ -350,55 +286,43 @@ func (c *Coordinator) supervise(e *harness.Experiment, s *scheduler, cp *sweep.C
 				return abandon(fmt.Errorf("%d fruitless reconnect cycles: %w", strikes, err))
 			}
 			st.Failed = true
-			c.logf("cluster: agent %s still down (%v); re-probing in %v", w.name, err, c.readmitEvery())
-			if !s.waitOr(c.readmitEvery()) {
+			r.logf("cluster: agent %s still down (%v); re-probing in %v", w.name, err, timing.readmitEvery)
+			if !s.waitOr(timing.readmitEvery) {
 				return st, redispatched
 			}
 			continue
 		}
-		if !holdsSlot {
-			s.workerBack()
-			holdsSlot = true
-		}
 		if everConnected {
 			st.Readmitted++
 			obs.ClusterAgent(w.name).Readmits.Inc()
-			c.logf("cluster: agent %s came back; re-admitted to the fleet", w.name)
+			r.logf("cluster: agent %s came back; re-admitted to the fleet", w.name)
 		}
 		everConnected = true
 
-		served, n, serveErr := c.serve(e, s, cp, &st, l)
-		redispatched += n
-		if serveErr == nil {
-			// Sweep complete.
-			if w.persistent {
-				w.kept = l
-			} else {
-				l.close()
-			}
-			return st, redispatched
-		}
+		served, n, serveErr := r.serve(&st, l)
 		l.close()
+		if serveErr == nil {
+			return st, redispatched // run complete
+		}
+		redispatched += n
 		st.Failed = true
-		c.logf("cluster: agent %s failed (%v); %d in-flight point(s) re-dispatched", w.name, serveErr, n)
-		s.workerGone()
+		r.logf("cluster: agent %s failed (%v); %d in-flight point(s) re-dispatched", w.name, serveErr, n)
 		if errors.Is(serveErr, errFatalAgent) {
 			return st, redispatched
 		}
-		holdsSlot = false
 		if served > 0 {
 			strikes = 0
 		} else if strikes++; strikes >= maxStrikes {
 			return abandon(fmt.Errorf("%d fruitless reconnect cycles", strikes))
 		}
-		if !s.waitOr(c.readmitEvery()) {
+		if !s.waitOr(timing.readmitEvery) {
 			return st, redispatched
 		}
 	}
 }
 
 // addrSeed derives a per-worker jitter stream from its name so workers
-// sharing a coordinator seed still retry on distinct schedules.
+// sharing the seed still retry on distinct schedules.
 func addrSeed(addr string) int64 {
 	h := fnv.New64a()
 	h.Write([]byte(addr))
@@ -406,22 +330,21 @@ func addrSeed(addr string) int64 {
 }
 
 // openBackoff attempts to open the worker's link up to dialAttempts times
-// with jittered exponential backoff, giving up early when the sweep
-// finishes.
-func (c *Coordinator) openBackoff(w *Worker, s *scheduler, rng *rand.Rand) (link, error) {
+// with jittered exponential backoff, giving up early when the run finishes.
+func (r *run) openBackoff(w *Worker, rng *rand.Rand) (link, error) {
 	var lastErr error
-	delay := c.retryBackoff()
+	delay := timing.retryBackoff
 	for attempt := 0; attempt < dialAttempts; attempt++ {
 		if attempt > 0 {
 			obs.ClusterAgent(w.name).Retries.Inc()
 			// ±50% deterministic jitter.
 			jittered := delay/2 + time.Duration(rng.Int63n(int64(delay)))
-			if !s.waitOr(jittered) {
+			if !r.s.waitOr(jittered) {
 				return nil, lastErr
 			}
 			delay *= 2
 		}
-		l, err := w.open(c)
+		l, err := w.open()
 		if err == nil {
 			return l, nil
 		}
@@ -430,77 +353,58 @@ func (c *Coordinator) openBackoff(w *Worker, s *scheduler, rng *rand.Rand) (link
 	return nil, lastErr
 }
 
-// serve drives one live link: chunks pulled, evaluated under a deadline
-// and validated until the sweep completes (nil error) or the link fails.
-// The number of chunks served and the points requeued by a failure are
-// returned alongside the error.
-func (c *Coordinator) serve(e *harness.Experiment, s *scheduler, cp *sweep.Checkpoint, st *AgentStats, l link) (served, requeued int, err error) {
+// serve drives one live link: points pulled, evaluated under a deadline and
+// delivered until the run completes (nil error) or the link fails. The number
+// of points served and of points a failure sent back to the queue (0 or 1)
+// are returned alongside the error. A fresh point is journaled to the checkpoint
+// (when one is open) before the next is taken, so the journal never gets
+// ahead of or behind the merge by more than the point in flight.
+func (r *run) serve(st *AgentStats, l link) (served, requeued int, err error) {
+	s := r.s
 	ab := obs.ClusterAgent(st.Addr)
 	for {
-		pts := s.take(chunkPoints)
-		if pts == nil {
+		j, ok := s.take()
+		if !ok {
 			return served, 0, nil
 		}
+		e := r.exps[j.exp]
 		t0 := time.Now()
-		byPoint, err := l.run(e, c.Quick, pts, c.chunkLimit(s, pts))
-		if err == nil {
-			err = c.acceptChunk(s, cp, st, pts, byPoint)
-		}
+		rows, err := l.run(e, r.Quick, j.point, pointLimit(s.expectNs(j)))
 		if err != nil {
-			return served, s.requeue(pts), err
+			if s.requeue(j) {
+				requeued = 1
+			}
+			return served, requeued, err
 		}
+		if s.deliver(j, rows) && r.cp != nil {
+			if err := r.cp.Append(e.ID, j.point, rows); err != nil {
+				// A checkpoint that cannot journal breaks the resume
+				// guarantee; fail the run loudly rather than complete
+				// un-resumably.
+				s.fail(err)
+				return served, 0, err
+			}
+		}
+		st.Points++
+		st.Rows += len(rows)
 		elapsed := time.Since(t0)
 		ab.Chunks.Inc()
 		ab.ChunkLatency.Observe(uint64(elapsed))
-		s.observe(s.costOf(pts), elapsed)
+		s.observe(j, elapsed)
 		served++
-		if c.stepDelay > 0 {
-			time.Sleep(c.stepDelay)
+		if r.stepDelay > 0 {
+			time.Sleep(r.stepDelay)
 		}
 	}
 }
 
-// chunkLimit is the chunk's deadline: factor × its expected cost under the
-// learned ns-per-cost EWMA, floored by MinChunkDeadline; 0 (none) while the
-// model is untrusted or deadlines are disabled.
-func (c *Coordinator) chunkLimit(s *scheduler, pts []int) time.Duration {
-	expect := s.expectNs(s.costOf(pts))
-	if expect <= 0 {
-		return 0
-	}
-	limit := time.Duration(c.chunkDeadlineFactor() * float64(expect))
-	if limit > 0 && limit < c.minChunkDeadline() {
-		limit = c.minChunkDeadline()
+// pointLimit is a point's deadline: timing.deadlineFactor × its expected
+// wall time, floored by timing.minDeadline; 0 (none) while the cost model
+// is untrusted.
+func pointLimit(expect time.Duration) time.Duration {
+	limit := time.Duration(timing.deadlineFactor * float64(expect))
+	if limit > 0 && limit < timing.minDeadline {
+		limit = timing.minDeadline
 	}
 	return limit
-}
-
-// acceptChunk checks that a chunk's result covers exactly the requested
-// point set and delivers the rows. Verified chunks are journaled to the
-// checkpoint (when one is open) before the call returns, so the journal
-// never gets ahead of or behind the merge by more than the chunk in flight.
-func (c *Coordinator) acceptChunk(s *scheduler, cp *sweep.Checkpoint, st *AgentStats, pts []int, byPoint map[int][][]string) error {
-	if len(byPoint) != len(pts) {
-		return fatalAgent(fmt.Errorf("agent returned %d points, requested %d", len(byPoint), len(pts)))
-	}
-	for _, p := range pts {
-		if _, ok := byPoint[p]; !ok {
-			return fatalAgent(fmt.Errorf("agent response missing requested point %d", p))
-		}
-	}
-	chunkStats := sweep.ShardStats{Points: len(byPoint)}
-	for _, rows := range byPoint {
-		chunkStats.Rows += len(rows)
-	}
-	fresh := s.deliver(byPoint)
-	if cp != nil && fresh > 0 {
-		if err := cp.AppendChunk(byPoint, chunkStats); err != nil {
-			// A checkpoint that cannot journal breaks the resume guarantee;
-			// fail the sweep loudly rather than complete un-resumably.
-			s.fail(err)
-			return err
-		}
-	}
-	st.add(AgentStats{Chunks: 1, Points: chunkStats.Points, Rows: chunkStats.Rows})
-	return nil
 }

@@ -16,14 +16,15 @@ import (
 
 	"repro/internal/cluster/faultnet"
 	"repro/internal/harness"
+	"repro/internal/stats"
 	"repro/internal/sweep"
 )
 
 // TestMain doubles as the coordinator entry point for the kill/resume
-// subprocess test: when CLUSTER_COORD_CHILD is set, the test binary runs a
-// checkpointed local-only cluster sweep and exits — a stand-in for
-// `experiments -checkpoint` that the parent test can kill mid-run and
-// restart against the same journal. With CLUSTER_TEST_WORKER set it is a
+// subprocess tests: when CLUSTER_COORD_CHILD is set, the test binary runs a
+// checkpointed local-only run of one experiment or the whole suite and
+// exits — a stand-in for `experiments -checkpoint` that the parent test can
+// kill mid-run and restart against the same journal. With CLUSTER_TEST_WORKER set it is a
 // subprocess worker instead, a stand-in for `experiments -agent -`.
 func TestMain(m *testing.M) {
 	if os.Getenv("CLUSTER_COORD_CHILD") == "1" {
@@ -55,12 +56,22 @@ func runWorkerChild(mode string) {
 	new(Agent).ServePipe(os.Stdin, os.Stdout)
 }
 
-func runCoordChild() {
-	e := harness.ByID(os.Getenv("CLUSTER_CHILD_EXP"))
-	if e == nil {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q\n", os.Getenv("CLUSTER_CHILD_EXP"))
-		os.Exit(1)
+// childExps resolves CLUSTER_CHILD_EXP: one experiment id, or "" for the
+// whole suite.
+func childExps(id string) []*harness.Experiment {
+	if id == "" {
+		return harness.All()
 	}
+	return []*harness.Experiment{harness.ByID(id)}
+}
+
+// csvBlock is what runCoordChild prints per table.
+func csvBlock(e *harness.Experiment, table *stats.Table) string {
+	return fmt.Sprintf("# %s\n%s", e.ID, table.CSV())
+}
+
+func runCoordChild() {
+	exps := childExps(os.Getenv("CLUSTER_CHILD_EXP"))
 	step, _ := time.ParseDuration(os.Getenv("CLUSTER_CHILD_STEP"))
 	c := &Coordinator{
 		Workers:        InProcess(1),
@@ -68,20 +79,34 @@ func runCoordChild() {
 		CheckpointPath: os.Getenv("CLUSTER_CHILD_CKPT"),
 		stepDelay:      step,
 	}
-	res, err := c.Run(e)
+	res, err := c.Run(exps, func(i int, table *stats.Table) {
+		fmt.Print(csvBlock(exps[i], table))
+	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
-	fmt.Fprintf(os.Stderr, "resumed=%d\n", res.Resumed)
-	fmt.Print(res.Table.CSV())
+	fmt.Fprintf(os.Stderr, "resumed=%d evaluated=%d\n", res.Resumed, res.Agents[0].Points)
 }
 
 // The acceptance property for durability: a coordinator process killed
-// mid-sweep and restarted against the same -checkpoint journal produces
+// mid-run and restarted against the same -checkpoint journal produces
 // output byte-identical to the uninterrupted sequential run — and actually
-// resumes (the second run skips journaled points instead of starting over).
+// resumes: the second run evaluates only the points the journal lacks.
 func TestCoordinatorKilledAndResumedByteIdentical(t *testing.T) {
+	killAndResume(t, "T1", 1)
+}
+
+// The same for the whole suite in one journal, killed once the first
+// experiment is complete and the second under way: the resumed run emits
+// every table, the journaled ones without evaluating anything.
+func TestSuiteKilledAndResumedByteIdentical(t *testing.T) {
+	killAndResume(t, "", harness.All()[0].Grid(true).N+1)
+}
+
+// killAndResume runs the coordinator child over childExps(id), kills it
+// once the journal holds killAt records, and resumes it.
+func killAndResume(t *testing.T, id string, killAt int) {
 	if testing.Short() {
 		t.Skip("subprocess re-exec test")
 	}
@@ -89,32 +114,37 @@ func TestCoordinatorKilledAndResumedByteIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _, wantCSV := seqRender(t, "T1")
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+	exps := childExps(id)
+	wantCSV, points := "", 0
+	for _, e := range exps {
+		wantCSV += csvBlock(e, e.Run(true))
+		points += e.Grid(true).N
+	}
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 
 	env := append(os.Environ(),
 		"CLUSTER_COORD_CHILD=1",
-		"CLUSTER_CHILD_EXP="+e.ID,
+		"CLUSTER_CHILD_EXP="+id,
 		"CLUSTER_CHILD_CKPT="+ckpt,
 	)
 
-	// Run 1: throttled so the grid cannot finish before the kill, killed as
-	// soon as the journal holds at least one record.
+	// Run 1: throttled so the run cannot finish before the kill, killed as
+	// soon as the journal holds killAt records.
 	first := exec.Command(self, "-test.run=TestMain")
-	first.Env = append(env, "CLUSTER_CHILD_STEP=250ms")
+	first.Env = append(env, "CLUSTER_CHILD_STEP=100ms")
 	if err := first.Start(); err != nil {
 		t.Fatal(err)
 	}
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		data, _ := os.ReadFile(ckpt)
-		if sweep.CountRecords(data) >= 1 {
+		if sweep.CountRecords(data) >= killAt {
 			break
 		}
 		if time.Now().After(deadline) {
 			first.Process.Kill()
 			first.Wait()
-			t.Fatal("checkpoint never gained a record")
+			t.Fatalf("checkpoint never gained %d record(s)", killAt)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}
@@ -126,7 +156,7 @@ func TestCoordinatorKilledAndResumedByteIdentical(t *testing.T) {
 		t.Fatal(err)
 	}
 	records := sweep.CountRecords(data)
-	if records >= e.Grid(true).N {
+	if records >= points {
 		t.Skipf("child finished all %d points before the kill landed; nothing left to resume", records)
 	}
 
@@ -141,14 +171,16 @@ func TestCoordinatorKilledAndResumedByteIdentical(t *testing.T) {
 	if got := out.String(); got != wantCSV {
 		t.Errorf("resumed CSV differs from sequential:\n--- resumed\n%s--- sequential\n%s", got, wantCSV)
 	}
-	if !strings.Contains(errOut.String(), "resumed=") || strings.Contains(errOut.String(), "resumed=0\n") {
-		t.Errorf("second run did not resume from the checkpoint:\n%s", errOut.String())
+	// A single in-process worker journals every point it evaluates, so the
+	// complete records are exactly what the resumed run may skip.
+	if line := fmt.Sprintf("resumed=%d evaluated=%d\n", records, points-records); !strings.Contains(errOut.String(), line) {
+		t.Errorf("second run did not resume exactly the journaled points, want %q:\n%s", line, errOut.String())
 	}
 }
 
-// A subprocess worker killed while it holds a chunk must not fail the
-// sweep: its point is re-dispatched, the merge stays byte-identical, and
-// the same worker list serves the next sweep.
+// A subprocess worker killed while it holds a point must not fail the run:
+// its point is re-dispatched, the worker is spawned again, and every merge
+// stays byte-identical.
 func TestSubprocessWorkerKilledMidChunk(t *testing.T) {
 	if testing.Short() {
 		t.Skip("subprocess re-exec test")
@@ -160,27 +192,27 @@ func TestSubprocessWorkerKilledMidChunk(t *testing.T) {
 	// Inherited by the children only: the parent is past TestMain.
 	t.Setenv("CLUSTER_TEST_WORKER", "1")
 	t.Setenv("CLUSTER_TEST_WORKER_DIE_ONCE", filepath.Join(t.TempDir(), "died"))
-	c := &Coordinator{
-		Workers:      Subprocesses(2, self),
-		Quick:        true,
-		RetryBackoff: 10 * time.Millisecond,
-		ReadmitEvery: 20 * time.Millisecond,
-	}
-	defer c.Close()
+	tm := timing
+	tm.retryBackoff, tm.readmitEvery = 10*time.Millisecond, 20*time.Millisecond
+	setTiming(t, tm)
+	c := &Coordinator{Workers: Subprocesses(2, self), Quick: true}
 
-	e, wantRender, wantCSV := seqRender(t, "T1")
-	res, err := c.Run(e)
+	exps := []*harness.Experiment{harness.ByID("T1"), harness.ByID("S1")}
+	res, err := c.Run(exps, func(i int, table *stats.Table) {
+		want := exps[i].Run(true)
+		if got := table.Render(); got != want.Render() {
+			t.Errorf("%s: Render after a killed subprocess differs from sequential:\n--- merged\n%s--- sequential\n%s",
+				exps[i].ID, got, want.Render())
+		}
+		if table.CSV() != want.CSV() {
+			t.Errorf("%s: CSV after a killed subprocess differs from sequential", exps[i].ID)
+		}
+	})
 	if err != nil {
-		t.Fatalf("a killed subprocess worker failed the sweep: %v", err)
-	}
-	if got := res.Table.Render(); got != wantRender {
-		t.Errorf("Render after a killed subprocess differs from sequential:\n--- merged\n%s--- sequential\n%s", got, wantRender)
-	}
-	if got := res.Table.CSV(); got != wantCSV {
-		t.Error("CSV after a killed subprocess differs from sequential")
+		t.Fatalf("a killed subprocess worker failed the run: %v", err)
 	}
 	if res.Redispatched == 0 {
-		t.Error("the killed worker's chunk was not re-dispatched")
+		t.Error("the killed worker's point was not re-dispatched")
 	}
 	failed := 0
 	for _, a := range res.Agents {
@@ -191,97 +223,92 @@ func TestSubprocessWorkerKilledMidChunk(t *testing.T) {
 	if failed != 1 {
 		t.Errorf("%d workers marked failed, want exactly the killed one: %+v", failed, res.Agents)
 	}
-
-	// The survivor stays up between sweeps; the victim is spawned again
-	// when next needed.
-	kept := 0
-	for _, w := range c.Workers {
-		if w.kept != nil {
-			kept++
-		}
-	}
-	if kept == 0 {
-		t.Error("no subprocess was kept for the next sweep")
-	}
-	e2, want2, _ := seqRender(t, "S1")
-	res2, err := c.Run(e2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res2.Table.Render(); got != want2 {
-		t.Error("second sweep on the same worker list differs from sequential")
-	}
 }
 
-// In-process resume: a journal holding a verified prefix of the grid must
-// be loaded, re-validated and skipped — the coordinator evaluates only the
-// remainder and still merges the sequential bytes.
+// In-process resume: a journal holding verified points of two experiments
+// of the run — half of one grid, one point of the other — must be loaded,
+// re-validated and skipped; the coordinator evaluates only the remainder and
+// still merges the sequential bytes.
 func TestCheckpointResumeSkipsJournaledPoints(t *testing.T) {
-	e, wantRender, _ := seqRender(t, "T1")
-	n := e.Grid(true).N
-	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
+	exps := []*harness.Experiment{harness.ByID("T1"), harness.ByID("S1")}
+	grids := map[string]int{}
+	want := make([]string, len(exps))
+	total := 0
+	for i, e := range exps {
+		grids[e.ID] = e.Grid(true).N
+		want[i] = e.Run(true).Render()
+		total += grids[e.ID]
+	}
+	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 
-	// Journal the first half of the grid the way a real run would: one
-	// verified chunk per point, through the real append path.
-	cp, done, torn, err := sweep.OpenCheckpoint(ckpt, e.ID, true, n)
+	// Journal the way a real run would: one verified point per record,
+	// through the real append path.
+	cp, done, torn, err := sweep.OpenCheckpoint(ckpt, true, grids)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(done) != 0 || torn != 0 {
 		t.Fatalf("fresh checkpoint reported done=%d torn=%d", len(done), torn)
 	}
-	half := n / 2
-	if half == 0 {
-		half = 1
-	}
-	for p := 0; p < half; p++ {
-		byPoint, err := sweep.EvalPoints(e, true, []int{p})
+	journal := func(e *harness.Experiment, p int) {
+		t.Helper()
+		rows, err := (inProcess{}).run(e, true, p, 0)
+		if err == nil {
+			err = cp.Append(e.ID, p, rows)
+		}
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := cp.AppendChunk(byPoint, sweep.ShardStats{Points: 1, Rows: len(byPoint[p])}); err != nil {
-			t.Fatal(err)
-		}
+	}
+	half := max(grids["T1"]/2, 1)
+	journal(exps[1], 0) // journal order is not list order
+	for p := 0; p < half; p++ {
+		journal(exps[0], p)
 	}
 	cp.Close()
+	journaled := half + 1
 
 	addr, _ := startAgent(t)
-	var evaluated []string
+	check := func(i int, table *stats.Table) {
+		if got := table.Render(); got != want[i] {
+			t.Errorf("%s: resumed Render differs from sequential:\n--- resumed\n%s--- sequential\n%s", exps[i].ID, got, want[i])
+		}
+	}
+	var logs []string
 	c := &Coordinator{
 		Workers:        fleet(1, addr),
 		Quick:          true,
 		CheckpointPath: ckpt,
-		Logf:           func(format string, args ...any) { evaluated = append(evaluated, fmt.Sprintf(format, args...)) },
+		Logf:           func(format string, args ...any) { logs = append(logs, fmt.Sprintf(format, args...)) },
 	}
-	res, err := c.Run(e)
+	res, err := c.Run(exps, check)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Resumed != half {
-		t.Errorf("Resumed = %d, want %d", res.Resumed, half)
-	}
-	if got := res.Table.Render(); got != wantRender {
-		t.Errorf("resumed Render differs from sequential:\n--- resumed\n%s--- sequential\n%s", got, wantRender)
+	if res.Resumed != journaled {
+		t.Errorf("Resumed = %d, want %d", res.Resumed, journaled)
 	}
 	var pts int
 	for _, a := range res.Agents {
 		pts += a.Points
 	}
-	if pts != n-half {
-		t.Errorf("agents evaluated %d points, want only the %d not journaled (log: %v)", pts, n-half, evaluated)
+	if pts != total-journaled {
+		t.Errorf("agents evaluated %d points, want only the %d not journaled (log: %v)", pts, total-journaled, logs)
 	}
 
-	// The journal now covers the whole grid; a third run evaluates nothing.
+	// The journal now covers both grids; a third run evaluates nothing.
 	c2 := &Coordinator{Workers: fleet(1, addr), Quick: true, CheckpointPath: ckpt}
-	res2, err := c2.Run(e)
+	res2, err := c2.Run(exps, check)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res2.Resumed != n {
-		t.Errorf("fully-journaled rerun resumed %d of %d points", res2.Resumed, n)
+	if res2.Resumed != total {
+		t.Errorf("fully-journaled rerun resumed %d of %d points", res2.Resumed, total)
 	}
-	if got := res2.Table.Render(); got != wantRender {
-		t.Error("fully-journaled rerun differs from sequential")
+	for _, a := range res2.Agents {
+		if a.Points != 0 {
+			t.Errorf("fully-journaled rerun evaluated %d point(s) on %s", a.Points, a.Addr)
+		}
 	}
 }
 
@@ -290,21 +317,21 @@ func TestCheckpointResumeSkipsJournaledPoints(t *testing.T) {
 func TestCheckpointWrongExperimentFailsLoudly(t *testing.T) {
 	e, _, _ := seqRender(t, "T1")
 	ckpt := filepath.Join(t.TempDir(), "sweep.ckpt")
-	cp, _, _, err := sweep.OpenCheckpoint(ckpt, "S1", true, 64)
+	cp, _, _, err := sweep.OpenCheckpoint(ckpt, true, map[string]int{"S1": 64})
 	if err != nil {
 		t.Fatal(err)
 	}
-	byPoint, err := sweep.EvalPoints(harness.ByID("S1"), true, []int{0})
+	rows, err := (inProcess{}).run(harness.ByID("S1"), true, 0, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := cp.AppendChunk(byPoint, sweep.ShardStats{Points: 1, Rows: len(byPoint[0])}); err != nil {
+	if err := cp.Append("S1", 0, rows); err != nil {
 		t.Fatal(err)
 	}
 	cp.Close()
 
 	c := &Coordinator{Workers: InProcess(1), Quick: true, CheckpointPath: ckpt}
-	if _, err := c.Run(e); err == nil || !strings.Contains(err.Error(), "belongs to exp=S1") {
+	if _, _, err := runOne(c, e); err == nil || !strings.Contains(err.Error(), "belongs to exp=S1") {
 		t.Fatalf("run against another sweep's checkpoint returned %v, want mismatch error", err)
 	}
 }
@@ -328,25 +355,22 @@ func TestClusterChaosByteIdentity(t *testing.T) {
 			t.Cleanup(func() { ln.Close() })
 			addrs = append(addrs, inner.Addr().String())
 		}
-		c := &Coordinator{
-			Workers: fleet(1, addrs...),
-			Quick:   true,
-			// Fast recovery knobs so injected faults cost milliseconds, not
-			// the default re-probe second.
-			HeartbeatEvery:   20 * time.Millisecond,
-			HeartbeatTimeout: 200 * time.Millisecond,
-			RetryBackoff:     10 * time.Millisecond,
-			ReadmitEvery:     25 * time.Millisecond,
-			Seed:             seed,
-		}
-		res, err := c.Run(e)
+		// Fast recovery so injected faults cost milliseconds, not the default
+		// re-probe second.
+		tm := timing
+		tm.heartbeatEvery, tm.heartbeatTimeout = 20*time.Millisecond, 200*time.Millisecond
+		tm.retryBackoff, tm.readmitEvery = 10*time.Millisecond, 25*time.Millisecond
+		tm.seed = seed
+		setTiming(t, tm)
+		c := &Coordinator{Workers: fleet(1, addrs...), Quick: true}
+		table, _, err := runOne(c, e)
 		if err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
-		if got := res.Table.Render(); got != wantRender {
+		if got := table.Render(); got != wantRender {
 			t.Errorf("seed %d: chaos Render differs from sequential", seed)
 		}
-		if got := res.Table.CSV(); got != wantCSV {
+		if got := table.CSV(); got != wantCSV {
 			t.Errorf("seed %d: chaos CSV differs from sequential", seed)
 		}
 	}
@@ -369,17 +393,15 @@ func TestClusterReadmitsRecoveredAgent(t *testing.T) {
 	go a.Serve(ln)
 	t.Cleanup(a.Close)
 
-	c := &Coordinator{
-		Workers:      Remote(inner.Addr().String()),
-		Quick:        true,
-		RetryBackoff: 10 * time.Millisecond,
-		ReadmitEvery: 20 * time.Millisecond,
-	}
-	res, err := c.Run(e)
+	tm := timing
+	tm.retryBackoff, tm.readmitEvery = 10*time.Millisecond, 20*time.Millisecond
+	setTiming(t, tm)
+	c := &Coordinator{Workers: Remote(inner.Addr().String()), Quick: true}
+	table, res, err := runOne(c, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Table.Render(); got != wantRender {
+	if got := table.Render(); got != wantRender {
 		t.Errorf("post-readmission Render differs from sequential")
 	}
 	st := res.Agents[0]
@@ -428,26 +450,28 @@ func TestChunkDeadlineCancelsStuckChunk(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Setenv("CLUSTER_TEST_WORKER", "hang")
-	c := &Coordinator{
-		Quick: true,
-		// Heartbeats are healthy here; only the deadline can recover.
-		HeartbeatEvery:      time.Hour,
-		ChunkDeadlineFactor: 1,
-		MinChunkDeadline:    100 * time.Millisecond,
-	}
+	// Heartbeats are healthy here; only the deadline can recover.
+	tm := timing
+	tm.heartbeatEvery = time.Hour
+	tm.deadlineFactor, tm.minDeadline = 1, 100*time.Millisecond
+	setTiming(t, tm)
 	for _, w := range append(Remote(addr), Subprocesses(1, self)...) {
-		s := newScheduler(e.Grid(true).Costs(), 1)
-		// Prime the cost model past its trust threshold: three fast chunks.
-		for i := 0; i < 3; i++ {
-			s.observe(1, time.Millisecond)
+		r := &run{
+			Coordinator: &Coordinator{Quick: true},
+			exps:        []*harness.Experiment{e},
+			s:           newScheduler([][]float64{e.Grid(true).Costs()}, nil),
 		}
-		l, err := w.open(c)
+		// Prime the cost model past its trust threshold: three fast points.
+		for i := 0; i < 3; i++ {
+			r.s.observe(job{0, 0}, time.Millisecond)
+		}
+		l, err := w.open()
 		if err != nil {
 			t.Fatal(err)
 		}
 		st := AgentStats{Addr: w.name}
 		t0 := time.Now()
-		served, requeued, serveErr := c.serve(e, s, nil, &st, l)
+		served, requeued, serveErr := r.serve(&st, l)
 		l.close()
 		if serveErr == nil {
 			t.Fatalf("%s: serve returned success against a stuck worker", w.name)
@@ -456,68 +480,11 @@ func TestChunkDeadlineCancelsStuckChunk(t *testing.T) {
 			t.Fatalf("%s: serve error = %v, want chunk deadline", w.name, serveErr)
 		}
 		if served != 0 || requeued == 0 {
-			t.Errorf("%s: served=%d requeued=%d, want the stuck chunk requeued", w.name, served, requeued)
+			t.Errorf("%s: served=%d requeued=%d, want the stuck point requeued", w.name, served, requeued)
 		}
 		if elapsed := time.Since(t0); elapsed > 5*time.Second {
 			t.Errorf("%s: deadline cancellation took %v", w.name, elapsed)
 		}
-	}
-}
-
-// HeartbeatTimeout <= HeartbeatEvery cannot ever observe a pong: the
-// coordinator must clamp it (loudly), not silently declare every agent
-// dead.
-func TestHeartbeatMisconfigClampedLoudly(t *testing.T) {
-	cases := []struct {
-		every, timeout time.Duration
-		clamped        bool
-	}{
-		{100 * time.Millisecond, 50 * time.Millisecond, true},
-		{100 * time.Millisecond, 100 * time.Millisecond, true}, // boundary: equal is still unservable
-		{100 * time.Millisecond, 101 * time.Millisecond, false},
-		{0, 0, false}, // defaults are consistent
-	}
-	for _, tc := range cases {
-		c := &Coordinator{HeartbeatEvery: tc.every, HeartbeatTimeout: tc.timeout}
-		if got := c.heartbeatMisconfigured(); got != tc.clamped {
-			t.Errorf("every=%v timeout=%v: misconfigured=%v, want %v", tc.every, tc.timeout, got, tc.clamped)
-		}
-		if c.heartbeatTimeout() <= c.heartbeatEvery() {
-			t.Errorf("every=%v timeout=%v: effective timeout %v not past interval %v",
-				tc.every, tc.timeout, c.heartbeatTimeout(), c.heartbeatEvery())
-		}
-	}
-
-	// The clamp must be logged — and the clamped sweep must still work.
-	e, wantRender, _ := seqRender(t, "T1")
-	var mu sync.Mutex
-	var logs []string
-	c := &Coordinator{
-		Workers:          InProcess(1),
-		Quick:            true,
-		HeartbeatEvery:   50 * time.Millisecond,
-		HeartbeatTimeout: 10 * time.Millisecond,
-		Logf: func(format string, args ...any) {
-			mu.Lock()
-			logs = append(logs, fmt.Sprintf(format, args...))
-			mu.Unlock()
-		},
-	}
-	res, err := c.Run(e)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := res.Table.Render(); got != wantRender {
-		t.Error("clamped-heartbeat Render differs from sequential")
-	}
-	mu.Lock()
-	defer mu.Unlock()
-	found := false
-	for _, l := range logs {
-		found = found || strings.Contains(l, "clamping")
-	}
-	if !found {
-		t.Errorf("heartbeat clamp was not logged: %v", logs)
 	}
 }
 

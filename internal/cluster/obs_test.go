@@ -31,11 +31,11 @@ func TestClusterSweepFeedsMetrics(t *testing.T) {
 
 	// The pause after each chunk guarantees the agents get to serve some.
 	c := &Coordinator{Workers: fleet(1, addr1, addr2), Quick: true, stepDelay: 20 * time.Millisecond}
-	res, err := c.Run(e)
+	table, res, err := runOne(c, e)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := res.Table.CSV(); got != wantCSV {
+	if got := table.CSV(); got != wantCSV {
 		t.Error("metrics-enabled cluster sweep not byte-identical to sequential")
 	}
 
@@ -48,12 +48,12 @@ func TestClusterSweepFeedsMetrics(t *testing.T) {
 	coordChunks := (obs.ClusterAgent(addr1).Chunks.Value() - b1Before) +
 		(obs.ClusterAgent(addr2).Chunks.Value() - b2Before) +
 		(obs.ClusterAgent(LocalAgentName).Chunks.Value() - localBefore)
-	var statChunks int
+	var statPoints int
 	for _, a := range res.Agents {
-		statChunks += a.Chunks
+		statPoints += a.Points
 	}
-	if coordChunks != uint64(statChunks) {
-		t.Errorf("coordinator bundles saw %d chunks, AgentStats say %d", coordChunks, statChunks)
+	if coordChunks != uint64(statPoints) {
+		t.Errorf("coordinator bundles saw %d chunks, AgentStats say %d points", coordChunks, statPoints)
 	}
 	if lat := obs.ClusterAgent(LocalAgentName).ChunkLatency.Count() +
 		obs.ClusterAgent(addr1).ChunkLatency.Count() +

@@ -2,234 +2,229 @@ package cluster
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
 	"repro/internal/obs"
 )
 
-// scheduler is the coordinator's work-stealing core: a cost-ordered pool of
-// unfinished grid points that agents pull chunks from, with exactly-once
-// delivery accounting. All methods are safe for concurrent use.
-//
-// Invariants (pinned by the scheduler property tests):
-//   - a point is pending, in flight (taken, in neither set below), or
-//     delivered — never two at once;
-//   - deliver records the first result for a point and discards any later
-//     duplicate, so a re-dispatched point merges exactly once;
-//   - requeue returns only undelivered points to the pool, so a chunk that
-//     partially raced a re-dispatch cannot resurrect finished work.
-type scheduler struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+// job is the unit of work: one grid point of one experiment of the run.
+type job struct {
+	exp   int // index into the run's experiment list
+	point int
+}
 
-	costs     []float64
-	pending   []int // cost-descending; take pops from the front
-	delivered map[int][][]string
-
-	total   int
-	workers int // live workers; take fails when none remain and work does
-	err     error
-
-	// done closes when the sweep completes or fails; supervisors in a
-	// backoff or re-probe sleep select on it so a finished sweep never
-	// waits out their timers.
-	done       chan struct{}
-	doneClosed bool
+// sweepState is what the scheduler knows of one experiment of the run.
+type sweepState struct {
+	costs []float64
+	// rows holds the delivered points; it is handed to the merge and dropped
+	// once every point is in (await).
+	rows map[int][][]string
+	left int // points not yet delivered
 
 	// ewmaNsPerCost is the learned wall-clock cost model: nanoseconds per
 	// unit of Grid cost hint, an exponentially weighted mean over completed
-	// chunks. samples counts observations; the model is not trusted (and
-	// expectNs returns 0) until it has a few.
+	// points. Cost hints are ratios within one grid, so the model is per
+	// experiment; it is not trusted (expectNs returns 0) until it has a few
+	// samples.
 	ewmaNsPerCost float64
 	samples       int
 }
 
-func newScheduler(costs []float64, workers int) *scheduler {
+// scheduler is the coordinator's work-stealing core: one queue over the
+// (experiment, point) jobs of a run that workers pull from, with
+// exactly-once delivery accounting. All methods are safe for concurrent use.
+//
+// Invariants (pinned by the scheduler property tests):
+//   - pending is ordered by (experiment, cost descending, point ascending),
+//     so a worker is handed a later experiment's point only when every
+//     earlier experiment has nothing pending — and then at once, not after
+//     the earlier one drains;
+//   - a job is pending, in flight (taken, neither pending nor delivered), or
+//     delivered — never two at once;
+//   - deliver records the first result for a job and discards any later
+//     duplicate, so a re-dispatched point merges exactly once;
+//   - requeue returns only an undelivered job to the queue, so a point that
+//     raced a re-dispatch cannot resurrect finished work.
+type scheduler struct {
+	mu   sync.Mutex
+	cond *sync.Cond
+
+	sweeps  []sweepState
+	pending []job // take pops from the front
+
+	total int
+	left  int // jobs not yet delivered, over all sweeps
+	err   error
+
+	// done closes when the run completes or fails; supervisors in a backoff
+	// or re-probe sleep select on it so a finished run never waits out their
+	// timers.
+	done chan struct{}
+}
+
+// newScheduler queues every point of every grid except those already in
+// done (rows loaded from a checkpoint, indexed like costs; nil for none),
+// which count as delivered before any worker starts.
+func newScheduler(costs [][]float64, done []map[int][][]string) *scheduler {
 	s := &scheduler{
-		costs:     costs,
-		delivered: make(map[int][][]string, len(costs)),
-		total:     len(costs),
-		workers:   workers,
-		done:      make(chan struct{}),
+		sweeps: make([]sweepState, len(costs)),
+		done:   make(chan struct{}),
 	}
 	s.cond = sync.NewCond(&s.mu)
-	// Seed the pool cost-descending (stable on index for determinism).
-	for p := range costs {
-		s.insertLocked(p)
+	for i, c := range costs {
+		sw := &s.sweeps[i]
+		sw.costs = c
+		sw.rows = make(map[int][][]string, len(c))
+		var have map[int][][]string
+		if done != nil {
+			have = done[i]
+		}
+		for p := range c {
+			if rows, ok := have[p]; ok {
+				sw.rows[p] = rows
+				continue
+			}
+			sw.left++
+			s.pending = append(s.pending, job{i, p})
+		}
+		s.total += len(c)
+		s.left += sw.left
 	}
-	if s.total == 0 {
-		s.closeDoneLocked()
+	sort.Slice(s.pending, func(a, b int) bool { return s.before(s.pending[a], s.pending[b]) })
+	if s.left == 0 {
+		close(s.done)
 	}
 	return s
 }
 
-// closeDoneLocked closes the done channel exactly once. Callers hold mu.
-func (s *scheduler) closeDoneLocked() {
-	if !s.doneClosed {
-		s.doneClosed = true
+// before is the queue order.
+func (s *scheduler) before(a, b job) bool {
+	if a.exp != b.exp {
+		return a.exp < b.exp
+	}
+	if ca, cb := s.sweeps[a.exp].costs[a.point], s.sweeps[b.exp].costs[b.point]; ca != cb {
+		return ca > cb
+	}
+	return a.point < b.point
+}
+
+// finishLocked closes done exactly once. Callers hold mu and broadcast.
+func (s *scheduler) finishLocked() {
+	if !s.finished() {
 		close(s.done)
 	}
 }
 
-// prefill records points completed by an earlier run (a checkpoint) as
-// delivered before any worker starts: they leave the pending pool and the
-// merge sees their journaled rows. Returns the number of points absorbed.
-func (s *scheduler) prefill(done map[int][][]string) int {
+// take blocks until a job is pending and returns the first in queue order,
+// marking it in flight. ok is false when the run is complete or has failed —
+// callers must then exit their loop.
+func (s *scheduler) take() (j job, ok bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for p, rows := range done {
-		if p < 0 || p >= s.total {
-			continue // OpenCheckpoint already range-checked; belt and braces
-		}
-		if _, dup := s.delivered[p]; dup {
-			continue
-		}
-		s.delivered[p] = rows
-		n++
-	}
-	if n > 0 {
-		kept := s.pending[:0]
-		for _, p := range s.pending {
-			if _, ok := s.delivered[p]; !ok {
-				kept = append(kept, p)
-			}
-		}
-		s.pending = kept
-	}
-	if len(s.delivered) == s.total {
-		s.closeDoneLocked()
-	}
-	return n
-}
-
-// insertLocked places p into pending keeping cost-descending order, ties on
-// ascending index.
-func (s *scheduler) insertLocked(p int) {
-	i := 0
-	for ; i < len(s.pending); i++ {
-		q := s.pending[i]
-		if s.costs[p] > s.costs[q] || (s.costs[p] == s.costs[q] && p < q) {
-			break
-		}
-	}
-	s.pending = append(s.pending, 0)
-	copy(s.pending[i+1:], s.pending[i:])
-	s.pending[i] = p
-}
-
-// take blocks until work is available and returns up to max of the
-// costliest pending points, marking them in flight. It returns nil when the
-// sweep is complete or has failed — callers must then exit their loop.
-func (s *scheduler) take(max int) []int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	for {
-		if s.err != nil || len(s.delivered) == s.total {
-			return nil
-		}
-		if len(s.pending) > 0 {
-			break
-		}
-		if s.workers == 0 {
-			// Every worker is gone, nothing is pending, and the sweep is
-			// not complete: the in-flight points of the last dead worker
-			// were requeued before it decremented, so this means no worker
-			// remains to run them.
-			s.err = fmt.Errorf("cluster: all agents failed with %d of %d points unfinished",
-				s.total-len(s.delivered), s.total)
-			s.closeDoneLocked()
-			s.cond.Broadcast()
-			return nil
+	for len(s.pending) == 0 {
+		if s.err != nil || s.left == 0 {
+			return job{}, false
 		}
 		s.cond.Wait()
 	}
-	if max < 1 {
-		max = 1
+	if s.err != nil {
+		return job{}, false
 	}
-	if max > len(s.pending) {
-		max = len(s.pending)
-	}
-	pts := make([]int, max)
-	copy(pts, s.pending[:max])
-	s.pending = s.pending[:copy(s.pending, s.pending[max:])]
+	j = s.pending[0]
+	s.pending = s.pending[:copy(s.pending, s.pending[1:])]
 	obs.Cluster.QueueDepth.Set(int64(len(s.pending)))
-	return pts
+	return j, true
 }
 
-// deliver records a chunk's results. Points already delivered (a completed
-// re-dispatch race) are discarded; the return value counts the points this
-// call newly completed.
-func (s *scheduler) deliver(byPoint map[int][][]string) int {
+// deliver records a job's rows and reports whether this call completed the
+// job; a job already delivered (a completed re-dispatch race) is discarded.
+func (s *scheduler) deliver(j job, rows [][]string) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	fresh := 0
-	for p, rows := range byPoint {
-		if _, dup := s.delivered[p]; dup {
-			continue
-		}
-		s.delivered[p] = rows
-		fresh++
+	sw := &s.sweeps[j.exp]
+	if _, dup := sw.rows[j.point]; dup || sw.left == 0 { // left == 0: rows already handed to the merge
+		return false
 	}
-	obs.Cluster.PointsDelivered.Add(uint64(fresh))
-	if len(s.delivered) == s.total {
-		s.closeDoneLocked()
+	sw.rows[j.point] = rows
+	sw.left--
+	s.left--
+	obs.Cluster.PointsDelivered.Inc()
+	if s.left == 0 {
+		s.finishLocked()
 	}
 	s.cond.Broadcast()
-	return fresh
+	return true
 }
 
-// requeue returns a failed chunk's undelivered points to the pool. The
-// count of points actually requeued is returned (delivered ones stay done).
-func (s *scheduler) requeue(pts []int) int {
+// requeue returns a failed job to the queue and reports whether it did (a
+// job delivered meanwhile stays done).
+func (s *scheduler) requeue(j job) bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	n := 0
-	for _, p := range pts {
-		if _, done := s.delivered[p]; done {
-			continue
-		}
-		s.insertLocked(p)
-		n++
+	sw := &s.sweeps[j.exp]
+	if _, done := sw.rows[j.point]; done || sw.left == 0 {
+		return false
 	}
-	if n > 0 {
-		obs.Cluster.Redispatched.Add(uint64(n))
-		obs.Cluster.QueueDepth.Set(int64(len(s.pending)))
+	i := sort.Search(len(s.pending), func(i int) bool { return s.before(j, s.pending[i]) })
+	s.pending = append(s.pending, job{})
+	copy(s.pending[i+1:], s.pending[i:])
+	s.pending[i] = j
+	obs.Cluster.Redispatched.Inc()
+	obs.Cluster.QueueDepth.Set(int64(len(s.pending)))
+	s.cond.Broadcast()
+	return true
+}
+
+// await blocks until every point of experiment i is delivered and returns
+// its rows, which the scheduler then forgets, or until the run fails.
+func (s *scheduler) await(i int) (map[int][][]string, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sw := &s.sweeps[i]
+	for sw.left > 0 && s.err == nil {
+		s.cond.Wait()
 	}
-	s.cond.Broadcast()
-	return n
+	if sw.left > 0 {
+		return nil, s.err
+	}
+	rows := sw.rows
+	sw.rows = nil
+	return rows, nil
 }
 
-// workerGone records a worker's permanent exit after a failure.
-func (s *scheduler) workerGone() {
+// orphaned fails a run that still has work when no worker is left to do it;
+// the coordinator calls it once every supervisor has returned.
+func (s *scheduler) orphaned() {
 	s.mu.Lock()
-	s.workers--
-	s.cond.Broadcast()
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if s.left > 0 && s.err == nil {
+		s.err = fmt.Errorf("cluster: all agents failed with %d of %d points unfinished", s.left, s.total)
+		s.finishLocked()
+		s.cond.Broadcast()
+	}
 }
 
-// workerBack re-admits a worker that had permanently failed but came back
-// (the coordinator's dead-agent re-probe succeeded).
-func (s *scheduler) workerBack() {
-	s.mu.Lock()
-	s.workers++
-	s.cond.Broadcast()
-	s.mu.Unlock()
-}
-
-// fail aborts the sweep with a fatal error (first error wins).
+// fail aborts the run with a fatal error (first error wins).
 func (s *scheduler) fail(err error) {
 	s.mu.Lock()
 	if s.err == nil {
 		s.err = err
 	}
-	s.closeDoneLocked()
+	s.finishLocked()
 	s.cond.Broadcast()
 	s.mu.Unlock()
 }
 
-// finished reports whether the sweep has completed or failed.
+// failure returns the error that ended the run, if one did.
+func (s *scheduler) failure() error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.err
+}
+
+// finished reports whether the run has completed or failed.
 func (s *scheduler) finished() bool {
 	select {
 	case <-s.done:
@@ -239,8 +234,8 @@ func (s *scheduler) finished() bool {
 	}
 }
 
-// waitOr sleeps for d or until the sweep finishes, whichever is first; it
-// returns false when the sweep is over (callers must stop retrying).
+// waitOr sleeps for d or until the run finishes, whichever is first; it
+// returns false when the run is over (callers must stop retrying).
 func (s *scheduler) waitOr(d time.Duration) bool {
 	t := time.NewTimer(d)
 	defer t.Stop()
@@ -252,55 +247,35 @@ func (s *scheduler) waitOr(d time.Duration) bool {
 	}
 }
 
-// costOf sums the cost hints of a chunk's points.
-func (s *scheduler) costOf(pts []int) float64 {
-	c := 0.0
-	for _, p := range pts {
-		if p >= 0 && p < len(s.costs) {
-			c += s.costs[p]
-		}
-	}
-	return c
-}
-
-// observe feeds one completed chunk into the cost model: elapsed wall time
-// (coordinator-side, so network round-trip is priced in) per unit of cost
-// hint, EWMA-smoothed (alpha 0.3) across chunks from every agent.
-func (s *scheduler) observe(cost float64, elapsed time.Duration) {
+// observe feeds one completed job into its experiment's cost model: elapsed
+// wall time (coordinator-side, so network round-trip is priced in) per unit
+// of cost hint, EWMA-smoothed (alpha 0.3) across points from every worker.
+func (s *scheduler) observe(j job, elapsed time.Duration) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	sw := &s.sweeps[j.exp]
+	cost := sw.costs[j.point]
 	if cost <= 0 || elapsed <= 0 {
 		return
 	}
 	sample := float64(elapsed.Nanoseconds()) / cost
-	s.mu.Lock()
-	if s.samples == 0 {
-		s.ewmaNsPerCost = sample
+	if sw.samples == 0 {
+		sw.ewmaNsPerCost = sample
 	} else {
-		s.ewmaNsPerCost = 0.7*s.ewmaNsPerCost + 0.3*sample
+		sw.ewmaNsPerCost = 0.7*sw.ewmaNsPerCost + 0.3*sample
 	}
-	s.samples++
-	s.mu.Unlock()
+	sw.samples++
 }
 
-// expectNs predicts a chunk's wall time from the learned model, or 0 when
-// the model has fewer than three observations and cannot be trusted yet.
-func (s *scheduler) expectNs(cost float64) time.Duration {
+// expectNs predicts a job's wall time from its experiment's model, or 0
+// when the model has fewer than three observations and cannot be trusted
+// yet.
+func (s *scheduler) expectNs(j job) time.Duration {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.samples < 3 || cost <= 0 {
+	sw := &s.sweeps[j.exp]
+	if sw.samples < 3 {
 		return 0
 	}
-	return time.Duration(s.ewmaNsPerCost * cost)
-}
-
-// result returns the delivered point map and the sweep error, if any.
-func (s *scheduler) result() (map[int][][]string, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.err != nil {
-		return nil, s.err
-	}
-	if len(s.delivered) != s.total {
-		return nil, fmt.Errorf("cluster: %d of %d points delivered", len(s.delivered), s.total)
-	}
-	return s.delivered, nil
+	return time.Duration(sw.ewmaNsPerCost * sw.costs[j.point])
 }

@@ -19,23 +19,20 @@ import (
 
 // Worker is one entry of a Coordinator's worker list: a name for the
 // per-worker stats and metrics, and a way to open a link to whatever
-// evaluates its chunks. Build them with InProcess, Subprocesses and Remote.
+// evaluates its points. Build them with InProcess, Subprocesses and Remote.
 type Worker struct {
 	name string
-	open func(c *Coordinator) (link, error)
-	// persistent links survive the end of a sweep in kept, so a subprocess
-	// is spawned once per Coordinator and reused across experiments.
-	persistent bool
-	kept       link
+	open func() (link, error)
 }
 
 // link is the transport seam: one live connection to something that
-// evaluates chunks.
+// evaluates points. A link lives at most as long as the one Run that opened
+// it.
 type link interface {
-	// run evaluates the points of one chunk and returns their rows. A
-	// positive limit cancels a chunk that takes longer by closing the link
-	// (transports that cannot cancel ignore it).
-	run(e *harness.Experiment, quick bool, pts []int, limit time.Duration) (map[int][][]string, error)
+	// run evaluates one point and returns its rows. A positive limit cancels
+	// a point that takes longer by closing the link (transports that cannot
+	// cancel ignore it).
+	run(e *harness.Experiment, quick bool, p int, limit time.Duration) ([][]string, error)
 	close()
 }
 
@@ -44,22 +41,21 @@ type link interface {
 func InProcess(n int) []*Worker {
 	ws := make([]*Worker, n)
 	for i := range ws {
-		ws[i] = &Worker{name: LocalAgentName, open: func(*Coordinator) (link, error) { return inProcess{}, nil }}
+		ws[i] = &Worker{name: LocalAgentName, open: func() (link, error) { return inProcess{}, nil }}
 	}
 	return ws
 }
 
 // Subprocesses returns n workers ("shard0" …) that each run `bin args...`
 // as a child process serving the wire protocol on its stdin/stdout (see
-// Agent.ServePipe). A child is started when first needed, kept across
-// sweeps until Coordinator.Close, and started again if it dies.
+// Agent.ServePipe). A child is started when the run first needs it, serves
+// the whole run, and is started again if it dies.
 func Subprocesses(n int, bin string, args ...string) []*Worker {
 	ws := make([]*Worker, n)
 	for i := range ws {
 		ws[i] = &Worker{
-			name:       fmt.Sprintf("shard%d", i),
-			persistent: true,
-			open: func(*Coordinator) (link, error) {
+			name: fmt.Sprintf("shard%d", i),
+			open: func() (link, error) {
 				p, err := startProc(bin, args)
 				if err != nil {
 					return nil, err
@@ -71,23 +67,24 @@ func Subprocesses(n int, bin string, args ...string) []*Worker {
 	return ws
 }
 
-// Remote returns one worker per TCP agent address (host:port). Each sweep
-// dials its own work connection plus a heartbeat connection.
+// Remote returns one worker per TCP agent address (host:port). A run dials
+// each agent once — a work connection plus a heartbeat connection — and
+// again only after a failure.
 func Remote(addrs ...string) []*Worker {
 	ws := make([]*Worker, len(addrs))
 	for i, addr := range addrs {
-		ws[i] = &Worker{name: addr, open: func(c *Coordinator) (link, error) {
-			work, err := net.DialTimeout("tcp", addr, c.dialTimeout())
+		ws[i] = &Worker{name: addr, open: func() (link, error) {
+			work, err := net.DialTimeout("tcp", addr, timing.dialTimeout)
 			if err != nil {
 				return nil, err
 			}
-			// Liveness runs on a second connection so a long-running chunk
+			// Liveness runs on a second connection so a long-running point
 			// cannot be mistaken for a dead agent: the agent answers pings
 			// from a separate handler while the work connection is busy
 			// computing. When the process dies both connections die; the
 			// heartbeat notices within its timeout and closes the work
 			// connection, failing the read blocked on it.
-			stopHB, err := c.startHeartbeat(addr, work)
+			stopHB, err := startHeartbeat(addr, work)
 			if err != nil {
 				work.Close()
 				return nil, err
@@ -98,11 +95,12 @@ func Remote(addrs ...string) []*Worker {
 	return ws
 }
 
-// inProcess evaluates chunks on the calling goroutine.
+// inProcess evaluates points on the calling goroutine.
 type inProcess struct{}
 
-func (inProcess) run(e *harness.Experiment, quick bool, pts []int, _ time.Duration) (map[int][][]string, error) {
-	return sweep.EvalPoints(e, quick, pts)
+func (inProcess) run(e *harness.Experiment, quick bool, p int, _ time.Duration) ([][]string, error) {
+	byPoint, err := sweep.EvalPoints(e, quick, []int{p})
+	return byPoint[p], err
 }
 
 func (inProcess) close() {}
@@ -111,25 +109,33 @@ func (inProcess) close() {}
 // TCP connection or a subprocess's pipes.
 type wireLink struct {
 	conn io.ReadWriteCloser
+	lim  io.LimitedReader // bounds one response at maxResponse
 	br   *bufio.Reader
 }
 
 func newWireLink(conn io.ReadWriteCloser) *wireLink {
-	return &wireLink{conn: conn, br: bufio.NewReader(conn)}
+	l := &wireLink{conn: conn}
+	l.lim.R = conn
+	l.br = bufio.NewReader(&l.lim)
+	return l
 }
 
-func (l *wireLink) run(e *harness.Experiment, quick bool, pts []int, limit time.Duration) (map[int][][]string, error) {
+func (l *wireLink) run(e *harness.Experiment, quick bool, p int, limit time.Duration) ([][]string, error) {
 	t0 := time.Now()
 	if limit > 0 {
 		// Closing the link is the one cancel every byte transport has: it
 		// fails the read below, and for a subprocess it kills the child.
 		defer time.AfterFunc(limit, l.close).Stop()
 	}
-	if _, err := fmt.Fprintln(l.conn, formatRunRequest(e.ID, quick, pts)); err != nil {
+	if _, err := fmt.Fprintln(l.conn, formatRunRequest(e.ID, quick, []int{p})); err != nil {
 		return nil, err
 	}
+	l.lim.N = maxResponse
 	raw, err := readResponse(l.br)
 	if err != nil {
+		if l.lim.N <= 0 {
+			return nil, fatalAgent(fmt.Errorf("response exceeds %d bytes without %q", maxResponse, endLine))
+		}
 		if elapsed := time.Since(t0); limit > 0 && elapsed >= limit {
 			err = fmt.Errorf("chunk deadline exceeded after %v: %w", elapsed.Round(time.Millisecond), err)
 		}
@@ -139,17 +145,19 @@ func (l *wireLink) run(e *harness.Experiment, quick bool, pts []int, limit time.
 	if err != nil {
 		return nil, fatalAgent(err)
 	}
-	if h.Exp != e.ID || h.Quick != quick {
-		return nil, fatalAgent(fmt.Errorf("agent answered for exp=%s quick=%t, want exp=%s quick=%t", h.Exp, h.Quick, e.ID, quick))
+	rows, ok := byPoint[p]
+	if h.Exp != e.ID || h.Quick != quick || !ok || len(byPoint) != 1 {
+		return nil, fatalAgent(fmt.Errorf("agent answered exp=%s quick=%t with %d point(s), want exp=%s quick=%t point %d alone",
+			h.Exp, h.Quick, len(byPoint), e.ID, quick, p))
 	}
-	return byPoint, nil
+	return rows, nil
 }
 
 func (l *wireLink) close() { l.conn.Close() }
 
 // readResponse reads one framed response: every line up to and including
-// the "# end" terminator. A "# error:" line from the agent (or a closed
-// connection before the terminator) fails the chunk.
+// the "# end" terminator. A "# error:" line from the agent (or the end of the
+// stream before the terminator) fails the point.
 func readResponse(br *bufio.Reader) ([]byte, error) {
 	var buf bytes.Buffer
 	for {
@@ -221,8 +229,8 @@ func (c tcpConn) Close() error {
 // startHeartbeat dials the agent's control connection and pings it until
 // stopped. On a missed or late pong it closes work, which unblocks the work
 // loop's pending read with an error and triggers re-dispatch.
-func (c *Coordinator) startHeartbeat(addr string, work net.Conn) (stop func(), err error) {
-	hb, err := net.DialTimeout("tcp", addr, c.dialTimeout())
+func startHeartbeat(addr string, work net.Conn) (stop func(), err error) {
+	hb, err := net.DialTimeout("tcp", addr, timing.dialTimeout)
 	if err != nil {
 		return nil, err
 	}
@@ -235,9 +243,12 @@ func (c *Coordinator) startHeartbeat(addr string, work net.Conn) (stop func(), e
 		})
 	}
 	rtt := obs.ClusterAgent(addr).HeartbeatRTT
+	// Read once, here: the goroutine may outlive the Run that started it by
+	// one iteration.
+	every, timeout := timing.heartbeatEvery, timing.heartbeatTimeout
 	go func() {
 		br := bufio.NewReader(hb)
-		ticker := time.NewTicker(c.heartbeatEvery())
+		ticker := time.NewTicker(every)
 		defer ticker.Stop()
 		for {
 			select {
@@ -245,7 +256,7 @@ func (c *Coordinator) startHeartbeat(addr string, work net.Conn) (stop func(), e
 				return
 			case <-ticker.C:
 			}
-			hb.SetDeadline(time.Now().Add(c.heartbeatTimeout()))
+			hb.SetDeadline(time.Now().Add(timeout))
 			t0 := time.Now()
 			if _, err := fmt.Fprintln(hb, pingLine); err != nil {
 				work.Close()

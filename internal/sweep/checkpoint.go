@@ -9,12 +9,12 @@ import (
 	"repro/internal/obs"
 )
 
-// A checkpoint file is an append-only journal of completed sweep chunks:
-// every record is one complete WriteShard wire-format block (header, point
-// markers + rows, stats trailer, "# end" terminator), so a checkpoint is
-// readable with the same tools as a shard dump and carries the exact
-// pre-rendered cells the merge needs for byte-identity with a sequential
-// run.
+// A checkpoint file is the append-only journal of one run — one or more
+// experiments in one quick mode: every record is one complete WriteShard
+// wire-format block (header naming its experiment, point marker + rows, stats
+// trailer, "# end" terminator), so a checkpoint is readable with the same
+// tools as a shard dump and carries the exact pre-rendered cells the merge
+// needs for byte-identity with a sequential run.
 //
 // Crash safety comes from the framing, not from the writer: records are
 // appended with a single write followed by fsync, and a loader never
@@ -30,37 +30,38 @@ const recordEnd = endMarker + "\n"
 
 const endMarker = "# end"
 
-// CheckpointMismatchError reports a checkpoint whose records belong to a
-// different sweep (wrong experiment or quick mode). It is deliberately not
-// recoverable-by-truncation: silently overwriting another sweep's verified
-// points would be data loss, so resuming against the wrong file must fail
-// loudly.
+// CheckpointMismatchError reports a checkpoint holding a record of another
+// run: an experiment this run does not evaluate, or the other quick mode. It
+// is deliberately not recoverable-by-truncation: silently overwriting
+// another run's verified points would be data loss, so resuming against the
+// wrong file must fail loudly.
 type CheckpointMismatchError struct {
-	Path            string
-	WantExp, GotExp string
-	WantQuick       bool
-	GotQuick        bool
+	Path      string
+	Exp       string // the record's
+	Quick     bool   // the record's
+	WantQuick bool
 }
 
 func (e *CheckpointMismatchError) Error() string {
-	return fmt.Sprintf("sweep: checkpoint %s belongs to exp=%s quick=%t, want exp=%s quick=%t",
-		e.Path, e.GotExp, e.GotQuick, e.WantExp, e.WantQuick)
+	return fmt.Sprintf("sweep: checkpoint %s belongs to exp=%s quick=%t: not an experiment of this run (quick=%t)",
+		e.Path, e.Exp, e.Quick, e.WantQuick)
 }
 
-// ParseCheckpoint decodes a checkpoint for the given sweep identity and
-// grid size. It returns the union of completed points across all valid
-// records (first record wins on duplicates) and the length in bytes of the
-// trusted prefix. A torn or corrupt trailing record — truncated last line,
-// torn point marker, stats-trailer inconsistency — is excluded from valid
-// and from the point map, never trusted; the same corruption anywhere
-// before the trailing record means the file is not an append-only journal
-// with a damaged tail but a damaged archive, and is rejected loudly. A
-// record for a different experiment or quick mode is rejected loudly
-// wherever it appears (see CheckpointMismatchError). Duplicated chunks are
+// ParseCheckpoint decodes a checkpoint for a run in the given quick mode
+// over grids, the run's experiment ids with their grid sizes. It returns,
+// per experiment, the union of completed points across all valid records
+// (first record wins on duplicates) and the length in bytes of the trusted
+// prefix. A torn or corrupt trailing record — truncated last line, torn
+// point marker, stats-trailer inconsistency — is excluded from valid and
+// from the point maps, never trusted; the same corruption anywhere before
+// the trailing record means the file is not an append-only journal with a
+// damaged tail but a damaged archive, and is rejected loudly. A record for
+// an experiment outside grids or for the other quick mode is rejected loudly
+// wherever it appears (see CheckpointMismatchError). Duplicated records are
 // tolerated only when byte-identical (re-dispatch races journal the same
 // deterministic rows); conflicting duplicates are corruption and rejected.
-func ParseCheckpoint(data []byte, exp string, quick bool, n int) (done map[int][][]string, valid int, err error) {
-	done = make(map[int][][]string)
+func ParseCheckpoint(data []byte, quick bool, grids map[string]int) (done map[string]map[int][][]string, valid int, err error) {
+	done = make(map[string]map[int][][]string)
 	rest := data
 	for len(rest) > 0 {
 		recLen := recordLen(rest)
@@ -73,13 +74,12 @@ func ParseCheckpoint(data []byte, exp string, quick bool, n int) (done map[int][
 		// only there is corruption attributable to a crash mid-append.
 		trailing := recordLen(rest[recLen:]) < 0
 		h, byPoint, _, perr := ParseShard(bytes.NewReader(rec))
-		if perr == nil && (h.Exp != exp || h.Quick != quick) {
-			return nil, 0, &CheckpointMismatchError{
-				WantExp: exp, GotExp: h.Exp, WantQuick: quick, GotQuick: h.Quick,
-			}
-		}
 		if perr == nil {
-			perr = foldRecord(done, byPoint, n)
+			n, ours := grids[h.Exp]
+			if !ours || h.Quick != quick {
+				return nil, 0, &CheckpointMismatchError{Exp: h.Exp, Quick: h.Quick, WantQuick: quick}
+			}
+			perr = foldRecord(done, h.Exp, byPoint, n)
 		}
 		if perr != nil {
 			// A crash tears at most a prefix of one WriteShard record, so a
@@ -120,20 +120,27 @@ func recordLen(b []byte) int {
 	return i + 1 + len(recordEnd)
 }
 
-// foldRecord merges one record's points into done, enforcing grid range and
-// duplicate consistency.
-func foldRecord(done map[int][][]string, byPoint map[int][][]string, n int) error {
+// foldRecord merges one record's points into done[exp], enforcing grid range
+// and duplicate consistency; a record that fails either leaves done as it
+// was.
+func foldRecord(done map[string]map[int][][]string, exp string, byPoint map[int][][]string, n int) error {
+	have := done[exp]
 	for p, rows := range byPoint {
 		if p < 0 || p >= n {
-			return fmt.Errorf("sweep: checkpoint point %d outside grid of %d", p, n)
+			return fmt.Errorf("sweep: checkpoint point %d outside %s's grid of %d", p, exp, n)
 		}
-		if prev, dup := done[p]; dup {
-			if !rowsEqual(prev, rows) {
-				return fmt.Errorf("sweep: checkpoint point %d journaled twice with different rows", p)
-			}
-			continue
+		if prev, dup := have[p]; dup && !rowsEqual(prev, rows) {
+			return fmt.Errorf("sweep: checkpoint %s point %d journaled twice with different rows", exp, p)
 		}
-		done[p] = rows
+	}
+	if have == nil {
+		have = make(map[int][][]string)
+		done[exp] = have
+	}
+	for p, rows := range byPoint {
+		if _, dup := have[p]; !dup {
+			have[p] = rows
+		}
 	}
 	return nil
 }
@@ -155,27 +162,27 @@ func rowsEqual(a, b [][]string) bool {
 	return true
 }
 
-// Checkpoint journals completed chunks of one sweep to an append-only
+// Checkpoint journals the completed points of one run to an append-only
 // file. All methods are safe for concurrent use (the cluster coordinator
-// appends from every agent goroutine).
+// appends from every worker goroutine).
 type Checkpoint struct {
 	mu    sync.Mutex
 	f     *os.File
-	exp   string
 	quick bool
 }
 
-// OpenCheckpoint opens (creating if absent) the checkpoint journal for one
-// sweep, re-validates every record against the sweep identity and grid
-// size, truncates a torn or corrupt trailing record, and returns the
-// journal positioned for appending together with the completed points it
-// already holds. torn reports how many bytes of untrusted tail were cut.
-func OpenCheckpoint(path, exp string, quick bool, n int) (cp *Checkpoint, done map[int][][]string, torn int, err error) {
+// OpenCheckpoint opens (creating if absent) the checkpoint journal of one
+// run, re-validates every record against the run's quick mode and grids
+// (experiment id → grid size), truncates a torn or corrupt trailing record,
+// and returns the journal positioned for appending together with the
+// completed points it already holds, per experiment. torn reports how many
+// bytes of untrusted tail were cut.
+func OpenCheckpoint(path string, quick bool, grids map[string]int) (cp *Checkpoint, done map[string]map[int][][]string, torn int, err error) {
 	data, err := os.ReadFile(path)
 	if err != nil && !os.IsNotExist(err) {
 		return nil, nil, 0, fmt.Errorf("sweep: checkpoint: %w", err)
 	}
-	done, valid, err := ParseCheckpoint(data, exp, quick, n)
+	done, valid, err := ParseCheckpoint(data, quick, grids)
 	if err != nil {
 		if me, ok := err.(*CheckpointMismatchError); ok {
 			me.Path = path
@@ -197,16 +204,18 @@ func OpenCheckpoint(path, exp string, quick bool, n int) (cp *Checkpoint, done m
 		f.Close()
 		return nil, nil, 0, fmt.Errorf("sweep: checkpoint: %w", err)
 	}
-	return &Checkpoint{f: f, exp: exp, quick: quick}, done, torn, nil
+	return &Checkpoint{f: f, quick: quick}, done, torn, nil
 }
 
-// AppendChunk journals one verified chunk: the record is rendered in full,
-// written with a single write call, and fsynced before AppendChunk
-// returns, so a crash can tear at most the record being written — exactly
-// the case the loader truncates.
-func (cp *Checkpoint) AppendChunk(byPoint map[int][][]string, st ShardStats) error {
+// Append journals one verified point of experiment exp: the record is
+// rendered in full, written with a single write call, and fsynced before
+// Append returns, so a crash can tear at most the record being written —
+// exactly the case the loader truncates.
+func (cp *Checkpoint) Append(exp string, p int, rows [][]string) error {
 	var buf bytes.Buffer
-	if err := WriteShard(&buf, Header{Exp: cp.exp, Shard: 0, Shards: 1, Quick: cp.quick}, byPoint, st); err != nil {
+	err := WriteShard(&buf, Header{Exp: exp, Shard: 0, Shards: 1, Quick: cp.quick},
+		map[int][][]string{p: rows}, ShardStats{Points: 1, Rows: len(rows)})
+	if err != nil {
 		return fmt.Errorf("sweep: checkpoint: %w", err)
 	}
 	cp.mu.Lock()
@@ -231,7 +240,7 @@ func (cp *Checkpoint) Close() error {
 
 // CountRecords reports how many complete records data holds — a cheap
 // progress probe for orchestration and tests (records, not points:
-// duplicate chunks count individually).
+// duplicate records count individually).
 func CountRecords(data []byte) int {
 	n := 0
 	for {

@@ -11,15 +11,30 @@ import (
 	"repro/internal/harness"
 )
 
-// evalChunk evaluates one point of e the way a worker does and returns it
-// with its integrity pair, ready for WriteShard or AppendChunk.
-func evalChunk(t testing.TB, e *harness.Experiment, p int) (map[int][][]string, ShardStats) {
+// evalPoint evaluates one point of e the way a worker does.
+func evalPoint(t testing.TB, e *harness.Experiment, p int) [][]string {
 	t.Helper()
 	byPoint, err := EvalPoints(e, true, []int{p})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return byPoint, ShardStats{Points: 1, Rows: len(byPoint[p])}
+	return byPoint[p]
+}
+
+// grid is the {id → N} of a quick run over e alone; parseOne and openOne
+// are ParseCheckpoint and OpenCheckpoint for that run.
+func grid(e *harness.Experiment) map[string]int {
+	return map[string]int{e.ID: e.Grid(true).N}
+}
+
+func parseOne(data []byte, e *harness.Experiment) (map[int][][]string, int, error) {
+	done, valid, err := ParseCheckpoint(data, true, grid(e))
+	return done[e.ID], valid, err
+}
+
+func openOne(path string, quick bool, e *harness.Experiment) (*Checkpoint, map[int][][]string, int, error) {
+	cp, done, torn, err := OpenCheckpoint(path, quick, grid(e))
+	return cp, done[e.ID], torn, err
 }
 
 // journalChunks renders n single-point records for e through the real
@@ -29,8 +44,9 @@ func journalChunks(t testing.TB, e *harness.Experiment, pts []int) [][]byte {
 	var recs [][]byte
 	for _, p := range pts {
 		var rec bytes.Buffer
-		byPoint, st := evalChunk(t, e, p)
-		if err := WriteShard(&rec, Header{Exp: e.ID, Shard: 0, Shards: 1, Quick: true}, byPoint, st); err != nil {
+		rows := evalPoint(t, e, p)
+		if err := WriteShard(&rec, Header{Exp: e.ID, Shard: 0, Shards: 1, Quick: true},
+			map[int][][]string{p: rows}, ShardStats{Points: 1, Rows: len(rows)}); err != nil {
 			t.Fatal(err)
 		}
 		recs = append(recs, rec.Bytes())
@@ -64,7 +80,7 @@ func TestOpenCheckpointOldFormatRecord(t *testing.T) {
 	if err := os.WriteFile(path, []byte(oldFormatRecord), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cp, done, torn, err := OpenCheckpoint(path, e.ID, true, n)
+	cp, done, torn, err := openOne(path, true, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,7 +88,7 @@ func TestOpenCheckpointOldFormatRecord(t *testing.T) {
 		t.Fatalf("old-format journal: torn=%d done=%v, want point 0 intact", torn, done)
 	}
 	for p := 1; p < n; p++ {
-		if err := cp.AppendChunk(evalChunk(t, e, p)); err != nil {
+		if err := cp.Append(e.ID, p, evalPoint(t, e, p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -84,7 +100,7 @@ func TestOpenCheckpointOldFormatRecord(t *testing.T) {
 	if !bytes.HasPrefix(data, []byte(oldFormatRecord)) {
 		t.Fatal("resuming rewrote the old-format record")
 	}
-	all, valid, err := ParseCheckpoint(data, e.ID, true, n)
+	all, valid, err := parseOne(data, e)
 	if err != nil || valid != len(data) {
 		t.Fatalf("mixed-format journal: valid=%d/%d err=%v", valid, len(data), err)
 	}
@@ -99,10 +115,9 @@ func TestOpenCheckpointOldFormatRecord(t *testing.T) {
 
 func TestParseCheckpointRoundTrip(t *testing.T) {
 	e := harness.ByID("T1")
-	n := e.Grid(true).N
 	recs := journalChunks(t, e, []int{0, 1, 2})
 	data := bytes.Join(recs, nil)
-	done, valid, err := ParseCheckpoint(data, e.ID, true, n)
+	done, valid, err := parseOne(data, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,11 +141,10 @@ func TestParseCheckpointRoundTrip(t *testing.T) {
 // most the torn record — never a previously complete one, never loudly.
 func TestParseCheckpointTornTailEveryPrefix(t *testing.T) {
 	e := harness.ByID("T1")
-	n := e.Grid(true).N
 	recs := journalChunks(t, e, []int{0, 1})
 	whole := bytes.Join(recs, nil)
 	for cut := len(recs[0]); cut < len(whole); cut++ {
-		done, valid, err := ParseCheckpoint(whole[:cut], e.ID, true, n)
+		done, valid, err := parseOne(whole[:cut], e)
 		if err != nil {
 			t.Fatalf("cut at %d: %v", cut, err)
 		}
@@ -151,7 +165,6 @@ func TestParseCheckpointTornTailEveryPrefix(t *testing.T) {
 // silently drop a verified point.
 func TestParseCheckpointCorruptTailCorpus(t *testing.T) {
 	e := harness.ByID("T1")
-	n := e.Grid(true).N
 	recs := journalChunks(t, e, []int{0, 1})
 	good := bytes.Join(recs, nil)
 
@@ -183,7 +196,7 @@ func TestParseCheckpointCorruptTailCorpus(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			done, valid, err := ParseCheckpoint(tc.data, e.ID, true, n)
+			done, valid, err := parseOne(tc.data, e)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("err = %v, want %q", err, tc.wantErr)
@@ -206,16 +219,15 @@ func TestParseCheckpointCorruptTailCorpus(t *testing.T) {
 // torn tail, and never prefer the later record.
 func TestParseCheckpointConflictingDuplicate(t *testing.T) {
 	e := harness.ByID("T1")
-	n := e.Grid(true).N
 	recs := journalChunks(t, e, []int{0})
 	evil := bytes.Replace(recs[0], []byte(","), []byte("9,"), 1) // perturb first row, keep framing
 	data := bytes.Join([][]byte{recs[0], evil, recs[0]}, nil)
-	if _, _, err := ParseCheckpoint(data, e.ID, true, n); err == nil || !strings.Contains(err.Error(), "journaled twice") {
+	if _, _, err := ParseCheckpoint(data, true, grid(e)); err == nil || !strings.Contains(err.Error(), "journaled twice") {
 		t.Fatalf("conflicting duplicate before the tail returned %v, want loud rejection", err)
 	}
 	// As the trailing record it is a crash artifact: truncated, first
 	// record's rows kept.
-	done, valid, err := ParseCheckpoint(bytes.Join([][]byte{recs[0], evil}, nil), e.ID, true, n)
+	done, valid, err := parseOne(bytes.Join([][]byte{recs[0], evil}, nil), e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,14 +240,13 @@ func TestParseCheckpointConflictingDuplicate(t *testing.T) {
 // starts at a record boundary — and appends after resume must parse.
 func TestOpenCheckpointTruncatesAndAppends(t *testing.T) {
 	e := harness.ByID("T1")
-	n := e.Grid(true).N
 	recs := journalChunks(t, e, []int{0, 1, 2})
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	torn := append(append([]byte{}, recs[0]...), recs[1][:len(recs[1])/3]...)
 	if err := os.WriteFile(path, torn, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cp, done, tornBytes, err := OpenCheckpoint(path, e.ID, true, n)
+	cp, done, tornBytes, err := openOne(path, true, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -244,7 +255,7 @@ func TestOpenCheckpointTruncatesAndAppends(t *testing.T) {
 	}
 	// Append two more chunks through the real path and re-open.
 	for _, p := range []int{1, 2} {
-		if err := cp.AppendChunk(evalChunk(t, e, p)); err != nil {
+		if err := cp.Append(e.ID, p, evalPoint(t, e, p)); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -253,7 +264,7 @@ func TestOpenCheckpointTruncatesAndAppends(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	done2, valid, err := ParseCheckpoint(data, e.ID, true, n)
+	done2, valid, err := parseOne(data, e)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -264,12 +275,11 @@ func TestOpenCheckpointTruncatesAndAppends(t *testing.T) {
 
 func TestOpenCheckpointWrongQuickMode(t *testing.T) {
 	e := harness.ByID("T1")
-	n := e.Grid(true).N
 	path := filepath.Join(t.TempDir(), "sweep.ckpt")
 	if err := os.WriteFile(path, journalChunks(t, e, []int{0})[0], 0o644); err != nil {
 		t.Fatal(err)
 	}
-	_, _, _, err := OpenCheckpoint(path, e.ID, false, n)
+	_, _, _, err := openOne(path, false, e)
 	var me *CheckpointMismatchError
 	if !errorsAs(err, &me) {
 		t.Fatalf("quick-mode mismatch returned %v, want CheckpointMismatchError", err)
@@ -300,8 +310,8 @@ func errorsAs(err error, target **CheckpointMismatchError) bool {
 // never panic, and never report trusted bytes it cannot re-parse to the
 // same result.
 func FuzzParseCheckpoint(f *testing.F) {
-	e := harness.ByID("T1")
-	n := e.Grid(true).N
+	e, e2 := harness.ByID("T1"), harness.ByID("S1")
+	grids := map[string]int{e.ID: e.Grid(true).N, e2.ID: e2.Grid(true).N}
 	recs := journalChunks(f, e, []int{0, 1})
 	good := bytes.Join(recs, nil)
 	f.Add(good)
@@ -314,25 +324,32 @@ func FuzzParseCheckpoint(f *testing.F) {
 	for _, seed := range shardSeeds() {
 		f.Add(seed)
 	}
-	f.Add(append([]byte(oldFormatRecord), recs[1]...)) // mixed-format journal
+	f.Add(append([]byte(oldFormatRecord), recs[1]...))                                    // mixed-format journal
+	f.Add(bytes.Join([][]byte{recs[0], journalChunks(f, e2, []int{0})[0], recs[1]}, nil)) // two experiments, interleaved
 	f.Fuzz(func(t *testing.T, data []byte) {
-		done, valid, err := ParseCheckpoint(data, e.ID, true, n)
+		done, valid, err := ParseCheckpoint(data, true, grids)
 		if err != nil {
 			return // loud rejection is a valid outcome
 		}
 		if valid < 0 || valid > len(data) {
 			t.Fatalf("valid prefix %d outside data of %d", valid, len(data))
 		}
-		for p := range done {
-			if p < 0 || p >= n {
-				t.Fatalf("recovered point %d outside grid of %d", p, n)
+		for id, pts := range done {
+			n, ours := grids[id]
+			if !ours {
+				t.Fatalf("recovered points of %q, which is not in the run", id)
+			}
+			for p := range pts {
+				if p < 0 || p >= n {
+					t.Fatalf("recovered %s point %d outside grid of %d", id, p, n)
+				}
 			}
 		}
 		// The trusted prefix must re-parse to the identical result: the
 		// "valid" claim is a promise about resumability, not a guess.
-		done2, valid2, err2 := ParseCheckpoint(data[:valid], e.ID, true, n)
+		done2, valid2, err2 := ParseCheckpoint(data[:valid], true, grids)
 		if err2 != nil || valid2 != valid || !reflect.DeepEqual(done2, done) {
-			t.Fatalf("trusted prefix does not re-parse: valid=%d->%d points=%d->%d err=%v",
+			t.Fatalf("trusted prefix does not re-parse: valid=%d->%d experiments=%d->%d err=%v",
 				valid, valid2, len(done), len(done2), err2)
 		}
 	})
