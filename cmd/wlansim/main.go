@@ -12,6 +12,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"math"
 	"os"
 	"time"
 
@@ -58,6 +59,8 @@ func main() {
 		err = fmt.Errorf("-n %d: need at least one sending station", *n)
 	case *payload < 1 || *payload > frame.MaxMSDU-frame.SnapHeaderLen:
 		err = fmt.Errorf("-payload %d: want 1 to %d bytes (an MSDU less its LLC/SNAP header)", *payload, frame.MaxMSDU-frame.SnapHeaderLen)
+	case !(*distance >= 0) || math.IsInf(*distance, 1):
+		err = fmt.Errorf("-distance %v: want a finite distance in metres, 0 or more", *distance)
 	case *duration <= 0:
 		err = fmt.Errorf("-duration %v: need a positive run time", *duration)
 	case *topology != "adhoc" && *topology != "infra":

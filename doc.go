@@ -25,10 +25,13 @@
 //     order — a pop leaves the root for the callback's first insert, so an
 //     event that re-queues itself costs one sift — and reaps cancelled
 //     events lazily in bulk. ReserveSeq + ScheduleArgSeq let one
-//     closure-free heap entry stand for a train of events known in advance.
+//     closure-free heap entry stand for a train of events known in advance,
+//     and Advance lets it run the train's next event without going back
+//     through the heap whenever that event is the next one due.
 //   - internal/medium pools transmissions, each owning its arrivals and
-//     delivering their edges through two self-re-queuing kernel events
-//     instead of two per receiver; gives every static transmitter a
+//     delivering their edges through two cursors instead of two kernel
+//     events per receiver, which walk from edge to edge and re-queue only
+//     when something else is due first; gives every static transmitter a
 //     fan-out row (the static receivers it reaches, their power,
 //     propagation delay and edge order computed once; rebuilt when the
 //     topology changes), reuses wire buffers, decodes each transmission

@@ -43,7 +43,7 @@ type Config struct {
 	Mode string
 	// Channel is the shared radio channel (default 1).
 	Channel int
-	// TxPower in dBm (default 16).
+	// TxPower in dBm (default 16; NaN or infinite: refused).
 	TxPower units.DBm
 
 	// PathLoss overrides the default log-distance exponent-3 model.
@@ -162,6 +162,8 @@ func (c Config) resolve() (s specs, err error) {
 		err = fmt.Errorf("core: bad fading coherence %v: want a positive time, or 0 for 10 ms", c.FadingCoherence)
 	} else if err == nil && (!(c.ShadowSigmaDB >= 0) || math.IsInf(c.ShadowSigmaDB, 1)) {
 		err = fmt.Errorf("core: bad shadowing sigma %v dB: want a positive deviation, or 0 for none", c.ShadowSigmaDB)
+	} else if p := float64(c.TxPower); err == nil && (math.IsNaN(p) || math.IsInf(p, 0)) {
+		err = fmt.Errorf("core: bad transmit power %v dBm: want a finite level", p)
 	} else if err == nil && min(c.QueueCap, c.CWmin, c.CWmax, c.RTSThreshold, c.FragThreshold) < 0 {
 		// A negative QueueCap fails every Enqueue, management frames included.
 		err = fmt.Errorf("core: bad MAC override, want 0 (the default) or more: QueueCap %d, CWmin %d, CWmax %d, RTSThreshold %d, FragThreshold %d",
@@ -175,9 +177,9 @@ func (c Config) resolve() (s specs, err error) {
 }
 
 // Validate reports the first Mode, Fading or RateAdapt spec that does not
-// parse, a negative FadingCoherence, ShadowSigmaDB or MAC override, or CWmin
-// above CWmax — the error NewNetwork panics with. Commands taking those from
-// a user call it first.
+// parse, a negative FadingCoherence, ShadowSigmaDB or MAC override, a TxPower
+// that is not finite, or CWmin above CWmax — the error NewNetwork panics
+// with. Commands taking those from a user call it first.
 func (c Config) Validate() error {
 	_, err := c.resolve()
 	return err

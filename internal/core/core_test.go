@@ -87,6 +87,9 @@ var badConfigs = []struct {
 	{Config{ShadowSigmaDB: -4}, `bad shadowing sigma -4 dB`},
 	{Config{ShadowSigmaDB: math.NaN()}, `bad shadowing sigma NaN dB`},
 	{Config{ShadowSigmaDB: math.Inf(1)}, `bad shadowing sigma +Inf dB`},
+	{Config{TxPower: units.DBm(math.NaN())}, `bad transmit power NaN dBm`},
+	{Config{TxPower: units.DBm(math.Inf(1))}, `bad transmit power +Inf dBm`},
+	{Config{TxPower: units.DBm(math.Inf(-1))}, `bad transmit power -Inf dBm`},
 	{Config{QueueCap: -1}, `bad MAC override, want 0 (the default) or more: QueueCap -1,`},
 	{Config{CWmin: -31}, `bad MAC override, want 0 (the default) or more: QueueCap 0, CWmin -31,`},
 	{Config{CWmax: -1023}, `CWmax -1023,`},
@@ -119,7 +122,7 @@ func TestConfigValidate(t *testing.T) {
 		good = append(good, Config{RateAdapt: r, Fading: "rayleigh"})
 	}
 	good = append(good, Config{Mode: "802.11g", RateAdapt: "fixed:7"},
-		Config{QueueCap: 1, CWmin: 1023, RTSThreshold: 1, FragThreshold: 256}, Config{CWmin: 7, CWmax: 7})
+		Config{QueueCap: 1, CWmin: 1023, RTSThreshold: 1, FragThreshold: 256}, Config{CWmin: 7, CWmax: 7}, Config{TxPower: -20})
 	for _, cfg := range good {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)

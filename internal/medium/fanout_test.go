@@ -466,6 +466,214 @@ func TestEdgeCursorOrder(t *testing.T) {
 	}
 }
 
+// TestSortEdges: from whatever permutation it starts — index order, the
+// sorted order of slightly different delays, a shuffle — the insertion sort
+// ends on the one (delay, index) order.
+func TestSortEdges(t *testing.T) {
+	src := rng.New(25)
+	for round := 0; round < 2000; round++ {
+		arrs := make([]arrival, src.Intn(40))
+		want := make([]int32, len(arrs))
+		for i := range arrs {
+			arrs[i].delay = sim.Duration(src.Intn(12)) * 100 // ties are the rule
+			want[i] = int32(i)
+		}
+		byEdge := func(a, b int32) int {
+			return cmp.Or(cmp.Compare(arrs[a].delay, arrs[b].delay), cmp.Compare(a, b))
+		}
+		slices.SortFunc(want, byEdge)
+		got := slices.Clone(want)
+		switch round % 3 {
+		case 0:
+			slices.Sort(got)
+		case 1: // the order of the transmission before: a few receivers have moved since
+			for range min(3, len(arrs)) {
+				arrs[src.Intn(len(arrs))].delay = sim.Duration(src.Intn(12)) * 100
+			}
+			slices.SortFunc(want, byEdge)
+		case 2:
+			src.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+		}
+		if sortEdges(got, arrs); !slices.Equal(got, want) {
+			t.Fatalf("round %d: sorted to %v, want %v", round, got, want)
+		}
+	}
+}
+
+// walkWorld is one side of TestEdgeCursorWalk: a kernel, what a transmission
+// is on it, and the script's reactions to receiver edges by event name. On
+// the medium a reaction runs in the CCA upcall of that edge, i.e. in the
+// middle of a cursor's walk; on the reference in the edge's own event.
+type walkWorld struct {
+	k        *sim.Kernel
+	transmit func(from int)
+	retune   func(id, channel int)
+	act      map[string]func(*walkWorld)
+	timers   map[string]sim.Timer
+	log      []string
+}
+
+func (w *walkWorld) upcall(edge string) {
+	if f := w.act[edge]; f != nil {
+		f(w)
+	}
+}
+
+// mark records what a run left behind.
+func (w *walkWorld) mark() {
+	w.log = append(w.log, fmt.Sprintf("-- now %d, processed %d, stopped %v", w.k.Now(), w.k.Processed(), w.k.Stopped()))
+}
+
+func (w *walkWorld) timer(at sim.Time, name string) {
+	w.timers[name] = w.k.ScheduleAt(at, name, func() {})
+}
+
+// walkListener turns a receiver's CCA edges into the script's reactions.
+type walkListener struct {
+	NopListener
+	w    *walkWorld
+	name string
+}
+
+func (l *walkListener) OnCCABusy() { l.w.upcall("rx-start:" + l.name) }
+func (l *walkListener) OnCCAIdle() { l.w.upcall("rx-end:" + l.name) }
+
+// TestEdgeCursorWalk plays scripts that cut into a cursor's walk on the
+// medium and on the naive reference — a bare kernel on which every receiver
+// edge is its own event, scheduled in ascending receiver id at transmit time
+// — and requires the same OnEvent sequence, the same clock, Processed and
+// Stopped after every run, and the same same-timestamp run statistics.
+func TestEdgeCursorWalk(t *testing.T) {
+	// Delays from r0: r1 and r3 100 ns, r2 500 ns, r4 1000 ns, r5 2001 ns.
+	xs := []float64{0, 30, 150, 30, 300, 600}
+	mode := phy.Mode80211b()
+	airtime := mode.Airtime(0, len(dataFrame(200).AppendWire(nil)))
+	const ns = sim.Time(sim.Nanosecond)
+	send := func(from int) func(*walkWorld) {
+		return func(w *walkWorld) { w.transmit(from) }
+	}
+	at := func(w *walkWorld, d sim.Time, name string, f func(*walkWorld)) {
+		w.k.ScheduleAt(d, name, func() { f(w) })
+	}
+	cases := []struct {
+		what string
+		play func(w *walkWorld)
+	}{
+		{"uninterrupted", func(w *walkWorld) {
+			at(w, 0, "tx", send(0))
+		}},
+		{"Stop from an upcall mid-walk", func(w *walkWorld) {
+			w.act["rx-start:r2"] = func(w *walkWorld) { w.k.Stop() }
+			w.act["rx-end:r3"] = func(w *walkWorld) { w.k.Stop() }
+			at(w, 0, "tx", send(0))
+			w.k.Run()
+			w.mark()
+			w.k.Run()
+			w.mark()
+		}},
+		{"RunUntil deadlines between two edges", func(w *walkWorld) {
+			at(w, 0, "tx", send(0))
+			for _, deadline := range []sim.Time{50 * ns, 700 * ns, 700 * ns, 1000 * ns, sim.Time(airtime) + 100*ns, sim.Time(airtime) + 1500*ns} {
+				w.k.RunUntil(deadline)
+				w.mark()
+			}
+		}},
+		{"cancelled timers keyed between two edges", func(w *walkWorld) {
+			w.timer(300*ns, "ghost-lead")
+			w.timer(sim.Time(airtime)+1500*ns, "ghost-trail")
+			w.k.Cancel(w.timers["ghost-lead"])
+			w.act["rx-end:r1"] = func(w *walkWorld) { w.k.Cancel(w.timers["ghost-trail"]) }
+			at(w, 0, "tx", send(0))
+		}},
+		{"an upcall's Schedule(0) against the next edge", func(w *walkWorld) {
+			// r3's edge shares r1's instant and runs before r1's timer; r2's
+			// is later and runs after r3's.
+			for _, edge := range []string{"rx-start:r1", "rx-start:r3", "rx-end:r1", "rx-end:r3", "rx-end:r5"} {
+				w.act[edge] = func(w *walkWorld) { w.k.Schedule(0, "timer-of-"+edge, func() {}) }
+			}
+			at(w, 0, "tx", send(0))
+		}},
+		{"a second frame, in another order of its own, under the first's trailing cursor", func(w *walkWorld) {
+			// Neither frame reaches the whole row, so each sorts its own
+			// order, the second starting from the first's while r2's and r5's
+			// trailing edges of the first are still to come.
+			w.retune(4, 6)
+			at(w, 0, "tx", send(0))
+			at(w, sim.Time(airtime)+150*ns, "tx", func(w *walkWorld) {
+				w.retune(4, 1)
+				w.retune(1, 6)
+				w.transmit(0)
+			})
+		}},
+		{"two transmissions whose cursors interleave", func(w *walkWorld) {
+			at(w, 0, "tx", send(0))
+			at(w, 300*ns, "tx", send(5)) // r5 has not heard r0 yet; their edges cross at r2 and r4
+			at(w, sim.Time(airtime)+400*ns, "tx", send(2))
+		}},
+	}
+	for _, c := range cases {
+		worlds := [2]*walkWorld{}
+		for i := range worlds {
+			k := sim.NewKernel()
+			w := &walkWorld{k: k, act: map[string]func(*walkWorld){}, timers: map[string]sim.Timer{}}
+			k.OnEvent = func(at sim.Time, name string) { w.log = append(w.log, fmt.Sprintf("%d %s", at, name)) }
+			var m *Medium
+			if i == 0 {
+				m = New(k, spectrum.NewModel(spectrum.FreeSpace{Freq: 2412 * units.MHz}, nil, nil), rng.New(24))
+				for id, x := range xs {
+					name := fmt.Sprintf("r%d", id)
+					edgeRadio(m, name, x, &walkListener{w: w, name: name})
+				}
+				w.transmit = func(from int) { m.radios[from].Transmit(dataFrame(200), 0) }
+				w.retune = func(id, channel int) { m.radios[id].SetChannel(channel) }
+			} else {
+				channels := slices.Repeat([]int{1}, len(xs)) // edgeRadio's
+				w.retune = func(id, channel int) { channels[id] = channel }
+				w.transmit = func(from int) {
+					for id, x := range xs {
+						if id == from || channels[id] != channels[from] {
+							continue
+						}
+						name := fmt.Sprintf("r%d", id)
+						start := k.Now().Add(propDelay(geom.Pt(xs[from], 0).Distance(geom.Pt(x, 0))))
+						k.ScheduleAt(start, "rx-start:"+name, func() { w.upcall("rx-start:" + name) })
+						k.ScheduleAt(start.Add(airtime), "rx-end:"+name, func() { w.upcall("rx-end:" + name) })
+					}
+					k.Schedule(airtime, fmt.Sprintf("tx-done:r%d", from), func() {})
+				}
+			}
+			c.play(w)
+			k.Run()
+			w.mark()
+			cohorts, events := k.CohortSizes()
+			w.log = append(w.log, fmt.Sprint("-- same-timestamp runs ", cohorts, " over ", events))
+			if m != nil {
+				for _, r := range m.radios {
+					if len(r.inFlight) != 0 || r.lock != nil {
+						t.Errorf("%s: %s still holds an arrival after the run", c.what, r.name)
+					}
+				}
+				if len(m.txPool) == 0 {
+					t.Errorf("%s: no transmission came back to the pool", c.what)
+				}
+			}
+			worlds[i] = w
+		}
+		got, want := worlds[0].log, worlds[1].log
+		if len(want) < 2*(len(xs)-1) {
+			t.Fatalf("%s: the reference ran only %v", c.what, want)
+		}
+		if !slices.Equal(got, want) {
+			for i := range min(len(got), len(want)) {
+				if got[i] != want[i] {
+					t.Fatalf("%s: record %d: the medium ran %q, per-receiver events %q\nmedium    %v\nreference %v", c.what, i, got[i], want[i], got, want)
+				}
+			}
+			t.Fatalf("%s: the medium logged %d records, per-receiver events %d", c.what, len(got), len(want))
+		}
+	}
+}
+
 // frameCheck is a listener that checks every delivered frame against the
 // transmission it must have come from.
 type frameCheck struct {

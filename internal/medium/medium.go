@@ -37,23 +37,25 @@
 //
 // A transmission owns its receivers. Its arrivals sit in one slice in
 // ascending receiver id, and instead of two kernel events per receiver the
-// heap holds two per transmission: a leading-edge and a trailing-edge
-// cursor, each of which handles one receiver's edge per pop and re-queues
-// itself on the next receiver's, in (delay, receiver index) order. At
+// heap holds at most two per transmission: a leading-edge and a trailing-edge
+// cursor, each of which walks its edges in (delay, receiver index) order. At
 // transmit time the medium reserves the block of schedule-order numbers the
-// per-receiver events would have taken (sim.Kernel.ReserveSeq) and every
-// cursor pop runs under the (time, seq) and the rx-start:/rx-end: name its
-// receiver's own event would have had, so pop order, same-tick interleaving
-// with MAC timers and the event count are those of per-receiver
-// scheduling; heap depth is O(transmissions on the air + timers), not
-// O(transmissions × fan-out). A static row carries its edge order, computed
-// when the row is built; a transmission whose arrivals are not exactly its
-// row (an entry filtered by channel or fading, a mobile receiver merged in,
-// a mobile transmitter, PropagationDelay off) sorts its own. Radios point
-// into the arrival slice while an arrival is in flight, so a transmission
-// is recycled only when its trailing cursor has walked the last edge. A
-// cursor re-queues itself before it calls arrivalStart/arrivalEnd, so that
-// it, not a MAC timer the upcall schedules, takes the root its pop vacated.
+// per-receiver events would have taken (sim.Kernel.ReserveSeq) and every edge
+// runs under the (time, seq) and the rx-start:/rx-end: name its receiver's
+// own event would have had, so event order, same-tick interleaving with MAC
+// timers and the event count are those of per-receiver scheduling. A cursor
+// handles an edge — arrivalStart or arrivalEnd, upcalls included — and then
+// asks the kernel whether its next edge is the next event to run
+// (sim.Kernel.Advance): most are, and cost no heap operation; when a timer,
+// another cursor or the run's deadline comes first the cursor queues itself
+// under that edge's key and returns. Heap depth is O(transmissions on the air
+// + timers), not O(transmissions × fan-out). A static row carries its edge
+// order, computed when the row is built; a transmission whose arrivals are
+// not exactly its row (an entry filtered by channel or fading, a mobile
+// receiver merged in, a mobile transmitter, PropagationDelay off) sorts its
+// own, starting from its transmitter's last. Radios point into the arrival
+// slice while an arrival is in flight, so a transmission is recycled only
+// when its trailing cursor has walked the last edge.
 package medium
 
 import (
@@ -133,9 +135,9 @@ type transmission struct {
 	// per-receiver events the cursors stand for, arrival i's leading edge
 	// at seq0+2i and trailing edge at seq0+2i+1. It is the transmitter's
 	// rowOrder when arrs is exactly its row, otherwise own.
-	order, own  []int32
-	seq0        uint64
-	lead, trail int // each cursor's next position in order
+	order, own []int32
+	seq0       uint64
+	pos        [2]int // the leading- and the trailing-edge cursor's next position in order
 	// decoded caches the parsed wire image: every receiver that decodes
 	// this transmission sees the same bytes, and received frames are
 	// read-only views by convention (rx paths Clone what they keep), so one
@@ -212,7 +214,7 @@ type Medium struct {
 	// spatial index are valid only for the generation they were built in.
 	topoGen    uint64
 	rowScratch []fanoutEntry // buildRow scratch: rows are stored at exact size
-	edgeKeys   []edgeKey     // edgeOrder scratch
+	orderSlab  []int32       // what orderRoom has left to hand out
 
 	// sp is the uniform-grid spatial index (see grid.go).
 	sp spatial
@@ -373,79 +375,99 @@ func (m *Medium) decodeFrame(t *transmission) *frame.Frame {
 
 // --- edge cursors ---------------------------------------------------------
 
-// edgeKey places arrival (or row entry) idx in edge order.
-type edgeKey struct {
-	delay sim.Duration
-	idx   int32
-}
-
-func cmpEdgeKey(a, b edgeKey) int {
-	if c := cmp.Compare(a.delay, b.delay); c != 0 {
-		return c
-	}
-	return cmp.Compare(a.idx, b.idx)
-}
-
-// edgeOrder appends the indices of m.edgeKeys to dst in (delay, index)
-// order, sorting only when the delays are not already non-decreasing.
+// sortEdges sorts order, a permutation of arrs' indices, by (delay, index).
+// It is an insertion sort: a transmitter's order changes little from one
+// transmission to the next, and from an order that is nearly right the sort
+// is linear. Keys are a strict total order, so where it starts from cannot
+// change where it ends.
 //
 //wlan:hotpath
-func (m *Medium) edgeOrder(dst []int32) []int32 {
-	if !slices.IsSortedFunc(m.edgeKeys, cmpEdgeKey) {
-		slices.SortFunc(m.edgeKeys, cmpEdgeKey)
+func sortEdges(order []int32, arrs []arrival) {
+	for i := 1; i < len(order); i++ {
+		x := order[i]
+		d := arrs[x].delay
+		j := i
+		for ; j > 0; j-- {
+			p := order[j-1]
+			if pd := arrs[p].delay; pd < d || pd == d && p < x {
+				break
+			}
+			order[j] = p
+		}
+		order[j] = x
 	}
-	for _, k := range m.edgeKeys {
-		dst = append(dst, k.idx)
-	}
-	return dst
 }
 
-// queueLead and queueTrail queue a cursor on its next edge, under the
-// receiver's event name and the (at, seq) that receiver's own event would
+// orderRoom returns buf with length n. One too small is replaced by one with
+// room for every radio there is now, cut from a slab so that a medium
+// allocates once per 32 replacements.
+func (m *Medium) orderRoom(buf []int32, n int) []int32 {
+	if c := len(m.radios); cap(buf) < n {
+		if len(m.orderSlab) < c {
+			m.orderSlab = make([]int32, 32*c)
+		}
+		buf, m.orderSlab = m.orderSlab[:0:c], m.orderSlab[c:]
+	}
+	return buf[:n]
+}
+
+// edgeKey is the (at, seq, name) of the next edge of cursor e — 0 the
+// leading-edge cursor, 1 the trailing: those its receiver's own event would
 // have had.
 //
 //wlan:hotpath
-func (m *Medium) queueLead(t *transmission) {
-	i := t.order[t.lead]
+func (t *transmission) edgeKey(e int) (sim.Time, uint64, string) {
+	i := t.order[t.pos[e]]
 	a := &t.arrs[i]
-	m.kernel.ScheduleArgSeq(t.start.Add(a.delay), t.seq0+2*uint64(i), a.rx.nameRxStart, leadEdgeFn, t)
+	if e == 0 {
+		return t.start.Add(a.delay), t.seq0 + 2*uint64(i), a.rx.nameRxStart
+	}
+	return t.start.Add(a.delay + t.airtime), t.seq0 + 2*uint64(i) + 1, a.rx.nameRxEnd
 }
 
-//wlan:hotpath
-func (m *Medium) queueTrail(t *transmission) {
-	i := t.order[t.trail]
-	a := &t.arrs[i]
-	m.kernel.ScheduleArgSeq(t.start.Add(a.delay+t.airtime), t.seq0+2*uint64(i)+1, a.rx.nameRxEnd, trailEdgeFn, t)
-}
-
-// leadEdgeFn and trailEdgeFn are the cursors: one pop handles one
-// receiver's edge, after re-queueing the cursor on the next receiver's —
-// first, so that its key, not an upcall's timer, lands in the kernel's vacant
-// root (package sim). The last trailing edge is the transmission's last event.
+// queue puts cursor e into the kernel's queue under its next edge's key.
 //
 //wlan:hotpath
-func leadEdgeFn(x any) {
-	t := x.(*transmission)
-	a := &t.arrs[t.order[t.lead]]
-	if t.lead++; t.lead < len(t.order) {
-		t.tx.medium.queueLead(t)
+func (t *transmission) queue(k *sim.Kernel, e int) {
+	at, seq, name := t.edgeKey(e)
+	if e == 0 {
+		k.ScheduleArgSeq(at, seq, name, leadEdgeFn, t)
+	} else {
+		k.ScheduleArgSeq(at, seq, name, trailEdgeFn, t)
 	}
-	a.rx.arrivalStart(a)
 }
 
+// walk is cursor e. It handles its receiver's edge and then asks the kernel
+// whether its next edge is the next event to run (sim.Kernel.Advance): if so
+// it is now that event and walks on, if not — a timer, another cursor or the
+// run's deadline comes first — it queues itself and returns. The upcall comes
+// before the question, so what it scheduled is in the answer. The last
+// trailing edge is the transmission's last event.
+//
 //wlan:hotpath
-func trailEdgeFn(x any) {
-	t := x.(*transmission)
+func (t *transmission) walk(e int) {
 	m := t.tx.medium
-	a := &t.arrs[t.order[t.trail]]
-	if t.trail++; t.trail < len(t.order) {
-		m.queueTrail(t)
-	}
-	a.rx.arrivalEnd(a)
-	if t.trail == len(t.order) {
-		m.putTransmission(t)
+	for {
+		if a := &t.arrs[t.order[t.pos[e]]]; e == 0 {
+			a.rx.arrivalStart(a)
+		} else {
+			a.rx.arrivalEnd(a)
+		}
+		if t.pos[e]++; t.pos[e] == len(t.order) {
+			if e == 1 {
+				m.putTransmission(t)
+			}
+			return
+		}
+		if !m.kernel.Advance(t.edgeKey(e)) {
+			t.queue(m.kernel, e)
+			return
+		}
 	}
 }
+
+func leadEdgeFn(x any)  { x.(*transmission).walk(0) }
+func trailEdgeFn(x any) { x.(*transmission).walk(1) }
 
 // Radios returns all registered radios.
 func (m *Medium) Radios() []*Radio { return m.radios }
@@ -494,12 +516,13 @@ func (m *Medium) buildRow(r *Radio, t *transmission, grid bool) {
 	if !m.noFast {
 		r.rowFade = make([]fadeSlot, len(row))
 	}
-	keys := m.edgeKeys[:0]
-	for i := range row {
-		keys = append(keys, edgeKey{row[i].delay(), int32(i)})
+	r.rowOrder = make([]int32, len(row))
+	for i := range r.rowOrder {
+		r.rowOrder[i] = int32(i)
 	}
-	m.edgeKeys = keys
-	r.rowOrder = m.edgeOrder(make([]int32, 0, len(row)))
+	slices.SortFunc(r.rowOrder, func(a, b int32) int {
+		return cmp.Or(cmp.Compare(row[a].delay(), row[b].delay()), cmp.Compare(a, b))
+	})
 	r.rowGen = m.topoGen
 }
 
@@ -540,7 +563,8 @@ func (m *Medium) transmit(r *Radio, f *frame.Frame, rate phy.RateIdx) sim.Durati
 //
 // Edge order is the row's own when the arrivals are exactly the row (no
 // entry filtered, no mobile receiver merged in, delays in force);
-// otherwise it is worked out for this transmission.
+// otherwise it is worked out for this transmission, starting from the
+// transmitter's last such order.
 //
 //wlan:hotpath
 func (m *Medium) fanout(r *Radio, t *transmission) {
@@ -562,6 +586,10 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 		others = m.gridCandidates(r, t)
 	}
 	fadeKey := m.model.Fast.Block(t.start) + 1 // t.start's coherence block, as fade keys it
+	var refLoss units.DB                       // the transmitter's share of the path loss to each of others
+	if len(others) > 0 {
+		refLoss = m.model.RefLoss(t.txPos)
+	}
 	m.LinkCacheHits += uint64(len(row))
 	m.FanoutCandidates += uint64(len(row))
 	arrs := t.arrs[:0]
@@ -599,7 +627,7 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 			m.FanoutCandidates++
 			offRow++
 			rxPos := rx.mobility.PositionAt(t.start)
-			power = m.model.RxPower(r.txPower, t.txPos, rxPos, linkID(r, rx), t.start)
+			power = m.model.RxPowerFrom(r.txPower, refLoss, t.txPos, rxPos, linkID(r, rx), t.start)
 			if m.tooWeak(power, rx) {
 				continue
 			}
@@ -620,18 +648,22 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 	if len(arrs) == len(row) && offRow == 0 && m.PropagationDelay {
 		t.order = r.rowOrder
 	} else {
-		keys := m.edgeKeys[:0]
-		for i := range arrs {
-			keys = append(keys, edgeKey{arrs[i].delay, int32(i)})
+		if len(r.lastOwn) != len(arrs) { // nothing to start from but index order
+			r.lastOwn = m.orderRoom(r.lastOwn, len(arrs))
+			for i := range r.lastOwn {
+				r.lastOwn[i] = int32(i)
+			}
 		}
-		m.edgeKeys = keys
-		t.own = m.edgeOrder(t.own[:0])
+		sortEdges(r.lastOwn, arrs)
+		// A copy: r may transmit again, and sort again, while t is on the air.
+		t.own = m.orderRoom(t.own, len(arrs))
+		copy(t.own, r.lastOwn)
 		t.order = t.own
 	}
 	t.seq0 = m.kernel.ReserveSeq(2 * len(arrs))
-	t.lead, t.trail = 0, 0
-	m.queueLead(t)
-	m.queueTrail(t)
+	t.pos = [2]int{}
+	t.queue(m.kernel, 0)
+	t.queue(m.kernel, 1)
 }
 
 func (m *Medium) String() string {

@@ -172,6 +172,7 @@ type Radio struct {
 	rowOrder    []int32    // row indices by (delay, index): the row's edge order
 	rowFade     []fadeSlot // per row entry, its last fast-fading block (nil without fast fading)
 	rowGen      uint64
+	lastOwn     []int32 // edge order of this radio's last transmission that sorted its own
 	nameRxStart string
 	nameRxEnd   string
 	nameTxDone  string

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"fmt"
 	"math/rand"
 	"sort"
 	"strings"
@@ -282,8 +283,9 @@ func TestCohortDrainProperty(t *testing.T) {
 // receiver. trainSim plays one seeded script of trains, ordinary timers,
 // cancels, same-tick reschedules, Stop calls and RunUntil deadlines in one
 // of two forms: every edge scheduled up front with ScheduleAt, or 2n seq
-// numbers reserved and two self-re-queuing cursors walking the edges in
-// (delay, index) order.
+// numbers reserved and two cursors walking the edges in (delay, index)
+// order — on to the next edge while Advance grants it, back into the queue
+// when it does not, as the medium's cursors do.
 
 type trainSim struct {
 	k      *Kernel
@@ -291,6 +293,7 @@ type trainSim struct {
 	cursor bool
 	timers []Timer
 	trains int
+	walked int // edges run on a granted Advance
 }
 
 type train struct {
@@ -308,9 +311,15 @@ func (tr *train) at(i, e int) Time {
 	return tr.start.Add(tr.delays[i] + Duration(e)*tr.air)
 }
 
-func (tr *train) queue(e int) {
+// key is the (at, seq, name) of cursor e's next edge.
+func (tr *train) key(e int) (Time, uint64, string) {
 	i := tr.order[tr.pos[e]]
-	tr.s.k.ScheduleArgSeq(tr.at(i, e), tr.seq0+2*uint64(i)+uint64(e), tr.names[e][i], trainCursor(e), tr)
+	return tr.at(i, e), tr.seq0 + 2*uint64(i) + uint64(e), tr.names[e][i]
+}
+
+func (tr *train) queue(e int) {
+	at, seq, name := tr.key(e)
+	tr.s.k.ScheduleArgSeq(at, seq, name, trainCursor(e), tr)
 }
 
 func trainCursor(e int) func(any) {
@@ -324,11 +333,17 @@ func trainLead(x any)  { x.(*train).step(0) }
 func trainTrail(x any) { x.(*train).step(1) }
 
 func (tr *train) step(e int) {
-	i := tr.order[tr.pos[e]]
-	if tr.pos[e]++; tr.pos[e] < len(tr.order) {
-		tr.queue(e)
+	for {
+		tr.s.edge(tr, tr.order[tr.pos[e]], e)
+		if tr.pos[e]++; tr.pos[e] == len(tr.order) {
+			return
+		}
+		if at, seq, name := tr.key(e); !tr.s.k.Advance(at, seq, name) {
+			tr.queue(e)
+			return
+		}
+		tr.s.walked++
 	}
-	tr.s.edge(tr, i, e)
 }
 
 func (s *trainSim) startTrain() {
@@ -396,8 +411,9 @@ type trainRec struct {
 }
 
 // playTrains runs the script for seed and returns every executed (at, name)
-// plus a record of the clock and Processed after each RunUntil.
-func playTrains(seed int64, cursor bool) []trainRec {
+// plus a record of the clock and Processed after each RunUntil and of the
+// same-timestamp run statistics at the end, and how many edges were walked.
+func playTrains(seed int64, cursor bool) ([]trainRec, int) {
 	s := &trainSim{k: NewKernel(), rng: rand.New(rand.NewSource(seed)), cursor: cursor}
 	var log []trainRec
 	s.k.OnEvent = func(at Time, name string) { log = append(log, trainRec{at: at, name: name}) }
@@ -418,16 +434,19 @@ func playTrains(seed int64, cursor bool) []trainRec {
 	for s.k.Stopped() {
 		s.k.Run()
 	}
-	return append(log, trainRec{s.k.Now(), "end", s.k.Processed()})
+	buckets, events := s.k.CohortSizes()
+	return append(log, trainRec{s.k.Now(), fmt.Sprint("end, cohorts ", buckets), events}), s.walked
 }
 
 // TestReservedSeqTrains is the wall for ReserveSeq + ScheduleArgSeq: an
 // event queued with a reserved seq pops exactly where an event scheduled
 // when that seq was reserved would have popped.
 func TestReservedSeqTrains(t *testing.T) {
-	edges := 0
+	edges, walked := 0, 0
 	for seed := int64(1); seed <= 16; seed++ {
-		want, got := playTrains(seed, false), playTrains(seed, true)
+		want, _ := playTrains(seed, false)
+		got, n := playTrains(seed, true)
+		walked += n
 		if len(got) != len(want) {
 			t.Fatalf("seed %d: cursor form logged %d records, up-front form %d", seed, len(got), len(want))
 		}
@@ -438,7 +457,10 @@ func TestReservedSeqTrains(t *testing.T) {
 		}
 		edges += len(want)
 	}
-	t.Logf("%d records identical in both forms", edges)
+	if walked < edges/10 {
+		t.Fatalf("only %d of %d records were edges a cursor walked to: the script no longer exercises Advance", walked, edges)
+	}
+	t.Logf("%d records identical in both forms, %d of them edges a cursor walked to", edges, walked)
 }
 
 func TestScheduleArgSeqPanics(t *testing.T) {
@@ -457,6 +479,10 @@ func TestScheduleArgSeqPanics(t *testing.T) {
 	seq := k.ReserveSeq(1)
 	mustPanic("past time", "before now", func() { k.ScheduleArgSeq(k.Now()-1, seq, "late", func(any) {}, nil) })
 	mustPanic("unreserved seq", "never reserved", func() { k.ScheduleArgSeq(k.Now(), seq+1, "greedy", func(any) {}, nil) })
+	// Advance leaves both to the ScheduleArgSeq its caller falls back on.
+	if k.Advance(k.Now()-1, seq, "late") || k.Advance(k.Now(), seq+1, "greedy") || k.Processed() != 1 {
+		t.Fatal("Advance granted a key ScheduleArgSeq panics on")
+	}
 	k.ScheduleArgSeq(k.Now(), seq, "fine", func(any) {}, nil)
 	if k.Run(); k.Processed() != 2 {
 		t.Fatalf("processed %d events, want 2", k.Processed())

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"math"
+	"math/bits"
 	"slices"
 	"testing"
 )
@@ -116,8 +118,11 @@ func TestHeapIntrospectionInsideCallback(t *testing.T) {
 // time; every event, when it fires, reads a count and then that many ops
 // of its own, so schedules, cancels, reschedules, Stop and introspection
 // all happen both outside a run and inside a callback whose root is
-// vacant. An exhausted stream reads as zeros (a callback that does
-// nothing), which is also what bounds the run.
+// vacant. Inside a callback there is one op more: Advance, under a number
+// reserved now or at an earlier Advance, which the reference grants exactly
+// when nothing it holds comes first; a granted callback plays the rest of its
+// ops as the event it has become. An exhausted stream reads as zeros (a
+// callback that does nothing), which is also what bounds the run.
 
 const (
 	opSchedule       = iota // arg: delay in ticks (0 = same tick)
@@ -127,7 +132,7 @@ const (
 	opBurst                 // arg: cancel 17 + arg%32 live timers, newest first: forces a bulk reap
 	opDeepen                // arg: schedule arg%32 far-future timers
 	opStopOrRunUntil        // inside: Stop. outside, arg: RunUntil now + arg%8 ticks
-	opRun                   // outside only: Run to Stop or empty
+	opRunOrAdvance          // outside: Run to Stop or empty. inside, arg: Advance to now + arg%4 ticks, arg&4: under an older number
 )
 
 const fuzzTick = 10 * Microsecond
@@ -146,6 +151,89 @@ type kernelFuzz struct {
 	refNow  Time
 	seq     uint64 // mirrors the kernel's schedule counter
 	entries []fuzzEntry
+
+	// What Advance's answer depends on beside the queue, and the numbers
+	// reserved at one Advance for a later one.
+	stopped  bool
+	deadline Time
+	spare    []uint64
+
+	// The OnEvent sequence, as a count, its last timestamp and the
+	// same-timestamp run statistics it implies.
+	hooks   uint64
+	hookAt  Time
+	runLen  uint64
+	cohorts [8]uint64
+}
+
+func (z *kernelFuzz) hook(at Time, name string) {
+	if name != "fuzz" {
+		z.t.Fatalf("OnEvent(%v, %q): every event here is named fuzz", at, name)
+	}
+	if at != z.hookAt {
+		z.closeRun()
+		z.hookAt = at
+	}
+	z.runLen++
+	z.hooks++
+}
+
+func (z *kernelFuzz) closeRun() {
+	if z.runLen > 0 {
+		z.cohorts[min(bits.Len64(z.runLen-1), 7)]++
+		z.runLen = 0
+	}
+}
+
+// run is Run (deadline maxTime) or RunUntil from outside.
+func (z *kernelFuzz) run(deadline Time) {
+	z.stopped, z.deadline = false, deadline
+	if deadline == maxTime {
+		z.k.Run()
+	} else {
+		z.k.RunUntil(deadline)
+	}
+	z.ran(deadline)
+}
+
+// advance asks the kernel whether the callback may carry on as the event
+// (at, seq) and holds the answer, and the kernel's record after it, to the
+// reference. A refused event is queued and fires like any other.
+func (z *kernelFuzz) advance(arg int) {
+	at := z.k.Now().Add(Duration(arg%4) * fuzzTick)
+	seq := z.k.ReserveSeq(2)
+	z.seq += 2
+	z.spare = append(z.spare, seq+1)
+	if arg&4 != 0 { // the oldest number put by: before every timer scheduled since
+		seq, z.spare = z.spare[0], z.spare[1:]
+	}
+	id := len(z.entries)
+	key := refKey{at: at, seq: seq, id: id}
+	z.entries = append(z.entries, fuzzEntry{seq: seq})
+	want := !z.stopped && at <= z.deadline && (len(z.ref.keys) == 0 || !refLess(z.ref.keys[0], key))
+	processed := z.k.Processed()
+	if got := z.k.Advance(at, seq, "fuzz"); got != want {
+		z.t.Fatalf("Advance(%v, %d) = %v at %v; reference: stopped %v, deadline %v, queue %+v", at, seq, got, z.refNow, z.stopped, z.deadline, z.ref.keys)
+	}
+	if !want {
+		if z.k.Now() != z.refNow || z.k.Processed() != processed || z.hooks != processed {
+			z.t.Fatalf("refused Advance(%v, %d) moved the kernel: now %v (was %v), processed %d (was %d), %d OnEvent calls",
+				at, seq, z.k.Now(), z.refNow, z.k.Processed(), processed, z.hooks)
+		}
+		z.ref.push(key)
+		z.entries[id].tm = z.k.ScheduleArgSeq(at, seq, "fuzz", func(any) { z.fire(id) }, nil)
+		return
+	}
+	z.refNow = at
+	z.entries[id].done = true
+	if z.k.Now() != at || z.k.Processed() != processed+1 || z.hooks != processed+1 || z.hookAt != at {
+		z.t.Fatalf("granted Advance(%v, %d): now %v, processed %d (was %d), %d OnEvent calls, the last at %v",
+			at, seq, z.k.Now(), z.k.Processed(), processed, z.hooks, z.hookAt)
+	}
+	// The loop is at (at, seq): that key is not behind it, the one before is.
+	if z.k.Passed(at, seq) || !z.k.Passed(at, seq-1) || !z.k.Passed(at-1, math.MaxUint64) || z.k.Passed(at, seq+1) {
+		z.t.Fatalf("granted Advance(%v, %d): Passed does not put the loop at that key", at, seq)
+	}
 }
 
 func (z *kernelFuzz) next() int {
@@ -260,15 +348,15 @@ func (z *kernelFuzz) step(inside bool) {
 	case opStopOrRunUntil:
 		if inside {
 			z.k.Stop()
+			z.stopped = true
 			return
 		}
-		deadline := z.k.Now().Add(Duration(arg%8) * fuzzTick)
-		z.k.RunUntil(deadline)
-		z.ran(deadline)
-	case opRun:
-		if !inside {
-			z.k.Run()
-			z.ran(maxTime)
+		z.run(z.k.Now().Add(Duration(arg%8) * fuzzTick))
+	case opRunOrAdvance:
+		if inside {
+			z.advance(arg)
+		} else {
+			z.run(maxTime)
 		}
 	}
 }
@@ -280,47 +368,76 @@ func FuzzKernelOps(f *testing.F) {
 	deep := []byte{opDeepen, 31, opDeepen, 31}
 
 	// Callbacks that schedule nothing: every pop is settled by the next pop.
-	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opSchedule, 2, opSchedule, 2, opRun, 0, opRead, 0}))
+	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opSchedule, 2, opSchedule, 2, opRunOrAdvance, 0, opRead, 0}))
 	// A callback that re-queues at the front, one that re-queues behind
 	// everything, one that reschedules on its own tick; reads in between.
-	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opSchedule, 1, opSchedule, 3, opRun, 0},
+	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opSchedule, 1, opSchedule, 3, opRunOrAdvance, 0},
 		inside(opRead, 0, opSchedule, 1, opRead, 0),
 		inside(opDeepen, 1, opRead, 0),
 		inside(opResched, 0, opRead, 0, opSchedule, 0)))
 	// Stop from inside with the root vacant, then schedule, cancel and read
 	// from outside before resuming.
-	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opSchedule, 2, opRun, 0},
+	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opSchedule, 2, opRunOrAdvance, 0},
 		inside(opStopOrRunUntil, 0),
-		[]byte{opSchedule, 0, opCancel, 63, opRead, 0, opRun, 0}))
-	f.Add(slices.Concat([]byte{opSchedule, 1, opSchedule, 2, opRun, 0},
+		[]byte{opSchedule, 0, opCancel, 63, opRead, 0, opRunOrAdvance, 0}))
+	f.Add(slices.Concat([]byte{opSchedule, 1, opSchedule, 2, opRunOrAdvance, 0},
 		inside(opStopOrRunUntil, 0),
 		[]byte{opRead, 0, opStopOrRunUntil, 7, opRead, 0}))
 	// RunUntil with the deadline before the root, and with a cancelled root
 	// before the deadline.
-	f.Add([]byte{opSchedule, 9, opSchedule, 3, opStopOrRunUntil, 2, opRead, 0, opCancel, 1, opStopOrRunUntil, 2, opRead, 0, opRun, 0})
+	f.Add([]byte{opSchedule, 9, opSchedule, 3, opStopOrRunUntil, 2, opRead, 0, opCancel, 1, opStopOrRunUntil, 2, opRead, 0, opRunOrAdvance, 0})
 	// Enough cancels from inside a callback to bulk-reap while the root is
 	// vacant, first thing and after a re-queue.
-	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opSchedule, 2, opRun, 0},
+	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opSchedule, 2, opRunOrAdvance, 0},
 		inside(opBurst, 31, opRead, 0, opSchedule, 1),
 		inside(opSchedule, 1, opDeepen, 31, opBurst, 31)))
 	// The same from outside, across a Stop.
-	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opRun, 0},
+	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opRunOrAdvance, 0},
 		inside(opStopOrRunUntil, 0),
-		[]byte{opBurst, 31, opRead, 0, opSchedule, 0, opRun, 0}))
+		[]byte{opBurst, 31, opRead, 0, opSchedule, 0, opRunOrAdvance, 0}))
+
+	// Advance. Granted to a later tick with only far timers queued, and again
+	// from there; refused after the callback's own Stop though nothing else
+	// is queued.
+	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opRunOrAdvance, 0},
+		inside(opRunOrAdvance, 1, opRead, 0, opRunOrAdvance, 2)))
+	f.Add(slices.Concat([]byte{opSchedule, 1, opRunOrAdvance, 0},
+		inside(opStopOrRunUntil, 0, opRunOrAdvance, 1),
+		[]byte{opRead, 0, opRunOrAdvance, 0}))
+	// Refused beyond the deadline of the RunUntil in progress and granted
+	// within it; the next RunUntil runs what was queued.
+	f.Add(slices.Concat([]byte{opSchedule, 1, opStopOrRunUntil, 2},
+		inside(opRunOrAdvance, 1, opRunOrAdvance, 3),
+		[]byte{opRead, 0, opStopOrRunUntil, 7, opRead, 0}))
+	// A cancelled timer keyed before the edge refuses it; so does a live one
+	// under the vacant root that is not the root's first child.
+	f.Add(slices.Concat([]byte{opSchedule, 1, opSchedule, 2, opCancel, 1, opRunOrAdvance, 0},
+		inside(opRunOrAdvance, 3, opRead, 0)))
+	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opSchedule, 3, opSchedule, 2, opSchedule, 3, opRunOrAdvance, 0},
+		inside(opRunOrAdvance, 3, opRead, 0)))
+	// A same-tick timer scheduled by the callback runs after an edge of that
+	// tick whose number is older, and before an edge of a later tick.
+	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opRunOrAdvance, 0},
+		inside(opRunOrAdvance, 1, opSchedule, 0, opRunOrAdvance, 4),
+		inside(opSchedule, 0, opRunOrAdvance, 1)))
 
 	f.Fuzz(func(t *testing.T, script []byte) {
 		z := &kernelFuzz{t: t, script: script, k: NewKernel(), ref: newRefHeap()}
+		z.k.OnEvent = z.hook
 		for len(z.script) > 0 {
 			z.step(false)
 		}
-		z.k.Run()
+		z.run(maxTime)
 		for z.k.Stopped() {
-			z.k.Run()
+			z.run(maxTime)
 		}
-		z.ran(maxTime)
 		z.read()
 		if len(z.ref.keys) != 0 || z.k.seq != z.seq {
 			t.Fatalf("after the drain the reference holds %d keys; schedule counter %d, mirror %d", len(z.ref.keys), z.k.seq, z.seq)
+		}
+		z.closeRun()
+		if cohorts, events := z.k.CohortSizes(); cohorts != z.cohorts || events != z.hooks {
+			t.Fatalf("same-timestamp runs %v over %d events; the OnEvent sequence gives %v over %d", cohorts, events, z.cohorts, z.hooks)
 		}
 	})
 }

@@ -19,20 +19,25 @@
 // current instant runs after everything already queued for that instant
 // and before the clock advances. A model that knows a train of events in
 // advance may take their schedule-order numbers out of the sequence at
-// once (ReserveSeq) and keep a single heap entry that re-queues itself
-// from edge to edge (ScheduleArgSeq): an event queued with a reserved seq
-// pops exactly where an event scheduled when that seq was reserved would
-// have popped. A periodic source may hold one number for life (traffic's
-// saturator): a tick's key is then (instant, that number) whether or not the
-// ticks before it ran, so the source can skip idle ticks and ask Passed which
-// instants are behind it. The price is the exact-nanosecond tie: such a tick
-// runs before every event scheduled after the number was taken.
+// once (ReserveSeq) and keep a single heap entry for the train, a cursor: an
+// event queued with a reserved seq (ScheduleArgSeq) pops exactly where an
+// event scheduled when that seq was reserved would have popped. A cursor
+// done with one event of its train asks Advance whether the next is also the
+// next thing the loop would run; if so it has become that event, on the
+// kernel's books as if popped, and carries on without touching the heap, and
+// only otherwise queues itself and returns. A periodic source may hold one
+// number for life (traffic's saturator): a tick's key is then (instant, that
+// number) whether or not the ticks before it ran, so the source can skip idle
+// ticks and ask Passed which instants are behind it. The price is the
+// exact-nanosecond tie: such a tick runs before every event scheduled after
+// the number was taken.
 //
-// A pop only reads the root and leaves it vacant. The next insert — usually
-// the running callback re-queueing itself — writes its key there and sifts
-// down once, which for a key that belongs at the front moves nothing; the
-// next pop otherwise moves the last leaf up first, as a textbook pop does at
-// once. A pop that re-queues is one sift, and layout never reaches pop order.
+// A pop only reads the root and leaves it vacant. The next insert — a
+// callback's timer, a cursor that was refused — writes its key there and
+// sifts down once, which for a key that belongs at the front moves nothing;
+// the next pop otherwise moves the last leaf up first, as a textbook pop does
+// at once. A pop that re-queues is one sift, and layout never reaches pop
+// order.
 package sim
 
 import (
@@ -161,6 +166,7 @@ type Kernel struct {
 	seq       uint64
 	cancelled int // cancelled events still sitting in the heap
 	stopped   bool
+	deadline  Time // of the Run/RunUntil in progress or last made
 	// Hooks for instrumentation; may be nil.
 	OnEvent func(at Time, name string)
 	// processed counts events executed, for diagnostics and tests.
@@ -473,6 +479,23 @@ func (k *Kernel) Stop() { k.stopped = true }
 // maxTime is the far-future deadline Run uses to drain everything.
 const maxTime = Time(math.MaxInt64)
 
+// arrive moves the loop's record onto the event (at, seq, name): the clock,
+// the same-timestamp run statistics, the hook and the count.
+//
+//wlan:hotpath
+func (k *Kernel) arrive(at Time, seq uint64, name string) {
+	k.now, k.runSeq = at, seq
+	if at != k.runAt {
+		k.closeRun()
+		k.runAt = at
+	}
+	k.runLen++
+	if k.OnEvent != nil {
+		k.OnEvent(at, name)
+	}
+	k.processed++
+}
+
 // execute runs one live, popped event at key.at.
 //
 //wlan:hotpath
@@ -480,18 +503,9 @@ func (k *Kernel) execute(key heapKey, e *Event) {
 	if key.at < k.now {
 		panic("sim: queue yielded event in the past")
 	}
-	k.now, k.runSeq = key.at, key.seq
-	if key.at != k.runAt {
-		k.closeRun()
-		k.runAt = key.at
-	}
-	k.runLen++
-	if k.OnEvent != nil {
-		k.OnEvent(key.at, e.name)
-	}
+	k.arrive(key.at, key.seq, e.name)
 	fn, argFn, arg := e.fn, e.argFn, e.arg
 	k.putEvent(e) // recycle before invoking: the callback may reschedule
-	k.processed++
 	if argFn != nil {
 		argFn(arg)
 	} else {
@@ -499,18 +513,46 @@ func (k *Kernel) execute(key heapKey, e *Event) {
 	}
 }
 
-// drainStep pops the earliest event at or before deadline and executes
+// Advance is for a callback about to queue its continuation under a reserved
+// seq and return. It reports whether the run loop would execute that event
+// next — not stopped, at within the deadline of the Run or RunUntil in
+// progress, no queued key, live or cancelled, before (at, seq) — and if so
+// leaves the kernel as popping it would have: clock, Passed, same-timestamp
+// run, OnEvent(at, name), Processed; the callback is that event now.
+// Otherwise nothing changes and the callback queues it: ScheduleArgSeq also
+// owns the panics for a key in the past or never reserved.
+//
+//wlan:hotpath
+func (k *Kernel) Advance(at Time, seq uint64, name string) bool {
+	if k.stopped || at > k.deadline || at < k.now || seq >= k.seq {
+		return false
+	}
+	lo, hi := 0, 1 // the earliest queued key is the root or, that vacant, one of its children
+	if k.vacant {
+		lo, hi = 1, 5
+	}
+	key := heapKey{at: at, seq: seq}
+	for i := lo; i < hi && i < len(k.heap); i++ {
+		if keyLess(k.heap[i], key) {
+			return false
+		}
+	}
+	k.arrive(at, seq, name)
+	return true
+}
+
+// drainStep pops the earliest event at or before the deadline and executes
 // it, recycling any cancelled events it meets on the way. It reports false
 // when nothing remains at or before the deadline. The pop leaves the root
 // vacant for whatever the callback inserts first.
 //
 //wlan:hotpath
-func (k *Kernel) drainStep(deadline Time) bool {
+func (k *Kernel) drainStep() bool {
 	for {
 		if k.vacant {
 			k.settle()
 		}
-		if len(k.heap) == 0 || k.heap[0].at > deadline {
+		if len(k.heap) == 0 || k.heap[0].at > k.deadline {
 			return false
 		}
 		key := k.heap[0]
@@ -528,8 +570,8 @@ func (k *Kernel) drainStep(deadline Time) bool {
 
 // Run executes events until the queue drains or Stop is called.
 func (k *Kernel) Run() {
-	k.stopped = false
-	for !k.stopped && k.drainStep(maxTime) {
+	k.stopped, k.deadline = false, maxTime
+	for !k.stopped && k.drainStep() {
 	}
 }
 
@@ -538,8 +580,8 @@ func (k *Kernel) Run() {
 // Stop leaves the clock at the last executed event: events at or before the
 // deadline may still be queued, and the next Run or RunUntil resumes them.
 func (k *Kernel) RunUntil(deadline Time) {
-	k.stopped = false
-	for !k.stopped && k.drainStep(deadline) {
+	k.stopped, k.deadline = false, deadline
+	for !k.stopped && k.drainStep() {
 	}
 	if !k.stopped && k.now <= deadline {
 		k.now, k.runSeq = deadline, math.MaxUint64 // beyond every key of that instant

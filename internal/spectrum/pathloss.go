@@ -88,16 +88,31 @@ func NewLogDistance(freq units.Hertz, exponent float64) LogDistance {
 
 // Loss implements PathLoss.
 func (l LogDistance) Loss(tx, rx geom.Point) units.DB {
-	d := tx.Distance(rx)
-	ref := l.RefDist
-	if ref <= 0 {
-		ref = 1
-	}
+	return l.LossFrom(l.RefLoss(tx), tx, rx)
+}
+
+// RefLoss is the transmitter's share of Loss: free-space loss over the
+// reference distance, measured from tx as Loss measures it — so it rounds
+// with tx's coordinates and is a constant per position, not per model.
+func (l LogDistance) RefLoss(tx geom.Point) units.DB {
+	return FreeSpace{Freq: l.Freq}.Loss(tx, tx.Add(geom.Vector{X: l.ref()}))
+}
+
+// LossFrom is Loss(tx, rx) given refLoss = RefLoss(tx).
+func (l LogDistance) LossFrom(refLoss units.DB, tx, rx geom.Point) units.DB {
+	d, ref := tx.Distance(rx), l.ref()
 	if d < ref {
 		d = ref
 	}
-	l0 := FreeSpace{Freq: l.Freq}.Loss(tx, tx.Add(geom.Vector{X: ref}))
-	return l0 + units.DB(10*l.Exponent*math.Log10(d/ref))
+	return refLoss + units.DB(10*l.Exponent*math.Log10(d/ref))
+}
+
+// ref is the reference distance, 1 m when unset.
+func (l LogDistance) ref() float64 {
+	if l.RefDist <= 0 {
+		return 1
+	}
+	return l.RefDist
 }
 
 // MaxRange implements RangeBounder by inverting the log-distance curve.
@@ -107,10 +122,7 @@ func (l LogDistance) MaxRange(maxLoss units.DB) float64 {
 	if l.Exponent <= 0 {
 		return math.Inf(1)
 	}
-	ref := l.RefDist
-	if ref <= 0 {
-		ref = 1
-	}
+	ref := l.ref()
 	l0 := FreeSpace{Freq: l.Freq}.Loss(geom.Point{}, geom.Point{X: ref})
 	d := ref * math.Pow(10, float64(maxLoss-l0)/(10*l.Exponent))
 	if d < ref {
@@ -348,7 +360,28 @@ func NewModel(pl PathLoss, shadow, fast Fading) *Model {
 // RxPower returns the received power for a transmission at txPower from tx
 // to rx on the directed link linkID at time t.
 func (m *Model) RxPower(txPower units.DBm, txPos, rxPos geom.Point, linkID uint64, t sim.Time) units.DBm {
-	p := txPower.Add(-m.PathLoss.Loss(txPos, rxPos))
+	return m.RxPowerFrom(txPower, m.RefLoss(txPos), txPos, rxPos, linkID, t)
+}
+
+// RefLoss is the share of the path loss from txPos that every receiver has
+// in common, which a caller with many links from one position takes once
+// and hands to RxPowerFrom. Only log-distance has one to give.
+func (m *Model) RefLoss(txPos geom.Point) units.DB {
+	if l, ok := m.PathLoss.(LogDistance); ok {
+		return l.RefLoss(txPos)
+	}
+	return 0
+}
+
+// RxPowerFrom is RxPower given refLoss = RefLoss(txPos).
+func (m *Model) RxPowerFrom(txPower units.DBm, refLoss units.DB, txPos, rxPos geom.Point, linkID uint64, t sim.Time) units.DBm {
+	var loss units.DB
+	if l, ok := m.PathLoss.(LogDistance); ok {
+		loss = l.LossFrom(refLoss, txPos, rxPos)
+	} else {
+		loss = m.PathLoss.Loss(txPos, rxPos)
+	}
+	p := txPower.Add(-loss)
 	p = p.Add(m.Shadow.Gain(linkID, t))
 	p = p.Add(m.Fast.Gain(linkID, t))
 	return p

@@ -365,3 +365,31 @@ func TestFadingGainZeroAlloc(t *testing.T) {
 		}
 	}
 }
+
+// TestLogDistanceLossSplit holds Loss, and the RefLoss/LossFrom pair the
+// medium takes apart per transmission, bit for bit to the formula written out
+// in one piece: the reference loss rounds with the transmitter's coordinates,
+// so it is compared at positions, not as a constant.
+func TestLogDistanceLossSplit(t *testing.T) {
+	src := rng.New(24)
+	for _, l := range []LogDistance{NewLogDistance(2412*units.MHz, 3), {Freq: 5180 * units.MHz, Exponent: 2.7, RefDist: 2.5}, {Freq: 2412 * units.MHz, Exponent: 4}} {
+		for i := 0; i < 20000; i++ {
+			tx := geom.Pt(src.Float64()*2000-1000, src.Float64()*2000-1000)
+			rx := geom.Pt(tx.X+src.Float64()*400-200, tx.Y+src.Float64()*400-200)
+			if i%100 == 0 {
+				rx = tx // inside the reference distance
+			}
+			d, ref := tx.Distance(rx), l.RefDist
+			if ref <= 0 {
+				ref = 1
+			}
+			if d < ref {
+				d = ref
+			}
+			want := FreeSpace{Freq: l.Freq}.Loss(tx, tx.Add(geom.Vector{X: ref})) + units.DB(10*l.Exponent*math.Log10(d/ref))
+			if got, split := l.Loss(tx, rx), l.LossFrom(l.RefLoss(tx), tx, rx); got != want || split != want {
+				t.Fatalf("%+v from %v to %v: Loss %v, LossFrom(RefLoss) %v, the formula %v", l, tx, rx, got, split, want)
+			}
+		}
+	}
+}

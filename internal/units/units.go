@@ -26,7 +26,63 @@ type DBm float64
 type DB float64
 
 // MilliWatt converts a dBm level to linear milliwatts.
-func (p DBm) MilliWatt() float64 { return math.Pow(10, float64(p)/10) }
+func (p DBm) MilliWatt() float64 { return pow10(float64(p) / 10) }
+
+// pow10 is math.Pow(10, y) bit for bit, with what math.Pow works out about
+// its base on every call — Log(10) and the mantissa and exponent of 10^(2^k)
+// from Frexp(10) and repeated squaring — worked out once. Everything else is
+// math.Pow's algorithm line for line: 10^y = Exp(yf·ln 10) · Π 10^(2^k) over
+// the bits k of y's integer part, carried as a mantissa and a binary exponent
+// and inverted for y < 0. Its special cases (NaN, ±Inf, ±0.5) and exponents
+// beyond the table go to math.Pow itself.
+func pow10(y float64) float64 {
+	if !(math.Abs(y) < 1<<(len(sq10m)-1)) || y == 0.5 || y == -0.5 {
+		return math.Pow(10, y)
+	}
+	yi, yf := math.Modf(math.Abs(y))
+	a1, ae := 1.0, 0
+	if yf != 0 {
+		if yf > 0.5 {
+			yf--
+			yi++
+		}
+		a1 = math.Exp(yf * ln10)
+	}
+	for i, k := int64(yi), 0; i != 0; i, k = i>>1, k+1 {
+		if i&1 == 1 {
+			a1 *= sq10m[k]
+			ae += sq10e[k]
+		}
+	}
+	if y < 0 {
+		a1 = 1 / a1
+		ae = -ae
+	}
+	return math.Ldexp(a1, ae)
+}
+
+// ln10 is what math.Pow computes per call, which need not be the correctly
+// rounded math.Ln10; 10^(2^k) = sq10m[k] · 2^sq10e[k], squared as math.Pow
+// squares them. Eleven entries keep every binary exponent inside the range
+// where math.Pow's loop runs without its overflow exit.
+var (
+	ln10  = math.Log(10)
+	sq10m [11]float64
+	sq10e [11]int
+)
+
+func init() {
+	x1, xe := math.Frexp(10)
+	for k := range sq10m {
+		sq10m[k], sq10e[k] = x1, xe
+		x1 *= x1
+		xe <<= 1
+		if x1 < .5 {
+			x1 += x1
+			xe--
+		}
+	}
+}
 
 // Watt converts a dBm level to linear watts.
 func (p DBm) Watt() float64 { return p.MilliWatt() / 1000 }
@@ -42,7 +98,7 @@ func (p DBm) String() string { return fmt.Sprintf("%.1f dBm", float64(p)) }
 func (g DB) String() string { return fmt.Sprintf("%.1f dB", float64(g)) }
 
 // Linear converts a dB ratio to a linear ratio.
-func (g DB) Linear() float64 { return math.Pow(10, float64(g)/10) }
+func (g DB) Linear() float64 { return pow10(float64(g) / 10) }
 
 // DBmFromMilliWatt converts linear milliwatts to dBm. Zero or negative
 // input maps to -infinity dBm, which the callers treat as "no signal".

@@ -2,6 +2,7 @@ package units
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 )
@@ -144,5 +145,40 @@ func TestSumPowerCommutative(t *testing.T) {
 		return almostEqual(float64(s1), float64(s2), 1e-9)
 	}, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestPow10BitIdentical holds pow10 to math.Pow(10, y) bit for bit: every
+// received power in the simulator goes through it, so one differing ulp would
+// move digests. Seeded inputs: the dB range the stack lives in, tenths of a
+// dB as configs write them, arbitrary bit patterns (NaNs, infinities,
+// subnormals, huge exponents), and the special cases by name.
+func TestPow10BitIdentical(t *testing.T) {
+	check := func(y float64) {
+		if got, want := pow10(y), math.Pow(10, y); math.Float64bits(got) != math.Float64bits(want) &&
+			!(math.IsNaN(got) && math.IsNaN(want)) {
+			t.Fatalf("pow10(%v [%#x]) = %v [%#x], math.Pow gives %v [%#x]",
+				y, math.Float64bits(y), got, math.Float64bits(got), want, math.Float64bits(want))
+		}
+	}
+	for _, y := range []float64{0, math.Copysign(0, -1), 0.5, -0.5, 1, -1, math.NaN(), math.Inf(1), math.Inf(-1),
+		1023, 1023.5, 1023.75, 1024, -1023.75, -1024, 1025, 308, 308.5, 309, -323, -323.5, -324, -330, 1e300, -1e300,
+		math.SmallestNonzeroFloat64, math.MaxFloat64, math.Nextafter(0.5, 0), math.Nextafter(0.5, 1), math.Nextafter(1024, 0)} {
+		check(y)
+	}
+	for i := -2100; i <= 2100; i++ {
+		check(float64(i))
+	}
+	n := 3_400_000
+	if testing.Short() {
+		n /= 100
+	}
+	r := rand.New(rand.NewSource(24))
+	for i := 0; i < n; i++ {
+		check(r.Float64()*40 - 20)                        // p/10 for -200..200 dBm
+		check(float64(r.Intn(4001)-2000) / 10 / 10)       // tenths of a dB
+		check(math.Float64frombits(r.Uint64()))           // raw bit patterns
+		check((r.Float64()*2 - 1) * 1100)                 // across the table's edge
+		check(math.Ldexp(r.Float64()-0.5, r.Intn(24)-12)) // small magnitudes, both signs
 	}
 }
