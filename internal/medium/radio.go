@@ -45,28 +45,33 @@ type arrival struct {
 	power   units.DBm
 	powerMW float64 // power in linear mW, converted once per arrival
 	delay   sim.Duration
-	// lockable records whether the receiver was able to start decoding.
-	locked bool
-	ended  bool
+	idx     int32 // position in rx.inFlight while there
 	// stale marks arrivals invalidated by a channel switch.
 	stale bool
 }
 
-// segAccum incrementally folds the constant-interference timeline of a
-// locked reception. The seed kept an append-only []segment that grew with
-// every overlap boundary — O(boundaries) memory over a long lock — and
-// evaluated the whole timeline at lock end. Only the *running products*
-// matter for the frame's fate, so the accumulator keeps exactly one open
-// span and folds each span into (success, minLin) the instant it closes,
-// with the same per-span arithmetic in the same time order as the naive
-// timeline: the results are bit-identical (pinned by
-// TestSegAccumMatchesNaiveTimeline) and memory is O(1) regardless of lock
-// duration or interferer count.
+// span is one closed constant-interference span of a locked reception.
+type span struct {
+	sinr float64
+	bits int
+}
+
+// segAccum folds the constant-interference timeline of a locked reception
+// in O(1) memory. The frame's fate is one uniform draw against the product
+// of per-span chunk successes, and most draws land far from it, so closed
+// spans are recorded, not multiplied: decoded brackets the product with
+// phy.Mode.ChunkBounds and runs the curves only when the draw falls between
+// the brackets. When the record is full its oldest span is folded exactly
+// into success, so the exact product is always success times the recorded
+// spans in time order — the naive timeline's arithmetic, operation for
+// operation (pinned by TestSegAccumMatchesNaiveTimeline).
 type segAccum struct {
 	from     sim.Time // start of the open span
 	interfMW float64  // interference level of the open span
-	success  float64  // product of per-span chunk success probabilities
+	success  float64  // product of the chunk successes folded out of spans
 	minLin   float64  // minimum linear SINR over closed spans
+	n        int      // recorded spans
+	spans    [8]span  // closed spans not yet in success, oldest first
 }
 
 // begin opens the timeline at a lock start.
@@ -77,14 +82,39 @@ func (s *segAccum) begin(now sim.Time, interfMW float64) {
 	s.interfMW = interfMW
 	s.success = 1
 	s.minLin = math.Inf(1)
+	s.n = 0
+}
+
+// decoded reports u < the chunk-success product of t over the closed spans,
+// bit for bit as the exact fold would: float multiplication of non-negative
+// factors is monotone, so the folded brackets bracket the folded product,
+// and the exact fold runs only for a u between them.
+//
+//wlan:hotpath
+func (s *segAccum) decoded(u float64, t *transmission) bool {
+	spans := s.spans[:s.n]
+	lo, hi := s.success, s.success
+	for _, sp := range spans {
+		l, h := t.mode.ChunkBounds(t.rate, sp.sinr, sp.bits)
+		lo *= l
+		hi *= h
+	}
+	if u < lo {
+		return true
+	}
+	if u >= hi {
+		return false
+	}
+	p := s.success
+	for _, sp := range spans {
+		p *= t.mode.ChunkSuccess(t.rate, sp.sinr, sp.bits)
+	}
+	return u < p
 }
 
 // boundary records an interference change at now. Same-instant changes
 // overwrite the open span's level (a zero-length span contributes nothing);
-// otherwise the open span is closed through fold and a new one opens. Equal
-// adjacent levels coalesce in storage automatically — the open span is the
-// only storage there is — while fold still sees every span exactly as the
-// naive timeline would.
+// otherwise the open span is closed through foldSpan and a new one opens.
 //
 //wlan:hotpath
 func (s *segAccum) boundary(now sim.Time, interfMW float64, r *Radio) {
@@ -246,11 +276,8 @@ func (r *Radio) Transmit(f *frame.Frame, rate phy.RateIdx) sim.Duration {
 	if r.state == stateSleep {
 		panic(fmt.Sprintf("medium: %s transmit while asleep", r.name))
 	}
-	if r.lock != nil {
-		// Half duplex: the frame being received is lost.
-		r.lock.locked = false
-		r.lock = nil
-	}
+	// Half duplex: the frame being received, if any, is lost.
+	r.lock = nil
 	r.state = stateTx
 	r.updateCCA() // the transmitter's own CCA goes busy for the TX duration
 	airtime := r.medium.transmit(r, f, rate)
@@ -269,10 +296,7 @@ func (r *Radio) Sleep() {
 	if r.state == stateSleep {
 		return
 	}
-	if r.lock != nil {
-		r.lock.locked = false
-		r.lock = nil
-	}
+	r.lock = nil
 	r.state = stateSleep
 	r.sleepStart = r.medium.kernel.Now()
 	// Energy tracking continues (arrivals still update totalMW) but CCA is
@@ -335,10 +359,7 @@ func (r *Radio) SetChannel(ch int) {
 		panic(fmt.Sprintf("medium: %s channel switch while transmitting", r.name))
 	}
 	r.channel = ch
-	if r.lock != nil {
-		r.lock.locked = false
-		r.lock = nil
-	}
+	r.lock = nil
 	if r.state == stateRx {
 		r.state = stateIdle
 	}
@@ -358,6 +379,7 @@ func (r *Radio) arrivalStart(a *arrival) {
 		a.stale = true
 		return
 	}
+	a.idx = int32(len(r.inFlight))
 	r.inFlight = append(r.inFlight, a)
 	r.totalMW += a.powerMW
 
@@ -377,7 +399,6 @@ func (r *Radio) arrivalStart(a *arrival) {
 		r.Stats.RxOverlaps++
 		if r.capture && a.power >= r.lock.power.Add(r.capMargin) {
 			// Capture: the stronger late frame steals the receiver.
-			r.lock.locked = false
 			r.closeSegment()
 			r.beginLock(a)
 		} else {
@@ -389,7 +410,6 @@ func (r *Radio) arrivalStart(a *arrival) {
 }
 
 func (r *Radio) beginLock(a *arrival) {
-	a.locked = true
 	r.lock = a
 	r.state = stateRx
 	r.seg.begin(r.medium.kernel.Now(), r.interferenceMW())
@@ -405,21 +425,29 @@ func (r *Radio) closeSegment() {
 }
 
 // foldSpan closes the open span [r.seg.from, to) against the locked frame:
-// one chunk-error evaluation and a running SINR minimum, exactly as the
-// naive end-of-lock timeline walk would compute for this span.
+// its SINR and bit count, exactly as the naive end-of-lock timeline walk
+// would compute them, go on the record (the oldest recorded span folding
+// into the exact product if the record is full), and into the running SINR
+// minimum.
 //
 //wlan:hotpath
 func (r *Radio) foldSpan(to sim.Time) {
-	a := r.lock
-	dur := to.Sub(r.seg.from)
+	a, s := r.lock, &r.seg
+	dur := to.Sub(s.from)
 	if dur <= 0 {
 		return
 	}
-	sinr := a.powerMW / (r.noiseFloorMW + r.seg.interfMW)
+	sinr := a.powerMW / (r.noiseFloorMW + s.interfMW)
 	bits := int(float64(a.t.bits) * float64(dur) / float64(a.t.airtime))
-	r.seg.success *= a.t.mode.ChunkSuccess(a.t.rate, sinr, bits)
-	if sinr < r.seg.minLin {
-		r.seg.minLin = sinr
+	if s.n == len(s.spans) {
+		s.success *= a.t.mode.ChunkSuccess(a.t.rate, s.spans[0].sinr, s.spans[0].bits)
+		copy(s.spans[:], s.spans[1:])
+		s.n--
+	}
+	s.spans[s.n] = span{sinr: sinr, bits: bits}
+	s.n++
+	if sinr < s.minLin {
+		s.minLin = sinr
 	}
 }
 
@@ -428,14 +456,13 @@ func (r *Radio) arrivalEnd(a *arrival) {
 	if a.stale {
 		return
 	}
-	a.ended = true
-	// Remove from in-flight set.
-	for i, x := range r.inFlight {
-		if x == a {
-			r.inFlight = append(r.inFlight[:i], r.inFlight[i+1:]...)
-			break
-		}
+	// Swap-remove from the in-flight set, whose order nothing reads.
+	n := len(r.inFlight) - 1
+	if last := r.inFlight[n]; last != a {
+		last.idx = a.idx
+		r.inFlight[a.idx] = last
 	}
+	r.inFlight = r.inFlight[:n]
 	r.totalMW -= a.powerMW
 	if r.totalMW < 1e-18 {
 		r.totalMW = 0
@@ -450,13 +477,15 @@ func (r *Radio) arrivalEnd(a *arrival) {
 	r.updateCCA()
 }
 
-// finishLock folds the final span, evaluates the locked frame's fate from
-// the accumulated per-span products, and notifies the listener.
+// finishLock closes the final span, settles the locked frame's fate with the
+// radio's one uniform draw per finished lock — by the brackets when they
+// decide it, by the exact product otherwise (segAccum.decoded) — and
+// notifies the listener.
 func (r *Radio) finishLock(a *arrival) {
 	now := r.medium.kernel.Now()
 	r.Stats.RxAirtime += a.t.airtime
 	r.foldSpan(now)
-	success := r.seg.success
+	ok := r.seg.decoded(r.rng.Float64(), a.t)
 	// The minimum SINR was tracked in linear space; log10 is monotone, so
 	// one conversion of the minimum matches converting every span.
 	minSINR := units.DB(1000)
@@ -476,7 +505,7 @@ func (r *Radio) finishLock(a *arrival) {
 		Airtime: a.t.airtime,
 		End:     now,
 	}
-	if r.rng.Float64() < success {
+	if ok {
 		f := r.medium.decodeFrame(a.t)
 		r.Stats.RxFrames++
 		if tr := r.medium.Tracer; tr != nil {

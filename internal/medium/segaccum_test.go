@@ -38,7 +38,7 @@ func (n *naiveTimeline) boundary(now sim.Time, interfMW float64) {
 }
 
 func (n *naiveTimeline) finish(mode *phy.Mode, rate phy.RateIdx, bits int,
-	airtime sim.Duration, sigMW, noiseMW float64, end sim.Time) (success, minLin float64) {
+	airtime sim.Duration, sigMW, noiseMW float64, end sim.Time) (success, minLin float64, spans int) {
 	success = 1.0
 	minLin = math.Inf(1)
 	for i, seg := range n.segs {
@@ -56,8 +56,9 @@ func (n *naiveTimeline) finish(mode *phy.Mode, rate phy.RateIdx, bits int,
 		if sinr < minLin {
 			minLin = sinr
 		}
+		spans++
 	}
-	return success, minLin
+	return success, minLin, spans
 }
 
 // lockedRadio builds a bare Radio holding a fake lock, enough to drive the
@@ -76,74 +77,100 @@ func lockedRadio(mode *phy.Mode, rate phy.RateIdx, wireBytes int, sigMW, noiseMW
 }
 
 // TestSegAccumMatchesNaiveTimeline drives random interferer start/end
-// sequences — including same-instant bursts, zero-power arrivals and
-// equal-level coalescing opportunities — through the incremental fold and
-// the naive append-only timeline, and requires bit-identical per-segment
-// SINR integrals (chunk-success product and minimum SINR) on every trial.
+// sequences — including same-instant bursts, zero-power arrivals, equal
+// adjacent levels and more closed spans than the accumulator records —
+// through the accumulator and the naive append-only timeline, and requires
+// on every trial that the decision equals u < the naive product for u at 0,
+// 2⁻⁵³, the product itself, one ulp either side of it and 64 seeded
+// uniforms, and that the minimum SINR is bit-identical.
 func TestSegAccumMatchesNaiveTimeline(t *testing.T) {
-	mode := phy.Mode80211b()
 	rnd := rand.New(rand.NewSource(1))
+	var overflowed, lost, sure int
+	for _, mode := range []*phy.Mode{phy.Mode80211b(), phy.Mode80211a()} {
+		noiseMW := mode.NoiseFloorDBm(7).MilliWatt()
+		for trial := 0; trial < 1000; trial++ {
+			wireBytes := 100 + rnd.Intn(2000)
+			rate := phy.RateIdx(rnd.Intn(mode.NumRates()))
+			sigMW := math.Pow(10, rnd.Float64()*6-9) // -90..-30 dBm
+			r := lockedRadio(mode, rate, wireBytes, sigMW, noiseMW)
+			airtime := r.lock.t.airtime
 
-	for trial := 0; trial < 500; trial++ {
-		wireBytes := 100 + rnd.Intn(2000)
-		rate := phy.RateIdx(rnd.Intn(mode.NumRates()))
-		sigMW := math.Pow(10, rnd.Float64()*6-9) // -90..-30 dBm
-		noiseMW := math.Pow(10, -9.4)
-		r := lockedRadio(mode, rate, wireBytes, sigMW, noiseMW)
-		airtime := r.lock.t.airtime
+			// Random interferer activity: powers toggle on/off at random
+			// times through the lock; occasionally two edges land on the
+			// same instant, and some interferers carry zero power
+			// (below-detection arrivals).
+			type edge struct {
+				at    sim.Time
+				level float64
+			}
+			nEdges := rnd.Intn(4 * len(r.seg.spans))
+			start := sim.Time(1000)
+			edges := make([]edge, 0, nEdges)
+			active := 0.0
+			at := start
+			for i := 0; i < nEdges; i++ {
+				step := sim.Duration(rnd.Int63n(2 * int64(airtime) / int64(nEdges+1)))
+				if rnd.Intn(5) != 0 { // 1-in-5 edges land on the same instant
+					at = at.Add(step)
+				}
+				if at > start.Add(airtime) {
+					break
+				}
+				switch rnd.Intn(3) {
+				case 0:
+					active += math.Pow(10, rnd.Float64()*6-10)
+				case 1:
+					active *= 0.5
+				case 2:
+					// A zero-power arrival: boundary with an unchanged
+					// level.
+				}
+				edges = append(edges, edge{at: at, level: active})
+			}
+			end := start.Add(airtime)
 
-		// Random interferer activity: powers toggle on/off at random times
-		// through the lock; occasionally two edges land on the same instant,
-		// and some interferers carry zero power (below-detection arrivals).
-		type edge struct {
-			at    sim.Time
-			level float64
-		}
-		nEdges := rnd.Intn(24)
-		start := sim.Time(1000)
-		edges := make([]edge, 0, nEdges)
-		active := 0.0
-		at := start
-		for i := 0; i < nEdges; i++ {
-			step := sim.Duration(rnd.Int63n(int64(airtime) / 8))
-			if rnd.Intn(5) != 0 { // 1-in-5 edges land on the same instant
-				at = at.Add(step)
+			naive := &naiveTimeline{}
+			naive.begin(start, 0)
+			r.seg.begin(start, 0)
+			for _, e := range edges {
+				naive.boundary(e.at, e.level)
+				r.seg.boundary(e.at, e.level, r)
 			}
-			if at > start.Add(airtime) {
-				break
+			want, wantM, spans := naive.finish(mode, rate, r.lock.t.bits, airtime, sigMW, noiseMW, end)
+			r.foldSpan(end)
+			if spans > len(r.seg.spans) {
+				overflowed++
 			}
-			switch rnd.Intn(3) {
+			switch want {
 			case 0:
-				active += math.Pow(10, rnd.Float64()*6-10)
+				lost++
 			case 1:
-				active *= 0.5
-			case 2:
-				// A zero-power arrival: boundary with an unchanged level,
-				// the equal-interference coalescing case.
+				sure++
 			}
-			edges = append(edges, edge{at: at, level: active})
-		}
-		end := start.Add(airtime)
 
-		naive := &naiveTimeline{}
-		naive.begin(start, 0)
-		r.seg.begin(start, 0)
-		for _, e := range edges {
-			naive.boundary(e.at, e.level)
-			r.seg.boundary(e.at, e.level, r)
+			us := []float64{0, 0x1p-53, want, math.Nextafter(want, 0), math.Nextafter(want, 2)}
+			for range 64 {
+				us = append(us, rnd.Float64())
+			}
+			for _, u := range us {
+				if got := r.seg.decoded(u, r.lock.t); got != (u < want) {
+					t.Fatalf("%s trial %d (%d edges): decoded(%v) = %v, the naive product is %v (%#x)",
+						mode.Name, trial, len(edges), u, got, want, math.Float64bits(want))
+				}
+			}
+			if gotM := r.seg.minLin; math.Float64bits(gotM) != math.Float64bits(wantM) {
+				t.Fatalf("%s trial %d: min SINR drifted: fold=%g naive=%g (%d edges)",
+					mode.Name, trial, gotM, wantM, len(edges))
+			}
 		}
-		wantS, wantM := naive.finish(mode, rate, r.lock.t.bits, airtime, sigMW, noiseMW, end)
-		r.foldSpan(end)
-		gotS, gotM := r.seg.success, r.seg.minLin
-
-		if math.Float64bits(gotS) != math.Float64bits(wantS) {
-			t.Fatalf("trial %d: success product drifted: fold=%x naive=%x (%g vs %g, %d edges)",
-				trial, math.Float64bits(gotS), math.Float64bits(wantS), gotS, wantS, len(edges))
-		}
-		if math.Float64bits(gotM) != math.Float64bits(wantM) {
-			t.Fatalf("trial %d: min SINR drifted: fold=%g naive=%g (%d edges)",
-				trial, gotM, wantM, len(edges))
-		}
+	}
+	// The walls the trials must have reached: the overflow fold, frames
+	// certainly lost (product 0, where u = 0 must not decode) and certainly
+	// fine (product 1).
+	t.Logf("2000 trials: %d past the record, %d with product 0, %d with product 1", overflowed, lost, sure)
+	if overflowed < 100 || lost < 100 || sure < 100 {
+		t.Fatalf("trials reached the overflow fold %d times, a zero product %d, a product of one %d; want 100 each",
+			overflowed, lost, sure)
 	}
 }
 

@@ -28,80 +28,119 @@ func newFixedLossWorld(seed uint64, loss units.DB) *fixedLossWorld {
 	return &fixedLossWorld{k: k, m: New(k, model, rng.New(seed))}
 }
 
-// TestPartialOverlapMatchesExpectedPER arranges an interferer that covers
-// exactly a known fraction of the victim frame and checks the empirical
-// delivery rate against the analytic chunk computation.
+// fates counts a receiver's finished locks.
+type fates struct {
+	NopListener
+	ok, lost int
+}
+
+func (f *fates) OnRxFrame(*frame.Frame, RxInfo) { f.ok++ }
+func (f *fates) OnRxError(RxInfo)               { f.lost++ }
+
+// TestPartialOverlapMatchesExpectedPER is an oracle, not a differential: at
+// SINRs placed by SINRForPER for a frame error rate of 0.1, 0.5 and 0.9, on
+// 802.11b and 802.11a, a frame received whole at one SINR (one span) or with
+// an interferer over its second half (two spans, both of which matter), the
+// delivered fraction over 4 000 frames must sit within 4.5 binomial σ of the
+// analytic product of ChunkSuccess over the spans — whatever the medium does
+// to avoid computing that product.
 func TestPartialOverlapMatchesExpectedPER(t *testing.T) {
-	mode := phy.Mode80211b()
-	// Geometry via matrix: victim link gets SINR ≈ 3 dB during overlap.
-	// TX power 16 dBm, loss 60 → RSSI -44. Interferer at loss 63 → -47:
-	// SINR = 3 dB over the noise-free regime (noise floor -93 negligible).
-	names := map[geom.Point]string{
-		geom.Pt(0, 0):  "rx",
-		geom.Pt(10, 0): "tx",
-		geom.Pt(0, 10): "intf",
-		geom.Pt(9, 9):  "isink",
-	}
-	pl := spectrum.MatrixLoss{
-		Default: 60,
-		Pairs: map[string]units.DB{
-			spectrum.PairKey("intf", "rx"): 63,
-			// The interferer's own receiver is irrelevant; keep tx/intf
-			// mutually silent so the interferer never locks mid-test.
-			spectrum.PairKey("tx", "intf"): 200,
-			spectrum.PairKey("intf", "tx"): 200,
-		},
-		Resolver: func(p geom.Point) string { return names[p] },
-	}
-	k := sim.NewKernel()
-	m := New(k, spectrum.NewModel(pl, nil, nil), rng.New(77))
-	m.PropagationDelay = false
-
-	rxRec := &recorder{k: k}
-	m.AddRadio(RadioConfig{Name: "rx", Mode: mode, Mobility: geom.Static{P: geom.Pt(0, 0)}, TxPower: 16, Listener: rxRec})
-	tx := m.AddRadio(RadioConfig{Name: "tx", Mode: mode, Mobility: geom.Static{P: geom.Pt(10, 0)}, TxPower: 16})
-	intf := m.AddRadio(RadioConfig{Name: "intf", Mode: mode, Mobility: geom.Static{P: geom.Pt(0, 10)}, TxPower: 16})
-
-	const payload = 1000
+	const (
+		trials  = 4000
+		payload = 1000
+		txPower = units.DBm(16)
+	)
 	wire := payload + frame.DataHdrLen + frame.FCSLen
-	victimAirtime := mode.Airtime(3, wire)
-
-	// The interferer transmits a frame sized to overlap the second half of
-	// the victim. Interferer payload chosen so its airtime ≈ half of the
-	// victim's.
 	intfPayload := 300
-	intfAirtime := mode.Airtime(3, intfPayload+frame.DataHdrLen+frame.FCSLen)
-	offset := victimAirtime - intfAirtime // start so it ends with the victim
+	seed := uint64(77) // one per case, so no two cases share their draws
+	for _, c := range []struct {
+		mode *phy.Mode
+		rate phy.RateIdx
+	}{{phy.Mode80211b(), 3}, {phy.Mode80211a(), 5}} {
+		mode, rate := c.mode, c.rate
+		victimAirtime := mode.Airtime(rate, wire)
+		intfAirtime := mode.Airtime(rate, intfPayload+frame.DataHdrLen+frame.FCSLen)
+		offset := victimAirtime - intfAirtime // the interferer ends with the victim
+		spanBits := func(d sim.Duration) int { return int(float64(wire*8) * float64(d) / float64(victimAirtime)) }
+		cleanBits, overlapBits := spanBits(offset), spanBits(intfAirtime)
+		for _, per := range []float64{0.1, 0.5, 0.9} {
+			for _, spans := range []int{1, 2} {
+				seed++
+				k := sim.NewKernel()
+				names := map[geom.Point]string{geom.Pt(0, 0): "rx", geom.Pt(10, 0): "tx", geom.Pt(0, 10): "intf"}
+				pairs := map[string]units.DB{
+					// tx and intf never hear each other.
+					spectrum.PairKey("tx", "intf"): 200,
+					spectrum.PairKey("intf", "tx"): 200,
+				}
+				m := New(k, spectrum.NewModel(spectrum.MatrixLoss{
+					Pairs:    pairs,
+					Resolver: func(p geom.Point) string { return names[p] },
+				}, nil, nil), rng.New(seed))
+				m.PropagationDelay = false
+				rec := &fates{}
+				rx := m.AddRadio(RadioConfig{Name: "rx", Mode: mode, Mobility: geom.Static{P: geom.Pt(0, 0)}, TxPower: txPower, Listener: rec})
+				noiseMW := rx.noiseFloorMW
+				// Place the SINRs: one span gets the whole frame's
+				// SINRForPER; with two, an interferer as strong as the noise
+				// (well above the medium's detection cut) halves the SINR of
+				// the second span, and the signal is bisected for the
+				// product.
+				sinrClean := mode.SINRForPER(rate, wire, per)
+				if spans == 2 {
+					lo, hi := 1e-3, 1e6
+					for range 200 {
+						mid := math.Sqrt(lo * hi)
+						if 1-mode.ChunkSuccess(rate, mid, cleanBits)*mode.ChunkSuccess(rate, mid/2, overlapBits) > per {
+							lo = mid
+						} else {
+							hi = mid
+						}
+					}
+					sinrClean = math.Sqrt(lo * hi)
+				}
+				lossTo := func(mw float64) units.DB { return units.DB(float64(txPower) - 10*math.Log10(mw)) }
+				pairs[spectrum.PairKey("tx", "rx")] = lossTo(sinrClean * noiseMW)
+				sigMW := txPower.Add(-pairs[spectrum.PairKey("tx", "rx")]).MilliWatt()
+				var intfMW float64
+				if spans == 2 {
+					pairs[spectrum.PairKey("intf", "rx")] = lossTo(noiseMW)
+					intfMW = txPower.Add(-pairs[spectrum.PairKey("intf", "rx")]).MilliWatt()
+				}
+				tx := m.AddRadio(RadioConfig{Name: "tx", Mode: mode, Mobility: geom.Static{P: geom.Pt(10, 0)}, TxPower: txPower})
+				intf := m.AddRadio(RadioConfig{Name: "intf", Mode: mode, Mobility: geom.Static{P: geom.Pt(0, 10)}, TxPower: txPower})
 
-	const trials = 300
-	period := 5 * sim.Millisecond
-	for i := 0; i < trials; i++ {
-		at := sim.Duration(i) * period
-		k.Schedule(at, "victim", func() {
-			tx.Transmit(frame.NewData(frame.MACAddr{1}, frame.MACAddr{2}, frame.MACAddr{}, false, false, make([]byte, payload)), 3)
-		})
-		k.Schedule(at+offset, "intf", func() {
-			intf.Transmit(frame.NewData(frame.MACAddr{3}, frame.MACAddr{4}, frame.MACAddr{}, false, false, make([]byte, intfPayload)), 3)
-		})
-	}
-	k.Run()
+				period := 2 * victimAirtime
+				for i := 0; i < trials; i++ {
+					at := sim.Duration(i) * period
+					k.Schedule(at, "victim", func() {
+						tx.Transmit(frame.NewData(frame.MACAddr{1}, frame.MACAddr{2}, frame.MACAddr{}, false, false, make([]byte, payload)), rate)
+					})
+					if spans == 2 {
+						k.Schedule(at+offset, "intf", func() {
+							intf.Transmit(frame.NewData(frame.MACAddr{3}, frame.MACAddr{4}, frame.MACAddr{}, false, false, make([]byte, intfPayload)), rate)
+						})
+					}
+				}
+				k.Run()
 
-	// Expected success: clean half at huge SINR (≈1.0) times the overlapped
-	// tail at SINR = signal/(noise+interference).
-	sigMW := units.DBm(16 - 60).MilliWatt()
-	intfMW := units.DBm(16 - 63).MilliWatt()
-	noiseMW := mode.NoiseFloorDBm(7).MilliWatt()
-	sinrOverlap := sigMW / (noiseMW + intfMW)
-	overlapBits := int(float64(wire*8) * float64(intfAirtime) / float64(victimAirtime))
-	cleanBits := wire*8 - overlapBits
-	sinrClean := sigMW / noiseMW
-	expected := mode.ChunkSuccess(3, sinrClean, cleanBits) * mode.ChunkSuccess(3, sinrOverlap, overlapBits)
-
-	got := float64(len(rxRec.frames)) / trials
-	// Allow generous binomial noise: sigma = sqrt(p(1-p)/n) ≈ 0.03.
-	if math.Abs(got-expected) > 0.12 {
-		t.Fatalf("delivery = %.3f, analytic expectation %.3f (SINR overlap %.2f dB)",
-			got, expected, 10*math.Log10(sinrOverlap))
+				want := mode.ChunkSuccess(rate, sigMW/noiseMW, wire*8)
+				if spans == 2 {
+					want = mode.ChunkSuccess(rate, sigMW/noiseMW, cleanBits) *
+						mode.ChunkSuccess(rate, sigMW/(noiseMW+intfMW), overlapBits)
+				}
+				if rec.ok+rec.lost != trials {
+					t.Fatalf("%s, PER %.1f, %d span(s): %d of %d frames locked", mode.Name, per, spans, rec.ok+rec.lost, trials)
+				}
+				got := float64(rec.ok) / trials
+				tol := 4.5 * math.Sqrt(want*(1-want)/trials)
+				t.Logf("%s, PER %.1f, %d span(s): delivered %.4f, analytic %.4f ± %.4f", mode.Name, per, spans, got, want, tol)
+				if math.Abs(got-want) > tol || math.Abs(want-(1-per)) > 0.05 {
+					t.Errorf("%s, PER %.1f, %d span(s): delivered %.4f, analytic %.4f ± %.4f",
+						mode.Name, per, spans, got, want, tol)
+				}
+			}
+		}
 	}
 }
 

@@ -22,6 +22,10 @@ import (
 // per-modulation Eb/N0 knee (sureEbN0, measured from the curves at package
 // init) a chunk of up to sureBits bits succeeds with probability exactly 1.0
 // in float64, and ChunkSuccess says so without an erfc, a log1p or an exp.
+// Everywhere else ChunkBounds brackets ChunkSuccess from a table of the
+// curves at fixed knots (berKnots) and a few multiplies; the medium compares
+// its one uniform draw against the brackets first and asks for the exact
+// value only when the draw lands between them.
 
 // qfunc is the Gaussian tail function Q(x).
 func qfunc(x float64) float64 {
@@ -113,6 +117,72 @@ func (m *Mode) ChunkSuccess(ri RateIdx, sinrLinear float64, nBits int) float64 {
 		return 1
 	}
 	return chunkSuccess(r.Mod, ebN0, nBits)
+}
+
+// The knots of berKnots are the Eb/N0 values 2^E·(1 + m/16) for E in
+// [−8, 8] and m in [0, 15], plus 2⁹: a float's exponent and top four
+// mantissa bits, bits>>48, index the interval it falls in, with no log.
+const (
+	knotBase  = (1023 - 8) << 4 // Float64bits(2⁻⁸) >> 48
+	knotCount = 17 << 4         // intervals in [2⁻⁸, 2⁹)
+	// knotMargin absorbs ulp-level non-monotonicity of erfc/exp between
+	// knots; fpMargin the rounding of chunkSuccess's exp/log1p and of the
+	// bounds' own arithmetic.
+	knotMargin = 1e-9
+	fpMargin   = 1e-12
+)
+
+// berKnots holds, per modulation, berForModulation at every knot; built once
+// at init like sureEbN0 and only read after it.
+var berKnots = func() (tab [ModQAM64 + 1][knotCount + 1]float64) {
+	for mod := range tab {
+		for i := range tab[mod] {
+			tab[mod][i] = berForModulation(Modulation(mod), math.Float64frombits(uint64(knotBase+i)<<48))
+		}
+	}
+	return tab
+}()
+
+// ChunkBounds brackets ChunkSuccess without evaluating the curves:
+// lo ≤ ChunkSuccess(ri, sinrLinear, nBits) ≤ hi exactly as float64 computes
+// it. It returns exactly (1, 1) where the sure-success knee answers, and
+// (0, 1) where it cannot say: a NaN SINR, a modulation outside the table.
+//
+//wlan:hotpath
+func (m *Mode) ChunkBounds(ri RateIdx, sinrLinear float64, nBits int) (lo, hi float64) {
+	if nBits <= 0 {
+		return 1, 1
+	}
+	r := m.Rate(ri)
+	if int(r.Mod) >= len(berKnots) {
+		return 0, 1
+	}
+	ebN0 := sinrLinear * float64(m.Bandwidth) / float64(r.BitRate)
+	if ebN0 >= sureEbN0[r.Mod] && nBits <= sureBits {
+		return 1, 1
+	}
+	// The curves fall as Eb/N0 rises (at most 0.5, at ebN0 ≤ 0), so the
+	// knot at or below ebN0 bounds the BER from above, the next from below.
+	knots := &berKnots[r.Mod]
+	var berHi, berLo float64
+	switch i := int(math.Float64bits(ebN0)>>48) - knotBase; {
+	case uint(i) < knotCount:
+		berHi, berLo = knots[i]*(1+knotMargin), knots[i+1]*(1-knotMargin)
+	case ebN0 >= 1<<9: // +Inf included
+		berHi, berLo = knots[knotCount]*(1+knotMargin), 0
+	case ebN0 < 0x1p-8: // ≤ 0 and −Inf included
+		berHi, berLo = 0.5, knots[0]*(1-knotMargin)
+	default: // NaN
+		return 0, 1
+	}
+	n := float64(nBits)
+	// Bernoulli: (1 − b)ⁿ ≥ 1 − n·b.
+	lo = max(0, (1-n*berHi)*(1-fpMargin))
+	// (1 − b)ⁿ ≤ e^−nb ≤ 2^−k for every integer k ≤ n·b·log₂e, and 2⁻¹⁰²²
+	// is the smallest normal power of two.
+	k := min(n*berLo*(math.Log2E*(1-fpMargin)), 1022)
+	hi = math.Float64frombits(uint64(1023-int(k))<<52) * (1 + fpMargin)
+	return lo, hi
 }
 
 // chunkSuccess is ChunkSuccess past the rate lookup, from the curves.
