@@ -291,8 +291,15 @@ func NewNetwork(cfg Config) *Network {
 		nodes:  make(map[string]*Node),
 	}
 	n.sink = traffic.NewSink(k)
+	if Audit != nil {
+		Audit(n)
+	}
 	return n
 }
+
+// Audit, when set, is handed every network NewNetwork builds, before any
+// node joins it: an invariant auditor under test hooks the kernel here.
+var Audit func(*Network)
 
 // Kernel exposes the simulation kernel for custom scheduling.
 func (n *Network) Kernel() *sim.Kernel { return n.kernel }

@@ -429,11 +429,6 @@ func NewData(ra, ta, addr3 MACAddr, toDS, fromDS bool, body []byte) *Frame {
 	}
 }
 
-// NewNullData builds a null-function data frame used to signal power state.
-func NewNullData(ra, ta, bssid MACAddr, toDS bool) *Frame {
-	return &Frame{Type: TypeData, Subtype: SubtypeNullData, ToDS: toDS, Addr1: ra, Addr2: ta, Addr3: bssid}
-}
-
 // LLC/SNAP encapsulation. Data frame bodies carry an 802.2 LLC header with a
 // SNAP extension in real networks; we reproduce it so payload sizes on the
 // wire are honest.

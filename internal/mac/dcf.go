@@ -126,13 +126,26 @@ func (d *DCF) Stats() Stats { return d.stats }
 // QueueLen returns the number of queued MSDUs (excluding the in-flight one).
 func (d *DCF) QueueLen() int { return len(d.queue) - d.qHead }
 
-// QueueCap returns the transmit queue capacity in MSDUs. Send paths size
-// their frame pools from it: the MAC never holds more than QueueCap+1
-// frames (the queue plus the in-flight job) at once.
+// QueueCap returns the transmit queue capacity in MSDUs. Send paths wrap
+// their frame pools at it: the MAC never holds more than QueueCap+1 frames
+// (the queue plus the in-flight job) at once.
 func (d *DCF) QueueCap() int { return d.cfg.QueueCap }
 
-// Busy reports whether the MAC has work in flight or queued.
+// Busy reports whether the MAC holds a frame: one in flight or queued (a
+// TryReserve reservation holds none).
 func (d *DCF) Busy() bool { return d.cur != nil || d.QueueLen() > 0 }
+
+// Held appends to dst the frames the MAC holds: the first fragment of the
+// MSDU in flight and of each queued one (later fragments share its body).
+func (d *DCF) Held(dst []*frame.Frame) []*frame.Frame {
+	if d.cur != nil {
+		dst = append(dst, d.cur.frags[0])
+	}
+	for _, j := range d.queue[d.qHead:] {
+		dst = append(dst, j.frags[0])
+	}
+	return dst
+}
 
 // SetReceiver installs the upward delivery callback.
 func (d *DCF) SetReceiver(r Receiver) { d.receiver = r }
@@ -391,17 +404,6 @@ func (d *DCF) tryAccess() {
 	// The timer re-runs the full guard set: state may have changed since it
 	// was armed (a response wait, a SIFS commitment, new NAV).
 	d.accessTimer = d.k.ScheduleAt(txAt, d.nameAccess, d.tryAccessFn)
-}
-
-// airtimeUs returns a frame's airtime in whole microseconds (rounded up).
-//
-//wlan:hotpath
-func airtimeUs(m *phy.Mode, ri phy.RateIdx, bytes int) uint16 {
-	us := math.Ceil(m.Airtime(ri, bytes).Microseconds())
-	if us > 65535 {
-		us = 65535
-	}
-	return uint16(us)
 }
 
 //wlan:hotpath

@@ -17,10 +17,11 @@
 // retransmits from the same storage, and fragment views alias the body.
 // Callers that pool transmit frames (the net80211 send paths) may therefore
 // reuse a frame only once the MAC can no longer hold it; the MAC holds at
-// most QueueCap()+1 frames at a time (the queue plus the in-flight job), so
-// a pool of QueueCap()+2 slots advanced per accepted Enqueue is always
-// safe. Callers that retain a frame elsewhere while also enqueueing it
-// (e.g. power-save buffers) must hand the MAC a Clone.
+// most QueueCap()+1 frames at a time (the queue plus the in-flight job), and
+// none while Busy() is false, so a ring that wraps at QueueCap()+2 slots,
+// advances per accepted Enqueue and restarts at its first slot whenever the
+// MAC is not busy is always safe. Callers that retain a frame elsewhere while
+// also enqueueing it (e.g. power-save buffers) must hand the MAC a Clone.
 //
 // # Receive frame ownership
 //

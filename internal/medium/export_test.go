@@ -1,10 +1,47 @@
 package medium
 
-// PowerBook hands tests outside the package a radio's running antenna power
-// and its in-flight arrivals' powers, appended to dst in inFlight order.
-func PowerBook(r *Radio, dst []float64) (totalMW float64, inFlight []float64) {
+import "unsafe"
+
+// RxState hands tests outside the package a radio's receive state: its
+// running antenna power and, appended to dst in inFlight order, its
+// in-flight arrivals' powers. lockIn counts the in-flight arrivals that are
+// its lock, locked says whether it holds one, and astray counts the
+// in-flight arrivals and lock that are not elements of their transmission's
+// current arrival array.
+func RxState(r *Radio, dst []float64) (totalMW float64, inFlight []float64, lockIn int, locked bool, astray int) {
 	for _, a := range r.inFlight {
 		dst = append(dst, a.powerMW)
+		if a == r.lock {
+			lockIn++
+		}
+		if !inArrs(a) {
+			astray++
+		}
 	}
-	return r.totalMW, dst
+	if r.lock != nil && !inArrs(r.lock) {
+		astray++
+	}
+	return r.totalMW, dst, lockIn, r.lock != nil, astray
+}
+
+// inArrs reports whether a is an element of its transmission's arrs.
+func inArrs(a *arrival) bool {
+	size := unsafe.Sizeof(*a)
+	off := uintptr(unsafe.Pointer(a)) - uintptr(unsafe.Pointer(unsafe.SliceData(a.t.arrs)))
+	return off < uintptr(len(a.t.arrs))*size && off%size == 0
+}
+
+// Capacities returns the element capacities of m's use-sized buffers: the
+// arrival slots of its pooled transmissions, and the edge-order buffers
+// orderRoom hands out — each pooled transmission's own, each radio's
+// lastOwn — and how many such buffers there are.
+func Capacities(m *Medium) (arrivals, orders, buffers int) {
+	for _, t := range m.txPool {
+		arrivals += cap(t.arrs)
+		orders += cap(t.own)
+	}
+	for _, r := range m.radios {
+		orders += cap(r.lastOwn)
+	}
+	return arrivals, orders, len(m.txPool) + len(m.radios)
 }

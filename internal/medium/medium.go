@@ -53,9 +53,11 @@
 // order, computed when the row is built; a transmission whose arrivals are
 // not exactly its row (an entry filtered by channel or fading, a mobile
 // receiver merged in, a mobile transmitter, PropagationDelay off) sorts its
-// own, starting from its transmitter's last. Radios point into the arrival
-// slice while an arrival is in flight, so a transmission is recycled only
-// when its trailing cursor has walked the last edge.
+// own, starting from its transmitter's last, in a buffer sized to the
+// arrivals. Radios point into the arrival slice while an arrival is in
+// flight, so it is sized before the walk to the walk's candidates (row and
+// mobile radios in reach, or grid candidates), and a transmission is
+// recycled only when its trailing cursor has walked the last edge.
 package medium
 
 import (
@@ -116,8 +118,8 @@ func (NopListener) OnTxDone()                      {}
 // one arrival per receiver in ascending receiver id, and two kernel events —
 // a leading-edge and a trailing-edge cursor — walk them in arrival order
 // (see fanout). Transmissions are pooled, with the capacity of wire, arrs
-// and own: Radio.inFlight and Radio.lock point into arrs, so arrs never
-// grows after fanout returns and the transmission returns to the pool only
+// and own: Radio.inFlight and Radio.lock point into arrs, so arrs is sized
+// before the walk, never grows on the air, and returns to the pool only
 // when the trailing cursor has walked its last edge.
 type transmission struct {
 	id      uint64
@@ -398,17 +400,33 @@ func sortEdges(order []int32, arrs []arrival) {
 	}
 }
 
-// orderRoom returns buf with length n. One too small is replaced by one with
-// room for every radio there is now, cut from a slab so that a medium
-// allocates once per 32 replacements.
+// orderRoom returns buf with length n. One too small is replaced by one of
+// exactly n, cut from a slab so that a medium allocates once per 32
+// replacements.
 func (m *Medium) orderRoom(buf []int32, n int) []int32 {
-	if c := len(m.radios); cap(buf) < n {
-		if len(m.orderSlab) < c {
-			m.orderSlab = make([]int32, 32*c)
+	if cap(buf) < n {
+		if len(m.orderSlab) < n {
+			m.orderSlab = make([]int32, 32*n)
 		}
-		buf, m.orderSlab = m.orderSlab[:0:c], m.orderSlab[c:]
+		buf, m.orderSlab = m.orderSlab[:0:n], m.orderSlab[n:]
 	}
 	return buf[:n]
+}
+
+// arrivalRoom returns t.arrs emptied, with room for every candidate of the
+// walk — row entries, and others within reach2 when it is positive — or a
+// replacement that size (up to its size class), so the walk never grows it.
+func (m *Medium) arrivalRoom(t *transmission, row int, others []*Radio, reach2 float64) []arrival {
+	n := row
+	for _, rx := range others {
+		if reach2 == 0 || m.sp.within(rx.id, t.txPos.X, t.txPos.Y, reach2) {
+			n++
+		}
+	}
+	if cap(t.arrs) < n {
+		return slices.Grow([]arrival(nil), n)
+	}
+	return t.arrs[:0]
 }
 
 // edgeKey is the (at, seq, name) of the next edge of cursor e — 0 the
@@ -592,7 +610,7 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 	}
 	m.LinkCacheHits += uint64(len(row))
 	m.FanoutCandidates += uint64(len(row))
-	arrs := t.arrs[:0]
+	arrs := m.arrivalRoom(t, len(row), others, reach2)
 	offRow := 0 // arrivals that did not come from the row
 	for i, j := 0, 0; i < len(row) || j < len(others); {
 		var rx *Radio

@@ -27,7 +27,7 @@ type Adhoc struct {
 // NewAdhoc joins a node to the IBSS identified by bssid (all members must
 // share it).
 func NewAdhoc(k *sim.Kernel, dcf *mac.DCF, bssid frame.MACAddr) *Adhoc {
-	a := &Adhoc{k: k, dcf: dcf, bssid: bssid, tx: newTxPool(dcf.QueueCap())}
+	a := &Adhoc{k: k, dcf: dcf, bssid: bssid, tx: newTxPool(dcf)}
 	dcf.SetReceiver(a.receive)
 	return a
 }

@@ -18,8 +18,9 @@
 //     mac.DCF.Enqueue (and its body) belongs to the MAC until the MSDU is
 //     delivered or dropped; the MAC mutates and retransmits from that
 //     storage in place. Send paths therefore draw frames from the
-//     per-node txPool — QueueCap()+2 slots, advanced only when Enqueue
-//     accepts — and must never recycle a slot the MAC may still hold.
+//     per-node txPool — a ring advanced per accepted Enqueue, wrapping at
+//     QueueCap()+2 and restarted whenever the MAC holds nothing — and
+//     must never recycle a slot the MAC may still hold.
 //
 // Both rules are enforced statically by cmd/wlanlint: the retainview
 // analyzer catches RX views retained past their handler, and the
@@ -152,7 +153,7 @@ func NewAP(k *sim.Kernel, dcf *mac.DCF, cfg APConfig) *AP {
 		ssid:     cfg.SSID,
 		stations: make(map[frame.MACAddr]*staEntry),
 		byAID:    make(map[uint16]*staEntry),
-		tx:       newTxPool(dcf.QueueCap()),
+		tx:       newTxPool(dcf),
 		Tracer:   trace.Nop{},
 	}
 	ap.rates = ap.rateIE()

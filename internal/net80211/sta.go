@@ -170,7 +170,7 @@ func NewSTA(k *sim.Kernel, dcf *mac.DCF, cfg STAConfig) *STA {
 		dcf:       dcf,
 		cfg:       cfg,
 		cands:     make(map[frame.MACAddr]*candidate),
-		tx:        newTxPool(dcf.QueueCap()),
+		tx:        newTxPool(dcf),
 		ssidBytes: []byte(cfg.SSID),
 		rates:     []byte{frame.RateByte(2, true)},
 		beaconInt: 100 * TU,

@@ -2,6 +2,7 @@ package net80211
 
 import (
 	"repro/internal/frame"
+	"repro/internal/mac"
 )
 
 // txPool recycles outgoing data frames and their body buffers for one
@@ -16,15 +17,20 @@ import (
 // somewhere that clones it, like a power-save buffer) the caller simply
 // does not commit, and the next send reuses the slot.
 //
-// The pool holds queueCap+2 slots, where queueCap is the MAC's transmit
-// queue capacity. The MAC drains in FIFO order and holds at most
-// queueCap+1 frames at once (the queue plus the in-flight job), and the
-// pool advances only on accepted enqueues, so by the time a slot comes
-// around again its previous frame has necessarily left the MAC: holding it
-// would require queueCap+2 resident frames. Steady-state sends therefore
-// reuse both the Frame structs and the grown body buffers forever — zero
-// allocations per payload.
+// The ring wraps at queueCap+2 slots, queueCap being the MAC's transmit
+// queue capacity, but holds only as many as the MAC's backlog has needed:
+// slot() restarts at slot 0 whenever the MAC holds no frame (mac.DCF.Busy;
+// a reservation holds none). From that instant on the pool advances only on
+// accepted enqueues, and the MAC drains in FIFO order holding at most
+// queueCap+1 frames (the queue plus the in-flight job), so no slot comes
+// round again before the MAC released it, counting from the last instant
+// the MAC held nothing: holding it would take queueCap+2 resident frames.
+// Growing copies the ring and rewrites no frame the MAC holds: those stay
+// in the old array, and their copies come round only after the MAC released
+// them. Steady-state sends reuse the Frame structs and their grown body
+// buffers forever — zero allocations per payload.
 type txPool struct {
+	mac   *mac.DCF
 	slots []txSlot
 	next  int
 	snap  []byte
@@ -36,25 +42,52 @@ type txSlot struct {
 	body []byte
 }
 
-// newTxPool sizes a pool for a MAC with the given transmit queue capacity.
-func newTxPool(queueCap int) *txPool {
-	return &txPool{slots: make([]txSlot, queueCap+2)}
-}
+// newTxPool builds an empty pool for the node whose MAC is d.
+func newTxPool(d *mac.DCF) *txPool { return &txPool{mac: d} }
 
 // slot returns the current slot. The caller overwrites slot.f entirely and
 // rebuilds slot.body from length zero, so no state leaks between sends.
 //
 //wlan:hotpath
 func (p *txPool) slot() *txSlot {
+	if !p.mac.Busy() {
+		p.next = 0
+	}
+	if p.next == len(p.slots) {
+		p.grow()
+	}
 	return &p.slots[p.next]
+}
+
+// grow quadruples the ring, up to its wrap.
+func (p *txPool) grow() {
+	slots := make([]txSlot, min(max(2, 4*len(p.slots)), p.mac.QueueCap()+2))
+	copy(slots, p.slots)
+	p.slots = slots
 }
 
 // commit advances the pool after the MAC accepted the current slot's frame.
 //
 //wlan:hotpath
 func (p *txPool) commit() {
-	p.next++
-	if p.next == len(p.slots) {
+	if p.next++; p.next == p.mac.QueueCap()+2 {
 		p.next = 0
 	}
+}
+
+// TxPool hands an auditor the node's transmit pool: the frame and body
+// buffer its next send would fill, as slot hands them out now, and the
+// number of slots the ring held before the asking.
+func (a *Adhoc) TxPool() (*frame.Frame, []byte, int) { return a.tx.probe() }
+
+// TxPool is Adhoc.TxPool for a station.
+func (s *STA) TxPool() (*frame.Frame, []byte, int) { return s.tx.probe() }
+
+// TxPool is Adhoc.TxPool for an access point.
+func (ap *AP) TxPool() (*frame.Frame, []byte, int) { return ap.tx.probe() }
+
+func (p *txPool) probe() (*frame.Frame, []byte, int) {
+	n := len(p.slots)
+	s := p.slot()
+	return &s.f, s.body, n
 }

@@ -111,6 +111,9 @@ func (g *Generator) Stop() {
 // Sent returns the number of accepted packets.
 func (g *Generator) Sent() uint64 { return g.Offered - g.Refused }
 
+// Size returns the payload size of every packet g sends.
+func (g *Generator) Size() int { return g.size }
+
 func (g *Generator) emit() bool {
 	if cap(g.buf) < g.size {
 		g.buf = make([]byte, g.size)
