@@ -22,12 +22,11 @@
 //   - internal/sim pools Event objects on a free list behind
 //     generation-checked Timer handles, keeps the queue as a
 //     struct-of-arrays 4-ary heap popped one event at a time in (at, seq)
-//     order — a pop leaves the root for the callback's first insert, so an
-//     event that re-queues itself costs one sift — and reaps cancelled
-//     events lazily in bulk. ReserveSeq + ScheduleArgSeq let one
-//     closure-free heap entry stand for a train of events known in advance,
-//     and Advance lets it run the train's next event without going back
-//     through the heap whenever that event is the next one due.
+//     order, and reaps cancelled events lazily in bulk. ReserveSeq +
+//     ScheduleArgSeq let one closure-free heap entry stand for a train of
+//     events known in advance, and Advance lets it run the train's next
+//     event without going back through the heap whenever that event is the
+//     next one due.
 //   - internal/medium pools transmissions, each owning its arrivals and
 //     delivering their edges through two cursors instead of two kernel
 //     events per receiver, which walk from edge to edge and re-queue only

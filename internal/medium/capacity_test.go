@@ -11,19 +11,20 @@ import (
 	"repro/internal/sim"
 )
 
-// TestBufferCapacities pins, element for element, the capacity of the
-// buffers that are sized by the traffic rather than by the network: the
-// transmit-pool slots of every node, the arrival slots across the medium's
-// transmission pool and the edge-order buffers, after fixed-seed runs of a
-// 27×27 city (bench's city-grid dense op), a saturated ring
-// (TestSoakSteadyState's) and a 1 024-radio grid, two in three of them
-// mobile. A buffer sized
-// by capacity again — a pool allocated QueueCap()+2 slots deep up front,
+// TestBufferCapacities pins, element for element, the buffers that are
+// sized by the traffic rather than by the network: the transmit-pool slots
+// of every node, the arrival slots the medium's pooled transmissions asked
+// for — each array must hold exactly slices.Grow's capacity for its largest
+// request, whose size classes are the one thing here that varies with
+// GOARCH — and the edge-order buffers, after fixed-seed runs of a 27×27
+// city (bench's city-grid dense op), a saturated ring (TestSoakSteadyState's)
+// and a 1 024-radio grid, two in three of them mobile. A buffer sized by
+// capacity again — a pool allocated QueueCap()+2 slots deep up front,
 // arrival arrays grown by doubling, an order buffer with room for every
-// radio — moves a number here. On the mobile grid, where nearly every
-// transmission sorts its own edge order, the order buffers must also total O(N ×
-// fan-out): an order buffer per radio and per pooled transmission with room
-// for every radio would be O(N²).
+// radio — moves a number here or fails the size check. On the mobile grid,
+// where nearly every transmission sorts its own edge order, the order
+// buffers must also total O(N × fan-out): an order buffer per radio and per
+// pooled transmission with room for every radio would be O(N²).
 func TestBufferCapacities(t *testing.T) {
 	for _, c := range []struct {
 		name                   string
@@ -42,7 +43,7 @@ func TestBufferCapacities(t *testing.T) {
 				net.Poisson(nodes[i], nodes[i+1], 200, 4)
 			}
 			return net
-		}, sim.Second, 740, 91502, 0},
+		}, sim.Second, 740, 86503, 0},
 		{"saturated ring", func() *core.Network {
 			net := core.NewNetwork(core.Config{Seed: 7, Mode: "802.11g"})
 			nodes := make([]*core.Node, 8)
@@ -68,7 +69,7 @@ func TestBufferCapacities(t *testing.T) {
 				net.Poisson(nodes[i], nodes[i+1], 200, 4)
 			}
 			return net
-		}, sim.Second, 1042, 141387, 380579},
+		}, sim.Second, 1042, 132971, 380579},
 	} {
 		net := c.build()
 		net.Run(c.run)
@@ -78,13 +79,16 @@ func TestBufferCapacities(t *testing.T) {
 			pool += slots
 		}
 		m := net.Medium()
-		arrivals, orders, buffers := medium.Capacities(m)
+		arrivals, offSize, orders, buffers := medium.Capacities(m)
 		fanout := m.FanoutDelivered / m.Transmissions
-		t.Logf("%s: %d pool slots, %d arrival slots, %d order slots in %d buffers; %d arrivals per transmission",
+		t.Logf("%s: %d pool slots, %d arrival slots asked for, %d order slots in %d buffers; %d arrivals per transmission",
 			c.name, pool, arrivals, orders, buffers, fanout)
 		if pool != c.pool || arrivals != c.arrivals || orders != c.orders {
-			t.Errorf("%s: capacities (pool slots, arrival slots, order slots) = (%d, %d, %d), want (%d, %d, %d)",
+			t.Errorf("%s: (pool slots, arrival slots asked for, order slots) = (%d, %d, %d), want (%d, %d, %d)",
 				c.name, pool, arrivals, orders, c.pool, c.arrivals, c.orders)
+		}
+		if offSize != 0 {
+			t.Errorf("%s: %d arrival arrays hold other than slices.Grow's capacity for what was asked", c.name, offSize)
 		}
 		if uint64(orders) > 2*uint64(buffers)*fanout {
 			t.Errorf("%s: %d order slots in %d buffers, over twice the mean fan-out of %d each", c.name, orders, buffers, fanout)

@@ -1,6 +1,9 @@
 package medium
 
-import "unsafe"
+import (
+	"slices"
+	"unsafe"
+)
 
 // RxState hands tests outside the package a radio's receive state: its
 // running antenna power and, appended to dst in inFlight order, its
@@ -31,17 +34,23 @@ func inArrs(a *arrival) bool {
 	return off < uintptr(len(a.t.arrs))*size && off%size == 0
 }
 
-// Capacities returns the element capacities of m's use-sized buffers: the
-// arrival slots of its pooled transmissions, and the edge-order buffers
-// orderRoom hands out — each pooled transmission's own, each radio's
-// lastOwn — and how many such buffers there are.
-func Capacities(m *Medium) (arrivals, orders, buffers int) {
+// Capacities returns the sizes of m's use-sized buffers: the arrival slots
+// its pooled transmissions have at most asked arrivalRoom for, and how many
+// of their arrays hold other than slices.Grow's capacity for that request
+// (the size classes behind it vary with GOARCH, the requests do not); the
+// capacity of the edge-order buffers orderRoom hands out — each pooled
+// transmission's own, each radio's lastOwn — and how many such buffers
+// there are.
+func Capacities(m *Medium) (arrivals, offSize, orders, buffers int) {
 	for _, t := range m.txPool {
-		arrivals += cap(t.arrs)
+		arrivals += t.room
+		if cap(t.arrs) != cap(slices.Grow([]arrival(nil), t.room)) {
+			offSize++
+		}
 		orders += cap(t.own)
 	}
 	for _, r := range m.radios {
 		orders += cap(r.lastOwn)
 	}
-	return arrivals, orders, len(m.txPool) + len(m.radios)
+	return arrivals, offSize, orders, len(m.txPool) + len(m.radios)
 }

@@ -133,6 +133,7 @@ type transmission struct {
 	airtime sim.Duration
 	txPos   geom.Point
 	arrs    []arrival
+	room    int // the most candidates arrivalRoom has been asked to hold
 	// order lists arrs indices by (delay, index) — the pop order of the
 	// per-receiver events the cursors stand for, arrival i's leading edge
 	// at seq0+2i and trailing edge at seq0+2i+1. It is the transmitter's
@@ -423,6 +424,7 @@ func (m *Medium) arrivalRoom(t *transmission, row int, others []*Radio, reach2 f
 			n++
 		}
 	}
+	t.room = max(t.room, n)
 	if cap(t.arrs) < n {
 		return slices.Grow([]arrival(nil), n)
 	}

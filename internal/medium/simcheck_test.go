@@ -403,11 +403,26 @@ func tinyWorkloads() []auditOp {
 		}
 		return net, 2900 * sim.Millisecond
 	}})
+	// Not a benchmark workload either: a burst of stations that active-scan
+	// one AP, switched on 0.3 ms apart — less than a probe request's
+	// airtime — so its probe responses queue behind each other. (Switched
+	// on at one instant, the DCF sends every first probe at once and they
+	// all collide.)
+	ops = append(ops, auditOp{"probe burst", 0, func(uint64) (*core.Network, sim.Duration) {
+		net := core.NewNetwork(core.Config{Seed: 11, Mode: "802.11b"})
+		net.AddAP("ap0", geom.Pt(0, 0), net80211.APConfig{SSID: "burst"})
+		for i, p := range geom.Circle(8, 10, geom.Pt(0, 0)) {
+			net.AddStation(fmt.Sprintf("sta%d", i), p, net80211.STAConfig{SSID: "burst", ActiveScan: true})
+			net.Run(300 * sim.Microsecond)
+		}
+		return net, 400 * sim.Millisecond
+	}})
 	return ops
 }
 
 // TestSimcheckWorkloads runs the audit over every op of the four benchmark
-// simulation workloads at -scale tiny, seed 1, and over a power-save cell.
+// simulation workloads at -scale tiny, seed 1, over a power-save cell and
+// over a burst of active scans on one AP.
 func TestSimcheckWorkloads(t *testing.T) {
 	all := auditNetworks(t)
 	for _, op := range tinyWorkloads() {

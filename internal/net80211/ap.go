@@ -109,7 +109,7 @@ type AP struct {
 
 	stations map[frame.MACAddr]*staEntry
 	byAID    map[uint16]*staEntry
-	nextAID  uint16
+	lastAID  uint16 // the AID handed out last; assignAID goes on from it
 
 	port *ether.Port
 
@@ -371,9 +371,11 @@ func (ap *AP) handleMgmt(f *frame.Frame, _ medium.RxInfo) {
 		ap.handleAssoc(f)
 	case frame.SubtypeDisassoc, frame.SubtypeDeauth:
 		if e := ap.stations[f.Addr2]; e != nil {
+			if e.assoc {
+				delete(ap.byAID, e.aid)
+			}
 			e.assoc = false
 			e.authed = false
-			delete(ap.byAID, e.aid)
 		}
 	}
 }
@@ -519,6 +521,24 @@ func (ap *AP) handleAuth(f *frame.Frame) {
 	}
 }
 
+// maxAID is the largest association ID 802.11 allows; a TIM's bitmap for it
+// still fits its one-byte element length.
+const maxAID = 2007
+
+// assignAID hands out the first AID not in use after the last one handed
+// out, wrapping inside 1..maxAID, or 0 when every one is in use.
+func (ap *AP) assignAID() uint16 {
+	if len(ap.byAID) >= maxAID {
+		return 0
+	}
+	for {
+		ap.lastAID = ap.lastAID%maxAID + 1
+		if ap.byAID[ap.lastAID] == nil {
+			return ap.lastAID
+		}
+	}
+}
+
 func (ap *AP) handleAssoc(f *frame.Frame) {
 	req, err := frame.ParseAssocReq(f.Body)
 	if err != nil || string(req.SSID) != ap.ssid {
@@ -530,14 +550,16 @@ func (ap *AP) handleAssoc(f *frame.Frame) {
 		status = frame.StatusUnspecified
 	}
 	if status == frame.StatusSuccess && !e.assoc {
-		ap.nextAID++
-		e.aid = ap.nextAID
-		e.assoc = true
-		ap.byAID[e.aid] = e
-		ap.Stats.Assocs++
-		if ap.port != nil {
-			// Announce the station on the wire so the switch learns it here.
-			ap.port.Send(ether.Frame{Dst: frame.Broadcast, Src: f.Addr2, Payload: nil})
+		if e.aid = ap.assignAID(); e.aid == 0 {
+			status = frame.StatusAssocDenied
+		} else {
+			e.assoc = true
+			ap.byAID[e.aid] = e
+			ap.Stats.Assocs++
+			if ap.port != nil {
+				// Announce the station on the wire so the switch learns it here.
+				ap.port.Send(ether.Frame{Dst: frame.Broadcast, Src: f.Addr2, Payload: nil})
+			}
 		}
 	}
 	resp := frame.AssocResp{Capability: frame.CapESS, Status: status, AID: e.aid, Rates: ap.rates}

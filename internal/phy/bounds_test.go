@@ -18,19 +18,18 @@ func identityMode(mod Modulation) *Mode {
 	return &Mode{Name: mod.String(), Bandwidth: 1, Rates: []Rate{{BitRate: 1, Mod: mod}}}
 }
 
-// inBounds fails unless lo ≤ ChunkSuccess ≤ hi bit for bit, with (1, 1)
-// exactly where the knee answers and (0, 1) where ChunkSuccess is NaN. It
-// reports whether the brackets are within 10⁻³ of each other.
+// inBounds fails unless ChunkSuccess is the curves' answer bit for bit
+// (sameAsReference) and lo ≤ ChunkSuccess ≤ hi, with (1, 1) exactly for an
+// empty chunk and (0, 1) where ChunkSuccess is NaN. It reports whether the
+// brackets are within 10⁻³ of each other.
 func inBounds(t testing.TB, m *Mode, ri RateIdx, sinr float64, nBits int) bool {
 	t.Helper()
+	sameAsReference(t, m, ri, sinr, nBits)
 	lo, hi := m.ChunkBounds(ri, sinr, nBits)
 	p := m.ChunkSuccess(ri, sinr, nBits)
-	r := m.Rate(ri)
-	ebN0 := sinr * float64(m.Bandwidth) / float64(r.BitRate)
-	knee := nBits <= 0 || int(r.Mod) < len(sureEbN0) && ebN0 >= sureEbN0[r.Mod] && nBits <= sureBits
 	var ok bool
 	switch {
-	case knee:
+	case nBits <= 0:
 		ok = lo == 1 && hi == 1
 	case math.IsNaN(p):
 		ok = lo == 0 && hi == 1
@@ -67,9 +66,6 @@ func TestChunkBoundsContain(t *testing.T) {
 				for _, s := range edgeSINR {
 					inBounds(t, m, ri, s, n)
 				}
-				for k := -4; k <= 4; k++ {
-					inBounds(t, m, ri, ulps(kneeSINR(m, ri), k), n)
-				}
 			}
 		}
 	}
@@ -99,12 +95,8 @@ func TestChunkBoundsContain(t *testing.T) {
 		switch src.Intn(8) {
 		case 0:
 			inBounds(t, m, ri, edgeSINR[src.Intn(len(edgeSINR))], n)
-		case 1: // around this rate's knee
-			inBounds(t, m, ri, kneeSINR(m, ri)*math.Exp(src.NormFloat64()/4), n)
-		case 2: // on a knot, or an ulp off it
-			r := m.Rate(ri)
-			s := knot(src.Intn(knotCount+1)) * float64(r.BitRate) / float64(m.Bandwidth)
-			inBounds(t, m, ri, ulps(s, src.Intn(3)-1), n)
+		case 1, 2: // on a knot, or an ulp off it
+			inBounds(t, m, ri, ulps(knotSINR(m, ri, src.Intn(knotCount+1)), src.Intn(3)-1), n)
 		default: // -40 … +60 dB
 			dB++
 			if inBounds(t, m, ri, math.Pow(10, src.Float64()*10-4), n) {
@@ -125,11 +117,10 @@ func FuzzChunkBounds(f *testing.F) {
 	modes := allModes()
 	for mi, m := range modes {
 		for ri := 0; ri < m.NumRates(); ri++ {
-			r := m.Rate(RateIdx(ri))
 			for _, i := range []int{0, 100, 150, 200, knotCount} {
-				s := knot(i) * float64(r.BitRate) / float64(m.Bandwidth)
+				s := knotSINR(m, RateIdx(ri), i)
 				f.Add(uint8(mi), ri, s, 12000)
-				f.Add(uint8(mi), ri, ulps(s, -1), sureBits+1)
+				f.Add(uint8(mi), ri, ulps(s, -1), 1<<15+1)
 			}
 		}
 	}

@@ -18,14 +18,11 @@ import (
 // right crossover structure. README.md's model-fidelity notes record this
 // substitution.
 //
-// The curves are evaluated only where they decide something: above a
-// per-modulation Eb/N0 knee (sureEbN0, measured from the curves at package
-// init) a chunk of up to sureBits bits succeeds with probability exactly 1.0
-// in float64, and ChunkSuccess says so without an erfc, a log1p or an exp.
-// Everywhere else ChunkBounds brackets ChunkSuccess from a table of the
-// curves at fixed knots (berKnots) and a few multiplies; the medium compares
-// its one uniform draw against the brackets first and asks for the exact
-// value only when the draw lands between them.
+// The curves are evaluated only where they decide something: ChunkBounds
+// brackets ChunkSuccess from a table of the curves at fixed knots (berKnots)
+// and a few multiplies; the medium compares its one uniform draw against the
+// brackets first and asks for the exact value only when the draw lands
+// between them.
 
 // qfunc is the Gaussian tail function Q(x).
 func qfunc(x float64) float64 {
@@ -76,35 +73,10 @@ func (m *Mode) BER(ri RateIdx, sinrLinear float64) float64 {
 	return min(0.5, berForModulation(r.Mod, sinrLinear*float64(m.Bandwidth)/float64(r.BitRate)))
 }
 
-// sureBits is the longest chunk the sure-success knees vouch for; it is
-// above any 802.11 MPDU, and a longer chunk takes the curves.
-const sureBits = 1 << 15
-
-// sureEbN0 holds, per modulation, an Eb/N0 from which chunkSuccess of up to
-// sureBits bits is bit-for-bit 1.0: the smallest such, bisected on
-// chunkSuccess itself (non-decreasing in Eb/N0, non-increasing in the bit
-// count), plus 5 % — at the knee that moves the BER tenfold, out of reach of
-// ulp-level wobble in exp or erfc. Keyed by modulation, not by mode, so a
-// Mode's Rates and Bandwidth stay mutable; only read after init.
-var sureEbN0 = func() (knee [ModQAM64 + 1]float64) {
-	for mod := range knee {
-		lo, hi := 1e-3, 1e6 // chunkSuccess < 1 at lo, == 1 at hi
-		for i := 0; i < 64; i++ {
-			if mid := math.Sqrt(lo * hi); chunkSuccess(Modulation(mod), mid, sureBits) == 1 {
-				hi = mid
-			} else {
-				lo = mid
-			}
-		}
-		knee[mod] = hi * 1.05
-	}
-	return knee
-}()
-
 // ChunkSuccess returns the probability that nBits consecutive bits decode
-// without error at the given SINR. The medium calls it once per
-// constant-interference span of every locked reception. A NaN SINR and a
-// modulation outside the knee table take the curves like any other.
+// without error at the given SINR. The medium calls it for the
+// constant-interference spans of a locked reception whose draw lands between
+// ChunkBounds' brackets, and for each span folded out of a full record.
 //
 //wlan:hotpath
 func (m *Mode) ChunkSuccess(ri RateIdx, sinrLinear float64, nBits int) float64 {
@@ -112,11 +84,7 @@ func (m *Mode) ChunkSuccess(ri RateIdx, sinrLinear float64, nBits int) float64 {
 		return 1
 	}
 	r := m.Rate(ri)
-	ebN0 := sinrLinear * float64(m.Bandwidth) / float64(r.BitRate)
-	if int(r.Mod) < len(sureEbN0) && ebN0 >= sureEbN0[r.Mod] && nBits <= sureBits {
-		return 1
-	}
-	return chunkSuccess(r.Mod, ebN0, nBits)
+	return chunkSuccess(r.Mod, sinrLinear*float64(m.Bandwidth)/float64(r.BitRate), nBits)
 }
 
 // The knots of berKnots are the Eb/N0 values 2^E·(1 + m/16) for E in
@@ -133,7 +101,8 @@ const (
 )
 
 // berKnots holds, per modulation, berForModulation at every knot; built once
-// at init like sureEbN0 and only read after it.
+// at init and only read after it. Keyed by modulation, not by mode, so a
+// Mode's Rates and Bandwidth stay mutable.
 var berKnots = func() (tab [ModQAM64 + 1][knotCount + 1]float64) {
 	for mod := range tab {
 		for i := range tab[mod] {
@@ -145,8 +114,8 @@ var berKnots = func() (tab [ModQAM64 + 1][knotCount + 1]float64) {
 
 // ChunkBounds brackets ChunkSuccess without evaluating the curves:
 // lo ≤ ChunkSuccess(ri, sinrLinear, nBits) ≤ hi exactly as float64 computes
-// it. It returns exactly (1, 1) where the sure-success knee answers, and
-// (0, 1) where it cannot say: a NaN SINR, a modulation outside the table.
+// it. It returns exactly (1, 1) for an empty chunk, and (0, 1) where it
+// cannot say: a NaN SINR, a modulation outside the table.
 //
 //wlan:hotpath
 func (m *Mode) ChunkBounds(ri RateIdx, sinrLinear float64, nBits int) (lo, hi float64) {
@@ -158,9 +127,6 @@ func (m *Mode) ChunkBounds(ri RateIdx, sinrLinear float64, nBits int) (lo, hi fl
 		return 0, 1
 	}
 	ebN0 := sinrLinear * float64(m.Bandwidth) / float64(r.BitRate)
-	if ebN0 >= sureEbN0[r.Mod] && nBits <= sureBits {
-		return 1, 1
-	}
 	// The curves fall as Eb/N0 rises (at most 0.5, at ebN0 ≤ 0), so the
 	// knot at or below ebN0 bounds the BER from above, the next from below.
 	knots := &berKnots[r.Mod]

@@ -6,13 +6,12 @@ import (
 	"testing"
 )
 
-// This file is the wall around the sure-success knee: ChunkSuccess must
-// return, bit for bit, what the curves return — the knee may only skip an
-// evaluation whose answer is exactly 1.0.
+// This file is the wall in front of the curves: ChunkSuccess must return,
+// bit for bit, what the curves return. A shortcut placed ahead of them may
+// only skip an evaluation whose answer it knows to the bit.
 
-// refChunkSuccess is ChunkSuccess as it stood before the knee: SINR → BER
-// (with BER's own guards and clamp) → chunk success, always through the
-// curves.
+// refChunkSuccess is ChunkSuccess spelled out: SINR → BER (with BER's own
+// guards and clamp) → chunk success, always through the curves.
 func refChunkSuccess(m *Mode, ri RateIdx, sinrLinear float64, nBits int) float64 {
 	if nBits <= 0 {
 		return 1
@@ -45,10 +44,11 @@ func sameAsReference(t testing.TB, m *Mode, ri RateIdx, sinr float64, nBits int)
 	}
 }
 
-// kneeSINR is the linear SINR at which rate ri of m sits on its knee.
-func kneeSINR(m *Mode, ri RateIdx) float64 {
+// knotSINR is the linear SINR at which rate ri of m sits on the i-th Eb/N0
+// knot of berKnots.
+func knotSINR(m *Mode, ri RateIdx, i int) float64 {
 	r := m.Rate(ri)
-	return sureEbN0[r.Mod] * float64(r.BitRate) / float64(m.Bandwidth)
+	return knot(i) * float64(r.BitRate) / float64(m.Bandwidth)
 }
 
 // ulps steps x by n representable values.
@@ -62,22 +62,21 @@ func ulps(x float64, n int) float64 {
 	return x
 }
 
-var edgeBits = []int{0, 1, sureBits, sureBits + 1, 1 << 20}
+var edgeBits = []int{0, 1, 1 << 15, 1<<15 + 1, 1 << 20}
 
 func TestChunkSuccessMatchesReference(t *testing.T) {
 	edgeSINR := []float64{0, math.Copysign(0, -1), -1, -1e300, math.SmallestNonzeroFloat64,
 		math.NaN(), math.Inf(1), math.Inf(-1), math.MaxFloat64}
-	// Every rate's knee: ±4 ulp of it, and a log grid a factor 4 either
-	// side (a knee placed too low answers 1 where the curves do not).
+	// Every rate on every knot of its modulation, and one ulp either side:
+	// the grid runs from Eb/N0 2⁻⁸, where the BER is near 0.5, to 2⁹, where
+	// every chunk here succeeds with exactly 1.0.
 	for _, m := range allModes() {
 		for ri := RateIdx(-1); int(ri) <= m.NumRates(); ri++ {
-			knee := kneeSINR(m, ri)
 			for _, n := range edgeBits {
-				for k := -4; k <= 4; k++ {
-					sameAsReference(t, m, ri, ulps(knee, k), n)
-				}
-				for s := knee / 4; s < knee*4; s *= 1.003 {
-					sameAsReference(t, m, ri, s, n)
+				for i := 0; i <= knotCount; i++ {
+					for k := -1; k <= 1; k++ {
+						sameAsReference(t, m, ri, ulps(knotSINR(m, ri, i), k), n)
+					}
 				}
 				for _, s := range edgeSINR {
 					sameAsReference(t, m, ri, s, n)
@@ -89,7 +88,7 @@ func TestChunkSuccessMatchesReference(t *testing.T) {
 	if b := Mode80211b().BER(0, 0); b != 0.5 {
 		t.Errorf("BER at SINR 0 = %v, want 0.5", b)
 	}
-	// A modulation outside the knee table takes the curves; it must not
+	// A modulation outside the knot table takes the curves; it must not
 	// index past the table.
 	odd := &Mode{Name: "odd", Bandwidth: 1, Rates: []Rate{{BitRate: 1, Mod: ModQAM64 + 1}, {BitRate: 1, Mod: 255}}}
 	for ri := RateIdx(0); ri < 2; ri++ {
@@ -109,8 +108,8 @@ func TestChunkSuccessMatchesReference(t *testing.T) {
 		switch src.Intn(8) {
 		case 0:
 			sinr = edgeSINR[src.Intn(len(edgeSINR))]
-		case 1, 2: // around this rate's knee
-			sinr = kneeSINR(m, ri) * math.Exp(src.NormFloat64()/4)
+		case 1, 2: // on a knot, or an ulp off it
+			sinr = ulps(knotSINR(m, ri, src.Intn(knotCount+1)), src.Intn(3)-1)
 		default: // -40 … +60 dB
 			sinr = math.Pow(10, src.Float64()*10-4)
 		}
@@ -122,50 +121,16 @@ func TestChunkSuccessMatchesReference(t *testing.T) {
 	}
 }
 
-// TestSureKneeTightAndMonotone holds what the init-time bisection leans on
-// — per modulation the curves' chunk success does not fall as Eb/N0 rises
-// nor rise as the chunk grows — and that each knee is the measured one: a
-// chunk of sureBits bits is sure at the knee and not yet sure a factor 1.5
-// below it.
-func TestSureKneeTightAndMonotone(t *testing.T) {
-	for mod := ModDBPSK; mod <= ModQAM64; mod++ {
-		// Bandwidth = BitRate, so the reference's Eb/N0 is its SINR.
-		m := &Mode{Name: mod.String(), Bandwidth: 1, Rates: []Rate{{BitRate: 1, Mod: mod}}}
-		knee := sureEbN0[mod]
-		if !(knee > 0) || math.IsInf(knee, 0) {
-			t.Fatalf("%v: knee %v", mod, knee)
-		}
-		if p := refChunkSuccess(m, 0, knee, sureBits); p != 1 {
-			t.Errorf("%v: %d bits at the knee Eb/N0 %v succeed with %v, want exactly 1", mod, sureBits, knee, p)
-		}
-		if p := refChunkSuccess(m, 0, knee/1.5, sureBits); !(p < 1) {
-			t.Errorf("%v: %d bits at Eb/N0 %v, 1.5 below the knee, already succeed with %v: the knee is loose", mod, sureBits, knee/1.5, p)
-		}
-		for n := 1; n <= 1<<20; n *= 2 {
-			prev := 0.0
-			for e := knee / 8; e < knee*8; e *= 1.01 {
-				p := refChunkSuccess(m, 0, e, n)
-				if p < prev {
-					t.Fatalf("%v, %d bits: success falls from %v to %v as Eb/N0 rises to %v", mod, n, prev, p, e)
-				}
-				if longer := refChunkSuccess(m, 0, e, 2*n); longer > p {
-					t.Fatalf("%v at Eb/N0 %v: %d bits succeed with %v, %d with %v", mod, e, n, p, 2*n, longer)
-				}
-				prev = p
-			}
-		}
-	}
-}
-
+// FuzzChunkSuccess holds ChunkSuccess alone to the curves, seeded on four
+// knots of every rate. FuzzChunkBounds checks the same equality inside
+// inBounds, beside the brackets, and is the PHY target CI mutates.
 func FuzzChunkSuccess(f *testing.F) {
 	modes := allModes()
 	for mi, m := range modes {
 		for ri := 0; ri < m.NumRates(); ri++ {
-			knee := kneeSINR(m, RateIdx(ri))
-			f.Add(uint8(mi), ri, knee, sureBits)
-			f.Add(uint8(mi), ri, ulps(knee, -1), sureBits)
-			f.Add(uint8(mi), ri, knee, sureBits+1)
-			f.Add(uint8(mi), ri, knee/1.05, 12000)
+			for _, i := range []int{0, 150, 200, knotCount} {
+				f.Add(uint8(mi), ri, knotSINR(m, RateIdx(ri), i), 12000)
+			}
 		}
 	}
 	f.Add(uint8(1), 3, math.NaN(), 8000)

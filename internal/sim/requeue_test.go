@@ -7,52 +7,13 @@ import (
 	"testing"
 )
 
-// A pop leaves the root vacant and the running callback's insert takes it.
-// These tests pin the two exact consequences — a re-queue at the front
-// moves no key, a re-queue behind never grows the heap — and that the
-// vacancy is invisible from inside a callback; FuzzKernelOps drives every
-// other interleaving against refHeap.
+// Events that re-queue themselves, and the heap's introspection from inside
+// a callback; FuzzKernelOps drives every other interleaving against refHeap.
 
-// TestRequeueAtFrontMovesNoKey: an event that re-queues itself ahead of
-// everything else queued leaves every other key where it was, pop after
-// pop. (Before the vacant root, each pop moved the last leaf to the root
-// and the re-queue sifted back up past it.)
-func TestRequeueAtFrontMovesNoKey(t *testing.T) {
-	const n, rounds = 100, 50
-	k := NewKernel()
-	for i := 0; i < n; i++ {
-		k.Schedule(Second+Duration(n-i)*Microsecond, "far", func() {})
-	}
-	var rest []heapKey
-	same := func(when string) {
-		t.Helper()
-		if !slices.Equal(k.heap[1:], rest) {
-			t.Fatalf("round %d, %s: keys below the root moved", k.Processed(), when)
-		}
-	}
-	var cursor func()
-	cursor = func() {
-		same("after the pop")
-		if k.Processed() < rounds {
-			k.Schedule(Microsecond, "cursor", cursor)
-			same("after the re-queue")
-		}
-	}
-	k.Schedule(Microsecond, "cursor", cursor)
-	rest = slices.Clone(k.heap[1:])
-	k.RunUntil(Time(Second))
-	if k.Processed() != rounds || k.Pending() != n {
-		t.Fatalf("ran %d cursor events with %d left pending, want %d and %d", k.Processed(), k.Pending(), rounds, n)
-	}
-	if hw := k.HeapHighWater(); hw != n+1 {
-		t.Fatalf("HeapHighWater = %d, want %d", hw, n+1)
-	}
-}
-
-// TestRequeueBehindSiftsDownOnly: events that re-queue themselves after
-// everything else queued still pop in refHeap's order, and the insert goes
-// through the vacant root — the heap never grows past its starting length.
-func TestRequeueBehindSiftsDownOnly(t *testing.T) {
+// TestRequeueBehindPopsInOrder: events that re-queue themselves behind
+// everything else queued pop in refHeap's order, and a pop takes its key
+// out at once — the heap never grows past the n+1 events in rotation.
+func TestRequeueBehindPopsInOrder(t *testing.T) {
 	const n, rounds = 100, 20
 	k := NewKernel()
 	ref := newRefHeap()
@@ -86,7 +47,7 @@ func TestRequeueBehindSiftsDownOnly(t *testing.T) {
 }
 
 // TestHeapIntrospectionInsideCallback: Pending and HeapDepth never count
-// the running event, whether or not something has taken its place yet.
+// the running event, before or after it schedules something.
 func TestHeapIntrospectionInsideCallback(t *testing.T) {
 	k := NewKernel()
 	check := func(when string, pending, depth int) {
@@ -117,8 +78,8 @@ func TestHeapIntrospectionInsideCallback(t *testing.T) {
 // The script is a byte stream. Between runs the driver reads one op at a
 // time; every event, when it fires, reads a count and then that many ops
 // of its own, so schedules, cancels, reschedules, Stop and introspection
-// all happen both outside a run and inside a callback whose root is
-// vacant. Inside a callback there is one op more: Advance, under a number
+// all happen both outside a run and inside a callback, between its pop and
+// the next. Inside a callback there is one op more: Advance, under a number
 // reserved now or at an earlier Advance, which the reference grants exactly
 // when nothing it holds comes first; a granted callback plays the rest of its
 // ops as the event it has become. An exhausted stream reads as zeros (a
@@ -367,7 +328,7 @@ func FuzzKernelOps(f *testing.F) {
 	inside := func(ops ...byte) []byte { return append([]byte{byte(len(ops) / 2)}, ops...) }
 	deep := []byte{opDeepen, 31, opDeepen, 31}
 
-	// Callbacks that schedule nothing: every pop is settled by the next pop.
+	// Callbacks that schedule nothing: every pop sifts the last leaf down.
 	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opSchedule, 2, opSchedule, 2, opRunOrAdvance, 0, opRead, 0}))
 	// A callback that re-queues at the front, one that re-queues behind
 	// everything, one that reschedules on its own tick; reads in between.
@@ -375,7 +336,7 @@ func FuzzKernelOps(f *testing.F) {
 		inside(opRead, 0, opSchedule, 1, opRead, 0),
 		inside(opDeepen, 1, opRead, 0),
 		inside(opResched, 0, opRead, 0, opSchedule, 0)))
-	// Stop from inside with the root vacant, then schedule, cancel and read
+	// Stop from inside a callback, then schedule, cancel and read
 	// from outside before resuming.
 	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opSchedule, 2, opRunOrAdvance, 0},
 		inside(opStopOrRunUntil, 0),
@@ -386,8 +347,8 @@ func FuzzKernelOps(f *testing.F) {
 	// RunUntil with the deadline before the root, and with a cancelled root
 	// before the deadline.
 	f.Add([]byte{opSchedule, 9, opSchedule, 3, opStopOrRunUntil, 2, opRead, 0, opCancel, 1, opStopOrRunUntil, 2, opRead, 0, opRunOrAdvance, 0})
-	// Enough cancels from inside a callback to bulk-reap while the root is
-	// vacant, first thing and after a re-queue.
+	// Enough cancels from inside a callback to bulk-reap, first thing and
+	// after a re-queue.
 	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opSchedule, 2, opRunOrAdvance, 0},
 		inside(opBurst, 31, opRead, 0, opSchedule, 1),
 		inside(opSchedule, 1, opDeepen, 31, opBurst, 31)))
@@ -395,6 +356,9 @@ func FuzzKernelOps(f *testing.F) {
 	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opRunOrAdvance, 0},
 		inside(opStopOrRunUntil, 0),
 		[]byte{opBurst, 31, opRead, 0, opSchedule, 0, opRunOrAdvance, 0}))
+	// A bulk reap whose survivors are out of heap order until it re-heapifies:
+	// 54 far timers on a five-tick cycle, one due now, the newest 33 cancelled.
+	f.Add([]byte{opDeepen, 23, opDeepen, 31, opSchedule, 0, opBurst, 16, opRunOrAdvance, 0})
 
 	// Advance. Granted to a later tick with only far timers queued, and again
 	// from there; refused after the callback's own Stop though nothing else
@@ -410,7 +374,7 @@ func FuzzKernelOps(f *testing.F) {
 		inside(opRunOrAdvance, 1, opRunOrAdvance, 3),
 		[]byte{opRead, 0, opStopOrRunUntil, 7, opRead, 0}))
 	// A cancelled timer keyed before the edge refuses it; so does a live one
-	// under the vacant root that is not the root's first child.
+	// that reaches the root only after the pop's sift.
 	f.Add(slices.Concat([]byte{opSchedule, 1, opSchedule, 2, opCancel, 1, opRunOrAdvance, 0},
 		inside(opRunOrAdvance, 3, opRead, 0)))
 	f.Add(slices.Concat(deep, []byte{opSchedule, 1, opSchedule, 3, opSchedule, 2, opSchedule, 3, opRunOrAdvance, 0},

@@ -31,13 +31,6 @@
 // ticks and ask Passed which instants are behind it. The price is the
 // exact-nanosecond tie: such a tick runs before every event scheduled after
 // the number was taken.
-//
-// A pop only reads the root and leaves it vacant. The next insert — a
-// callback's timer, a cursor that was refused — writes its key there and
-// sifts down once, which for a key that belongs at the front moves nothing;
-// the next pop otherwise moves the last leaf up first, as a textbook pop does
-// at once. A pop that re-queues is one sift, and layout never reaches pop
-// order.
 package sim
 
 import (
@@ -155,9 +148,6 @@ type Kernel struct {
 	now    Time
 	runSeq uint64    // seq of the event running or last run: (now, runSeq) is where the loop is
 	heap   []heapKey // 4-ary min-heap on (at, seq); payloads stay in slots
-	// vacant: the last pop left its dead key at heap[0]. The next insert
-	// overwrites it, the next pop or bulk reap settles it, nothing counts it.
-	vacant bool
 	// slots is the payload side of the struct-of-arrays heap: every Event
 	// this kernel ever created, at its permanent slot index. Events never
 	// move, so heap keys can name them with an int32.
@@ -234,12 +224,7 @@ func (k *Kernel) closeRun() {
 
 // HeapDepth returns the number of heap-resident events right now
 // (including cancelled ones not yet reaped).
-func (k *Kernel) HeapDepth() int {
-	if k.vacant {
-		return len(k.heap) - 1
-	}
-	return len(k.heap)
-}
+func (k *Kernel) HeapDepth() int { return len(k.heap) }
 
 // HeapHighWater returns the maximum heap depth observed so far.
 func (k *Kernel) HeapHighWater() int { return k.heapHW }
@@ -305,20 +290,6 @@ func (k *Kernel) down(i int) {
 	h[i] = key
 }
 
-// settle fills the vacant root with the last leaf: the second half of a
-// textbook pop, for when no insert took the root first.
-//
-//wlan:hotpath
-func (k *Kernel) settle() {
-	k.vacant = false
-	n := len(k.heap) - 1
-	k.heap[0] = k.heap[n]
-	k.heap = k.heap[:n]
-	if n > 0 {
-		k.down(0)
-	}
-}
-
 // --- event pool ----------------------------------------------------------
 
 func (k *Kernel) getEvent() *Event {
@@ -371,15 +342,8 @@ func (k *Kernel) insert(at Time, seq uint64, name string, fn func(), argFn func(
 	e.arg = arg
 	e.name = name
 	e.loc = locHeap
-	key := heapKey{at: at, seq: seq, slot: e.slot}
-	if k.vacant {
-		k.vacant = false
-		k.heap[0] = key
-		k.down(0)
-	} else {
-		k.heap = append(k.heap, key)
-		k.up(len(k.heap) - 1)
-	}
+	k.heap = append(k.heap, heapKey{at: at, seq: seq, slot: e.slot})
+	k.up(len(k.heap) - 1)
 	if len(k.heap) > k.heapHW {
 		k.heapHW = len(k.heap)
 	}
@@ -453,9 +417,6 @@ func (k *Kernel) Cancel(t Timer) {
 // them. Heap layout among live events does not affect pop order — (at, seq)
 // is a strict total order — so rebuilding cannot perturb determinism.
 func (k *Kernel) reapCancelled() {
-	if k.vacant {
-		k.settle()
-	}
 	h := k.heap
 	live := h[:0]
 	for _, key := range h {
@@ -527,15 +488,8 @@ func (k *Kernel) Advance(at Time, seq uint64, name string) bool {
 	if k.stopped || at > k.deadline || at < k.now || seq >= k.seq {
 		return false
 	}
-	lo, hi := 0, 1 // the earliest queued key is the root or, that vacant, one of its children
-	if k.vacant {
-		lo, hi = 1, 5
-	}
-	key := heapKey{at: at, seq: seq}
-	for i := lo; i < hi && i < len(k.heap); i++ {
-		if keyLess(k.heap[i], key) {
-			return false
-		}
+	if len(k.heap) > 0 && keyLess(k.heap[0], heapKey{at: at, seq: seq}) {
+		return false
 	}
 	k.arrive(at, seq, name)
 	return true
@@ -543,20 +497,22 @@ func (k *Kernel) Advance(at Time, seq uint64, name string) bool {
 
 // drainStep pops the earliest event at or before the deadline and executes
 // it, recycling any cancelled events it meets on the way. It reports false
-// when nothing remains at or before the deadline. The pop leaves the root
-// vacant for whatever the callback inserts first.
+// when nothing remains at or before the deadline.
 //
 //wlan:hotpath
 func (k *Kernel) drainStep() bool {
 	for {
-		if k.vacant {
-			k.settle()
-		}
-		if len(k.heap) == 0 || k.heap[0].at > k.deadline {
+		h := k.heap
+		if len(h) == 0 || h[0].at > k.deadline {
 			return false
 		}
-		key := k.heap[0]
-		k.vacant = true
+		key := h[0]
+		n := len(h) - 1
+		h[0] = h[n]
+		k.heap = h[:n]
+		if n > 0 {
+			k.down(0)
+		}
 		e := k.slots[key.slot]
 		if e.cancel {
 			k.cancelled--
