@@ -12,10 +12,10 @@ import (
 // goroutine, so the count is a property of the code, not of the host; it
 // moves by a handful between runs with map growth).
 var quickRunAllocs = map[string]uint64{
-	"T1": 1592, "F1": 9793, "F2": 5169, "F3": 1312, "F4": 5668,
-	"F5": 2270, "F6": 3686, "F7": 21980, "F8": 9104, "F9": 1326,
-	"F10": 690, "F11": 413705, "F12": 998, "F13": 5245,
-	"E1": 13738, "E2": 1715, "E3": 964, "S1": 39, "A1": 1561, "A2": 1322,
+	"T1": 1348, "F1": 7691, "F2": 4400, "F3": 1066, "F4": 4750,
+	"F5": 1792, "F6": 2900, "F7": 16831, "F8": 9104, "F9": 1073,
+	"F10": 508, "F11": 413705, "F12": 998, "F13": 3994,
+	"E1": 13738, "E2": 1032, "E3": 964, "S1": 39, "A1": 1316, "A2": 1073,
 }
 
 // TestQuickRunAllocCeiling fails when any experiment allocates over 10 %

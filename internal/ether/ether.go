@@ -34,6 +34,7 @@ type Switch struct {
 	ports   []*Port
 	table   map[frame.MACAddr]int // learned address → port id
 	Latency sim.Duration          // per-hop forwarding latency
+	free    []*delivery           // delivery records not in flight
 
 	Forwarded uint64
 	Flooded   uint64
@@ -53,22 +54,19 @@ func (s *Switch) AddPort(rx func(f Frame)) *Port {
 	return p
 }
 
+// delivery is one scheduled hand-over of a frame to a port.
+type delivery struct {
+	p *Port
+	f Frame
+}
+
 // forward learns the source and delivers to the learned port or floods.
 func (s *Switch) forward(fromID int, f Frame) {
 	s.table[f.Src] = fromID
-	deliver := func(p *Port) {
-		if s.Latency > 0 {
-			s.k.Schedule(s.Latency, "ether-fwd", func() { p.rx(f) })
-		} else {
-			// Still defer one event so wired delivery never reenters the
-			// sender's call stack.
-			s.k.Schedule(0, "ether-fwd", func() { p.rx(f) })
-		}
-	}
 	if !f.Dst.IsGroup() {
 		if toID, ok := s.table[f.Dst]; ok && toID != fromID {
 			s.Forwarded++
-			deliver(s.ports[toID])
+			s.deliver(s.ports[toID], f)
 			return
 		}
 	}
@@ -76,9 +74,32 @@ func (s *Switch) forward(fromID int, f Frame) {
 	s.Flooded++
 	for _, p := range s.ports {
 		if p.id != fromID {
-			deliver(p)
+			s.deliver(p, f)
 		}
 	}
+}
+
+// deliver schedules one event per delivery, even at zero latency, so wired
+// delivery never reenters the sender's call stack.
+func (s *Switch) deliver(p *Port, f Frame) {
+	var d *delivery
+	if n := len(s.free); n > 0 {
+		d, s.free = s.free[n-1], s.free[:n-1]
+	} else {
+		d = &delivery{}
+	}
+	d.p, d.f = p, f
+	s.k.ScheduleArgSeq(s.k.Now().Add(s.Latency), s.k.ReserveSeq(1), "ether-fwd", runDelivery, d)
+}
+
+// runDelivery is the static "ether-fwd" callback; the record is free again
+// before the handler runs, so a handler that forwards can reuse it.
+func runDelivery(arg any) {
+	d := arg.(*delivery)
+	p, f := d.p, d.f
+	*d = delivery{}
+	p.sw.free = append(p.sw.free, d)
+	p.rx(f)
 }
 
 // Relearn moves an address to a new port (used when a station roams and

@@ -10,6 +10,9 @@
 // aliases the input and lives only as long as it (Frame.Clone or a copy
 // keeps one). Encoders (AppendWire, AppendIE, Append*, AppendSNAP) append
 // to the caller's buffer: capacity makes them allocation-free, nil one-off.
+//
+// Frame.Zeros lets a transmit frame leave its body's zero tail unstored;
+// net80211's unprotected data sends set it, and decoded frames carry 0.
 package frame
 
 import (

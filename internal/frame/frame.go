@@ -1,10 +1,12 @@
 package frame
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 )
 
 // Type is the 2-bit frame type from the Frame Control field.
@@ -152,6 +154,9 @@ type Frame struct {
 	Frag uint8  // 4-bit fragment number
 
 	Body []byte
+	// Zeros counts the zero bytes that follow Body on the wire but are not
+	// stored; unprotected data sends set it, decoded frames carry 0.
+	Zeros int
 }
 
 // RA returns the receiver address (always Addr1).
@@ -222,9 +227,9 @@ func (f *Frame) WireLen() int {
 	case f.IsRTSOrPSPoll():
 		return RTSLen
 	case f.ToDS && f.FromDS:
-		return FourAddrLen + len(f.Body) + FCSLen
+		return FourAddrLen + len(f.Body) + f.Zeros + FCSLen
 	default:
-		return DataHdrLen + len(f.Body) + FCSLen
+		return DataHdrLen + len(f.Body) + f.Zeros + FCSLen
 	}
 }
 
@@ -301,7 +306,9 @@ func (f *Frame) AppendWire(buf []byte) []byte {
 		if f.ToDS && f.FromDS {
 			buf = append(buf, f.Addr4[:]...)
 		}
-		buf = append(buf, f.Body...)
+		n := len(buf) + len(f.Body)
+		buf = slices.Grow(append(buf, f.Body...), f.Zeros)[:n+f.Zeros]
+		clear(buf[n:])
 	}
 	fcs := crc32.ChecksumIEEE(buf[start:])
 	buf = binary.LittleEndian.AppendUint32(buf, fcs)
@@ -376,9 +383,9 @@ func UnmarshalInto(f *Frame, b []byte) error {
 	return nil
 }
 
-// Clone returns a deep copy of the frame: the body is copied into fresh
-// storage, so the clone survives reuse of the wire buffer a zero-copy view
-// aliases. It is the retention escape hatch for UnmarshalInto consumers.
+// Clone returns a deep copy: fresh storage for the stored body, Zeros kept,
+// so it survives reuse of the wire buffer a view aliases. It is the
+// retention escape hatch for UnmarshalInto consumers.
 func (f *Frame) Clone() *Frame {
 	cp := *f
 	if f.Body != nil {
@@ -427,6 +434,20 @@ func NewData(ra, ta, addr3 MACAddr, toDS, fromDS bool, body []byte) *Frame {
 		Addr1: ra, Addr2: ta, Addr3: addr3,
 		Body: body,
 	}
+}
+
+var zeroBlock [256]byte
+
+// ZeroTail returns the number of zero bytes that end b, comparing blocks of
+// halving width against a zero array rather than looping over bytes.
+func ZeroTail(b []byte) int {
+	n := len(b)
+	for w := len(zeroBlock); w > 0; w /= 2 {
+		for n >= w && bytes.Equal(b[n-w:n], zeroBlock[:w]) {
+			n -= w
+		}
+	}
+	return len(b) - n
 }
 
 // LLC/SNAP encapsulation. Data frame bodies carry an 802.2 LLC header with a

@@ -229,19 +229,19 @@ func (d *DCF) makeJob(f *frame.Frame) *txJob {
 	mpduLen := f.WireLen()
 	group := f.Addr1.IsGroup()
 	fragPayload := d.cfg.FragThreshold - frame.DataHdrLen - frame.FCSLen
-	if !group && mpduLen > d.cfg.FragThreshold && len(f.Body) > fragPayload && fragPayload > 0 {
-		body := f.Body
-		for i := 0; len(body) > 0; i++ {
-			n := fragPayload
-			if n > len(body) {
-				n = len(body)
-			}
+	if !group && mpduLen > d.cfg.FragThreshold && len(f.Body)+f.Zeros > fragPayload && fragPayload > 0 {
+		// A fragment takes its share of the stored bytes first and of the
+		// zero run after them.
+		body, zeros := f.Body, f.Zeros
+		for i := 0; len(body)+zeros > 0; i++ {
+			n := min(fragPayload, len(body)+zeros)
+			stored := min(n, len(body))
 			frag := *f
-			frag.Body = body[:n]
+			frag.Body, frag.Zeros = body[:stored], n-stored
 			frag.Seq = seq
 			frag.Frag = uint8(i)
-			frag.MoreFrag = n < len(body)
-			body = body[n:]
+			frag.MoreFrag = n < len(body)+zeros
+			body, zeros = body[stored:], zeros-frag.Zeros
 			fcopy := frag
 			job.frags = append(job.frags, &fcopy)
 		}

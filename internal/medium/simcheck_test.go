@@ -43,6 +43,8 @@ import (
 //     radio holds one while it transmits or sleeps.
 //   - (e) per flow, the sink has received no more packets, and no more
 //     bytes, than the generator has sent.
+//   - (f) an unprotected data frame the MAC holds stores no trailing zero
+//     byte: its send path left the payload's zero fill to frame.Zeros.
 //
 // An event named for a radio (rx-start:, rx-end:, tx-done: and the MAC's
 // timers end in its name) touches that radio and its node alone, so after
@@ -217,17 +219,17 @@ func extra(long, short []float64) float64 {
 	return long[len(long)-1]
 }
 
-// pool checks (a) on n.
+// pool checks (a) and (f) on n.
 func (c *simcheck) pool(n *core.Node, k *poolKey) {
 	var f *frame.Frame
 	var body []byte
 	switch {
 	case n.Adhoc != nil:
-		f, body, _ = n.Adhoc.TxPool()
+		f, body, _, _ = n.Adhoc.TxPool()
 	case n.STA != nil:
-		f, body, _ = n.STA.TxPool()
+		f, body, _, _ = n.STA.TxPool()
 	case n.AP != nil:
-		f, body, _ = n.AP.TxPool()
+		f, body, _, _ = n.AP.TxPool()
 	default:
 		return
 	}
@@ -241,6 +243,10 @@ func (c *simcheck) pool(n *core.Node, k *poolKey) {
 	for i, h := range c.held {
 		if h == f || sameStorage(h.Body, body) {
 			c.fail("(a) %s: the next send's slot is frame %d of the %d its MAC holds", n.Name, i, len(c.held))
+		}
+		if h.Type == frame.TypeData && !h.Protected && !h.MoreFrag && len(h.Body) > 0 && h.Body[len(h.Body)-1] == 0 {
+			c.fail("(f) %s: frame %d of the %d its MAC holds stores %d B ending in a zero byte (Zeros %d)",
+				n.Name, i, len(c.held), len(h.Body), h.Zeros)
 		}
 	}
 }

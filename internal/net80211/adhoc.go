@@ -51,13 +51,7 @@ func (a *Adhoc) Send(dst frame.MACAddr, payload []byte) bool {
 	if !a.dcf.TryReserve() {
 		return false
 	}
-	slot := a.tx.slot()
-	slot.body = frame.AppendSNAP(slot.body[:0], EtherTypePayload, payload)
-	slot.f = frame.Frame{
-		Type: frame.TypeData, Subtype: frame.SubtypeData,
-		Addr1: dst, Addr2: a.Address(), Addr3: a.bssid,
-		Body: slot.body,
-	}
+	slot := a.tx.data(frame.Frame{Addr1: dst, Addr2: a.Address(), Addr3: a.bssid}, payload, nil, 0, nil)
 	if !a.dcf.Enqueue(&slot.f) {
 		return false
 	}

@@ -313,23 +313,12 @@ func (ap *AP) Send(dst frame.MACAddr, payload []byte) bool {
 // Enqueue. Power-save buffering is the exception: the buffer outlives this
 // call, so it takes a Clone and the pooled slot stays uncommitted.
 func (ap *AP) queueFromDS(dst, src frame.MACAddr, payload []byte) bool {
-	slot := ap.tx.slot()
-	if ap.privacy() {
-		ap.tx.snap = frame.AppendSNAP(ap.tx.snap[:0], EtherTypePayload, payload)
-		sealed, err := wep.SealTo(slot.body[:0], ap.cfg.WEPKey, ap.ivs.Next(), ap.cfg.WEPKeyID, ap.tx.snap)
-		if err != nil {
-			return false
-		}
-		slot.body = sealed
-	} else {
-		slot.body = frame.AppendSNAP(slot.body[:0], EtherTypePayload, payload)
-	}
-	slot.f = frame.Frame{
-		Type: frame.TypeData, Subtype: frame.SubtypeData,
+	slot := ap.tx.data(frame.Frame{
 		FromDS: true,
 		Addr1:  dst, Addr2: ap.BSSID(), Addr3: src,
-		Body:      slot.body,
-		Protected: ap.privacy(),
+	}, payload, ap.cfg.WEPKey, ap.cfg.WEPKeyID, &ap.ivs)
+	if slot == nil {
+		return false
 	}
 	if e := ap.stations[dst]; e != nil && e.ps {
 		if len(e.psBuf) >= ap.cfg.PSBufferCap {

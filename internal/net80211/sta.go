@@ -211,24 +211,13 @@ func (s *STA) Send(dst frame.MACAddr, payload []byte) bool {
 		return false
 	}
 	s.wakeForTraffic()
-	slot := s.tx.slot()
-	if s.privacy() {
-		s.tx.snap = frame.AppendSNAP(s.tx.snap[:0], EtherTypePayload, payload)
-		sealed, err := wep.SealTo(slot.body[:0], s.cfg.WEPKey, s.ivs.Next(), s.cfg.WEPKeyID, s.tx.snap)
-		if err != nil {
-			return false
-		}
-		slot.body = sealed
-	} else {
-		slot.body = frame.AppendSNAP(slot.body[:0], EtherTypePayload, payload)
-	}
-	slot.f = frame.Frame{
-		Type: frame.TypeData, Subtype: frame.SubtypeData,
+	slot := s.tx.data(frame.Frame{
 		ToDS:  true,
 		Addr1: s.bssid, Addr2: s.Address(), Addr3: dst,
-		Body:      slot.body,
-		Protected: s.privacy(),
-		PwrMgmt:   s.cfg.PowerSave,
+		PwrMgmt: s.cfg.PowerSave,
+	}, payload, s.cfg.WEPKey, s.cfg.WEPKeyID, &s.ivs)
+	if slot == nil {
+		return false
 	}
 	if !s.dcf.Enqueue(&slot.f) {
 		return false

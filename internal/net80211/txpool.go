@@ -3,12 +3,14 @@ package net80211
 import (
 	"repro/internal/frame"
 	"repro/internal/mac"
+	"repro/internal/wep"
 )
 
 // txPool recycles outgoing data frames and their body buffers for one
 // node's send path. Each slot pairs a Frame header with a reusable body
-// buffer (the SNAP encapsulation, or the WEP-sealed envelope); snap is the
-// plaintext scratch WEP sealing reads from.
+// buffer (the SNAP encapsulation up to its last non-zero byte, the
+// WEP-sealed envelope or a management body); snap is the plaintext scratch
+// WEP sealing reads from.
 //
 // Ownership protocol: slot() hands out the current slot for the caller to
 // fill and pass to mac.DCF.Enqueue. If the MAC accepts the frame the caller
@@ -75,19 +77,60 @@ func (p *txPool) commit() {
 	}
 }
 
+// data fills the current slot with hdr as a data frame carrying payload
+// under SNAP: WEP-sealed whole under a key, else stored up to its last
+// non-zero byte with Zeros counting the rest. It returns nil if sealing fails.
+//
+//wlan:hotpath
+func (p *txPool) data(hdr frame.Frame, payload []byte, key wep.Key, keyID byte, ivs *wep.IVCounter) *txSlot {
+	s := p.slot()
+	if len(key) > 0 {
+		p.snap = frame.AppendSNAP(p.snap[:0], EtherTypePayload, payload)
+		sealed, err := wep.SealTo(emptied(s.body, len(p.snap)+wep.IVHeaderLen+wep.ICVLen), key, ivs.Next(), keyID, p.snap)
+		if err != nil {
+			return nil
+		}
+		s.body, hdr.Protected = sealed, true
+	} else {
+		stored := payload[:len(payload)-frame.ZeroTail(payload)]
+		s.body = frame.AppendSNAP(emptied(s.body, frame.SnapHeaderLen+len(stored)), EtherTypePayload, stored)
+		if len(stored) == 0 { // all-zero payload: the SNAP header's zero tail joins the run
+			s.body = s.body[:len(s.body)-frame.ZeroTail(s.body)]
+		}
+		hdr.Zeros = frame.SnapHeaderLen + len(payload) - len(s.body)
+	}
+	hdr.Type, hdr.Subtype, hdr.Body = frame.TypeData, frame.SubtypeData, s.body
+	s.f = hdr
+	return s
+}
+
+// emptied returns b emptied with room for n bytes. A body that must grow
+// gets at least 64 B at once: SNAP and a measurement header, so a trimmed
+// body does not regrow as the header's fields gain non-zero bytes.
+func emptied(b []byte, n int) []byte {
+	if cap(b) < n {
+		return make([]byte, 0, max(n, 64))
+	}
+	return b[:0]
+}
+
 // TxPool hands an auditor the node's transmit pool: the frame and body
-// buffer its next send would fill, as slot hands them out now, and the
-// number of slots the ring held before the asking.
-func (a *Adhoc) TxPool() (*frame.Frame, []byte, int) { return a.tx.probe() }
+// buffer its next send would fill, as slot hands them out now, the number
+// of slots the ring held before the asking and their bodies' summed
+// capacity.
+func (a *Adhoc) TxPool() (*frame.Frame, []byte, int, int) { return a.tx.probe() }
 
 // TxPool is Adhoc.TxPool for a station.
-func (s *STA) TxPool() (*frame.Frame, []byte, int) { return s.tx.probe() }
+func (s *STA) TxPool() (*frame.Frame, []byte, int, int) { return s.tx.probe() }
 
 // TxPool is Adhoc.TxPool for an access point.
-func (ap *AP) TxPool() (*frame.Frame, []byte, int) { return ap.tx.probe() }
+func (ap *AP) TxPool() (*frame.Frame, []byte, int, int) { return ap.tx.probe() }
 
-func (p *txPool) probe() (*frame.Frame, []byte, int) {
-	n := len(p.slots)
+func (p *txPool) probe() (*frame.Frame, []byte, int, int) {
+	n, room := len(p.slots), 0
+	for i := range p.slots {
+		room += cap(p.slots[i].body)
+	}
 	s := p.slot()
-	return &s.f, s.body, n
+	return &s.f, s.body, n, room
 }
