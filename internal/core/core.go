@@ -500,26 +500,18 @@ func (n *Network) AddESS(ssid string, positions []geom.Point, cfg net80211.APCon
 
 // --- flows -----------------------------------------------------------------
 
-// Saturate attaches a backlogged flow from src to dst and returns its ID. An
-// ad-hoc source waits on its MAC queue for room (a refused Adhoc.Send is one
-// TryReserve failure: a count); a station or AP source offers again every
-// millisecond, because its refused send is not pure — STA.Send re-arms the
-// doze timer, and both consume a WEP IV before the queue refuses.
+// Saturate attaches a backlogged flow from src to dst and returns its ID.
+// The source waits on its MAC queue for room: every send path asks the queue
+// first, so a send the full queue refuses is only a count (mac.DCF.Admit). A
+// send refused for another reason, such as a station that is not
+// associated, is offered again a millisecond later.
 func (n *Network) Saturate(src, dst *Node, size int) uint32 {
-	if src.Adhoc != nil {
-		return n.saturate(src, dst, size, src.MAC)
-	}
-	return n.saturate(src, dst, size, nil)
-}
-
-// saturate is the test seam: a nil backlog polls whatever the source is.
-func (n *Network) saturate(src, dst *Node, size int, backlog traffic.Backlog) uint32 {
 	n.nextFlow++
 	id := n.nextFlow
 	dstAddr := dst.Address()
 	g := traffic.NewSaturator(n.kernel, id, size, func(p []byte) bool {
 		return src.Send(dstAddr, p)
-	}, backlog)
+	}, src.MAC)
 	n.gens = append(n.gens, g)
 	return id
 }

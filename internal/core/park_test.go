@@ -14,19 +14,29 @@ import (
 )
 
 // The end-to-end wall under the parked saturator: whole scenarios run twice,
-// ad-hoc saturators once waiting on their MAC queue and once — through the
-// unexported saturate seam — offering every millisecond, and everything a
-// reader can see must be equal at every run boundary, with the kernel having
-// run fewer events by exactly the top-ups the parked sources settled.
+// every saturator once waiting on its MAC queue and once offering every
+// millisecond, and everything a reader can see must be equal at every run
+// boundary, with the kernel having run fewer events by exactly the top-ups
+// the parked sources settled.
 
-// countedBacklog forwards to the MAC and sums what the sources settle.
+// pollBacklog never reports a full queue, so a saturator on it runs every
+// top-up: the polling reference.
+type pollBacklog struct{}
+
+func (pollBacklog) AwaitSpace(func()) bool { return false }
+func (pollBacklog) Refuse(uint64)          { panic("pollBacklog: a polling saturator settled top-ups") }
+
+// countedBacklog forwards to the MAC and sums what the sources settle, in
+// total and per source kind.
 type countedBacklog struct {
 	*mac.DCF
-	settled *uint64
+	w    *parkWorld
+	kind string
 }
 
 func (b countedBacklog) Refuse(n uint64) {
-	*b.settled += n
+	b.w.settled += n
+	b.w.settledBy[b.kind] += n
 	b.DCF.Refuse(n)
 }
 
@@ -34,8 +44,8 @@ type satMode int
 
 const (
 	satPolled  satMode = iota // every source polls
-	satCounted                // ad-hoc sources park on a counting backlog
-	satPublic                 // Network.Saturate decides
+	satCounted                // every source parks on a counting backlog
+	satPublic                 // Network.Saturate
 )
 
 // parkWorld is one build of a scenario and what its readers have seen.
@@ -43,22 +53,47 @@ type parkWorld struct {
 	net       *Network
 	mode      satMode
 	settled   uint64
+	settledBy map[string]uint64
 	satEvents uint64
-	adhocSats uint64
+	sats      uint64
+	kinds     map[string]bool // source kinds saturated
 	states    []worldState
+
+	// loser is a station watched for losing its association; lossFull
+	// records whether its queue was full at that instant (nil: not yet).
+	loser      *Node
+	loserAssoc bool
+	lossFull   *bool
 }
 
 func (w *parkWorld) saturate(src, dst *Node, size int) uint32 {
-	if src.Adhoc != nil {
-		w.adhocSats++
-	}
+	w.sats++
+	kind := "adhoc"
 	switch {
-	case w.mode == satPolled:
-		return w.net.saturate(src, dst, size, nil)
-	case w.mode == satCounted && src.Adhoc != nil:
-		return w.net.saturate(src, dst, size, countedBacklog{src.MAC, &w.settled})
+	case src.STA != nil:
+		kind = "sta"
+	case src.AP != nil:
+		kind = "ap"
+	}
+	w.kinds[kind] = true
+	switch w.mode {
+	case satPolled:
+		return w.saturateOn(src, dst, size, pollBacklog{})
+	case satCounted:
+		return w.saturateOn(src, dst, size, countedBacklog{src.MAC, w, kind})
 	}
 	return w.net.Saturate(src, dst, size)
+}
+
+// saturateOn is Network.Saturate with the backlog chosen by the test.
+func (w *parkWorld) saturateOn(src, dst *Node, size int, backlog traffic.Backlog) uint32 {
+	n := w.net
+	n.nextFlow++
+	dstAddr := dst.Address()
+	n.gens = append(n.gens, traffic.NewSaturator(n.kernel, n.nextFlow, size, func(p []byte) bool {
+		return src.Send(dstAddr, p)
+	}, backlog))
+	return n.nextFlow
 }
 
 // worldState is everything the harness, the benchmark digest and the examples
@@ -89,11 +124,20 @@ func (w *parkWorld) snap() {
 }
 
 func newParkWorld(cfg Config, mode satMode) *parkWorld {
-	w := &parkWorld{net: NewNetwork(cfg), mode: mode}
+	w := &parkWorld{net: NewNetwork(cfg), mode: mode, settledBy: map[string]uint64{}, kinds: map[string]bool{}}
 	w.net.Kernel().OnEvent = func(_ sim.Time, name string) {
 		if name == "traffic-sat" {
 			w.satEvents++
 		}
+		if w.loser == nil {
+			return
+		}
+		// The previous event ended the association if it is gone now.
+		if assoc := w.loser.STA.Associated(); w.loserAssoc && !assoc && w.lossFull == nil {
+			full := w.loser.MAC.QueueLen() == w.loser.MAC.QueueCap()
+			w.lossFull = &full
+		}
+		w.loserAssoc = w.loser.STA.Associated()
 	}
 	return w
 }
@@ -154,6 +198,9 @@ func mixedCell(w *parkWorld) {
 	net := w.net
 	ap := net.AddAP("ap", geom.Pt(0, 0), net80211.APConfig{SSID: "cell"})
 	sta := net.AddStation("sta", geom.Pt(8, 0), net80211.STAConfig{SSID: "cell"})
+	psta := net.AddStation("psta", geom.Pt(-8, 0), net80211.STAConfig{SSID: "cell", PowerSave: true})
+	lone := net.AddAP("lone-ap", geom.Pt(0, -12), net80211.APConfig{SSID: "lone"})
+	lsta := net.AddStation("lone-sta", geom.Pt(6, -12), net80211.STAConfig{SSID: "lone", BeaconMissLimit: 1})
 	sink := net.AddAdhoc("sink", geom.Pt(0, 10))
 	a := net.AddAdhocOpts("a", geom.Pt(6, 10), NodeOpts{QueueCap: 3})
 	b := net.AddAdhoc("b", geom.Pt(-6, 10))
@@ -161,27 +208,47 @@ func mixedCell(w *parkWorld) {
 	// A second enqueuer on a saturated node: it takes freed slots between
 	// the saturator's wake-up and its next top-up.
 	net.CBR(a, sink, 200, 700*sim.Microsecond)
-	net.Run(1 * sim.Second) // the station associates
+	net.Run(1 * sim.Second) // the stations associate
 	w.snap()
-	if !sta.STA.Associated() {
-		panic("mixedCell: station did not associate")
+	for _, s := range []*Node{sta, psta, lsta} {
+		if !s.STA.Associated() {
+			panic("mixedCell: " + s.Name + " did not associate")
+		}
 	}
-	w.saturate(sta, ap, 1000) // polls in every mode
-	w.saturate(ap, sta, 600)  // so does the AP
+	w.saturate(sta, ap, 1000)
+	// To a dozing station: the PS buffer refuses with room in the AP's
+	// queue (a poll), the AP's full queue refuses first (a park). Its
+	// top-ups come before those of the AP's second source, which keeps the
+	// queue full.
+	w.saturate(ap, psta, 300)
+	w.saturate(ap, sta, 600)
+	lgen := len(net.Generators())
+	w.saturate(lsta, lone, 1000)
 	w.saturate(b, sink, 1500)
 	net.Run(200 * sim.Millisecond)
 	w.snap()
+	// The lone AP falls silent: its station, parked on a full queue, loses
+	// the association and polls once its queue has room.
+	w.loser, w.loserAssoc = lsta, true
+	lone.AP.Stop()
 	net.Run(100*sim.Millisecond + 500*sim.Microsecond)
 	w.snap()
 	// Two saturators wait on one queue, half a millisecond apart: each
 	// dequeue wakes both and the nearer grid instant takes the slot.
 	w.saturate(a, sink, 400)
-	net.Run(150 * sim.Millisecond)
+	net.Run(250 * sim.Millisecond)
 	w.snap()
 	net.StopTraffic()
 	w.snap()
 	net.Run(50 * sim.Millisecond)
 	w.snap()
+	// Both poll cases were reached: refusals with room in the queue.
+	if ap.AP.Stats.PSDropped == 0 {
+		panic("mixedCell: the AP's PS buffer never refused")
+	}
+	if net.Generators()[lgen].Refused <= lsta.MAC.Stats().QueueDrops {
+		panic("mixedCell: the lone station was never refused while unassociated")
+	}
 }
 
 func TestParkedEqualsPolled(t *testing.T) {
@@ -217,14 +284,22 @@ func TestParkedEqualsPolled(t *testing.T) {
 			if skipped != polled.satEvents-counted.satEvents {
 				t.Errorf("parked world ran %d fewer events but %d fewer top-ups", skipped, polled.satEvents-counted.satEvents)
 			}
-			if skipped < counted.settled || skipped > counted.settled+counted.adhocSats {
-				t.Errorf("parked world ran %d fewer events, settled %d top-ups (+ at most %d stopped sources)", skipped, counted.settled, counted.adhocSats)
+			if skipped < counted.settled || skipped > counted.settled+counted.sats {
+				t.Errorf("parked world ran %d fewer events, settled %d top-ups (+ at most %d stopped sources)", skipped, counted.settled, counted.sats)
+			}
+			for kind := range counted.kinds {
+				if counted.settledBy[kind] == 0 {
+					t.Errorf("%s sources settled no top-up: they never parked", kind)
+				}
+			}
+			if counted.loser != nil && (counted.lossFull == nil || !*counted.lossFull) {
+				t.Errorf("the lone station did not lose its association with a full queue (lost: %v)", counted.lossFull != nil)
 			}
 			if counted.settled*4 < polled.satEvents {
 				t.Errorf("settled %d of %d polled top-ups, under a quarter: sources are not staying parked", counted.settled, polled.satEvents)
 			}
 			if p, c := public.net.Kernel().Processed(), counted.net.Kernel().Processed(); p != c {
-				t.Errorf("Network.Saturate world ran %d events, seam world %d: Saturate does not park ad-hoc sources (or parks others)", p, c)
+				t.Errorf("Network.Saturate world ran %d events, counted world %d: Saturate does not park every source", p, c)
 			}
 		})
 	}

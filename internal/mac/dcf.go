@@ -30,9 +30,6 @@ type DCF struct {
 	qHead   int
 	jobFree []*txJob
 	cur     *txJob
-	// reserved counts queue slots promised by TryReserve but not yet
-	// consumed by Enqueue; they are part of the queue's occupancy.
-	reserved int
 	// spaceWaiters are the AwaitSpace callbacks owed a call at the next dequeue.
 	spaceWaiters []func()
 
@@ -131,8 +128,7 @@ func (d *DCF) QueueLen() int { return len(d.queue) - d.qHead }
 // (the queue plus the in-flight job) at once.
 func (d *DCF) QueueCap() int { return d.cfg.QueueCap }
 
-// Busy reports whether the MAC holds a frame: one in flight or queued (a
-// TryReserve reservation holds none).
+// Busy reports whether the MAC holds a frame: one in flight or queued.
 func (d *DCF) Busy() bool { return d.cur != nil || d.QueueLen() > 0 }
 
 // Held appends to dst the frames the MAC holds: the first fragment of the
@@ -150,58 +146,42 @@ func (d *DCF) Held(dst []*frame.Frame) []*frame.Frame {
 // SetReceiver installs the upward delivery callback.
 func (d *DCF) SetReceiver(r Receiver) { d.receiver = r }
 
-// TryReserve reserves a transmit-queue slot for an MSDU the caller is about
-// to build, counting a queue drop when the queue is full — exactly as
-// Enqueue would. It lets send paths skip SNAP encapsulation and frame
-// construction for MSDUs the queue is certain to refuse (the common case
-// under saturation), and it pins the pooled frame hand-off: a successful
-// reservation guarantees the following Enqueue is accepted. The reservation
-// is settled by the next Enqueue call — success or failure — or by Release;
-// abandoning it any other way would permanently shrink the queue.
-func (d *DCF) TryReserve() bool {
-	if d.QueueLen()+d.reserved >= d.cfg.QueueCap {
+// Admit reports whether the transmit queue has room for one more MSDU,
+// counting a queue drop when it has none — exactly as Enqueue would. Send
+// paths call it before they build, seal or wake anything, so a refused send
+// touches nothing but QueueDrops. The simulation is single-threaded: nothing
+// runs between a send path's Admit and its Enqueue, which is then accepted.
+func (d *DCF) Admit() bool {
+	if d.QueueLen() >= d.cfg.QueueCap {
 		d.stats.QueueDrops++
 		return false
 	}
-	d.reserved++
 	return true
 }
 
-// Release returns an unused TryReserve slot to the queue. Send paths call
-// it when frame construction fails after a successful reservation.
-func (d *DCF) Release() {
-	if d.reserved > 0 {
-		d.reserved--
+// AwaitSpace has fn called once, the next time an MSDU leaves the transmit
+// queue, if the queue is full now: a source that found it full waits here
+// instead of offering again on a timer (traffic.Backlog). It reports whether
+// fn was registered. fn runs inside tryAccess and must not call back into
+// the MAC; it is there to schedule an event.
+func (d *DCF) AwaitSpace(fn func()) bool {
+	if d.QueueLen() < d.cfg.QueueCap {
+		return false
 	}
+	d.spaceWaiters = append(d.spaceWaiters, fn)
+	return true
 }
 
-// AwaitSpace has fn called once, the next time an MSDU leaves the transmit
-// queue: a source that found it full waits here instead of offering again on
-// a timer (traffic.Backlog). fn runs inside tryAccess and must not call back
-// into the MAC; it is there to schedule an event.
-func (d *DCF) AwaitSpace(fn func()) { d.spaceWaiters = append(d.spaceWaiters, fn) }
-
-// Refuse counts n sends a waiting source did not make: TryReserve refusals.
+// Refuse counts n sends a waiting source did not make: Admit refusals.
 func (d *DCF) Refuse(n uint64) { d.stats.QueueDrops += n }
 
 // Enqueue accepts an MSDU (data or management frame) for transmission. The
 // caller sets the address fields; the MAC owns Seq/Frag/Retry/Duration. It
-// returns false when the queue is full. Ownership of f (and its body) moves
-// to the MAC until the MSDU is delivered or dropped; see the package
-// documentation on pooled transmit frames.
-//
-// An outstanding TryReserve reservation is settled here whether or not the
-// enqueue succeeds, so a failing Enqueue can never leak the reservation.
+// returns false when the queue is full (Admit). Ownership of f (and its
+// body) moves to the MAC until the MSDU is delivered or dropped; see the
+// package documentation on pooled transmit frames.
 func (d *DCF) Enqueue(f *frame.Frame) bool {
-	if d.reserved > 0 {
-		// Settling a reservation keeps QueueLen+reserved constant, so the
-		// occupancy invariant below still holds without a recheck.
-		d.reserved--
-	} else if d.QueueLen()+d.reserved >= d.cfg.QueueCap {
-		// Count outstanding reservations as occupancy, exactly like
-		// TryReserve: otherwise an unreserved enqueue could fill the queue
-		// past the QueueCap bound the transmit pools size themselves by.
-		d.stats.QueueDrops++
+	if !d.Admit() {
 		return false
 	}
 	job := d.makeJob(f)

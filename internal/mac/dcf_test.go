@@ -392,10 +392,12 @@ func TestAwaitSpaceWakesEveryWaiterAtEachDequeue(t *testing.T) {
 		}
 		for i := range calls {
 			i := i
-			a.dcf.AwaitSpace(func() {
+			if !a.dcf.AwaitSpace(func() {
 				calls[i]++
 				roomAtWake = append(roomAtWake, a.dcf.QueueCap()-a.dcf.QueueLen())
-			})
+			}) {
+				t.Error("AwaitSpace on a full queue did not register")
+			}
 		}
 		a.dcf.Refuse(7)
 	})

@@ -248,42 +248,55 @@ func TestSaturatedQueueArrayBounded(t *testing.T) {
 	}
 }
 
-func TestTryReserveReleaseAccounting(t *testing.T) {
+// TestAdmitCountsDrops: Admit refuses at QueueCap with exactly one counted
+// drop and holds nothing, an admitted Enqueue is accepted, and AwaitSpace
+// registers a waiter only on a full queue.
+func TestAdmitCountsDrops(t *testing.T) {
 	b := newBed(91, spectrum.FreeSpace{Freq: 2412 * units.MHz})
 	n := b.addNode("a", geom.Pt(0, 0), Config{QueueCap: 3})
 	peer := b.addNode("b", geom.Pt(10, 0), Config{})
 	d := n.dcf
-
-	for i := 0; i < 3; i++ {
-		if !d.TryReserve() {
-			t.Fatalf("reservation %d refused within capacity", i)
-		}
-	}
-	if d.TryReserve() {
-		t.Fatal("reservation accepted beyond queue capacity")
-	}
-	if drops := d.Stats().QueueDrops; drops != 1 {
-		t.Fatalf("QueueDrops = %d after refused reservation, want 1", drops)
-	}
-	// Release returns the slot; the next reservation fits again.
-	d.Release()
-	if !d.TryReserve() {
-		t.Fatal("released reservation slot not reusable")
-	}
-
-	// Enqueue settles one outstanding reservation per call — success or
-	// failure — so reserved slots convert to queued MSDUs one for one.
 	dst := peer.dcf.Address()
-	for i := 0; i < 3; i++ {
+
+	// The first MSDU goes straight into flight; three more fill the queue.
+	for i := 0; i < 4; i++ {
+		if !d.Admit() {
+			t.Fatalf("Admit %d refused with %d of %d queued", i, d.QueueLen(), d.QueueCap())
+		}
 		if !d.Enqueue(data(dst, d.Address(), 100)) {
-			t.Fatalf("reserved enqueue %d refused", i)
+			t.Fatalf("admitted Enqueue %d refused", i)
 		}
 	}
-	// All reservations settled: plain Enqueue sees cur+2 queued of cap 3.
-	if !d.Enqueue(data(dst, d.Address(), 100)) {
-		t.Fatal("free slot refused after reservations settled")
+	if drops := d.Stats().QueueDrops; drops != 0 {
+		t.Fatalf("QueueDrops = %d before the queue filled, want 0", drops)
 	}
-	if d.Enqueue(data(dst, d.Address(), 100)) {
-		t.Fatal("queue accepted past capacity")
+	for i := 1; i <= 3; i++ {
+		if d.Admit() {
+			t.Fatal("Admit accepted at QueueCap")
+		}
+		if drops := d.Stats().QueueDrops; drops != uint64(i) {
+			t.Fatalf("QueueDrops = %d after %d refusals, want one each", drops, i)
+		}
+	}
+	if d.QueueLen() != 3 || d.Stats().MSDUQueued != 4 {
+		t.Fatalf("refusals moved the queue: len %d, queued %d", d.QueueLen(), d.Stats().MSDUQueued)
+	}
+	if d.Enqueue(data(dst, d.Address(), 100)) || d.Stats().QueueDrops != 4 {
+		t.Fatalf("Enqueue past QueueCap: want refused with one more drop, have %d drops", d.Stats().QueueDrops)
+	}
+
+	woken := 0
+	if !d.AwaitSpace(func() { woken++ }) {
+		t.Fatal("AwaitSpace on a full queue did not register")
+	}
+	b.k.RunFor(sim.Second)
+	if woken != 1 || d.Busy() {
+		t.Fatalf("waiter called %d times, MAC busy %v after draining", woken, d.Busy())
+	}
+	if d.AwaitSpace(func() { woken++ }) || len(d.spaceWaiters) != 0 {
+		t.Fatal("AwaitSpace on a non-full queue registered a waiter")
+	}
+	if !d.Admit() || d.Stats().QueueDrops != 4 {
+		t.Fatal("Admit on an empty queue refused or counted a drop")
 	}
 }

@@ -70,7 +70,7 @@ type Receiver func(f *frame.Frame, info medium.RxInfo)
 // Stats aggregates MAC-level counters.
 type Stats struct {
 	MSDUQueued    uint64 // Enqueue calls accepted
-	QueueDrops    uint64 // Enqueue/TryReserve calls rejected (full queue), made or settled by Refuse
+	QueueDrops    uint64 // Admit refusals (full queue), made or settled by Refuse
 	DataTx        uint64 // data/mgmt MPDU transmission attempts
 	Retries       uint64 // retransmission attempts
 	MSDUDelivered uint64 // MSDUs acknowledged (or broadcast sent)

@@ -246,9 +246,6 @@ func (r *Radio) SetListener(l Listener) {
 	r.listener = l
 }
 
-// NoiseFloor returns the receiver noise floor.
-func (r *Radio) NoiseFloor() units.DBm { return r.noiseFloor }
-
 // CCABusy reports whether carrier sense currently indicates a busy medium:
 // transmitting, locked onto a frame, or receiving energy above threshold.
 // The energy compare runs in linear milliwatts against the pre-converted

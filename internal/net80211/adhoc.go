@@ -43,18 +43,14 @@ func (a *Adhoc) Address() frame.MACAddr { return a.dcf.Address() }
 func (a *Adhoc) MAC() *mac.DCF { return a.dcf }
 
 // Send transmits an application payload directly to dst (or broadcast).
-// TryReserve pins a queue slot before the pooled frame is built; Enqueue
-// settles the reservation whether or not it succeeds, so a refused enqueue
-// can neither leak the reservation nor strand the pooled slot (regression:
-// TestAdhocSendNoReservationLeak).
+// The MAC queue admits the send before the pooled frame is built, so a
+// refused send touches nothing but the MAC's QueueDrops.
 func (a *Adhoc) Send(dst frame.MACAddr, payload []byte) bool {
-	if !a.dcf.TryReserve() {
+	if !a.dcf.Admit() {
 		return false
 	}
 	slot := a.tx.data(frame.Frame{Addr1: dst, Addr2: a.Address(), Addr3: a.bssid}, payload, nil, 0, nil)
-	if !a.dcf.Enqueue(&slot.f) {
-		return false
-	}
+	a.dcf.Enqueue(&slot.f) // admitted: accepted
 	a.tx.commit()
 	a.TxPayloads++
 	return true

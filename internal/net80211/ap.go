@@ -294,14 +294,14 @@ func (ap *AP) rateIE() []byte {
 func (ap *AP) channel() int { return ap.dcf.Radio().Channel() }
 
 // Send transmits an application payload from the AP itself to a station in
-// the BSS (or broadcast). It returns false when the target is unknown or
-// the queue is full.
+// the BSS (or broadcast). It returns false when the queue is full or the
+// target is unknown; the queue is asked first, even for a dozing station,
+// so a refused send touches nothing but the MAC's QueueDrops.
 func (ap *AP) Send(dst frame.MACAddr, payload []byte) bool {
-	if dst.IsGroup() {
-		return ap.queueFromDS(dst, ap.BSSID(), payload)
+	if !ap.dcf.Admit() {
+		return false
 	}
-	e := ap.stations[dst]
-	if e == nil || !e.assoc {
+	if e := ap.stations[dst]; !dst.IsGroup() && (e == nil || !e.assoc) {
 		return false
 	}
 	return ap.queueFromDS(dst, ap.BSSID(), payload)
@@ -309,10 +309,22 @@ func (ap *AP) Send(dst frame.MACAddr, payload []byte) bool {
 
 // queueFromDS builds a FromDS data frame (buffering for PS stations). The
 // frame and its body come from the AP's transmit pool, so steady-state
-// bridging allocates nothing; ownership moves to the MAC on a successful
-// Enqueue. Power-save buffering is the exception: the buffer outlives this
-// call, so it takes a Clone and the pooled slot stays uncommitted.
+// bridging allocates nothing; ownership moves to the MAC on Enqueue.
+// Power-save buffering is the exception: the buffer outlives this call, so
+// it takes a Clone and the pooled slot stays uncommitted. Room — in the PS
+// buffer for a dozing station, in the MAC queue otherwise — is checked
+// before anything is sealed, so a refusal touches only PSDropped or
+// QueueDrops.
 func (ap *AP) queueFromDS(dst, src frame.MACAddr, payload []byte) bool {
+	e := ap.stations[dst]
+	dozing := e != nil && e.ps
+	if dozing && len(e.psBuf) >= ap.cfg.PSBufferCap {
+		ap.Stats.PSDropped++
+		return false
+	}
+	if !dozing && !ap.dcf.Admit() {
+		return false
+	}
 	slot := ap.tx.data(frame.Frame{
 		FromDS: true,
 		Addr1:  dst, Addr2: ap.BSSID(), Addr3: src,
@@ -320,18 +332,12 @@ func (ap *AP) queueFromDS(dst, src frame.MACAddr, payload []byte) bool {
 	if slot == nil {
 		return false
 	}
-	if e := ap.stations[dst]; e != nil && e.ps {
-		if len(e.psBuf) >= ap.cfg.PSBufferCap {
-			ap.Stats.PSDropped++
-			return false
-		}
+	if dozing {
 		e.psBuf = append(e.psBuf, slot.f.Clone())
 		ap.Stats.PSBuffered++
 		return true
 	}
-	if !ap.dcf.Enqueue(&slot.f) {
-		return false
-	}
+	ap.dcf.Enqueue(&slot.f) // admitted: accepted
 	ap.tx.commit()
 	return true
 }

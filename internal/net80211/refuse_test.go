@@ -1,0 +1,139 @@
+package net80211
+
+import (
+	"bytes"
+	"fmt"
+	"reflect"
+	"testing"
+
+	"repro/internal/frame"
+	"repro/internal/geom"
+	"repro/internal/mac"
+	"repro/internal/sim"
+	"repro/internal/spectrum"
+	"repro/internal/units"
+	"repro/internal/wep"
+)
+
+// sendState is everything a send could touch on one node, drop counters
+// included: the MAC's counters, the transmit ring slot by slot, the radio,
+// the WEP IV counter and the node's own counters.
+type sendState struct {
+	MAC                  mac.Stats
+	Ring                 []txSlot
+	Next                 int
+	Asleep, Transmitting bool
+	Channel              int
+	IVs                  wep.IVCounter
+	Node                 any // STAStats, APStats or the Adhoc payload count
+}
+
+func stateOf(d *mac.DCF, p *txPool, ivs *wep.IVCounter, node any) sendState {
+	s := sendState{MAC: d.Stats(), Next: p.next, Node: node,
+		Asleep: d.Radio().Asleep(), Transmitting: d.Radio().Transmitting(), Channel: d.Radio().Channel()}
+	for _, slot := range p.slots {
+		slot.body = bytes.Clone(slot.body)
+		slot.f.Body = bytes.Clone(slot.f.Body)
+		s.Ring = append(s.Ring, slot)
+	}
+	if ivs != nil {
+		s.IVs = *ivs
+	}
+	return s
+}
+
+// TestRefusedSendIsPure: a send refused for want of room — in the MAC queue,
+// or in an AP's power-save buffer — counts one QueueDrop or PSDropped and
+// touches nothing else: no WEP IV consumed, no doze timer re-armed, no
+// radio woken, no transmit slot rewritten or grown, no kernel event queued.
+func TestRefusedSendIsPure(t *testing.T) {
+	w := newWorld(31, spectrum.FreeSpace{Freq: 2412 * units.MHz})
+	key := wallKey()
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "pure", WEPKey: key, PSBufferCap: 3})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{SSID: "pure", WEPKey: key, PowerSave: true})
+	adhoc := NewAdhoc(w.k, w.dcf("adhoc", geom.Pt(0, 30), 6), IBSSID())
+	w.k.RunUntil(sim.Time(2 * sim.Second))
+	if !sta.Associated() {
+		t.Fatal("station did not associate")
+	}
+	if e := ap.stations[sta.Address()]; e == nil || !e.ps {
+		t.Fatal("AP does not hold the station as dozing")
+	}
+
+	// Fill every queue with the kernel paused: nothing drains meanwhile.
+	payload := make([]byte, 300)
+	payload[0] = 1
+	far := frame.MACAddr{0x02, 0, 0, 0, 0, 0x99}
+	fill := func(name string, send func() bool) {
+		for i := 0; send(); i++ {
+			if i > 1000 {
+				t.Fatalf("%s: never refused", name)
+			}
+		}
+	}
+	fill("adhoc", func() bool { return adhoc.Send(far, payload) })
+	fill("station", func() bool { return sta.Send(far, payload) })
+	fill("AP PS buffer", func() bool { return ap.queueFromDS(sta.Address(), far, payload) })
+	fill("AP queue", func() bool { return ap.Send(frame.Broadcast, payload) })
+
+	adhocState := func() sendState { return stateOf(adhoc.dcf, adhoc.tx, nil, adhoc.TxPayloads) }
+	staState := func() sendState { return stateOf(sta.dcf, sta.tx, &sta.ivs, sta.Stats) }
+	apState := func() sendState { return stateOf(ap.dcf, ap.tx, &ap.ivs, ap.Stats) }
+	wantAdhoc, wantSTA, wantAP := adhocState(), staState(), apState()
+	pending := w.k.Pending()
+
+	const n = 5
+	for i := 0; i < n; i++ {
+		for _, c := range []struct {
+			name string
+			sent bool
+		}{
+			{"adhoc", adhoc.Send(far, payload)},
+			{"station", sta.Send(far, payload)},
+			{"AP to a group", ap.Send(frame.Broadcast, payload)},
+			{"AP to a dozing station", ap.Send(sta.Address(), payload)},
+			{"AP to an unknown station", ap.Send(far, payload)},
+			{"DS to a group", ap.queueFromDS(frame.Broadcast, far, payload)},
+			{"DS to a dozing station", ap.queueFromDS(sta.Address(), far, payload)},
+		} {
+			if c.sent {
+				t.Fatalf("%s: send accepted into a full queue", c.name)
+			}
+		}
+	}
+
+	// Only the drop counters moved, by one per refusal.
+	wantAdhoc.MAC.QueueDrops += n
+	wantSTA.MAC.QueueDrops += n
+	wantAP.MAC.QueueDrops += 4 * n // the AP's three local sends and DS to a group: the full queue refuses first
+	apStats := wantAP.Node.(APStats)
+	apStats.PSDropped += n
+	wantAP.Node = apStats
+	for _, c := range []struct {
+		name      string
+		got, want sendState
+	}{
+		{"adhoc", adhocState(), wantAdhoc},
+		{"station", staState(), wantSTA},
+		{"AP", apState(), wantAP},
+	} {
+		for _, d := range differing(c.got, c.want) {
+			t.Errorf("%s: refused sends moved %.300s", c.name, d)
+		}
+	}
+	if got := w.k.Pending(); got != pending {
+		t.Errorf("refused sends queued %d kernel events (a doze timer re-armed?)", got-pending)
+	}
+}
+
+// differing names the fields of two sendStates that differ.
+func differing(a, b sendState) []string {
+	va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+	var out []string
+	for i := 0; i < va.NumField(); i++ {
+		if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+			out = append(out, fmt.Sprintf("%s: %+v, want %+v", va.Type().Field(i).Name, va.Field(i), vb.Field(i)))
+		}
+	}
+	return out
+}

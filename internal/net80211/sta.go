@@ -202,12 +202,14 @@ func (s *STA) tracing() bool {
 }
 
 // Send transmits an application payload to dst through the serving AP. It
-// returns false when unassociated or the queue is full. The outgoing frame
+// returns false when the queue is full or the station is unassociated; the
+// queue is asked first, so a refused send touches nothing but the MAC's
+// QueueDrops — no doze timer re-armed, no WEP IV consumed. The outgoing frame
 // and its body come from the station's transmit pool: steady-state sends
-// allocate nothing, and ownership moves to the MAC on a successful Enqueue
-// (see mac package docs on transmit frame ownership).
+// allocate nothing, and ownership moves to the MAC on Enqueue (see mac
+// package docs on transmit frame ownership).
 func (s *STA) Send(dst frame.MACAddr, payload []byte) bool {
-	if s.state != staAssociated {
+	if !s.dcf.Admit() || s.state != staAssociated {
 		return false
 	}
 	s.wakeForTraffic()
@@ -219,9 +221,7 @@ func (s *STA) Send(dst frame.MACAddr, payload []byte) bool {
 	if slot == nil {
 		return false
 	}
-	if !s.dcf.Enqueue(&slot.f) {
-		return false
-	}
+	s.dcf.Enqueue(&slot.f) // admitted: accepted
 	s.tx.commit()
 	s.Stats.TxPayloads++
 	return true

@@ -153,10 +153,11 @@ func TestWEPKeyIDMismatchCountsDecryptError(t *testing.T) {
 	}
 }
 
-// Regression for the Adhoc.Send reservation hand-off: flooding a full
-// queue must not leak TryReserve slots — after the MAC drains, the queue
-// accepts a full capacity's worth again, forever.
-func TestAdhocSendNoReservationLeak(t *testing.T) {
+// Flooding a full queue through Adhoc.Send must not shrink it: a refused
+// send holds no queue slot and no transmit slot, so after the MAC drains
+// the queue accepts a full capacity's worth again, forever, and every
+// refusal is one counted drop.
+func TestAdhocSendRefillsToCapacity(t *testing.T) {
 	w := newWorld(27, spectrum.FreeSpace{Freq: 2412 * units.MHz})
 	mode := phy.Mode80211b()
 	mk := func(name string, p geom.Point, queueCap int) *mac.DCF {
@@ -193,9 +194,9 @@ func TestAdhocSendNoReservationLeak(t *testing.T) {
 		if da.Busy() {
 			t.Fatalf("round %d: MAC still busy after a second of draining", round)
 		}
-		// Leaked reservations would permanently shrink this number.
+		// A slot leaked by a refusal would permanently shrink this number.
 		if got := flood(); got != cap+1 {
-			t.Fatalf("round %d: flood accepted %d, want %d — reservation leak", round, got, cap+1)
+			t.Fatalf("round %d: flood accepted %d, want %d — a refusal leaked a slot", round, got, cap+1)
 		}
 	}
 	if got, want := da.Stats().QueueDrops, uint64(4*(5*cap-cap-1)); got != want {

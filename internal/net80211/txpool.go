@@ -21,8 +21,8 @@ import (
 //
 // The ring wraps at queueCap+2 slots, queueCap being the MAC's transmit
 // queue capacity, but holds only as many as the MAC's backlog has needed:
-// slot() restarts at slot 0 whenever the MAC holds no frame (mac.DCF.Busy;
-// a reservation holds none). From that instant on the pool advances only on
+// slot() restarts at slot 0 whenever the MAC holds no frame (mac.DCF.Busy).
+// From that instant on the pool advances only on
 // accepted enqueues, and the MAC drains in FIFO order holding at most
 // queueCap+1 frames (the queue plus the in-flight job), so no slot comes
 // round again before the MAC released it, counting from the last instant

@@ -124,11 +124,6 @@ func (s *Source) Intn(n int) int {
 	}
 }
 
-// Int63 returns a non-negative 63-bit integer.
-func (s *Source) Int63() int64 {
-	return int64(s.Uint64() >> 1)
-}
-
 // ExpFloat64 returns an exponentially distributed deviate with mean 1.
 func (s *Source) ExpFloat64() float64 {
 	for {

@@ -65,22 +65,30 @@ type accepted struct {
 // scriptQueue models mac.DCF's transmit side: capacity slots plus one MSDU in
 // flight. A send into an idle queue cuts through to the in-flight slot; a
 // drain finishes the in-flight MSDU and pulls the next. Every dequeue calls
-// all waiters and forgets them, as DCF.tryAccess does.
+// all waiters and forgets them, as DCF.tryAccess does. While unavailable it
+// refuses sends it has room for without counting a drop, as an unassociated
+// station does; a full queue refuses first, as mac.DCF.Admit does.
 type scriptQueue struct {
-	k        *sim.Kernel
-	capacity int
-	occ      int
-	busy     bool
-	log      []accepted
-	drops    uint64 // refused sends plus Refuse totals: mac.Stats.QueueDrops
-	settled  uint64 // Refuse totals alone
-	waiters  []func()
-	wakes    int // dequeues that found somebody waiting
+	k           *sim.Kernel
+	capacity    int
+	occ         int
+	busy        bool
+	unavailable bool
+	log         []accepted
+	drops       uint64 // refused sends plus Refuse totals: mac.Stats.QueueDrops
+	settled     uint64 // Refuse totals alone
+	waiters     []func()
+	wakes       int // dequeues that found somebody waiting
+	withRoom    int // sends refused with room in the queue
 }
 
 func (q *scriptQueue) send(p []byte) bool {
 	if q.occ >= q.capacity {
 		q.drops++
+		return false
+	}
+	if q.unavailable {
+		q.withRoom++
 		return false
 	}
 	h, _ := DecodeHeader(p)
@@ -115,16 +123,24 @@ func (q *scriptQueue) drain(n int) {
 	}
 }
 
-func (q *scriptQueue) AwaitSpace(fn func()) { q.waiters = append(q.waiters, fn) }
-func (q *scriptQueue) Refuse(n uint64)      { q.drops += n; q.settled += n }
+func (q *scriptQueue) AwaitSpace(fn func()) bool {
+	if q.occ < q.capacity {
+		return false
+	}
+	q.waiters = append(q.waiters, fn)
+	return true
+}
+
+func (q *scriptQueue) Refuse(n uint64) { q.drops += n; q.settled += n }
 
 type opKind uint8
 
 const (
-	opDrain opKind = iota // the queue finishes n MSDUs
-	opSteal               // a second enqueuer offers n packets (flow 99)
-	opStop                // Stop saturator n (modulo those started)
-	opStart               // start one more saturator on the same queue
+	opDrain  opKind = iota // the queue finishes n MSDUs
+	opSteal                // a second enqueuer offers n packets (flow 99)
+	opStop                 // Stop saturator n (modulo those started)
+	opStart                // start one more saturator on the same queue
+	opToggle               // the queue starts or stops refusing sends it has room for
 	opKinds
 )
 
@@ -149,6 +165,7 @@ type scenario struct {
 type snapshot struct {
 	Counters [][2]uint64 // Offered, Refused per saturator
 	Drops    uint64
+	WithRoom int // refusals with room in the queue
 	Accepted int
 }
 
@@ -214,6 +231,8 @@ func (w *world) apply(o op) {
 		}
 	case opStart:
 		w.start()
+	case opToggle:
+		w.q.unavailable = !w.q.unavailable
 	}
 }
 
@@ -253,7 +272,7 @@ func play(sc scenario, park bool) *world {
 		for _, p := range w.twins {
 			s.Counters = append(s.Counters, [2]uint64{p.offered, p.refused})
 		}
-		s.Drops, s.Accepted, s.settled = w.q.drops, len(w.q.log), w.q.settled
+		s.Drops, s.WithRoom, s.Accepted, s.settled = w.q.drops, w.q.withRoom, len(w.q.log), w.q.settled
 		for _, at := range w.ghosts {
 			if at <= k.Now() {
 				s.ghosts++
@@ -410,6 +429,22 @@ func TestSaturatorParkScripted(t *testing.T) {
 			t.Fatalf("accepted %+v", w.q.log)
 		}
 	})
+	t.Run("a refusal with room polls, a full queue parks", func(t *testing.T) {
+		// Capacity 2, unavailable from before the first top-up to 2.5 ms
+		// and again from 4.1 to 7.5 ms. Top-ups at 0, 1 and 2 ms are refused
+		// with room and poll; 3 ms fills flight + queue and parks; the
+		// 5.1 ms drain settles 4 and 5 ms; 6 and 7 ms are refused with room
+		// and poll again; 8 ms takes the free slot and parks; 9 and 10 ms
+		// are settled by the read.
+		sc := scenario{capacity: 2, reads: []sim.Time{10 * ms},
+			ops: []op{{at: 0, kind: opToggle, older: true}, {at: 2*ms + 500*us, kind: opToggle},
+				{at: 4*ms + 100*us, kind: opToggle}, {at: 5*ms + 100*us, kind: opDrain, n: 1}, {at: 7*ms + 500*us, kind: opToggle}}}
+		w := checkParkEqualsPoll(t, sc)
+		if g := w.gens[0]; g.Offered != 15 || g.Refused != 11 || w.q.withRoom != 5 || w.q.drops != 6 || w.q.settled != 4 || len(w.q.log) != 4 {
+			t.Fatalf("offered %d refused %d with room %d drops %d settled %d accepted %d, want 15 11 5 6 4 4",
+				g.Offered, g.Refused, w.q.withRoom, w.q.drops, w.q.settled, len(w.q.log))
+		}
+	})
 	t.Run("Stop while parked settles and stays stopped", func(t *testing.T) {
 		sc := scenario{capacity: 1, reads: []sim.Time{2 * ms, 9 * ms},
 			ops: []op{{at: 4*ms + 1, kind: opStop}, {at: 6 * ms, kind: opDrain, n: 2}}}
@@ -427,6 +462,9 @@ func FuzzSaturatorSchedule(f *testing.F) {
 	f.Add([]byte{1, 20, 2, 1, 0, 6, 0, 3, 0, 14, 1, 0, 0, 25, 3, 2, 1, 20, 2, 0, 0})
 	f.Add([]byte{2, 40, 90, 0, 1, 20, 90, 0, 0, 1, 1, 1, 0, 19, 200, 0, 1})
 	f.Add([]byte{3, 60, 255, 0, 0, 20, 255, 0, 1, 20, 255, 0, 0, 7, 1, 2, 0})
+	// Unavailable windows: refusals with room poll the grid between parks.
+	f.Add([]byte{1, 0, 0, 4, 1, 50, 0, 4, 0, 10, 1, 0, 0, 20, 0, 4, 0, 15, 2, 0, 1, 30, 0, 4, 0, 5, 0, 0, 0})
+	f.Add([]byte{0, 10, 0, 4, 0, 22, 1, 0, 1, 3, 0, 3, 0, 31, 0, 4, 1, 20, 0, 0, 0, 40, 0, 4, 0, 20, 0, 2, 0})
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if len(data) < 1 || len(data) > 1+4*64 {
 			return

@@ -4,10 +4,10 @@
 // can compute per-flow goodput, delivery ratio, loss and latency without
 // any side channel — exactly the way testbed tools like iperf do it.
 //
-// A saturator given a Backlog (an ad-hoc source's MAC) parks on it once the
-// queue refuses and runs no event until a packet leaves; the top-ups it
-// skipped are settled as counts. One given none (station and AP sources,
-// whose refused send is not pure) runs every top-up. See NewSaturator.
+// A saturator parks on its Backlog (the source's MAC queue) once a send is
+// refused by a full queue, and runs no event until a packet leaves; the
+// top-ups it skipped are settled as counts. A send refused for any other
+// reason is offered again on the next top-up. See NewSaturator.
 package traffic
 
 import (
@@ -58,8 +58,9 @@ type SendFunc func(payload []byte) bool
 // the queue refuses does nothing but count itself: the saturator waits for
 // room instead of making sends it knows will be refused, and reports them.
 type Backlog interface {
-	// AwaitSpace has fn called once, the next time a packet leaves the queue.
-	AwaitSpace(fn func())
+	// AwaitSpace has fn called once, the next time a packet leaves the
+	// queue, if the queue is full now; it reports whether fn was registered.
+	AwaitSpace(fn func()) bool
 	// Refuse counts n sends the full queue would have refused.
 	Refuse(n uint64)
 }
@@ -148,14 +149,13 @@ func (g *Generator) runSaturate() {
 		return
 	}
 	// Keep the queue topped up: push until refused, then wait for room on
-	// the backlog, or check back soon.
+	// the backlog if the queue is what refused, or check back soon.
 	g.last = g.k.Now()
 	refused := false
 	for i := 0; i < g.burst && !refused; i++ {
 		refused = !g.emit()
 	}
-	if g.parked = refused && g.backlog != nil; g.parked {
-		g.backlog.AwaitSpace(g.wakeFn)
+	if g.parked = refused && g.backlog.AwaitSpace(g.wakeFn); g.parked {
 		return
 	}
 	g.k.ScheduleArgSeq(g.last.Add(g.topUp), g.tick, "traffic-sat", runSaturateArg, g)
@@ -245,15 +245,18 @@ func NewOnOff(k *sim.Kernel, flowID uint32, size int, interval, meanOn, meanOff 
 	return g
 }
 
-// NewSaturator starts a source that keeps the transmit queue backlogged: it
-// pushes packets until the queue refuses, then tops up every topUp (1 ms).
-// Every top-up is queued under one schedule-order number taken here, so at an
-// exact-nanosecond tie it runs before any event scheduled after the saturator
-// started and after any scheduled before. With a backlog, a top-up that ends
-// refused queues no successor: the wake-up settles the top-ups skipped since
-// and queues the next one on the grid, so accepted packets carry the Seq,
-// SentAt and queue position polling gives them, and Offered/Refused are
-// current whenever the saturator is not parked, and after Settle or Stop.
+// NewSaturator starts a source that keeps backlog, the transmit queue behind
+// send, full: it pushes packets until a send is refused, then tops up every
+// topUp (1 ms). Every top-up is queued under one schedule-order number taken
+// here, so at an exact-nanosecond tie it runs before any event scheduled
+// after the saturator started and after any scheduled before. A top-up whose
+// refusal came from a full queue (backlog.AwaitSpace registered the wake-up)
+// queues no successor: the wake-up settles the top-ups skipped since and
+// queues the next one on the grid, so accepted packets carry the Seq, SentAt
+// and queue position polling gives them, and Offered/Refused are current
+// whenever the saturator is not parked, and after Settle or Stop. This is
+// exact only if every send made while the queue is full is refused with one
+// counted drop and nothing else, whatever the sender's other state does.
 func NewSaturator(k *sim.Kernel, flowID uint32, size int, send SendFunc, backlog Backlog) *Generator {
 	if size < HeaderLen {
 		size = HeaderLen

@@ -120,22 +120,10 @@ func TestOnOffAlternates(t *testing.T) {
 
 func TestSaturatorBackpressure(t *testing.T) {
 	k := sim.NewKernel()
-	queue := 0
-	const cap = 50
-	g := NewSaturator(k, 1, 200, func(p []byte) bool {
-		if queue >= cap {
-			return false
-		}
-		queue++
-		return true
-	}, nil)
+	q := &scriptQueue{k: k, capacity: 50}
+	g := NewSaturator(k, 1, 200, q.send, q)
 	// Drain 10 per millisecond.
-	k.Ticker(sim.Millisecond, "drain", func() {
-		queue -= 10
-		if queue < 0 {
-			queue = 0
-		}
-	})
+	k.Ticker(sim.Millisecond, "drain", func() { q.drain(10) })
 	k.RunUntil(sim.Time(100 * sim.Millisecond))
 	g.Stop()
 	if g.Sent() < 500 {
@@ -143,6 +131,9 @@ func TestSaturatorBackpressure(t *testing.T) {
 	}
 	if g.Refused == 0 {
 		t.Error("saturator never hit backpressure")
+	}
+	if g.Refused != q.drops || q.settled == 0 {
+		t.Errorf("refused %d, queue counted %d drops (%d settled while parked)", g.Refused, q.drops, q.settled)
 	}
 }
 

@@ -84,9 +84,6 @@ func init() {
 	}
 }
 
-// Watt converts a dBm level to linear watts.
-func (p DBm) Watt() float64 { return p.MilliWatt() / 1000 }
-
 // Add applies a gain (or loss, when negative) to a power level.
 func (p DBm) Add(g DB) DBm { return p + DBm(g) }
 
