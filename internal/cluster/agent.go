@@ -27,34 +27,32 @@
 // run, because worker failure was never a property of an experiment.
 //
 // Every transport evaluates a point with the same function,
-// sweep.EvalPoints. The subprocess and TCP transports carry its result over
+// sweep.EvalPoint. The subprocess and TCP transports carry its result over
 // one line protocol, layered on the internal/sweep shard format; the
 // in-process transport skips the encoding.
 //
 // # Wire protocol
 //
 // An agent serves any number of sequential requests per connection. Each
-// request is one line (at most 1 MiB); each response ends with a terminator
+// request is one line (at most 4 KiB); each response ends with a terminator
 // line, so both sides can frame without byte counts:
 //
 //	→ # ping
 //	← # pong
 //
-//	→ # run v1 exp=F1 quick=true points=0,3,5
+//	→ # run v2 exp=F1 quick=true point=1
 //	← # sweep v1 exp=F1 shard=0/1 quick=true
-//	← # point 0
-//	← 1,0.85,0.80,0.84,0.79
-//	← ...
-//	← # stats points=3 rows=3
+//	← # point 1
+//	← 5,6.33,5.33,6.54,5.30
+//	← # stats points=1 rows=1
 //	← # end
 //
 // The run response is exactly the sweep.WriteShard wire format (readable as
 // an artifact, guarded by the same loud round-trip checks) and nothing else:
 // a worker answers with rows, and what it costs to produce them is read from
 // its own -metrics endpoint, not from the response. A request the agent
-// cannot serve answers `# error: <reason>` instead of a shard. An agent
-// evaluates whatever point list it is sent; this coordinator asks for one
-// point per request — the finest-grained stealing and re-dispatch — and
+// cannot serve answers `# error: <reason>` instead of a shard. One point per
+// request is the finest-grained stealing and re-dispatch, and a coordinator
 // buffers at most 4 MiB of a response. Point evaluation is deterministic — a
 // point's rows depend only on the experiment, quick mode and point index —
 // which is what lets the coordinator re-dispatch work anywhere and still
@@ -121,13 +119,14 @@ const (
 	pongLine  = "# pong"
 	endLine   = "# end"
 	errPrefix = "# error: "
-	runPrefix = "# run v1 "
+	runPrefix = "# run v2 "
 )
 
 // maxRequestLine bounds one request line. An agent port is unauthenticated,
 // so a peer that never sends a newline must not grow the heap without
-// limit; 1 MiB covers any real point list.
-const maxRequestLine = 1 << 20
+// limit; a run request names one experiment and one point, so 4 KiB is
+// ample.
+const maxRequestLine = 4 << 10
 
 // maxResponse bounds what a coordinator buffers of one response. It asks for
 // one point at a time and a point's rows are a few hundred bytes, so a peer
@@ -240,10 +239,10 @@ func (a *Agent) ServePipe(r io.Reader, w io.Writer) {
 	}
 }
 
-// serveRun evaluates one chunk request and writes the shard wire format (or
+// serveRun evaluates one run request and writes the shard wire format (or
 // an error line) to w.
 func (a *Agent) serveRun(w io.Writer, line string) {
-	expID, quick, pts, err := parseRunRequest(line)
+	expID, quick, p, err := parseRunRequest(line)
 	if err != nil {
 		fmt.Fprintf(w, "%s%v\n", errPrefix, err)
 		return
@@ -253,39 +252,35 @@ func (a *Agent) serveRun(w io.Writer, line string) {
 		fmt.Fprintf(w, "%sunknown experiment %q\n", errPrefix, expID)
 		return
 	}
-	a.logf("run %s quick=%t points=%s", expID, quick, sweep.FormatPoints(pts))
+	a.logf("run %s quick=%t point=%d", expID, quick, p)
 	obs.Agent.Chunks.Inc()
-	obs.Agent.Points.Add(uint64(len(pts)))
-	byPoint, err := sweep.EvalPoints(e, quick, pts)
+	obs.Agent.Points.Inc()
+	rows, err := sweep.EvalPoint(e, quick, p)
 	if err == nil {
-		st := sweep.ShardStats{Points: len(byPoint)}
-		for _, rows := range byPoint {
-			st.Rows += len(rows)
-		}
-		err = sweep.WriteShard(w, sweep.Header{Exp: e.ID, Shards: 1, Quick: quick}, byPoint, st)
+		err = sweep.WriteShard(w, sweep.Header{Exp: e.ID, Shards: 1, Quick: quick},
+			map[int][][]string{p: rows}, sweep.ShardStats{Points: 1, Rows: len(rows)})
 	}
 	if err != nil {
 		// The shard output may already be partially written; the error line
 		// makes the response unparseable on purpose, so the coordinator
-		// discards the chunk instead of merging a truncated shard.
+		// discards the point instead of merging a truncated shard.
 		fmt.Fprintf(w, "%s%v\n", errPrefix, err)
 	}
 }
 
 // formatRunRequest builds the request line serveRun parses.
-func formatRunRequest(expID string, quick bool, pts []int) string {
-	return fmt.Sprintf("%sexp=%s quick=%t points=%s", runPrefix, expID, quick, sweep.FormatPoints(pts))
+func formatRunRequest(expID string, quick bool, p int) string {
+	return fmt.Sprintf("%sexp=%s quick=%t point=%d", runPrefix, expID, quick, p)
 }
 
-func parseRunRequest(line string) (expID string, quick bool, pts []int, err error) {
-	var ptSpec string
-	if _, err = fmt.Sscanf(line, runPrefix+"exp=%s quick=%t points=%s", &expID, &quick, &ptSpec); err != nil {
-		return "", false, nil, fmt.Errorf("bad run request %q: %v", line, err)
+// parseRunRequest accepts only the line formatRunRequest writes, so trailing
+// text such as a second point is refused rather than ignored.
+func parseRunRequest(line string) (expID string, quick bool, p int, err error) {
+	_, err = fmt.Sscanf(line, runPrefix+"exp=%s quick=%t point=%d", &expID, &quick, &p)
+	if err != nil || formatRunRequest(expID, quick, p) != line {
+		return "", false, 0, fmt.Errorf("bad run request %q", line)
 	}
-	if pts, err = sweep.ParsePoints(ptSpec); err != nil {
-		return "", false, nil, err
-	}
-	return expID, quick, pts, nil
+	return expID, quick, p, nil
 }
 
 // ServeListener serves an agent on ln — a TCP listener, possibly behind a

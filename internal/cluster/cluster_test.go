@@ -366,17 +366,21 @@ func TestAgentProtocolErrors(t *testing.T) {
 		}
 		return strings.TrimSuffix(line, "\n")
 	}
-	if got := ask("# run v1 exp=NOPE quick=true points=0"); !strings.HasPrefix(got, errPrefix) {
+	if got := ask("# run v2 exp=NOPE quick=true point=0"); !strings.HasPrefix(got, errPrefix) {
 		t.Errorf("unknown experiment answered %q, want error line", got)
 	}
 	if got := ask("GET / HTTP/1.1"); !strings.HasPrefix(got, errPrefix) {
 		t.Errorf("garbage request answered %q, want error line", got)
 	}
-	if got := ask("# run v1 exp=S1 quick=true points=999"); !strings.HasPrefix(got, errPrefix) {
+	if got := ask("# run v2 exp=S1 quick=true point=999"); !strings.HasPrefix(got, errPrefix) {
 		t.Errorf("out-of-grid point answered %q, want error line", got)
 	}
-	if got := ask("# run v1 exp=S1 quick=true points=0,0"); !strings.HasPrefix(got, errPrefix) {
-		t.Errorf("duplicated point answered %q, want error line", got)
+	// A request names one point: neither the point-list grammar nor a
+	// second point after the first is served.
+	for _, req := range []string{"# run v1 exp=T1 quick=true points=0,1", "# run v2 exp=T1 quick=true point=0,1"} {
+		if got := ask(req); !strings.HasPrefix(got, errPrefix) {
+			t.Errorf("%q answered %q, want error line", req, got)
+		}
 	}
 	// The connection must still serve a healthy request afterwards.
 	if got := ask(pingLine); got != pongLine {
@@ -397,9 +401,9 @@ func TestAgentProtocolErrors(t *testing.T) {
 // nothing a peer sends makes the coordinator buffer without bound.
 func TestCoordinatorProtocolErrors(t *testing.T) {
 	e := harness.ByID("T1")
-	answerTo := func(id string, quick bool, pts ...int) string {
+	answerTo := func(id string, quick bool, p int) string {
 		var out bytes.Buffer
-		new(Agent).ServePipe(strings.NewReader(formatRunRequest(id, quick, pts)+"\n"), &out)
+		new(Agent).ServePipe(strings.NewReader(formatRunRequest(id, quick, p)+"\n"), &out)
 		return out.String()
 	}
 	cases := []struct {
@@ -409,7 +413,8 @@ func TestCoordinatorProtocolErrors(t *testing.T) {
 		{"another experiment", answerTo("S1", true, 0), "answered exp=S1"},
 		{"the other quick mode", answerTo("T1", false, 0), "answered exp=T1 quick=false"},
 		{"another point", answerTo("T1", true, 1), "want exp=T1 quick=true point 0 alone"},
-		{"a point too many", answerTo("T1", true, 0, 1), "with 2 point(s)"},
+		// No agent answers two points to a run request; a peer still could.
+		{"a point too many", "# sweep v1 exp=T1 shard=0/1 quick=true\n# point 0\na\n# point 1\nb\n# stats points=2 rows=2\n# end\n", "with 2 point(s)"},
 		{"trailer disagrees", "# sweep v1 exp=T1 shard=0/1 quick=true\n# point 0\n# stats points=2 rows=0\n# end\n", "integrity"},
 		// Never "# end": rows until the coordinator stops reading.
 		{"endless response", "", "response exceeds"},

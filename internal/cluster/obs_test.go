@@ -64,11 +64,11 @@ func TestClusterSweepFeedsMetrics(t *testing.T) {
 	serve := func(on bool) string {
 		obs.SetEnabled(on)
 		var out bytes.Buffer
-		new(Agent).ServePipe(strings.NewReader(formatRunRequest(e.ID, true, []int{0, 2})+"\n"), &out)
+		new(Agent).ServePipe(strings.NewReader(formatRunRequest(e.ID, true, 2)+"\n"), &out)
 		return out.String()
 	}
 	on, off := serve(true), serve(false)
-	if on != off || !strings.HasSuffix(on, "# stats points=2 rows=2\n# end\n") {
+	if on != off || !strings.HasSuffix(on, "# stats points=1 rows=1\n# end\n") {
 		t.Errorf("a run response depends on metrics collection:\n--- on\n%s--- off\n%s", on, off)
 	}
 }

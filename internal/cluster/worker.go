@@ -99,13 +99,12 @@ func Remote(addrs ...string) []*Worker {
 type inProcess struct{}
 
 func (inProcess) run(e *harness.Experiment, quick bool, p int, _ time.Duration) ([][]string, error) {
-	byPoint, err := sweep.EvalPoints(e, quick, []int{p})
-	return byPoint[p], err
+	return sweep.EvalPoint(e, quick, p)
 }
 
 func (inProcess) close() {}
 
-// wireLink speaks the `# run v1` request / shard response protocol over a
+// wireLink speaks the `# run v2` request / shard response protocol over a
 // TCP connection or a subprocess's pipes.
 type wireLink struct {
 	conn io.ReadWriteCloser
@@ -127,7 +126,7 @@ func (l *wireLink) run(e *harness.Experiment, quick bool, p int, limit time.Dura
 		// fails the read below, and for a subprocess it kills the child.
 		defer time.AfterFunc(limit, l.close).Stop()
 	}
-	if _, err := fmt.Fprintln(l.conn, formatRunRequest(e.ID, quick, []int{p})); err != nil {
+	if _, err := fmt.Fprintln(l.conn, formatRunRequest(e.ID, quick, p)); err != nil {
 		return nil, err
 	}
 	l.lim.N = maxResponse

@@ -74,8 +74,6 @@ type Config struct {
 	// ShortPreamble selects the short DSSS preamble where the mode
 	// supports it (802.11b).
 	ShortPreamble bool
-	// NoPropagationDelay disables distance/c arrival delays.
-	NoPropagationDelay bool
 	// Tracer receives frame-level events (nil = off).
 	Tracer trace.Tracer
 }
@@ -278,7 +276,6 @@ func NewNetwork(cfg Config) *Network {
 	}
 
 	m := medium.New(k, spectrum.NewModel(pl, shadow, fast), root)
-	m.PropagationDelay = !cfg.NoPropagationDelay
 	m.Tracer = cfg.Tracer
 
 	n := &Network{

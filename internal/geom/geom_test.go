@@ -5,7 +5,6 @@ import (
 	"testing"
 	"testing/quick"
 
-	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -117,69 +116,6 @@ func TestLinearMobility(t *testing.T) {
 	m2 := Linear{Start: Pt(0, 0), Velocity: Vector{X: 2}, T0: sim.Time(10 * sim.Second)}
 	if p := m2.PositionAt(sim.Time(5 * sim.Second)); p.X != 0 {
 		t.Errorf("linear before T0 moved: %v", p)
-	}
-}
-
-func TestPathInterpolation(t *testing.T) {
-	p := Path{Points: []Waypoint{
-		{At: 0, P: Pt(0, 0)},
-		{At: sim.Time(10 * sim.Second), P: Pt(100, 0)},
-	}}
-	mid := p.PositionAt(sim.Time(5 * sim.Second))
-	if math.Abs(mid.X-50) > 1e-9 {
-		t.Errorf("midpoint x = %v, want 50", mid.X)
-	}
-	// Clamped before and after.
-	if got := p.PositionAt(0); got.X != 0 {
-		t.Errorf("start = %v", got)
-	}
-	if got := p.PositionAt(sim.Time(20 * sim.Second)); got.X != 100 {
-		t.Errorf("end = %v", got)
-	}
-}
-
-func TestPathEmpty(t *testing.T) {
-	var p Path
-	if got := p.PositionAt(0); got != (Point{}) {
-		t.Errorf("empty path = %v", got)
-	}
-}
-
-func TestRandomWaypointStaysInBounds(t *testing.T) {
-	src := rng.New(1)
-	m := NewRandomWaypoint(src, 0, 0, 100, 50, 1, 5, sim.Duration(2*sim.Second))
-	for s := 0; s <= 600; s++ {
-		p := m.PositionAt(sim.Time(s) * sim.Time(sim.Second))
-		if p.X < -1e-9 || p.X > 100+1e-9 || p.Y < -1e-9 || p.Y > 50+1e-9 {
-			t.Fatalf("at t=%ds position %v escaped bounds", s, p)
-		}
-	}
-}
-
-func TestRandomWaypointDeterministic(t *testing.T) {
-	a := NewRandomWaypoint(rng.New(7), 0, 0, 100, 100, 1, 10, 0)
-	b := NewRandomWaypoint(rng.New(7), 0, 0, 100, 100, 1, 10, 0)
-	for s := 0; s < 100; s += 7 {
-		at := sim.Time(s) * sim.Time(sim.Second)
-		pa, pb := a.PositionAt(at), b.PositionAt(at)
-		if pa.Distance(pb) > 1e-9 {
-			t.Fatalf("same-seeded walks diverged at t=%v: %v vs %v", at, pa, pb)
-		}
-	}
-}
-
-func TestRandomWaypointSpeedBounded(t *testing.T) {
-	m := NewRandomWaypoint(rng.New(3), 0, 0, 1000, 1000, 2, 8, 0)
-	const step = sim.Duration(100 * sim.Millisecond)
-	prev := m.PositionAt(0)
-	for i := 1; i < 2000; i++ {
-		at := sim.Time(i) * sim.Time(step)
-		cur := m.PositionAt(at)
-		speed := cur.Distance(prev) / step.Seconds()
-		if speed > 8+1e-6 {
-			t.Fatalf("instantaneous speed %v m/s exceeds max 8", speed)
-		}
-		prev = cur
 	}
 }
 

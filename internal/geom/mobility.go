@@ -3,7 +3,6 @@ package geom
 import (
 	"math"
 
-	"repro/internal/rng"
 	"repro/internal/sim"
 )
 
@@ -36,110 +35,6 @@ func (l Linear) PositionAt(t sim.Time) Point {
 		dt = 0
 	}
 	return l.Start.Add(l.Velocity.Scale(dt))
-}
-
-// Waypoint is one leg of a piecewise-linear path.
-type Waypoint struct {
-	At sim.Time
-	P  Point
-}
-
-// Path interpolates linearly between waypoints and holds the final position
-// afterwards. Waypoints must be sorted by time.
-type Path struct {
-	Points []Waypoint
-}
-
-// PositionAt implements Mobility.
-func (p Path) PositionAt(t sim.Time) Point {
-	pts := p.Points
-	if len(pts) == 0 {
-		return Point{}
-	}
-	if t <= pts[0].At {
-		return pts[0].P
-	}
-	for i := 1; i < len(pts); i++ {
-		if t <= pts[i].At {
-			a, b := pts[i-1], pts[i]
-			span := b.At.Sub(a.At).Seconds()
-			if span <= 0 {
-				return b.P
-			}
-			frac := t.Sub(a.At).Seconds() / span
-			return Point{
-				X: a.P.X + (b.P.X-a.P.X)*frac,
-				Y: a.P.Y + (b.P.Y-a.P.Y)*frac,
-				Z: a.P.Z + (b.P.Z-a.P.Z)*frac,
-			}
-		}
-	}
-	return pts[len(pts)-1].P
-}
-
-// RandomWaypoint implements the classic random-waypoint model inside a
-// rectangular region: pick a uniform destination, travel at a uniform speed
-// in [MinSpeed, MaxSpeed], pause, repeat. The walk is generated lazily but
-// deterministically from the RNG stream.
-type RandomWaypoint struct {
-	MinX, MinY, MaxX, MaxY float64
-	MinSpeed, MaxSpeed     float64 // m/s
-	Pause                  sim.Duration
-	Height                 float64
-
-	rng  *rng.Source
-	legs []Waypoint // generated so far; legs[i] alternate move/pause ends
-}
-
-// NewRandomWaypoint seeds the model with its own RNG stream and initial
-// position drawn uniformly from the region.
-func NewRandomWaypoint(src *rng.Source, minX, minY, maxX, maxY, minSpeed, maxSpeed float64, pause sim.Duration) *RandomWaypoint {
-	m := &RandomWaypoint{
-		MinX: minX, MinY: minY, MaxX: maxX, MaxY: maxY,
-		MinSpeed: minSpeed, MaxSpeed: maxSpeed,
-		Pause:  pause,
-		Height: 1.5,
-		rng:    src,
-	}
-	start := m.randomPoint()
-	m.legs = []Waypoint{{At: 0, P: start}}
-	return m
-}
-
-func (m *RandomWaypoint) randomPoint() Point {
-	return Point{
-		X: m.MinX + m.rng.Float64()*(m.MaxX-m.MinX),
-		Y: m.MinY + m.rng.Float64()*(m.MaxY-m.MinY),
-		Z: m.Height,
-	}
-}
-
-// extendTo generates legs until the path covers time t.
-func (m *RandomWaypoint) extendTo(t sim.Time) {
-	for m.legs[len(m.legs)-1].At < t {
-		last := m.legs[len(m.legs)-1]
-		dest := m.randomPoint()
-		speed := m.MinSpeed + m.rng.Float64()*(m.MaxSpeed-m.MinSpeed)
-		if speed <= 0 {
-			speed = 0.1
-		}
-		dist := last.P.Distance(dest)
-		travel := sim.Duration(dist / speed * float64(sim.Second))
-		if travel < sim.Microsecond {
-			travel = sim.Microsecond
-		}
-		arrive := last.At.Add(travel)
-		m.legs = append(m.legs, Waypoint{At: arrive, P: dest})
-		if m.Pause > 0 {
-			m.legs = append(m.legs, Waypoint{At: arrive.Add(m.Pause), P: dest})
-		}
-	}
-}
-
-// PositionAt implements Mobility.
-func (m *RandomWaypoint) PositionAt(t sim.Time) Point {
-	m.extendTo(t)
-	return Path{Points: m.legs}.PositionAt(t)
 }
 
 // OrbitMobility circles a centre point at constant angular velocity; useful

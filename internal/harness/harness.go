@@ -121,7 +121,7 @@ func register(e *Experiment) {
 // ByID returns an experiment or nil.
 func ByID(id string) *Experiment { return registry[id] }
 
-// All returns the experiments sorted by ID (T1 first, then F1..F12, S1).
+// All returns the experiments in suite order: T1, F1..F13, E1..E3, S1, A1, A2.
 func All() []*Experiment {
 	out := make([]*Experiment, 0, len(registry))
 	//wlan:allow-nondeterminism collection order is erased by the sort below
@@ -132,7 +132,7 @@ func All() []*Experiment {
 	return out
 }
 
-// expKey orders T* before F* before S*, numerically within each class.
+// expKey orders T*, F*, E*, S*, A*, numerically within each class.
 func expKey(id string) int {
 	if len(id) < 2 {
 		return 1 << 20

@@ -513,7 +513,7 @@ func (d *DCF) onACKTimeout() {
 	limit := d.cfg.ShortRetryLimit
 	counter := &job.src
 	if mpdu.WireLen() >= d.cfg.RTSThreshold {
-		limit = d.cfg.LongRetryLimit
+		limit = longRetryLimit
 		counter = &job.lrc
 	}
 	*counter++

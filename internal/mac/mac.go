@@ -102,11 +102,8 @@ type Config struct {
 	// Default 2346 (off).
 	FragThreshold int
 	// ShortRetryLimit applies to frames below the RTS threshold and to RTS
-	// itself; default 7.
+	// itself; default 7. Frames at or above the threshold get longRetryLimit.
 	ShortRetryLimit int
-	// LongRetryLimit applies to frames at or above the RTS threshold;
-	// default 4.
-	LongRetryLimit int
 	// CWmin/CWmax override the mode's values when non-zero (ablations).
 	CWmin, CWmax int
 	// AIFSN is the arbitration interframe space number: the access IFS is
@@ -130,9 +127,6 @@ func (c *Config) fillDefaults(mode *phy.Mode) {
 	if c.ShortRetryLimit == 0 {
 		c.ShortRetryLimit = 7
 	}
-	if c.LongRetryLimit == 0 {
-		c.LongRetryLimit = 4
-	}
 	if c.CWmin == 0 {
 		c.CWmin = mode.CWmin
 	}
@@ -143,6 +137,10 @@ func (c *Config) fillDefaults(mode *phy.Mode) {
 		c.AIFSN = 2
 	}
 }
+
+// longRetryLimit bounds the attempts of a frame at or above the RTS
+// threshold.
+const longRetryLimit = 4
 
 // txJob is one MSDU moving through the transmit pipeline. Jobs are pooled
 // by the DCF: gen advances every recycle, so a committed SIFS action that

@@ -262,10 +262,6 @@ type RadioConfig struct {
 	Channel  int
 	Mobility geom.Mobility
 	TxPower  units.DBm
-	// NoiseFigure defaults to 7 dB when zero.
-	NoiseFigure units.DB
-	// CSThreshold is the energy-detect busy threshold; defaults to -82 dBm.
-	CSThreshold units.DBm
 	// CaptureMargin is the power advantage a later frame needs to steal the
 	// receiver lock. Zero disables capture unless CaptureEnabled is set
 	// with the default 10 dB margin.
@@ -273,6 +269,12 @@ type RadioConfig struct {
 	CaptureEnabled bool
 	Listener       Listener
 }
+
+// Every radio's receiver noise figure and energy-detect busy threshold.
+const (
+	noiseFigure units.DB  = 7
+	csThreshold units.DBm = -82
+)
 
 // AddRadio registers a radio on the medium.
 func (m *Medium) AddRadio(cfg RadioConfig) *Radio {
@@ -284,12 +286,6 @@ func (m *Medium) AddRadio(cfg RadioConfig) *Radio {
 	}
 	if cfg.Mobility == nil {
 		cfg.Mobility = geom.Static{}
-	}
-	if cfg.NoiseFigure == 0 {
-		cfg.NoiseFigure = 7
-	}
-	if cfg.CSThreshold == 0 {
-		cfg.CSThreshold = -82
 	}
 	if cfg.CaptureEnabled && cfg.CaptureMargin == 0 {
 		cfg.CaptureMargin = 10
@@ -305,9 +301,8 @@ func (m *Medium) AddRadio(cfg RadioConfig) *Radio {
 		channel:     cfg.Channel,
 		mobility:    cfg.Mobility,
 		txPower:     cfg.TxPower,
-		noiseFloor:  cfg.Mode.NoiseFloorDBm(cfg.NoiseFigure),
-		csThresh:    cfg.CSThreshold,
-		csThreshMW:  cfg.CSThreshold.MilliWatt(),
+		noiseFloor:  cfg.Mode.NoiseFloorDBm(noiseFigure),
+		csThreshMW:  csThreshold.MilliWatt(),
 		capture:     cfg.CaptureEnabled,
 		capMargin:   cfg.CaptureMargin,
 		listener:    cfg.Listener,

@@ -177,8 +177,7 @@ type Radio struct {
 
 	noiseFloor   units.DBm
 	noiseFloorMW float64 // noiseFloor in linear mW, converted once
-	csThresh     units.DBm
-	csThreshMW   float64 // csThresh in linear mW, converted once
+	csThreshMW   float64 // csThreshold in linear mW, converted once
 	capture      bool
 	capMargin    units.DB
 

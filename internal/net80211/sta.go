@@ -17,9 +17,6 @@ type STAConfig struct {
 	SSID string
 	// Channels is the scan list; default {1}.
 	Channels []int
-	// ScanDwell is the passive dwell per channel; default 120 ms (just
-	// over one beacon interval).
-	ScanDwell sim.Duration
 	// WEPKey enables shared-key authentication and WEP data privacy.
 	WEPKey wep.Key
 	// WEPKeyID is the key slot (0-3) stamped into sealed frames and
@@ -38,12 +35,16 @@ type STAConfig struct {
 	// PowerSave enables the PS-Poll doze cycle.
 	PowerSave bool
 	// ActiveScan sends probe requests on each channel instead of waiting a
-	// full beacon interval, shrinking the dwell to ProbeDwell.
+	// full beacon interval, shrinking the dwell to probeDwell.
 	ActiveScan bool
-	// ProbeDwell is the per-channel wait after a probe request (default
-	// 30 ms).
-	ProbeDwell sim.Duration
 }
+
+// Per-channel scan dwells: a passive scan waits just over one beacon
+// interval, an active scan this long after its probe request.
+const (
+	scanDwell  = 120 * sim.Millisecond
+	probeDwell = 30 * sim.Millisecond
+)
 
 // staState is the join state machine.
 type staState uint8
@@ -150,9 +151,6 @@ func NewSTA(k *sim.Kernel, dcf *mac.DCF, cfg STAConfig) *STA {
 	if len(cfg.Channels) == 0 {
 		cfg.Channels = []int{dcf.Radio().Channel()}
 	}
-	if cfg.ScanDwell == 0 {
-		cfg.ScanDwell = 120 * sim.Millisecond
-	}
 	if cfg.RoamThreshold == 0 {
 		cfg.RoamThreshold = -75
 	}
@@ -161,9 +159,6 @@ func NewSTA(k *sim.Kernel, dcf *mac.DCF, cfg STAConfig) *STA {
 	}
 	if cfg.BeaconMissLimit == 0 {
 		cfg.BeaconMissLimit = 8
-	}
-	if cfg.ProbeDwell == 0 {
-		cfg.ProbeDwell = 30 * sim.Millisecond
 	}
 	s := &STA{
 		k:         k,
@@ -260,10 +255,10 @@ func (s *STA) scanStep() {
 		return
 	}
 	s.dcf.Radio().SetChannel(ch)
-	dwell := s.cfg.ScanDwell
+	dwell := scanDwell
 	if s.cfg.ActiveScan {
 		s.sendProbeReq()
-		dwell = s.cfg.ProbeDwell
+		dwell = probeDwell
 	}
 	s.k.Schedule(dwell, "scan-dwell", s.scanStep)
 }

@@ -132,35 +132,6 @@ func (l LogDistance) MaxRange(maxLoss units.DB) float64 {
 	return d * rangeSafety
 }
 
-// TwoRayGround models ground reflection: free space up to the crossover
-// distance dc = 4 pi ht hr / lambda, then L = 40 log10(d) - 10 log10(ht^2 hr^2),
-// i.e. fourth-power distance decay. Antenna heights come from the points' Z.
-type TwoRayGround struct {
-	Freq units.Hertz
-}
-
-// Loss implements PathLoss.
-func (t TwoRayGround) Loss(tx, rx geom.Point) units.DB {
-	d := tx.GroundDistance(rx)
-	if d < 1 {
-		d = 1
-	}
-	ht, hr := tx.Z, rx.Z
-	if ht <= 0 {
-		ht = 1.5
-	}
-	if hr <= 0 {
-		hr = 1.5
-	}
-	lambda := t.Freq.Wavelength()
-	crossover := 4 * math.Pi * ht * hr / lambda
-	if d < crossover {
-		return FreeSpace{Freq: t.Freq}.Loss(tx, rx)
-	}
-	loss := 40*math.Log10(d) - 10*math.Log10(ht*ht*hr*hr)
-	return units.DB(loss)
-}
-
 // FixedLoss returns the same loss regardless of distance; useful in unit
 // tests and for ideal-channel experiments.
 type FixedLoss struct {

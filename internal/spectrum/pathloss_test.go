@@ -63,7 +63,6 @@ func TestLossMonotonicInDistance(t *testing.T) {
 	models := []PathLoss{
 		FreeSpace{Freq: 2400 * units.MHz},
 		NewLogDistance(2400*units.MHz, 3.0),
-		TwoRayGround{Freq: 2400 * units.MHz},
 	}
 	if err := quick.Check(func(aRaw, bRaw uint16) bool {
 		da := 1 + float64(aRaw%2000)
@@ -81,22 +80,6 @@ func TestLossMonotonicInDistance(t *testing.T) {
 		return true
 	}, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestTwoRayCrossover(t *testing.T) {
-	tr := TwoRayGround{Freq: 2400 * units.MHz}
-	fs := FreeSpace{Freq: 2400 * units.MHz}
-	// Below crossover (~226 m for 1.5 m antennas at 2.4 GHz) it is Friis.
-	near := tr.Loss(geom.Pt(0, 0), geom.Pt(100, 0))
-	if near != fs.Loss(geom.Pt(0, 0), geom.Pt(100, 0)) {
-		t.Errorf("two-ray below crossover should equal free space")
-	}
-	// Beyond crossover, 12 dB per doubling (fourth power).
-	l400 := tr.Loss(geom.Pt(0, 0), geom.Pt(400, 0))
-	l800 := tr.Loss(geom.Pt(0, 0), geom.Pt(800, 0))
-	if math.Abs(float64(l800-l400)-12.04) > 0.1 {
-		t.Errorf("two-ray doubling beyond crossover added %v dB, want ~12", l800-l400)
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"os"
+	"slices"
 	"sync"
 
 	"repro/internal/obs"
@@ -129,7 +130,7 @@ func foldRecord(done map[string]map[int][][]string, exp string, byPoint map[int]
 		if p < 0 || p >= n {
 			return fmt.Errorf("sweep: checkpoint point %d outside %s's grid of %d", p, exp, n)
 		}
-		if prev, dup := have[p]; dup && !rowsEqual(prev, rows) {
+		if prev, dup := have[p]; dup && !slices.EqualFunc(prev, rows, slices.Equal[[]string]) {
 			return fmt.Errorf("sweep: checkpoint %s point %d journaled twice with different rows", exp, p)
 		}
 	}
@@ -143,23 +144,6 @@ func foldRecord(done map[string]map[int][][]string, exp string, byPoint map[int]
 		}
 	}
 	return nil
-}
-
-func rowsEqual(a, b [][]string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if len(a[i]) != len(b[i]) {
-			return false
-		}
-		for j := range a[i] {
-			if a[i][j] != b[i][j] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Checkpoint journals the completed points of one run to an append-only

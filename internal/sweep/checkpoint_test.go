@@ -14,11 +14,11 @@ import (
 // evalPoint evaluates one point of e the way a worker does.
 func evalPoint(t testing.TB, e *harness.Experiment, p int) [][]string {
 	t.Helper()
-	byPoint, err := EvalPoints(e, true, []int{p})
+	rows, err := EvalPoint(e, true, p)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return byPoint[p]
+	return rows
 }
 
 // grid is the {id → N} of a quick run over e alone; parseOne and openOne

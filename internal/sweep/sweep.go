@@ -1,8 +1,7 @@
 // Package sweep is the data format of full-fidelity evaluation sweeps and
-// the worker side of the engine: the evaluation of an explicit point list
-// every worker performs, whatever its transport (EvalPoints), the shard
-// wire format a worker answers a chunk request with (WriteShard,
-// ParseShard), the merge of per-point rows into a table byte-identical to
+// the worker side of the engine: the evaluation of one point every worker
+// performs, whatever its transport (EvalPoint), the shard wire format a
+// worker answers a run request with (WriteShard, ParseShard), the merge of per-point rows into a table byte-identical to
 // the sequential run (Merge), and the crash-safe checkpoint journal built
 // from the same records. Which point runs where is decided elsewhere —
 // internal/cluster is the engine.
@@ -33,7 +32,6 @@ import (
 	"fmt"
 	"io"
 	"sort"
-	"strconv"
 	"strings"
 
 	"repro/internal/harness"
@@ -55,61 +53,16 @@ type ShardStats struct {
 	Rows   int
 }
 
-// EvalPoints evaluates an explicit point subset of e, one point after
-// another. It is the whole worker side of the engine on every transport: an
-// in-process worker delivers the result as it is, an agent encodes it with
-// WriteShard. Out-of-grid and duplicated points are rejected before any
-// point runs.
-func EvalPoints(e *harness.Experiment, quick bool, pts []int) (map[int][][]string, error) {
+// EvalPoint evaluates point p of e. It is the whole worker side of the
+// engine on every transport: an in-process worker delivers the rows as they
+// are, an agent encodes them with WriteShard. An out-of-grid point is
+// rejected before anything runs.
+func EvalPoint(e *harness.Experiment, quick bool, p int) ([][]string, error) {
 	g := e.Grid(quick)
-	byPoint := make(map[int][][]string, len(pts))
-	for _, p := range pts {
-		if p < 0 || p >= g.N {
-			return nil, fmt.Errorf("sweep: point %d outside grid of %d", p, g.N)
-		}
-		if _, dup := byPoint[p]; dup {
-			return nil, fmt.Errorf("sweep: point %d requested twice", p)
-		}
-		byPoint[p] = nil
+	if p < 0 || p >= g.N {
+		return nil, fmt.Errorf("sweep: point %d outside grid of %d", p, g.N)
 	}
-	for _, p := range pts {
-		byPoint[p] = g.Point(p)
-	}
-	return byPoint, nil
-}
-
-// FormatPoints encodes a chunk's point list for a run request. The empty
-// list encodes as "none" so the field never disappears from the line.
-func FormatPoints(pts []int) string {
-	if len(pts) == 0 {
-		return "none"
-	}
-	var b strings.Builder
-	for i, p := range pts {
-		if i > 0 {
-			b.WriteByte(',')
-		}
-		b.WriteString(strconv.Itoa(p))
-	}
-	return b.String()
-}
-
-// ParsePoints decodes a FormatPoints value. It does not validate against a
-// grid — EvalPoints checks range and uniqueness.
-func ParsePoints(spec string) ([]int, error) {
-	if spec == "none" {
-		return []int{}, nil
-	}
-	parts := strings.Split(spec, ",")
-	pts := make([]int, 0, len(parts))
-	for _, s := range parts {
-		p, err := strconv.Atoi(s)
-		if err != nil {
-			return nil, fmt.Errorf("sweep: bad point list %q: %v", spec, err)
-		}
-		pts = append(pts, p)
-	}
-	return pts, nil
+	return g.Point(p), nil
 }
 
 // WriteShard encodes one shard's row groups in the wire format. Rows must

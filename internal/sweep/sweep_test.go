@@ -105,26 +105,23 @@ func TestMergeValidates(t *testing.T) {
 	}
 }
 
-// EvalPoints is the worker side of every transport: it must reject
-// out-of-grid and duplicated point lists loudly, before evaluating anything,
-// and return exactly the requested points otherwise.
-func TestEvalPoints(t *testing.T) {
+// EvalPoint is the worker side of every transport: it must reject an
+// out-of-grid point loudly, before evaluating anything, and return exactly
+// the requested point's rows otherwise.
+func TestEvalPoint(t *testing.T) {
 	e := harness.ByID("T1")
 	g := e.Grid(true)
 	for _, tc := range []struct {
 		name    string
-		pts     []int
+		p       int
 		wantErr string
 	}{
-		{"empty list", []int{}, ""},
-		{"one point", []int{0}, ""},
-		{"unordered subset", []int{g.N - 1, 0}, ""},
-		{"past the grid", []int{0, g.N}, "outside grid"},
-		{"negative", []int{-1}, "outside grid"},
-		{"duplicate", []int{0, 1, 0}, "requested twice"},
+		{"last point", g.N - 1, ""},
+		{"past the grid", g.N, "outside grid"},
+		{"negative", -1, "outside grid"},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			byPoint, err := EvalPoints(e, true, tc.pts)
+			rows, err := EvalPoint(e, true, tc.p)
 			if tc.wantErr != "" {
 				if err == nil || !strings.Contains(err.Error(), tc.wantErr) {
 					t.Fatalf("err = %v, want %q", err, tc.wantErr)
@@ -134,57 +131,11 @@ func TestEvalPoints(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(byPoint) != len(tc.pts) {
-				t.Fatalf("%d points returned, %d requested", len(byPoint), len(tc.pts))
-			}
-			for _, p := range tc.pts {
-				if want := g.Point(p); !reflect.DeepEqual(byPoint[p], want) {
-					t.Errorf("point %d: rows %v, want %v", p, byPoint[p], want)
-				}
+			if want := g.Point(tc.p); !reflect.DeepEqual(rows, want) {
+				t.Errorf("point %d: rows %v, want %v", tc.p, rows, want)
 			}
 		})
 	}
-}
-
-// Point-list round-trip, including the empty sentinel.
-func TestFormatParsePoints(t *testing.T) {
-	for _, pts := range [][]int{{}, {0}, {3, 1, 4}} {
-		got, err := ParsePoints(FormatPoints(pts))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(got) != len(pts) {
-			t.Fatalf("round-trip %v -> %v", pts, got)
-		}
-		for i := range pts {
-			if got[i] != pts[i] {
-				t.Fatalf("round-trip %v -> %v", pts, got)
-			}
-		}
-	}
-	for _, bad := range []string{"1,x", "1x", "1 2", ""} {
-		if _, err := ParsePoints(bad); err == nil {
-			t.Errorf("garbage point list %q accepted", bad)
-		}
-	}
-}
-
-// FuzzParsePoints: the point-list parser never panics, and whatever it
-// accepts survives a FormatPoints round trip.
-func FuzzParsePoints(f *testing.F) {
-	for _, seed := range []string{"none", "0", "3,1,4", "999", "1,x", "1x", "1 2", "", "1,,2", "-1"} {
-		f.Add(seed)
-	}
-	f.Fuzz(func(t *testing.T, spec string) {
-		pts, err := ParsePoints(spec)
-		if err != nil {
-			return
-		}
-		again, err := ParsePoints(FormatPoints(pts))
-		if err != nil || !reflect.DeepEqual(again, pts) {
-			t.Fatalf("%q -> %v re-formats to %q -> %v, %v", spec, pts, FormatPoints(pts), again, err)
-		}
-	})
 }
 
 // shardSeeds are the fuzz seeds both wire-level targets share: a current

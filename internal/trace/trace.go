@@ -178,13 +178,3 @@ func (c *Counting) Count(k Kind) uint64 {
 	}
 	return c.other.Value()
 }
-
-// Multi fans events out to several tracers.
-type Multi []Tracer
-
-// Trace implements Tracer.
-func (m Multi) Trace(ev Event) {
-	for _, t := range m {
-		t.Trace(ev)
-	}
-}

@@ -119,19 +119,6 @@ func DBFromLinear(r float64) DB {
 	return DB(10 * math.Log10(r))
 }
 
-// SumPowerDBm adds power levels in the linear domain and returns the total.
-// Summing in dB is a classic bug; interference accumulation must go through
-// this helper.
-func SumPowerDBm(levels ...DBm) DBm {
-	var mw float64
-	for _, l := range levels {
-		if !math.IsInf(float64(l), -1) {
-			mw += l.MilliWatt()
-		}
-	}
-	return DBmFromMilliWatt(mw)
-}
-
 // Hertz is a frequency.
 type Hertz float64
 

@@ -47,31 +47,6 @@ func TestDBmFromMilliWattNonPositive(t *testing.T) {
 	}
 }
 
-func TestSumPowerDBm(t *testing.T) {
-	// Two equal powers sum to +3 dB.
-	got := SumPowerDBm(DBm(0), DBm(0))
-	if !almostEqual(float64(got), 3.0103, 1e-3) {
-		t.Errorf("0 dBm + 0 dBm = %v, want ~3.01 dBm", got)
-	}
-	// Summing with -Inf is identity.
-	got = SumPowerDBm(DBm(-40), DBm(math.Inf(-1)))
-	if !almostEqual(float64(got), -40, 1e-9) {
-		t.Errorf("-40 dBm + (-Inf) = %v, want -40 dBm", got)
-	}
-	// Empty sum is no signal.
-	if v := SumPowerDBm(); !math.IsInf(float64(v), -1) {
-		t.Errorf("empty SumPowerDBm = %v, want -Inf", v)
-	}
-}
-
-func TestSumPowerDominance(t *testing.T) {
-	// A signal 30 dB above another barely moves the sum.
-	got := SumPowerDBm(DBm(0), DBm(-30))
-	if float64(got) < 0 || float64(got) > 0.01 {
-		t.Errorf("0 dBm + -30 dBm = %v, want within (0, 0.01] dBm", got)
-	}
-}
-
 func TestDBLinear(t *testing.T) {
 	if got := DB(3).Linear(); !almostEqual(got, 1.9953, 1e-3) {
 		t.Errorf("3 dB linear = %v, want ~1.995", got)
@@ -134,17 +109,6 @@ func TestStringFormats(t *testing.T) {
 		if got := c.s.String(); got != c.want {
 			t.Errorf("String() = %q, want %q", got, c.want)
 		}
-	}
-}
-
-func TestSumPowerCommutative(t *testing.T) {
-	if err := quick.Check(func(a, b int8) bool {
-		x, y := DBm(a), DBm(b)
-		s1 := SumPowerDBm(x, y)
-		s2 := SumPowerDBm(y, x)
-		return almostEqual(float64(s1), float64(s2), 1e-9)
-	}, nil); err != nil {
-		t.Fatal(err)
 	}
 }
 
