@@ -13,7 +13,7 @@ import (
 // moves by a handful between runs with map growth).
 var quickRunAllocs = map[string]uint64{
 	"T1": 1348, "F1": 7691, "F2": 4400, "F3": 1066, "F4": 4750,
-	"F5": 1792, "F6": 2900, "F7": 16831, "F8": 9104, "F9": 1073,
+	"F5": 1792, "F6": 2900, "F7": 16831, "F8": 1536, "F9": 1073,
 	"F10": 508, "F11": 413705, "F12": 998, "F13": 3994,
 	"E1": 13738, "E2": 1032, "E3": 964, "S1": 39, "A1": 1316, "A2": 1073,
 }

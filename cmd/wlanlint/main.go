@@ -1,7 +1,7 @@
 // Command wlanlint runs the repo's static-contract analyzers (see
-// internal/analysis): retainview, txownership, determinism and
-// hotpathalloc. It exits non-zero when any contract is violated, so CI
-// and pre-commit hooks can gate on it:
+// internal/analysis): retainview, determinism and hotpathalloc. It exits
+// non-zero when any contract is violated, so CI and pre-commit hooks can
+// gate on it:
 //
 //	go run ./cmd/wlanlint ./...
 package main

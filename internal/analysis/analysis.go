@@ -6,9 +6,6 @@
 //   - retainview: delivered RX frames are zero-copy views into pooled
 //     decode buffers; storing one (or its body) past the handler without
 //     frame.Frame.Clone is flagged.
-//   - txownership: frames handed to mac.DCF.Enqueue are MAC-owned and
-//     must come from the node's txPool (or be Clones); fresh literals and
-//     uses after the commit-on-accept hand-off are flagged.
 //   - determinism: sim-deterministic packages must stay bit-reproducible —
 //     wall-clock reads, global math/rand, crypto/rand and map-iteration
 //     ranges are flagged unless a //wlan:allow-nondeterminism directive
@@ -137,7 +134,7 @@ func IsNamed(t types.Type, pkgBase, name string) bool {
 
 // All returns the full wlanlint analyzer suite in reporting order.
 func All() []*Analyzer {
-	return []*Analyzer{RetainView, TxOwnership, Determinism, HotPathAlloc}
+	return []*Analyzer{RetainView, Determinism, HotPathAlloc}
 }
 
 // RunAnalyzers applies every analyzer to every package and returns the

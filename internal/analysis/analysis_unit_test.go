@@ -79,9 +79,9 @@ func TestDiagLess(t *testing.T) {
 }
 
 // TestAllAnalyzers pins the published suite: names are unique, documented,
-// and the four contracts are present.
+// and the three contracts are present.
 func TestAllAnalyzers(t *testing.T) {
-	want := map[string]bool{"retainview": true, "txownership": true, "determinism": true, "hotpathalloc": true}
+	want := map[string]bool{"retainview": true, "determinism": true, "hotpathalloc": true}
 	seen := map[string]bool{}
 	for _, a := range All() {
 		if a.Doc == "" || a.Run == nil {

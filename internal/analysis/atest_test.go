@@ -108,10 +108,6 @@ func TestRetainViewFixture(t *testing.T) {
 	runFixture(t, RetainView, "retainview/rxview")
 }
 
-func TestTxOwnershipFixture(t *testing.T) {
-	runFixture(t, TxOwnership, "txownership/txown")
-}
-
 func TestDeterminismFixture(t *testing.T) {
 	runFixture(t, Determinism, "determinism/sim")
 }
@@ -155,7 +151,6 @@ func TestFixturesCleanUnderOtherAnalyzers(t *testing.T) {
 	fixtures := map[string]map[string]bool{
 		// fixture -> analyzers allowed to report there
 		"retainview/rxview":  {RetainView.Name: true},
-		"txownership/txown":  {TxOwnership.Name: true},
 		"determinism/sim":    {Determinism.Name: true},
 		"determinism/notsim": {},
 		"determinism/typo":   {Determinism.Name: true},

@@ -74,7 +74,8 @@ type Config struct {
 	// ShortPreamble selects the short DSSS preamble where the mode
 	// supports it (802.11b).
 	ShortPreamble bool
-	// Tracer receives frame-level events (nil = off).
+	// Tracer receives frame-level events from the medium and management,
+	// roaming and power-save events from every AP and station (nil = off).
 	Tracer trace.Tracer
 }
 
@@ -381,6 +382,7 @@ func (n *Network) AddAP(name string, at geom.Point, cfg net80211.APConfig) *Node
 	r, d := n.newStack(name, geom.Static{P: at}, NodeOpts{})
 	node := &Node{Name: name, Radio: r, MAC: d, net: n}
 	node.AP = net80211.NewAP(n.kernel, d, cfg)
+	node.AP.Tracer = n.cfg.Tracer
 	node.AP.OnDeliver = func(_, _ frame.MACAddr, payload []byte) { n.sink.Deliver(payload) }
 	return n.register(node)
 }
@@ -395,6 +397,7 @@ func (n *Network) AddMobileStation(name string, mob geom.Mobility, cfg net80211.
 	r, d := n.newStack(name, mob, NodeOpts{})
 	node := &Node{Name: name, Radio: r, MAC: d, net: n}
 	node.STA = net80211.NewSTA(n.kernel, d, cfg)
+	node.STA.Tracer = n.cfg.Tracer
 	node.STA.OnReceive = func(_, _ frame.MACAddr, payload []byte) { n.sink.Deliver(payload) }
 	return n.register(node)
 }

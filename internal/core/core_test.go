@@ -198,15 +198,28 @@ func TestMultipleFlowsSeparateStats(t *testing.T) {
 	}
 }
 
+// kindTally counts trace events by kind.
+type kindTally map[trace.Kind]int
+
+func (k kindTally) Trace(ev trace.Event) { k[ev.Kind]++ }
+
+// TestTracerPlumbing: Config.Tracer reaches the medium and the management
+// plane alike — an ad-hoc pair's frames, an AP's associations and a
+// power-saving station's transitions all show up.
 func TestTracerPlumbing(t *testing.T) {
-	c := trace.NewCounter()
+	c := kindTally{}
 	net := NewNetwork(Config{Seed: 5, Tracer: c})
 	a := net.AddAdhoc("a", geom.Pt(0, 0))
 	b := net.AddAdhoc("b", geom.Pt(10, 0))
 	net.CBR(a, b, 200, 50*sim.Millisecond)
+	ap := net.AddAP("ap", geom.Pt(0, 20), net80211.APConfig{SSID: "plumb"})
+	sta := net.AddStation("sta", geom.Pt(10, 20), net80211.STAConfig{SSID: "plumb", PowerSave: true})
 	net.Run(500 * sim.Millisecond)
-	if c.Counts[trace.KindTx] == 0 || c.Counts[trace.KindRxOK] == 0 {
-		t.Errorf("tracer saw nothing: %v", c.Counts)
+	if c[trace.KindTx] == 0 || c[trace.KindRxOK] == 0 || c[trace.KindMgmt] < 2 || c[trace.KindPS] < 1 {
+		t.Errorf("tracer saw %v, want tx and rx-ok events, at least 2 mgmt and 1 ps", map[trace.Kind]int(c))
+	}
+	if !ap.AP.Associated(sta.STA.Address()) {
+		t.Error("the station never associated")
 	}
 }
 

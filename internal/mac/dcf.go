@@ -123,9 +123,7 @@ func (d *DCF) Stats() Stats { return d.stats }
 // QueueLen returns the number of queued MSDUs (excluding the in-flight one).
 func (d *DCF) QueueLen() int { return len(d.queue) - d.qHead }
 
-// QueueCap returns the transmit queue capacity in MSDUs. Send paths wrap
-// their frame pools at it: the MAC never holds more than QueueCap+1 frames
-// (the queue plus the in-flight job) at once.
+// QueueCap returns the transmit queue capacity in MSDUs.
 func (d *DCF) QueueCap() int { return d.cfg.QueueCap }
 
 // Busy reports whether the MAC holds a frame: one in flight or queued.
@@ -135,12 +133,31 @@ func (d *DCF) Busy() bool { return d.cur != nil || d.QueueLen() > 0 }
 // MSDU in flight and of each queued one (later fragments share its body).
 func (d *DCF) Held(dst []*frame.Frame) []*frame.Frame {
 	if d.cur != nil {
-		dst = append(dst, d.cur.frags[0])
+		dst = append(dst, &d.cur.frags[0])
 	}
 	for _, j := range d.queue[d.qHead:] {
-		dst = append(dst, j.frags[0])
+		dst = append(dst, &j.frags[0])
 	}
 	return dst
+}
+
+// Storage reports the transmit storage the MAC has built: its jobs — in
+// flight, queued and recycled — and their bodies' summed capacity.
+func (d *DCF) Storage() (jobs, bodyBytes int) {
+	count := func(j *txJob) {
+		jobs++
+		bodyBytes += cap(j.body)
+	}
+	if d.cur != nil {
+		count(d.cur)
+	}
+	for _, j := range d.queue[d.qHead:] {
+		count(j)
+	}
+	for _, j := range d.jobFree {
+		count(j)
+	}
+	return jobs, bodyBytes
 }
 
 // SetReceiver installs the upward delivery callback.
@@ -175,11 +192,10 @@ func (d *DCF) AwaitSpace(fn func()) bool {
 // Refuse counts n sends a waiting source did not make: Admit refusals.
 func (d *DCF) Refuse(n uint64) { d.stats.QueueDrops += n }
 
-// Enqueue accepts an MSDU (data or management frame) for transmission. The
-// caller sets the address fields; the MAC owns Seq/Frag/Retry/Duration. It
-// returns false when the queue is full (Admit). Ownership of f (and its
-// body) moves to the MAC until the MSDU is delivered or dropped; see the
-// package documentation on pooled transmit frames.
+// Enqueue accepts a copy of an MSDU (data or management frame) for
+// transmission. The caller sets the address fields; the MAC sets
+// Seq/Frag/Retry/Duration on its copy. It returns false when the queue is
+// full (Admit). Either way the caller keeps f and its body, free to reuse.
 func (d *DCF) Enqueue(f *frame.Frame) bool {
 	if !d.Admit() {
 		return false
@@ -191,10 +207,11 @@ func (d *DCF) Enqueue(f *frame.Frame) bool {
 	return true
 }
 
-// makeJob assigns the sequence number and performs fragmentation. Jobs are
-// recycled through jobFree; the generation counter distinguishes reuses so
-// committed SIFS actions referencing a finished job cannot fire against its
-// successor.
+// makeJob assigns the sequence number, copies f into a job and performs
+// fragmentation. Jobs are recycled through jobFree; the generation counter
+// distinguishes reuses so committed SIFS actions referencing a finished job
+// cannot fire against its successor. f itself is only read: storing it
+// would make Enqueue's argument escape.
 func (d *DCF) makeJob(f *frame.Frame) *txJob {
 	seq := d.seq
 	d.seq = (d.seq + 1) % frame.MaxSeq
@@ -205,32 +222,37 @@ func (d *DCF) makeJob(f *frame.Frame) *txJob {
 		d.jobFree = d.jobFree[:n-1]
 	} else {
 		job = &txJob{}
+		job.frags = job.one[:0]
 	}
+	if cap(job.body) < len(f.Body) {
+		// At least 64 B at once: SNAP and a measurement header, so a
+		// trimmed body does not regrow as the header gains non-zero bytes.
+		job.body = make([]byte, 0, max(len(f.Body), 64))
+	}
+	job.body = append(job.body[:0], f.Body...)
+	frag := *f
+	frag.Seq = seq
 	mpduLen := f.WireLen()
 	group := f.Addr1.IsGroup()
 	fragPayload := d.cfg.FragThreshold - frame.DataHdrLen - frame.FCSLen
 	if !group && mpduLen > d.cfg.FragThreshold && len(f.Body)+f.Zeros > fragPayload && fragPayload > 0 {
 		// A fragment takes its share of the stored bytes first and of the
 		// zero run after them.
-		body, zeros := f.Body, f.Zeros
+		body, zeros := job.body, f.Zeros
 		for i := 0; len(body)+zeros > 0; i++ {
 			n := min(fragPayload, len(body)+zeros)
 			stored := min(n, len(body))
-			frag := *f
 			frag.Body, frag.Zeros = body[:stored], n-stored
-			frag.Seq = seq
 			frag.Frag = uint8(i)
 			frag.MoreFrag = n < len(body)+zeros
 			body, zeros = body[stored:], zeros-frag.Zeros
-			fcopy := frag
-			job.frags = append(job.frags, &fcopy)
+			job.frags = append(job.frags, frag)
 		}
 	} else {
-		f.Seq = seq
-		f.Frag = 0
-		f.MoreFrag = false
-		job.fragArr[0] = f
-		job.frags = job.fragArr[:1]
+		frag.Body = job.body
+		frag.Frag = 0
+		frag.MoreFrag = false
+		job.frags = append(job.frags, frag)
 	}
 	job.useRTS = !group && mpduLen >= d.cfg.RTSThreshold
 	return job
@@ -442,8 +464,7 @@ func (d *DCF) sendDataMPDU(job *txJob) {
 		mpdu.Duration = 0
 		d.lastTx = txBroadcast
 	case mpdu.MoreFrag:
-		next := job.frags[job.fragIdx+1]
-		nav := 3*d.mode.SIFS + 2*ackTime + d.mode.Airtime(job.rate, next.WireLen())
+		nav := 3*d.mode.SIFS + 2*ackTime + d.mode.Airtime(job.rate, job.frags[job.fragIdx+1].WireLen())
 		mpdu.Duration = durToUs(nav)
 		d.lastTx = txData
 	default:
@@ -528,11 +549,11 @@ func (d *DCF) onACKTimeout() {
 }
 
 // releaseJob recycles a completed job: every field is reset except the
-// generation, which advances so stale SIFS commitments (and any other
-// holder of the old (job, gen) pair) can detect the reuse.
+// storage, emptied, and the generation, which advances so stale SIFS
+// commitments (and any other holder of the old (job, gen) pair) can detect
+// the reuse.
 func (d *DCF) releaseJob(j *txJob) {
-	g := j.gen + 1
-	*j = txJob{gen: g}
+	*j = txJob{gen: j.gen + 1, frags: j.frags[:0], body: j.body[:0]}
 	d.jobFree = append(d.jobFree, j)
 }
 

@@ -1,6 +1,7 @@
 package mac
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/frame"
@@ -269,6 +270,58 @@ func TestFragmentationReassembly(t *testing.T) {
 	}
 	if cs := c.dcf.Stats(); cs.ACKTx < 3 {
 		t.Errorf("receiver ACKed %d fragments", cs.ACKTx)
+	}
+}
+
+// TestEnqueueCopies: Enqueue copies what it accepts, so a caller may
+// overwrite its frame's header fields and body bytes as soon as Enqueue
+// returns — here one frame is reused for every send — and the receiver
+// still decodes exactly what was enqueued, whole MSDUs and fragmented ones.
+func TestEnqueueCopies(t *testing.T) {
+	for _, c := range []struct {
+		name      string
+		threshold int
+	}{{"unfragmented", 0}, {"fragmented", 300}} {
+		t.Run(c.name, func(t *testing.T) {
+			b := newBed(7, spectrum.FreeSpace{Freq: 2412 * units.MHz})
+			a := b.addNode("a", geom.Pt(0, 0), Config{FragThreshold: c.threshold})
+			dst := b.addNode("dst", geom.Pt(10, 0), Config{})
+			other := frame.MACAddr{2, 0, 0, 0, 0, 0x77}
+
+			const sends = 3
+			f := data(dst.dcf.Address(), a.dcf.Address(), 700)
+			want := make([][]byte, sends)
+			b.k.Schedule(0, "send", func() {
+				for i := range want {
+					for j := range f.Body {
+						f.Body[j] = byte(i*31 + j)
+					}
+					want[i] = bytes.Clone(f.Body)
+					f.Addr1, f.Addr2, f.MoreData = dst.dcf.Address(), a.dcf.Address(), false
+					if !a.dcf.Enqueue(f) {
+						t.Fatalf("send %d refused", i)
+					}
+					// Overwrite everything the caller handed over.
+					f.Addr1, f.Addr2, f.Seq, f.MoreData = other, other, 999, true
+					for j := range f.Body {
+						f.Body[j] = 0xee
+					}
+				}
+			})
+			b.k.RunFor(500 * sim.Millisecond)
+
+			if len(dst.rx) != sends {
+				t.Fatalf("receiver got %d MSDUs, want %d", len(dst.rx), sends)
+			}
+			for i, g := range dst.rx {
+				if g.Addr1 != dst.dcf.Address() || g.Addr2 != a.dcf.Address() || g.MoreData {
+					t.Errorf("MSDU %d: ra %v ta %v more-data %v, want the enqueued header", i, g.Addr1, g.Addr2, g.MoreData)
+				}
+				if !bytes.Equal(g.Body, want[i]) {
+					t.Errorf("MSDU %d: body differs from what was enqueued", i)
+				}
+			}
+		})
 	}
 }
 

@@ -10,18 +10,13 @@
 // delegated to a RateController so driver-level adaptation policies stay
 // separate from MAC mechanism.
 //
-// # Transmit frame ownership
+// # Enqueue copies
 //
-// Enqueue takes ownership of the frame and its body until the MSDU is
-// delivered or dropped: the MAC mutates Seq/Frag/Retry/Duration in place,
-// retransmits from the same storage, and fragment views alias the body.
-// Callers that pool transmit frames (the net80211 send paths) may therefore
-// reuse a frame only once the MAC can no longer hold it; the MAC holds at
-// most QueueCap()+1 frames at a time (the queue plus the in-flight job), and
-// none while Busy() is false, so a ring that wraps at QueueCap()+2 slots,
-// advances per accepted Enqueue and restarts at its first slot whenever the
-// MAC is not busy is always safe. Callers that retain a frame elsewhere while
-// also enqueueing it (e.g. power-save buffers) must hand the MAC a Clone.
+// Enqueue copies the frame it accepts, header and body, into the MAC's own
+// recycled job storage: the MAC stamps Seq/Frag/Retry/Duration on its copy,
+// retransmits from it, and fragments are views of the job's body. A caller
+// may therefore reuse or overwrite its frame and body as soon as Enqueue
+// returns, accepted or not.
 //
 // # Receive frame ownership
 //
@@ -34,11 +29,9 @@
 // the pool decoded next, which is exactly the class of bug the golden
 // traces (internal/harness/testdata) exist to catch.
 //
-// Both contracts are machine-checked: cmd/wlanlint's txownership analyzer
-// flags frames reaching Enqueue that are not pool slots or clones (and any
-// touch after an accepted hand-off), and its retainview analyzer flags RX
-// handler code that retains a delivered view without Clone. CI runs both
-// on every push.
+// The receive contract is machine-checked: cmd/wlanlint's retainview
+// analyzer flags RX handler code that retains a delivered view without
+// Clone. CI runs it on every push.
 package mac
 
 import (
@@ -147,11 +140,15 @@ const longRetryLimit = 4
 // captured (job, gen) can tell its job finished even when the pointer was
 // reused for a later MSDU.
 type txJob struct {
-	gen   uint64
-	frags []*frame.Frame
-	// fragArr backs frags for the common unfragmented case, so building a
-	// job does not allocate a one-element slice.
-	fragArr [1]*frame.Frame
+	gen uint64
+	// frags are the MSDU's fragments, copied in by makeJob; each one's Body
+	// is a view of body, the job's copy of the MSDU's stored bytes. one
+	// backs frags for the common unfragmented case, so building a job does
+	// not allocate a one-element slice. frags and body keep their capacity
+	// across releaseJob.
+	frags   []frame.Frame
+	one     [1]frame.Frame
+	body    []byte
 	fragIdx int
 	useRTS  bool
 	gotCTS  bool
@@ -165,7 +162,7 @@ type txJob struct {
 }
 
 //wlan:hotpath
-func (j *txJob) cur() *frame.Frame { return j.frags[j.fragIdx] }
+func (j *txJob) cur() *frame.Frame { return &j.frags[j.fragIdx] }
 
 //wlan:hotpath
 func (j *txJob) dst() frame.MACAddr { return j.frags[0].Addr1 }

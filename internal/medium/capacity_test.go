@@ -12,18 +12,19 @@ import (
 )
 
 // TestBufferCapacities pins, element for element, the buffers that are
-// sized by the traffic rather than by the network: the transmit-pool slots
-// of every node and their bodies' summed capacity (a data body stores only
-// a payload's non-zero prefix, so a send path that stores the zero fill
-// moves it), the arrival slots the medium's pooled transmissions asked
+// sized by the traffic rather than by the network: the transmit jobs every
+// node's MAC has built and their bodies' summed capacity (mac.DCF.Storage:
+// a job body holds a copy of what Enqueue accepted, and a data body stores
+// only a payload's non-zero prefix, so a send path that stores the zero
+// fill moves it), the arrival slots the medium's pooled transmissions asked
 // for — each array must hold exactly slices.Grow's capacity for its largest
 // request, whose size classes are the one thing here that varies with
 // GOARCH — and the edge-order buffers, after fixed-seed runs of a 27×27
 // city (bench's city-grid dense op), a saturated ring (TestSoakSteadyState's)
 // and a 1 024-radio grid, two in three of them mobile. A buffer sized by
-// capacity again — a pool allocated QueueCap()+2 slots deep up front,
-// arrival arrays grown by doubling, an order buffer with room for every
-// radio — moves a number here or fails the size check. On the mobile grid,
+// capacity again — jobs built QueueCap()+1 deep up front, arrival arrays
+// grown by doubling, an order buffer with room for every radio — moves a
+// number here or fails the size check. On the mobile grid,
 // where nearly every transmission sorts its own edge order, the order
 // buffers must also total O(N × fan-out): an order buffer per radio and per
 // pooled transmission with room for every radio would be O(N²).
@@ -32,7 +33,7 @@ func TestBufferCapacities(t *testing.T) {
 		name             string
 		build            func() *core.Network
 		run              sim.Duration
-		pool, bodies     int // transmit-pool slots and their bodies' summed capacity
+		jobs, bodies     int // transmit jobs and their bodies' summed capacity
 		arrivals, orders int
 	}{
 		{"27×27 city", func() *core.Network {
@@ -46,7 +47,7 @@ func TestBufferCapacities(t *testing.T) {
 				net.Poisson(nodes[i], nodes[i+1], 200, 4)
 			}
 			return net
-		}, sim.Second, 740, 25408, 86503, 0},
+		}, sim.Second, 395, 25280, 86503, 0},
 		{"saturated ring", func() *core.Network {
 			net := core.NewNetwork(core.Config{Seed: 7, Mode: "802.11g"})
 			nodes := make([]*core.Node, 8)
@@ -58,7 +59,7 @@ func TestBufferCapacities(t *testing.T) {
 				net.Saturate(nodes[i], nodes[(i+1)%len(nodes)], 1000)
 			}
 			return net
-		}, 2 * sim.Second, 528, 33792, 56, 0},
+		}, 2 * sim.Second, 520, 33280, 56, 0},
 		{"1024-radio mobile grid", func() *core.Network {
 			net := core.NewNetwork(core.Config{Seed: 5, TxPower: 2})
 			nodes := make([]*core.Node, 1024)
@@ -72,23 +73,23 @@ func TestBufferCapacities(t *testing.T) {
 				net.Poisson(nodes[i], nodes[i+1], 200, 4)
 			}
 			return net
-		}, sim.Second, 1042, 34496, 132971, 380579},
+		}, sim.Second, 537, 34368, 132971, 380579},
 	} {
 		net := c.build()
 		net.Run(c.run)
-		pool, bodies := 0, 0
+		jobs, bodies := 0, 0
 		for _, n := range net.Nodes() {
-			_, _, slots, room := n.Adhoc.TxPool()
-			pool, bodies = pool+slots, bodies+room
+			j, b := n.MAC.Storage()
+			jobs, bodies = jobs+j, bodies+b
 		}
 		m := net.Medium()
 		arrivals, offSize, orders, buffers := medium.Capacities(m)
 		fanout := m.FanoutDelivered / m.Transmissions
-		t.Logf("%s: %d pool slots holding %d B of bodies, %d arrival slots asked for, %d order slots in %d buffers; %d arrivals per transmission",
-			c.name, pool, bodies, arrivals, orders, buffers, fanout)
-		if pool != c.pool || bodies != c.bodies || arrivals != c.arrivals || orders != c.orders {
-			t.Errorf("%s: (pool slots, body bytes, arrival slots asked for, order slots) = (%d, %d, %d, %d), want (%d, %d, %d, %d)",
-				c.name, pool, bodies, arrivals, orders, c.pool, c.bodies, c.arrivals, c.orders)
+		t.Logf("%s: %d transmit jobs holding %d B of bodies, %d arrival slots asked for, %d order slots in %d buffers; %d arrivals per transmission",
+			c.name, jobs, bodies, arrivals, orders, buffers, fanout)
+		if jobs != c.jobs || bodies != c.bodies || arrivals != c.arrivals || orders != c.orders {
+			t.Errorf("%s: (transmit jobs, body bytes, arrival slots asked for, order slots) = (%d, %d, %d, %d), want (%d, %d, %d, %d)",
+				c.name, jobs, bodies, arrivals, orders, c.jobs, c.bodies, c.arrivals, c.orders)
 		}
 		if offSize != 0 {
 			t.Errorf("%s: %d arrival arrays hold other than slices.Grow's capacity for what was asked", c.name, offSize)

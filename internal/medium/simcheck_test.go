@@ -26,10 +26,6 @@ import (
 // every event (the state an event left is checked when the next one is
 // dispatched, and by flush after the run):
 //
-//   - (a) no transmit-pool slot is handed out while the MAC holds its frame:
-//     the frame and body buffer a node's next send would fill
-//     (net80211's TxPool) share no storage with a frame its MAC holds
-//     (mac.DCF.Held). This is the dynamic twin of wlanlint's txownership.
 //   - (b) every in-flight arrival, and every lock, is an element of its
 //     transmission's current arrival array.
 //   - (c) a radio's running antenna power totalMW equals the sum of its
@@ -57,10 +53,10 @@ type simcheck struct {
 	event string
 
 	books  []book            // per radio, in id order
-	pools  []poolKey         // per node, what the pool check last saw
+	macs   []macKey          // per node, what the held-frame check last saw
 	byName map[string][2]int // radio name → its id and its node's index
 	flows  []*traffic.FlowStats
-	held   []*frame.Frame
+	frames []*frame.Frame
 	spare  []float64
 
 	checks, edges, clamps int
@@ -76,10 +72,9 @@ type book struct {
 	peak  float64   // largest in-flight power seen
 }
 
-// poolKey is what decides a node's pool check: the slot its next send would
-// fill and the MAC's hand-offs so far. While it stands, the answer does.
-type poolKey struct {
-	f                          *frame.Frame
+// macKey is what decides a node's held-frame check: the MAC's hand-offs so
+// far. While it stands, the answer does.
+type macKey struct {
 	queued, delivered, dropped uint64
 	queueLen                   int
 }
@@ -117,9 +112,9 @@ func (c *simcheck) fail(format string, args ...any) {
 func (c *simcheck) check() {
 	c.checks++
 	radios, nodes := c.net.Medium().Radios(), c.net.Nodes()
-	if len(c.books) != len(radios) || len(c.pools) != len(nodes) {
+	if len(c.books) != len(radios) || len(c.macs) != len(nodes) {
 		c.books = append(c.books, make([]book, len(radios)-len(c.books))...)
-		c.pools = append(c.pools, make([]poolKey, len(nodes)-len(c.pools))...)
+		c.macs = append(c.macs, make([]macKey, len(nodes)-len(c.macs))...)
 		c.byName = map[string][2]int{}
 		for i, n := range nodes {
 			c.byName[n.Name] = [2]int{slices.Index(radios, n.Radio), i}
@@ -127,7 +122,7 @@ func (c *simcheck) check() {
 	}
 	if ids, ok := c.byName[c.event[strings.LastIndexByte(c.event, ':')+1:]]; ok && c.checks%64 != 0 {
 		c.radio(radios[ids[0]], &c.books[ids[0]])
-		c.pool(nodes[ids[1]], &c.pools[ids[1]])
+		c.held(nodes[ids[1]], &c.macs[ids[1]])
 		if !strings.HasPrefix(c.event, "rx-end:") { // the sink hears of a packet at a receiver's trailing edge
 			return
 		}
@@ -136,7 +131,7 @@ func (c *simcheck) check() {
 			c.radio(r, &c.books[i])
 		}
 		for i, n := range nodes {
-			c.pool(n, &c.pools[i])
+			c.held(n, &c.macs[i])
 		}
 	}
 	for i, g := range c.net.Generators() {
@@ -219,41 +214,21 @@ func extra(long, short []float64) float64 {
 	return long[len(long)-1]
 }
 
-// pool checks (a) and (f) on n.
-func (c *simcheck) pool(n *core.Node, k *poolKey) {
-	var f *frame.Frame
-	var body []byte
-	switch {
-	case n.Adhoc != nil:
-		f, body, _, _ = n.Adhoc.TxPool()
-	case n.STA != nil:
-		f, body, _, _ = n.STA.TxPool()
-	case n.AP != nil:
-		f, body, _, _ = n.AP.TxPool()
-	default:
-		return
-	}
+// held checks (f) on n.
+func (c *simcheck) held(n *core.Node, k *macKey) {
 	st := n.MAC.Stats()
-	key := poolKey{f, st.MSDUQueued, st.MSDUDelivered, st.MSDUDropped, n.MAC.QueueLen()}
+	key := macKey{st.MSDUQueued, st.MSDUDelivered, st.MSDUDropped, n.MAC.QueueLen()}
 	if key == *k {
 		return
 	}
 	*k = key
-	c.held = n.MAC.Held(c.held[:0])
-	for i, h := range c.held {
-		if h == f || sameStorage(h.Body, body) {
-			c.fail("(a) %s: the next send's slot is frame %d of the %d its MAC holds", n.Name, i, len(c.held))
-		}
+	c.frames = n.MAC.Held(c.frames[:0])
+	for i, h := range c.frames {
 		if h.Type == frame.TypeData && !h.Protected && !h.MoreFrag && len(h.Body) > 0 && h.Body[len(h.Body)-1] == 0 {
 			c.fail("(f) %s: frame %d of the %d its MAC holds stores %d B ending in a zero byte (Zeros %d)",
-				n.Name, i, len(c.held), len(h.Body), h.Zeros)
+				n.Name, i, len(c.frames), len(h.Body), h.Zeros)
 		}
 	}
-}
-
-// sameStorage reports whether a and b start on the same backing array.
-func sameStorage(a, b []byte) bool {
-	return cap(a) > 0 && cap(b) > 0 && &a[:1][0] == &b[:1][0]
 }
 
 // TestTotalPowerMatchesInFlight runs the audit over TestSoakSteadyState's

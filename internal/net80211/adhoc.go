@@ -15,7 +15,7 @@ type Adhoc struct {
 	k     *sim.Kernel
 	dcf   *mac.DCF
 	bssid frame.MACAddr
-	tx    *txPool
+	tx    txBuf
 
 	// OnReceive delivers application payloads.
 	OnReceive DeliveryFunc
@@ -27,7 +27,7 @@ type Adhoc struct {
 // NewAdhoc joins a node to the IBSS identified by bssid (all members must
 // share it).
 func NewAdhoc(k *sim.Kernel, dcf *mac.DCF, bssid frame.MACAddr) *Adhoc {
-	a := &Adhoc{k: k, dcf: dcf, bssid: bssid, tx: newTxPool(dcf)}
+	a := &Adhoc{k: k, dcf: dcf, bssid: bssid, tx: txBuf{mac: dcf}}
 	dcf.SetReceiver(a.receive)
 	return a
 }
@@ -43,15 +43,14 @@ func (a *Adhoc) Address() frame.MACAddr { return a.dcf.Address() }
 func (a *Adhoc) MAC() *mac.DCF { return a.dcf }
 
 // Send transmits an application payload directly to dst (or broadcast).
-// The MAC queue admits the send before the pooled frame is built, so a
-// refused send touches nothing but the MAC's QueueDrops.
+// The MAC queue admits the send before the frame is built, so a refused
+// send touches nothing but the MAC's QueueDrops.
 func (a *Adhoc) Send(dst frame.MACAddr, payload []byte) bool {
 	if !a.dcf.Admit() {
 		return false
 	}
-	slot := a.tx.data(frame.Frame{Addr1: dst, Addr2: a.Address(), Addr3: a.bssid}, payload, nil, 0, nil)
-	a.dcf.Enqueue(&slot.f) // admitted: accepted
-	a.tx.commit()
+	f, _ := a.tx.data(frame.Frame{Addr1: dst, Addr2: a.Address(), Addr3: a.bssid}, payload, nil, 0, nil)
+	a.tx.send(f) // admitted: accepted
 	a.TxPayloads++
 	return true
 }

@@ -4,29 +4,16 @@
 // hysteresis, PS-Poll sleep cycles) and ad-hoc IBSS nodes. It corresponds
 // to the SME/MLME layer a driver stack implements above mac80211.
 //
-// # Frame ownership contracts
+// # Received frames are views
 //
-// Two rules keep the allocation-free fast paths sound; every send or
-// receive path added to this package must follow them:
-//
-//   - RX frames are views. Frames arriving from the MAC (mac.Receiver) are
-//     zero-copy views into pooled decode buffers, valid only during the
-//     callback. Retain nothing without frame.Frame.Clone — the AP's
-//     wired-DS forwarding, the power-save buffer and the reassembler all
-//     clone before they keep.
-//   - TX frames are MAC-owned after Enqueue. A frame handed to
-//     mac.DCF.Enqueue (and its body) belongs to the MAC until the MSDU is
-//     delivered or dropped; the MAC mutates and retransmits from that
-//     storage in place. Send paths therefore draw frames from the
-//     per-node txPool — a ring advanced per accepted Enqueue, wrapping at
-//     QueueCap()+2 and restarted whenever the MAC holds nothing — and
-//     must never recycle a slot the MAC may still hold.
-//
-// Both rules are enforced statically by cmd/wlanlint: the retainview
-// analyzer catches RX views retained past their handler, and the
-// txownership analyzer catches non-pooled frames reaching Enqueue and
-// use-after-hand-off. A new send/receive path that trips either analyzer
-// is wrong until it clones or pools; see README.md "Static contracts".
+// Frames arriving from the MAC (mac.Receiver) are zero-copy views into
+// pooled decode buffers, valid only during the callback. Retain nothing
+// without frame.Frame.Clone — the AP's wired-DS forwarding, the power-save
+// buffer and the reassembler all clone before they keep. cmd/wlanlint's
+// retainview analyzer catches an RX view retained past its handler; see
+// README.md "Static contracts". Sent frames need no such rule:
+// mac.DCF.Enqueue copies what it accepts, so every send path builds its
+// frame in one per-node scratch (txBuf) and reuses it at once.
 package net80211
 
 import (
@@ -115,21 +102,22 @@ type AP struct {
 
 	dtimCount int
 	ivs       wep.IVCounter
-	// tx pools outgoing data frames/bodies; wepOpen is the rx decrypt
-	// scratch. Both make steady-state bridging allocation-free.
-	tx      *txPool
+	// tx is the transmit scratch; wepOpen is the rx decrypt scratch. Both
+	// make steady-state bridging allocation-free.
+	tx      txBuf
 	wepOpen []byte
 	// rates is the supported-rates IE, fixed at construction (the mode
 	// never changes); beaconTIM is the reusable TIM scratch. Together with
-	// AppendBeacon into a pooled TX body they make beaconing — the one
+	// AppendBeacon into the transmit scratch they make beaconing — the one
 	// thing an idle BSS does — allocation-free.
 	rates     []byte
 	beaconTIM frame.TIM
 
 	// OnDeliver receives payloads addressed to the AP itself (or group).
 	OnDeliver DeliveryFunc
-	Tracer    trace.Tracer
-	Stats     APStats
+	// Tracer receives management and power-save events; nil disables tracing.
+	Tracer trace.Tracer
+	Stats  APStats
 
 	stopBeacons func()
 }
@@ -153,8 +141,7 @@ func NewAP(k *sim.Kernel, dcf *mac.DCF, cfg APConfig) *AP {
 		ssid:     cfg.SSID,
 		stations: make(map[frame.MACAddr]*staEntry),
 		byAID:    make(map[uint16]*staEntry),
-		tx:       newTxPool(dcf),
-		Tracer:   trace.Nop{},
+		tx:       txBuf{mac: dcf},
 	}
 	ap.rates = ap.rateIE()
 	dcf.SetReceiver(ap.receive)
@@ -214,14 +201,6 @@ func (ap *AP) AssociatedCount() int {
 
 func (ap *AP) privacy() bool { return len(ap.cfg.WEPKey) > 0 }
 
-// tracing reports whether a real tracer is attached. Handlers gate their
-// trace.Event construction on it so the fmt.Sprintf detail strings are never
-// built under the default trace.Nop — tracing off must cost nothing.
-func (ap *AP) tracing() bool {
-	_, nop := ap.Tracer.(trace.Nop)
-	return !nop
-}
-
 // open decrypts a received WEP body into the AP's reusable scratch. The
 // result is a view, valid until the next open call; consumers copy what
 // they keep (queueFromDS re-encapsulates, the DS port clones).
@@ -234,11 +213,9 @@ func (ap *AP) open(body []byte) ([]byte, error) {
 	return plain, nil
 }
 
-// sendBeacon enqueues the periodic beacon with the current TIM. The frame
-// and body come from the AP's transmit pool and the body is built with
-// AppendBeacon into the reused buffer, so an idle BSS beacons forever
-// without allocating; the slot commits only when the MAC accepts the
-// frame, per the txPool ownership protocol.
+// sendBeacon enqueues the periodic beacon with the current TIM. The body is
+// built with AppendBeacon into the transmit scratch, so an idle BSS beacons
+// forever without allocating.
 func (ap *AP) sendBeacon() {
 	ap.dtimCount--
 	if ap.dtimCount < 0 {
@@ -268,16 +245,17 @@ func (ap *AP) sendBeacon() {
 		Channel:    uint8(ap.channel()),
 		TIM:        tim,
 	}
-	slot := ap.tx.slot()
-	slot.body = frame.AppendBeacon(slot.body[:0], &b)
-	slot.f = frame.Frame{
-		Type: frame.TypeManagement, Subtype: frame.SubtypeBeacon,
-		Addr1: frame.Broadcast, Addr2: ap.BSSID(), Addr3: ap.BSSID(),
-		Body: slot.body,
-	}
-	if ap.dcf.Enqueue(&slot.f) {
-		ap.tx.commit()
+	if ap.tx.send(ap.mgmt(frame.SubtypeBeacon, frame.Broadcast, frame.AppendBeacon(ap.tx.body(), &b))) {
 		ap.Stats.BeaconsSent++
+	}
+}
+
+// mgmt stamps the AP's addresses on a management frame to dst.
+func (ap *AP) mgmt(sub frame.Subtype, dst frame.MACAddr, body []byte) frame.Frame {
+	return frame.Frame{
+		Type: frame.TypeManagement, Subtype: sub,
+		Addr1: dst, Addr2: ap.BSSID(), Addr3: ap.BSSID(),
+		Body: body,
 	}
 }
 
@@ -307,12 +285,10 @@ func (ap *AP) Send(dst frame.MACAddr, payload []byte) bool {
 	return ap.queueFromDS(dst, ap.BSSID(), payload)
 }
 
-// queueFromDS builds a FromDS data frame (buffering for PS stations). The
-// frame and its body come from the AP's transmit pool, so steady-state
-// bridging allocates nothing; ownership moves to the MAC on Enqueue.
-// Power-save buffering is the exception: the buffer outlives this call, so
-// it takes a Clone and the pooled slot stays uncommitted. Room — in the PS
-// buffer for a dozing station, in the MAC queue otherwise — is checked
+// queueFromDS builds a FromDS data frame in the transmit scratch (buffering
+// for PS stations), so steady-state bridging allocates nothing. The
+// power-save buffer outlives this call, so it keeps a Clone. Room — in the
+// PS buffer for a dozing station, in the MAC queue otherwise — is checked
 // before anything is sealed, so a refusal touches only PSDropped or
 // QueueDrops.
 func (ap *AP) queueFromDS(dst, src frame.MACAddr, payload []byte) bool {
@@ -325,21 +301,19 @@ func (ap *AP) queueFromDS(dst, src frame.MACAddr, payload []byte) bool {
 	if !dozing && !ap.dcf.Admit() {
 		return false
 	}
-	slot := ap.tx.data(frame.Frame{
+	f, ok := ap.tx.data(frame.Frame{
 		FromDS: true,
 		Addr1:  dst, Addr2: ap.BSSID(), Addr3: src,
 	}, payload, ap.cfg.WEPKey, ap.cfg.WEPKeyID, &ap.ivs)
-	if slot == nil {
+	if !ok {
 		return false
 	}
 	if dozing {
-		e.psBuf = append(e.psBuf, slot.f.Clone())
+		e.psBuf = append(e.psBuf, f.Clone())
 		ap.Stats.PSBuffered++
 		return true
 	}
-	ap.dcf.Enqueue(&slot.f) // admitted: accepted
-	ap.tx.commit()
-	return true
+	return ap.tx.send(f) // admitted: accepted
 }
 
 // receive handles every frame the MAC delivers.
@@ -411,19 +385,10 @@ func (ap *AP) handleProbe(f *frame.Frame) {
 		Rates:      ap.rates,
 		Channel:    uint8(ap.channel()),
 	}
-	// The response body is built with AppendBeacon into a pooled TX body,
-	// like the beacon itself: a probe storm makes the AP marshal nothing on
-	// the heap.
-	slot := ap.tx.slot()
-	slot.body = frame.AppendBeacon(slot.body[:0], &resp)
-	slot.f = frame.Frame{
-		Type: frame.TypeManagement, Subtype: frame.SubtypeProbeResp,
-		Addr1: f.Addr2, Addr2: ap.BSSID(), Addr3: ap.BSSID(),
-		Body: slot.body,
-	}
-	if ap.dcf.Enqueue(&slot.f) {
-		ap.tx.commit()
-	}
+	// The response body is built with AppendBeacon into the transmit
+	// scratch, like the beacon itself: a probe storm makes the AP marshal
+	// nothing on the heap.
+	ap.tx.send(ap.mgmt(frame.SubtypeProbeResp, f.Addr2, frame.AppendBeacon(ap.tx.body(), &resp)))
 }
 
 func (ap *AP) entry(addr frame.MACAddr) *staEntry {
@@ -435,20 +400,11 @@ func (ap *AP) entry(addr frame.MACAddr) *staEntry {
 	return e
 }
 
-// sendAuthReply enqueues one authentication response from a pooled TX slot;
-// the body marshals with AppendAuth straight into the reused buffer.
+// sendAuthReply enqueues one authentication response; the body marshals
+// with AppendAuth straight into the transmit scratch.
 func (ap *AP) sendAuthReply(dst frame.MACAddr, algo, seq, status uint16, challenge []byte) {
 	a := frame.Auth{Algorithm: algo, SeqNum: seq, Status: status, Challenge: challenge}
-	slot := ap.tx.slot()
-	slot.body = frame.AppendAuth(slot.body[:0], &a)
-	slot.f = frame.Frame{
-		Type: frame.TypeManagement, Subtype: frame.SubtypeAuth,
-		Addr1: dst, Addr2: ap.BSSID(), Addr3: ap.BSSID(),
-		Body: slot.body,
-	}
-	if ap.dcf.Enqueue(&slot.f) {
-		ap.tx.commit()
-	}
+	ap.tx.send(ap.mgmt(frame.SubtypeAuth, dst, frame.AppendAuth(ap.tx.body(), &a)))
 }
 
 func (ap *AP) handleAuth(f *frame.Frame) {
@@ -558,17 +514,8 @@ func (ap *AP) handleAssoc(f *frame.Frame) {
 		}
 	}
 	resp := frame.AssocResp{Capability: frame.CapESS, Status: status, AID: e.aid, Rates: ap.rates}
-	slot := ap.tx.slot()
-	slot.body = frame.AppendAssocResp(slot.body[:0], &resp)
-	slot.f = frame.Frame{
-		Type: frame.TypeManagement, Subtype: frame.SubtypeAssocResp,
-		Addr1: f.Addr2, Addr2: ap.BSSID(), Addr3: ap.BSSID(),
-		Body: slot.body,
-	}
-	if ap.dcf.Enqueue(&slot.f) {
-		ap.tx.commit()
-	}
-	if ap.tracing() {
+	ap.tx.send(ap.mgmt(frame.SubtypeAssocResp, f.Addr2, frame.AppendAssocResp(ap.tx.body(), &resp)))
+	if ap.Tracer != nil {
 		ap.Tracer.Trace(trace.Event{At: ap.k.Now(), Node: ap.ssid, Kind: trace.KindMgmt,
 			Detail: fmt.Sprintf("assoc %v aid=%d status=%d", f.Addr2, e.aid, status)})
 	}
@@ -634,14 +581,17 @@ func (ap *AP) setPS(e *staEntry, ps bool) {
 		return
 	}
 	e.ps = ps
-	if ap.tracing() {
+	if ap.Tracer != nil {
 		ap.Tracer.Trace(trace.Event{At: ap.k.Now(), Node: ap.ssid, Kind: trace.KindPS,
 			Detail: fmt.Sprintf("%v ps=%v", e.addr, ps)})
 	}
 	if !ps {
 		for _, f := range e.psBuf {
-			ap.dcf.Enqueue(f)
-			ap.Stats.PSDelivered++
+			if ap.dcf.Enqueue(f) {
+				ap.Stats.PSDelivered++
+			} else {
+				ap.Stats.PSDropped++
+			}
 		}
 		e.psBuf = nil
 	}
@@ -656,11 +606,15 @@ func (ap *AP) handlePSPoll(f *frame.Frame) {
 	if len(e.psBuf) == 0 {
 		return
 	}
-	out := e.psBuf[0]
+	// Enqueue copies: the buffered frame is released only once accepted, and
+	// a refused one stays at the head for the next poll.
+	out := *e.psBuf[0]
+	out.MoreData = len(e.psBuf) > 1
+	if !ap.dcf.Enqueue(&out) {
+		return
+	}
 	e.psBuf = e.psBuf[1:]
-	out.MoreData = len(e.psBuf) > 0
 	ap.Stats.PSDelivered++
-	ap.dcf.Enqueue(out)
 }
 
 // clonePayload copies a payload that must outlive the rx callback: wired

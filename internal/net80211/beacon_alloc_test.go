@@ -12,8 +12,8 @@ import (
 )
 
 // Idle-BSS regression wall: a beaconing AP with nothing else to do must not
-// allocate. The beacon body is built by frame.AppendBeacon into the pooled
-// TX body, the TIM scratch and the supported-rates IE are reused, and the
+// allocate. The beacon body is built by frame.AppendBeacon into the
+// transmit scratch, the TIM scratch and the supported-rates IE are reused, and the
 // kernel's ticker plus the medium's broadcast fan-out were already pooled —
 // so a whole beacon interval (TIM rebuild, marshal, enqueue, transmit,
 // delivery to an associated station, ticker re-arm) runs at 0 allocs/op.

@@ -12,7 +12,7 @@ import (
 
 // Probe-exchange regression wall: answering a probe request must not
 // allocate. The response body is built by frame.AppendBeacon into the AP's
-// pooled TX body (like the beacon itself), and the station's probe-response
+// transmit scratch (like the beacon itself), and the station's probe-response
 // reception is the same view-based handleBeacon path the idle-BSS wall
 // already pins — so a probe storm runs at 0 allocs per exchange end to end:
 // handle, marshal, enqueue, transmit, delivery to a listening station.
@@ -35,7 +35,7 @@ func TestAPProbeResponseZeroAlloc(t *testing.T) {
 		ap.handleProbe(req)
 		w.k.RunFor(5 * sim.Millisecond)
 	}
-	// Warm-up: grow every pool slot once.
+	// Warm-up: grow every pool once.
 	for i := 0; i < 160; i++ {
 		exchange()
 	}
@@ -49,8 +49,8 @@ func TestAPProbeResponseZeroAlloc(t *testing.T) {
 	}
 }
 
-// The station's side of the same wall: a probe request from the pooled TX
-// path with cached SSID/rates IE payloads allocates nothing per send.
+// The station's side of the same wall: a probe request built in the
+// transmit scratch with cached SSID/rates IE payloads allocates nothing per send.
 func TestSTAProbeRequestZeroAlloc(t *testing.T) {
 	w := newWorld(33, spectrum.FreeSpace{Freq: 2412 * units.MHz})
 	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(0, 0), 1), STAConfig{SSID: "nowhere"})

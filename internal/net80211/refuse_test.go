@@ -16,25 +16,25 @@ import (
 )
 
 // sendState is everything a send could touch on one node, drop counters
-// included: the MAC's counters, the transmit ring slot by slot, the radio,
-// the WEP IV counter and the node's own counters.
+// included: the MAC's counters, the transmit scratch to its full capacity,
+// the frames a power-save buffer holds, the radio, the WEP IV counter and
+// the node's own counters.
 type sendState struct {
 	MAC                  mac.Stats
-	Ring                 []txSlot
-	Next                 int
+	Scratch, Snap        []byte
+	Buffered             []*frame.Frame
 	Asleep, Transmitting bool
 	Channel              int
 	IVs                  wep.IVCounter
 	Node                 any // STAStats, APStats or the Adhoc payload count
 }
 
-func stateOf(d *mac.DCF, p *txPool, ivs *wep.IVCounter, node any) sendState {
-	s := sendState{MAC: d.Stats(), Next: p.next, Node: node,
+func stateOf(d *mac.DCF, p *txBuf, ivs *wep.IVCounter, node any, buffered []*frame.Frame) sendState {
+	s := sendState{MAC: d.Stats(), Node: node,
+		Scratch: bytes.Clone(p.buf[:cap(p.buf)]), Snap: bytes.Clone(p.snap[:cap(p.snap)]),
 		Asleep: d.Radio().Asleep(), Transmitting: d.Radio().Transmitting(), Channel: d.Radio().Channel()}
-	for _, slot := range p.slots {
-		slot.body = bytes.Clone(slot.body)
-		slot.f.Body = bytes.Clone(slot.f.Body)
-		s.Ring = append(s.Ring, slot)
+	for _, f := range buffered {
+		s.Buffered = append(s.Buffered, f.Clone())
 	}
 	if ivs != nil {
 		s.IVs = *ivs
@@ -45,7 +45,9 @@ func stateOf(d *mac.DCF, p *txPool, ivs *wep.IVCounter, node any) sendState {
 // TestRefusedSendIsPure: a send refused for want of room — in the MAC queue,
 // or in an AP's power-save buffer — counts one QueueDrop or PSDropped and
 // touches nothing else: no WEP IV consumed, no doze timer re-armed, no
-// radio woken, no transmit slot rewritten or grown, no kernel event queued.
+// radio woken, no transmit scratch rewritten or grown, no kernel event
+// queued. A PS-Poll answered into a full MAC queue is one QueueDrop too: the
+// buffered frame stays at the head of the buffer, not counted delivered.
 func TestRefusedSendIsPure(t *testing.T) {
 	w := newWorld(31, spectrum.FreeSpace{Freq: 2412 * units.MHz})
 	key := wallKey()
@@ -76,9 +78,13 @@ func TestRefusedSendIsPure(t *testing.T) {
 	fill("AP PS buffer", func() bool { return ap.queueFromDS(sta.Address(), far, payload) })
 	fill("AP queue", func() bool { return ap.Send(frame.Broadcast, payload) })
 
-	adhocState := func() sendState { return stateOf(adhoc.dcf, adhoc.tx, nil, adhoc.TxPayloads) }
-	staState := func() sendState { return stateOf(sta.dcf, sta.tx, &sta.ivs, sta.Stats) }
-	apState := func() sendState { return stateOf(ap.dcf, ap.tx, &ap.ivs, ap.Stats) }
+	adhocState := func() sendState { return stateOf(adhoc.dcf, &adhoc.tx, nil, adhoc.TxPayloads, nil) }
+	staState := func() sendState { return stateOf(sta.dcf, &sta.tx, &sta.ivs, sta.Stats, nil) }
+	apState := func() sendState {
+		return stateOf(ap.dcf, &ap.tx, &ap.ivs, ap.Stats, ap.stations[sta.Address()].psBuf)
+	}
+	poll := &frame.Frame{Type: frame.TypeControl, Subtype: frame.SubtypePSPoll,
+		Addr1: ap.BSSID(), Addr2: sta.Address(), Duration: sta.aid | 0xc000}
 	wantAdhoc, wantSTA, wantAP := adhocState(), staState(), apState()
 	pending := w.k.Pending()
 
@@ -95,6 +101,11 @@ func TestRefusedSendIsPure(t *testing.T) {
 			{"AP to an unknown station", ap.Send(far, payload)},
 			{"DS to a group", ap.queueFromDS(frame.Broadcast, far, payload)},
 			{"DS to a dozing station", ap.queueFromDS(sta.Address(), far, payload)},
+			{"PS-Poll into a full queue", func() bool {
+				before := ap.Stats.PSDelivered
+				ap.handlePSPoll(poll)
+				return ap.Stats.PSDelivered != before
+			}()},
 		} {
 			if c.sent {
 				t.Fatalf("%s: send accepted into a full queue", c.name)
@@ -105,7 +116,7 @@ func TestRefusedSendIsPure(t *testing.T) {
 	// Only the drop counters moved, by one per refusal.
 	wantAdhoc.MAC.QueueDrops += n
 	wantSTA.MAC.QueueDrops += n
-	wantAP.MAC.QueueDrops += 4 * n // the AP's three local sends and DS to a group: the full queue refuses first
+	wantAP.MAC.QueueDrops += 5 * n // the AP's three local sends, DS to a group and the PS-Poll: the full queue refuses
 	apStats := wantAP.Node.(APStats)
 	apStats.PSDropped += n
 	wantAP.Node = apStats

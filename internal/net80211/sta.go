@@ -118,13 +118,14 @@ type STA struct {
 	mgmtTries int
 
 	ivs wep.IVCounter
-	// tx pools outgoing data frames/bodies; wepOpen is the rx decrypt
-	// scratch. Both make steady-state traffic allocation-free.
-	tx      *txPool
+	// tx is the transmit scratch; wepOpen is the rx decrypt scratch. Both
+	// make steady-state traffic allocation-free.
+	tx      txBuf
 	wepOpen []byte
 	// ssidBytes and rates are the SSID and supported-rates IE payloads,
-	// fixed at construction; management frames append them into pooled TX
-	// bodies so scanning and (re)joining marshal nothing on the heap.
+	// fixed at construction; management frames append them into the
+	// transmit scratch so scanning and (re)joining marshal nothing on the
+	// heap.
 	ssidBytes []byte
 	rates     []byte
 	psWake    sim.Timer // pending pre-beacon wakeup
@@ -142,8 +143,9 @@ type STA struct {
 	OnReceive DeliveryFunc
 	// OnAssociated fires after every successful (re)association.
 	OnAssociated func(bssid frame.MACAddr)
-	Tracer       trace.Tracer
-	Stats        STAStats
+	// Tracer receives management and roaming events; nil disables tracing.
+	Tracer trace.Tracer
+	Stats  STAStats
 }
 
 // NewSTA builds a station on an existing DCF and starts scanning.
@@ -165,11 +167,10 @@ func NewSTA(k *sim.Kernel, dcf *mac.DCF, cfg STAConfig) *STA {
 		dcf:       dcf,
 		cfg:       cfg,
 		cands:     make(map[frame.MACAddr]*candidate),
-		tx:        newTxPool(dcf),
+		tx:        txBuf{mac: dcf},
 		ssidBytes: []byte(cfg.SSID),
 		rates:     []byte{frame.RateByte(2, true)},
 		beaconInt: 100 * TU,
-		Tracer:    trace.Nop{},
 	}
 	dcf.SetReceiver(s.receive)
 	k.Schedule(0, "sta-start", s.startScan)
@@ -190,34 +191,26 @@ func (s *STA) BSSID() frame.MACAddr { return s.bssid }
 
 func (s *STA) privacy() bool { return len(s.cfg.WEPKey) > 0 }
 
-// tracing reports whether a real tracer is attached; see (*AP).tracing.
-func (s *STA) tracing() bool {
-	_, nop := s.Tracer.(trace.Nop)
-	return !nop
-}
-
 // Send transmits an application payload to dst through the serving AP. It
 // returns false when the queue is full or the station is unassociated; the
 // queue is asked first, so a refused send touches nothing but the MAC's
 // QueueDrops — no doze timer re-armed, no WEP IV consumed. The outgoing frame
-// and its body come from the station's transmit pool: steady-state sends
-// allocate nothing, and ownership moves to the MAC on Enqueue (see mac
-// package docs on transmit frame ownership).
+// is built in the station's transmit scratch: steady-state sends allocate
+// nothing.
 func (s *STA) Send(dst frame.MACAddr, payload []byte) bool {
 	if !s.dcf.Admit() || s.state != staAssociated {
 		return false
 	}
 	s.wakeForTraffic()
-	slot := s.tx.data(frame.Frame{
+	f, ok := s.tx.data(frame.Frame{
 		ToDS:  true,
 		Addr1: s.bssid, Addr2: s.Address(), Addr3: dst,
 		PwrMgmt: s.cfg.PowerSave,
 	}, payload, s.cfg.WEPKey, s.cfg.WEPKeyID, &s.ivs)
-	if slot == nil {
+	if !ok {
 		return false
 	}
-	s.dcf.Enqueue(&slot.f) // admitted: accepted
-	s.tx.commit()
+	s.tx.send(f) // admitted: accepted
 	s.Stats.TxPayloads++
 	return true
 }
@@ -264,19 +257,20 @@ func (s *STA) scanStep() {
 }
 
 // sendProbeReq broadcasts a directed probe request on the current channel.
-// The body is two cached IE payloads appended into a pooled TX body, so an
-// active scan sweep allocates nothing per probe.
+// The body is two cached IE payloads appended into the transmit scratch, so
+// an active scan sweep allocates nothing per probe.
 func (s *STA) sendProbeReq() {
-	slot := s.tx.slot()
-	body := frame.AppendIE(slot.body[:0], frame.IESSID, s.ssidBytes)
-	slot.body = frame.AppendIE(body, frame.IESupportedRates, s.rates)
-	slot.f = frame.Frame{
-		Type: frame.TypeManagement, Subtype: frame.SubtypeProbeReq,
-		Addr1: frame.Broadcast, Addr2: s.Address(), Addr3: frame.Broadcast,
-		Body: slot.body,
-	}
-	if s.dcf.Enqueue(&slot.f) {
-		s.tx.commit()
+	body := frame.AppendIE(s.tx.body(), frame.IESSID, s.ssidBytes)
+	s.tx.send(s.mgmt(frame.SubtypeProbeReq, frame.Broadcast, frame.AppendIE(body, frame.IESupportedRates, s.rates)))
+}
+
+// mgmt stamps the station's addresses on a management frame to dst, which
+// is also its BSSID field: the serving AP, or broadcast for a probe.
+func (s *STA) mgmt(sub frame.Subtype, dst frame.MACAddr, body []byte) frame.Frame {
+	return frame.Frame{
+		Type: frame.TypeManagement, Subtype: sub,
+		Addr1: dst, Addr2: s.Address(), Addr3: dst,
+		Body: body,
 	}
 }
 
@@ -350,16 +344,7 @@ func (s *STA) sendAuth1() {
 		algo = frame.AuthAlgoSharedKey
 	}
 	a := frame.Auth{Algorithm: algo, SeqNum: 1}
-	slot := s.tx.slot()
-	slot.body = frame.AppendAuth(slot.body[:0], &a)
-	slot.f = frame.Frame{
-		Type: frame.TypeManagement, Subtype: frame.SubtypeAuth,
-		Addr1: s.bssid, Addr2: s.Address(), Addr3: s.bssid,
-		Body: slot.body,
-	}
-	if s.dcf.Enqueue(&slot.f) {
-		s.tx.commit()
-	}
+	s.tx.send(s.mgmt(frame.SubtypeAuth, s.bssid, frame.AppendAuth(s.tx.body(), &a)))
 	s.armMgmtTimer(s.sendAuth1)
 }
 
@@ -371,16 +356,7 @@ func (s *STA) sendAssocReq() {
 		SSID:       s.ssidBytes,
 		Rates:      s.rates,
 	}
-	slot := s.tx.slot()
-	slot.body = frame.AppendAssocReq(slot.body[:0], &req)
-	slot.f = frame.Frame{
-		Type: frame.TypeManagement, Subtype: frame.SubtypeAssocReq,
-		Addr1: s.bssid, Addr2: s.Address(), Addr3: s.bssid,
-		Body: slot.body,
-	}
-	if s.dcf.Enqueue(&slot.f) {
-		s.tx.commit()
-	}
+	s.tx.send(s.mgmt(frame.SubtypeAssocReq, s.bssid, frame.AppendAssocReq(s.tx.body(), &req)))
 	s.armMgmtTimer(s.sendAssocReq)
 }
 
@@ -500,7 +476,7 @@ func (s *STA) maybeRoam() {
 		return
 	}
 	s.Stats.Roams++
-	if s.tracing() {
+	if s.Tracer != nil {
 		s.Tracer.Trace(trace.Event{At: s.k.Now(), Node: s.name(), Kind: trace.KindRoam,
 			Detail: fmt.Sprintf("%v -> %v (%.1f -> %.1f dBm)", s.bssid, target.bssid, s.servRSSI, target.rssi)})
 	}
@@ -522,24 +498,16 @@ func (s *STA) handleAuth(f *frame.Frame) {
 		s.sendAssocReq()
 	case a.SeqNum == 2 && a.Status == frame.StatusSuccess && a.Algorithm == frame.AuthAlgoSharedKey:
 		// Return the challenge WEP-sealed (sequence 3): marshal into the
-		// plaintext scratch, seal in one pass into a pooled TX body.
+		// plaintext scratch, seal in one pass into the transmit scratch.
 		seq3 := frame.Auth{Algorithm: frame.AuthAlgoSharedKey, SeqNum: 3, Challenge: a.Challenge}
 		s.tx.snap = frame.AppendAuth(s.tx.snap[:0], &seq3)
-		slot := s.tx.slot()
-		sealed, err := wep.SealTo(slot.body[:0], s.cfg.WEPKey, s.ivs.Next(), s.cfg.WEPKeyID, s.tx.snap)
+		sealed, err := wep.SealTo(s.tx.body(), s.cfg.WEPKey, s.ivs.Next(), s.cfg.WEPKeyID, s.tx.snap)
 		if err != nil {
 			return
 		}
-		slot.body = sealed
-		slot.f = frame.Frame{
-			Type: frame.TypeManagement, Subtype: frame.SubtypeAuth,
-			Addr1: s.bssid, Addr2: s.Address(), Addr3: s.bssid,
-			Body:      slot.body,
-			Protected: true,
-		}
-		if s.dcf.Enqueue(&slot.f) {
-			s.tx.commit()
-		}
+		f := s.mgmt(frame.SubtypeAuth, s.bssid, sealed)
+		f.Protected = true
+		s.tx.send(f)
 		s.armMgmtTimer(s.sendAuth1)
 	case a.SeqNum == 4 && a.Status == frame.StatusSuccess:
 		s.mgmtTries = 0
@@ -567,7 +535,7 @@ func (s *STA) handleAssocResp(f *frame.Frame) {
 	s.state = staAssociated
 	s.missed = 0
 	s.Stats.Associations++
-	if s.tracing() {
+	if s.Tracer != nil {
 		s.Tracer.Trace(trace.Event{At: s.k.Now(), Node: s.name(), Kind: trace.KindMgmt,
 			Detail: fmt.Sprintf("associated to %v aid=%d", s.bssid, s.aid)})
 	}
@@ -629,8 +597,10 @@ func (s *STA) watchBeacons() {
 		s.missed++
 		if s.missed > s.cfg.BeaconMissLimit {
 			s.Stats.LinkLosses++
-			s.Tracer.Trace(trace.Event{At: s.k.Now(), Node: s.name(), Kind: trace.KindMgmt,
-				Detail: "beacon loss, rescanning"})
+			if s.Tracer != nil {
+				s.Tracer.Trace(trace.Event{At: s.k.Now(), Node: s.name(), Kind: trace.KindMgmt,
+					Detail: "beacon loss, rescanning"})
+			}
 			s.startScan()
 			return
 		}
@@ -643,20 +613,14 @@ func (s *STA) watchBeacons() {
 // --- power save -------------------------------------------------------------
 
 // enterPS announces PS mode with a null frame. The station stays awake
-// until its first beacon, which synchronizes the doze cycle. The frame
-// comes from the transmit pool like every other send path (txownership):
-// a station cycling in and out of PS forever allocates nothing.
+// until its first beacon, which synchronizes the doze cycle.
 func (s *STA) enterPS() {
-	slot := s.tx.slot()
-	slot.f = frame.Frame{
+	s.tx.send(frame.Frame{
 		Type: frame.TypeData, Subtype: frame.SubtypeNullData,
 		ToDS:  true,
 		Addr1: s.bssid, Addr2: s.Address(), Addr3: s.bssid,
 		PwrMgmt: true,
-	}
-	if s.dcf.Enqueue(&slot.f) {
-		s.tx.commit()
-	}
+	})
 	s.armPSWake(s.beaconInt) // failsafe until the first beacon resyncs
 }
 
@@ -719,16 +683,11 @@ func (s *STA) sendPSPoll() {
 		s.dcf.Radio().Wake()
 	}
 	s.Stats.PSPollsSent++
-	// Pooled like every send path (txownership): Duration carries the AID
-	// with the two high bits set, per the standard.
-	slot := s.tx.slot()
-	slot.f = frame.Frame{
+	// Duration carries the AID with the two high bits set, per the standard.
+	s.tx.send(frame.Frame{
 		Type: frame.TypeControl, Subtype: frame.SubtypePSPoll,
 		Addr1: s.bssid, Addr2: s.Address(), Duration: s.aid | 0xc000,
-	}
-	if s.dcf.Enqueue(&slot.f) {
-		s.tx.commit()
-	}
+	})
 	// Stay awake for the polled frame; a token guards against a stale
 	// timeout clearing a newer wait.
 	s.psAwaitData = true

@@ -15,9 +15,9 @@ import (
 )
 
 // TX-path regression walls: steady-state Send on every node type must be
-// allocation-free end to end — pooled frame + body from the txPool, SNAP
-// built by AppendSNAP into the reused buffer, WEP sealed in place by
-// SealTo, job/queue/SIFS state pooled inside the DCF, and the peer's
+// allocation-free end to end — SNAP built by AppendSNAP into the node's
+// transmit scratch, WEP sealed in place by SealTo, the frame copied into a
+// recycled job, job/queue/SIFS state pooled inside the DCF, and the peer's
 // receive side (ACK commit, dedup, decrypt scratch) equally clean. Each
 // wall drives one Send through the simulator until delivery and asserts
 // zero allocations per payload, mirroring the PR 2 rx decode walls.
@@ -26,8 +26,9 @@ const wallWEPKeyID = 2
 
 func wallKey() wep.Key { return wep.Key{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13} }
 
-// warmThenMeasure runs send enough times to grow every pool (the txPool
-// holds QueueCap+2 slots, each with its own body buffer), then measures.
+// warmThenMeasure runs send enough times to grow every pool (the MAC's
+// jobs, each with its own body copy, and the transmit scratch), then
+// measures.
 func warmThenMeasure(t *testing.T, k *sim.Kernel, send func() bool) {
 	t.Helper()
 	for i := 0; i < 160; i++ {
@@ -54,6 +55,37 @@ func TestAdhocSendZeroAlloc(t *testing.T) {
 	payload := make([]byte, 600)
 	dst := b.Address()
 	warmThenMeasure(t, w.k, func() bool { return a.Send(dst, payload) })
+	if b.RxPayloads == 0 {
+		t.Fatal("nothing delivered during the wall")
+	}
+}
+
+// TestAdhocFragmentedSendZeroAlloc: a send above the fragmentation
+// threshold is allocation-free too — its fragments are values in the MAC's
+// recycled job, views of the job's body copy — and so is the reassembly at
+// the peer.
+func TestAdhocFragmentedSendZeroAlloc(t *testing.T) {
+	w := newWorld(28, spectrum.FreeSpace{Freq: 2412 * units.MHz})
+	mode := phy.Mode80211b()
+	mk := func(name string, p geom.Point) *mac.DCF {
+		r := w.m.AddRadio(medium.RadioConfig{
+			Name: name, Mode: mode, Channel: 1,
+			Mobility: geom.Static{P: p}, TxPower: 16,
+		})
+		return mac.New(w.k, r, mac.Config{Address: w.alloc.Next(), Mode: mode, FragThreshold: 400},
+			rate.NewFixed(mode, 3), w.src)
+	}
+	a := NewAdhoc(w.k, mk("a", geom.Pt(0, 0)), IBSSID())
+	b := NewAdhoc(w.k, mk("b", geom.Pt(10, 0)), IBSSID())
+	payload := make([]byte, 1000)
+	for i := range payload {
+		payload[i] = byte(i%251 + 1)
+	}
+	dst := b.Address()
+	warmThenMeasure(t, w.k, func() bool { return a.Send(dst, payload) })
+	if got := a.dcf.Stats().DataTx; got < 3*a.TxPayloads {
+		t.Fatalf("%d MPDUs for %d payloads: the sends were not fragmented", got, a.TxPayloads)
+	}
 	if b.RxPayloads == 0 {
 		t.Fatal("nothing delivered during the wall")
 	}
@@ -154,7 +186,7 @@ func TestWEPKeyIDMismatchCountsDecryptError(t *testing.T) {
 }
 
 // Flooding a full queue through Adhoc.Send must not shrink it: a refused
-// send holds no queue slot and no transmit slot, so after the MAC drains
+// send holds no queue slot and no transmit job, so after the MAC drains
 // the queue accepts a full capacity's worth again, forever, and every
 // refusal is one counted drop.
 func TestAdhocSendRefillsToCapacity(t *testing.T) {

@@ -47,12 +47,6 @@ type Tracer interface {
 	Trace(ev Event)
 }
 
-// Nop discards everything.
-type Nop struct{}
-
-// Trace implements Tracer.
-func (Nop) Trace(Event) {}
-
 // Text writes one human-readable line per event.
 type Text struct {
 	W io.Writer
@@ -118,17 +112,6 @@ func ParseJSONL(line []byte) (map[string]any, error) {
 	}
 	return m, nil
 }
-
-// Counter tallies events by kind; useful in tests and quick summaries.
-type Counter struct {
-	Counts map[Kind]uint64
-}
-
-// NewCounter builds an empty counter.
-func NewCounter() *Counter { return &Counter{Counts: make(map[Kind]uint64)} }
-
-// Trace implements Tracer.
-func (c *Counter) Trace(ev Event) { c.Counts[ev.Kind]++ }
 
 // Kinds lists every event kind in a stable summary order.
 var Kinds = []Kind{KindTx, KindRxOK, KindRxErr, KindMgmt, KindRoam, KindPS}
