@@ -15,7 +15,7 @@ type Adhoc struct {
 	k     *sim.Kernel
 	dcf   *mac.DCF
 	bssid frame.MACAddr
-	tx    txBuf
+	codec bodyCodec
 
 	// OnReceive delivers application payloads.
 	OnReceive DeliveryFunc
@@ -27,7 +27,7 @@ type Adhoc struct {
 // NewAdhoc joins a node to the IBSS identified by bssid (all members must
 // share it).
 func NewAdhoc(k *sim.Kernel, dcf *mac.DCF, bssid frame.MACAddr) *Adhoc {
-	a := &Adhoc{k: k, dcf: dcf, bssid: bssid, tx: txBuf{mac: dcf}}
+	a := &Adhoc{k: k, dcf: dcf, bssid: bssid, codec: bodyCodec{mac: dcf}}
 	dcf.SetReceiver(a.receive)
 	return a
 }
@@ -49,22 +49,19 @@ func (a *Adhoc) Send(dst frame.MACAddr, payload []byte) bool {
 	if !a.dcf.Admit() {
 		return false
 	}
-	f, _ := a.tx.data(frame.Frame{Addr1: dst, Addr2: a.Address(), Addr3: a.bssid}, payload, nil, 0, nil)
-	a.tx.send(f) // admitted: accepted
+	f, _ := a.codec.data(frame.Frame{Addr1: dst, Addr2: a.Address(), Addr3: a.bssid}, payload)
+	a.codec.send(f) // admitted: accepted
 	a.TxPayloads++
 	return true
 }
 
 // receive handles frames from the MAC.
 func (a *Adhoc) receive(f *frame.Frame, _ medium.RxInfo) {
-	if f.Type != frame.TypeData {
+	if f.Type != frame.TypeData || f.ToDS || f.FromDS || f.BSSID() != a.bssid {
 		return
 	}
-	if f.ToDS || f.FromDS || f.BSSID() != a.bssid {
-		return
-	}
-	et, payload, err := frame.DecapSNAP(f.Body)
-	if err != nil || et != EtherTypePayload {
+	payload, ok := a.codec.payload(f, nil) // unkeyed: never counts a decrypt error
+	if !ok {
 		return
 	}
 	a.RxPayloads++

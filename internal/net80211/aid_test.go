@@ -36,17 +36,22 @@ func newAIDBench(t *testing.T) *aidBench {
 	return b
 }
 
-// assoc (re)associates addr and returns the AID and status the AP answered.
+// assoc authenticates and associates addr, through the AP's receive path,
+// and returns the AID and status the AP answered.
 func (b *aidBench) assoc(addr frame.MACAddr) (aid uint16, status string) {
-	b.ap.entry(addr).authed = true
-	body := frame.AppendAssocReq(nil, &frame.AssocReq{SSID: []byte("aid"), Rates: b.ap.rates})
-	b.ap.handleMgmt(frame.NewMgmt(frame.SubtypeAssocReq, b.ap.BSSID(), addr, b.ap.BSSID(), body), medium.RxInfo{})
+	b.receive(addr, frame.SubtypeAuth, frame.AppendAuth(nil, &frame.Auth{Algorithm: frame.AuthAlgoOpen, SeqNum: 1}))
+	b.receive(addr, frame.SubtypeAssocReq, frame.AppendAssocReq(nil, &frame.AssocReq{SSID: []byte("aid"), Rates: b.ap.rates}))
 	_, status, _ = strings.Cut(b.traced.s, "status=")
 	return b.ap.stations[addr].aid, status
 }
 
 func (b *aidBench) disassoc(addr frame.MACAddr) {
-	b.ap.handleMgmt(frame.NewMgmt(frame.SubtypeDisassoc, b.ap.BSSID(), addr, b.ap.BSSID(), []byte{8, 0}), medium.RxInfo{})
+	b.receive(addr, frame.SubtypeDisassoc, []byte{8, 0})
+}
+
+// receive hands the AP a management frame from addr.
+func (b *aidBench) receive(addr frame.MACAddr, sub frame.Subtype, body []byte) {
+	b.ap.receive(frame.NewMgmt(sub, b.ap.BSSID(), addr, b.ap.BSSID(), body), medium.RxInfo{})
 }
 
 // TestAIDsStayInRange: an AP hands out AIDs round robin inside 1..2007 and
@@ -77,7 +82,7 @@ func TestAIDsStayInRange(t *testing.T) {
 		t.Fatalf("recycled aid %d, want %d", aid, 2101%maxAID+1)
 	}
 	old := b.alloc.Next()
-	b.ap.stations[old] = &staEntry{addr: old, aid: aid}
+	b.ap.stations[old] = &staEntry{addr: old, aid: aid, state: authenticated}
 	b.disassoc(old)
 	if e := b.ap.byAID[aid]; e == nil || e.addr != ps {
 		t.Fatalf("aid %d no longer maps to its holder after a stale disassociation", aid)

@@ -13,7 +13,9 @@
 // retainview analyzer catches an RX view retained past its handler; see
 // README.md "Static contracts". Sent frames need no such rule:
 // mac.DCF.Enqueue copies what it accepts, so every send path builds its
-// frame in one per-node scratch (txBuf) and reuses it at once.
+// frame in one per-node body codec (bodyCodec), which also opens what it
+// receives. Each receive path looks the sender up once and drops a frame
+// whose class (frameClass) the sender's state (assocState) does not admit.
 package net80211
 
 import (
@@ -60,12 +62,11 @@ type APConfig struct {
 
 // staEntry is the AP's per-station state.
 type staEntry struct {
-	addr   frame.MACAddr
-	aid    uint16
-	authed bool
-	assoc  bool
-	ps     bool
-	psBuf  []*frame.Frame
+	addr  frame.MACAddr
+	aid   uint16 // held in state 3 only
+	state assocState
+	ps    bool
+	psBuf []*frame.Frame
 	// challenge is the outstanding shared-key auth challenge.
 	challenge []byte
 }
@@ -101,14 +102,12 @@ type AP struct {
 	port *ether.Port
 
 	dtimCount int
-	ivs       wep.IVCounter
-	// tx is the transmit scratch; wepOpen is the rx decrypt scratch. Both
-	// make steady-state bridging allocation-free.
-	tx      txBuf
-	wepOpen []byte
+	// codec builds every body the AP sends and opens every one it
+	// receives, so steady-state bridging is allocation-free.
+	codec bodyCodec
 	// rates is the supported-rates IE, fixed at construction (the mode
 	// never changes); beaconTIM is the reusable TIM scratch. Together with
-	// AppendBeacon into the transmit scratch they make beaconing — the one
+	// AppendBeacon into the codec's scratch they make beaconing — the one
 	// thing an idle BSS does — allocation-free.
 	rates     []byte
 	beaconTIM frame.TIM
@@ -141,7 +140,7 @@ func NewAP(k *sim.Kernel, dcf *mac.DCF, cfg APConfig) *AP {
 		ssid:     cfg.SSID,
 		stations: make(map[frame.MACAddr]*staEntry),
 		byAID:    make(map[uint16]*staEntry),
-		tx:       txBuf{mac: dcf},
+		codec:    bodyCodec{mac: dcf, key: cfg.WEPKey, keyID: cfg.WEPKeyID},
 	}
 	ap.rates = ap.rateIE()
 	dcf.SetReceiver(ap.receive)
@@ -184,7 +183,7 @@ func (ap *AP) AttachDS(sw *ether.Switch) {
 // Associated reports whether addr is an associated station.
 func (ap *AP) Associated(addr frame.MACAddr) bool {
 	e := ap.stations[addr]
-	return e != nil && e.assoc
+	return e != nil && e.state == associated
 }
 
 // AssociatedCount returns the number of associated stations.
@@ -192,7 +191,7 @@ func (ap *AP) AssociatedCount() int {
 	n := 0
 	//wlan:allow-nondeterminism order-independent count over the station map
 	for _, e := range ap.stations {
-		if e.assoc {
+		if e.state == associated {
 			n++
 		}
 	}
@@ -201,21 +200,10 @@ func (ap *AP) AssociatedCount() int {
 
 func (ap *AP) privacy() bool { return len(ap.cfg.WEPKey) > 0 }
 
-// open decrypts a received WEP body into the AP's reusable scratch. The
-// result is a view, valid until the next open call; consumers copy what
-// they keep (queueFromDS re-encapsulates, the DS port clones).
-func (ap *AP) open(body []byte) ([]byte, error) {
-	plain, err := wep.OpenTo(ap.wepOpen[:0], ap.cfg.WEPKey, ap.cfg.WEPKeyID, body)
-	if err != nil {
-		return nil, err
-	}
-	ap.wepOpen = plain
-	return plain, nil
-}
+func (ap *AP) name() string { return ap.dcf.Radio().Name() }
 
-// sendBeacon enqueues the periodic beacon with the current TIM. The body is
-// built with AppendBeacon into the transmit scratch, so an idle BSS beacons
-// forever without allocating.
+// sendBeacon enqueues the periodic beacon with the current TIM, so an idle
+// BSS beacons forever without allocating.
 func (ap *AP) sendBeacon() {
 	ap.dtimCount--
 	if ap.dtimCount < 0 {
@@ -228,26 +216,32 @@ func (ap *AP) sendBeacon() {
 	tim.AIDs = tim.AIDs[:0]
 	//wlan:allow-nondeterminism TIM encodes as an AID bitmap, so the wire bytes are independent of collection order
 	for _, e := range ap.stations {
-		if e.assoc && e.ps && len(e.psBuf) > 0 {
+		if e.state == associated && e.ps && len(e.psBuf) > 0 {
 			tim.AIDs = append(tim.AIDs, e.aid)
 		}
 	}
-	cap := uint16(frame.CapESS)
+	if ap.codec.send(ap.mgmt(frame.SubtypeBeacon, frame.Broadcast, ap.beacon(tim))) {
+		ap.Stats.BeaconsSent++
+	}
+}
+
+// beacon builds a beacon body — a probe response's when tim is nil — with
+// AppendBeacon into the codec's scratch.
+func (ap *AP) beacon(tim *frame.TIM) []byte {
+	capBits := uint16(frame.CapESS)
 	if ap.privacy() {
-		cap |= frame.CapPrivacy
+		capBits |= frame.CapPrivacy
 	}
 	b := frame.Beacon{
 		Timestamp:  uint64(ap.k.Now() / 1000),
 		IntervalTU: uint16(ap.cfg.BeaconInterval / TU),
-		Capability: cap,
+		Capability: capBits,
 		SSID:       ap.ssid,
 		Rates:      ap.rates,
 		Channel:    uint8(ap.channel()),
 		TIM:        tim,
 	}
-	if ap.tx.send(ap.mgmt(frame.SubtypeBeacon, frame.Broadcast, frame.AppendBeacon(ap.tx.body(), &b))) {
-		ap.Stats.BeaconsSent++
-	}
+	return frame.AppendBeacon(ap.codec.body(), &b)
 }
 
 // mgmt stamps the AP's addresses on a management frame to dst.
@@ -279,7 +273,7 @@ func (ap *AP) Send(dst frame.MACAddr, payload []byte) bool {
 	if !ap.dcf.Admit() {
 		return false
 	}
-	if e := ap.stations[dst]; !dst.IsGroup() && (e == nil || !e.assoc) {
+	if !dst.IsGroup() && !ap.Associated(dst) {
 		return false
 	}
 	return ap.queueFromDS(dst, ap.BSSID(), payload)
@@ -301,10 +295,10 @@ func (ap *AP) queueFromDS(dst, src frame.MACAddr, payload []byte) bool {
 	if !dozing && !ap.dcf.Admit() {
 		return false
 	}
-	f, ok := ap.tx.data(frame.Frame{
+	f, ok := ap.codec.data(frame.Frame{
 		FromDS: true,
 		Addr1:  dst, Addr2: ap.BSSID(), Addr3: src,
-	}, payload, ap.cfg.WEPKey, ap.cfg.WEPKeyID, &ap.ivs)
+	}, payload)
 	if !ok {
 		return false
 	}
@@ -313,40 +307,45 @@ func (ap *AP) queueFromDS(dst, src frame.MACAddr, payload []byte) bool {
 		ap.Stats.PSBuffered++
 		return true
 	}
-	return ap.tx.send(f) // admitted: accepted
+	return ap.codec.send(f) // admitted: accepted
 }
 
-// receive handles every frame the MAC delivers.
-func (ap *AP) receive(f *frame.Frame, info medium.RxInfo) {
-	switch f.Type {
-	case frame.TypeManagement:
-		ap.handleMgmt(f, info)
-	case frame.TypeData:
-		ap.handleData(f)
-	case frame.TypeControl:
-		if f.Subtype == frame.SubtypePSPoll {
-			ap.handlePSPoll(f)
-		}
+// receive handles every frame the MAC delivers. It looks the sender up once
+// and drops a class-3 frame from one not in state 3. A class-2 frame from
+// state 1 passes: handleAssoc refuses it with status 1, where the standard
+// would answer with a deauthentication.
+func (ap *AP) receive(f *frame.Frame, _ medium.RxInfo) {
+	e := ap.stations[f.Addr2]
+	if frameClass(f) == associated && (e == nil || e.state != associated) {
+		return
 	}
-}
-
-func (ap *AP) handleMgmt(f *frame.Frame, _ medium.RxInfo) {
-	switch f.Subtype {
-	case frame.SubtypeProbeReq:
+	switch sub := f.Subtype; {
+	case f.Type == frame.TypeData:
+		ap.handleData(f, e)
+	case f.Type == frame.TypeControl && sub == frame.SubtypePSPoll:
+		ap.handlePSPoll(f, e)
+	case f.Type != frame.TypeManagement:
+	case sub == frame.SubtypeProbeReq:
 		ap.handleProbe(f)
-	case frame.SubtypeAuth:
+	case sub == frame.SubtypeAuth:
 		ap.handleAuth(f)
-	case frame.SubtypeAssocReq, frame.SubtypeReassocReq:
+	case sub == frame.SubtypeAssocReq || sub == frame.SubtypeReassocReq:
 		ap.handleAssoc(f)
-	case frame.SubtypeDisassoc, frame.SubtypeDeauth:
-		if e := ap.stations[f.Addr2]; e != nil {
-			if e.assoc {
-				delete(ap.byAID, e.aid)
-			}
-			e.assoc = false
-			e.authed = false
-		}
+	case (sub == frame.SubtypeDisassoc || sub == frame.SubtypeDeauth) && e != nil:
+		ap.leave(e)
 	}
+}
+
+// leave returns a station to state 1: its AID is freed and its power-save
+// state cleared, every frame still buffered for it counted in PSDropped, so
+// nothing held for one association reaches the next.
+func (ap *AP) leave(e *staEntry) {
+	if e.state == associated {
+		delete(ap.byAID, e.aid)
+	}
+	e.state, e.aid, e.ps = unauthenticated, 0, false
+	ap.Stats.PSDropped += uint64(len(e.psBuf))
+	e.psBuf = nil
 }
 
 // dropStation removes a roamed-away station's association state. Called on
@@ -354,16 +353,10 @@ func (ap *AP) handleMgmt(f *frame.Frame, _ medium.RxInfo) {
 // associated here is a no-op (its own AP hears its announcement too, but
 // the switch never reflects a frame back to its source port).
 func (ap *AP) dropStation(addr frame.MACAddr) {
-	e := ap.stations[addr]
-	if e == nil || !e.assoc {
-		return
+	if e := ap.stations[addr]; e != nil && e.state == associated {
+		ap.leave(e)
+		ap.Stats.Handoffs++
 	}
-	e.assoc = false
-	e.authed = false
-	e.ps = false
-	e.psBuf = nil
-	delete(ap.byAID, e.aid)
-	ap.Stats.Handoffs++
 }
 
 func (ap *AP) handleProbe(f *frame.Frame) {
@@ -373,44 +366,25 @@ func (ap *AP) handleProbe(f *frame.Frame) {
 	if ssid, ok := frame.LookupIE(f.Body, frame.IESSID); ok && len(ssid) > 0 && string(ssid) != ap.ssid {
 		return
 	}
-	capBits := uint16(frame.CapESS)
-	if ap.privacy() {
-		capBits |= frame.CapPrivacy
-	}
-	resp := frame.Beacon{
-		Timestamp:  uint64(ap.k.Now() / 1000),
-		IntervalTU: uint16(ap.cfg.BeaconInterval / TU),
-		Capability: capBits,
-		SSID:       ap.ssid,
-		Rates:      ap.rates,
-		Channel:    uint8(ap.channel()),
-	}
-	// The response body is built with AppendBeacon into the transmit
-	// scratch, like the beacon itself: a probe storm makes the AP marshal
-	// nothing on the heap.
-	ap.tx.send(ap.mgmt(frame.SubtypeProbeResp, f.Addr2, frame.AppendBeacon(ap.tx.body(), &resp)))
+	// The response body is the beacon's without a TIM: a probe storm makes
+	// the AP marshal nothing on the heap.
+	ap.codec.send(ap.mgmt(frame.SubtypeProbeResp, f.Addr2, ap.beacon(nil)))
 }
 
 func (ap *AP) entry(addr frame.MACAddr) *staEntry {
 	e := ap.stations[addr]
 	if e == nil {
-		e = &staEntry{addr: addr}
+		e = &staEntry{addr: addr, state: unauthenticated}
 		ap.stations[addr] = e
 	}
 	return e
 }
 
-// sendAuthReply enqueues one authentication response; the body marshals
-// with AppendAuth straight into the transmit scratch.
-func (ap *AP) sendAuthReply(dst frame.MACAddr, algo, seq, status uint16, challenge []byte) {
-	a := frame.Auth{Algorithm: algo, SeqNum: seq, Status: status, Challenge: challenge}
-	ap.tx.send(ap.mgmt(frame.SubtypeAuth, dst, frame.AppendAuth(ap.tx.body(), &a)))
-}
-
 func (ap *AP) handleAuth(f *frame.Frame) {
 	e := ap.entry(f.Addr2)
 	reply := func(algo, seq, status uint16, challenge []byte) {
-		ap.sendAuthReply(f.Addr2, algo, seq, status, challenge)
+		a := frame.Auth{Algorithm: algo, SeqNum: seq, Status: status, Challenge: challenge}
+		ap.codec.send(ap.mgmt(frame.SubtypeAuth, f.Addr2, frame.AppendAuth(ap.codec.body(), &a)))
 	}
 	// Shared-key sequence 3 arrives WEP-sealed: decrypt before parsing.
 	body := f.Body
@@ -418,7 +392,7 @@ func (ap *AP) handleAuth(f *frame.Frame) {
 		if !ap.privacy() {
 			return
 		}
-		plain, err := ap.open(body)
+		plain, err := ap.codec.open(body)
 		if err != nil {
 			// Wrong key: the challenge response is unreadable.
 			ap.Stats.AuthFail++
@@ -441,7 +415,7 @@ func (ap *AP) handleAuth(f *frame.Frame) {
 			reply(a.Algorithm, 2, frame.StatusAuthAlgoUnsupp, nil)
 			return
 		}
-		e.authed = true
+		e.state = max(e.state, authenticated) // state 3 stays
 		ap.Stats.AuthOK++
 		reply(a.Algorithm, 2, frame.StatusSuccess, nil)
 	case a.Algorithm == frame.AuthAlgoSharedKey && a.SeqNum == 1:
@@ -465,7 +439,7 @@ func (ap *AP) handleAuth(f *frame.Frame) {
 			reply(a.Algorithm, 4, frame.StatusChallengeFail, nil)
 			return
 		}
-		e.authed = true
+		e.state = max(e.state, authenticated) // state 3 stays
 		e.challenge = nil
 		ap.Stats.AuthOK++
 		reply(a.Algorithm, 4, frame.StatusSuccess, nil)
@@ -497,14 +471,14 @@ func (ap *AP) handleAssoc(f *frame.Frame) {
 	}
 	e := ap.entry(f.Addr2)
 	status := uint16(frame.StatusSuccess)
-	if !e.authed {
+	switch e.state {
+	case unauthenticated:
 		status = frame.StatusUnspecified
-	}
-	if status == frame.StatusSuccess && !e.assoc {
+	case authenticated:
 		if e.aid = ap.assignAID(); e.aid == 0 {
 			status = frame.StatusAssocDenied
 		} else {
-			e.assoc = true
+			e.state = associated
 			ap.byAID[e.aid] = e
 			ap.Stats.Assocs++
 			if ap.port != nil {
@@ -514,40 +488,22 @@ func (ap *AP) handleAssoc(f *frame.Frame) {
 		}
 	}
 	resp := frame.AssocResp{Capability: frame.CapESS, Status: status, AID: e.aid, Rates: ap.rates}
-	ap.tx.send(ap.mgmt(frame.SubtypeAssocResp, f.Addr2, frame.AppendAssocResp(ap.tx.body(), &resp)))
+	ap.codec.send(ap.mgmt(frame.SubtypeAssocResp, f.Addr2, frame.AppendAssocResp(ap.codec.body(), &resp)))
 	if ap.Tracer != nil {
-		ap.Tracer.Trace(trace.Event{At: ap.k.Now(), Node: ap.ssid, Kind: trace.KindMgmt,
+		ap.Tracer.Trace(trace.Event{At: ap.k.Now(), Node: ap.name(), Kind: trace.KindMgmt,
 			Detail: fmt.Sprintf("assoc %v aid=%d status=%d", f.Addr2, e.aid, status)})
 	}
 }
 
-func (ap *AP) handleData(f *frame.Frame) {
-	e := ap.stations[f.Addr2]
-	if e == nil || !e.assoc {
-		return // not in our BSS
-	}
+// handleData bridges a data frame from e, a station in state 3.
+func (ap *AP) handleData(f *frame.Frame, e *staEntry) {
 	// Track power management transitions.
 	ap.setPS(e, f.PwrMgmt)
-	if f.Subtype == frame.SubtypeNullData {
+	if f.Subtype == frame.SubtypeNullData || !f.ToDS {
 		return
 	}
-	if !f.ToDS {
-		return
-	}
-	body := f.Body
-	if f.Protected {
-		if !ap.privacy() {
-			return
-		}
-		plain, err := ap.open(body)
-		if err != nil {
-			ap.Stats.DecryptErrors++
-			return
-		}
-		body = plain
-	}
-	et, payload, err := frame.DecapSNAP(body)
-	if err != nil || et != EtherTypePayload {
+	payload, ok := ap.codec.payload(f, &ap.Stats.DecryptErrors)
+	if !ok {
 		return
 	}
 	src, dst := f.SA(), f.DA()
@@ -582,7 +538,7 @@ func (ap *AP) setPS(e *staEntry, ps bool) {
 	}
 	e.ps = ps
 	if ap.Tracer != nil {
-		ap.Tracer.Trace(trace.Event{At: ap.k.Now(), Node: ap.ssid, Kind: trace.KindPS,
+		ap.Tracer.Trace(trace.Event{At: ap.k.Now(), Node: ap.name(), Kind: trace.KindPS,
 			Detail: fmt.Sprintf("%v ps=%v", e.addr, ps)})
 	}
 	if !ps {
@@ -597,13 +553,9 @@ func (ap *AP) setPS(e *staEntry, ps bool) {
 	}
 }
 
-func (ap *AP) handlePSPoll(f *frame.Frame) {
-	aid := f.Duration & 0x3fff
-	e := ap.byAID[aid]
-	if e == nil || e.addr != f.Addr2 {
-		return
-	}
-	if len(e.psBuf) == 0 {
+// handlePSPoll answers a PS-Poll from e, a station in state 3, naming e's AID.
+func (ap *AP) handlePSPoll(f *frame.Frame, e *staEntry) {
+	if f.Duration&0x3fff != e.aid || len(e.psBuf) == 0 {
 		return
 	}
 	// Enqueue copies: the buffered frame is released only once accepted, and
@@ -639,10 +591,7 @@ func (ap *AP) fromDS(ef ether.Frame) {
 		if ap.OnDeliver != nil {
 			ap.OnDeliver(ef.Src, ef.Dst, ef.Payload)
 		}
-	case ef.Dst.IsGroup():
-		ap.Stats.FromDS++
-		ap.queueFromDS(ef.Dst, ef.Src, ef.Payload)
-	case ap.Associated(ef.Dst):
+	case ef.Dst.IsGroup() || ap.Associated(ef.Dst):
 		ap.Stats.FromDS++
 		ap.queueFromDS(ef.Dst, ef.Src, ef.Payload)
 	}

@@ -1,13 +1,16 @@
 package net80211
 
 import (
+	"strings"
 	"testing"
 
 	"repro/internal/ether"
 	"repro/internal/frame"
 	"repro/internal/geom"
+	"repro/internal/medium"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
+	"repro/internal/trace"
 	"repro/internal/units"
 )
 
@@ -79,4 +82,46 @@ func TestESSAddWrongSSIDPanics(t *testing.T) {
 		}
 	}()
 	ess.Add(ap)
+}
+
+// eventLog keeps every trace event.
+type eventLog []trace.Event
+
+func (l *eventLog) Trace(ev trace.Event) { *l = append(*l, ev) }
+
+// In an ESS every AP carries the one SSID, so an AP's management and
+// power-save events name its radio: each association is traced by the AP
+// that answered it.
+func TestAPEventsNameTheAP(t *testing.T) {
+	w := newWorld(23, spectrum.FreeSpace{Freq: 2412 * units.MHz})
+	var log eventLog
+	ess := NewESS("city")
+	var stas []frame.MACAddr
+	for i, name := range []string{"ap1", "ap2"} {
+		ap := NewAP(w.k, w.dcf(name, geom.Pt(float64(100*i), 0), 1), APConfig{SSID: "city"})
+		ap.Tracer = &log
+		ess.Add(ap)
+		sta := frame.MACAddr{0x02, 0xee, 0, 0, 0, byte(i + 1)}
+		stas = append(stas, sta)
+		for _, f := range []*frame.Frame{
+			frame.NewMgmt(frame.SubtypeAuth, ap.BSSID(), sta, ap.BSSID(),
+				frame.AppendAuth(nil, &frame.Auth{Algorithm: frame.AuthAlgoOpen, SeqNum: 1})),
+			frame.NewMgmt(frame.SubtypeAssocReq, ap.BSSID(), sta, ap.BSSID(),
+				frame.AppendAssocReq(nil, &frame.AssocReq{SSID: []byte("city"), Rates: ap.rates})),
+			{Type: frame.TypeData, Subtype: frame.SubtypeNullData, ToDS: true, PwrMgmt: true,
+				Addr1: ap.BSSID(), Addr2: sta, Addr3: ap.BSSID()},
+		} {
+			ap.receive(f, medium.RxInfo{})
+		}
+	}
+	want := []string{"mgmt ap1 assoc " + stas[0].String(), "ps ap1 " + stas[0].String(),
+		"mgmt ap2 assoc " + stas[1].String(), "ps ap2 " + stas[1].String()}
+	if len(log) != len(want) {
+		t.Fatalf("%d events, want %d: %+v", len(log), len(want), log)
+	}
+	for i, ev := range log {
+		if got := string(ev.Kind) + " " + ev.Node + " " + ev.Detail; !strings.HasPrefix(got, want[i]) {
+			t.Errorf("event %d: %q, want it to begin %q", i, got, want[i])
+		}
+	}
 }

@@ -9,6 +9,7 @@ import (
 	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/mac"
+	"repro/internal/medium"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
 	"repro/internal/units"
@@ -16,9 +17,9 @@ import (
 )
 
 // sendState is everything a send could touch on one node, drop counters
-// included: the MAC's counters, the transmit scratch to its full capacity,
-// the frames a power-save buffer holds, the radio, the WEP IV counter and
-// the node's own counters.
+// included: the MAC's counters, the body codec's transmit scratch to its
+// full capacity, the frames a power-save buffer holds, the radio, the
+// codec's WEP IV counter and the node's own counters.
 type sendState struct {
 	MAC                  mac.Stats
 	Scratch, Snap        []byte
@@ -29,15 +30,12 @@ type sendState struct {
 	Node                 any // STAStats, APStats or the Adhoc payload count
 }
 
-func stateOf(d *mac.DCF, p *txBuf, ivs *wep.IVCounter, node any, buffered []*frame.Frame) sendState {
-	s := sendState{MAC: d.Stats(), Node: node,
-		Scratch: bytes.Clone(p.buf[:cap(p.buf)]), Snap: bytes.Clone(p.snap[:cap(p.snap)]),
+func stateOf(d *mac.DCF, c *bodyCodec, node any, buffered []*frame.Frame) sendState {
+	s := sendState{MAC: d.Stats(), Node: node, IVs: c.ivs,
+		Scratch: bytes.Clone(c.buf[:cap(c.buf)]), Snap: bytes.Clone(c.snap[:cap(c.snap)]),
 		Asleep: d.Radio().Asleep(), Transmitting: d.Radio().Transmitting(), Channel: d.Radio().Channel()}
 	for _, f := range buffered {
 		s.Buffered = append(s.Buffered, f.Clone())
-	}
-	if ivs != nil {
-		s.IVs = *ivs
 	}
 	return s
 }
@@ -78,14 +76,14 @@ func TestRefusedSendIsPure(t *testing.T) {
 	fill("AP PS buffer", func() bool { return ap.queueFromDS(sta.Address(), far, payload) })
 	fill("AP queue", func() bool { return ap.Send(frame.Broadcast, payload) })
 
-	adhocState := func() sendState { return stateOf(adhoc.dcf, &adhoc.tx, nil, adhoc.TxPayloads, nil) }
-	staState := func() sendState { return stateOf(sta.dcf, &sta.tx, &sta.ivs, sta.Stats, nil) }
+	adhocState := func() sendState { return stateOf(adhoc.dcf, &adhoc.codec, adhoc.TxPayloads, nil) }
+	stationState := func() sendState { return stateOf(sta.dcf, &sta.codec, sta.Stats, nil) }
 	apState := func() sendState {
-		return stateOf(ap.dcf, &ap.tx, &ap.ivs, ap.Stats, ap.stations[sta.Address()].psBuf)
+		return stateOf(ap.dcf, &ap.codec, ap.Stats, ap.stations[sta.Address()].psBuf)
 	}
 	poll := &frame.Frame{Type: frame.TypeControl, Subtype: frame.SubtypePSPoll,
 		Addr1: ap.BSSID(), Addr2: sta.Address(), Duration: sta.aid | 0xc000}
-	wantAdhoc, wantSTA, wantAP := adhocState(), staState(), apState()
+	wantAdhoc, wantSTA, wantAP := adhocState(), stationState(), apState()
 	pending := w.k.Pending()
 
 	const n = 5
@@ -103,7 +101,7 @@ func TestRefusedSendIsPure(t *testing.T) {
 			{"DS to a dozing station", ap.queueFromDS(sta.Address(), far, payload)},
 			{"PS-Poll into a full queue", func() bool {
 				before := ap.Stats.PSDelivered
-				ap.handlePSPoll(poll)
+				ap.receive(poll, medium.RxInfo{})
 				return ap.Stats.PSDelivered != before
 			}()},
 		} {
@@ -125,7 +123,7 @@ func TestRefusedSendIsPure(t *testing.T) {
 		got, want sendState
 	}{
 		{"adhoc", adhocState(), wantAdhoc},
-		{"station", staState(), wantSTA},
+		{"station", stationState(), wantSTA},
 		{"AP", apState(), wantAP},
 	} {
 		for _, d := range differing(c.got, c.want) {

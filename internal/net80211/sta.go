@@ -46,34 +46,6 @@ const (
 	probeDwell = 30 * sim.Millisecond
 )
 
-// staState is the join state machine.
-type staState uint8
-
-// States.
-const (
-	staIdle staState = iota
-	staScanning
-	staAuthenticating
-	staAssociating
-	staAssociated
-)
-
-func (s staState) String() string {
-	switch s {
-	case staIdle:
-		return "idle"
-	case staScanning:
-		return "scanning"
-	case staAuthenticating:
-		return "authenticating"
-	case staAssociating:
-		return "associating"
-	case staAssociated:
-		return "associated"
-	}
-	return "?"
-}
-
 // candidate is a BSS discovered by scanning.
 type candidate struct {
 	bssid    frame.MACAddr
@@ -105,7 +77,7 @@ type STA struct {
 	dcf *mac.DCF
 	cfg STAConfig
 
-	state    staState
+	state    assocState // scanning, then state 1 to 3 toward bssid
 	cands    map[frame.MACAddr]*candidate
 	bssid    frame.MACAddr
 	aid      uint16
@@ -117,14 +89,12 @@ type STA struct {
 	mgmtTimer sim.Timer
 	mgmtTries int
 
-	ivs wep.IVCounter
-	// tx is the transmit scratch; wepOpen is the rx decrypt scratch. Both
-	// make steady-state traffic allocation-free.
-	tx      txBuf
-	wepOpen []byte
+	// codec builds every body the station sends and opens every one it
+	// receives, so steady-state traffic is allocation-free.
+	codec bodyCodec
 	// ssidBytes and rates are the SSID and supported-rates IE payloads,
 	// fixed at construction; management frames append them into the
-	// transmit scratch so scanning and (re)joining marshal nothing on the
+	// codec's scratch so scanning and (re)joining marshal nothing on the
 	// heap.
 	ssidBytes []byte
 	rates     []byte
@@ -167,7 +137,7 @@ func NewSTA(k *sim.Kernel, dcf *mac.DCF, cfg STAConfig) *STA {
 		dcf:       dcf,
 		cfg:       cfg,
 		cands:     make(map[frame.MACAddr]*candidate),
-		tx:        txBuf{mac: dcf},
+		codec:     bodyCodec{mac: dcf, key: cfg.WEPKey, keyID: cfg.WEPKeyID},
 		ssidBytes: []byte(cfg.SSID),
 		rates:     []byte{frame.RateByte(2, true)},
 		beaconInt: 100 * TU,
@@ -184,12 +154,10 @@ func (s *STA) Address() frame.MACAddr { return s.dcf.Address() }
 func (s *STA) MAC() *mac.DCF { return s.dcf }
 
 // Associated reports whether the station is associated.
-func (s *STA) Associated() bool { return s.state == staAssociated }
+func (s *STA) Associated() bool { return s.state == associated }
 
 // BSSID returns the serving AP address (zero when unassociated).
 func (s *STA) BSSID() frame.MACAddr { return s.bssid }
-
-func (s *STA) privacy() bool { return len(s.cfg.WEPKey) > 0 }
 
 // Send transmits an application payload to dst through the serving AP. It
 // returns false when the queue is full or the station is unassociated; the
@@ -198,19 +166,19 @@ func (s *STA) privacy() bool { return len(s.cfg.WEPKey) > 0 }
 // is built in the station's transmit scratch: steady-state sends allocate
 // nothing.
 func (s *STA) Send(dst frame.MACAddr, payload []byte) bool {
-	if !s.dcf.Admit() || s.state != staAssociated {
+	if !s.dcf.Admit() || s.state != associated {
 		return false
 	}
 	s.wakeForTraffic()
-	f, ok := s.tx.data(frame.Frame{
+	f, ok := s.codec.data(frame.Frame{
 		ToDS:  true,
 		Addr1: s.bssid, Addr2: s.Address(), Addr3: dst,
 		PwrMgmt: s.cfg.PowerSave,
-	}, payload, s.cfg.WEPKey, s.cfg.WEPKeyID, &s.ivs)
+	}, payload)
 	if !ok {
 		return false
 	}
-	s.tx.send(f) // admitted: accepted
+	s.codec.send(f) // admitted: accepted
 	s.Stats.TxPayloads++
 	return true
 }
@@ -222,7 +190,7 @@ func (s *STA) startScan() {
 		s.k.Schedule(5*sim.Millisecond, "scan-retry", s.startScan)
 		return
 	}
-	s.state = staScanning
+	s.state = scanning
 	s.Stats.Scans++
 	s.scanIdx = 0
 	s.cands = make(map[frame.MACAddr]*candidate)
@@ -233,7 +201,7 @@ func (s *STA) startScan() {
 }
 
 func (s *STA) scanStep() {
-	if s.state != staScanning {
+	if s.state != scanning {
 		return
 	}
 	if s.scanIdx >= len(s.cfg.Channels) {
@@ -257,11 +225,11 @@ func (s *STA) scanStep() {
 }
 
 // sendProbeReq broadcasts a directed probe request on the current channel.
-// The body is two cached IE payloads appended into the transmit scratch, so
+// The body is two cached IE payloads appended into the codec's scratch, so
 // an active scan sweep allocates nothing per probe.
 func (s *STA) sendProbeReq() {
-	body := frame.AppendIE(s.tx.body(), frame.IESSID, s.ssidBytes)
-	s.tx.send(s.mgmt(frame.SubtypeProbeReq, frame.Broadcast, frame.AppendIE(body, frame.IESupportedRates, s.rates)))
+	body := frame.AppendIE(s.codec.body(), frame.IESSID, s.ssidBytes)
+	s.codec.send(s.mgmt(frame.SubtypeProbeReq, frame.Broadcast, frame.AppendIE(body, frame.IESupportedRates, s.rates)))
 }
 
 // mgmt stamps the station's addresses on a management frame to dst, which
@@ -327,7 +295,7 @@ func (s *STA) join(c *candidate) {
 		s.k.Schedule(2*sim.Millisecond, "join-wait", func() { s.join(c) })
 		return
 	}
-	s.state = staAuthenticating
+	s.state = unauthenticated
 	s.bssid = c.bssid
 	s.homeCh = c.channel
 	s.servRSSI = c.rssi
@@ -340,23 +308,23 @@ func (s *STA) join(c *candidate) {
 func (s *STA) sendAuth1() {
 	s.Stats.AuthAttempts++
 	algo := uint16(frame.AuthAlgoOpen)
-	if s.privacy() {
+	if len(s.cfg.WEPKey) > 0 {
 		algo = frame.AuthAlgoSharedKey
 	}
 	a := frame.Auth{Algorithm: algo, SeqNum: 1}
-	s.tx.send(s.mgmt(frame.SubtypeAuth, s.bssid, frame.AppendAuth(s.tx.body(), &a)))
+	s.codec.send(s.mgmt(frame.SubtypeAuth, s.bssid, frame.AppendAuth(s.codec.body(), &a)))
 	s.armMgmtTimer(s.sendAuth1)
 }
 
 func (s *STA) sendAssocReq() {
-	s.state = staAssociating
+	s.state = authenticated
 	req := frame.AssocReq{
 		Capability: frame.CapESS,
 		ListenIntv: 10,
 		SSID:       s.ssidBytes,
 		Rates:      s.rates,
 	}
-	s.tx.send(s.mgmt(frame.SubtypeAssocReq, s.bssid, frame.AppendAssocReq(s.tx.body(), &req)))
+	s.codec.send(s.mgmt(frame.SubtypeAssocReq, s.bssid, frame.AppendAssocReq(s.codec.body(), &req)))
 	s.armMgmtTimer(s.sendAssocReq)
 }
 
@@ -374,28 +342,30 @@ func (s *STA) armMgmtTimer(retry func()) {
 
 // --- frame handling ---------------------------------------------------------
 
+// receive handles every frame the MAC delivers. Beacons and probe
+// responses feed the scan from any AP; anything else must come from the
+// target AP in a class the station's state admits, and each management
+// reply is read only in the state that awaits it.
 func (s *STA) receive(f *frame.Frame, info medium.RxInfo) {
-	switch f.Type {
-	case frame.TypeManagement:
-		s.handleMgmt(f, info)
-	case frame.TypeData:
-		s.handleData(f)
-	}
-}
-
-func (s *STA) handleMgmt(f *frame.Frame, info medium.RxInfo) {
-	switch f.Subtype {
-	case frame.SubtypeBeacon, frame.SubtypeProbeResp:
+	mgmt := f.Type == frame.TypeManagement
+	if mgmt && (f.Subtype == frame.SubtypeBeacon || f.Subtype == frame.SubtypeProbeResp) {
 		s.handleBeacon(f, info)
-	case frame.SubtypeAuth:
+		return
+	}
+	if f.Addr2 != s.bssid || frameClass(f) > s.state {
+		return
+	}
+	switch sub := f.Subtype; {
+	case f.Type == frame.TypeData && f.FromDS:
+		s.handleData(f)
+	case !mgmt:
+	case sub == frame.SubtypeAuth && s.state == unauthenticated:
 		s.handleAuth(f)
-	case frame.SubtypeAssocResp, frame.SubtypeReassocResp:
+	case (sub == frame.SubtypeAssocResp || sub == frame.SubtypeReassocResp) && s.state == authenticated:
 		s.handleAssocResp(f)
-	case frame.SubtypeDeauth, frame.SubtypeDisassoc:
-		if s.state == staAssociated && f.Addr2 == s.bssid {
-			s.Stats.LinkLosses++
-			s.startScan()
-		}
+	case (sub == frame.SubtypeDeauth || sub == frame.SubtypeDisassoc) && s.state == associated:
+		s.Stats.LinkLosses++
+		s.startScan()
 	}
 }
 
@@ -427,7 +397,7 @@ func (s *STA) handleBeacon(f *frame.Frame, info medium.RxInfo) {
 		c.channel = int(b.Channel)
 	}
 
-	if s.state == staAssociated && f.Addr2 == s.bssid {
+	if s.state == associated && f.Addr2 == s.bssid {
 		s.missed = 0
 		s.servRSSI = c.rssi
 		if b.IntervalTU > 0 {
@@ -483,56 +453,44 @@ func (s *STA) maybeRoam() {
 	s.join(target)
 }
 
+// handleAuth reads the target AP's authentication reply in state 1.
 func (s *STA) handleAuth(f *frame.Frame) {
-	if s.state != staAuthenticating || f.Addr2 != s.bssid {
-		return
-	}
 	a, err := frame.ParseAuth(f.Body)
 	if err != nil {
 		return
 	}
 	switch {
-	case a.SeqNum == 2 && a.Status == frame.StatusSuccess && a.Algorithm == frame.AuthAlgoOpen:
+	case a.Status == frame.StatusSuccess && (a.SeqNum == 4 || a.SeqNum == 2 && a.Algorithm == frame.AuthAlgoOpen):
 		s.mgmtTries = 0
 		s.k.Cancel(s.mgmtTimer)
 		s.sendAssocReq()
-	case a.SeqNum == 2 && a.Status == frame.StatusSuccess && a.Algorithm == frame.AuthAlgoSharedKey:
+	case a.Status == frame.StatusSuccess && a.SeqNum == 2 && a.Algorithm == frame.AuthAlgoSharedKey:
 		// Return the challenge WEP-sealed (sequence 3): marshal into the
-		// plaintext scratch, seal in one pass into the transmit scratch.
+		// plaintext scratch, seal in one pass into the body scratch.
 		seq3 := frame.Auth{Algorithm: frame.AuthAlgoSharedKey, SeqNum: 3, Challenge: a.Challenge}
-		s.tx.snap = frame.AppendAuth(s.tx.snap[:0], &seq3)
-		sealed, err := wep.SealTo(s.tx.body(), s.cfg.WEPKey, s.ivs.Next(), s.cfg.WEPKeyID, s.tx.snap)
-		if err != nil {
+		f, ok := s.codec.seal(s.mgmt(frame.SubtypeAuth, s.bssid, nil), frame.AppendAuth(s.codec.clear(), &seq3))
+		if !ok {
 			return
 		}
-		f := s.mgmt(frame.SubtypeAuth, s.bssid, sealed)
-		f.Protected = true
-		s.tx.send(f)
+		s.codec.send(f)
 		s.armMgmtTimer(s.sendAuth1)
-	case a.SeqNum == 4 && a.Status == frame.StatusSuccess:
-		s.mgmtTries = 0
-		s.k.Cancel(s.mgmtTimer)
-		s.sendAssocReq()
 	case a.Status != frame.StatusSuccess:
 		s.k.Cancel(s.mgmtTimer)
 		s.startScan()
 	}
 }
 
+// handleAssocResp reads the target AP's association reply in state 2.
 func (s *STA) handleAssocResp(f *frame.Frame) {
-	if s.state != staAssociating || f.Addr2 != s.bssid {
-		return
-	}
+	s.k.Cancel(s.mgmtTimer)
 	resp, err := frame.ParseAssocResp(f.Body)
 	if err != nil || resp.Status != frame.StatusSuccess {
-		s.k.Cancel(s.mgmtTimer)
 		s.startScan()
 		return
 	}
-	s.k.Cancel(s.mgmtTimer)
 	s.mgmtTries = 0
 	s.aid = resp.AID
-	s.state = staAssociated
+	s.state = associated
 	s.missed = 0
 	s.Stats.Associations++
 	if s.Tracer != nil {
@@ -548,25 +506,10 @@ func (s *STA) handleAssocResp(f *frame.Frame) {
 	}
 }
 
+// handleData delivers a FromDS data frame from the serving AP in state 3.
 func (s *STA) handleData(f *frame.Frame) {
-	if s.state != staAssociated || !f.FromDS || f.Addr2 != s.bssid {
-		return
-	}
-	body := f.Body
-	if f.Protected {
-		if !s.privacy() {
-			return
-		}
-		plain, err := wep.OpenTo(s.wepOpen[:0], s.cfg.WEPKey, s.cfg.WEPKeyID, body)
-		if err != nil {
-			s.Stats.DecryptErrors++
-			return
-		}
-		s.wepOpen = plain
-		body = plain
-	}
-	et, payload, err := frame.DecapSNAP(body)
-	if err != nil || et != EtherTypePayload {
+	payload, ok := s.codec.payload(f, &s.Stats.DecryptErrors)
+	if !ok {
 		return
 	}
 	s.Stats.RxPayloads++
@@ -591,7 +534,7 @@ func (s *STA) watchBeacons() {
 	interval := s.beaconInt
 	var check func()
 	check = func() {
-		if s.state != staAssociated {
+		if s.state != associated {
 			return
 		}
 		s.missed++
@@ -615,7 +558,7 @@ func (s *STA) watchBeacons() {
 // enterPS announces PS mode with a null frame. The station stays awake
 // until its first beacon, which synchronizes the doze cycle.
 func (s *STA) enterPS() {
-	s.tx.send(frame.Frame{
+	s.codec.send(frame.Frame{
 		Type: frame.TypeData, Subtype: frame.SubtypeNullData,
 		ToDS:  true,
 		Addr1: s.bssid, Addr2: s.Address(), Addr3: s.bssid,
@@ -636,7 +579,7 @@ func (s *STA) armPSWake(d sim.Duration) {
 // lost the station simply stays awake until the next one resynchronizes
 // the cycle.
 func (s *STA) psWakeFire() {
-	if s.state != staAssociated || !s.cfg.PowerSave {
+	if s.state != associated || !s.cfg.PowerSave {
 		return
 	}
 	if s.dcf.Radio().Asleep() {
@@ -648,7 +591,7 @@ func (s *STA) psWakeFire() {
 // scheduleDoze puts the radio to sleep when the MAC has drained and no
 // polled data is outstanding.
 func (s *STA) scheduleDoze() {
-	if s.state != staAssociated || !s.cfg.PowerSave {
+	if s.state != associated || !s.cfg.PowerSave {
 		return
 	}
 	if s.dcf.Busy() || s.dcf.Radio().Transmitting() || s.psAwaitData {
@@ -684,7 +627,7 @@ func (s *STA) sendPSPoll() {
 	}
 	s.Stats.PSPollsSent++
 	// Duration carries the AID with the two high bits set, per the standard.
-	s.tx.send(frame.Frame{
+	s.codec.send(frame.Frame{
 		Type: frame.TypeControl, Subtype: frame.SubtypePSPoll,
 		Addr1: s.bssid, Addr2: s.Address(), Duration: s.aid | 0xc000,
 	})
