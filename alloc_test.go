@@ -12,10 +12,10 @@ import (
 // goroutine, so the count is a property of the code, not of the host; it
 // moves by a handful between runs with map growth).
 var quickRunAllocs = map[string]uint64{
-	"T1": 1348, "F1": 7691, "F2": 4400, "F3": 1066, "F4": 4750,
-	"F5": 1792, "F6": 2900, "F7": 16831, "F8": 1536, "F9": 1073,
-	"F10": 508, "F11": 413705, "F12": 998, "F13": 3994,
-	"E1": 13738, "E2": 1032, "E3": 964, "S1": 39, "A1": 1316, "A2": 1073,
+	"T1": 1238, "F1": 7203, "F2": 3821, "F3": 1010, "F4": 4405,
+	"F5": 1668, "F6": 2702, "F7": 15884, "F8": 1459, "F9": 1004,
+	"F10": 488, "F11": 408293, "F12": 968, "F13": 3645,
+	"E1": 13436, "E2": 983, "E3": 870, "S1": 39, "A1": 1222, "A2": 1002,
 }
 
 // TestQuickRunAllocCeiling fails when any experiment allocates over 10 %

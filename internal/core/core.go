@@ -436,32 +436,6 @@ func (n *Network) AddAdhocOpts(name string, at geom.Point, opts NodeOpts) *Node 
 	return n.register(node)
 }
 
-// AddMonitor creates a passive monitor-mode node: its MAC runs promiscuous
-// and every overheard frame is handed to the callback. Monitors never
-// transmit (nothing is addressed to them, so no ACKs either).
-func (n *Network) AddMonitor(name string, at geom.Point, capture func(f *frame.Frame, info medium.RxInfo)) *Node {
-	n.claimName(name)
-	r := n.medium.AddRadio(medium.RadioConfig{
-		Name:     name,
-		Mode:     n.mode,
-		Channel:  n.cfg.Channel,
-		Mobility: geom.Static{P: at},
-		TxPower:  n.cfg.TxPower,
-	})
-	d := mac.New(n.kernel, r, mac.Config{
-		Address:     n.alloc.Next(),
-		Mode:        n.mode,
-		Promiscuous: true,
-	}, n.rateController(name, ""), n.root)
-	d.SetReceiver(func(f *frame.Frame, info medium.RxInfo) {
-		if capture != nil {
-			capture(f, info)
-		}
-	})
-	node := &Node{Name: name, Radio: r, MAC: d, net: n}
-	return n.register(node)
-}
-
 // DS returns (creating on first use) the wired distribution system switch
 // and attaches nothing by itself; pass nodes' APs to ConnectDS.
 func (n *Network) DS() *ether.Switch {

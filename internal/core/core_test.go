@@ -284,3 +284,36 @@ func TestAddESSCorridor(t *testing.T) {
 		t.Fatal("uplink delivered nothing across the corridor")
 	}
 }
+
+func TestMobileStationHelper(t *testing.T) {
+	net := NewNetwork(Config{Seed: 22})
+	a := net.AddAdhoc("a", geom.Pt(0, 0))
+	// Repurpose adhoc node mobility: nodes expose their radio.
+	a.Radio.SetMobility(geom.Linear{Start: geom.Pt(0, 0), Velocity: geom.Vector{X: 5}})
+	net.Run(2 * sim.Second)
+	if got := a.Radio.Position().X; got < 9.9 || got > 10.1 {
+		t.Errorf("mobile node at x=%v after 2s at 5 m/s", got)
+	}
+}
+
+func TestAdhocRateOverride(t *testing.T) {
+	net := NewNetwork(Config{Seed: 23, RateAdapt: "fixed:3", PathLoss: spectrum.FreeSpace{Freq: 2412 * units.MHz}})
+	sink := net.AddAdhoc("sink", geom.Pt(0, 0))
+	fast := net.AddAdhoc("fast", geom.Pt(5, 0))
+	slow := net.AddAdhocRate("slow", geom.Pt(0, 5), "fixed:0")
+	ff := net.Saturate(fast, sink, 1000)
+	fs := net.Saturate(slow, sink, 1000)
+	net.Run(1 * sim.Second)
+
+	// Frame counts should be near-equal (DCF per-frame fairness) while the
+	// slow node burns far more airtime.
+	fFrames := net.FlowStats(ff).Received
+	sFrames := net.FlowStats(fs).Received
+	ratio := float64(fFrames) / float64(sFrames)
+	if ratio < 0.7 || ratio > 1.4 {
+		t.Errorf("frame-count ratio fast/slow = %.2f, want ~1 (per-frame fairness)", ratio)
+	}
+	if slow.Radio.Stats.TxAirtime <= fast.Radio.Stats.TxAirtime {
+		t.Error("slow node should consume more airtime per equal frames")
+	}
+}

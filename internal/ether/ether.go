@@ -101,8 +101,3 @@ func runDelivery(arg any) {
 	p.sw.free = append(p.sw.free, d)
 	p.rx(f)
 }
-
-// Relearn moves an address to a new port (used when a station roams and
-// the new AP announces it). Sending any frame from the new port also
-// relearns automatically.
-func (s *Switch) Relearn(addr frame.MACAddr, p *Port) { s.table[addr] = p.id }

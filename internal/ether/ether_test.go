@@ -97,8 +97,9 @@ func TestZeroLatencyStillAsync(t *testing.T) {
 }
 
 func TestRelearnMovesStation(t *testing.T) {
-	// A roaming station's address moves from one port to another (what an
-	// AP does after association).
+	// A roaming station's address moves from one port to another when its
+	// new AP sends a frame from it into the DS (what an AP does after
+	// association).
 	k := sim.NewKernel()
 	sw := NewSwitch(k, 0)
 	var rx [2][]Frame
@@ -112,8 +113,9 @@ func TestRelearnMovesStation(t *testing.T) {
 	// hostC is first learned behind port 0.
 	ports[0].Send(Frame{Dst: hostA, Src: hostC, Payload: []byte("hello")})
 	k.Run()
-	// The station roams: port 1 relearns it.
-	sw.Relearn(hostC, ports[1])
+	// The station roams: its first frame through port 1 relearns it.
+	ports[1].Send(Frame{Dst: frame.Broadcast, Src: hostC})
+	k.Run()
 	host.Send(Frame{Dst: hostC, Src: hostA, Payload: []byte("to-roamed")})
 	k.Run()
 	if len(rx[1]) == 0 {

@@ -374,8 +374,3 @@ func RateByte(halfMbps int, basic bool) byte {
 	}
 	return b
 }
-
-// DecodeRateByte splits a supported-rates entry.
-func DecodeRateByte(b byte) (halfMbps int, basic bool) {
-	return int(b & 0x7f), b&0x80 != 0
-}

@@ -198,15 +198,11 @@ func TestIEParsing(t *testing.T) {
 }
 
 func TestRateByte(t *testing.T) {
-	b := RateByte(11, true) // 5.5 Mbit/s basic
-	half, basic := DecodeRateByte(b)
-	if half != 11 || !basic {
-		t.Errorf("rate byte decode: %d %v", half, basic)
+	if b := RateByte(11, true); b != 0x8b { // 5.5 Mbit/s basic
+		t.Errorf("RateByte(11, basic) = %#x, want 0x8b", b)
 	}
-	b2 := RateByte(108, false) // 54 Mbit/s
-	half2, basic2 := DecodeRateByte(b2)
-	if half2 != 108 || basic2 {
-		t.Errorf("rate byte decode: %d %v", half2, basic2)
+	if b := RateByte(108, false); b != 0x6c { // 54 Mbit/s
+		t.Errorf("RateByte(108) = %#x, want 0x6c", b)
 	}
 }
 

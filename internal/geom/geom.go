@@ -23,12 +23,6 @@ func (p Point) Distance(q Point) float64 {
 	return math.Sqrt(dx*dx + dy*dy + dz*dz)
 }
 
-// GroundDistance returns the horizontal (XY-plane) distance.
-func (p Point) GroundDistance(q Point) float64 {
-	dx, dy := p.X-q.X, p.Y-q.Y
-	return math.Sqrt(dx*dx + dy*dy)
-}
-
 // Add translates the point by a vector.
 func (p Point) Add(v Vector) Point { return Point{p.X + v.X, p.Y + v.Y, p.Z + v.Z} }
 

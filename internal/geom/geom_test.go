@@ -20,14 +20,6 @@ func TestDistance(t *testing.T) {
 	}
 }
 
-func TestGroundDistanceIgnoresHeight(t *testing.T) {
-	a := Point{0, 0, 1.5}
-	b := Point{3, 4, 30}
-	if d := a.GroundDistance(b); d != 5 {
-		t.Errorf("ground distance = %v, want 5", d)
-	}
-}
-
 func TestDistanceSymmetric(t *testing.T) {
 	if err := quick.Check(func(ax, ay, bx, by int16) bool {
 		a := Pt(float64(ax), float64(ay))

@@ -98,22 +98,11 @@ func (a *Aloha) OnRxError(medium.RxInfo) { a.Stats.RxErrors++ }
 
 // OnRxFrame implements medium.Listener.
 func (a *Aloha) OnRxFrame(f *frame.Frame, info medium.RxInfo) {
-	if f.Addr1 != ownAddr(f, a.radio) && !f.Addr1.IsGroup() {
-		return
-	}
 	a.Stats.RxOK++
 	if a.receiver != nil {
 		a.receiver(f, info)
 	}
 }
-
-// ownAddr extracts the station address for filtering. Baselines carry no
-// station state, so the radio name is not an address; we accept any frame
-// whose Addr1 matches the radio's configured MAC, which callers encode by
-// construction: baselines are used in single-receiver topologies where
-// Addr1 is the sink address. To stay general we filter in the receiver
-// callback instead and accept everything here.
-func ownAddr(f *frame.Frame, _ *medium.Radio) frame.MACAddr { return f.Addr1 }
 
 // TDMA is an idealized, perfectly synchronized round-robin TDMA MAC: node i
 // of n owns slots i, i+n, i+2n, … of fixed duration. No contention, no

@@ -512,7 +512,7 @@ func (d *DCF) onCTSTimeout() {
 	d.stats.CTSTimeouts++
 	job := d.cur
 	job.src++
-	if job.src > d.cfg.ShortRetryLimit {
+	if job.src > shortRetryLimit {
 		d.dropJob()
 		return
 	}
@@ -531,7 +531,7 @@ func (d *DCF) onACKTimeout() {
 	d.rc.OnTxResult(job.dst(), job.rate, false)
 
 	mpdu := job.cur()
-	limit := d.cfg.ShortRetryLimit
+	limit := shortRetryLimit
 	counter := &job.src
 	if mpdu.WireLen() >= d.cfg.RTSThreshold {
 		limit = longRetryLimit
@@ -694,9 +694,6 @@ func (d *DCF) OnRxFrame(f *frame.Frame, info medium.RxInfo) {
 				d.navUntil = until
 				d.stats.NAVSets++
 			}
-		}
-		if d.cfg.Promiscuous {
-			d.deliverUp(f, info)
 		}
 	}
 }

@@ -163,9 +163,9 @@ func TestRetransmissionOnLoss(t *testing.T) {
 }
 
 func TestRetryLimitDrops(t *testing.T) {
-	// Destination out of range: frame dropped after ShortRetryLimit.
+	// Destination out of range: frame dropped after shortRetryLimit.
 	b := newBed(4, spectrum.FixedLoss{DB: 200})
-	a := b.addNode("a", geom.Pt(0, 0), Config{ShortRetryLimit: 4})
+	a := b.addNode("a", geom.Pt(0, 0), Config{})
 	c := b.addNode("c", geom.Pt(10, 0), Config{})
 
 	b.k.Schedule(0, "send", func() {
@@ -177,11 +177,11 @@ func TestRetryLimitDrops(t *testing.T) {
 	if st.MSDUDropped != 1 {
 		t.Fatalf("drops = %d, want 1", st.MSDUDropped)
 	}
-	if st.DataTx != 5 { // initial + 4 retries
-		t.Errorf("attempts = %d, want 5", st.DataTx)
+	if st.DataTx != shortRetryLimit+1 { // initial + shortRetryLimit retries
+		t.Errorf("attempts = %d, want %d", st.DataTx, shortRetryLimit+1)
 	}
-	if st.ACKTimeouts != 5 {
-		t.Errorf("ack timeouts = %d, want 5", st.ACKTimeouts)
+	if st.ACKTimeouts != shortRetryLimit+1 {
+		t.Errorf("ack timeouts = %d, want %d", st.ACKTimeouts, shortRetryLimit+1)
 	}
 }
 
@@ -343,7 +343,7 @@ func TestDuplicateFiltering(t *testing.T) {
 		Resolver: resolver,
 	}
 	b := newBed(8, pl)
-	a := b.addNode("a", positions["a"], Config{ShortRetryLimit: 5})
+	a := b.addNode("a", positions["a"], Config{})
 	c := b.addNode("c", positions["c"], Config{})
 
 	b.k.Schedule(0, "send", func() {

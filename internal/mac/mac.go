@@ -94,17 +94,12 @@ type Config struct {
 	// FragThreshold: MSDUs producing MPDUs larger than this are fragmented.
 	// Default 2346 (off).
 	FragThreshold int
-	// ShortRetryLimit applies to frames below the RTS threshold and to RTS
-	// itself; default 7. Frames at or above the threshold get longRetryLimit.
-	ShortRetryLimit int
 	// CWmin/CWmax override the mode's values when non-zero (ablations).
 	CWmin, CWmax int
 	// AIFSN is the arbitration interframe space number: the access IFS is
 	// SIFS + AIFSN slots. Default 2 (legacy DIFS). Larger values model
 	// lower-priority EDCA access categories.
 	AIFSN int
-	// Promiscuous delivers overheard frames (for monitors/tracers).
-	Promiscuous bool
 }
 
 func (c *Config) fillDefaults(mode *phy.Mode) {
@@ -117,9 +112,6 @@ func (c *Config) fillDefaults(mode *phy.Mode) {
 	if c.FragThreshold == 0 {
 		c.FragThreshold = frame.MaxMPDU
 	}
-	if c.ShortRetryLimit == 0 {
-		c.ShortRetryLimit = 7
-	}
 	if c.CWmin == 0 {
 		c.CWmin = mode.CWmin
 	}
@@ -131,9 +123,12 @@ func (c *Config) fillDefaults(mode *phy.Mode) {
 	}
 }
 
-// longRetryLimit bounds the attempts of a frame at or above the RTS
-// threshold.
-const longRetryLimit = 4
+// shortRetryLimit bounds the attempts of a frame below the RTS threshold
+// and of an RTS itself; longRetryLimit those of a frame at or above it.
+const (
+	shortRetryLimit = 7
+	longRetryLimit  = 4
+)
 
 // txJob is one MSDU moving through the transmit pipeline. Jobs are pooled
 // by the DCF: gen advances every recycle, so a committed SIFS action that

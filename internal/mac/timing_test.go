@@ -235,28 +235,3 @@ func TestEIFSAppliedAfterError(t *testing.T) {
 		t.Error("receiver never invoked EIFS after FCS errors")
 	}
 }
-
-func TestPromiscuousDelivery(t *testing.T) {
-	b := newBed(55, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	a := b.addNode("a", geom.Pt(0, 0), Config{})
-	c := b.addNode("c", geom.Pt(10, 0), Config{})
-	mon := b.addNode("mon", geom.Pt(5, 5), Config{Promiscuous: true})
-
-	b.k.Schedule(0, "send", func() {
-		a.dcf.Enqueue(data(c.dcf.Address(), a.dcf.Address(), 200))
-	})
-	b.k.RunFor(100 * sim.Millisecond)
-
-	if len(mon.rx) == 0 {
-		t.Fatal("promiscuous MAC delivered nothing")
-	}
-	// Non-promiscuous third parties stay silent.
-	quiet := b.addNode("quiet", geom.Pt(-5, 5), Config{})
-	b.k.Schedule(0, "send2", func() {
-		a.dcf.Enqueue(data(c.dcf.Address(), a.dcf.Address(), 200))
-	})
-	b.k.RunFor(100 * sim.Millisecond)
-	if len(quiet.rx) != 0 {
-		t.Error("non-promiscuous node delivered overheard unicast")
-	}
-}

@@ -44,7 +44,7 @@ func referenceArrivals(m *Medium, tx *Radio) []wantArrival {
 		}
 		rxPos := rx.mobility.PositionAt(now)
 		power := m.model.RxPower(tx.txPower, txPos, rxPos, linkID(tx, rx), now)
-		if float64(power) < float64(rx.noiseFloor)-m.DetectionMarginDB {
+		if float64(power) < float64(rx.noiseFloor)-detectionMarginDB {
 			continue
 		}
 		w := wantArrival{rx: rx.id, power: math.Float64bits(float64(power)),
@@ -258,9 +258,6 @@ func TestTransmitDifferentialAllRadios(t *testing.T) {
 					what = "after mobile→static"
 					m.radios[0].SetMobility(geom.Static{P: geom.Pt(95, 35)})
 					m.radios[1].SetMobility(geom.Static{P: geom.Pt(20, 20)})
-				case 20:
-					what = "after margin change"
-					m.DetectionMarginDB = 4
 				case 25:
 					what = "after SetChannel"
 					m.radios[2].SetChannel(6)
@@ -308,11 +305,10 @@ func TestTransmitDifferentialAllRadios(t *testing.T) {
 
 // TestFadingMemoInvalidation changes, inside a single coherence block,
 // everything a remembered link can depend on besides the block: a receiver
-// retunes away and back (the memo must survive, on the right entries), the
-// detection margin moves (every too-weak verdict is void), radios join, a
-// radio in the middle of every row starts moving and settles elsewhere
-// (rows are rebuilt; entries shift). After each, every radio's arrivals
-// must be those of the per-transmission computation.
+// retunes away and back (the memo must survive, on the right entries),
+// radios join, a radio in the middle of every row starts moving and
+// settles elsewhere (rows are rebuilt; entries shift). After each, every
+// radio's arrivals must be those of the per-transmission computation.
 func TestFadingMemoInvalidation(t *testing.T) {
 	k := sim.NewKernel()
 	src := rng.New(33)
@@ -322,13 +318,11 @@ func TestFadingMemoInvalidation(t *testing.T) {
 	m := New(k, model, src)
 	wallTopology(m, 25)
 	var memo memoTally
-	round := func(what string) (delivered uint64) {
+	round := func(what string) {
 		t.Helper()
-		before := m.FanoutDelivered
 		for _, tx := range m.radios {
 			memo.transmit(t, k, m, cf, tx, false, what)
 		}
-		return m.FanoutDelivered - before
 	}
 	steps := []struct {
 		what   string
@@ -337,7 +331,6 @@ func TestFadingMemoInvalidation(t *testing.T) {
 		{"first draw", func() {}},
 		{"after SetChannel away", func() { m.radios[2].SetChannel(6); m.radios[12].SetChannel(6) }},
 		{"after SetChannel back", func() { m.radios[2].SetChannel(1); m.radios[12].SetChannel(1) }},
-		{"after margin change", func() { m.DetectionMarginDB = 3 }},
 		{"after AddRadio", func() {
 			m.AddRadio(wallRadio(25, geom.Pt(40, 70)))
 			m.AddRadio(wallRadio(26, geom.Pt(70, 40)))
@@ -347,18 +340,14 @@ func TestFadingMemoInvalidation(t *testing.T) {
 		}},
 		{"after mobile→static", func() { m.radios[10].SetMobility(geom.Static{P: geom.Pt(95, 35)}) }},
 	}
-	var delivered []uint64
 	for _, s := range steps {
 		s.change()
-		delivered = append(delivered, round(s.what))
+		round(s.what)
 		// Whatever the change voided has been drawn again by now.
 		hits := memo.hits
 		if round(s.what + ", again"); memo.hits == hits {
 			t.Fatalf("%s: a second round served no link from the memo", s.what)
 		}
-	}
-	if delivered[3] >= delivered[2] {
-		t.Fatalf("margin 10 → 3 dB delivered %d arrivals after %d: no verdict changed", delivered[3], delivered[2])
 	}
 	if model.Fast.Block(k.Now()) != 0 {
 		t.Fatalf("the run left the first coherence block at %v", k.Now())

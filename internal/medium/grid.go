@@ -25,15 +25,14 @@ type cellKey struct{ x, y int32 }
 // pointers.
 //
 // Invalidation contract: the index is rebuilt from scratch when the
-// medium's topology generation advances (AddRadio, SetMobility, a
-// DetectionMarginDB change — all of which can change detection ranges or
-// the cell size), and migrated incrementally for ordinary mobility: at most
-// once per distinct transmission timestamp, every mobile radio's position
-// is re-sampled from its Mobility and the radio is moved between cells if
-// it crossed a boundary. Cell membership is unordered (swap-remove);
-// candidate order is re-established per query by an ascending-id sort,
-// which keeps fan-out iteration — and therefore event ordering —
-// bit-identical to the all-pairs walk.
+// medium's topology generation advances (AddRadio, SetMobility — both can
+// change detection ranges or the cell size), and migrated incrementally for
+// ordinary mobility: at most once per distinct transmission timestamp,
+// every mobile radio's position is re-sampled from its Mobility and the
+// radio is moved between cells if it crossed a boundary. Cell membership is
+// unordered (swap-remove); candidate order is re-established per query by
+// an ascending-id sort, which keeps fan-out iteration — and therefore event
+// ordering — bit-identical to the all-pairs walk.
 type spatial struct {
 	enabled bool   // model shape allows spatial pruning at all
 	ok      bool   // index built and consistent with the current topology
@@ -41,7 +40,6 @@ type spatial struct {
 	bounder spectrum.RangeBounder
 
 	cellSize float64
-	margin   float64 // DetectionMarginDB the current generation was cut for
 	minFloor float64 // lowest noise floor (dBm) over all radios
 
 	cells map[cellKey][]int32
@@ -59,9 +57,8 @@ type spatial struct {
 	candRadios []*Radio // query scratch: candidates resolved for fan-out
 }
 
-// gridReady brings the topology generation (DetectionMarginDB is a plain
-// field, so its changes are noticed here), the mobile list and, where the
-// model allows one, the spatial index up to date, and reports whether the
+// gridReady brings the mobile list and, where the model allows one, the
+// spatial index up to the topology generation, and reports whether the
 // index is usable. A failed build — a path-loss configuration whose range
 // cannot be bounded — leaves the index off until the next mutation, and
 // candidates come from all radios.
@@ -69,10 +66,6 @@ type spatial struct {
 //wlan:hotpath
 func (m *Medium) gridReady() bool {
 	g := &m.sp
-	if g.margin != m.DetectionMarginDB {
-		g.margin = m.DetectionMarginDB
-		m.topoGen++
-	}
 	if g.gen != m.topoGen {
 		g.gen = m.topoGen
 		g.mobile = g.mobile[:0]
@@ -87,7 +80,7 @@ func (m *Medium) gridReady() bool {
 }
 
 // rebuildGrid derives per-transmitter detection ranges and the cell size
-// from the current radio set and margin, then bins every radio. O(N); runs
+// from the current radio set, then bins every radio. O(N); runs
 // only after topology mutations, never per transmission.
 func (m *Medium) rebuildGrid() bool {
 	g := &m.sp
@@ -111,12 +104,12 @@ func (m *Medium) rebuildGrid() bool {
 	g.minFloor = minFloor
 
 	// A transmission from radio i can only be tracked at a receiver when
-	// its loss stays within txPower_i - floor_rx + margin dB, and every
-	// floor is at least minFloor, so MaxRange of that worst-case loss
+	// its loss stays within txPower_i - floor_rx + detectionMarginDB, and
+	// every floor is at least minFloor, so MaxRange of that worst-case loss
 	// bounds radio i's whole fan-out.
 	maxRange := 0.0
 	for i, r := range m.radios {
-		maxLoss := units.DB(float64(r.txPower) - minFloor + m.DetectionMarginDB)
+		maxLoss := units.DB(float64(r.txPower) - minFloor + detectionMarginDB)
 		d := g.bounder.MaxRange(maxLoss)
 		if math.IsNaN(d) || math.IsInf(d, 0) || d <= 0 {
 			return false

@@ -111,7 +111,7 @@ func runDifferential(t *testing.T, k *sim.Kernel, m *Medium, steps int, mutate f
 						continue
 					}
 					power := r.txPower.Add(-m.model.PathLoss.Loss(q.txPos, geom.Point{X: px[rx], Y: py[rx]}))
-					detectable := float64(power) >= float64(m.radios[rx].noiseFloor)-m.DetectionMarginDB
+					detectable := float64(power) >= float64(m.radios[rx].noiseFloor)-detectionMarginDB
 					if detectable && !slices.Contains(m.sp.cand, int32(rx)) {
 						t.Fatalf("step %d: radio %d detectable from %d (%v dBm) but pruned",
 							step, rx, id, power)
@@ -139,7 +139,9 @@ func TestGridDifferentialAllPairs(t *testing.T) {
 	queries += runDifferential(t, k, m, steps, nil)
 
 	// Log-distance model (different MaxRange inversion), with AddRadio,
-	// multi-cell teleports and a margin change landing mid-run.
+	// multi-cell teleports and a louder radio landing mid-run: 6 dB above
+	// the loudest of diffTopology, it widens the largest detection range
+	// and so the cell size.
 	k2 := sim.NewKernel()
 	model := spectrum.NewModel(spectrum.NewLogDistance(2412*units.MHz, 3.0), nil, nil)
 	m2 := New(k2, model, rng.New(102))
@@ -154,7 +156,10 @@ func TestGridDifferentialAllPairs(t *testing.T) {
 		case steps * 5 / 10:
 			m2.radios[7].SetMobility(geom.Static{P: geom.Pt(-400, 400)})
 		case steps * 7 / 10:
-			m2.DetectionMarginDB = 16
+			m2.AddRadio(RadioConfig{
+				Name: "loud", Mode: phy.Mode80211b(),
+				Mobility: geom.Static{P: geom.Pt(60, 90)}, TxPower: -19,
+			})
 		}
 	})
 
@@ -182,9 +187,9 @@ func checkGridMatchesRebuild(t *testing.T, m *Medium) {
 			t.Fatalf("radio %d in cell %v, rebuild puts it in %v", i, g.cellOf[i], key)
 		}
 		ref[key] = append(ref[key], int32(i))
-		want := units.DB(float64(r.txPower) - g.minFloor + m.DetectionMarginDB)
+		want := units.DB(float64(r.txPower) - g.minFloor + detectionMarginDB)
 		if g.rangeM[i] != g.bounder.MaxRange(want) {
-			t.Fatalf("radio %d range %v stale for margin %v", i, g.rangeM[i], m.DetectionMarginDB)
+			t.Fatalf("radio %d range %v stale for tx power %v", i, g.rangeM[i], r.txPower)
 		}
 	}
 	total := 0
@@ -204,9 +209,10 @@ func checkGridMatchesRebuild(t *testing.T, m *Medium) {
 
 // TestGridIncrementalMatchesRebuild is the property test for the index's
 // invalidation contract: under a random interleaving of time advances,
-// multi-cell teleports, mobility swaps, margin changes and mid-run radio
-// additions, the incrementally-migrated index must be indistinguishable
-// from one rebuilt from scratch at the same instant.
+// multi-cell teleports, mobility swaps and mid-run additions of radios at
+// transmit powers from 4 dB below to 6 dB above diffTopology's range, the
+// incrementally-migrated index must be indistinguishable from one rebuilt
+// from scratch at the same instant.
 func TestGridIncrementalMatchesRebuild(t *testing.T) {
 	k, m := testbed(77)
 	diffTopology(m, 32)
@@ -230,14 +236,13 @@ func TestGridIncrementalMatchesRebuild(t *testing.T) {
 				Radius: 5 + src.Float64()*80,
 				Period: sim.Duration(1+src.Intn(4)) * sim.Second,
 			})
-		case 2: // margin change: must re-derive every detection range
-			m.DetectionMarginDB = 6 + 2*float64(src.Intn(6))
-		case 3: // population growth mid-run
-			if len(m.radios) < 64 {
+		case 2, 3: // population growth mid-run: must re-derive every
+			// detection range and the cell size
+			if len(m.radios) < 128 {
 				m.AddRadio(RadioConfig{
 					Name: "x", Mode: phy.Mode80211b(),
 					Mobility: geom.Static{P: geom.Pt(src.Float64()*500, src.Float64()*500)},
-					TxPower:  units.DBm(-40 + 5*float64(src.Intn(4))),
+					TxPower:  units.DBm(-44 + 5*float64(src.Intn(6))),
 				})
 			}
 		default: // ordinary time advance: incremental migration path

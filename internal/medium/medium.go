@@ -24,11 +24,11 @@
 // Rows are built from, and mobile transmitters walk, one candidate source:
 // on fading-free channels whose path-loss model can bound detection range
 // (spectrum.RangeBounder) a uniform-grid spatial index, otherwise every
-// radio. One topology generation — advanced by AddRadio, SetMobility and a
-// DetectionMarginDB change, all of which can change who reaches whom —
-// stales every row and the index; each is rebuilt on next use, while
-// ordinary mobility migrates radios between cells incrementally (once per
-// distinct transmission timestamp, driven by geom.Mobility positions).
+// radio. One topology generation — advanced by AddRadio and SetMobility,
+// both of which can change who reaches whom — stales every row and the
+// index; each is rebuilt on next use, while ordinary mobility migrates
+// radios between cells incrementally (once per distinct transmission
+// timestamp, driven by geom.Mobility positions).
 // Pruning is always a conservative superset of the exact per-receiver power
 // filter, and receivers are walked in ascending radio-id order, so delivered
 // arrivals and event order are bit-identical to the all-pairs walk.
@@ -189,9 +189,6 @@ type Medium struct {
 
 	// PropagationDelay enables distance/c arrival delays (default true).
 	PropagationDelay bool
-	// DetectionMarginDB sets how far below a receiver's noise floor an
-	// arrival may be and still be tracked as interference energy.
-	DetectionMarginDB float64
 	// Tracer receives frame-level events; nil disables tracing.
 	Tracer trace.Tracer
 
@@ -226,11 +223,10 @@ type Medium struct {
 // New creates an empty medium on the kernel with the given channel model.
 func New(k *sim.Kernel, model *spectrum.Model, src *rng.Source) *Medium {
 	m := &Medium{
-		kernel:            k,
-		model:             model,
-		PropagationDelay:  true,
-		DetectionMarginDB: 10,
-		rng:               src.Split("medium"),
+		kernel:           k,
+		model:            model,
+		PropagationDelay: true,
+		rng:              src.Split("medium"),
 	}
 	_, noShadow := model.Shadow.(spectrum.NoFading)
 	_, shadowing := model.Shadow.(*spectrum.Shadowing)
@@ -487,10 +483,14 @@ func trailEdgeFn(x any) { x.(*transmission).walk(1) }
 // Radios returns all registered radios.
 func (m *Medium) Radios() []*Radio { return m.radios }
 
+// detectionMarginDB is how far below a receiver's noise floor an arrival
+// may be and still be tracked as interference energy.
+const detectionMarginDB = 10
+
 // tooWeak reports whether an arrival at power is so far below rx's noise
 // floor that it is irrelevant both as signal and as interference.
 func (m *Medium) tooWeak(power units.DBm, rx *Radio) bool {
-	return float64(power) < float64(rx.noiseFloor)-m.DetectionMarginDB
+	return float64(power) < float64(rx.noiseFloor)-detectionMarginDB
 }
 
 // propDelay is the time light takes to cover d metres.
@@ -587,7 +587,7 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 	var fade []fadeSlot   // the row's fast-fading memo, nil without fast fading
 	others := m.radios    // receivers whose link is computed per transmission
 	var reach2 float64    // when positive, others are pruned to this range²
-	grid := m.gridReady() // also brings topoGen and the mobile list up to date
+	grid := m.gridReady() // also brings the mobile list up to date
 	if r.static && m.shadowConst {
 		if r.rowGen != m.topoGen {
 			m.buildRow(r, t, grid)

@@ -45,16 +45,6 @@ func (e *ESS) ServingAP(addr frame.MACAddr) *AP {
 	return nil
 }
 
-// AssociatedCounts returns each member AP's current association count, in
-// Add order — the load-distribution view the roaming-wave experiment plots.
-func (e *ESS) AssociatedCounts() []int {
-	out := make([]int, len(e.aps))
-	for i, ap := range e.aps {
-		out[i] = ap.AssociatedCount()
-	}
-	return out
-}
-
 // Handoffs sums the members' handoff counters: the number of stale
 // associations dropped because the station re-associated elsewhere.
 func (e *ESS) Handoffs() uint64 {

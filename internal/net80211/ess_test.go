@@ -41,8 +41,8 @@ func TestESSTracksRoam(t *testing.T) {
 	if got := ess.ServingAP(sta.Address()); got != ap1 {
 		t.Fatalf("before the walk ServingAP = %v, want ap1", got)
 	}
-	if counts := ess.AssociatedCounts(); counts[0] != 1 || counts[1] != 0 {
-		t.Fatalf("associated counts before roam = %v", counts)
+	if c1, c2 := ap1.AssociatedCount(), ap2.AssociatedCount(); c1 != 1 || c2 != 0 {
+		t.Fatalf("associated counts before roam = %d, %d", c1, c2)
 	}
 
 	// Keep traffic flowing so post-roam uplink announces over the DS.
@@ -58,8 +58,8 @@ func TestESSTracksRoam(t *testing.T) {
 	if got := ess.ServingAP(sta.Address()); got != ap2 {
 		t.Fatalf("after the walk ServingAP = %v, want ap2", got)
 	}
-	if counts := ess.AssociatedCounts(); counts[0] != 0 || counts[1] != 1 {
-		t.Fatalf("associated counts after roam = %v (stale association not dropped)", counts)
+	if c1, c2 := ap1.AssociatedCount(), ap2.AssociatedCount(); c1 != 0 || c2 != 1 {
+		t.Fatalf("associated counts after roam = %d, %d (stale association not dropped)", c1, c2)
 	}
 	if ess.Handoffs() == 0 || ap1.Stats.Handoffs == 0 {
 		t.Fatalf("DS announcement dropped no stale association (ess=%d ap1=%d)",

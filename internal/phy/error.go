@@ -2,8 +2,6 @@ package phy
 
 import (
 	"math"
-
-	"repro/internal/units"
 )
 
 // Reception error model: SINR → bit error rate → packet error rate.
@@ -186,12 +184,4 @@ func (m *Mode) SINRForPER(ri RateIdx, mpduBytes int, targetPER float64) float64 
 		}
 	}
 	return math.Sqrt(lo * hi)
-}
-
-// Sensitivity returns the approximate received power needed to achieve the
-// target PER for a frame of mpduBytes at rate ri, assuming a noise floor
-// set by the mode bandwidth and the given noise figure.
-func (m *Mode) Sensitivity(ri RateIdx, mpduBytes int, targetPER float64, nf units.DB) units.DBm {
-	sinr := m.SINRForPER(ri, mpduBytes, targetPER)
-	return m.NoiseFloorDBm(nf).Add(units.DBFromLinear(sinr))
 }

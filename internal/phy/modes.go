@@ -163,8 +163,7 @@ func Mode80211a() *Mode {
 }
 
 // Mode80211g is the ERP-OFDM PHY: OFDM rates at 2.4 GHz with the 6 µs
-// signal extension. The long 20 µs slot is used for 802.11b coexistence;
-// call UseShortSlot for a pure-g BSS.
+// signal extension. The long 20 µs slot is used for 802.11b coexistence.
 func Mode80211g() *Mode {
 	return &Mode{
 		Name:      "802.11g",
@@ -208,9 +207,6 @@ func ModeByName(name string) (*Mode, error) {
 	}
 	return nil, fmt.Errorf("phy: unknown mode %q", name)
 }
-
-// UseShortSlot switches an ERP mode to the 9 µs short slot (pure-g BSS).
-func (m *Mode) UseShortSlot() { m.Slot = 9 * sim.Microsecond }
 
 // UseShortPreamble selects the short DSSS preamble where defined.
 func (m *Mode) UseShortPreamble() { m.Preamble = PreambleShort }

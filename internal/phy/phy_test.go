@@ -314,11 +314,14 @@ func TestPERIncreasesWithLength(t *testing.T) {
 }
 
 func TestSensitivityLadder(t *testing.T) {
-	// Sensitivities should land within a plausible band of the standard's
-	// minimums and be ordered by rate.
+	// The power at which the error model delivers a 1000-byte frame with
+	// PER 0.1 over a 7 dB noise figure should land within a plausible band
+	// of the standard's minimum sensitivities and be ordered by rate.
 	a := Mode80211a()
-	s6 := a.Sensitivity(0, 1000, 0.1, 7)
-	s54 := a.Sensitivity(7, 1000, 0.1, 7)
+	sensitivity := func(ri RateIdx) units.DBm {
+		return a.NoiseFloorDBm(7).Add(units.DBFromLinear(a.SINRForPER(ri, 1000, 0.1)))
+	}
+	s6, s54 := sensitivity(0), sensitivity(7)
 	if s54 <= s6 {
 		t.Errorf("54M sensitivity %v should be above 6M %v", s54, s6)
 	}
@@ -377,17 +380,6 @@ func TestChannelFreq(t *testing.T) {
 	}
 	if f := ChannelFreq(-3); f != 2412*units.MHz {
 		t.Errorf("invalid channel fallback = %v", f)
-	}
-}
-
-func TestShortSlot(t *testing.T) {
-	g := Mode80211g()
-	if g.Slot != 20*sim.Microsecond {
-		t.Fatalf("default 11g slot = %v", g.Slot)
-	}
-	g.UseShortSlot()
-	if g.Slot != 9*sim.Microsecond {
-		t.Fatalf("short slot = %v", g.Slot)
 	}
 }
 

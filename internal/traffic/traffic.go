@@ -1,5 +1,5 @@
-// Package traffic provides workload generators (CBR, Poisson, on/off,
-// saturating backlog) and a measurement sink. Generated payloads carry a
+// Package traffic provides workload generators (CBR, Poisson, saturating
+// backlog) and a measurement sink. Generated payloads carry a
 // small header (flow ID, sequence number, departure timestamp) so the sink
 // can compute per-flow goodput, delivery ratio, loss and latency without
 // any side channel — exactly the way testbed tools like iperf do it.
@@ -219,32 +219,6 @@ func NewPoisson(k *sim.Kernel, flowID uint32, size int, pktPerSec float64, src *
 	return g
 }
 
-// NewOnOff starts an exponential on/off source: during on periods it emits
-// CBR at the given interval; on/off durations are exponential with the
-// given means.
-func NewOnOff(k *sim.Kernel, flowID uint32, size int, interval, meanOn, meanOff sim.Duration, src *rng.Source, send SendFunc) *Generator {
-	if size < HeaderLen {
-		size = HeaderLen
-	}
-	g := &Generator{k: k, flowID: flowID, size: size, send: send}
-	exp := src.Split("onoff")
-	var onUntil sim.Time
-	g.next = func() sim.Duration {
-		now := k.Now()
-		if now < onUntil {
-			return interval
-		}
-		// Off period, then a new on period.
-		off := sim.Duration(exp.ExpFloat64() * float64(meanOff))
-		on := sim.Duration(exp.ExpFloat64() * float64(meanOn))
-		onUntil = now.Add(off + on)
-		return off
-	}
-	onUntil = k.Now().Add(sim.Duration(exp.ExpFloat64() * float64(meanOn)))
-	g.start()
-	return g
-}
-
 // NewSaturator starts a source that keeps backlog, the transmit queue behind
 // send, full: it pushes packets until a send is refused, then tops up every
 // topUp (1 ms). Every top-up is queued under one schedule-order number taken
@@ -277,18 +251,14 @@ type FlowStats struct {
 	MaxSeq     uint64
 	OutOfOrder uint64
 	Duplicates uint64
-	seen       map[uint64]bool
-	// window/winMax are bounded-mode duplicate detection: a circular bitmap
-	// over the last seenWindow sequence numbers. Unlike the seen map it
-	// performs zero allocations and never rehashes, so a bounded sink's
-	// steady state is allocation-free.
-	window    []uint64
-	winMax    uint64
-	FirstRxAt sim.Time
-	LastRxAt  sim.Time
+	LastRxAt   sim.Time
 	// MaxGap is the longest silence between consecutive arrivals —
 	// the outage metric for roaming experiments.
 	MaxGap sim.Duration
+	// window is the duplicate detector: a circular bitmap over the
+	// seenWindow sequence numbers up to MaxSeq. It never allocates or
+	// rehashes.
+	window [seenWindow / 64]uint64
 }
 
 // LossRatio estimates loss from sequence-number gaps: 1 - received/(maxSeq+1).
@@ -300,16 +270,6 @@ func (f *FlowStats) LossRatio() float64 {
 	return 1 - float64(f.Received)/expected
 }
 
-// ThroughputBps returns goodput measured between the first and last
-// arrival.
-func (f *FlowStats) ThroughputBps() float64 {
-	span := f.LastRxAt.Sub(f.FirstRxAt)
-	if span <= 0 {
-		return 0
-	}
-	return float64(f.Bytes*8) / span.Seconds()
-}
-
 // Sink consumes delivered payloads and accumulates per-flow statistics.
 type Sink struct {
 	k       *sim.Kernel
@@ -319,17 +279,17 @@ type Sink struct {
 	Unparsed uint64
 }
 
-// seenWindow is a bounded sink's duplicate-detection depth: sequence numbers
-// further than this behind the newest arrival are forgotten. MAC-layer
-// duplicates and reordering span at most the retry depth — a handful of
-// frames — so the window changes nothing at scenario scale.
+// seenWindow is the sink's duplicate-detection depth: sequence numbers
+// further than this behind a flow's newest arrival are forgotten, and count
+// as new if they arrive again. MAC-layer duplicates and reordering span at
+// most the retry depth — a handful of frames — so the window changes
+// nothing at scenario scale.
 const seenWindow = 4096
 
-// Bound caps the sink's per-flow memory so indefinitely long runs hold a
-// flat RSS: duplicate detection degrades to a sliding window of the last
-// seenWindow sequence numbers and raw latency samples are not retained
-// (quantile queries read as empty; the streaming mean/variance stays exact).
-// Scenario-scale experiment runs leave this off and keep exact accounting.
+// Bound keeps the sink's per-flow memory flat for indefinitely long runs:
+// raw latency samples are not retained (quantile queries read as empty; the
+// streaming mean/variance stays exact). Scenario-scale experiment runs
+// leave this off and keep every sample.
 func (s *Sink) Bound() { s.bounded = true }
 
 // NewSink builds an empty sink.
@@ -346,25 +306,12 @@ func (s *Sink) Deliver(payload []byte) {
 	}
 	f := s.flows[h.FlowID]
 	if f == nil {
-		f = &FlowStats{FirstRxAt: s.k.Now()}
-		if !s.bounded {
-			f.seen = make(map[uint64]bool)
-		} else {
-			f.window = make([]uint64, seenWindow/64)
-		}
+		f = &FlowStats{}
 		s.flows[h.FlowID] = f
 	}
-	if s.bounded {
-		if f.windowSeen(h.Seq) {
-			f.Duplicates++
-			return
-		}
-	} else {
-		if f.seen[h.Seq] {
-			f.Duplicates++
-			return
-		}
-		f.seen[h.Seq] = true
+	if f.seen(h.Seq) {
+		f.Duplicates++
+		return
 	}
 	if h.Seq < f.MaxSeq {
 		f.OutOfOrder++
@@ -387,41 +334,26 @@ func (s *Sink) Deliver(payload []byte) {
 	}
 }
 
-// windowSeen is bounded-mode duplicate detection: test-and-set in a
-// circular bitmap covering the last seenWindow sequence numbers. Sequence
-// numbers that fall off the back of the window are forgotten and re-report
-// as new — exactly the eviction semantics a capped seen-set would have.
-// Advancing clears skipped slots one at a time, which is amortized O(1)
-// because generators emit consecutive sequence numbers.
-func (f *FlowStats) windowSeen(seq uint64) bool {
+// seen reports whether seq arrived before, and marks it arrived: test-and-
+// set in the window. A sequence number that fell off the back of the window
+// is forgotten and reports as new. Advancing MaxSeq clears the slots it
+// skips one at a time, which is amortized O(1) because generators emit
+// consecutive sequence numbers.
+func (f *FlowStats) seen(seq uint64) bool {
 	const w = seenWindow
 	word, bit := (seq%w)/64, uint64(1)<<(seq%64)
 	switch {
-	case f.Received == 0 || seq > f.winMax:
-		from := f.winMax + 1
-		if f.Received == 0 {
-			from = seq
-		}
-		if seq >= w-1 && from < seq-(w-1) {
-			from = seq - (w - 1)
-		}
-		for s := from; s < seq; s++ {
+	case seq > f.MaxSeq:
+		for s := max(f.MaxSeq+1, seq-min(seq, w-1)); s < seq; s++ {
 			f.window[(s%w)/64] &^= 1 << (s % 64)
 		}
-		f.window[word] |= bit
-		f.winMax = seq
-		return false
-	case f.winMax-seq >= w:
-		// Older than the window remembers: report as new, like an evicted
-		// entry would.
-		return false
-	default:
-		if f.window[word]&bit != 0 {
-			return true
-		}
-		f.window[word] |= bit
-		return false
+	case f.MaxSeq-seq >= w:
+		return false // its slot now belongs to a newer sequence number
+	case f.window[word]&bit != 0:
+		return true
 	}
+	f.window[word] |= bit
+	return false
 }
 
 // Flow returns stats for a flow ID (nil if nothing arrived).
@@ -438,16 +370,6 @@ func (s *Sink) Flows() []uint32 {
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
-}
-
-// TotalReceived sums packet counts over flows.
-func (s *Sink) TotalReceived() uint64 {
-	var n uint64
-	//wlan:allow-nondeterminism order-independent integer sum
-	for _, f := range s.flows {
-		n += f.Received
-	}
-	return n
 }
 
 // TotalBytes sums payload bytes over flows.

@@ -94,30 +94,6 @@ func TestPoissonInterarrivalCV(t *testing.T) {
 	}
 }
 
-func TestOnOffAlternates(t *testing.T) {
-	k := sim.NewKernel()
-	var times []sim.Time
-	NewOnOff(k, 1, 100, sim.Millisecond, 50*sim.Millisecond, 200*sim.Millisecond,
-		rng.New(3), func(p []byte) bool {
-			times = append(times, k.Now())
-			return true
-		})
-	k.RunUntil(sim.Time(5 * sim.Second))
-	if len(times) < 100 {
-		t.Fatalf("on/off emitted only %d packets", len(times))
-	}
-	// There must exist gaps much longer than the CBR interval (off periods).
-	longGaps := 0
-	for i := 1; i < len(times); i++ {
-		if times[i].Sub(times[i-1]) > 20*sim.Millisecond {
-			longGaps++
-		}
-	}
-	if longGaps == 0 {
-		t.Error("no off periods observed")
-	}
-}
-
 func TestSaturatorBackpressure(t *testing.T) {
 	k := sim.NewKernel()
 	q := &scriptQueue{k: k, capacity: 50}
@@ -169,8 +145,8 @@ func TestSinkLatencyAndLoss(t *testing.T) {
 	if math.Abs(f.Latency.Mean()-0.005) > 1e-9 {
 		t.Errorf("mean latency = %v, want 5ms", f.Latency.Mean())
 	}
-	if sink.TotalReceived() != 8 || sink.TotalBytes() != 800 {
-		t.Errorf("totals: %d pkts %d bytes", sink.TotalReceived(), sink.TotalBytes())
+	if sink.TotalBytes() != 800 {
+		t.Errorf("total bytes = %d, want 800", sink.TotalBytes())
 	}
 }
 
@@ -204,24 +180,6 @@ func TestSinkUnparsed(t *testing.T) {
 	sink.Deliver([]byte{1, 2, 3})
 	if sink.Unparsed != 1 {
 		t.Errorf("unparsed = %d", sink.Unparsed)
-	}
-}
-
-func TestThroughputBps(t *testing.T) {
-	k := sim.NewKernel()
-	sink := NewSink(k)
-	// 10 × 1000-byte packets over 9 ms (first to last).
-	for i := uint64(0); i < 10; i++ {
-		payload := make([]byte, 1000)
-		EncodeHeader(payload, Header{FlowID: 1, Seq: i, SentAt: 0})
-		at := sim.Time(i) * sim.Time(sim.Millisecond)
-		k.ScheduleAt(at, "rx", func() { sink.Deliver(payload) })
-	}
-	k.Run()
-	f := sink.Flow(1)
-	want := float64(10*1000*8) / 0.009
-	if math.Abs(f.ThroughputBps()-want)/want > 0.001 {
-		t.Errorf("throughput = %v, want %v", f.ThroughputBps(), want)
 	}
 }
 
