@@ -122,7 +122,9 @@ func main() {
 			per = append(per, 0)
 			continue
 		}
-		tput := net.FlowThroughput(id)
+		// Goodput over the measured run only: infra's association phase
+		// has run too, but no flow was attached yet.
+		tput := float64(fs.Bytes*8) / dur.Seconds()
 		agg += tput
 		per = append(per, tput)
 		table.AddRow(fmt.Sprint(id), stats.Mbps(tput), fmt.Sprint(fs.Received),

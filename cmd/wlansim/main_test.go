@@ -1,0 +1,69 @@
+package main
+
+import (
+	"bytes"
+	"math"
+	"os"
+	"os/exec"
+	"strconv"
+	"strings"
+	"testing"
+)
+
+// asMainEnv makes the test binary behave as the wlansim command, so the
+// tests need no second build.
+const asMainEnv = "WLANSIM_TEST_AS_MAIN"
+
+func TestMain(m *testing.M) {
+	if os.Getenv(asMainEnv) != "" {
+		main()
+		return
+	}
+	os.Exit(m.Run())
+}
+
+// wlansim runs the command and returns its stdout.
+func wlansim(t *testing.T, args ...string) string {
+	t.Helper()
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(self, args...)
+	cmd.Env = append(os.Environ(), asMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("wlansim %v: %v\n%s", args, err, stderr.String())
+	}
+	return string(out)
+}
+
+// TestGoodputOverMeasuredDuration: a flow's Mbit/s is its delivered
+// payload over -duration. The infra topology runs an association phase
+// before it attaches its flows, and that phase must not dilute the rate.
+func TestGoodputOverMeasuredDuration(t *testing.T) {
+	for _, topology := range []string{"adhoc", "infra"} {
+		out := wlansim(t, "-topology", topology, "-n", "1", "-payload", "1500", "-duration", "1s")
+		var row []string
+		for _, line := range strings.Split(out, "\n") {
+			if f := strings.Fields(line); len(f) == 6 && f[0] == "1" {
+				row = f
+			}
+		}
+		if row == nil {
+			t.Fatalf("%s: no row for flow 1 in\n%s", topology, out)
+		}
+		mbps, err1 := strconv.ParseFloat(row[1], 64)
+		delivered, err2 := strconv.Atoi(row[2])
+		if err1 != nil || err2 != nil || delivered == 0 {
+			t.Fatalf("%s: unreadable row %q", topology, row)
+		}
+		// 1500-byte payloads over 1 s, printed to two decimals.
+		want := float64(delivered) * 1500 * 8 / 1e6
+		if math.Abs(mbps-want) > 0.0051 {
+			t.Errorf("%s: %d packets in 1 s printed as %.2f Mbit/s, want %.2f", topology, delivered, mbps, want)
+		}
+	}
+}

@@ -50,3 +50,34 @@ func (al *AddrAllocator) Next() MACAddr {
 	n := al.next
 	return MACAddr{0x02, 0x00, 0x00, byte(n >> 16), byte(n >> 8), byte(n)}
 }
+
+// Peers is a per-address table: records in a flat array scanned linearly
+// behind a last-hit index. A station hears a handful of peers, so the scan
+// is shorter than a map lookup and, unlike map inserts, steady state never
+// allocates; the records are values, so first contact costs only the
+// amortised growth of the arrays. The zero value is an empty table.
+type Peers[T any] struct {
+	addrs []MACAddr
+	vals  []T
+	hit   int // index of the most recently used peer
+}
+
+// Get returns addr's record, appending a zero one on first contact, which
+// it reports as fresh. Growth may move the records, so the pointer must not
+// be held across calls.
+func (p *Peers[T]) Get(addr MACAddr) (rec *T, fresh bool) {
+	if p.hit < len(p.addrs) && p.addrs[p.hit] == addr {
+		return &p.vals[p.hit], false
+	}
+	for i := range p.addrs {
+		if p.addrs[i] == addr {
+			p.hit = i
+			return &p.vals[i], false
+		}
+	}
+	var zero T
+	p.addrs = append(p.addrs, addr)
+	p.vals = append(p.vals, zero)
+	p.hit = len(p.addrs) - 1
+	return &p.vals[p.hit], true
+}

@@ -68,9 +68,8 @@ type DCF struct {
 	nameNav, nameAccess, nameCTSTimeout, nameACKTimeout, nameSIFS string
 	tryAccessFn, ctsTimeoutFn, ackTimeoutFn                       func()
 
-	seq   uint16
-	dedup *dedupCache
-	reasm *reassembler
+	seq uint16
+	rx  rxTable
 
 	stats Stats
 }
@@ -91,8 +90,6 @@ func New(k *sim.Kernel, radio *medium.Radio, cfg Config, rc RateController, src 
 		rng:          src.Split("dcf:" + radio.Name()),
 		backoffSlots: -1,
 		cw:           cfg.CWmin,
-		dedup:        newDedupCache(),
-		reasm:        newReassembler(),
 	}
 	name := radio.Name()
 	d.nameNav = "nav-expiry:" + name
@@ -715,12 +712,13 @@ func (d *DCF) handleAddressed(f *frame.Frame, info medium.RxInfo) {
 		}
 	case frame.TypeData, frame.TypeManagement:
 		d.sendACK(f, info)
-		if d.dedup.isDuplicate(f) {
+		msdu, dup := d.rx.accept(f)
+		if dup {
 			d.stats.RxDup++
 			return
 		}
 		d.stats.RxData++
-		if msdu := d.reasm.add(f); msdu != nil {
+		if msdu != nil {
 			d.deliverUp(msdu, info)
 		}
 	}

@@ -554,35 +554,35 @@ func TestDeterministicMACRuns(t *testing.T) {
 }
 
 func TestDedupCacheUnit(t *testing.T) {
-	c := newDedupCache()
+	c := new(rxTable)
 	f := data(frame.MACAddr{1}, frame.MACAddr{2}, 10)
 	f.Seq = 7
-	if c.isDuplicate(f) {
+	if isDup(c, f) {
 		t.Error("first frame flagged duplicate")
 	}
 	dup := *f
 	dup.Retry = true
-	if !c.isDuplicate(&dup) {
+	if !isDup(c, &dup) {
 		t.Error("retry of same seq not flagged")
 	}
 	// A new sequence number clears it.
 	next := *f
 	next.Seq = 8
 	next.Retry = true
-	if c.isDuplicate(&next) {
+	if isDup(c, &next) {
 		t.Error("new seq flagged duplicate")
 	}
 	// Same seq from a different sender is fine.
 	other := *f
 	other.Addr2 = frame.MACAddr{9}
 	other.Retry = true
-	if c.isDuplicate(&other) {
+	if isDup(c, &other) {
 		t.Error("different sender flagged duplicate")
 	}
 }
 
 func TestReassemblerUnit(t *testing.T) {
-	r := newReassembler()
+	r := new(rxTable)
 	mk := func(seq uint16, frag uint8, more bool, body string) *frame.Frame {
 		f := data(frame.MACAddr{1}, frame.MACAddr{2}, 0)
 		f.Seq, f.Frag, f.MoreFrag = seq, frag, more
@@ -590,29 +590,29 @@ func TestReassemblerUnit(t *testing.T) {
 		return f
 	}
 	// Unfragmented passes through.
-	if out := r.add(mk(1, 0, false, "whole")); out == nil || string(out.Body) != "whole" {
+	if out := reasm(r, mk(1, 0, false, "whole")); out == nil || string(out.Body) != "whole" {
 		t.Fatal("unfragmented MSDU mangled")
 	}
 	// Three fragments in order.
-	if out := r.add(mk(2, 0, true, "aa")); out != nil {
+	if out := reasm(r, mk(2, 0, true, "aa")); out != nil {
 		t.Fatal("partial returned early")
 	}
-	if out := r.add(mk(2, 1, true, "bb")); out != nil {
+	if out := reasm(r, mk(2, 1, true, "bb")); out != nil {
 		t.Fatal("partial returned early")
 	}
-	out := r.add(mk(2, 2, false, "cc"))
+	out := reasm(r, mk(2, 2, false, "cc"))
 	if out == nil || string(out.Body) != "aabbcc" {
 		t.Fatalf("reassembly = %v", out)
 	}
 	// Out-of-order fragment aborts silently.
-	if out := r.add(mk(3, 0, true, "xx")); out != nil {
+	if out := reasm(r, mk(3, 0, true, "xx")); out != nil {
 		t.Fatal("partial returned early")
 	}
-	if out := r.add(mk(3, 2, false, "zz")); out != nil {
+	if out := reasm(r, mk(3, 2, false, "zz")); out != nil {
 		t.Fatal("gap not detected")
 	}
 	// Fragment without a start is dropped.
-	if out := r.add(mk(4, 1, false, "yy")); out != nil {
+	if out := reasm(r, mk(4, 1, false, "yy")); out != nil {
 		t.Fatal("orphan fragment delivered")
 	}
 }

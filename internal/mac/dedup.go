@@ -4,113 +4,47 @@ import (
 	"repro/internal/frame"
 )
 
-// dedupCache implements the receiver duplicate-detection cache: one
-// (sequence, fragment) tuple per transmitter address, consulted only when
-// the Retry bit is set, per the standard.
-//
-// The per-transmitter state lives in a flat array scanned linearly with a
-// last-hit cache, mirroring the rate-controller peer arrays: a station
-// hears a handful of transmitters, so the scan is shorter than a map
-// lookup and — unlike map inserts — steady state never allocates.
-type dedupCache struct {
-	addrs []frame.MACAddr
-	last  []uint32
-	hit   int // index of the most recently used transmitter
-}
-
-func newDedupCache() *dedupCache {
-	return &dedupCache{}
-}
-
-//wlan:hotpath
-func key(f *frame.Frame) uint32 { return uint32(f.Seq)<<4 | uint32(f.Frag) }
-
-// index returns the slot for a transmitter, creating one on first contact.
-// Growth may move the arrays, so indices must not be held across calls.
-func (c *dedupCache) index(addr frame.MACAddr) (int, bool) {
-	if c.hit < len(c.addrs) && c.addrs[c.hit] == addr {
-		return c.hit, true
-	}
-	for i := range c.addrs {
-		if c.addrs[i] == addr {
-			c.hit = i
-			return i, true
-		}
-	}
-	c.addrs = append(c.addrs, addr)
-	c.last = append(c.last, 0)
-	c.hit = len(c.addrs) - 1
-	return c.hit, false
-}
-
-// isDuplicate reports whether f repeats the previously accepted MPDU from
-// its transmitter. Non-duplicates are recorded.
-//
-//wlan:hotpath
-func (c *dedupCache) isDuplicate(f *frame.Frame) bool {
-	k := key(f)
-	i, known := c.index(f.Addr2)
-	if f.Retry && known && c.last[i] == k {
-		return true
-	}
-	c.last[i] = k
-	return false
-}
-
-// partial is an MSDU being reassembled from fragments. Slots are recycled:
-// body keeps its capacity across MSDUs from the same transmitter, so
-// steady-state reassembly allocates nothing once warmed.
-type partial struct {
-	addr     frame.MACAddr
+// rxPeer is the receive state the standard keeps per transmitter: the
+// (sequence, fragment) tuple of the last accepted MPDU, consulted only when
+// the Retry bit is set, and the MSDU being reassembled from fragments. Its
+// body keeps its capacity across MSDUs, so steady-state reassembly
+// allocates nothing once warmed.
+type rxPeer struct {
+	last     uint32 // seq<<4 | frag of the last accepted MPDU
+	active   bool   // a partial MSDU is in progress
 	seq      uint16
 	nextFrag uint8
-	active   bool
 	first    frame.Frame
 	body     []byte
 }
 
-// reassembler rebuilds fragmented MSDUs per transmitter. Out-of-order or
-// interleaved fragments abort the partial (the sender would have to retry
-// the whole MSDU anyway). Like dedupCache it keeps per-transmitter state in
-// a flat array with a last-hit cache instead of a map.
-type reassembler struct {
-	parts []partial
-	hit   int
+// rxTable filters duplicates and reassembles fragmented MSDUs, one rxPeer
+// per transmitter. Out-of-order or interleaved fragments abort the partial
+// (the sender would have to retry the whole MSDU anyway).
+type rxTable struct {
+	peers frame.Peers[rxPeer]
 	// out is the scratch for completed multi-fragment MSDUs. Like every
 	// delivered rx frame it is a view, valid only for the duration of the
 	// delivery call; the next completed reassembly reuses it.
 	out frame.Frame
 }
 
-func newReassembler() *reassembler {
-	return &reassembler{}
-}
-
-// slot returns the partial-reassembly slot for a transmitter, creating one
-// on first contact. Growth may move the array, so the pointer must not be
-// held across calls.
-func (r *reassembler) slot(addr frame.MACAddr) *partial {
-	if r.hit < len(r.parts) && r.parts[r.hit].addr == addr {
-		return &r.parts[r.hit]
+// accept takes an MPDU addressed to this station. dup reports a repeat of
+// the MPDU last accepted from its transmitter; otherwise the MPDU is
+// recorded and msdu is the complete MSDU it finishes, or nil while
+// reassembly is in progress.
+//
+//wlan:hotpath
+func (r *rxTable) accept(f *frame.Frame) (msdu *frame.Frame, dup bool) {
+	p, fresh := r.peers.Get(f.Addr2)
+	k := uint32(f.Seq)<<4 | uint32(f.Frag)
+	if f.Retry && !fresh && p.last == k {
+		return nil, true
 	}
-	for i := range r.parts {
-		if r.parts[i].addr == addr {
-			r.hit = i
-			return &r.parts[i]
-		}
-	}
-	r.parts = append(r.parts, partial{addr: addr})
-	r.hit = len(r.parts) - 1
-	return &r.parts[r.hit]
-}
-
-// add consumes an accepted in-order MPDU and returns a complete MSDU frame
-// when available, or nil while reassembly is in progress.
-func (r *reassembler) add(f *frame.Frame) *frame.Frame {
-	p := r.slot(f.Addr2)
+	p.last = k
 	if f.Frag == 0 && !f.MoreFrag {
 		p.active = false // a fresh unfragmented MSDU cancels any partial
-		return f
+		return f, false
 	}
 	if f.Frag == 0 {
 		p.active = true
@@ -121,20 +55,20 @@ func (r *reassembler) add(f *frame.Frame) *frame.Frame {
 		// pooled wire buffer; body below holds the copy, so drop the alias.
 		p.first.Body = nil
 		p.body = append(p.body[:0], f.Body...)
-		return nil
+		return nil, false
 	}
 	if !p.active || p.seq != f.Seq || p.nextFrag != f.Frag {
 		p.active = false
-		return nil
+		return nil, false
 	}
 	p.body = append(p.body, f.Body...)
 	p.nextFrag++
 	if f.MoreFrag {
-		return nil
+		return nil, false
 	}
 	p.active = false
 	r.out = p.first
 	r.out.Body = p.body
 	r.out.MoreFrag = false
-	return &r.out
+	return &r.out, false
 }

@@ -17,7 +17,7 @@ var (
 	ta3 = frame.MACAddr{2, 0, 0, 0, 0, 3}
 )
 
-// df builds a data MPDU as the dedup/reassembly layer sees it.
+// df builds a data MPDU as rxTable.accept sees it.
 func df(ta frame.MACAddr, seq uint16, fragN uint8, more, retry bool, body []byte) *frame.Frame {
 	return &frame.Frame{
 		Type: frame.TypeData, Subtype: frame.SubtypeData,
@@ -26,57 +26,68 @@ func df(ta frame.MACAddr, seq uint16, fragN uint8, more, retry bool, body []byte
 	}
 }
 
+// isDup and reasm drive rxTable.accept for one of its two answers each.
+func isDup(r *rxTable, f *frame.Frame) bool {
+	_, dup := r.accept(f)
+	return dup
+}
+
+func reasm(r *rxTable, f *frame.Frame) *frame.Frame {
+	msdu, _ := r.accept(f)
+	return msdu
+}
+
 func TestDedupFiltersRetriesPerTransmitter(t *testing.T) {
-	c := newDedupCache()
-	if c.isDuplicate(df(ta1, 10, 0, false, false, nil)) {
+	c := new(rxTable)
+	if isDup(c, df(ta1, 10, 0, false, false, nil)) {
 		t.Fatal("first frame flagged as duplicate")
 	}
-	if !c.isDuplicate(df(ta1, 10, 0, false, true, nil)) {
+	if !isDup(c, df(ta1, 10, 0, false, true, nil)) {
 		t.Fatal("retry of the accepted tuple not filtered")
 	}
 	// The same tuple from another transmitter is not a duplicate, and the
-	// interleaving must not disturb ta1's recorded state (last-hit cache).
-	if c.isDuplicate(df(ta2, 10, 0, false, true, nil)) {
+	// interleaving must not disturb ta1's recorded state (last-hit index).
+	if isDup(c, df(ta2, 10, 0, false, true, nil)) {
 		t.Fatal("ta2's first frame filtered because of ta1's state")
 	}
-	if !c.isDuplicate(df(ta1, 10, 0, false, true, nil)) {
+	if !isDup(c, df(ta1, 10, 0, false, true, nil)) {
 		t.Fatal("ta1 state lost after interleaved transmitter")
 	}
 	// Without the Retry bit an identical tuple is accepted (fresh MSDU after
 	// a sequence-counter wrap, per the standard).
-	if c.isDuplicate(df(ta1, 10, 0, false, false, nil)) {
+	if isDup(c, df(ta1, 10, 0, false, false, nil)) {
 		t.Fatal("non-retry frame filtered")
 	}
 }
 
 func TestDedupSeqWrap(t *testing.T) {
-	c := newDedupCache()
-	if c.isDuplicate(df(ta1, frame.MaxSeq-1, 0, false, false, nil)) {
+	c := new(rxTable)
+	if isDup(c, df(ta1, frame.MaxSeq-1, 0, false, false, nil)) {
 		t.Fatal("seq 4095 flagged")
 	}
 	// The counter wraps: seq 0 is a different tuple, retry bit or not.
-	if c.isDuplicate(df(ta1, 0, 0, false, true, nil)) {
+	if isDup(c, df(ta1, 0, 0, false, true, nil)) {
 		t.Fatal("post-wrap seq 0 filtered against seq 4095")
 	}
-	if !c.isDuplicate(df(ta1, 0, 0, false, true, nil)) {
+	if !isDup(c, df(ta1, 0, 0, false, true, nil)) {
 		t.Fatal("retry after wrap not filtered")
 	}
 }
 
 func TestDedupManyTransmittersSteadyStateZeroAlloc(t *testing.T) {
-	c := newDedupCache()
+	c := new(rxTable)
 	tas := []frame.MACAddr{ta1, ta2, ta3}
 	f := df(ta1, 0, 0, false, false, nil)
-	for i := 0; i < 64; i++ { // warm the flat array past any growth
+	for i := 0; i < 64; i++ { // warm the table past any growth
 		f.Addr2 = tas[i%len(tas)]
 		f.Seq = uint16(i)
-		c.isDuplicate(f)
+		isDup(c, f)
 	}
 	i := 0
 	allocs := testing.AllocsPerRun(200, func() {
 		f.Addr2 = tas[i%len(tas)]
 		f.Seq = uint16(i % frame.MaxSeq)
-		c.isDuplicate(f)
+		isDup(c, f)
 		i++
 	})
 	if allocs != 0 {
@@ -99,31 +110,31 @@ func frags(ta frame.MACAddr, seq uint16, body []byte, n int) []*frame.Frame {
 }
 
 func TestReassemblyInterleavedTransmitters(t *testing.T) {
-	r := newReassembler()
+	r := new(rxTable)
 	bodyA := bytes.Repeat([]byte("A0123456789"), 30)
 	bodyB := bytes.Repeat([]byte("Bfedcba"), 40)
 	fa := frags(ta1, 100, bodyA, 3)
 	fb := frags(ta2, 200, bodyB, 2)
 
 	// Fragments from two transmitters interleave freely; each reassembles
-	// independently in its own flat-array slot.
-	if got := r.add(fa[0]); got != nil {
+	// independently in its own per-transmitter record.
+	if got := reasm(r, fa[0]); got != nil {
 		t.Fatal("incomplete MSDU delivered")
 	}
-	if got := r.add(fb[0]); got != nil {
+	if got := reasm(r, fb[0]); got != nil {
 		t.Fatal("incomplete MSDU delivered")
 	}
-	if got := r.add(fa[1]); got != nil {
+	if got := reasm(r, fa[1]); got != nil {
 		t.Fatal("incomplete MSDU delivered")
 	}
-	gotB := r.add(fb[1])
+	gotB := reasm(r, fb[1])
 	if gotB == nil || !bytes.Equal(gotB.Body, bodyB) {
 		t.Fatalf("transmitter B reassembly wrong: %v", gotB)
 	}
 	if gotB.Seq != 200 || gotB.MoreFrag {
 		t.Fatalf("reassembled header wrong: %+v", gotB)
 	}
-	gotA := r.add(fa[2])
+	gotA := reasm(r, fa[2])
 	if gotA == nil || !bytes.Equal(gotA.Body, bodyA) {
 		t.Fatalf("transmitter A reassembly wrong: %v", gotA)
 	}
@@ -133,41 +144,41 @@ func TestReassemblyInterleavedTransmitters(t *testing.T) {
 }
 
 func TestReassemblyAbortsAndRecovers(t *testing.T) {
-	r := newReassembler()
+	r := new(rxTable)
 	body := bytes.Repeat([]byte("xyzzy"), 50)
 	fs := frags(ta1, 7, body, 3)
 
 	// Out-of-order continuation aborts the partial...
-	r.add(fs[0])
-	if got := r.add(fs[2]); got != nil {
+	reasm(r, fs[0])
+	if got := reasm(r, fs[2]); got != nil {
 		t.Fatal("skipped fragment completed an MSDU")
 	}
 	// ...and the tail of the aborted MSDU goes nowhere.
-	if got := r.add(fs[1]); got != nil {
+	if got := reasm(r, fs[1]); got != nil {
 		t.Fatal("fragment of an aborted partial delivered")
 	}
 
-	// A fragment with a different sequence number aborts too (the slot held
+	// A fragment with a different sequence number aborts too (the record held
 	// seq 7; seq 8 frag 1 cannot continue it).
-	r.add(fs[0])
-	if got := r.add(df(ta1, 8, 1, false, false, body)); got != nil {
+	reasm(r, fs[0])
+	if got := reasm(r, df(ta1, 8, 1, false, false, body)); got != nil {
 		t.Fatal("wrong-seq fragment continued a partial")
 	}
 
 	// A fresh unfragmented MSDU cancels a partial outright.
-	r.add(fs[0])
+	reasm(r, fs[0])
 	plain := df(ta1, 9, 0, false, false, []byte("fresh"))
-	if got := r.add(plain); got != plain {
+	if got := reasm(r, plain); got != plain {
 		t.Fatal("unfragmented MSDU not passed through")
 	}
-	if got := r.add(fs[1]); got != nil {
+	if got := reasm(r, fs[1]); got != nil {
 		t.Fatal("partial survived an unfragmented MSDU")
 	}
 
-	// The slot recovers: a complete exchange after all the aborts works and
+	// The record recovers: a complete exchange after all the aborts works and
 	// reuses the recycled body buffer.
 	for i, f := range fs {
-		got := r.add(f)
+		got := reasm(r, f)
 		if i < len(fs)-1 {
 			if got != nil {
 				t.Fatal("incomplete MSDU delivered")
@@ -181,37 +192,37 @@ func TestReassemblyAbortsAndRecovers(t *testing.T) {
 }
 
 func TestReassemblySeqWrapPartial(t *testing.T) {
-	r := newReassembler()
+	r := new(rxTable)
 	body := bytes.Repeat([]byte("w"), 64)
 	// A partial parked at the top of the sequence space must not accept
 	// fragments from the post-wrap MSDU.
-	r.add(df(ta1, frame.MaxSeq-1, 0, true, false, body[:32]))
-	if got := r.add(df(ta1, 0, 1, false, false, body[32:])); got != nil {
+	reasm(r, df(ta1, frame.MaxSeq-1, 0, true, false, body[:32]))
+	if got := reasm(r, df(ta1, 0, 1, false, false, body[32:])); got != nil {
 		t.Fatal("post-wrap fragment matched the pre-wrap partial")
 	}
 	// The wrap MSDU reassembles cleanly from its own first fragment.
-	r.add(df(ta1, 0, 0, true, false, body[:32]))
-	got := r.add(df(ta1, 0, 1, false, false, body[32:]))
+	reasm(r, df(ta1, 0, 0, true, false, body[:32]))
+	got := reasm(r, df(ta1, 0, 1, false, false, body[32:]))
 	if got == nil || !bytes.Equal(got.Body, body) {
 		t.Fatalf("post-wrap reassembly wrong: %v", got)
 	}
 }
 
 func TestReassemblySteadyStateZeroAlloc(t *testing.T) {
-	r := newReassembler()
+	r := new(rxTable)
 	body := bytes.Repeat([]byte("q"), 120)
 	fs := frags(ta1, 0, body, 2)
-	// Warm: the slot and its body buffer exist after one full MSDU.
-	r.add(fs[0])
-	r.add(fs[1])
+	// Warm: the record and its body buffer exist after one full MSDU.
+	reasm(r, fs[0])
+	reasm(r, fs[1])
 	seq := uint16(1)
 	allocs := testing.AllocsPerRun(200, func() {
 		a := df(ta1, seq, 0, true, false, body[:60])
 		b := df(ta1, seq, 1, false, false, body[60:])
-		if r.add(a) != nil {
+		if reasm(r, a) != nil {
 			t.Fatal("first fragment completed")
 		}
-		if got := r.add(b); got == nil || len(got.Body) != len(body) {
+		if got := reasm(r, b); got == nil || len(got.Body) != len(body) {
 			t.Fatal("reassembly failed")
 		}
 		seq = (seq + 1) % frame.MaxSeq
@@ -220,6 +231,83 @@ func TestReassemblySteadyStateZeroAlloc(t *testing.T) {
 	if allocs > 2 {
 		t.Fatalf("steady-state reassembly allocates %v/op beyond the test frames, want ≤2", allocs)
 	}
+}
+
+// rxModel is the receiver rule FuzzRxAccept holds rxTable.accept to, kept
+// in maps: a frame is a duplicate iff Retry is set and its (seq, frag)
+// matches the last key accepted from its transmitter; an MSDU's fragments
+// are taken in order per transmitter, and a gap or a new seq aborts it.
+type rxModel struct {
+	last    map[frame.MACAddr][2]int // (seq, frag) last accepted
+	partial map[frame.MACAddr][]frame.Frame
+}
+
+// accept applies the rule to a frame whose body the model may keep.
+func (m *rxModel) accept(f frame.Frame) (msdu []byte, complete, dup bool) {
+	key := [2]int{int(f.Seq), int(f.Frag)}
+	if last, ok := m.last[f.Addr2]; ok && f.Retry && last == key {
+		return nil, false, true
+	}
+	m.last[f.Addr2] = key
+	frags := m.partial[f.Addr2]
+	switch {
+	case f.Frag == 0:
+		frags = []frame.Frame{f}
+	case len(frags) > 0 && frags[0].Seq == f.Seq && int(f.Frag) == len(frags):
+		frags = append(frags, f)
+	default:
+		frags = nil
+	}
+	if frags != nil && !f.MoreFrag {
+		for _, g := range frags {
+			msdu = append(msdu, g.Body...)
+		}
+		complete, frags = true, nil
+	}
+	m.partial[f.Addr2] = frags
+	return msdu, complete, false
+}
+
+// FuzzRxAccept feeds scripts of MPDUs from three transmitters through
+// rxTable.accept and checks every answer against rxModel. Each step is
+// three bytes: transmitter (low two bits, mod 3), Retry (bit 2), MoreFrag
+// (bit 3) and a body fill value (high nibble); seq (mod 8); frag (low
+// three bits) and body length (the rest). Every body is written into one
+// scratch buffer, as a pooled wire buffer would be, so a kept view shows.
+// The seeds kill a first contact treated as known, a table keyed on the
+// receiver address, and a key recorded only for non-Retry frames.
+func FuzzRxAccept(f *testing.F) {
+	f.Add([]byte{0x04, 0, 0})                         // Retry on first contact
+	f.Add([]byte{0x00, 1, 0, 0x05, 1, 0})             // same tuple, other transmitter
+	f.Add([]byte{0x00, 1, 0, 0x04, 2, 0, 0x04, 2, 0}) // retry of a retried MPDU
+	f.Add([]byte{0x18, 3, 0x20, 0x25, 3, 0x18, 0x38, 3, 0x21, 0x40, 3, 0x22})
+	f.Add([]byte{0x18, 5, 0x10, 0x20, 5, 0x12, 0x18, 6, 0x10, 0x08, 5, 0x11, 0x1c, 6, 0x11, 0x10, 6, 0x12})
+	tas := [3]frame.MACAddr{ta1, ta2, ta3}
+	f.Fuzz(func(t *testing.T, script []byte) {
+		var r rxTable
+		m := rxModel{last: map[frame.MACAddr][2]int{}, partial: map[frame.MACAddr][]frame.Frame{}}
+		scratch := make([]byte, 32)
+		for i := 0; i+3 <= len(script); i += 3 {
+			b0, b1, b2 := script[i], script[i+1], script[i+2]
+			body := scratch[:b2>>3]
+			for j := range body {
+				body[j] = b0>>4 + byte(j)
+			}
+			mpdu := df(tas[b0&3%3], uint16(b1%8), b2&7, b0&8 != 0, b0&4 != 0, body)
+			mpdu.Addr1 = frame.MACAddr{2, 0, 0, 0, 0, 0xaa}
+			want, complete, wantDup := m.accept(*mpdu.Clone())
+			got, dup := r.accept(mpdu)
+			switch {
+			case dup != wantDup:
+				t.Fatalf("step %d (%+v): dup = %v, want %v", i/3, *mpdu, dup, wantDup)
+			case (got != nil) != complete:
+				t.Fatalf("step %d (%+v): delivered %v, want complete = %v", i/3, *mpdu, got, complete)
+			case got != nil && (!bytes.Equal(got.Body, want) || got.Addr2 != mpdu.Addr2 ||
+				got.Seq != mpdu.Seq || got.Frag != 0 || got.MoreFrag):
+				t.Fatalf("step %d (%+v): delivered %+v, want body %v", i/3, *mpdu, *got, want)
+			}
+		}
+	})
 }
 
 // A saturated queue never fully drains, so the FIFO ring's rewind-on-empty

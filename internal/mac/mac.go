@@ -10,6 +10,11 @@
 // delegated to a RateController so driver-level adaptation policies stay
 // separate from MAC mechanism.
 //
+// The receive side keeps one record per transmitter in a frame.Peers
+// table, which is all the standard's receiver rule needs: the last accepted
+// (Address 2, sequence, fragment) tuple, consulted only when Retry is set,
+// beside the MSDU being reassembled.
+//
 // # Enqueue copies
 //
 // Enqueue copies the frame it accepts, header and body, into the MAC's own

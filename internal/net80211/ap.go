@@ -9,7 +9,7 @@
 // Frames arriving from the MAC (mac.Receiver) are zero-copy views into
 // pooled decode buffers, valid only during the callback. Retain nothing
 // without frame.Frame.Clone — the AP's wired-DS forwarding, the power-save
-// buffer and the reassembler all clone before they keep. cmd/wlanlint's
+// buffer and the MAC's reassembly all copy before they keep. cmd/wlanlint's
 // retainview analyzer catches an RX view retained past its handler; see
 // README.md "Static contracts". Sent frames need no such rule:
 // mac.DCF.Enqueue copies what it accepts, so every send path builds its

@@ -5,7 +5,9 @@
 //
 // Controllers satisfy the mac.RateController interface structurally; this
 // package depends only on frame and phy, so policies remain decoupled from
-// the MAC mechanism.
+// the MAC mechanism. Each keeps its per-destination state by value in one
+// frame.Peers table, so a decision allocates nothing after first contact;
+// step thresholds and sampling cadences are package constants.
 package rate
 
 import (
@@ -38,6 +40,13 @@ func (f *Fixed) OnTxResult(frame.MACAddr, phy.RateIdx, bool) {}
 // Name returns the controller name for experiment tables.
 func (f *Fixed) Name() string { return "fixed" }
 
+// ARF step thresholds: the consecutive successes needed to step up (the
+// classic value, and AARF's starting point) and AARF's cap on them.
+const (
+	arfStepUp     = 10
+	aarfStepUpCap = 50
+)
+
 // arfState is the per-destination state of ARF/AARF.
 type arfState struct {
 	idx        phy.RateIdx
@@ -47,43 +56,28 @@ type arfState struct {
 	succNeeded int // AARF: adaptive success threshold
 }
 
-// arfPeer binds a destination address to its state in the controller's flat
-// peer array. A MAC talks to a handful of peers (usually one), so a linear
-// scan with a last-hit cache beats a map lookup and — unlike map inserts —
-// steady state never allocates (see peer lookup note on ARF.state).
-type arfPeer struct {
-	addr frame.MACAddr
-	arfState
-}
-
-// ARF is Auto Rate Fallback: step up after N consecutive successes, step
-// down after two consecutive failures; a failure on the first frame after a
-// step-up (the "probe") steps straight back down.
+// ARF is Auto Rate Fallback: step up after arfStepUp consecutive successes,
+// step down after two consecutive failures; a failure on the first frame
+// after a step-up (the "probe") steps straight back down.
 type ARF struct {
 	Mode *phy.Mode
-	// SuccessThreshold is the consecutive-success count required to step
-	// up; the classic value is 10.
-	SuccessThreshold int
 	// adaptive enables AARF behaviour (threshold doubling on failed probes).
-	adaptive     bool
-	MaxThreshold int
+	adaptive bool
 
-	peers []arfPeer
-	last  int // index of the most recently used peer
+	peers frame.Peers[arfState]
 }
 
 // NewARF builds the classic ARF controller starting at the lowest rate.
 func NewARF(mode *phy.Mode) *ARF {
-	return &ARF{Mode: mode, SuccessThreshold: 10}
+	return &ARF{Mode: mode}
 }
 
 // NewAARF builds the adaptive variant: the success threshold doubles (up to
-// MaxThreshold, default 50) every time a probe fails, making probing rarer
-// on stable channels.
+// aarfStepUpCap) every time a probe fails, making probing rarer on stable
+// channels.
 func NewAARF(mode *phy.Mode) *ARF {
 	a := NewARF(mode)
 	a.adaptive = true
-	a.MaxThreshold = 50
 	return a
 }
 
@@ -95,26 +89,14 @@ func (a *ARF) Name() string {
 	return "arf"
 }
 
-// state returns (creating on first contact) the per-destination state. The
-// returned pointer is into the peer array and must not be held across calls
-// — growth may move it. After warm-up every lookup is a cache hit or a
-// short scan: zero allocations per decision.
+// state returns (creating on first contact) the per-destination state; the
+// pointer must not be held across calls.
 func (a *ARF) state(dst frame.MACAddr) *arfState {
-	if a.last < len(a.peers) && a.peers[a.last].addr == dst {
-		return &a.peers[a.last].arfState
+	s, fresh := a.peers.Get(dst)
+	if fresh {
+		*s = arfState{idx: a.Mode.LowestBasic(), succNeeded: arfStepUp}
 	}
-	for i := range a.peers {
-		if a.peers[i].addr == dst {
-			a.last = i
-			return &a.peers[i].arfState
-		}
-	}
-	a.peers = append(a.peers, arfPeer{
-		addr:     dst,
-		arfState: arfState{idx: a.Mode.LowestBasic(), succNeeded: a.SuccessThreshold},
-	})
-	a.last = len(a.peers) - 1
-	return &a.peers[a.last].arfState
+	return s
 }
 
 // SelectRate implements the controller interface.
@@ -143,9 +125,6 @@ func (a *ARF) OnTxResult(dst frame.MACAddr, _ phy.RateIdx, success bool) {
 			s.idx++
 			s.succ = 0
 			s.probing = true // next frame at the new rate is the probe
-			if !a.adaptive {
-				s.succNeeded = a.SuccessThreshold
-			}
 		}
 		return
 	}
@@ -157,15 +136,13 @@ func (a *ARF) OnTxResult(dst frame.MACAddr, _ phy.RateIdx, success bool) {
 		stepDown = true
 		if a.adaptive {
 			s.succNeeded *= 2
-			if s.succNeeded > a.MaxThreshold {
-				s.succNeeded = a.MaxThreshold
+			if s.succNeeded > aarfStepUpCap {
+				s.succNeeded = aarfStepUpCap
 			}
 		}
 	} else if s.fails >= 2 {
 		stepDown = true
-		if a.adaptive {
-			s.succNeeded = a.SuccessThreshold
-		}
+		s.succNeeded = arfStepUp // AARF restarts from the classic value
 	}
 	if stepDown {
 		s.probing = false

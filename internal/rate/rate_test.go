@@ -133,13 +133,13 @@ func TestAARFDoublesThreshold(t *testing.T) {
 	if got := a.SelectRate(dst, 1500, 0); got != cur {
 		t.Errorf("AARF stepped up after only 10 successes")
 	}
-	// Threshold caps at MaxThreshold.
+	// Threshold caps at aarfStepUpCap.
 	for i := 0; i < 10; i++ {
 		cur = climb()
 		a.OnTxResult(dst, cur, false)
 	}
-	if got := a.state(dst).succNeeded; got > a.MaxThreshold {
-		t.Errorf("threshold %d exceeds cap %d", got, a.MaxThreshold)
+	if got := a.state(dst).succNeeded; got > aarfStepUpCap {
+		t.Errorf("threshold %d exceeds cap %d", got, aarfStepUpCap)
 	}
 }
 

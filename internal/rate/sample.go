@@ -8,16 +8,23 @@ import (
 
 // maxRates bounds every PHY mode's rate table (the OFDM modes top out at 8
 // entries). The per-peer stat arrays are inlined at this size, so creating
-// a peer costs no allocation beyond the (amortised) peer-array growth —
+// a peer costs no allocation beyond the (amortised) peer-table growth —
 // the last per-peer indirection the controllers had. The constructors
 // reject larger modes loudly rather than corrupt state.
 const maxRates = 8
 
+// Sampling cadences: SampleRate probes on every samplePeriod-th first
+// attempt, Minstrel looks around on lookAroundPct percent of them and folds
+// its windows into the EWMAs every statsWindow results.
+const (
+	samplePeriod  = 10
+	lookAroundPct = 10
+	statsWindow   = 25
+)
+
 // rateStat is the bookkeeping both SampleRate and Minstrel keep per
 // (destination, rate).
 type rateStat struct {
-	attempts uint64
-	success  uint64
 	// ewmaProb is the smoothed delivery probability in [0,1]; -1 until the
 	// first observation.
 	ewmaProb float64
@@ -32,29 +39,17 @@ type rateStat struct {
 // could plausibly be faster.
 type SampleRate struct {
 	Mode *phy.Mode
-	// SampleEvery sends one probe every N packets (default 10).
-	SampleEvery int
 
 	rng   *rng.Source
-	peers []srPeer
-	last  int // index of the most recently used peer
+	peers frame.Peers[srState]
 	// scratch backs the per-decision probe-candidate build, reused across
 	// decisions so the probe path stays allocation-free.
 	scratch [maxRates]phy.RateIdx
 }
 
-type srPeer struct {
-	addr frame.MACAddr
-	srState
-}
-
 type srState struct {
 	stats   [maxRates]rateStat
 	counter int
-	// lastSample holds the rate being probed so results credit correctly;
-	// -1 when not probing. (Results arrive tagged with the rate, so this is
-	// only needed to rotate the probe target.)
-	probeIdx phy.RateIdx
 }
 
 // NewSampleRate builds a SampleRate controller.
@@ -62,37 +57,22 @@ func NewSampleRate(mode *phy.Mode, src *rng.Source) *SampleRate {
 	if mode.NumRates() > maxRates {
 		panic("rate: mode exceeds the inlined per-peer stat capacity")
 	}
-	return &SampleRate{
-		Mode:        mode,
-		SampleEvery: 10,
-		rng:         src.Split("samplerate"),
-	}
+	return &SampleRate{Mode: mode, rng: src.Split("samplerate")}
 }
 
 // Name returns the controller name for experiment tables.
 func (s *SampleRate) Name() string { return "samplerate" }
 
-// state returns (creating on first contact) the per-destination state from
-// the flat peer array; see the allocation note on ARF.state. The per-rate
-// stats live in an inline [maxRates]rateStat array, so first contact costs
-// nothing beyond the amortised peer-array growth.
+// state returns (creating on first contact) the per-destination state; the
+// pointer must not be held across calls.
 func (s *SampleRate) state(dst frame.MACAddr) *srState {
-	if s.last < len(s.peers) && s.peers[s.last].addr == dst {
-		return &s.peers[s.last].srState
-	}
-	for i := range s.peers {
-		if s.peers[i].addr == dst {
-			s.last = i
-			return &s.peers[i].srState
+	st, fresh := s.peers.Get(dst)
+	if fresh {
+		for i := range st.stats {
+			st.stats[i].ewmaProb = -1
 		}
 	}
-	st := srState{probeIdx: -1}
-	for i := range st.stats {
-		st.stats[i].ewmaProb = -1
-	}
-	s.peers = append(s.peers, srPeer{addr: dst, srState: st})
-	s.last = len(s.peers) - 1
-	return &s.peers[s.last].srState
+	return st
 }
 
 // prob returns the estimated delivery probability, optimistic (1.0) for
@@ -148,7 +128,7 @@ func (s *SampleRate) SelectRate(dst frame.MACAddr, bytes, attempt int) phy.RateI
 		return best
 	}
 	st.counter++
-	if s.SampleEvery > 0 && st.counter%s.SampleEvery == 0 {
+	if st.counter%samplePeriod == 0 {
 		// Probe a random rate whose lossless airtime beats the current
 		// best's expected time — the SampleRate "could be faster" rule.
 		// The candidate list is built in the controller's reusable scratch.
@@ -179,10 +159,6 @@ func (s *SampleRate) OnTxResult(dst frame.MACAddr, ri phy.RateIdx, success bool)
 	}
 	st := s.state(dst)
 	stat := &st.stats[ri]
-	stat.attempts++
-	if success {
-		stat.success++
-	}
 	// EWMA with alpha 0.1 per observation.
 	obs := 0.0
 	if success {
@@ -201,19 +177,9 @@ func (s *SampleRate) OnTxResult(dst frame.MACAddr, ri phy.RateIdx, success bool)
 // retry chain that degrades toward robust rates.
 type Minstrel struct {
 	Mode *phy.Mode
-	// SamplePercent of packets probe a non-best rate (default 10).
-	SamplePercent int
-	// Window is the number of results per stats update (default 25).
-	Window int
 
 	rng   *rng.Source
-	peers []minstrelPeer
-	last  int // index of the most recently used peer
-}
-
-type minstrelPeer struct {
-	addr frame.MACAddr
-	minstrelState
+	peers frame.Peers[minstrelState]
 }
 
 type minstrelState struct {
@@ -229,39 +195,23 @@ func NewMinstrel(mode *phy.Mode, src *rng.Source) *Minstrel {
 	if mode.NumRates() > maxRates {
 		panic("rate: mode exceeds the inlined per-peer stat capacity")
 	}
-	return &Minstrel{
-		Mode:          mode,
-		SamplePercent: 10,
-		Window:        25,
-		rng:           src.Split("minstrel"),
-	}
+	return &Minstrel{Mode: mode, rng: src.Split("minstrel")}
 }
 
 // Name returns the controller name for experiment tables.
 func (m *Minstrel) Name() string { return "minstrel" }
 
-// state returns (creating on first contact) the per-destination state from
-// the flat peer array; see the allocation note on ARF.state.
+// state returns (creating on first contact) the per-destination state; the
+// pointer must not be held across calls.
 func (m *Minstrel) state(dst frame.MACAddr) *minstrelState {
-	if m.last < len(m.peers) && m.peers[m.last].addr == dst {
-		return &m.peers[m.last].minstrelState
-	}
-	for i := range m.peers {
-		if m.peers[i].addr == dst {
-			m.last = i
-			return &m.peers[i].minstrelState
+	st, fresh := m.peers.Get(dst)
+	if fresh {
+		for i := range st.stats {
+			st.stats[i].ewmaProb = -1
 		}
+		st.best, st.secondBest = m.Mode.LowestBasic(), m.Mode.LowestBasic()
 	}
-	st := minstrelState{
-		best:       m.Mode.LowestBasic(),
-		secondBest: m.Mode.LowestBasic(),
-	}
-	for i := range st.stats {
-		st.stats[i].ewmaProb = -1
-	}
-	m.peers = append(m.peers, minstrelPeer{addr: dst, minstrelState: st})
-	m.last = len(m.peers) - 1
-	return &m.peers[m.last].minstrelState
+	return st
 }
 
 // throughput estimates goodput for rate i: prob × bitrate. Airtime scaling
@@ -322,9 +272,10 @@ func (m *Minstrel) SelectRate(dst frame.MACAddr, _, attempt int) phy.RateIdx {
 	switch {
 	case attempt == 0:
 		st.sampleSeq++
-		if m.SamplePercent > 0 && st.sampleSeq%(100/m.SamplePercent) == 0 {
-			// Look-around: probe a random non-best rate. Minstrel biases
-			// sampling toward rates adjacent to the best.
+		if st.sampleSeq%(100/lookAroundPct) == 0 {
+			// Look-around: probe a rate drawn uniformly; a draw of the best
+			// is bumped to the next rate up (wrapping to 0 past the top),
+			// so that one is sampled twice as often as any other.
 			span := m.Mode.NumRates()
 			probe := phy.RateIdx(m.rng.Intn(span))
 			if probe == st.best {
@@ -351,14 +302,12 @@ func (m *Minstrel) OnTxResult(dst frame.MACAddr, ri phy.RateIdx, success bool) {
 	}
 	st := m.state(dst)
 	s := &st.stats[ri]
-	s.attempts++
 	s.windowAtt++
 	if success {
-		s.success++
 		s.windowSucc++
 	}
 	st.results++
-	if st.results%m.Window == 0 {
+	if st.results%statsWindow == 0 {
 		m.updateStats(st)
 	}
 }
