@@ -54,8 +54,9 @@
 // -shards starts its subprocesses and is not meant to be called by hand.
 //
 // A flag combination that would be ignored — -shards below 1, -chaos
-// without a TCP -agent, -checkpoint with -agent, an empty address in
-// -agents — is one line on stderr and exit status 2, before anything runs.
+// without a TCP -agent, any of -quick, -experiment, -csv, -shards, -agents
+// or -checkpoint with -agent, an empty address in -agents — is one line on
+// stderr and exit status 2, before anything runs.
 package main
 
 import (
@@ -96,13 +97,21 @@ func main() {
 	if *agents != "" {
 		addrs = strings.Split(*agents, ",")
 	}
+	// An agent serves whatever its coordinator asks for, so the flags that
+	// shape a coordinator's run have nothing to act on beside -agent.
+	var coordFlag string
+	flag.Visit(func(f *flag.Flag) {
+		if coordFlag == "" && slices.Contains([]string{"quick", "experiment", "csv", "shards", "agents", "checkpoint"}, f.Name) {
+			coordFlag = f.Name
+		}
+	})
 	switch {
 	case *shards < 1:
 		usage("-shards %d: want at least 1 (1 = in-process workers)", *shards)
 	case *chaos != 0 && (*agent == "" || *agent == "-"):
 		usage("-chaos injects faults into a TCP agent; it needs -agent host:port")
-	case *ckpt != "" && *agent != "":
-		usage("-checkpoint journals a coordinator's run; an -agent has none")
+	case *agent != "" && coordFlag != "":
+		usage("-%s shapes a coordinator's run; an -agent serves its coordinator's requests", coordFlag)
 	case slices.Contains(addrs, ""):
 		usage("-agents %q holds an empty address", *agents)
 	}

@@ -2,9 +2,8 @@
 // wlansim -trace (or any trace.JSONL writer): one aligned line per event
 // with relative timestamps, with optional node and kind filters. With
 // -summary it suppresses per-event output and prints a per-kind count
-// table instead, tallied through the zero-alloc trace.Counting registry
-// path — the stream is never buffered, so arbitrarily large traces
-// summarize in constant memory.
+// table instead, tallied in a per-kind map — the stream is never
+// buffered, so arbitrarily large traces summarize in constant memory.
 //
 // Usage:
 //
@@ -42,14 +41,7 @@ func main() {
 		in = f
 	}
 
-	counting := trace.NewCounting()
-	// The summary diffs registry totals around this run so a warm registry
-	// (other tooling in-process) cannot leak into the table.
-	before := make(map[trace.Kind]uint64, len(trace.Kinds)+1)
-	for _, k := range append(trace.Kinds[:len(trace.Kinds):len(trace.Kinds)], "other") {
-		before[k] = counting.Count(k)
-	}
-
+	counts := map[trace.Kind]uint64{}
 	sc := bufio.NewScanner(in)
 	sc.Buffer(make([]byte, 1024*1024), 1024*1024)
 	lineNo, shown := 0, 0
@@ -73,7 +65,7 @@ func main() {
 			continue
 		}
 		if *summary {
-			counting.CountKind(trace.Kind(kind))
+			counts[trace.Kind(kind)]++
 			shown++
 			continue
 		}
@@ -92,15 +84,15 @@ func main() {
 		os.Exit(1)
 	}
 	if *summary {
-		var total uint64
-		for _, k := range append(trace.Kinds[:len(trace.Kinds):len(trace.Kinds)], "other") {
-			n := counting.Count(k) - before[k]
-			total += n
-			if n > 0 || k != "other" {
-				fmt.Printf("%-8s %d\n", k, n)
-			}
+		other := uint64(shown)
+		for _, k := range trace.Kinds {
+			fmt.Printf("%-8s %d\n", k, counts[k])
+			other -= counts[k]
 		}
-		fmt.Printf("%-8s %d\n", "total", total)
+		if other > 0 {
+			fmt.Printf("%-8s %d\n", "other", other)
+		}
+		fmt.Printf("%-8s %d\n", "total", shown)
 	}
 	fmt.Fprintf(os.Stderr, "wlantrace: %d events shown of %d lines\n", shown, lineNo)
 }

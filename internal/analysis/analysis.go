@@ -20,14 +20,19 @@
 // shape (Analyzer, Pass, Diagnostic) so the analyzers could be rehosted on
 // the upstream driver unchanged, but it depends only on the standard
 // library: packages are loaded with `go list -export` and type-checked
-// from source (see load.go), which keeps the module dependency-free.
+// from source (see load.go), which keeps the module dependency-free. Load
+// is the only loader: cmd/wlanlint, TestRepoClean and the testdata fixture
+// tests all go through it.
 package analysis
 
 import (
+	"cmp"
 	"fmt"
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
+	"strings"
 )
 
 // Analyzer describes one named analysis pass.
@@ -47,8 +52,8 @@ type Pass struct {
 	Files    []*ast.File
 	Pkg      *types.Package
 	// Path is the package's import path as loaded. For testdata fixtures
-	// this is a synthetic fixture/... path; scope predicates must use
-	// PackageBase rather than exact matches.
+	// this is a repro/internal/analysis/testdata/... path; scope
+	// predicates must use PackageBase rather than exact matches.
 	Path string
 	// TypesInfo carries the type-checker's results for Files.
 	TypesInfo *types.Info
@@ -70,41 +75,25 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	p.report(Diagnostic{Pos: pos, Analyzer: p.Analyzer.Name, Message: fmt.Sprintf(format, args...)})
 }
 
-// Position resolves a diagnostic position.
-func (p *Pass) Position(pos token.Pos) token.Position { return p.Fset.Position(pos) }
-
 // Suppressed reports whether an allow-nondeterminism directive covers pos:
 // the directive suppresses findings on its own source line and, when it
 // stands alone on a line, on the line directly below it.
 func (p *Pass) Suppressed(pos token.Pos) bool {
-	line := p.Fset.Position(pos).Line
-	file := p.Fset.Position(pos).Filename
+	at := p.Fset.Position(pos)
 	for _, d := range p.Directives {
-		if d.Verb != VerbAllowNondeterminism {
-			continue
-		}
 		dp := p.Fset.Position(d.Pos)
-		if dp.Filename != file {
-			continue
-		}
-		if dp.Line == line || dp.Line+1 == line {
+		if d.Verb == VerbAllowNondeterminism && dp.Filename == at.Filename &&
+			(dp.Line == at.Line || d.alone && dp.Line+1 == at.Line) {
 			return true
 		}
 	}
 	return false
 }
 
-// TypeOf is a nil-safe Pass.TypesInfo.TypeOf.
-func (p *Pass) TypeOf(e ast.Expr) types.Type {
-	if p.TypesInfo == nil {
-		return nil
-	}
-	return p.TypesInfo.TypeOf(e)
-}
-
 // PackageBase returns the last element of an import path. Contract scope
-// predicates match on it so testdata fixtures (loaded under synthetic
-// fixture/... paths) exercise the same code as the real tree.
+// predicates match on it so testdata fixtures (loaded under
+// repro/internal/analysis/testdata/... paths) exercise the same code as
+// the real tree.
 func PackageBase(path string) string {
 	for i := len(path) - 1; i >= 0; i-- {
 		if path[i] == '/' {
@@ -158,37 +147,21 @@ func RunAnalyzers(pkgs []*Package, analyzers []*Analyzer) ([]Diagnostic, error) 
 			}
 		}
 	}
-	sortDiagnostics(pkgs, diags)
+	if len(diags) > 0 {
+		// Every package of one Load shares its FileSet.
+		fset := pkgs[0].Fset
+		slices.SortStableFunc(diags, func(a, b Diagnostic) int { return compareDiags(fset, a, b) })
+	}
 	return diags, nil
 }
 
-func sortDiagnostics(pkgs []*Package, diags []Diagnostic) {
-	var fset *token.FileSet
-	if len(pkgs) > 0 {
-		fset = pkgs[0].Fset
-	}
-	if fset == nil {
-		return
-	}
-	// Insertion sort by (file, line, col, analyzer): diagnostic counts are
-	// tiny and token.Pos values from one shared FileSet order globally.
-	for i := 1; i < len(diags); i++ {
-		for j := i; j > 0 && diagLess(fset, diags[j], diags[j-1]); j-- {
-			diags[j], diags[j-1] = diags[j-1], diags[j]
-		}
-	}
-}
-
-func diagLess(fset *token.FileSet, a, b Diagnostic) bool {
+// compareDiags orders diagnostics by (file, line, column, analyzer).
+func compareDiags(fset *token.FileSet, a, b Diagnostic) int {
 	pa, pb := fset.Position(a.Pos), fset.Position(b.Pos)
-	if pa.Filename != pb.Filename {
-		return pa.Filename < pb.Filename
-	}
-	if pa.Line != pb.Line {
-		return pa.Line < pb.Line
-	}
-	if pa.Column != pb.Column {
-		return pa.Column < pb.Column
-	}
-	return a.Analyzer < b.Analyzer
+	return cmp.Or(
+		strings.Compare(pa.Filename, pb.Filename),
+		cmp.Compare(pa.Line, pb.Line),
+		cmp.Compare(pa.Column, pb.Column),
+		strings.Compare(a.Analyzer, b.Analyzer),
+	)
 }

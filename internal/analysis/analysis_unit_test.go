@@ -7,25 +7,6 @@ import (
 	"testing"
 )
 
-// TestTypeOfNilInfo pins the nil-safety of Pass.TypeOf for passes built
-// without type information.
-func TestTypeOfNilInfo(t *testing.T) {
-	p := &Pass{}
-	if got := p.TypeOf(nil); got != nil {
-		t.Errorf("TypeOf on a Pass without TypesInfo = %v, want nil", got)
-	}
-}
-
-// TestPassPosition resolves a diagnostic position through the pass fset.
-func TestPassPosition(t *testing.T) {
-	fset := token.NewFileSet()
-	f := fset.AddFile("x.go", -1, 100)
-	p := &Pass{Fset: fset}
-	if got := p.Position(f.Pos(10)); got.Filename != "x.go" {
-		t.Errorf("Position filename = %q, want x.go", got.Filename)
-	}
-}
-
 // TestRunAnalyzersPropagatesErrors surfaces an analyzer failure with the
 // analyzer and package named.
 func TestRunAnalyzersPropagatesErrors(t *testing.T) {
@@ -67,13 +48,11 @@ func TestDiagLess(t *testing.T) {
 		{"equal", Diagnostic{Pos: fa.Pos(1), Analyzer: "a"}, Diagnostic{Pos: fa.Pos(1), Analyzer: "a"}, false},
 	}
 	for _, c := range cases {
-		if got := diagLess(fset, c.x, c.y); got != c.want {
-			t.Errorf("%s: diagLess = %v, want %v", c.name, got, c.want)
+		if got := compareDiags(fset, c.x, c.y) < 0; got != c.want {
+			t.Errorf("%s: x before y = %v, want %v", c.name, got, c.want)
 		}
-		if c.want {
-			if back := diagLess(fset, c.y, c.x); back {
-				t.Errorf("%s: diagLess is not antisymmetric", c.name)
-			}
+		if back := compareDiags(fset, c.y, c.x); c.want && back <= 0 || !c.want && back != 0 {
+			t.Errorf("%s: compareDiags(y, x) = %d, not antisymmetric", c.name, back)
 		}
 	}
 }

@@ -2,10 +2,10 @@ package analysis
 
 import (
 	"os"
-	"path/filepath"
 	"regexp"
 	"strconv"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -24,15 +24,37 @@ type expectation struct {
 	matched bool
 }
 
-// loadFixturePkg loads testdata/<fixture> under a synthetic fixture/...
-// import path, so scope predicates keyed on the package base name see the
-// same base as the real tree.
+// fixtures names every testdata package by its path under testdata.
+var fixtures = []string{"retainview/rxview", "determinism/sim", "determinism/notsim", "determinism/typo", "hotpathalloc/hot"}
+
+// loadFixtures loads every fixture through Load in one go list call. Each
+// keeps its base name (sim, notsim, ...), which scope predicates match on.
+var loadFixtures = sync.OnceValues(func() (map[string]*Package, error) {
+	patterns := make([]string, len(fixtures))
+	for i, f := range fixtures {
+		patterns[i] = "./internal/analysis/testdata/" + f
+	}
+	pkgs, err := Load(moduleRoot, patterns...)
+	if err != nil {
+		return nil, err
+	}
+	byFixture := map[string]*Package{}
+	for _, pkg := range pkgs {
+		byFixture[strings.TrimPrefix(pkg.Path, "repro/internal/analysis/testdata/")] = pkg
+	}
+	return byFixture, nil
+})
+
+// loadFixturePkg returns the loaded testdata/<fixture> package.
 func loadFixturePkg(t *testing.T, fixture string) *Package {
 	t.Helper()
-	dir := filepath.Join("testdata", filepath.FromSlash(fixture))
-	pkg, err := LoadFixture(moduleRoot, dir, "fixture/"+fixture)
+	pkgs, err := loadFixtures()
 	if err != nil {
-		t.Fatalf("loading fixture %s: %v", fixture, err)
+		t.Fatalf("loading fixtures: %v", err)
+	}
+	pkg := pkgs[fixture]
+	if pkg == nil {
+		t.Fatalf("fixture %s was not loaded", fixture)
 	}
 	return pkg
 }

@@ -124,7 +124,7 @@ func checkNondetUse(pass *Pass, sel *ast.SelectorExpr) {
 // reductions (counts, integer sums) carry a //wlan:allow-nondeterminism
 // justification; everything else iterates sorted keys instead.
 func checkMapRange(pass *Pass, rng *ast.RangeStmt) {
-	t := pass.TypeOf(rng.X)
+	t := pass.TypesInfo.TypeOf(rng.X)
 	if t == nil {
 		return
 	}

@@ -1,6 +1,7 @@
 package analysis
 
 import (
+	"bytes"
 	"go/ast"
 	"go/token"
 	"strings"
@@ -15,12 +16,12 @@ import (
 //	    (enforced by the hotpathalloc analyzer).
 //
 //	//wlan:allow-nondeterminism <reason>
-//	    On (or directly above) a flagged line in a sim-deterministic
-//	    package: the nondeterminism is audited and harmless — the reason
-//	    is mandatory and should say why (e.g. an order-independent
-//	    reduction). Enforced by the determinism analyzer, which also
-//	    rejects unknown or malformed //wlan: directives so a typo cannot
-//	    silently disable a contract.
+//	    At the end of a flagged line in a sim-deterministic package, or
+//	    alone on the line directly above it: the nondeterminism is
+//	    audited and harmless — the reason is mandatory and should say
+//	    why (e.g. an order-independent reduction). Enforced by the
+//	    determinism analyzer, which also rejects unknown or malformed
+//	    //wlan: directives so a typo cannot silently disable a contract.
 const (
 	VerbHotPath             = "hotpath"
 	VerbAllowNondeterminism = "allow-nondeterminism"
@@ -31,6 +32,8 @@ type Directive struct {
 	Pos  token.Pos
 	Verb string // the word after //wlan:
 	Args string // remainder, space-trimmed
+	// alone is set when only whitespace precedes the comment on its line.
+	alone bool
 }
 
 // Known reports whether the directive verb is in the //wlan: namespace.
@@ -40,15 +43,16 @@ func (d Directive) Known() bool {
 
 const directivePrefix = "//wlan:"
 
-// ParseDirectives extracts every //wlan: directive from files.
-func ParseDirectives(fset *token.FileSet, files []*ast.File) []Directive {
+// fileDirectives extracts every //wlan: directive from f, parsed from src.
+func fileDirectives(fset *token.FileSet, f *ast.File, src []byte) []Directive {
 	var out []Directive
-	for _, f := range files {
-		for _, cg := range f.Comments {
-			for _, c := range cg.List {
-				if d, ok := parseDirective(c); ok {
-					out = append(out, d)
-				}
+	for _, cg := range f.Comments {
+		for _, c := range cg.List {
+			if d, ok := parseDirective(c); ok {
+				off := fset.Position(c.Slash).Offset
+				lineStart := bytes.LastIndexByte(src[:off], '\n') + 1
+				d.alone = len(bytes.TrimSpace(src[lineStart:off])) == 0
+				out = append(out, d)
 			}
 		}
 	}

@@ -52,7 +52,7 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 				}
 			}
 		case *ast.CompositeLit:
-			switch pass.TypeOf(n).Underlying().(type) {
+			switch pass.TypesInfo.TypeOf(n).Underlying().(type) {
 			case *types.Slice:
 				report(n.Pos(), "builds a slice literal (allocates a backing array); reuse a buffer")
 			case *types.Map:
@@ -66,7 +66,7 @@ func checkHotFunc(pass *Pass, fn *ast.FuncDecl) {
 		case *ast.AssignStmt:
 			for i, rhs := range n.Rhs {
 				if i < len(n.Lhs) {
-					checkBoxing(pass, pass.TypeOf(n.Lhs[i]), rhs, report)
+					checkBoxing(pass, pass.TypesInfo.TypeOf(n.Lhs[i]), rhs, report)
 				}
 			}
 		case *ast.ReturnStmt:
@@ -82,7 +82,7 @@ func checkNested(pass *Pass, fn *ast.FuncDecl, lit *ast.CompositeLit) {
 	for _, elt := range lit.Elts {
 		ast.Inspect(elt, func(n ast.Node) bool {
 			if inner, ok := n.(*ast.CompositeLit); ok {
-				switch pass.TypeOf(inner).Underlying().(type) {
+				switch pass.TypesInfo.TypeOf(inner).Underlying().(type) {
 				case *types.Slice, *types.Map:
 					pass.Reportf(inner.Pos(), "hotpath contract: %s is //wlan:hotpath but nests a slice/map literal (allocates)", fn.Name.Name)
 				}
@@ -95,7 +95,7 @@ func checkNested(pass *Pass, fn *ast.FuncDecl, lit *ast.CompositeLit) {
 func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, report func(token.Pos, string, ...any)) {
 	// Conversions: string<->[]byte copies the bytes every call.
 	if tv, ok := pass.TypesInfo.Types[call.Fun]; ok && tv.IsType() && len(call.Args) == 1 {
-		to, from := tv.Type, pass.TypeOf(call.Args[0])
+		to, from := tv.Type, pass.TypesInfo.TypeOf(call.Args[0])
 		if isStringByteConv(to, from) {
 			report(call.Pos(), "converts between string and []byte (copies); keep one representation")
 		}
@@ -129,7 +129,7 @@ func checkHotCall(pass *Pass, fn *ast.FuncDecl, call *ast.CallExpr, report func(
 	}
 	// Interface boxing at call arguments (this is what catches fmt calls:
 	// every ...any argument boxes, and the variadic slice allocates).
-	sig, ok := pass.TypeOf(call.Fun).(*types.Signature)
+	sig, ok := pass.TypesInfo.TypeOf(call.Fun).(*types.Signature)
 	if !ok {
 		return
 	}
@@ -154,7 +154,7 @@ func checkHotReturn(pass *Pass, fn *ast.FuncDecl, ret *ast.ReturnStmt, report fu
 	if fn.Type.Results == nil {
 		return
 	}
-	sig, ok := pass.TypeOf(fn.Name).(*types.Signature)
+	sig, ok := pass.TypesInfo.TypeOf(fn.Name).(*types.Signature)
 	if !ok || sig.Results().Len() != len(ret.Results) {
 		return
 	}
@@ -170,7 +170,7 @@ func checkBoxing(pass *Pass, target types.Type, val ast.Expr, report func(token.
 	if target == nil || !types.IsInterface(target) {
 		return
 	}
-	vt := pass.TypeOf(val)
+	vt := pass.TypesInfo.TypeOf(val)
 	if vt == nil || types.IsInterface(vt) {
 		return
 	}

@@ -14,9 +14,7 @@ import (
 	"os/exec"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
-	"sync"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -39,85 +37,54 @@ type listedPackage struct {
 	Error      *struct{ Err string }
 }
 
-// exportCache maps import paths to gc export-data files, shared by every
-// Load in the process so repeated fixture loads do not re-run `go list`
-// for paths already resolved.
-var exportCache = struct {
-	sync.Mutex
-	m map[string]string
-}{m: map[string]string{}}
-
-// goList runs `go list -deps -export -json` in dir and records every
-// listed package's export file; it returns the root (non-DepOnly)
-// packages in listing order.
-func goList(dir string, patterns []string) ([]listedPackage, error) {
+// Load lists patterns (go list syntax, e.g. ./...) from dir, parses and
+// type-checks every matched package from source against its imports'
+// export data, and returns them ready for RunAnalyzers. One `go list
+// -deps -export` call names every package and its export file, and the
+// packages of one Load share one FileSet. The testdata fixtures load the
+// same way: go list skips testdata directories under ./... but accepts one
+// named explicitly (./internal/analysis/testdata/determinism/sim). Test
+// files are excluded: the contracts wlanlint enforces protect the
+// simulation data paths, and tests exercise them through the runtime walls
+// instead.
+func Load(dir string, patterns ...string) ([]*Package, error) {
 	args := append([]string{"list", "-deps", "-export", "-json=ImportPath,Dir,GoFiles,Export,DepOnly,Error"}, patterns...)
 	cmd := exec.Command("go", args...)
 	cmd.Dir = dir
 	var out, errb bytes.Buffer
-	cmd.Stdout = &out
-	cmd.Stderr = &errb
+	cmd.Stdout, cmd.Stderr = &out, &errb
 	if err := cmd.Run(); err != nil {
 		return nil, fmt.Errorf("go list %s: %v\n%s", strings.Join(patterns, " "), err, errb.String())
 	}
+	exports := map[string]string{}
 	var roots []listedPackage
-	dec := json.NewDecoder(&out)
-	exportCache.Lock()
-	defer exportCache.Unlock()
-	for {
+	for dec := json.NewDecoder(&out); dec.More(); {
 		var p listedPackage
-		if err := dec.Decode(&p); err == io.EOF {
-			break
-		} else if err != nil {
+		if err := dec.Decode(&p); err != nil {
 			return nil, fmt.Errorf("go list: decoding output: %v", err)
 		}
 		if p.Error != nil {
 			return nil, fmt.Errorf("go list: %s: %s", p.ImportPath, p.Error.Err)
 		}
 		if p.Export != "" {
-			exportCache.m[p.ImportPath] = p.Export
+			exports[p.ImportPath] = p.Export
 		}
-		if !p.DepOnly {
+		if !p.DepOnly && len(p.GoFiles) > 0 {
 			roots = append(roots, p)
 		}
 	}
-	return roots, nil
-}
-
-// exportLookup resolves import paths to export-data readers for the gc
-// importer, using the files recorded by goList.
-func exportLookup(path string) (io.ReadCloser, error) {
-	exportCache.Lock()
-	file, ok := exportCache.m[path]
-	exportCache.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("no export data for %q", path)
-	}
-	return os.Open(file)
-}
-
-// Load lists patterns (go list syntax, e.g. ./...) from dir, parses and
-// type-checks every matched package from source, and returns them ready
-// for RunAnalyzers. Test files are excluded: the contracts wlanlint
-// enforces protect the simulation data paths, and tests exercise them
-// through the runtime walls instead.
-func Load(dir string, patterns ...string) ([]*Package, error) {
-	roots, err := goList(dir, patterns)
-	if err != nil {
-		return nil, err
-	}
 	fset := token.NewFileSet()
+	exportLookup := func(path string) (io.ReadCloser, error) {
+		file, ok := exports[path]
+		if !ok {
+			return nil, fmt.Errorf("no export data for %q", path)
+		}
+		return os.Open(file)
+	}
 	imp := importer.ForCompiler(fset, "gc", exportLookup)
-	var pkgs []*Package
+	pkgs := make([]*Package, 0, len(roots))
 	for _, root := range roots {
-		if len(root.GoFiles) == 0 {
-			continue
-		}
-		files := make([]string, len(root.GoFiles))
-		for i, f := range root.GoFiles {
-			files[i] = filepath.Join(root.Dir, f)
-		}
-		pkg, err := typecheck(fset, imp, root.ImportPath, files)
+		pkg, err := typecheck(fset, imp, root)
 		if err != nil {
 			return nil, err
 		}
@@ -126,118 +93,39 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return pkgs, nil
 }
 
-// LoadFixture parses and type-checks a single directory of Go files (the
-// analysistest layout: internal/analysis/testdata/<analyzer>/<pkg>) under
-// a synthetic import path. modDir is the module root used to resolve the
-// fixture's imports — both repro/... packages and the standard library —
-// through `go list -export`.
-func LoadFixture(modDir, fixtureDir, importPath string) (*Package, error) {
-	entries, err := os.ReadDir(fixtureDir)
-	if err != nil {
-		return nil, err
+// typecheck reads, parses and type-checks one listed package, collecting
+// its //wlan: directives on the way.
+func typecheck(fset *token.FileSet, imp types.Importer, p listedPackage) (*Package, error) {
+	pkg := &Package{
+		Path: p.ImportPath,
+		Fset: fset,
+		TypesInfo: &types.Info{
+			Types:      map[ast.Expr]types.TypeAndValue{},
+			Defs:       map[*ast.Ident]types.Object{},
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Implicits:  map[ast.Node]types.Object{},
+			Scopes:     map[ast.Node]*types.Scope{},
+		},
 	}
-	var files []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		files = append(files, filepath.Join(fixtureDir, name))
-	}
-	sort.Strings(files)
-	if len(files) == 0 {
-		return nil, fmt.Errorf("no Go files in %s", fixtureDir)
-	}
-	fset := token.NewFileSet()
-	syntax, err := parseFiles(fset, files)
-	if err != nil {
-		return nil, err
-	}
-	if err := resolveImports(modDir, syntax); err != nil {
-		return nil, err
-	}
-	imp := importer.ForCompiler(fset, "gc", exportLookup)
-	return typecheckParsed(fset, imp, importPath, syntax)
-}
-
-// resolveImports ensures export data is cached for every import in files,
-// running one `go list` for the paths not yet resolved.
-func resolveImports(modDir string, files []*ast.File) error {
-	missing := map[string]bool{}
-	exportCache.Lock()
-	for _, f := range files {
-		for _, spec := range f.Imports {
-			path := strings.Trim(spec.Path.Value, `"`)
-			if path == "unsafe" {
-				continue
-			}
-			if _, ok := exportCache.m[path]; !ok {
-				missing[path] = true
-			}
-		}
-	}
-	exportCache.Unlock()
-	if len(missing) == 0 {
-		return nil
-	}
-	paths := make([]string, 0, len(missing))
-	for p := range missing {
-		paths = append(paths, p)
-	}
-	sort.Strings(paths)
-	_, err := goList(modDir, paths)
-	return err
-}
-
-func parseFiles(fset *token.FileSet, files []string) ([]*ast.File, error) {
-	var syntax []*ast.File
-	for _, name := range files {
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
+	for _, name := range p.GoFiles {
+		name = filepath.Join(p.Dir, name)
+		src, err := os.ReadFile(name)
 		if err != nil {
 			return nil, err
 		}
-		syntax = append(syntax, f)
+		f, err := parser.ParseFile(fset, name, src, parser.ParseComments)
+		if err != nil {
+			return nil, err
+		}
+		pkg.Syntax = append(pkg.Syntax, f)
+		pkg.Directives = append(pkg.Directives, fileDirectives(fset, f, src)...)
 	}
-	return syntax, nil
-}
-
-func typecheck(fset *token.FileSet, imp types.Importer, path string, files []string) (*Package, error) {
-	syntax, err := parseFiles(fset, files)
-	if err != nil {
-		return nil, err
+	// With no Error callback, Check stops at and returns the first error.
+	conf := types.Config{Importer: imp, Sizes: types.SizesFor("gc", runtime.GOARCH)}
+	var err error
+	if pkg.Types, err = conf.Check(p.ImportPath, fset, pkg.Syntax, pkg.TypesInfo); err != nil {
+		return nil, fmt.Errorf("typecheck %s: %v", p.ImportPath, err)
 	}
-	return typecheckParsed(fset, imp, path, syntax)
-}
-
-func typecheckParsed(fset *token.FileSet, imp types.Importer, path string, syntax []*ast.File) (*Package, error) {
-	info := &types.Info{
-		Types:      map[ast.Expr]types.TypeAndValue{},
-		Defs:       map[*ast.Ident]types.Object{},
-		Uses:       map[*ast.Ident]types.Object{},
-		Selections: map[*ast.SelectorExpr]*types.Selection{},
-		Implicits:  map[ast.Node]types.Object{},
-		Scopes:     map[ast.Node]*types.Scope{},
-	}
-	var firstErr error
-	conf := types.Config{
-		Importer: imp,
-		Sizes:    types.SizesFor("gc", runtime.GOARCH),
-		Error: func(err error) {
-			if firstErr == nil {
-				firstErr = err
-			}
-		},
-	}
-	tpkg, _ := conf.Check(path, fset, syntax, info)
-	if firstErr != nil {
-		return nil, fmt.Errorf("typecheck %s: %v", path, firstErr)
-	}
-	return &Package{
-		Path:       path,
-		Fset:       fset,
-		Syntax:     syntax,
-		Types:      tpkg,
-		TypesInfo:  info,
-		Directives: ParseDirectives(fset, syntax),
-	}, nil
+	return pkg, nil
 }

@@ -1,11 +1,6 @@
 package analysis
 
-import (
-	"os"
-	"path/filepath"
-	"strings"
-	"testing"
-)
+import "testing"
 
 // TestLoadRealPackage loads a real repo package through the go list +
 // export-data pipeline and checks the pieces analyzers rely on.
@@ -36,51 +31,12 @@ func TestLoadBadPattern(t *testing.T) {
 	}
 }
 
-// TestLoadFixtureTypecheckError reports fixture type errors rather than
-// silently analyzing a broken tree.
-func TestLoadFixtureTypecheckError(t *testing.T) {
-	dir := t.TempDir()
-	src := "package broken\n\nfunc f() int { return \"not an int\" }\n"
-	if err := os.WriteFile(filepath.Join(dir, "broken.go"), []byte(src), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	_, err := LoadFixture(moduleRoot, dir, "fixture/broken")
-	if err == nil || !strings.Contains(err.Error(), "typecheck") {
-		t.Fatalf("err = %v, want typecheck error", err)
-	}
-}
-
-// TestLoadFixtureEmptyDir rejects fixture directories with no Go files.
-func TestLoadFixtureEmptyDir(t *testing.T) {
-	if _, err := LoadFixture(moduleRoot, t.TempDir(), "fixture/empty"); err == nil {
-		t.Fatal("expected an error for an empty fixture directory")
-	}
-}
-
-// TestLoadFixtureMissingDir reports the ReadDir failure.
-func TestLoadFixtureMissingDir(t *testing.T) {
-	if _, err := LoadFixture(moduleRoot, filepath.Join(t.TempDir(), "nope"), "fixture/nope"); err == nil {
-		t.Fatal("expected an error for a missing fixture directory")
-	}
-}
-
-// TestLoadFixtureSyntaxError reports parse failures.
-func TestLoadFixtureSyntaxError(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, "bad.go"), []byte("package bad\n\nfunc {"), 0o666); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := LoadFixture(moduleRoot, dir, "fixture/bad"); err == nil {
-		t.Fatal("expected a parse error")
-	}
-}
-
 // TestPackageBase pins the scope predicate helper.
 func TestPackageBase(t *testing.T) {
 	cases := map[string]string{
-		"repro/internal/sim":      "sim",
-		"fixture/determinism/sim": "sim",
-		"sim":                     "sim",
+		"repro/internal/sim": "sim",
+		"repro/internal/analysis/testdata/determinism/sim": "sim",
+		"sim": "sim",
 	}
 	for in, want := range cases {
 		if got := PackageBase(in); got != want {

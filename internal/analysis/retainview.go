@@ -57,10 +57,10 @@ func rxHandlerParam(pass *Pass, ft *ast.FuncType, name string) *ast.Ident {
 	if len(first.Names) != 1 || first.Names[0].Name == "_" {
 		return nil
 	}
-	if !IsNamed(pass.TypeOf(first.Type), "frame", "Frame") {
+	if !IsNamed(pass.TypesInfo.TypeOf(first.Type), "frame", "Frame") {
 		return nil
 	}
-	if _, isPtr := pass.TypeOf(first.Type).(*types.Pointer); !isPtr {
+	if _, isPtr := pass.TypesInfo.TypeOf(first.Type).(*types.Pointer); !isPtr {
 		return nil
 	}
 	nparams := 0
@@ -71,7 +71,7 @@ func rxHandlerParam(pass *Pass, ft *ast.FuncType, name string) *ast.Ident {
 		}
 	}
 	if nparams == 2 && len(ft.Params.List) == 2 &&
-		IsNamed(pass.TypeOf(ft.Params.List[1].Type), "medium", "RxInfo") {
+		IsNamed(pass.TypesInfo.TypeOf(ft.Params.List[1].Type), "medium", "RxInfo") {
 		return first.Names[0]
 	}
 	lower := strings.ToLower(name)
@@ -145,7 +145,7 @@ func checkHandler(pass *Pass, body *ast.BlockStmt, param *ast.Ident) {
 				rhs := n.Rhs[0]
 				if len(n.Rhs) == len(n.Lhs) {
 					rhs = n.Rhs[i]
-				} else if !holdsView(pass.TypeOf(lhs)) {
+				} else if !holdsView(pass.TypesInfo.TypeOf(lhs)) {
 					// d, ok := frame.LookupIE(f.Body, id): of a decoder's
 					// results only slices and structs carry the view on.
 					continue
@@ -205,7 +205,7 @@ func isViewExpr(pass *Pass, tracked map[types.Object]bool, e ast.Expr) bool {
 		}
 		// Field reads that copy (addresses, scalars) are safe; only the
 		// aliasing body slice stays a view.
-		return isByteSlice(pass.TypeOf(e))
+		return isByteSlice(pass.TypesInfo.TypeOf(e))
 	case *ast.IndexExpr:
 		return isViewExpr(pass, tracked, e.X)
 	case *ast.SliceExpr:
@@ -263,7 +263,7 @@ func storedViewIn(pass *Pass, tracked map[types.Object]bool, rhs ast.Expr) ast.E
 					continue // the destination, not a stored value
 				}
 				if isViewExpr(pass, tracked, arg) {
-					if i == len(e.Args)-1 && e.Ellipsis.IsValid() && isByteSlice(pass.TypeOf(arg)) {
+					if i == len(e.Args)-1 && e.Ellipsis.IsValid() && isByteSlice(pass.TypesInfo.TypeOf(arg)) {
 						continue // append(dst, view...) copies the bytes
 					}
 					return arg

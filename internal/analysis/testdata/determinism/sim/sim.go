@@ -51,6 +51,14 @@ func allowedRoll() int {
 	return rand.Intn(6)
 }
 
+// trailingAllow: a directive after code on its line covers that line
+// only, not the one below it.
+func trailingAllow() int {
+	a := rand.Intn(6) //wlan:allow-nondeterminism fixture: covers this line only
+	b := rand.Intn(6) // want "math/rand is not seed-reproducible"
+	return a + b
+}
+
 // seeded randomness from internal/rng is the sanctioned source.
 func seeded(src *rng.Source) int {
 	return src.Intn(6)

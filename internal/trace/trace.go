@@ -1,7 +1,7 @@
 // Package trace provides frame-level event tracing: a pluggable Tracer
-// interface with human-readable text, JSON-lines and counting
-// implementations. The medium emits one event per transmission and per
-// reception outcome, which is enough to reconstruct every exchange.
+// interface with human-readable text and JSON-lines implementations. The
+// medium emits one event per transmission and per reception outcome,
+// which is enough to reconstruct every exchange.
 package trace
 
 import (
@@ -10,7 +10,6 @@ import (
 	"io"
 
 	"repro/internal/frame"
-	"repro/internal/obs"
 	"repro/internal/sim"
 )
 
@@ -115,49 +114,3 @@ func ParseJSONL(line []byte) (map[string]any, error) {
 
 // Kinds lists every event kind in a stable summary order.
 var Kinds = []Kind{KindTx, KindRxOK, KindRxErr, KindMgmt, KindRoam, KindPS}
-
-// Counting is a Tracer backed by the obs metrics registry: one
-// wlan_trace_events_total{kind="..."} counter per event kind, a single
-// atomic add per event and no buffering. It serves two consumers —
-// scenarios wanting per-kind totals on the /metrics endpoint, and
-// cmd/wlantrace's -summary mode, which tallies a stream through CountKind
-// without holding events. Unknown kinds fall into kind="other".
-type Counting struct {
-	counters map[Kind]*obs.Counter
-	other    *obs.Counter
-}
-
-// NewCounting registers (idempotently) the per-kind counters on the
-// Default obs registry and returns the tracer.
-func NewCounting() *Counting {
-	c := &Counting{counters: make(map[Kind]*obs.Counter, len(Kinds))}
-	for _, k := range Kinds {
-		c.counters[k] = obs.Default.Counter("wlan_trace_events_total",
-			"Trace events emitted, by event kind.", obs.Label{Key: "kind", Value: string(k)})
-	}
-	c.other = obs.Default.Counter("wlan_trace_events_total",
-		"Trace events emitted, by event kind.", obs.Label{Key: "kind", Value: "other"})
-	return c
-}
-
-// Trace implements Tracer.
-func (c *Counting) Trace(ev Event) { c.CountKind(ev.Kind) }
-
-// CountKind bumps the counter for one kind — the streaming entry point
-// for consumers that have a kind string but no Event.
-func (c *Counting) CountKind(k Kind) {
-	if ctr, ok := c.counters[k]; ok {
-		ctr.Inc()
-		return
-	}
-	c.other.Inc()
-}
-
-// Count returns the current total for a kind (the "other" bucket for
-// unknown kinds).
-func (c *Counting) Count(k Kind) uint64 {
-	if ctr, ok := c.counters[k]; ok {
-		return ctr.Value()
-	}
-	return c.other.Value()
-}

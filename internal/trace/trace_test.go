@@ -64,19 +64,3 @@ func TestJSONLRoundTrip(t *testing.T) {
 		t.Error("broken JSON accepted")
 	}
 }
-
-// TestCounter: the counting tracer tallies events by kind, unknown kinds
-// in the "other" bucket. Its counters live on the shared obs registry, so
-// the test reads deltas.
-func TestCounter(t *testing.T) {
-	c := NewCounting()
-	tx, rx, other := c.Count(KindTx), c.Count(KindRxOK), c.Count("bogus")
-	c.Trace(sampleEvent())
-	c.Trace(Event{Kind: KindRxOK})
-	c.Trace(Event{Kind: KindRxOK})
-	c.Trace(Event{Kind: "bogus"})
-	if c.Count(KindTx)-tx != 1 || c.Count(KindRxOK)-rx != 2 || c.Count("bogus")-other != 1 {
-		t.Errorf("counted tx +%d, rx-ok +%d, other +%d; want +1, +2, +1",
-			c.Count(KindTx)-tx, c.Count(KindRxOK)-rx, c.Count("bogus")-other)
-	}
-}
