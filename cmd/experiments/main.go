@@ -53,10 +53,10 @@
 // exercises. `-agent -` serves the same protocol on stdin/stdout; it is how
 // -shards starts its subprocesses and is not meant to be called by hand.
 //
-// A flag combination that would be ignored — -shards below 1, -chaos
-// without a TCP -agent, any of -quick, -experiment, -csv, -shards, -agents
-// or -checkpoint with -agent, an empty address in -agents — is one line on
-// stderr and exit status 2, before anything runs.
+// A flag combination that would be ignored — any other flag with -list,
+// -shards below 1, -chaos without a TCP -agent, any of -quick, -experiment,
+// -csv, -shards, -agents or -checkpoint with -agent, an empty address in
+// -agents — is one line on stderr and exit status 2, before anything runs.
 package main
 
 import (
@@ -98,14 +98,20 @@ func main() {
 		addrs = strings.Split(*agents, ",")
 	}
 	// An agent serves whatever its coordinator asks for, so the flags that
-	// shape a coordinator's run have nothing to act on beside -agent.
-	var coordFlag string
+	// shape a coordinator's run have nothing to act on beside -agent; -list
+	// runs nothing, so no other flag has anything to act on beside it.
+	var coordFlag, otherFlag string
 	flag.Visit(func(f *flag.Flag) {
 		if coordFlag == "" && slices.Contains([]string{"quick", "experiment", "csv", "shards", "agents", "checkpoint"}, f.Name) {
 			coordFlag = f.Name
 		}
+		if otherFlag == "" && f.Name != "list" {
+			otherFlag = f.Name
+		}
 	})
 	switch {
+	case *list && otherFlag != "":
+		usage("-%s shapes a run; -list only prints the experiment index", otherFlag)
 	case *shards < 1:
 		usage("-shards %d: want at least 1 (1 = in-process workers)", *shards)
 	case *chaos != 0 && (*agent == "" || *agent == "-"):

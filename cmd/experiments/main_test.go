@@ -10,6 +10,8 @@ import (
 	"strings"
 	"testing"
 	"time"
+
+	"repro/internal/harness"
 )
 
 // asMainEnv makes the test binary behave as the experiments command, so
@@ -39,7 +41,8 @@ func command(t *testing.T, ctx context.Context, args ...string) *exec.Cmd {
 // TestRefusedFlagCombinations: a flag the run would ignore is one line on
 // stderr and exit status 2, before anything runs. An agent serves its
 // coordinator's requests, so every flag that shapes a coordinator's run is
-// refused beside -agent instead of being dropped while the agent serves.
+// refused beside -agent instead of being dropped while the agent serves;
+// -list runs nothing, so every other flag is refused beside it.
 func TestRefusedFlagCombinations(t *testing.T) {
 	for _, spec := range []string{
 		"-shards 0",
@@ -54,6 +57,10 @@ func TestRefusedFlagCombinations(t *testing.T) {
 		"-agent 127.0.0.1:0 -csv",
 		"-agent 127.0.0.1:0 -checkpoint x.ckpt",
 		"-agent - -quick",
+		"-list -agent 127.0.0.1:0",
+		"-list -experiment ZZ",
+		"-list -quick",
+		"-list -metrics 127.0.0.1:0",
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		cmd := command(t, ctx, strings.Fields(spec)...)
@@ -103,5 +110,18 @@ func TestAgentFlagsAccepted(t *testing.T) {
 	cmd := command(t, ctx, "-agent", "-")
 	if out, err := cmd.CombinedOutput(); err != nil || len(out) != 0 {
 		t.Errorf("experiments -agent - on empty input: %v, output %q; want a clean exit", err, out)
+	}
+}
+
+// TestListAlone: -list by itself prints one entry per experiment and exits 0.
+func TestListAlone(t *testing.T) {
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	out, err := command(t, ctx, "-list").Output()
+	if err != nil {
+		t.Fatalf("experiments -list: %v", err)
+	}
+	if got := strings.Count(string(out), "     expect: "); got != len(harness.All()) {
+		t.Errorf("experiments -list printed %d entries, want %d", got, len(harness.All()))
 	}
 }

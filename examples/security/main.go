@@ -24,7 +24,7 @@ func main() {
 	sta := net.AddStation("sta", geom.Pt(10, 0), net80211.STAConfig{SSID: "secure", WEPKey: key})
 
 	var delivered []byte
-	ap.AP.OnDeliver = func(_, _ frame.MACAddr, payload []byte) { delivered = payload }
+	ap.AP.OnDeliver = func(_, _ frame.MACAddr, payload []byte) { delivered = bytes.Clone(payload) }
 	net.Kernel().Ticker(100*sim.Millisecond, "send", func() {
 		if sta.STA.Associated() && delivered == nil {
 			sta.STA.Send(ap.AP.BSSID(), []byte("over-the-air, WEP sealed"))

@@ -3,20 +3,23 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"strings"
 )
 
-// RetainView enforces the RX-view contract (mac and net80211 package
-// docs): frames delivered through a mac.Receiver-shaped handler are
-// zero-copy views into pooled decode buffers, valid only for the duration
-// of the callback. Storing the frame, its body, or a slice of the body
-// into anything that outlives the handler — a field, a global, a closure,
-// a channel — without an interposed frame.Frame.Clone silently reads
-// whatever the pool decodes next.
+// RetainView enforces the RX-view contract (mac, net80211 and ether
+// package docs): frames delivered through a mac.Receiver-shaped handler are
+// zero-copy views into pooled decode buffers, and so are the payloads
+// handed to a DeliveryFunc or an ether port receiver; each is valid only
+// for the duration of the callback. Storing the frame, its body, the
+// payload, or a slice of any of them into anything that outlives the
+// handler — a field, a global, a captured variable, a closure, a channel —
+// without an interposed Clone or copy silently reads whatever the pool
+// holds next.
 var RetainView = &Analyzer{
 	Name: "retainview",
-	Doc: "flag RX handlers that retain a delivered *frame.Frame, its body, or a " +
-		"body-derived slice past the callback without Clone",
+	Doc: "flag RX handlers that retain a delivered *frame.Frame, its body, a delivered " +
+		"payload, or a slice of one past the callback without Clone",
 	Run: runRetainView,
 }
 
@@ -29,13 +32,13 @@ func runRetainView(pass *Pass) error {
 					return true
 				}
 				if param := rxHandlerParam(pass, fn.Type, fn.Name.Name); param != nil {
-					checkHandler(pass, fn.Body, param)
+					checkHandler(pass, fn, fn.Body, param)
 				}
 			case *ast.FuncLit:
-				// Anonymous receivers: only the full Receiver signature
+				// Anonymous receivers: only a full handler signature
 				// identifies them (there is no name to match).
 				if param := rxHandlerParam(pass, fn.Type, ""); param != nil {
-					checkHandler(pass, fn.Body, param)
+					checkHandler(pass, fn, fn.Body, param)
 				}
 			}
 			return true
@@ -45,46 +48,51 @@ func runRetainView(pass *Pass) error {
 }
 
 // rxHandlerParam reports whether a function is an RX delivery handler and
-// returns its frame-view parameter. Two shapes qualify: the mac.Receiver
-// signature func(*frame.Frame, medium.RxInfo) regardless of name, and any
-// handle*/receive*/on*/rx*-named function whose first parameter is a
-// *frame.Frame (the net80211 handler family).
+// returns its view parameter. Four shapes qualify, the first three
+// regardless of name: the mac.Receiver signature func(*frame.Frame,
+// medium.RxInfo); the net80211 DeliveryFunc func(frame.MACAddr,
+// frame.MACAddr, []byte), whose payload is the view; an ether port receiver
+// func(ether.Frame), whose Payload is; and any handle*/receive*/on*/rx*-named
+// function whose first parameter is a *frame.Frame (the net80211 handler
+// family).
 func rxHandlerParam(pass *Pass, ft *ast.FuncType, name string) *ast.Ident {
-	if ft.Params == nil || len(ft.Params.List) == 0 {
-		return nil
-	}
-	first := ft.Params.List[0]
-	if len(first.Names) != 1 || first.Names[0].Name == "_" {
-		return nil
-	}
-	if !IsNamed(pass.TypesInfo.TypeOf(first.Type), "frame", "Frame") {
-		return nil
-	}
-	if _, isPtr := pass.TypesInfo.TypeOf(first.Type).(*types.Pointer); !isPtr {
-		return nil
-	}
-	nparams := 0
+	var ids []*ast.Ident
+	var ts []types.Type
 	for _, f := range ft.Params.List {
-		nparams += len(f.Names)
+		t := pass.TypesInfo.TypeOf(f.Type)
 		if len(f.Names) == 0 {
-			nparams++
+			ids, ts = append(ids, nil), append(ts, t)
+		}
+		for _, id := range f.Names {
+			ids, ts = append(ids, id), append(ts, t)
 		}
 	}
-	if nparams == 2 && len(ft.Params.List) == 2 &&
-		IsNamed(pass.TypesInfo.TypeOf(ft.Params.List[1].Type), "medium", "RxInfo") {
-		return first.Names[0]
+	isPtr := false
+	if len(ts) > 0 {
+		_, isPtr = ts[0].(*types.Pointer)
 	}
-	lower := strings.ToLower(name)
-	for _, prefix := range []string{"handle", "receive", "on", "rx"} {
-		if strings.HasPrefix(lower, prefix) {
-			return first.Names[0]
-		}
+	view := 0
+	switch {
+	case len(ts) == 1 && !isPtr && IsNamed(ts[0], "ether", "Frame"):
+	case len(ts) == 3 && IsNamed(ts[0], "frame", "MACAddr") && IsNamed(ts[1], "frame", "MACAddr") && isByteSlice(ts[2]):
+		view = 2
+	case !isPtr || !IsNamed(ts[0], "frame", "Frame"):
+		return nil
+	case len(ts) == 2 && IsNamed(ts[1], "medium", "RxInfo"):
+	case !slices.ContainsFunc([]string{"handle", "receive", "on", "rx"}, func(p string) bool {
+		return strings.HasPrefix(strings.ToLower(name), p)
+	}):
+		return nil
 	}
-	return nil
+	if ids[view] == nil || ids[view].Name == "_" {
+		return nil
+	}
+	return ids[view]
 }
 
-// checkHandler flags retention of the view rooted at param within body.
-func checkHandler(pass *Pass, body *ast.BlockStmt, param *ast.Ident) {
+// checkHandler flags retention of the view rooted at param within body, the
+// body of fn.
+func checkHandler(pass *Pass, fn ast.Node, body *ast.BlockStmt, param *ast.Ident) {
 	tracked := map[types.Object]bool{}
 	if obj := pass.TypesInfo.Defs[param]; obj != nil {
 		tracked[obj] = true
@@ -158,12 +166,12 @@ func checkHandler(pass *Pass, body *ast.BlockStmt, param *ast.Ident) {
 						continue
 					}
 				}
-				if !lhsOutlivesHandler(pass, lhs) {
+				if !lhsOutlivesHandler(pass, lhs, fn) {
 					continue
 				}
 				if stored := storedViewIn(pass, tracked, rhs); stored != nil {
-					pass.Reportf(stored.Pos(), "rx-view contract: delivered frames are views into pooled decode "+
-						"buffers, valid only during the handler; Clone() what outlives it (see retainview)")
+					pass.Reportf(stored.Pos(), "rx-view contract: delivered frames and payloads are views into "+
+						"pooled buffers, valid only during the handler; Clone() what outlives it (see retainview)")
 				}
 			}
 		case *ast.SendStmt:
@@ -289,8 +297,7 @@ func storedViewIn(pass *Pass, tracked map[types.Object]bool, rhs ast.Expr) ast.E
 }
 
 // isCloneCall matches calls that deep-copy their receiver or argument:
-// frame.Frame.Clone and clone*-named helpers (the net80211 clonePayload
-// idiom).
+// frame.Frame.Clone, bytes.Clone and clone*-named helpers.
 func isCloneCall(pass *Pass, call *ast.CallExpr) bool {
 	switch fun := unparen(call.Fun).(type) {
 	case *ast.SelectorExpr:
@@ -302,27 +309,20 @@ func isCloneCall(pass *Pass, call *ast.CallExpr) bool {
 }
 
 // lhsOutlivesHandler reports whether an assignment target survives the
-// handler's dynamic extent: a field, a dereference, an element of a
-// non-local container, or a package-level variable. Plain locals die with
-// the handler and are handled by view tracking instead.
-func lhsOutlivesHandler(pass *Pass, lhs ast.Expr) bool {
+// handler's dynamic extent: a field, a dereference, or a variable or
+// container declared outside fn (package level, or captured by a function
+// literal). What fn declares dies with it and is handled by view tracking
+// instead.
+func lhsOutlivesHandler(pass *Pass, lhs ast.Expr, fn ast.Node) bool {
 	switch e := unparen(lhs).(type) {
 	case *ast.SelectorExpr, *ast.StarExpr:
 		return true
 	case *ast.IndexExpr:
-		if id, ok := unparen(e.X).(*ast.Ident); ok {
-			if obj := pass.TypesInfo.Uses[id]; obj != nil {
-				return isPackageLevel(obj)
-			}
-		}
-		return true
+		id, ok := unparen(e.X).(*ast.Ident)
+		return !ok || lhsOutlivesHandler(pass, id, fn)
 	case *ast.Ident:
 		obj := pass.TypesInfo.Uses[e]
-		return obj != nil && isPackageLevel(obj)
+		return obj != nil && (obj.Pos() < fn.Pos() || obj.Pos() >= fn.End())
 	}
 	return false
-}
-
-func isPackageLevel(obj types.Object) bool {
-	return obj.Pkg() != nil && obj.Parent() == obj.Pkg().Scope()
 }

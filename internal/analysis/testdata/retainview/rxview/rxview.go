@@ -1,9 +1,12 @@
-// Package rxview exercises the retainview contract: delivered frames are
-// views into pooled decode buffers and must be Cloned to outlive the
+// Package rxview exercises the retainview contract: delivered frames and
+// payloads are views into pooled buffers and must be Cloned to outlive the
 // handler.
 package rxview
 
 import (
+	"bytes"
+
+	"repro/internal/ether"
 	"repro/internal/frame"
 	"repro/internal/medium"
 )
@@ -17,6 +20,8 @@ type keeper struct {
 	ch     chan *frame.Frame
 	cb     func()
 	pair   pair
+	wired  ether.Frame
+	addr   frame.MACAddr
 }
 
 type pair struct {
@@ -73,19 +78,62 @@ func (k *keeper) receiveClean(f *frame.Frame, info medium.RxInfo) {
 	reply := func() { k.seq = f.Seq }
 	reply()
 	func() { k.seq = f.Seq }()
-	k.copied = clonePayload(f)
+	k.copied = cloneFrame(f)
 	var locals [1]*frame.Frame
 	locals[0] = f // a local container dies with the handler
 	_ = locals
 }
 
-// clonePayload mirrors the net80211 helper idiom: clone*-named functions
-// sanitize.
-func clonePayload(f *frame.Frame) *frame.Frame { return f.Clone() }
+// cloneFrame is a clone*-named helper: such functions sanitize.
+func cloneFrame(f *frame.Frame) *frame.Frame { return f.Clone() }
 
 // stash is not a handler (no matching name prefix, not the Receiver
 // signature), so provenance of its parameter is unknown and nothing is
 // flagged.
 func stash(f *frame.Frame) {
 	global = f
+}
+
+// deliver has the DeliveryFunc shape (OnDeliver, OnReceive) regardless of
+// name: the payload is the view, the addresses are values.
+func (k *keeper) deliver(src, dst frame.MACAddr, payload []byte) {
+	k.body = payload     // want "valid only during the handler"
+	k.body = payload[4:] // want "valid only during the handler"
+	k.body = append(k.body[:0], payload...)
+	k.body = bytes.Clone(payload)
+	k.addr, k.seq = src, uint16(len(payload))
+	_ = dst
+}
+
+// port has the ether port receiver shape regardless of name: the frame's
+// Payload is the view.
+func (k *keeper) port(ef ether.Frame) {
+	k.body = ef.Payload // want "valid only during the handler"
+	k.wired = ef        // want "valid only during the handler"
+	k.addr = ef.Src
+	k.body = bytes.Clone(ef.Payload)
+}
+
+// captured: an anonymous DeliveryFunc that stores the payload in a variable
+// its enclosing function declared lets the view outlive the call.
+func captured() []byte {
+	var kept, copied []byte
+	deliver := func(_, _ frame.MACAddr, payload []byte) {
+		kept = payload // want "valid only during the handler"
+		copied = bytes.Clone(payload)
+		local := payload
+		_ = local
+	}
+	deliver(frame.MACAddr{}, frame.MACAddr{}, nil)
+	return append(kept, copied...)
+}
+
+// notDelivery takes a []byte after two values that are not addresses, and
+// a pointer to an ether.Frame: neither is a delivery shape.
+func notDelivery(a, b int, p []byte, ef *ether.Frame) {
+	global = nil
+	var k keeper
+	k.body = p
+	k.wired = *ef
+	_, _ = a, b
 }

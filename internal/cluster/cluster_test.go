@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -284,6 +285,39 @@ func TestClusterDegradesToLocal(t *testing.T) {
 	}
 	if local.Points != e.Grid(true).N {
 		t.Errorf("local agent carried %d points, want the whole grid (%d)", local.Points, e.Grid(true).N)
+	}
+}
+
+// An agent that never answers is reported failed, with a log line, even
+// when the in-process worker finishes the run while the agent is still
+// being dialled.
+func TestNeverReachableAgentFailed(t *testing.T) {
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dead := ln.Addr().String()
+	ln.Close()
+	var mu sync.Mutex
+	var logs []string
+	c := &Coordinator{Workers: fleet(1, dead), Quick: true, Logf: func(format string, args ...any) {
+		mu.Lock()
+		defer mu.Unlock()
+		logs = append(logs, fmt.Sprintf(format, args...))
+	}}
+	_, res, err := runOne(c, harness.ByID("S1"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, a := range res.Agents {
+		if a.Addr == dead && (!a.Failed || a.Points != 0) {
+			t.Errorf("never-reachable agent %s: %+v, want failed with 0 points", dead, a)
+		}
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if !slices.ContainsFunc(logs, func(l string) bool { return strings.Contains(l, dead) && strings.Contains(l, "abandoned") }) {
+		t.Errorf("no log line abandons %s: %q", dead, logs)
 	}
 }
 

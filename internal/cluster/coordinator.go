@@ -251,9 +251,10 @@ func (c *Coordinator) Run(exps []*harness.Experiment, emit func(i int, t *stats.
 // with jittered exponential backoff, serves points until the link (or what
 // is behind it) fails, classifies the failure, and — for workers that had
 // been live — periodically re-probes and re-admits them. It returns when
-// the run finishes or the worker is abandoned for good. In-process links
-// neither fail to open nor fail a point, so for them this is the plain
-// take-evaluate-deliver loop.
+// the run finishes or the worker is abandoned for good. Every worker is
+// dialled at least once, and one that never connects ends failed even when
+// the run finishes first. In-process links neither fail to open nor fail a
+// point, so for them this is the plain take-evaluate-deliver loop.
 func (r *run) supervise(w *Worker) (AgentStats, int) {
 	s := r.s
 	st := AgentStats{Addr: w.name}
@@ -269,17 +270,15 @@ func (r *run) supervise(w *Worker) (AgentStats, int) {
 	}
 
 	for {
-		if s.finished() {
-			return st, redispatched
-		}
 		l, err := r.openBackoff(w, rng)
 		if err != nil {
+			if !everConnected {
+				// Never part of the fleet: no reason to believe it exists,
+				// even when the run finished while it was being dialled.
+				return abandon(err)
+			}
 			if s.finished() {
 				return st, redispatched
-			}
-			if !everConnected {
-				// Never part of the fleet: no reason to believe it exists.
-				return abandon(err)
 			}
 			strikes++
 			if strikes >= maxStrikes {

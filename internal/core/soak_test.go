@@ -38,6 +38,15 @@ func TestSoakSteadyState(t *testing.T) {
 		sysSlack = 1 << 20
 	)
 
+	// MemStats.Mallocs is process-wide, and the Go scheduler allocates when
+	// it starts an OS thread (runtime.newm → allocm: the m and its g0 and
+	// signal goroutines). With a second P idle, a simulation goroutine
+	// preempted on a loaded host can make it start one mid-chunk, and the
+	// chunk then reads 6 allocations while the threadcreate profile goes up
+	// by one. With one P there is no idle P to start a thread for; the
+	// simulation runs on this goroutine either way.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+
 	prevOn, prevEvery := obs.Enabled(), MetricsEvery
 	obs.SetEnabled(true)
 	MetricsEvery = 100 * sim.Millisecond

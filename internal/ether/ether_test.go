@@ -1,11 +1,19 @@
 package ether
 
 import (
+	"bytes"
 	"testing"
 
 	"repro/internal/frame"
 	"repro/internal/sim"
 )
+
+// keep copies a delivered frame's payload, which is valid only during the
+// rx call.
+func keep(f Frame) Frame {
+	f.Payload = bytes.Clone(f.Payload)
+	return f
+}
 
 var (
 	hostA = frame.MACAddr{2, 0, 0, 0, 0, 1}
@@ -20,7 +28,7 @@ func TestFloodThenLearn(t *testing.T) {
 	ports := make([]*Port, 3)
 	for i := range ports {
 		i := i
-		ports[i] = sw.AddPort(func(f Frame) { rx[i] = append(rx[i], f) })
+		ports[i] = sw.AddPort(func(f Frame) { rx[i] = append(rx[i], keep(f)) })
 	}
 
 	ports[0].Send(Frame{Dst: hostB, Src: hostA, Payload: []byte("x")})
@@ -106,7 +114,7 @@ func TestRelearnMovesStation(t *testing.T) {
 	ports := make([]*Port, 2)
 	for i := range ports {
 		i := i
-		ports[i] = sw.AddPort(func(f Frame) { rx[i] = append(rx[i], f) })
+		ports[i] = sw.AddPort(func(f Frame) { rx[i] = append(rx[i], keep(f)) })
 	}
 	host := sw.AddPort(func(Frame) {})
 
@@ -137,5 +145,66 @@ func TestCounters(t *testing.T) {
 	k.Run()
 	if sw.Flooded != 1 || sw.Forwarded != 0 {
 		t.Fatalf("counters after flood: fwd=%d flood=%d", sw.Forwarded, sw.Flooded)
+	}
+}
+
+// TestSwitchOwnsPayload: a sender may reuse its payload as soon as Send
+// returns, a frame forwarded from inside rx arrives intact, a nil payload
+// (an AP's association announcement) stays nil and an empty one stays
+// empty.
+func TestSwitchOwnsPayload(t *testing.T) {
+	k := sim.NewKernel()
+	sw := NewSwitch(k, 0)
+	var got []Frame
+	sink := sw.AddPort(func(f Frame) { got = append(got, keep(f)) })
+	var relay *Port
+	relay = sw.AddPort(func(f Frame) {
+		// Forward in place, then scribble over the view: the switch copied.
+		if f.Dst == hostC {
+			relay.Send(Frame{Dst: hostA, Src: hostC, Payload: f.Payload})
+			clear(f.Payload)
+		}
+	})
+	src := sw.AddPort(func(Frame) {})
+	sink.Send(Frame{Dst: frame.Broadcast, Src: hostA}) // learn hostA at sink
+	k.Run()
+
+	buf := []byte("first")
+	src.Send(Frame{Dst: hostA, Src: hostB, Payload: buf})
+	copy(buf, "XXXXX")
+	src.Send(Frame{Dst: hostA, Src: hostB, Payload: []byte{}})
+	src.Send(Frame{Dst: hostA, Src: hostB})
+	src.Send(Frame{Dst: hostC, Src: hostB, Payload: []byte("relayed")}) // floods: relay forwards it
+	k.Run()
+
+	want := []struct {
+		payload string
+		isNil   bool
+	}{{"first", false}, {"", false}, {"", true}, {"relayed", false}, {"relayed", false}}
+	if len(got) != len(want) {
+		t.Fatalf("sink got %d frames, want %d", len(got), len(want))
+	}
+	for i, w := range want {
+		if p := got[i].Payload; string(p) != w.payload || (p == nil) != w.isNil {
+			t.Errorf("frame %d: payload %q (nil %v), want %q (nil %v)", i, p, p == nil, w.payload, w.isNil)
+		}
+	}
+}
+
+// TestDeliveryReusesRecords: once the free list has grown, forwarding a
+// payload no larger than before allocates nothing.
+func TestDeliveryReusesRecords(t *testing.T) {
+	k := sim.NewKernel()
+	sw := NewSwitch(k, 0)
+	sw.AddPort(func(Frame) {})
+	src := sw.AddPort(func(Frame) {})
+	f := Frame{Dst: hostB, Src: hostA, Payload: make([]byte, 1500)}
+	send := func() {
+		src.Send(f)
+		k.Run()
+	}
+	send()
+	if allocs := testing.AllocsPerRun(100, send); allocs != 0 {
+		t.Errorf("%.1f allocations per forwarded frame, want 0", allocs)
 	}
 }

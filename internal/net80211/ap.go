@@ -38,7 +38,9 @@ const TU = 1024 * sim.Microsecond
 const EtherTypePayload = 0x0800
 
 // DeliveryFunc receives application payloads: src/dst are the original
-// end-to-end addresses.
+// end-to-end addresses. payload is a view — of a decode or WEP-open
+// scratch, or of the DS switch's copy — valid only during the call; a
+// receiver that keeps it keeps a copy (retainview checks this shape).
 type DeliveryFunc func(src, dst frame.MACAddr, payload []byte)
 
 // APConfig parameterises an access point.
@@ -520,14 +522,14 @@ func (ap *AP) handleData(f *frame.Frame, e *staEntry) {
 		ap.queueFromDS(dst, src, payload)
 		if ap.port != nil {
 			ap.Stats.ToDS++
-			ap.port.Send(ether.Frame{Dst: dst, Src: src, Payload: clonePayload(payload)})
+			ap.port.Send(ether.Frame{Dst: dst, Src: src, Payload: payload})
 		}
 	case ap.Associated(dst):
 		ap.Stats.Relayed++
 		ap.queueFromDS(dst, src, payload)
 	case ap.port != nil:
 		ap.Stats.ToDS++
-		ap.port.Send(ether.Frame{Dst: dst, Src: src, Payload: clonePayload(payload)})
+		ap.port.Send(ether.Frame{Dst: dst, Src: src, Payload: payload})
 	}
 }
 
@@ -569,14 +571,10 @@ func (ap *AP) handlePSPoll(f *frame.Frame, e *staEntry) {
 	ap.Stats.PSDelivered++
 }
 
-// clonePayload copies a payload that must outlive the rx callback: wired
-// delivery is scheduled as a future kernel event, while an unencrypted
-// payload still aliases the radio's pooled wire buffer.
-func clonePayload(p []byte) []byte {
-	return append([]byte(nil), p...)
-}
-
-// fromDS handles frames arriving from the wired side.
+// fromDS handles frames arriving from the wired side. ef.Payload is a view
+// of the switch's buffer, valid only during this call: queueFromDS copies
+// it into the MAC queue or a PS-buffer Clone, and OnDeliver receivers may
+// not retain it.
 func (ap *AP) fromDS(ef ether.Frame) {
 	if ef.Payload == nil {
 		// A peer AP in the ESS announced this address on the wire: the

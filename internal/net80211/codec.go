@@ -57,7 +57,7 @@ func (c *bodyCodec) seal(hdr frame.Frame, plain []byte) (f frame.Frame, ok bool)
 
 // open decrypts a received WEP body into the plaintext scratch: a view,
 // valid until the next open. Consumers copy what they keep (queueFromDS
-// re-encapsulates, the DS port clones).
+// re-encapsulates, the DS switch copies what it carries).
 func (c *bodyCodec) open(body []byte) ([]byte, error) {
 	plain, err := wep.OpenTo(c.plain[:0], c.key, c.keyID, body)
 	if err != nil {

@@ -172,7 +172,7 @@ func TestWEPSharedKeyAuth(t *testing.T) {
 	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{SSID: "secure", WEPKey: key})
 
 	var got []byte
-	ap.OnDeliver = func(_, _ frame.MACAddr, payload []byte) { got = payload }
+	ap.OnDeliver = func(_, _ frame.MACAddr, payload []byte) { got = append([]byte(nil), payload...) }
 	w.k.Ticker(100*sim.Millisecond, "send", func() {
 		if sta.Associated() && got == nil {
 			sta.Send(ap.BSSID(), []byte("encrypted hello"))

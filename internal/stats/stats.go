@@ -82,23 +82,60 @@ func (w *Welford) CI95() float64 {
 }
 
 // Histogram collects observations for quantile queries. It stores raw
-// values (scenario scale makes this cheap) so quantiles are exact.
+// values (scenario scale makes this cheap) so quantiles are exact. The
+// values go into chunks whose capacities double from firstChunk, so a value
+// is never copied while the histogram grows and growth leaves no garbage;
+// the first query after an Add gathers the chunks into one sorted run.
 type Histogram struct {
-	xs     []float64
+	xs     []float64   // the first chunk; after a query, every value in order
+	more   [][]float64 // later chunks, each twice the capacity of the one before
 	sorted bool
 }
 
+// firstChunk is the capacity of a histogram's first chunk.
+const firstChunk = 16
+
 // Add records an observation.
 func (h *Histogram) Add(x float64) {
-	h.xs = append(h.xs, x)
+	if h.xs == nil {
+		h.xs = make([]float64, 0, firstChunk)
+	}
+	tail := &h.xs
+	if k := len(h.more); k > 0 {
+		tail = &h.more[k-1]
+	}
+	if len(*tail) == cap(*tail) {
+		if h.more == nil {
+			// Room for four chunks (496 values) before the list grows, so
+			// a short flow pays one list allocation, not one per chunk.
+			h.more = make([][]float64, 0, 4)
+		}
+		h.more = append(h.more, make([]float64, 0, 2*cap(*tail)))
+		tail = &h.more[len(h.more)-1]
+	}
+	*tail = append(*tail, x)
 	h.sorted = false
 }
 
 // N returns the number of observations.
-func (h *Histogram) N() int { return len(h.xs) }
+func (h *Histogram) N() int {
+	n := len(h.xs)
+	for _, c := range h.more {
+		n += len(c)
+	}
+	return n
+}
 
 // Quantile returns the q-quantile (q in [0,1]) with linear interpolation.
 func (h *Histogram) Quantile(q float64) float64 {
+	if len(h.more) > 0 {
+		all := make([]float64, 0, h.N())
+		all = append(all, h.xs...)
+		for _, c := range h.more {
+			all = append(all, c...)
+		}
+		h.xs, h.more = all, nil
+	}
 	if len(h.xs) == 0 {
 		return 0
 	}

@@ -2,6 +2,8 @@ package stats
 
 import (
 	"math"
+	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -109,6 +111,103 @@ func TestHistogramUnsortedInput(t *testing.T) {
 	h.Add(0)
 	if q := h.Quantile(0); q != 0 {
 		t.Errorf("q0 after re-add = %v", q)
+	}
+}
+
+// refQuantile is Quantile over a plain sorted copy: the definition the
+// chunked store must reproduce bit for bit.
+func refQuantile(xs []float64, q float64) float64 {
+	if len(xs) == 0 {
+		return 0
+	}
+	s := slices.Clone(xs)
+	slices.Sort(s)
+	pos := q * float64(len(s)-1)
+	switch lo := int(pos); {
+	case q <= 0:
+		return s[0]
+	case q >= 1 || lo+1 >= len(s):
+		return s[len(s)-1]
+	default:
+		frac := pos - float64(lo)
+		return s[lo]*(1-frac) + s[lo+1]*frac
+	}
+}
+
+// TestHistogramMatchesSortedSlice: across chunk boundaries and with
+// queries between adds, every quantile equals the one over a plain sorted
+// slice of the same values.
+func TestHistogramMatchesSortedSlice(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	qs := []float64{0, 0.01, 0.25, 0.5, 0.9, 0.95, 0.99, 1}
+	for _, n := range []int{1, 15, 16, 17, 48, 49, 1000, 5000} {
+		var h Histogram
+		var xs []float64
+		for i := 0; i < n; i++ {
+			x := rng.ExpFloat64() * 1e-3
+			h.Add(x)
+			xs = append(xs, x)
+			if rng.Intn(n) == 0 || i == n-1 {
+				if h.N() != len(xs) {
+					t.Fatalf("n=%d: N() = %d after %d adds", n, h.N(), len(xs))
+				}
+				for _, q := range qs {
+					if got, want := h.Quantile(q), refQuantile(xs, q); got != want {
+						t.Fatalf("n=%d after %d adds: Quantile(%v) = %v, want %v", n, len(xs), q, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestHistogramChunksDouble: adds never move a stored value; each chunk
+// has twice the capacity of the one before, from firstChunk.
+func TestHistogramChunksDouble(t *testing.T) {
+	var h Histogram
+	h.Add(0)
+	first := &h.xs[0]
+	for i := 1; i < 1000; i++ {
+		h.Add(float64(i))
+	}
+	if &h.xs[0] != first {
+		t.Error("the first chunk moved while the histogram grew")
+	}
+	c := cap(h.xs)
+	if c != firstChunk {
+		t.Errorf("first chunk capacity %d, want %d", c, firstChunk)
+	}
+	for i, chunk := range h.more {
+		if c *= 2; cap(chunk) != c {
+			t.Errorf("chunk %d capacity %d, want %d", i+1, cap(chunk), c)
+		}
+	}
+}
+
+var histSink *Histogram
+var sliceSink []float64
+
+// TestHistogramAllocsAtMostAppend: recording n values and querying once
+// allocates no more than appending them to a slice does.
+func TestHistogramAllocsAtMostAppend(t *testing.T) {
+	for _, n := range []int{1, 2, 16, 17, 100, 1000, 10000} {
+		hist := testing.AllocsPerRun(5, func() {
+			histSink = new(Histogram)
+			for i := 0; i < n; i++ {
+				histSink.Add(float64(n - i))
+			}
+			histSink.Quantile(0.5)
+		})
+		appended := testing.AllocsPerRun(5, func() {
+			sliceSink = nil
+			for i := 0; i < n; i++ {
+				sliceSink = append(sliceSink, float64(n-i))
+			}
+			slices.Sort(sliceSink)
+		}) + 1 // the histogram itself, which the slice does not need
+		if hist > appended {
+			t.Errorf("n=%d: %v allocations, append makes %v", n, hist, appended)
+		}
 	}
 }
 
