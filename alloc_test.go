@@ -14,7 +14,7 @@ import (
 var quickRunAllocs = map[string]uint64{
 	"T1": 1238, "F1": 7203, "F2": 3821, "F3": 1010, "F4": 4405,
 	"F5": 1668, "F6": 2702, "F7": 15884, "F8": 1459, "F9": 1004,
-	"F10": 294, "F11": 408293, "F12": 968, "F13": 3645,
+	"F10": 294, "F11": 408293, "F12": 876, "F13": 3645,
 	"E1": 13436, "E2": 614, "E3": 870, "S1": 39, "A1": 1222, "A2": 1002,
 }
 

@@ -41,8 +41,6 @@ type Config struct {
 	// Mode names the PHY: "802.11", "802.11a", "802.11b" (default),
 	// "802.11g".
 	Mode string
-	// Channel is the shared radio channel (default 1).
-	Channel int
 	// TxPower in dBm (default 16; NaN or infinite: refused).
 	TxPower units.DBm
 
@@ -251,9 +249,6 @@ func NewNetwork(cfg Config) *Network {
 	if cfg.ShortPreamble {
 		mode.UseShortPreamble()
 	}
-	if cfg.Channel == 0 {
-		cfg.Channel = 1
-	}
 	if cfg.TxPower == 0 {
 		cfg.TxPower = 16
 	}
@@ -265,7 +260,7 @@ func NewNetwork(cfg Config) *Network {
 
 	pl := cfg.PathLoss
 	if pl == nil {
-		pl = spectrum.NewLogDistance(phy.ChannelFreq(cfg.Channel), 3.0)
+		pl = spectrum.NewLogDistance(2412*units.MHz, 3.0) // channel 1's centre frequency
 	}
 	var shadow spectrum.Fading
 	if cfg.ShadowSigmaDB > 0 {
@@ -345,7 +340,6 @@ func (n *Network) newStack(name string, mob geom.Mobility, opts NodeOpts) (*medi
 	r := n.medium.AddRadio(medium.RadioConfig{
 		Name:           name,
 		Mode:           n.mode,
-		Channel:        n.cfg.Channel,
 		Mobility:       mob,
 		TxPower:        n.cfg.TxPower,
 		CaptureEnabled: n.cfg.Capture,

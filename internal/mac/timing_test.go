@@ -38,9 +38,9 @@ func a11bMode() *phy.Mode { return phy.Mode80211b() }
 func TestSIFSSeparationOfACK(t *testing.T) {
 	// The ACK must start exactly SIFS after the data frame ends.
 	b := newBed(50, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	b.m.PropagationDelay = false // exact arithmetic
+	// Co-located radios: no flight time, so the arithmetic is exact.
 	a := b.addNode("a", geom.Pt(0, 0), Config{})
-	c := b.addNode("c", geom.Pt(10, 0), Config{})
+	c := b.addNode("c", geom.Pt(0, 0), Config{})
 
 	rec := &txRecorder{}
 	rec.record(b)
@@ -64,9 +64,8 @@ func TestSIFSSeparationOfACK(t *testing.T) {
 func TestRTSCTSDataAckLadder(t *testing.T) {
 	// RTS → SIFS → CTS → SIFS → DATA → SIFS → ACK, all gaps exact.
 	b := newBed(51, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	b.m.PropagationDelay = false
 	a := b.addNode("a", geom.Pt(0, 0), Config{RTSThreshold: 1})
-	c := b.addNode("c", geom.Pt(10, 0), Config{})
+	c := b.addNode("c", geom.Pt(0, 0), Config{}) // co-located: exact gaps
 
 	rec := &txRecorder{}
 	rec.record(b)
@@ -99,10 +98,10 @@ func TestBackoffFreezeResume(t *testing.T) {
 	// DIFS: B's transmission must come after A's frame + DIFS + remaining
 	// slots, never earlier.
 	b := newBed(52, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	b.m.PropagationDelay = false
+	// Co-located radios: no flight time blurs the bounds.
 	a := b.addNode("a", geom.Pt(0, 0), Config{})
-	c := b.addNode("c", geom.Pt(10, 0), Config{})
-	sink := b.addNode("sink", geom.Pt(5, 5), Config{})
+	c := b.addNode("c", geom.Pt(0, 0), Config{})
+	sink := b.addNode("sink", geom.Pt(0, 0), Config{})
 
 	rec := &txRecorder{}
 	rec.record(b)
@@ -144,10 +143,12 @@ func TestBackoffFreezeResume(t *testing.T) {
 
 func TestNAVBlocksThirdParty(t *testing.T) {
 	// Using RTS/CTS, an observer that hears only the CTS must honour its
-	// NAV and not transmit during the protected exchange.
+	// NAV and not transmit during the protected exchange. The positions
+	// only name the radios to the loss matrix; all lie within 0.3 m, under
+	// a nanosecond of flight, so the arithmetic is exact.
 	positions := map[string]geom.Point{
-		"a": geom.Pt(0, 0), "b": geom.Pt(30, 0), "obs": geom.Pt(60, 0),
-		"osink": geom.Pt(61, 0),
+		"a": geom.Pt(0, 0), "b": geom.Pt(0.1, 0), "obs": geom.Pt(0.2, 0),
+		"osink": geom.Pt(0.21, 0),
 	}
 	resolver := func(p geom.Point) string {
 		for n, q := range positions {
@@ -168,7 +169,6 @@ func TestNAVBlocksThirdParty(t *testing.T) {
 		Resolver: resolver,
 	}
 	b := newBed(53, pl)
-	b.m.PropagationDelay = false
 	a := b.addNode("a", positions["a"], Config{RTSThreshold: 1})
 	recv := b.addNode("b", positions["b"], Config{})
 	obs := b.addNode("obs", positions["obs"], Config{})

@@ -76,75 +76,3 @@ func TestRxAirtimeAccounting(t *testing.T) {
 		t.Fatal("no energy accounted")
 	}
 }
-
-func TestChannelSwitchClearsState(t *testing.T) {
-	k := sim.NewKernel()
-	model := spectrum.NewModel(spectrum.FreeSpace{Freq: 2412 * units.MHz}, nil, nil)
-	m := New(k, model, rng.New(2))
-	tx := m.AddRadio(RadioConfig{Name: "tx", Mode: phy.Mode80211b(), Channel: 1, Mobility: geom.Static{P: geom.Pt(0, 0)}, TxPower: 15})
-	rec := &recorder{k: k}
-	rx := m.AddRadio(RadioConfig{Name: "rx", Mode: phy.Mode80211b(), Channel: 1, Mobility: geom.Static{P: geom.Pt(10, 0)}, TxPower: 15, Listener: rec})
-
-	// Retune mid-reception: the locked frame must be lost and CCA cleared.
-	k.Schedule(0, "tx", func() {
-		tx.Transmit(frame.NewData(frame.MACAddr{9}, frame.MACAddr{8}, frame.MACAddr{}, false, false, make([]byte, 1000)), 0)
-	})
-	k.Schedule(500*sim.Microsecond, "switch", func() { rx.SetChannel(6) })
-	k.Run()
-
-	if len(rec.frames) != 0 || len(rec.errors) != 0 {
-		t.Fatal("frame survived a mid-reception channel switch")
-	}
-	if rx.CCABusy() {
-		t.Fatal("CCA stuck busy after retune")
-	}
-	if rx.Channel() != 6 {
-		t.Fatalf("channel = %d", rx.Channel())
-	}
-	// Switching back mid-air of nothing: no-op switch to same channel.
-	rx.SetChannel(6)
-}
-
-func TestChannelSwitchWhileTransmittingPanics(t *testing.T) {
-	k := sim.NewKernel()
-	model := spectrum.NewModel(spectrum.FreeSpace{Freq: 2412 * units.MHz}, nil, nil)
-	m := New(k, model, rng.New(3))
-	tx := m.AddRadio(RadioConfig{Name: "tx", Mode: phy.Mode80211b(), TxPower: 15})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("channel switch during TX did not panic")
-		}
-	}()
-	k.Schedule(0, "tx", func() {
-		tx.Transmit(frame.NewData(frame.MACAddr{9}, frame.MACAddr{8}, frame.MACAddr{}, false, false, nil), 0)
-		tx.SetChannel(3)
-	})
-	k.Run()
-}
-
-func TestLateArrivalAfterRetuneIgnored(t *testing.T) {
-	// A frame launched on channel 1 whose leading edge reaches a receiver
-	// that has since retuned to channel 1 again must not be double-counted
-	// or corrupt energy bookkeeping.
-	k := sim.NewKernel()
-	model := spectrum.NewModel(spectrum.FreeSpace{Freq: 2412 * units.MHz}, nil, nil)
-	m := New(k, model, rng.New(4))
-	// 299.79 m → ~1 µs flight.
-	tx := m.AddRadio(RadioConfig{Name: "tx", Mode: phy.Mode80211b(), Channel: 1, Mobility: geom.Static{P: geom.Pt(0, 0)}, TxPower: 30})
-	rec := &recorder{k: k}
-	rx := m.AddRadio(RadioConfig{Name: "rx", Mode: phy.Mode80211b(), Channel: 1, Mobility: geom.Static{P: geom.Pt(299.79, 0)}, TxPower: 30, Listener: rec})
-
-	k.Schedule(0, "tx", func() {
-		tx.Transmit(frame.NewData(frame.MACAddr{9}, frame.MACAddr{8}, frame.MACAddr{}, false, false, make([]byte, 100)), 0)
-	})
-	// Retune away before the wavefront arrives.
-	k.Schedule(200*sim.Nanosecond, "away", func() { rx.SetChannel(6) })
-	k.Run()
-
-	if len(rec.frames) != 0 {
-		t.Fatal("frame decoded on the wrong channel")
-	}
-	if rx.CCABusy() {
-		t.Fatal("stale energy left CCA busy")
-	}
-}

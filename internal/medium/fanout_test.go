@@ -32,14 +32,14 @@ type wantArrival struct {
 }
 
 // referenceArrivals recomputes tx's fan-out at the current instant from
-// first principles: every other radio on the channel, in ascending id,
-// through the composite model and the power filter.
+// first principles: every other radio, in ascending id, through the
+// composite model and the power filter.
 func referenceArrivals(m *Medium, tx *Radio) []wantArrival {
 	now := m.kernel.Now()
 	txPos := tx.mobility.PositionAt(now)
 	var want []wantArrival
 	for _, rx := range m.radios {
-		if rx == tx || rx.channel != tx.channel {
+		if rx == tx {
 			continue
 		}
 		rxPos := rx.mobility.PositionAt(now)
@@ -47,12 +47,9 @@ func referenceArrivals(m *Medium, tx *Radio) []wantArrival {
 		if float64(power) < float64(rx.noiseFloor)-detectionMarginDB {
 			continue
 		}
-		w := wantArrival{rx: rx.id, power: math.Float64bits(float64(power)),
-			powerMW: math.Float64bits(linearOrZero(power))}
-		if m.PropagationDelay {
-			w.delay = sim.Duration(txPos.Distance(rxPos) / units.SpeedOfLight * float64(sim.Second))
-		}
-		want = append(want, w)
+		want = append(want, wantArrival{rx: rx.id, power: math.Float64bits(float64(power)),
+			powerMW: math.Float64bits(linearOrZero(power)),
+			delay:   sim.Duration(txPos.Distance(rxPos) / units.SpeedOfLight * float64(sim.Second))})
 	}
 	// Leading edges run in delay order; equal delays keep schedule order,
 	// which must be ascending id.
@@ -105,7 +102,7 @@ func transmitAndCompare(t *testing.T, k *sim.Kernel, m *Medium, tx *Radio, what 
 
 // countingFading counts the fast-fading gains Transmit itself draws (on is
 // set around it, so the reference's own draws do not count). Before the
-// fading memo a transmission drew one gain per other radio on its channel;
+// fading memo a transmission drew one gain per other radio;
 // what a static transmitter draws less than that, its row remembered.
 type countingFading struct {
 	spectrum.Fading
@@ -138,11 +135,11 @@ func countFast(model *spectrum.Model) *countingFading {
 	return cf
 }
 
-// onChannel counts the radios a transmission from tx reaches for: all
-// others on its channel, and the mobile ones among them.
-func onChannel(m *Medium, tx *Radio) (all, mobile int) {
+// reachedFor counts the radios a transmission from tx reaches for: all
+// others, and the mobile ones among them.
+func reachedFor(m *Medium, tx *Radio) (all, mobile int) {
 	for _, rx := range m.radios {
-		if rx != tx && rx.channel == tx.channel {
+		if rx != tx {
 			all++
 			if !rx.static {
 				mobile++
@@ -166,7 +163,7 @@ func (c *memoTally) transmit(t *testing.T, k *sim.Kernel, m *Medium, cf *countin
 		return
 	}
 	before := cf.draws
-	all, mobile := onChannel(m, tx)
+	all, mobile := reachedFor(m, tx)
 	transmitAndCompare(t, k, m, tx, what)
 	drew := cf.draws - before
 	switch {
@@ -259,13 +256,15 @@ func TestTransmitDifferentialAllRadios(t *testing.T) {
 					m.radios[0].SetMobility(geom.Static{P: geom.Pt(95, 35)})
 					m.radios[1].SetMobility(geom.Static{P: geom.Pt(20, 20)})
 				case 25:
-					what = "after SetChannel"
-					m.radios[2].SetChannel(6)
-					m.radios[6].SetChannel(6)
-					m.radios[7].SetChannel(6)
+					what = "after three radios moved 5 km away"
+					for _, id := range []int{2, 6, 7} {
+						m.radios[id].SetMobility(geom.Static{P: geom.Pt(float64(5000+id), 5000)})
+					}
 				case 30:
-					what = "after PropagationDelay=false"
-					m.PropagationDelay = false
+					what = "after radios came back"
+					m.radios[2].SetMobility(geom.Static{P: geom.Pt(50, 10)})
+					m.radios[6].SetMobility(geom.Linear{Start: geom.Pt(10, 50), Velocity: geom.Vector{X: 1}, T0: k.Now()})
+					m.radios[7].SetMobility(geom.Static{P: geom.Pt(65, 35)})
 				}
 				what = fmt.Sprintf("step %d (%s)", step, what)
 				for _, tx := range m.radios {
@@ -304,10 +303,9 @@ func TestTransmitDifferentialAllRadios(t *testing.T) {
 }
 
 // TestFadingMemoInvalidation changes, inside a single coherence block,
-// everything a remembered link can depend on besides the block: a receiver
-// retunes away and back (the memo must survive, on the right entries),
-// radios join, a radio in the middle of every row starts moving and
-// settles elsewhere (rows are rebuilt; entries shift). After each, every
+// everything a remembered link can depend on besides the block: radios
+// join, a radio in the middle of every row starts moving and settles
+// elsewhere (rows are rebuilt; entries shift). After each, every
 // radio's arrivals must be those of the per-transmission computation.
 func TestFadingMemoInvalidation(t *testing.T) {
 	k := sim.NewKernel()
@@ -329,8 +327,6 @@ func TestFadingMemoInvalidation(t *testing.T) {
 		change func()
 	}{
 		{"first draw", func() {}},
-		{"after SetChannel away", func() { m.radios[2].SetChannel(6); m.radios[12].SetChannel(6) }},
-		{"after SetChannel back", func() { m.radios[2].SetChannel(1); m.radios[12].SetChannel(1) }},
 		{"after AddRadio", func() {
 			m.AddRadio(wallRadio(25, geom.Pt(40, 70)))
 			m.AddRadio(wallRadio(26, geom.Pt(70, 40)))
@@ -360,7 +356,7 @@ func TestFadingMemoInvalidation(t *testing.T) {
 // heard a kilometre away.
 func edgeRadio(m *Medium, name string, x float64, l Listener) *Radio {
 	return m.AddRadio(RadioConfig{
-		Name: name, Mode: phy.Mode80211b(), Channel: 1,
+		Name: name, Mode: phy.Mode80211b(),
 		Mobility: geom.Static{P: geom.Pt(x, 0)}, TxPower: 30, Listener: l,
 	})
 }
@@ -371,8 +367,8 @@ func edgeRadio(m *Medium, name string, x float64, l Listener) *Radio {
 // each instant, events scheduled before the transmission, then that
 // instant's edges in receiver-id order, then events scheduled after it. The
 // row is static and its delay order is not its id order, so the row's
-// precomputed edge order is in use exactly until one of its entries is
-// filtered by channel; with propagation delay off every edge is due at once.
+// precomputed edge order is in use exactly until a mobile receiver is merged
+// in; with every receiver beside the transmitter every edge is due at once.
 func TestEdgeCursorOrder(t *testing.T) {
 	k, m := testbed(21)
 	tx := edgeRadio(m, "r0", 0, nil)
@@ -385,8 +381,12 @@ func TestEdgeCursorOrder(t *testing.T) {
 		rowUsed bool
 	}{
 		{"whole row", func() {}, true},
-		{"row entry filtered by channel", func() { m.radios[3].SetChannel(6) }, false},
-		{"propagation delay off", func() { m.radios[3].SetChannel(1); m.PropagationDelay = false }, false},
+		{"mobile receiver merged in", func() { m.radios[3].SetMobility(geom.Linear{Start: geom.Pt(150, 0)}) }, false},
+		{"co-located receivers", func() {
+			for _, rx := range m.radios[1:] {
+				rx.SetMobility(geom.Static{P: geom.Pt(0, 0)})
+			}
+		}, true},
 	}
 	for _, c := range cases {
 		c.prepare()
@@ -406,13 +406,7 @@ func TestEdgeCursorOrder(t *testing.T) {
 			}
 			var edges []edge
 			for _, rx := range m.radios[1:] {
-				if rx.channel != tx.channel {
-					continue
-				}
-				at := start
-				if m.PropagationDelay {
-					at = at.Add(propDelay(rx.Position().X))
-				}
+				at := start.Add(propDelay(rx.Position().X))
 				edges = append(edges, edge{at, rx.id}, edge{at.Add(airtime), rx.id})
 			}
 			slices.SortStableFunc(edges, func(a, b edge) int { return cmp.Compare(a.at, b.at) })
@@ -496,7 +490,7 @@ func TestSortEdges(t *testing.T) {
 type walkWorld struct {
 	k        *sim.Kernel
 	transmit func(from int)
-	retune   func(id, channel int)
+	moveAt   func(id int, x float64) // make radio id mobile, standing at (x, 0)
 	act      map[string]func(*walkWorld)
 	timers   map[string]sim.Timer
 	log      []string
@@ -583,14 +577,14 @@ func TestEdgeCursorWalk(t *testing.T) {
 			at(w, 0, "tx", send(0))
 		}},
 		{"a second frame, in another order of its own, under the first's trailing cursor", func(w *walkWorld) {
-			// Neither frame reaches the whole row, so each sorts its own
-			// order, the second starting from the first's while r2's and r5's
-			// trailing edges of the first are still to come.
-			w.retune(4, 6)
+			// Both frames merge mobile receivers into the row, so each
+			// sorts its own order, the second — r1 now 1500 ns out —
+			// starting from the first's while r2's and r5's trailing edges
+			// of the first are still to come.
+			w.moveAt(4, 300)
 			at(w, 0, "tx", send(0))
 			at(w, sim.Time(airtime)+150*ns, "tx", func(w *walkWorld) {
-				w.retune(4, 1)
-				w.retune(1, 6)
+				w.moveAt(1, 450)
 				w.transmit(0)
 			})
 		}},
@@ -614,13 +608,13 @@ func TestEdgeCursorWalk(t *testing.T) {
 					edgeRadio(m, name, x, &walkListener{w: w, name: name})
 				}
 				w.transmit = func(from int) { m.radios[from].Transmit(dataFrame(200), 0) }
-				w.retune = func(id, channel int) { m.radios[id].SetChannel(channel) }
+				w.moveAt = func(id int, x float64) { m.radios[id].SetMobility(geom.Linear{Start: geom.Pt(x, 0)}) }
 			} else {
-				channels := slices.Repeat([]int{1}, len(xs)) // edgeRadio's
-				w.retune = func(id, channel int) { channels[id] = channel }
+				xs := slices.Clone(xs)
+				w.moveAt = func(id int, x float64) { xs[id] = x }
 				w.transmit = func(from int) {
 					for id, x := range xs {
-						if id == from || channels[id] != channels[from] {
+						if id == from {
 							continue
 						}
 						name := fmt.Sprintf("r%d", id)
@@ -683,9 +677,9 @@ func (c *frameCheck) OnRxFrame(f *frame.Frame, info RxInfo) {
 
 // TestTransmissionOutlivesItsEdges holds the lifetime rule: receivers point
 // into their transmission's arrival slice, so the transmission stays out of
-// the pool — through a receiver that retunes away between its two edges
-// and a transmitter already sending its next frame — until the trailing
-// cursor has walked the last edge, and no later.
+// the pool — through a receiver that dozes between its two edges and a
+// transmitter already sending its next frame — until the trailing cursor
+// has walked the last edge, and no later.
 func TestTransmissionOutlivesItsEdges(t *testing.T) {
 	k, m := testbed(22)
 	tx := edgeRadio(m, "tx", 0, nil)
@@ -726,11 +720,12 @@ func TestTransmissionOutlivesItsEdges(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		k.Schedule(0, "go", func() {
 			tx.Transmit(first, 0)
-			// mid leaves between its leading and trailing edge and is back
-			// as the second frame launches; its stale arrival's trailing
-			// edge and the second frame's leading edge share an instant.
-			k.Schedule(air[0]/2, "away", func() { mid.SetChannel(6) })
-			k.Schedule(air[0]-sim.Microsecond, "back", func() { mid.SetChannel(1) })
+			// mid dozes between its leading and trailing edge, losing the
+			// first frame, and wakes before the second launches; the first
+			// frame's trailing edge, still in flight at mid, and the second
+			// frame's leading edge share an instant.
+			k.Schedule(air[0]/2, "doze", mid.Sleep)
+			k.Schedule(air[0]-sim.Microsecond, "wake", mid.Wake)
 			// The first frame's trailing cursor is still walking (far is
 			// 10 µs out) when its transmitter sends again.
 			k.Schedule(air[0], "again", func() {

@@ -51,13 +51,13 @@
 // under that edge's key and returns. Heap depth is O(transmissions on the air
 // + timers), not O(transmissions × fan-out). A static row carries its edge
 // order, computed when the row is built; a transmission whose arrivals are
-// not exactly its row (an entry filtered by channel or fading, a mobile
-// receiver merged in, a mobile transmitter, PropagationDelay off) sorts its
-// own, starting from its transmitter's last, in a buffer sized to the
-// arrivals. Radios point into the arrival slice while an arrival is in
-// flight, so it is sized before the walk to the walk's candidates (row and
-// mobile radios in reach, or grid candidates), and a transmission is
-// recycled only when its trailing cursor has walked the last edge.
+// not exactly its row (an entry filtered by fading, a mobile receiver merged
+// in, a mobile transmitter) sorts its own, starting from its transmitter's
+// last, in a buffer sized to the arrivals. Radios point into the arrival
+// slice while an arrival is in flight, so it is sized before the walk to the
+// walk's candidates (row and mobile radios in reach, or grid candidates), and
+// a transmission is recycled only when its trailing cursor has walked the
+// last edge.
 package medium
 
 import (
@@ -126,7 +126,6 @@ type transmission struct {
 	tx      *Radio
 	mode    *phy.Mode
 	rate    phy.RateIdx
-	channel int
 	wire    []byte
 	bits    int
 	start   sim.Time
@@ -187,8 +186,6 @@ type Medium struct {
 	radios []*Radio
 	nextTx uint64
 
-	// PropagationDelay enables distance/c arrival delays (default true).
-	PropagationDelay bool
 	// Tracer receives frame-level events; nil disables tracing.
 	Tracer trace.Tracer
 
@@ -223,10 +220,9 @@ type Medium struct {
 // New creates an empty medium on the kernel with the given channel model.
 func New(k *sim.Kernel, model *spectrum.Model, src *rng.Source) *Medium {
 	m := &Medium{
-		kernel:           k,
-		model:            model,
-		PropagationDelay: true,
-		rng:              src.Split("medium"),
+		kernel: k,
+		model:  model,
+		rng:    src.Split("medium"),
 	}
 	_, noShadow := model.Shadow.(spectrum.NoFading)
 	_, shadowing := model.Shadow.(*spectrum.Shadowing)
@@ -255,7 +251,6 @@ func (m *Medium) Model() *spectrum.Model { return m.model }
 type RadioConfig struct {
 	Name     string
 	Mode     *phy.Mode
-	Channel  int
 	Mobility geom.Mobility
 	TxPower  units.DBm
 	// CaptureMargin is the power advantage a later frame needs to steal the
@@ -294,7 +289,6 @@ func (m *Medium) AddRadio(cfg RadioConfig) *Radio {
 		id:          len(m.radios),
 		name:        cfg.Name,
 		mode:        cfg.Mode,
-		channel:     cfg.Channel,
 		mobility:    cfg.Mobility,
 		txPower:     cfg.TxPower,
 		noiseFloor:  cfg.Mode.NoiseFloorDBm(noiseFigure),
@@ -552,7 +546,6 @@ func (m *Medium) transmit(r *Radio, f *frame.Frame, rate phy.RateIdx) sim.Durati
 	t.tx = r
 	t.mode = r.mode
 	t.rate = rate
-	t.channel = r.channel
 	t.bits = len(t.wire) * 8
 	t.start = m.kernel.Now()
 	t.airtime = airtime
@@ -567,8 +560,8 @@ func (m *Medium) transmit(r *Radio, f *frame.Frame, rate phy.RateIdx) sim.Durati
 	return airtime
 }
 
-// fanout collects an arrival for every other radio on the channel that the
-// power filter keeps, and queues the two cursors that deliver their edges.
+// fanout collects an arrival for every other radio that the power filter
+// keeps, and queues the two cursors that deliver their edges.
 // A static transmitter walks its row, merged in ascending-id order with the
 // mobile radios in range; any other transmitter walks the candidate source.
 // Links off the row are computed for this transmission. Pruning — the
@@ -577,7 +570,7 @@ func (m *Medium) transmit(r *Radio, f *frame.Frame, rate phy.RateIdx) sim.Durati
 // the arrivals are identical to the full walk.
 //
 // Edge order is the row's own when the arrivals are exactly the row (no
-// entry filtered, no mobile receiver merged in, delays in force);
+// entry filtered, no mobile receiver merged in);
 // otherwise it is worked out for this transmission, starting from the
 // transmitter's last such order.
 //
@@ -618,9 +611,6 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 			e := &row[i]
 			i++
 			rx, power, powerMW, delay = m.radios[e.rx()], e.power, e.powerMW, e.delay()
-			if rx.channel != t.channel {
-				continue
-			}
 			if fade != nil {
 				s := &fade[i-1]
 				if s.key != fadeKey { // the link's first transmission in this block: draw, filter, convert
@@ -636,7 +626,7 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 		} else {
 			rx = others[j]
 			j++
-			if rx == r || rx.channel != t.channel || reach2 > 0 && !m.sp.within(rx.id, t.txPos.X, t.txPos.Y, reach2) {
+			if rx == r || reach2 > 0 && !m.sp.within(rx.id, t.txPos.X, t.txPos.Y, reach2) {
 				continue
 			}
 			m.FanoutCandidates++
@@ -649,9 +639,6 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 			powerMW = linearOrZero(power)
 			delay = propDelay(t.txPos.Distance(rxPos))
 		}
-		if !m.PropagationDelay {
-			delay = 0
-		}
 		arrs = append(arrs, arrival{t: t, rx: rx, power: power, powerMW: powerMW, delay: delay})
 	}
 	t.arrs = arrs
@@ -660,7 +647,7 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 		m.putTransmission(t)
 		return
 	}
-	if len(arrs) == len(row) && offRow == 0 && m.PropagationDelay {
+	if len(arrs) == len(row) && offRow == 0 {
 		t.order = r.rowOrder
 	} else {
 		if len(r.lastOwn) != len(arrs) { // nothing to start from but index order

@@ -245,20 +245,6 @@ func TestSleepingRadioReceivesNothing(t *testing.T) {
 	}
 }
 
-func TestDifferentChannelsDoNotInterfere(t *testing.T) {
-	k, m := testbed(10)
-	tx := m.AddRadio(RadioConfig{Name: "tx", Mode: phy.Mode80211b(), Channel: 1, Mobility: geom.Static{P: geom.Pt(0, 0)}, TxPower: 15})
-	rec := &recorder{k: k}
-	m.AddRadio(RadioConfig{Name: "rx", Mode: phy.Mode80211b(), Channel: 6, Mobility: geom.Static{P: geom.Pt(5, 0)}, TxPower: 15, Listener: rec})
-
-	k.Schedule(0, "tx", func() { tx.Transmit(dataFrame(200), 0) })
-	k.Run()
-
-	if len(rec.frames) != 0 || len(rec.busyAt) != 0 {
-		t.Fatal("cross-channel energy detected")
-	}
-}
-
 func TestMidSNRDeliveryIsProbabilistic(t *testing.T) {
 	// At a distance where PER is strictly between 0 and 1, repeated
 	// transmissions should both succeed and fail.

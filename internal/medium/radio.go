@@ -46,8 +46,6 @@ type arrival struct {
 	powerMW float64 // power in linear mW, converted once per arrival
 	delay   sim.Duration
 	idx     int32 // position in rx.inFlight while there
-	// stale marks arrivals invalidated by a channel switch.
-	stale bool
 }
 
 // span is one closed constant-interference span of a locked reception.
@@ -171,7 +169,6 @@ type Radio struct {
 	id       int
 	name     string
 	mode     *phy.Mode
-	channel  int
 	mobility geom.Mobility
 	txPower  units.DBm
 
@@ -216,9 +213,6 @@ func (r *Radio) Name() string { return r.name }
 
 // Mode returns the radio's PHY mode.
 func (r *Radio) Mode() *phy.Mode { return r.mode }
-
-// Channel returns the radio's channel number.
-func (r *Radio) Channel() int { return r.channel }
 
 // TxPower returns the configured transmit power.
 func (r *Radio) TxPower() units.DBm { return r.txPower }
@@ -345,36 +339,9 @@ func (r *Radio) updateCCA() {
 	}
 }
 
-// SetChannel retunes the radio. In-progress and in-flight receptions on the
-// old channel are lost; carrier sense restarts clean.
-func (r *Radio) SetChannel(ch int) {
-	if ch == r.channel {
-		return
-	}
-	if r.state == stateTx {
-		panic(fmt.Sprintf("medium: %s channel switch while transmitting", r.name))
-	}
-	r.channel = ch
-	r.lock = nil
-	if r.state == stateRx {
-		r.state = stateIdle
-	}
-	for _, a := range r.inFlight {
-		a.stale = true
-	}
-	r.inFlight = r.inFlight[:0]
-	r.totalMW = 0
-	r.updateCCA()
-}
-
 // arrivalStart processes the leading edge of a transmission at this
 // receiver.
 func (r *Radio) arrivalStart(a *arrival) {
-	if a.t.channel != r.channel {
-		// The receiver retuned after this frame launched.
-		a.stale = true
-		return
-	}
 	a.idx = int32(len(r.inFlight))
 	r.inFlight = append(r.inFlight, a)
 	r.totalMW += a.powerMW
@@ -449,9 +416,6 @@ func (r *Radio) foldSpan(to sim.Time) {
 
 // arrivalEnd processes the trailing edge of a transmission.
 func (r *Radio) arrivalEnd(a *arrival) {
-	if a.stale {
-		return
-	}
 	// Swap-remove from the in-flight set, whose order nothing reads.
 	n := len(r.inFlight) - 1
 	if last := r.inFlight[n]; last != a {

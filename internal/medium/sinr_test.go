@@ -67,7 +67,10 @@ func TestPartialOverlapMatchesExpectedPER(t *testing.T) {
 			for _, spans := range []int{1, 2} {
 				seed++
 				k := sim.NewKernel()
-				names := map[geom.Point]string{geom.Pt(0, 0): "rx", geom.Pt(10, 0): "tx", geom.Pt(0, 10): "intf"}
+				// The positions only name the radios to the loss matrix: all
+				// lie within 0.3 m, under a nanosecond of flight, so the
+				// interferer's edges fall exactly where scheduled.
+				names := map[geom.Point]string{geom.Pt(0, 0): "rx", geom.Pt(0.1, 0): "tx", geom.Pt(0, 0.1): "intf"}
 				pairs := map[string]units.DB{
 					// tx and intf never hear each other.
 					spectrum.PairKey("tx", "intf"): 200,
@@ -77,7 +80,6 @@ func TestPartialOverlapMatchesExpectedPER(t *testing.T) {
 					Pairs:    pairs,
 					Resolver: func(p geom.Point) string { return names[p] },
 				}, nil, nil), rng.New(seed))
-				m.PropagationDelay = false
 				rec := &fates{}
 				rx := m.AddRadio(RadioConfig{Name: "rx", Mode: mode, Mobility: geom.Static{P: geom.Pt(0, 0)}, TxPower: txPower, Listener: rec})
 				noiseMW := rx.noiseFloorMW
@@ -107,8 +109,8 @@ func TestPartialOverlapMatchesExpectedPER(t *testing.T) {
 					pairs[spectrum.PairKey("intf", "rx")] = lossTo(noiseMW)
 					intfMW = txPower.Add(-pairs[spectrum.PairKey("intf", "rx")]).MilliWatt()
 				}
-				tx := m.AddRadio(RadioConfig{Name: "tx", Mode: mode, Mobility: geom.Static{P: geom.Pt(10, 0)}, TxPower: txPower})
-				intf := m.AddRadio(RadioConfig{Name: "intf", Mode: mode, Mobility: geom.Static{P: geom.Pt(0, 10)}, TxPower: txPower})
+				tx := m.AddRadio(RadioConfig{Name: "tx", Mode: mode, Mobility: geom.Static{P: geom.Pt(0.1, 0)}, TxPower: txPower})
+				intf := m.AddRadio(RadioConfig{Name: "intf", Mode: mode, Mobility: geom.Static{P: geom.Pt(0, 0.1)}, TxPower: txPower})
 
 				period := 2 * victimAirtime
 				for i := 0; i < trials; i++ {
@@ -149,9 +151,10 @@ func TestPartialOverlapMatchesExpectedPER(t *testing.T) {
 func TestInterferenceSumsAcrossTransmitters(t *testing.T) {
 	mode := phy.Mode80211b()
 	run := func(both bool) int {
+		// Within 0.3 m of each other: the three frames overlap exactly.
 		names := map[geom.Point]string{
-			geom.Pt(0, 0): "rx", geom.Pt(10, 0): "tx",
-			geom.Pt(0, 10): "i1", geom.Pt(0, -10): "i2",
+			geom.Pt(0, 0): "rx", geom.Pt(0.1, 0): "tx",
+			geom.Pt(0, 0.1): "i1", geom.Pt(0, -0.1): "i2",
 		}
 		// Each interferer sits 11 dB below the signal: alone it leaves the
 		// CCK-11 frame mostly decodable (SINR ≈ 11 dB), together they drop
@@ -167,12 +170,11 @@ func TestInterferenceSumsAcrossTransmitters(t *testing.T) {
 		}
 		k := sim.NewKernel()
 		m := New(k, spectrum.NewModel(pl, nil, nil), rng.New(88))
-		m.PropagationDelay = false
 		rec := &recorder{k: k}
 		m.AddRadio(RadioConfig{Name: "rx", Mode: mode, Mobility: geom.Static{P: geom.Pt(0, 0)}, TxPower: 16, Listener: rec})
-		tx := m.AddRadio(RadioConfig{Name: "tx", Mode: mode, Mobility: geom.Static{P: geom.Pt(10, 0)}, TxPower: 16})
-		i1 := m.AddRadio(RadioConfig{Name: "i1", Mode: mode, Mobility: geom.Static{P: geom.Pt(0, 10)}, TxPower: 16})
-		i2 := m.AddRadio(RadioConfig{Name: "i2", Mode: mode, Mobility: geom.Static{P: geom.Pt(0, -10)}, TxPower: 16})
+		tx := m.AddRadio(RadioConfig{Name: "tx", Mode: mode, Mobility: geom.Static{P: geom.Pt(0.1, 0)}, TxPower: 16})
+		i1 := m.AddRadio(RadioConfig{Name: "i1", Mode: mode, Mobility: geom.Static{P: geom.Pt(0, 0.1)}, TxPower: 16})
+		i2 := m.AddRadio(RadioConfig{Name: "i2", Mode: mode, Mobility: geom.Static{P: geom.Pt(0, -0.1)}, TxPower: 16})
 
 		for i := 0; i < 200; i++ {
 			at := sim.Duration(i) * 5 * sim.Millisecond
@@ -201,12 +203,11 @@ func TestInterferenceSumsAcrossTransmitters(t *testing.T) {
 // TestMinSINRReported verifies RxInfo carries the worst segment SINR.
 func TestMinSINRReported(t *testing.T) {
 	w := newFixedLossWorld(99, 60)
-	w.m.PropagationDelay = false
 	rec := &recorder{k: w.k}
 	w.m.AddRadio(RadioConfig{Name: "rx", Mode: phy.Mode80211b(), TxPower: 16, Listener: rec,
 		Mobility: geom.Static{P: geom.Pt(0, 0)}})
 	tx := w.m.AddRadio(RadioConfig{Name: "tx", Mode: phy.Mode80211b(), TxPower: 16,
-		Mobility: geom.Static{P: geom.Pt(10, 0)}})
+		Mobility: geom.Static{P: geom.Pt(0, 0)}}) // co-located: no flight time
 
 	w.k.Schedule(0, "tx", func() {
 		tx.Transmit(frame.NewData(frame.MACAddr{1}, frame.MACAddr{2}, frame.MACAddr{}, false, false, make([]byte, 100)), 0)

@@ -31,7 +31,7 @@ type aidBench struct {
 
 func newAIDBench(t *testing.T) *aidBench {
 	b := &aidBench{t: t, w: newWorld(41, spectrum.FreeSpace{Freq: 2412 * units.MHz})}
-	b.ap = NewAP(b.w.k, b.w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "aid"})
+	b.ap = NewAP(b.w.k, b.w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "aid"})
 	b.ap.Tracer = &b.traced
 	return b
 }
@@ -91,7 +91,7 @@ func TestAIDsStayInRange(t *testing.T) {
 	e.ps, e.psBuf = true, []*frame.Frame{{Type: frame.TypeData, Addr1: ps, Addr2: b.ap.BSSID()}}
 	var tim frame.TIM
 	beacons := 0
-	listener := b.w.dcf("listener", geom.Pt(5, 0), 1)
+	listener := b.w.dcf("listener", geom.Pt(5, 0))
 	listener.SetReceiver(func(f *frame.Frame, _ medium.RxInfo) {
 		if f.Type != frame.TypeManagement || f.Subtype != frame.SubtypeBeacon {
 			return

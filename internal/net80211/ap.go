@@ -240,7 +240,7 @@ func (ap *AP) beacon(tim *frame.TIM) []byte {
 		Capability: capBits,
 		SSID:       ap.ssid,
 		Rates:      ap.rates,
-		Channel:    uint8(ap.channel()),
+		Channel:    1, // the DS Parameter Set: every radio is on channel 1
 		TIM:        tim,
 	}
 	return frame.AppendBeacon(ap.codec.body(), &b)
@@ -264,8 +264,6 @@ func (ap *AP) rateIE() []byte {
 	}
 	return out
 }
-
-func (ap *AP) channel() int { return ap.dcf.Radio().Channel() }
 
 // Send transmits an application payload from the AP itself to a station in
 // the BSS (or broadcast). It returns false when the queue is full or the

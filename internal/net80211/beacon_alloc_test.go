@@ -19,8 +19,8 @@ import (
 // delivery to an associated station, ticker re-arm) runs at 0 allocs/op.
 func TestAPBeaconZeroAlloc(t *testing.T) {
 	w := newWorld(31, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "idle"})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "idle"})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{
 		SSID: "idle", BeaconMissLimit: 1 << 30,
 	})
 	// Associate, then let the BSS go idle: from here on the only traffic is
@@ -51,7 +51,7 @@ func TestAPBeaconZeroAlloc(t *testing.T) {
 // list that did parse — and one cut on a boundary is used as far as it goes.
 func TestHandleBeaconTruncatedBodies(t *testing.T) {
 	w := newWorld(34, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(0, 0), 1), STAConfig{SSID: "cut"})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(0, 0)), STAConfig{SSID: "cut"})
 	full := frame.AppendBeacon(nil, &frame.Beacon{
 		IntervalTU: 100, Capability: frame.CapESS | frame.CapPrivacy,
 		SSID: "cut", Rates: []byte{0x82, 0x84}, Channel: 6,
@@ -63,7 +63,7 @@ func TestHandleBeaconTruncatedBodies(t *testing.T) {
 		off += 2 + int(full[off+1])
 		boundary[off] = true
 	}
-	const ssidEnd, channelEnd = 12 + 2 + 3, 12 + 2 + 3 + 2 + 2 + 3
+	const ssidEnd = 12 + 2 + 3
 	var alloc frame.AddrAllocator
 	for cut := 0; cut <= len(full); cut++ {
 		bssid := alloc.Next()
@@ -84,15 +84,12 @@ func TestHandleBeaconTruncatedBodies(t *testing.T) {
 		if c == nil || sta.Stats.BeaconsSeen != seen+1 {
 			t.Fatalf("cut=%d: a well-formed body was ignored", cut)
 		}
-		wantSSID, wantCh := "", 1 // the radio's channel until the DS element says otherwise
+		wantSSID := ""
 		if cut >= ssidEnd {
 			wantSSID = "cut"
 		}
-		if cut >= channelEnd {
-			wantCh = 6
-		}
-		if c.ssid != wantSSID || c.channel != wantCh || !c.privacy {
-			t.Fatalf("cut=%d: candidate %+v, want ssid %q channel %d privacy", cut, c, wantSSID, wantCh)
+		if c.ssid != wantSSID || !c.privacy {
+			t.Fatalf("cut=%d: candidate %+v, want ssid %q privacy", cut, c, wantSSID)
 		}
 	}
 }

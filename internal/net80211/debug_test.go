@@ -21,8 +21,8 @@ func TestDebugPS(t *testing.T) {
 	}
 	w := newWorld(8, spectrum.FreeSpace{Freq: 2412 * units.MHz})
 	w.m.Tracer = trace.Text{W: os.Stdout}
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "ps"})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{SSID: "ps", PowerSave: true})
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "ps"})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{SSID: "ps", PowerSave: true})
 
 	var got int
 	sta.OnReceive = func(_, _ frame.MACAddr, _ []byte) { got++ }

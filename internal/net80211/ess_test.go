@@ -22,8 +22,8 @@ func TestESSTracksRoam(t *testing.T) {
 	sw := ether.NewSwitch(w.k, 10*sim.Microsecond)
 
 	ess := NewESS("ess")
-	ap1 := NewAP(w.k, w.dcf("ap1", geom.Pt(0, 0), 1), APConfig{SSID: "ess"})
-	ap2 := NewAP(w.k, w.dcf("ap2", geom.Pt(120, 0), 1), APConfig{SSID: "ess"})
+	ap1 := NewAP(w.k, w.dcf("ap1", geom.Pt(0, 0)), APConfig{SSID: "ess"})
+	ap2 := NewAP(w.k, w.dcf("ap2", geom.Pt(120, 0)), APConfig{SSID: "ess"})
 	ap1.AttachDS(sw)
 	ap2.AttachDS(sw)
 	ess.Add(ap1)
@@ -33,7 +33,7 @@ func TestESSTracksRoam(t *testing.T) {
 	}
 
 	mob := geom.Linear{Start: geom.Pt(5, 0), Velocity: geom.Vector{X: 10}}
-	sta := NewSTA(w.k, w.mobileDCF("sta", mob, 1), STAConfig{
+	sta := NewSTA(w.k, w.mobileDCF("sta", mob), STAConfig{
 		SSID: "ess", RoamThreshold: -65, RoamHysteresis: 3,
 	})
 
@@ -75,7 +75,7 @@ func TestESSTracksRoam(t *testing.T) {
 func TestESSAddWrongSSIDPanics(t *testing.T) {
 	w := newWorld(22, spectrum.FreeSpace{Freq: 2412 * units.MHz})
 	ess := NewESS("alpha")
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "beta"})
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "beta"})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Add accepted an AP with a mismatched SSID")
@@ -98,7 +98,7 @@ func TestAPEventsNameTheAP(t *testing.T) {
 	ess := NewESS("city")
 	var stas []frame.MACAddr
 	for i, name := range []string{"ap1", "ap2"} {
-		ap := NewAP(w.k, w.dcf(name, geom.Pt(float64(100*i), 0), 1), APConfig{SSID: "city"})
+		ap := NewAP(w.k, w.dcf(name, geom.Pt(float64(100*i), 0)), APConfig{SSID: "city"})
 		ap.Tracer = &log
 		ess.Add(ap)
 		sta := frame.MACAddr{0x02, 0xee, 0, 0, 0, byte(i + 1)}

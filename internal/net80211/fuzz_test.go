@@ -137,7 +137,7 @@ func viewAP(ap *AP, addrs []frame.MACAddr) apView {
 // state st, P, a dozing state-3 peer with a frame buffered, or U, unknown.
 func fuzzAP(t *testing.T, fr frame.Frame, key wep.Key, st assocState, from uint8, dozing bool) {
 	w := newWorld(61, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "fuzz", WEPKey: key})
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "fuzz", WEPKey: key})
 	bssid := ap.BSSID()
 	peer, sender, unknown := frame.MACAddr{2, 0xf, 0, 0, 0, 1}, frame.MACAddr{2, 0xf, 0, 0, 0, 2}, frame.MACAddr{2, 0xf, 0, 0, 0, 3}
 	rx := func(f *frame.Frame) { ap.receive(f, medium.RxInfo{}) }
@@ -223,7 +223,7 @@ func fuzzAP(t *testing.T, fr frame.Frame, key wep.Key, st assocState, from uint8
 // B or, when from picks it, from another AP X.
 func fuzzSTA(t *testing.T, fr frame.Frame, key wep.Key, st assocState, from uint8, powerSave bool) {
 	w := newWorld(62, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(0, 0), 1), STAConfig{SSID: "fuzz", WEPKey: key, PowerSave: powerSave})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(0, 0)), STAConfig{SSID: "fuzz", WEPKey: key, PowerSave: powerSave})
 	target, other := frame.MACAddr{2, 0xb, 0, 0, 0, 1}, frame.MACAddr{2, 0xb, 0, 0, 0, 2}
 	sta.state, sta.bssid = st, target
 	if st == associated {

@@ -31,20 +31,20 @@ func newWorld(seed uint64, pl spectrum.PathLoss) *world {
 	return &world{k: k, m: medium.New(k, spectrum.NewModel(pl, nil, nil), src), src: src}
 }
 
-func (w *world) dcf(name string, p geom.Point, channel int) *mac.DCF {
+func (w *world) dcf(name string, p geom.Point) *mac.DCF {
 	mode := phy.Mode80211b()
 	r := w.m.AddRadio(medium.RadioConfig{
-		Name: name, Mode: mode, Channel: channel,
+		Name: name, Mode: mode,
 		Mobility: geom.Static{P: p}, TxPower: 16,
 	})
 	return mac.New(w.k, r, mac.Config{Address: w.alloc.Next(), Mode: mode},
 		rate.NewFixed(mode, 3), w.src)
 }
 
-func (w *world) mobileDCF(name string, mob geom.Mobility, channel int) *mac.DCF {
+func (w *world) mobileDCF(name string, mob geom.Mobility) *mac.DCF {
 	mode := phy.Mode80211b()
 	r := w.m.AddRadio(medium.RadioConfig{
-		Name: name, Mode: mode, Channel: channel,
+		Name: name, Mode: mode,
 		Mobility: mob, TxPower: 16,
 	})
 	return mac.New(w.k, r, mac.Config{Address: w.alloc.Next(), Mode: mode},
@@ -53,8 +53,8 @@ func (w *world) mobileDCF(name string, mob geom.Mobility, channel int) *mac.DCF 
 
 func TestScanAuthAssociate(t *testing.T) {
 	w := newWorld(1, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "testnet"})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{SSID: "testnet"})
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "testnet"})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{SSID: "testnet"})
 
 	var joined frame.MACAddr
 	sta.OnAssociated = func(bssid frame.MACAddr) { joined = bssid }
@@ -74,26 +74,11 @@ func TestScanAuthAssociate(t *testing.T) {
 	}
 }
 
-func TestMultiChannelScan(t *testing.T) {
-	w := newWorld(2, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 11), APConfig{SSID: "hidden-on-11"})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{
-		SSID: "hidden-on-11", Channels: []int{1, 6, 11},
-	})
-	w.k.RunUntil(sim.Time(3 * sim.Second))
-	if !sta.Associated() {
-		t.Fatal("station did not find the AP on channel 11")
-	}
-	if got := sta.MAC().Radio().Channel(); got != 11 {
-		t.Errorf("station parked on channel %d", got)
-	}
-}
-
 func TestDataThroughAP(t *testing.T) {
 	w := newWorld(3, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "net"})
-	staA := NewSTA(w.k, w.dcf("staA", geom.Pt(10, 0), 1), STAConfig{SSID: "net"})
-	staB := NewSTA(w.k, w.dcf("staB", geom.Pt(0, 10), 1), STAConfig{SSID: "net"})
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "net"})
+	staA := NewSTA(w.k, w.dcf("staA", geom.Pt(10, 0)), STAConfig{SSID: "net"})
+	staB := NewSTA(w.k, w.dcf("staB", geom.Pt(0, 10)), STAConfig{SSID: "net"})
 
 	var got []byte
 	var from frame.MACAddr
@@ -124,14 +109,14 @@ func TestESSRoamingAcrossDS(t *testing.T) {
 	w := newWorld(4, spectrum.NewLogDistance(2412*units.MHz, 3.5))
 	sw := ether.NewSwitch(w.k, 10*sim.Microsecond)
 
-	ap1 := NewAP(w.k, w.dcf("ap1", geom.Pt(0, 0), 1), APConfig{SSID: "ess"})
-	ap2 := NewAP(w.k, w.dcf("ap2", geom.Pt(120, 0), 1), APConfig{SSID: "ess"})
+	ap1 := NewAP(w.k, w.dcf("ap1", geom.Pt(0, 0)), APConfig{SSID: "ess"})
+	ap2 := NewAP(w.k, w.dcf("ap2", geom.Pt(120, 0)), APConfig{SSID: "ess"})
 	ap1.AttachDS(sw)
 	ap2.AttachDS(sw)
 
 	// Mobile station walks from AP1 toward AP2 at 10 m/s.
 	mob := geom.Linear{Start: geom.Pt(5, 0), Velocity: geom.Vector{X: 10}}
-	sta := NewSTA(w.k, w.mobileDCF("sta", mob, 1), STAConfig{
+	sta := NewSTA(w.k, w.mobileDCF("sta", mob), STAConfig{
 		SSID: "ess", RoamThreshold: -65, RoamHysteresis: 3,
 	})
 
@@ -168,8 +153,8 @@ func TestESSRoamingAcrossDS(t *testing.T) {
 func TestWEPSharedKeyAuth(t *testing.T) {
 	key := wep.Key{1, 2, 3, 4, 5}
 	w := newWorld(5, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "secure", WEPKey: key})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{SSID: "secure", WEPKey: key})
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "secure", WEPKey: key})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{SSID: "secure", WEPKey: key})
 
 	var got []byte
 	ap.OnDeliver = func(_, _ frame.MACAddr, payload []byte) { got = append([]byte(nil), payload...) }
@@ -193,8 +178,8 @@ func TestWEPSharedKeyAuth(t *testing.T) {
 
 func TestWEPWrongKeyRejected(t *testing.T) {
 	w := newWorld(6, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "secure", WEPKey: wep.Key{1, 2, 3, 4, 5}})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{SSID: "secure", WEPKey: wep.Key{9, 9, 9, 9, 9}})
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "secure", WEPKey: wep.Key{1, 2, 3, 4, 5}})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{SSID: "secure", WEPKey: wep.Key{9, 9, 9, 9, 9}})
 
 	w.k.RunUntil(sim.Time(3 * sim.Second))
 	if sta.Associated() {
@@ -207,8 +192,8 @@ func TestWEPWrongKeyRejected(t *testing.T) {
 
 func TestOpenStationRefusedOnPrivacyBSS(t *testing.T) {
 	w := newWorld(7, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "secure", WEPKey: wep.Key{1, 2, 3, 4, 5}})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{SSID: "secure"})
+	NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "secure", WEPKey: wep.Key{1, 2, 3, 4, 5}})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{SSID: "secure"})
 	w.k.RunUntil(sim.Time(2 * sim.Second))
 	if sta.Associated() {
 		t.Fatal("open-auth station joined a privacy BSS")
@@ -217,8 +202,8 @@ func TestOpenStationRefusedOnPrivacyBSS(t *testing.T) {
 
 func TestPowerSaveBuffering(t *testing.T) {
 	w := newWorld(8, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "ps"})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{SSID: "ps", PowerSave: true})
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "ps"})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{SSID: "ps", PowerSave: true})
 
 	var got int
 	sta.OnReceive = func(_, _ frame.MACAddr, _ []byte) { got++ }
@@ -255,8 +240,8 @@ func TestPowerSaveBuffering(t *testing.T) {
 func TestPowerSaveSleepFraction(t *testing.T) {
 	// An idle PS station should sleep for a large fraction of the run.
 	w := newWorld(9, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "ps"})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{SSID: "ps", PowerSave: true})
+	NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "ps"})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{SSID: "ps", PowerSave: true})
 	const run = 10 * sim.Second
 	w.k.RunUntil(sim.Time(run))
 	if !sta.Associated() {
@@ -272,9 +257,9 @@ func TestPowerSaveSleepFraction(t *testing.T) {
 func TestAdhocExchange(t *testing.T) {
 	w := newWorld(10, spectrum.FreeSpace{Freq: 2412 * units.MHz})
 	bssid := IBSSID()
-	a := NewAdhoc(w.k, w.dcf("a", geom.Pt(0, 0), 1), bssid)
-	b := NewAdhoc(w.k, w.dcf("b", geom.Pt(10, 0), 1), bssid)
-	c := NewAdhoc(w.k, w.dcf("c", geom.Pt(0, 10), 1), bssid)
+	a := NewAdhoc(w.k, w.dcf("a", geom.Pt(0, 0)), bssid)
+	b := NewAdhoc(w.k, w.dcf("b", geom.Pt(10, 0)), bssid)
+	c := NewAdhoc(w.k, w.dcf("c", geom.Pt(0, 10)), bssid)
 
 	var bGot, cGot int
 	b.OnReceive = func(_, _ frame.MACAddr, _ []byte) { bGot++ }
@@ -296,9 +281,9 @@ func TestAdhocExchange(t *testing.T) {
 
 func TestAdhocIgnoresForeignBSS(t *testing.T) {
 	w := newWorld(11, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	a := NewAdhoc(w.k, w.dcf("a", geom.Pt(0, 0), 1), IBSSID())
+	a := NewAdhoc(w.k, w.dcf("a", geom.Pt(0, 0)), IBSSID())
 	other := frame.MACAddr{0x02, 0xad, 0x0c, 0, 0, 0x99}
-	b := NewAdhoc(w.k, w.dcf("b", geom.Pt(10, 0), 1), other)
+	b := NewAdhoc(w.k, w.dcf("b", geom.Pt(10, 0)), other)
 
 	got := 0
 	b.OnReceive = func(_, _ frame.MACAddr, _ []byte) { got++ }

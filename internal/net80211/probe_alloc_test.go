@@ -18,8 +18,8 @@ import (
 // handle, marshal, enqueue, transmit, delivery to a listening station.
 func TestAPProbeResponseZeroAlloc(t *testing.T) {
 	w := newWorld(32, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "probe"})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "probe"})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{
 		SSID: "probe", BeaconMissLimit: 1 << 30,
 	})
 	w.k.RunUntil(sim.Time(2 * sim.Second))
@@ -53,7 +53,7 @@ func TestAPProbeResponseZeroAlloc(t *testing.T) {
 // transmit scratch with cached SSID/rates IE payloads allocates nothing per send.
 func TestSTAProbeRequestZeroAlloc(t *testing.T) {
 	w := newWorld(33, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(0, 0), 1), STAConfig{SSID: "nowhere"})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(0, 0)), STAConfig{SSID: "nowhere"})
 	w.k.RunFor(10 * sim.Millisecond)
 	send := func() {
 		sta.sendProbeReq()

@@ -25,7 +25,6 @@ type sendState struct {
 	Scratch, Snap        []byte
 	Buffered             []*frame.Frame
 	Asleep, Transmitting bool
-	Channel              int
 	IVs                  wep.IVCounter
 	Node                 any // STAStats, APStats or the Adhoc payload count
 }
@@ -33,7 +32,7 @@ type sendState struct {
 func stateOf(d *mac.DCF, c *bodyCodec, node any, buffered []*frame.Frame) sendState {
 	s := sendState{MAC: d.Stats(), Node: node, IVs: c.ivs,
 		Scratch: bytes.Clone(c.buf[:cap(c.buf)]), Snap: bytes.Clone(c.snap[:cap(c.snap)]),
-		Asleep: d.Radio().Asleep(), Transmitting: d.Radio().Transmitting(), Channel: d.Radio().Channel()}
+		Asleep: d.Radio().Asleep(), Transmitting: d.Radio().Transmitting()}
 	for _, f := range buffered {
 		s.Buffered = append(s.Buffered, f.Clone())
 	}
@@ -49,9 +48,9 @@ func stateOf(d *mac.DCF, c *bodyCodec, node any, buffered []*frame.Frame) sendSt
 func TestRefusedSendIsPure(t *testing.T) {
 	w := newWorld(31, spectrum.FreeSpace{Freq: 2412 * units.MHz})
 	key := wallKey()
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "pure", WEPKey: key, PSBufferCap: 3})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{SSID: "pure", WEPKey: key, PowerSave: true})
-	adhoc := NewAdhoc(w.k, w.dcf("adhoc", geom.Pt(0, 30), 6), IBSSID())
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "pure", WEPKey: key, PSBufferCap: 3})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{SSID: "pure", WEPKey: key, PowerSave: true})
+	adhoc := NewAdhoc(w.k, w.dcf("adhoc", geom.Pt(0, 30)), IBSSID())
 	w.k.RunUntil(sim.Time(2 * sim.Second))
 	if !sta.Associated() {
 		t.Fatal("station did not associate")

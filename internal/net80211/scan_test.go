@@ -13,12 +13,8 @@ import (
 func TestActiveScanFasterThanPassive(t *testing.T) {
 	join := func(active bool) sim.Time {
 		w := newWorld(40, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-		NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 11), APConfig{SSID: "net"})
-		sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{
-			SSID:       "net",
-			Channels:   []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11},
-			ActiveScan: active,
-		})
+		NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "net"})
+		sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{SSID: "net", ActiveScan: active})
 		var joinedAt sim.Time
 		sta.OnAssociated = func(frame.MACAddr) {
 			if joinedAt == 0 {
@@ -33,21 +29,21 @@ func TestActiveScanFasterThanPassive(t *testing.T) {
 	}
 	passive := join(false)
 	active := join(true)
-	if active >= passive {
-		t.Errorf("active scan (%v) not faster than passive (%v)", active, passive)
+	// A passive scan dwells 120 ms for beacons, an active one 30 ms after
+	// its probe, and the joins that follow cost about the same.
+	if active < sim.Time(probeDwell) || active >= sim.Time(scanDwell) {
+		t.Errorf("active scan joined at %v, want within [%v, %v)", active, probeDwell, scanDwell)
 	}
-	// 11 channels at 120 ms passive dwell ≈ 1.3 s floor; active should be
-	// far below that.
-	if active > sim.Time(800*sim.Millisecond) {
-		t.Errorf("active scan took %v, expected well under 800ms", active)
+	if d := passive.Sub(active); d < scanDwell-probeDwell-5*sim.Millisecond {
+		t.Errorf("passive join (%v) trails active (%v) by only %v", passive, active, d)
 	}
 }
 
 func TestProbeResponseCarriesPrivacy(t *testing.T) {
 	w := newWorld(41, spectrum.FreeSpace{Freq: 2412 * units.MHz})
 	key := []byte{1, 2, 3, 4, 5}
-	NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "sec", WEPKey: key})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{
+	NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "sec", WEPKey: key})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{
 		SSID: "sec", WEPKey: key, ActiveScan: true,
 	})
 	w.k.RunUntil(sim.Time(3 * sim.Second))
@@ -62,9 +58,9 @@ func TestProbeResponseCarriesPrivacy(t *testing.T) {
 
 func TestDirectedProbeIgnoredByOtherSSID(t *testing.T) {
 	w := newWorld(42, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	other := NewAP(w.k, w.dcf("other", geom.Pt(0, 5), 1), APConfig{SSID: "other-net"})
-	NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "mine"})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{
+	other := NewAP(w.k, w.dcf("other", geom.Pt(0, 5)), APConfig{SSID: "other-net"})
+	NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "mine"})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{
 		SSID: "mine", ActiveScan: true,
 	})
 	w.k.RunUntil(sim.Time(3 * sim.Second))
@@ -78,8 +74,8 @@ func TestDirectedProbeIgnoredByOtherSSID(t *testing.T) {
 
 func TestDeauthForcesRescan(t *testing.T) {
 	w := newWorld(43, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "net"})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{SSID: "net"})
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "net"})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{SSID: "net"})
 	w.k.RunUntil(sim.Time(1 * sim.Second))
 	if !sta.Associated() {
 		t.Fatal("initial association failed")
@@ -107,8 +103,8 @@ func TestDeauthForcesRescan(t *testing.T) {
 
 func TestPSBufferCapDropsExcess(t *testing.T) {
 	w := newWorld(44, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "ps", PSBufferCap: 2})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{SSID: "ps", PowerSave: true})
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "ps", PSBufferCap: 2})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{SSID: "ps", PowerSave: true})
 	w.k.RunUntil(sim.Time(1 * sim.Second))
 	if !sta.Associated() {
 		t.Fatal("association failed")
@@ -137,10 +133,10 @@ func TestRoamTracksStrongerAP(t *testing.T) {
 	// station drifts, the candidate improves: a roam must eventually fire
 	// without any link loss.
 	w := newWorld(45, spectrum.NewLogDistance(2412*units.MHz, 3.5))
-	NewAP(w.k, w.dcf("ap1", geom.Pt(0, 0), 1), APConfig{SSID: "ess"})
-	ap2 := NewAP(w.k, w.dcf("ap2", geom.Pt(80, 0), 1), APConfig{SSID: "ess"})
+	NewAP(w.k, w.dcf("ap1", geom.Pt(0, 0)), APConfig{SSID: "ess"})
+	ap2 := NewAP(w.k, w.dcf("ap2", geom.Pt(80, 0)), APConfig{SSID: "ess"})
 	mob := geom.Linear{Start: geom.Pt(8, 0), Velocity: geom.Vector{X: 8}}
-	sta := NewSTA(w.k, w.mobileDCF("sta", mob, 1), STAConfig{
+	sta := NewSTA(w.k, w.mobileDCF("sta", mob), STAConfig{
 		SSID: "ess", RoamThreshold: -60, RoamHysteresis: 3,
 	})
 	w.k.RunUntil(sim.Time(9 * sim.Second))

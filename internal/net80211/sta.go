@@ -15,8 +15,6 @@ import (
 // STAConfig parameterises a station.
 type STAConfig struct {
 	SSID string
-	// Channels is the scan list; default {1}.
-	Channels []int
 	// WEPKey enables shared-key authentication and WEP data privacy.
 	WEPKey wep.Key
 	// WEPKeyID is the key slot (0-3) stamped into sealed frames and
@@ -34,13 +32,13 @@ type STAConfig struct {
 	BeaconMissLimit int
 	// PowerSave enables the PS-Poll doze cycle.
 	PowerSave bool
-	// ActiveScan sends probe requests on each channel instead of waiting a
-	// full beacon interval, shrinking the dwell to probeDwell.
+	// ActiveScan sends a probe request instead of waiting a full beacon
+	// interval, shrinking the dwell to probeDwell.
 	ActiveScan bool
 }
 
-// Per-channel scan dwells: a passive scan waits just over one beacon
-// interval, an active scan this long after its probe request.
+// Scan dwells: a passive scan waits just over one beacon interval, an
+// active scan this long after its probe request.
 const (
 	scanDwell  = 120 * sim.Millisecond
 	probeDwell = 30 * sim.Millisecond
@@ -50,7 +48,6 @@ const (
 type candidate struct {
 	bssid    frame.MACAddr
 	ssid     string
-	channel  int
 	rssi     float64 // EWMA dBm
 	lastSeen sim.Time
 	privacy  bool
@@ -84,8 +81,6 @@ type STA struct {
 	servRSSI float64 // EWMA of serving AP beacon RSSI
 	missed   int
 
-	scanIdx   int
-	homeCh    int
 	mgmtTimer sim.Timer
 	mgmtTries int
 
@@ -101,10 +96,11 @@ type STA struct {
 	psWake    sim.Timer // pending pre-beacon wakeup
 	// beaconInt is the serving AP's beacon interval, learned from beacons.
 	beaconInt sim.Duration
-	// psAwaitSeq tokens the outstanding PS-Poll data wait: the station
-	// must not doze between PS-Poll and the buffered frame's arrival.
-	psAwaitSeq  uint64
+	// psAwaitData holds the station awake between a PS-Poll and the
+	// buffered frame's arrival, or psAwait's timeout.
 	psAwaitData bool
+	psAwait     sim.Timer
+	psAwaitEnd  func() // psAwait's callback, allocated once
 	// timScratch is the reusable TIM decode target of the beacon hot path
 	// (see handleBeacon): idle-BSS beacon reception allocates nothing.
 	timScratch frame.TIM
@@ -120,9 +116,6 @@ type STA struct {
 
 // NewSTA builds a station on an existing DCF and starts scanning.
 func NewSTA(k *sim.Kernel, dcf *mac.DCF, cfg STAConfig) *STA {
-	if len(cfg.Channels) == 0 {
-		cfg.Channels = []int{dcf.Radio().Channel()}
-	}
 	if cfg.RoamThreshold == 0 {
 		cfg.RoamThreshold = -75
 	}
@@ -142,6 +135,7 @@ func NewSTA(k *sim.Kernel, dcf *mac.DCF, cfg STAConfig) *STA {
 		rates:     []byte{frame.RateByte(2, true)},
 		beaconInt: 100 * TU,
 	}
+	s.psAwaitEnd = func() { s.psAwaitData = false }
 	dcf.SetReceiver(s.receive)
 	k.Schedule(0, "sta-start", s.startScan)
 	return s
@@ -192,41 +186,21 @@ func (s *STA) startScan() {
 	}
 	s.state = scanning
 	s.Stats.Scans++
-	s.scanIdx = 0
 	s.cands = make(map[frame.MACAddr]*candidate)
 	if s.dcf.Radio().Asleep() {
 		s.dcf.Radio().Wake()
 	}
-	s.scanStep()
-}
-
-func (s *STA) scanStep() {
-	if s.state != scanning {
-		return
-	}
-	if s.scanIdx >= len(s.cfg.Channels) {
-		s.finishScan()
-		return
-	}
-	ch := s.cfg.Channels[s.scanIdx]
-	s.scanIdx++
-	if s.dcf.Radio().Transmitting() {
-		s.scanIdx-- // retry the same channel shortly
-		s.k.Schedule(2*sim.Millisecond, "scan-wait", s.scanStep)
-		return
-	}
-	s.dcf.Radio().SetChannel(ch)
 	dwell := scanDwell
 	if s.cfg.ActiveScan {
 		s.sendProbeReq()
 		dwell = probeDwell
 	}
-	s.k.Schedule(dwell, "scan-dwell", s.scanStep)
+	s.k.Schedule(dwell, "scan-dwell", s.finishScan)
 }
 
-// sendProbeReq broadcasts a directed probe request on the current channel.
-// The body is two cached IE payloads appended into the codec's scratch, so
-// an active scan sweep allocates nothing per probe.
+// sendProbeReq broadcasts a directed probe request. The body is two cached
+// IE payloads appended into the codec's scratch, so an active scan allocates
+// nothing for its probe.
 func (s *STA) sendProbeReq() {
 	body := frame.AppendIE(s.codec.body(), frame.IESSID, s.ssidBytes)
 	s.codec.send(s.mgmt(frame.SubtypeProbeReq, frame.Broadcast, frame.AppendIE(body, frame.IESupportedRates, s.rates)))
@@ -242,7 +216,12 @@ func (s *STA) mgmt(sub frame.Subtype, dst frame.MACAddr, body []byte) frame.Fram
 	}
 }
 
+// finishScan ends a scan's dwell by joining the best candidate. A dwell that
+// outlives its scan — the station left the scanning state — does nothing.
 func (s *STA) finishScan() {
+	if s.state != scanning {
+		return
+	}
 	best := s.bestCandidate()
 	if best == nil {
 		// Nothing found: rescan after a backoff.
@@ -297,10 +276,8 @@ func (s *STA) join(c *candidate) {
 	}
 	s.state = unauthenticated
 	s.bssid = c.bssid
-	s.homeCh = c.channel
 	s.servRSSI = c.rssi
 	s.missed = 0
-	s.dcf.Radio().SetChannel(c.channel)
 	s.mgmtTries = 0
 	s.sendAuth1()
 }
@@ -383,7 +360,7 @@ func (s *STA) handleBeacon(f *frame.Frame, info medium.RxInfo) {
 	s.Stats.BeaconsSeen++
 	c := s.cands[f.Addr2]
 	if c == nil {
-		c = &candidate{bssid: f.Addr2, channel: s.dcf.Radio().Channel()}
+		c = &candidate{bssid: f.Addr2}
 		s.cands[f.Addr2] = c
 		c.rssi = float64(info.RSSI)
 	}
@@ -393,9 +370,6 @@ func (s *STA) handleBeacon(f *frame.Frame, info medium.RxInfo) {
 	c.privacy = b.Capability&frame.CapPrivacy != 0
 	c.lastSeen = s.k.Now()
 	c.rssi = 0.8*c.rssi + 0.2*float64(info.RSSI)
-	if b.Channel != 0 {
-		c.channel = int(b.Channel)
-	}
 
 	if s.state == associated && f.Addr2 == s.bssid {
 		s.missed = 0
@@ -631,16 +605,10 @@ func (s *STA) sendPSPoll() {
 		Type: frame.TypeControl, Subtype: frame.SubtypePSPoll,
 		Addr1: s.bssid, Addr2: s.Address(), Duration: s.aid | 0xc000,
 	})
-	// Stay awake for the polled frame; a token guards against a stale
-	// timeout clearing a newer wait.
+	// Stay awake for the polled frame; a newer poll replaces the wait.
 	s.psAwaitData = true
-	s.psAwaitSeq++
-	seq := s.psAwaitSeq
-	s.k.Schedule(50*sim.Millisecond, "ps-await-timeout", func() {
-		if s.psAwaitSeq == seq {
-			s.psAwaitData = false
-		}
-	})
+	s.k.Cancel(s.psAwait)
+	s.psAwait = s.k.Schedule(50*sim.Millisecond, "ps-await-timeout", s.psAwaitEnd)
 	s.k.Schedule(20*sim.Millisecond, "ps-doze", s.scheduleDoze)
 }
 

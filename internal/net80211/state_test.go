@@ -58,7 +58,7 @@ type cell struct {
 
 func newCell(t testing.TB, seed uint64) *cell {
 	c := &cell{w: newWorld(seed, spectrum.FreeSpace{Freq: 2412 * units.MHz})}
-	c.ap = NewAP(c.w.k, c.w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "cell"})
+	c.ap = NewAP(c.w.k, c.w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "cell"})
 	c.ap.OnDeliver = func(_, _ frame.MACAddr, _ []byte) { c.delivered++ }
 	return c
 }
@@ -208,7 +208,7 @@ func TestAssocReqFromState1Refused(t *testing.T) {
 // dropped.
 func TestLeaveDropsPSBuffer(t *testing.T) {
 	c := newCell(t, 53)
-	radio := c.w.dcf("sta", geom.Pt(10, 0), 1)
+	radio := c.w.dcf("sta", geom.Pt(10, 0))
 	sta := radio.Address()
 	var got []string
 	radio.SetReceiver(func(f *frame.Frame, _ medium.RxInfo) {

@@ -50,8 +50,8 @@ func warmThenMeasure(t *testing.T, k *sim.Kernel, send func() bool) {
 
 func TestAdhocSendZeroAlloc(t *testing.T) {
 	w := newWorld(21, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	a := NewAdhoc(w.k, w.dcf("a", geom.Pt(0, 0), 1), IBSSID())
-	b := NewAdhoc(w.k, w.dcf("b", geom.Pt(10, 0), 1), IBSSID())
+	a := NewAdhoc(w.k, w.dcf("a", geom.Pt(0, 0)), IBSSID())
+	b := NewAdhoc(w.k, w.dcf("b", geom.Pt(10, 0)), IBSSID())
 	payload := make([]byte, 600)
 	dst := b.Address()
 	warmThenMeasure(t, w.k, func() bool { return a.Send(dst, payload) })
@@ -69,7 +69,7 @@ func TestAdhocFragmentedSendZeroAlloc(t *testing.T) {
 	mode := phy.Mode80211b()
 	mk := func(name string, p geom.Point) *mac.DCF {
 		r := w.m.AddRadio(medium.RadioConfig{
-			Name: name, Mode: mode, Channel: 1,
+			Name: name, Mode: mode,
 			Mobility: geom.Static{P: p}, TxPower: 16,
 		})
 		return mac.New(w.k, r, mac.Config{Address: w.alloc.Next(), Mode: mode, FragThreshold: 400},
@@ -102,8 +102,8 @@ func infraPair(t *testing.T, seed uint64, key wep.Key) (*world, *AP, *STA) {
 	if key != nil {
 		keyID = wallWEPKeyID
 	}
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "wall", WEPKey: key, WEPKeyID: keyID})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "wall", WEPKey: key, WEPKeyID: keyID})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{
 		SSID: "wall", WEPKey: key, WEPKeyID: keyID, BeaconMissLimit: 1 << 30,
 	})
 	w.k.RunUntil(sim.Time(2 * sim.Second))
@@ -160,8 +160,8 @@ func TestWEPKeyIDMismatchCountsDecryptError(t *testing.T) {
 	w := newWorld(26, spectrum.FreeSpace{Freq: 2412 * units.MHz})
 	key := wallKey()
 	// AP seals with key slot 0; the station demands slot 2 of the same key.
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0), 1), APConfig{SSID: "wall", WEPKey: key, WEPKeyID: 0})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0), 1), STAConfig{
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "wall", WEPKey: key, WEPKeyID: 0})
+	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{
 		SSID: "wall", WEPKey: key, WEPKeyID: wallWEPKeyID, BeaconMissLimit: 1 << 30,
 	})
 	w.k.RunUntil(sim.Time(2 * sim.Second))
@@ -194,7 +194,7 @@ func TestAdhocSendRefillsToCapacity(t *testing.T) {
 	mode := phy.Mode80211b()
 	mk := func(name string, p geom.Point, queueCap int) *mac.DCF {
 		r := w.m.AddRadio(medium.RadioConfig{
-			Name: name, Mode: mode, Channel: 1,
+			Name: name, Mode: mode,
 			Mobility: geom.Static{P: p}, TxPower: 16,
 		})
 		return mac.New(w.k, r, mac.Config{Address: w.alloc.Next(), Mode: mode, QueueCap: queueCap},

@@ -292,18 +292,3 @@ func (m *Mode) Airtime(ri RateIdx, mpduBytes int) sim.Duration {
 func (m *Mode) NoiseFloorDBm(noiseFigure units.DB) units.DBm {
 	return units.ThermalNoiseDBm(m.Bandwidth).Add(noiseFigure)
 }
-
-// ChannelFreq returns the centre frequency of a channel number: 2.4 GHz
-// channels 1-14 (2412 + 5(k-1) MHz, ch 14 at 2484), 5 GHz channels as
-// 5000 + 5·ch MHz.
-func ChannelFreq(ch int) units.Hertz {
-	switch {
-	case ch >= 1 && ch <= 13:
-		return units.Hertz(2412+5*(ch-1)) * units.MHz
-	case ch == 14:
-		return 2484 * units.MHz
-	case ch >= 34 && ch <= 177:
-		return units.Hertz(5000+5*ch) * units.MHz
-	}
-	return 2412 * units.MHz
-}

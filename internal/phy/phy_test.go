@@ -362,27 +362,6 @@ func TestNoiseFloor(t *testing.T) {
 	}
 }
 
-func TestChannelFreq(t *testing.T) {
-	if f := ChannelFreq(1); f != 2412*units.MHz {
-		t.Errorf("channel 1 = %v", f)
-	}
-	if f := ChannelFreq(6); f != 2437*units.MHz {
-		t.Errorf("channel 6 = %v", f)
-	}
-	if f := ChannelFreq(11); f != 2462*units.MHz {
-		t.Errorf("channel 11 = %v", f)
-	}
-	if f := ChannelFreq(14); f != 2484*units.MHz {
-		t.Errorf("channel 14 = %v", f)
-	}
-	if f := ChannelFreq(36); f != 5180*units.MHz {
-		t.Errorf("channel 36 = %v", f)
-	}
-	if f := ChannelFreq(-3); f != 2412*units.MHz {
-		t.Errorf("invalid channel fallback = %v", f)
-	}
-}
-
 func TestLowestBasic(t *testing.T) {
 	for _, m := range allModes() {
 		lb := m.LowestBasic()
