@@ -1,8 +1,8 @@
 // Cityscale: the E-family in miniature. A 600-radio district runs on the
-// medium's uniform-grid spatial index (fan-out walks only the cells within
-// detection range, so event cost stays near-linear in radio count), then a
-// station cohort rides a multi-AP ESS corridor built with AddESS and hands
-// off twice without losing its uplink. These are experiments E1 and E2 as
+// medium's range-pruned fan-out rows (a transmitter reaches only the radios
+// within its detection range, so event cost stays near-linear in radio
+// count), then a station cohort rides a multi-AP ESS corridor built with
+// AddESS and hands off twice without losing its uplink. These are experiments E1 and E2 as
 // a narrative; run the full grids with `go run ./cmd/experiments -experiment E1`.
 package main
 
@@ -18,7 +18,7 @@ import (
 func main() {
 	// --- E1 in miniature: a dense district ------------------------------
 	const n = 600
-	net := core.NewNetwork(core.Config{Seed: 11, TxPower: 2}) // low power: local cells
+	net := core.NewNetwork(core.Config{Seed: 11, TxPower: 2}) // low power: short detection ranges
 	pts := geom.Grid(n, 15, geom.Pt(0, 0))
 	nodes := make([]*core.Node, n)
 	for i := range nodes {

@@ -67,7 +67,8 @@ type Config struct {
 
 	// Capture enables physical-layer capture at every radio.
 	Capture bool
-	// CaptureMarginDB overrides the 10 dB default capture margin.
+	// CaptureMarginDB overrides the 10 dB default capture margin (negative,
+	// NaN or infinite: refused).
 	CaptureMarginDB float64
 	// ShortPreamble selects the short DSSS preamble where the mode
 	// supports it (802.11b).
@@ -159,6 +160,8 @@ func (c Config) resolve() (s specs, err error) {
 		err = fmt.Errorf("core: bad fading coherence %v: want a positive time, or 0 for 10 ms", c.FadingCoherence)
 	} else if err == nil && (!(c.ShadowSigmaDB >= 0) || math.IsInf(c.ShadowSigmaDB, 1)) {
 		err = fmt.Errorf("core: bad shadowing sigma %v dB: want a positive deviation, or 0 for none", c.ShadowSigmaDB)
+	} else if err == nil && (!(c.CaptureMarginDB >= 0) || math.IsInf(c.CaptureMarginDB, 1)) {
+		err = fmt.Errorf("core: bad capture margin %v dB: want a positive margin, or 0 for 10 dB", c.CaptureMarginDB)
 	} else if p := float64(c.TxPower); err == nil && (math.IsNaN(p) || math.IsInf(p, 0)) {
 		err = fmt.Errorf("core: bad transmit power %v dBm: want a finite level", p)
 	} else if err == nil && min(c.QueueCap, c.CWmin, c.CWmax, c.RTSThreshold, c.FragThreshold) < 0 {
@@ -175,7 +178,8 @@ func (c Config) resolve() (s specs, err error) {
 
 // Validate reports the first Mode, Fading or RateAdapt spec that does not
 // parse, a negative FadingCoherence, ShadowSigmaDB or MAC override, a TxPower
-// that is not finite, or CWmin above CWmax — the error NewNetwork panics
+// or CaptureMarginDB that is not finite, a negative CaptureMarginDB, or CWmin
+// above CWmax — the error NewNetwork panics
 // with. Commands taking those from a user call it first.
 func (c Config) Validate() error {
 	_, err := c.resolve()

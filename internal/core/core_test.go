@@ -87,6 +87,10 @@ var badConfigs = []struct {
 	{Config{ShadowSigmaDB: -4}, `bad shadowing sigma -4 dB`},
 	{Config{ShadowSigmaDB: math.NaN()}, `bad shadowing sigma NaN dB`},
 	{Config{ShadowSigmaDB: math.Inf(1)}, `bad shadowing sigma +Inf dB`},
+	{Config{Capture: true, CaptureMarginDB: math.NaN()}, `bad capture margin NaN dB`},
+	{Config{Capture: true, CaptureMarginDB: math.Inf(1)}, `bad capture margin +Inf dB`},
+	{Config{Capture: true, CaptureMarginDB: math.Inf(-1)}, `bad capture margin -Inf dB`},
+	{Config{Capture: true, CaptureMarginDB: -3}, `bad capture margin -3 dB`},
 	{Config{TxPower: units.DBm(math.NaN())}, `bad transmit power NaN dBm`},
 	{Config{TxPower: units.DBm(math.Inf(1))}, `bad transmit power +Inf dBm`},
 	{Config{TxPower: units.DBm(math.Inf(-1))}, `bad transmit power -Inf dBm`},
@@ -122,7 +126,8 @@ func TestConfigValidate(t *testing.T) {
 		good = append(good, Config{RateAdapt: r, Fading: "rayleigh"})
 	}
 	good = append(good, Config{Mode: "802.11g", RateAdapt: "fixed:7"},
-		Config{QueueCap: 1, CWmin: 1023, RTSThreshold: 1, FragThreshold: 256}, Config{CWmin: 7, CWmax: 7}, Config{TxPower: -20})
+		Config{QueueCap: 1, CWmin: 1023, RTSThreshold: 1, FragThreshold: 256}, Config{CWmin: 7, CWmax: 7}, Config{TxPower: -20},
+		Config{Capture: true}, Config{Capture: true, CaptureMarginDB: 3}, Config{Capture: true, CaptureMarginDB: 30})
 	for _, cfg := range good {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)

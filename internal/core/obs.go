@@ -33,7 +33,6 @@ type obsSnapshot struct {
 	fanoutDeliv   uint64
 	cacheHits     uint64
 	cacheMisses   uint64
-	migrations    uint64
 }
 
 // flushObs folds kernel and medium counter deltas into the obs registry
@@ -69,13 +68,11 @@ func (n *Network) flushObs() {
 	obs.Medium.FanoutDelivered.Add(m.FanoutDelivered - last.fanoutDeliv)
 	obs.Medium.LinkCacheHits.Add(m.LinkCacheHits - last.cacheHits)
 	obs.Medium.LinkCacheMisses.Add(m.LinkCacheMisses - last.cacheMisses)
-	obs.Medium.GridMigrations.Add(m.GridMigrations - last.migrations)
 	last.transmissions = m.Transmissions
 	last.fanoutCand = m.FanoutCandidates
 	last.fanoutDeliv = m.FanoutDelivered
 	last.cacheHits = m.LinkCacheHits
 	last.cacheMisses = m.LinkCacheMisses
-	last.migrations = m.GridMigrations
 }
 
 // runObserved is Run's body when metrics are enabled: the same virtual

@@ -13,8 +13,8 @@ import (
 	"repro/internal/stats"
 )
 
-// The E family is the city-scale suite enabled by the medium's spatial
-// index and the net80211 ESS layer: E1 pushes raw radio density, E2 walks
+// The E family is the city-scale suite enabled by the medium's
+// range-pruned fan-out rows and the net80211 ESS layer: E1 pushes raw radio density, E2 walks
 // a station cohort across a multi-AP corridor, E3 drops a flash crowd on a
 // single AP. All three carry Cost hints so the sweep scheduler's work
 // stealing balances their heavily skewed grids.
@@ -54,8 +54,8 @@ type e1Point struct {
 // pitch, every even radio sending a light Poisson uplink to its right-hand
 // neighbour (Poisson rather than CBR so the flows do not all fire in
 // lock-step). Low transmit power keeps detection ranges local, which is
-// what lets the spatial index hold fan-out cost constant per transmission
-// as n grows.
+// what lets range-pruned fan-out rows hold fan-out cost constant per
+// transmission as n grows.
 func e1Scenario(seed uint64, n int, dur sim.Duration) e1Point {
 	net := core.NewNetwork(core.Config{Seed: seed, TxPower: 2})
 	pts := geom.Grid(n, 15, geom.Pt(0, 0))

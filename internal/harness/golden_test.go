@@ -122,9 +122,9 @@ func goldenInfra() []string {
 
 // goldenE1 pins a small fixed instance of the E1 density scenario: 24
 // adhoc radios on the 15 m grid with Poisson pair traffic, running through
-// the medium's spatial-index fan-out path. Kernel event count, per-flow
-// goodput bits and per-node MAC/radio counters all pin the index's
-// candidate sets and ordering.
+// the medium's range-pruned fan-out path. Kernel event count, per-flow
+// goodput bits and per-node MAC/radio counters all pin the candidate
+// walk's sets and ordering.
 func goldenE1() []string {
 	p := e1Scenario(sim.DeriveSeed(0xE1, 24), 24, 1*sim.Second)
 	rows := []string{

@@ -182,7 +182,7 @@ func (c *memoTally) transmit(t *testing.T, k *sim.Kernel, m *Medium, cf *countin
 
 // wallTopology interleaves static and mobile ids on a 30 m grid, with
 // transmit powers low enough that the power filter (and, where it is live,
-// the spatial index) drops part of every fan-out.
+// range pruning) drops part of every fan-out.
 func wallTopology(m *Medium, n int) {
 	for i, p := range geom.Grid(n, 30, geom.Pt(0, 0)) {
 		m.AddRadio(wallRadio(i, p))
@@ -237,7 +237,7 @@ func TestTransmitDifferentialAllRadios(t *testing.T) {
 			m := New(k, model, src)
 			wallTopology(m, 25)
 			if m.sp.enabled != ch.grid {
-				t.Fatalf("spatial index enabled = %v, want %v", m.sp.enabled, ch.grid)
+				t.Fatalf("range pruning enabled = %v, want %v", m.sp.enabled, ch.grid)
 			}
 			delivered, filtered := uint64(0), 0
 			var memo memoTally

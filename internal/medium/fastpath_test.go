@@ -81,7 +81,7 @@ func wantMisses(t *testing.T, k *sim.Kernel, m *Medium, rise uint64, why string,
 	}
 }
 
-// A receiver far outside detection range is pruned by the spatial index and
+// A receiver far outside detection range is pruned by the range check and
 // never enters the transmitter's row; moving it into range must rebuild the
 // row — once — and resume delivery.
 func TestFanoutRowInvalidation(t *testing.T) {
@@ -95,7 +95,7 @@ func TestFanoutRowInvalidation(t *testing.T) {
 		Mobility: geom.Static{P: geom.Pt(1e7, 0)}, TxPower: 15, Listener: rec,
 	})
 
-	// Only the near radio survives the index, so only its link is computed.
+	// Only the near radio survives the range check, so only its link is computed.
 	wantMisses(t, k, m, 1, "initial build", tx)
 	if len(rec.frames) != 0 {
 		t.Fatalf("radio 10000 km away decoded %d frames", len(rec.frames))
@@ -124,7 +124,7 @@ func TestFanoutRowInvalidation(t *testing.T) {
 	}
 }
 
-// Rows also serve models the spatial index cannot bound (here: shadowing
+// Rows also serve models whose range cannot be bounded (here: shadowing
 // present, loss time-invariant), built from all radios. A static→mobile→
 // static round trip must cost every transmitter exactly one rebuild per
 // step, and a radio keeps receiving while it is mobile.
@@ -145,10 +145,10 @@ func TestFanoutRowShadowedPath(t *testing.T) {
 	far := &recorder{k: k}
 	addStatic(m, "far", 1e7).SetListener(far)
 	if m.sp.enabled {
-		t.Fatal("shadowed model must not enable the spatial index")
+		t.Fatal("shadowed model must not enable range pruning")
 	}
 
-	// Without the index every other static radio is a candidate: 3 each.
+	// Without pruning every other static radio is a candidate: 3 each.
 	wantMisses(t, k, m, 6, "initial build", tx, tx2)
 	rx.SetMobility(geom.Linear{Start: geom.Pt(5, 0), Velocity: geom.Vector{X: 1}})
 	wantMisses(t, k, m, 4, "rx went mobile", tx, tx2)

@@ -7,28 +7,30 @@
 // a Radio observes exactly the signals a driver sees — CCA busy/idle edges,
 // decoded frames with RSSI/SINR metadata, FCS errors and TX completions.
 //
-// # Fan-out rows and the spatial index
+// # Fan-out rows and range pruning
 //
 // Every static transmitter owns a lazily built fan-out row: the
 // ascending-id list of static receivers it can reach, with received power,
 // its linear-milliwatt conversion and propagation delay computed once. A
 // transmission from a static radio is a linear walk over that row, merged
-// in id order with the mobile radios (if any), whose physics is computed
-// per transmission. On channels without fast fading a row holds only the
-// receivers that pass the detection-margin filter; with fast fading it holds
-// every static radio, and the fading gain, the filter and the milliwatt
-// conversion are applied once per coherence block (spectrum.Fading.Block):
-// beside each entry the row remembers the block it last drew in and what
-// came of it. Mobile transmitters compute every link per transmission.
+// in id order with its mobile candidates (if any), whose physics is
+// computed per transmission. On channels without fast fading a row holds
+// only the receivers that pass the detection-margin filter; with fast
+// fading it holds every static radio, and the fading gain, the filter and
+// the milliwatt conversion are applied once per coherence block
+// (spectrum.Fading.Block): beside each entry the row remembers the block it
+// last drew in and what came of it. Mobile transmitters compute every link
+// per transmission.
 //
-// Rows are built from, and mobile transmitters walk, one candidate source:
-// on fading-free channels whose path-loss model can bound detection range
-// (spectrum.RangeBounder) a uniform-grid spatial index, otherwise every
+// Rows are built from, and mobile transmitters walk, one candidate walk
+// over the radios in ascending id: static radios from flat position arrays,
+// mobile ones at their geom.Mobility position at the transmission's start.
+// On fading-free channels whose path-loss model can bound detection range
+// (spectrum.RangeBounder) the walk keeps only radios whose ground distance
+// is within the transmitter's worst-case range; otherwise it keeps every
 // radio. One topology generation — advanced by AddRadio and SetMobility,
-// both of which can change who reaches whom — stales every row and the
-// index; each is rebuilt on next use, while ordinary mobility migrates
-// radios between cells incrementally (once per distinct transmission
-// timestamp, driven by geom.Mobility positions).
+// both of which can change who reaches whom — stales every row, the
+// position arrays and the ranges; each is rebuilt on next use.
 // Pruning is always a conservative superset of the exact per-receiver power
 // filter, and receivers are walked in ascending radio-id order, so delivered
 // arrivals and event order are bit-identical to the all-pairs walk.
@@ -55,7 +57,7 @@
 // in, a mobile transmitter) sorts its own, starting from its transmitter's
 // last, in a buffer sized to the arrivals. Radios point into the arrival
 // slice while an arrival is in flight, so it is sized before the walk to the
-// walk's candidates (row and mobile radios in reach, or grid candidates), and
+// walk's candidates (row entries and the candidates off the row), and
 // a transmission is recycled only when its trailing cursor has walked the
 // last edge.
 package medium
@@ -199,7 +201,7 @@ type Medium struct {
 	FanoutDelivered  uint64 // arrivals actually scheduled
 	LinkCacheHits    uint64 // fan-out row entries served
 	LinkCacheMisses  uint64 // static-pair physics computed while (re)building rows
-	GridMigrations   uint64 // radios moved between spatial-grid cells
+	GridMigrations   uint64 // always zero: the medium keeps no cell index; kept for readers that report it
 
 	// Fast-path state: pooled transmissions/decoded frames.
 	txPool      []*transmission
@@ -208,12 +210,13 @@ type Medium struct {
 	noFast      bool // no fast fading: row power is the exact rx power
 
 	// topoGen is the topology generation: fan-out rows (Radio.row) and the
-	// spatial index are valid only for the generation they were built in.
+	// spatial state are valid only for the generation they were built in.
 	topoGen    uint64
 	rowScratch []fanoutEntry // buildRow scratch: rows are stored at exact size
 	orderSlab  []int32       // what orderRoom has left to hand out
 
-	// sp is the uniform-grid spatial index (see grid.go).
+	// sp is the static and mobile lists and detection ranges the
+	// candidate walk reads (see candidates.go).
 	sp spatial
 }
 
@@ -228,7 +231,7 @@ func New(k *sim.Kernel, model *spectrum.Model, src *rng.Source) *Medium {
 	_, shadowing := model.Shadow.(*spectrum.Shadowing)
 	m.shadowConst = noShadow || shadowing
 	_, m.noFast = model.Fast.(spectrum.NoFading)
-	// The spatial index needs loss to be a pure, invertible function of
+	// Range pruning needs loss to be a pure, invertible function of
 	// distance: no fast fading, no shadowing, and a range-boundable
 	// path-loss model. Shadowing is excluded even though it is
 	// time-invariant — its per-link Gaussian offset is unbounded, so no
@@ -237,7 +240,6 @@ func New(k *sim.Kernel, model *spectrum.Model, src *rng.Source) *Medium {
 		m.sp.bounder = rb
 		m.sp.enabled = true
 	}
-	m.sp.cells = make(map[cellKey][]int32)
 	return m
 }
 
@@ -399,16 +401,10 @@ func (m *Medium) orderRoom(buf []int32, n int) []int32 {
 	return buf[:n]
 }
 
-// arrivalRoom returns t.arrs emptied, with room for every candidate of the
-// walk — row entries, and others within reach2 when it is positive — or a
-// replacement that size (up to its size class), so the walk never grows it.
-func (m *Medium) arrivalRoom(t *transmission, row int, others []*Radio, reach2 float64) []arrival {
-	n := row
-	for _, rx := range others {
-		if reach2 == 0 || m.sp.within(rx.id, t.txPos.X, t.txPos.Y, reach2) {
-			n++
-		}
-	}
+// arrivalRoom returns t.arrs emptied, with room for n arrivals — every
+// candidate of the walk — or a replacement that size (up to its size
+// class), so the walk never grows it.
+func (m *Medium) arrivalRoom(t *transmission, n int) []arrival {
 	t.room = max(t.room, n)
 	if cap(t.arrs) < n {
 		return slices.Grow([]arrival(nil), n)
@@ -492,22 +488,16 @@ func propDelay(d float64) sim.Duration {
 	return sim.Duration(d / units.SpeedOfLight * float64(sim.Second))
 }
 
-// buildRow computes static transmitter r's fan-out row from the candidate
-// source. An entry reproduces the per-transmission computation bit-for-bit:
-// it stores txPower-loss+shadow with the same operation order RxPower uses,
-// and fast fading (when present) is applied per coherence block by fanout.
-func (m *Medium) buildRow(r *Radio, t *transmission, grid bool) {
-	cands := m.radios
-	if grid {
-		cands = m.gridCandidates(r, t)
-	}
+// buildRow computes static transmitter r's fan-out row from its static
+// candidates. An entry reproduces the per-transmission computation
+// bit-for-bit: it stores txPower-loss+shadow with the same operation order
+// RxPower uses, and fast fading (when present) is applied per coherence
+// block by fanout.
+func (m *Medium) buildRow(r *Radio, t *transmission) {
 	row := m.rowScratch[:0]
-	for _, rx := range cands {
-		if rx == r || !rx.static {
-			continue
-		}
+	for _, c := range m.candidates(r, t, true, false) {
+		rx, rxPos := c.rx, c.pos
 		m.LinkCacheMisses++
-		rxPos := rx.mobility.PositionAt(t.start)
 		base := r.txPower.Add(-m.model.PathLoss.Loss(t.txPos, rxPos)).Add(m.model.Shadow.Gain(linkID(r, rx), t.start))
 		if m.noFast && m.tooWeak(base, rx) {
 			continue
@@ -562,10 +552,10 @@ func (m *Medium) transmit(r *Radio, f *frame.Frame, rate phy.RateIdx) sim.Durati
 
 // fanout collects an arrival for every other radio that the power filter
 // keeps, and queues the two cursors that deliver their edges.
-// A static transmitter walks its row, merged in ascending-id order with the
-// mobile radios in range; any other transmitter walks the candidate source.
+// A static transmitter walks its row, merged in ascending-id order with its
+// mobile candidates; any other transmitter walks all its candidates.
 // Links off the row are computed for this transmission. Pruning — the
-// row's build-time filter, the spatial index — only ever drops receivers
+// row's build-time filter, the range check — only ever drops receivers
 // the power filter would drop, and every path keeps ascending-id order, so
 // the arrivals are identical to the full walk.
 //
@@ -577,21 +567,16 @@ func (m *Medium) transmit(r *Radio, f *frame.Frame, rate phy.RateIdx) sim.Durati
 //wlan:hotpath
 func (m *Medium) fanout(r *Radio, t *transmission) {
 	var row []fanoutEntry
-	var fade []fadeSlot   // the row's fast-fading memo, nil without fast fading
-	others := m.radios    // receivers whose link is computed per transmission
-	var reach2 float64    // when positive, others are pruned to this range²
-	grid := m.gridReady() // also brings the mobile list up to date
+	var fade []fadeSlot    // the row's fast-fading memo, nil without fast fading
+	var others []candidate // receivers whose link is computed per transmission
+	m.spatialReady()
 	if r.static && m.shadowConst {
 		if r.rowGen != m.topoGen {
-			m.buildRow(r, t, grid)
+			m.buildRow(r, t)
 		}
-		row, fade, others = r.row, r.rowFade, m.sp.mobile
-		if grid {
-			m.refreshPositions(t.start)
-			reach2 = m.sp.rangeM[r.id] * m.sp.rangeM[r.id]
-		}
-	} else if grid {
-		others = m.gridCandidates(r, t)
+		row, fade, others = r.row, r.rowFade, m.candidates(r, t, false, true)
+	} else {
+		others = m.candidates(r, t, true, true)
 	}
 	fadeKey := m.model.Fast.Block(t.start) + 1 // t.start's coherence block, as fade keys it
 	var refLoss units.DB                       // the transmitter's share of the path loss to each of others
@@ -599,15 +584,14 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 		refLoss = m.model.RefLoss(t.txPos)
 	}
 	m.LinkCacheHits += uint64(len(row))
-	m.FanoutCandidates += uint64(len(row))
-	arrs := m.arrivalRoom(t, len(row), others, reach2)
-	offRow := 0 // arrivals that did not come from the row
+	m.FanoutCandidates += uint64(len(row) + len(others))
+	arrs := m.arrivalRoom(t, len(row)+len(others))
 	for i, j := 0, 0; i < len(row) || j < len(others); {
 		var rx *Radio
 		var power units.DBm
 		var powerMW float64
 		var delay sim.Duration
-		if j == len(others) || i < len(row) && row[i].rx() < others[j].id {
+		if j == len(others) || i < len(row) && row[i].rx() < others[j].rx.id {
 			e := &row[i]
 			i++
 			rx, power, powerMW, delay = m.radios[e.rx()], e.power, e.powerMW, e.delay()
@@ -624,20 +608,15 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 				}
 			}
 		} else {
-			rx = others[j]
+			c := &others[j]
 			j++
-			if rx == r || reach2 > 0 && !m.sp.within(rx.id, t.txPos.X, t.txPos.Y, reach2) {
-				continue
-			}
-			m.FanoutCandidates++
-			offRow++
-			rxPos := rx.mobility.PositionAt(t.start)
-			power = m.model.RxPowerFrom(r.txPower, refLoss, t.txPos, rxPos, linkID(r, rx), t.start)
+			rx = c.rx
+			power = m.model.RxPowerFrom(r.txPower, refLoss, t.txPos, c.pos, linkID(r, rx), t.start)
 			if m.tooWeak(power, rx) {
 				continue
 			}
 			powerMW = linearOrZero(power)
-			delay = propDelay(t.txPos.Distance(rxPos))
+			delay = propDelay(t.txPos.Distance(c.pos))
 		}
 		arrs = append(arrs, arrival{t: t, rx: rx, power: power, powerMW: powerMW, delay: delay})
 	}
@@ -647,7 +626,7 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 		m.putTransmission(t)
 		return
 	}
-	if len(arrs) == len(row) && offRow == 0 {
+	if len(arrs) == len(row) && len(others) == 0 {
 		t.order = r.rowOrder
 	} else {
 		if len(r.lastOwn) != len(arrs) { // nothing to start from but index order

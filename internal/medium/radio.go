@@ -224,7 +224,7 @@ func (r *Radio) Position() geom.Point {
 
 // SetMobility replaces the mobility model. The radio may have entered or
 // left detection range of any transmitter, so every fan-out row and the
-// spatial index go stale.
+// spatial state go stale.
 func (r *Radio) SetMobility(m geom.Mobility) {
 	r.mobility = m
 	_, r.static = m.(geom.Static)

@@ -44,7 +44,6 @@ type MediumMetrics struct {
 	FanoutDelivered  *Counter // arrivals actually scheduled
 	LinkCacheHits    *Counter // fan-out row entries served
 	LinkCacheMisses  *Counter // static links computed while (re)building rows
-	GridMigrations   *Counter // radios moved between grid cells
 }
 
 // Medium is the propagation bundle on the Default registry.
@@ -54,7 +53,6 @@ var Medium = MediumMetrics{
 	FanoutDelivered:  Default.Counter("wlan_medium_fanout_delivered_total", "Arrivals actually scheduled on candidate receivers."),
 	LinkCacheHits:    Default.Counter("wlan_medium_link_cache_hits_total", "Precomputed static links served from transmitters' fan-out rows."),
 	LinkCacheMisses:  Default.Counter("wlan_medium_link_cache_misses_total", "Static links computed while (re)building fan-out rows."),
-	GridMigrations:   Default.Counter("wlan_medium_grid_migrations_total", "Radio migrations between spatial-grid cells."),
 }
 
 // ClusterMetrics is the coordinator-side family that is not per-agent.

@@ -263,7 +263,7 @@ func TestDefaultBundlesRegistered(t *testing.T) {
 		"wlan_sim_event_pool", "wlan_sim_event_pool_free",
 		"wlan_medium_transmissions_total", "wlan_medium_fanout_candidates_total",
 		"wlan_medium_fanout_delivered_total", "wlan_medium_link_cache_hits_total",
-		"wlan_medium_link_cache_misses_total", "wlan_medium_grid_migrations_total",
+		"wlan_medium_link_cache_misses_total",
 		"wlan_cluster_steal_queue_depth", "wlan_cluster_redispatched_total",
 		"wlan_cluster_points_delivered_total",
 		"wlan_agent_chunks_total", "wlan_agent_points_total",

@@ -272,7 +272,7 @@ func TestCompositeModelWithFading(t *testing.T) {
 
 // MaxRange must be a conservative inversion: any distance within the
 // returned range incurs at most maxLoss, and (beyond the near-field
-// clamp) distances past it incur more. The medium's spatial index prunes
+// clamp) distances past it incur more. The medium's candidate walk prunes
 // with this bound, so an optimistic return would silently drop arrivals.
 func TestMaxRangeConservative(t *testing.T) {
 	bounders := []struct {
