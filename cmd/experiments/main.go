@@ -110,6 +110,8 @@ func main() {
 		}
 	})
 	switch {
+	case flag.NArg() > 0: // flag.Parse stops there: later flags would be dropped
+		usage("unexpected argument %q: every option is a flag", flag.Arg(0))
 	case *list && otherFlag != "":
 		usage("-%s shapes a run; -list only prints the experiment index", otherFlag)
 	case *shards < 1:

@@ -61,6 +61,9 @@ func TestRefusedFlagCombinations(t *testing.T) {
 		"-list -experiment ZZ",
 		"-list -quick",
 		"-list -metrics 127.0.0.1:0",
+		"-quick T1 -csv",
+		"T1",
+		"-agent - extra",
 	} {
 		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		cmd := command(t, ctx, strings.Fields(spec)...)

@@ -55,6 +55,8 @@ func main() {
 	err := cfg.Validate()
 	switch {
 	case err != nil:
+	case flag.NArg() > 0: // flag.Parse stops there: later flags would be dropped
+		err = fmt.Errorf("unexpected argument %q: every option is a flag", flag.Arg(0))
 	case *n < 1:
 		err = fmt.Errorf("-n %d: need at least one sending station", *n)
 	case *payload < 1 || *payload > frame.MaxMSDU-frame.SnapHeaderLen:

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"math"
 	"os"
 	"os/exec"
@@ -38,6 +39,31 @@ func wlansim(t *testing.T, args ...string) string {
 		t.Fatalf("wlansim %v: %v\n%s", args, err, stderr.String())
 	}
 	return string(out)
+}
+
+// TestPositionalArgumentRefused: flag.Parse stops at the first non-flag,
+// so a stray argument is one line on stderr and exit status 2 instead of a
+// run that silently drops every flag after it.
+func TestPositionalArgumentRefused(t *testing.T) {
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{"3", "-n", "1", "-duration", "100ms"}, {"-n", "1", "-duration", "100ms", "x"}} {
+		cmd := exec.Command(self, args...)
+		cmd.Env = append(os.Environ(), asMainEnv+"=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("wlansim %v: %v, want exit status 2", args, err)
+			continue
+		}
+		if lines := strings.Count(stderr.String(), "\n"); lines != 1 || stdout.Len() != 0 {
+			t.Errorf("wlansim %v: stdout %q, stderr %q; want one line on stderr only", args, stdout.String(), stderr.String())
+		}
+	}
 }
 
 // TestGoodputOverMeasuredDuration: a flow's Mbit/s is its delivered

@@ -29,6 +29,10 @@ func main() {
 		summary    = flag.Bool("summary", false, "print a per-kind count table instead of per-event lines")
 	)
 	flag.Parse()
+	if flag.NArg() > 1 { // flag.Parse stops at the file: later flags would be dropped
+		fmt.Fprintf(os.Stderr, "wlantrace: %d arguments: want at most one trace file, after every flag\n", flag.NArg())
+		os.Exit(2)
+	}
 
 	var in io.Reader = os.Stdin
 	if flag.NArg() > 0 {

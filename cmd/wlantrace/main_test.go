@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"os"
 	"os/exec"
@@ -115,6 +116,35 @@ func summaryTable(kinds []string) string {
 	}
 	fmt.Fprintf(&b, "%-8s %d\n", "total", len(kinds))
 	return b.String()
+}
+
+// TestSecondArgumentRefused: flag.Parse stops at the trace file, so flags
+// after it, or a second file, are one line on stderr and exit status 2
+// instead of being dropped.
+func TestSecondArgumentRefused(t *testing.T) {
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "empty.jsonl")
+	if err := os.WriteFile(path, nil, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, args := range [][]string{{path, "-summary"}, {path, path}} {
+		cmd := exec.Command(self, args...)
+		cmd.Env = append(os.Environ(), asMainEnv+"=1")
+		var stdout, stderr bytes.Buffer
+		cmd.Stdout, cmd.Stderr = &stdout, &stderr
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() != 2 {
+			t.Errorf("wlantrace %v: %v, want exit status 2", args, err)
+			continue
+		}
+		if lines := strings.Count(stderr.String(), "\n"); lines != 1 || stdout.Len() != 0 {
+			t.Errorf("wlantrace %v: stdout %q, stderr %q; want one line on stderr only", args, stdout.String(), stderr.String())
+		}
+	}
 }
 
 // TestSummaryOfSimTrace: -summary counts every event of a simulator

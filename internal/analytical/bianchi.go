@@ -104,6 +104,3 @@ func PureAlohaS(g float64) float64 { return g * math.Exp(-2*g) }
 
 // SlottedAlohaS returns the slotted-ALOHA law S = G·e^{-G}.
 func SlottedAlohaS(g float64) float64 { return g * math.Exp(-g) }
-
-// TDMAS returns the ideal TDMA law S = min(G, 1).
-func TDMAS(g float64) float64 { return math.Min(g, 1) }

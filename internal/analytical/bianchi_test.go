@@ -134,7 +134,4 @@ func TestAlohaLaws(t *testing.T) {
 	if PureAlohaS(0.1) >= PureAlohaS(0.5) || PureAlohaS(2) >= PureAlohaS(0.5) {
 		t.Error("pure ALOHA not unimodal around 0.5")
 	}
-	if TDMAS(0.5) != 0.5 || TDMAS(3) != 1 {
-		t.Error("TDMA law wrong")
-	}
 }

@@ -3,9 +3,8 @@
 // connection refusals, mid-stream drops after N bytes, stalls, and delayed
 // writes. The schedule is a pure function of (seed, accepted-connection
 // index) — two processes wrapping their listeners with the same seed
-// impose bit-for-bit the same fault plan on their nth connection, and
-// Describe renders that plan without opening a socket, so a chaos run is
-// reproducible and its schedule is printable up front.
+// impose bit-for-bit the same fault plan on their nth connection, so a
+// chaos run is reproducible.
 //
 // faultnet sits on the agent side (wrap the listener an Agent serves), so
 // write faults hit shard responses mid-stream — the hardest case for the
@@ -17,7 +16,6 @@ package faultnet
 import (
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 )
@@ -117,18 +115,6 @@ func PlanFor(seed int64, n int) Plan {
 	}
 }
 
-// Describe renders the fault schedule for the first n connections under
-// seed, one line per connection. Byte-identical output across runs with
-// the same arguments is what the determinism test pins.
-func Describe(seed int64, n int) string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "# chaos v1 seed=%d conns=%d\n", seed, n)
-	for i := 0; i < n; i++ {
-		fmt.Fprintf(&b, "conn %d: %s\n", i, PlanFor(seed, i))
-	}
-	return b.String()
-}
-
 // Listener wraps an inner listener, imposing PlanFor(seed, i) on the ith
 // accepted connection. Safe for concurrent Accept.
 type Listener struct {
@@ -145,9 +131,8 @@ func Wrap(ln net.Listener, seed int64) *Listener {
 	return &Listener{inner: ln, seed: seed}
 }
 
-// Accepted reports how many connections have been accepted so far — the
-// argument Describe needs to render the schedule a finished run actually
-// used.
+// Accepted reports how many connections have been accepted so far: a
+// finished run used PlanFor(seed, i) for every i below it.
 func (l *Listener) Accepted() int {
 	l.mu.Lock()
 	defer l.mu.Unlock()

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"io"
 	"net"
-	"strings"
 	"testing"
 	"time"
 )
@@ -17,14 +16,12 @@ func TestScheduleDeterministic(t *testing.T) {
 			t.Fatalf("PlanFor(7, %d) unstable: %v vs %v", n, a, b)
 		}
 	}
-	if a, b := Describe(7, 64), Describe(7, 64); a != b {
-		t.Fatal("Describe(7, 64) is not reproducible")
+	differ := false
+	for n := 0; n < 64; n++ {
+		differ = differ || PlanFor(7, n) != PlanFor(8, n)
 	}
-	if Describe(7, 64) == Describe(8, 64) {
-		t.Error("seeds 7 and 8 produced identical schedules")
-	}
-	if !strings.HasPrefix(Describe(7, 4), "# chaos v1 seed=7 conns=4\n") {
-		t.Errorf("Describe header malformed:\n%s", Describe(7, 4))
+	if !differ {
+		t.Error("seeds 7 and 8 produced identical schedules over 64 connections")
 	}
 }
 

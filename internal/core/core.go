@@ -65,10 +65,9 @@ type Config struct {
 	CWmin, CWmax  int
 	QueueCap      int
 
-	// Capture enables physical-layer capture at every radio.
-	Capture bool
-	// CaptureMarginDB overrides the 10 dB default capture margin (negative,
-	// NaN or infinite: refused).
+	// CaptureMarginDB is the power advantage a later frame needs to steal a
+	// receiver's lock: above 0 it enables physical-layer capture at every
+	// radio, 0 means no capture (negative, NaN or infinite: refused).
 	CaptureMarginDB float64
 	// ShortPreamble selects the short DSSS preamble where the mode
 	// supports it (802.11b).
@@ -161,7 +160,7 @@ func (c Config) resolve() (s specs, err error) {
 	} else if err == nil && (!(c.ShadowSigmaDB >= 0) || math.IsInf(c.ShadowSigmaDB, 1)) {
 		err = fmt.Errorf("core: bad shadowing sigma %v dB: want a positive deviation, or 0 for none", c.ShadowSigmaDB)
 	} else if err == nil && (!(c.CaptureMarginDB >= 0) || math.IsInf(c.CaptureMarginDB, 1)) {
-		err = fmt.Errorf("core: bad capture margin %v dB: want a positive margin, or 0 for 10 dB", c.CaptureMarginDB)
+		err = fmt.Errorf("core: bad capture margin %v dB: want a positive margin, or 0 for no capture", c.CaptureMarginDB)
 	} else if p := float64(c.TxPower); err == nil && (math.IsNaN(p) || math.IsInf(p, 0)) {
 		err = fmt.Errorf("core: bad transmit power %v dBm: want a finite level", p)
 	} else if err == nil && min(c.QueueCap, c.CWmin, c.CWmax, c.RTSThreshold, c.FragThreshold) < 0 {
@@ -178,8 +177,8 @@ func (c Config) resolve() (s specs, err error) {
 
 // Validate reports the first Mode, Fading or RateAdapt spec that does not
 // parse, a negative FadingCoherence, ShadowSigmaDB or MAC override, a TxPower
-// or CaptureMarginDB that is not finite, a negative CaptureMarginDB, or CWmin
-// above CWmax — the error NewNetwork panics
+// or CaptureMarginDB that is not finite, a negative CaptureMarginDB (0 is no
+// capture), or CWmin above CWmax — the error NewNetwork panics
 // with. Commands taking those from a user call it first.
 func (c Config) Validate() error {
 	_, err := c.resolve()
@@ -342,12 +341,11 @@ func (n *Network) claimName(name string) {
 func (n *Network) newStack(name string, mob geom.Mobility, opts NodeOpts) (*medium.Radio, *mac.DCF) {
 	n.claimName(name)
 	r := n.medium.AddRadio(medium.RadioConfig{
-		Name:           name,
-		Mode:           n.mode,
-		Mobility:       mob,
-		TxPower:        n.cfg.TxPower,
-		CaptureEnabled: n.cfg.Capture,
-		CaptureMargin:  units.DB(n.cfg.CaptureMarginDB),
+		Name:          name,
+		Mode:          n.mode,
+		Mobility:      mob,
+		TxPower:       n.cfg.TxPower,
+		CaptureMargin: units.DB(n.cfg.CaptureMarginDB),
 	})
 	d := mac.New(n.kernel, r, mac.Config{
 		Address:       n.alloc.Next(),
@@ -403,13 +401,7 @@ func (n *Network) AddMobileStation(name string, mob geom.Mobility, cfg net80211.
 // AddAdhoc creates an IBSS node (also the workhorse for pure-MAC
 // experiments: no association overhead).
 func (n *Network) AddAdhoc(name string, at geom.Point) *Node {
-	return n.AddAdhocRate(name, at, "")
-}
-
-// AddAdhocRate creates an IBSS node with a per-node rate-adaptation
-// override (e.g. a deliberately slow station in anomaly experiments).
-func (n *Network) AddAdhocRate(name string, at geom.Point, rateSpec string) *Node {
-	return n.AddAdhocOpts(name, at, NodeOpts{RateAdapt: rateSpec})
+	return n.AddAdhocOpts(name, at, NodeOpts{})
 }
 
 // NodeOpts carries per-node overrides of the network-wide MAC defaults.
@@ -490,18 +482,14 @@ func (n *Network) Saturate(src, dst *Node, size int) uint32 {
 
 // CBR attaches a constant-bit-rate flow.
 func (n *Network) CBR(src, dst *Node, size int, interval sim.Duration) uint32 {
-	n.nextFlow++
-	id := n.nextFlow
-	dstAddr := dst.Address()
-	g := traffic.NewCBR(n.kernel, id, size, interval, func(p []byte) bool {
-		return src.Send(dstAddr, p)
-	})
-	n.gens = append(n.gens, g)
-	return id
+	return n.cbr(src, dst.Address(), size, interval)
 }
 
-// Poisson attaches a Poisson flow at pktPerSec.
+// Poisson attaches a Poisson flow at pktPerSec, positive and finite.
 func (n *Network) Poisson(src, dst *Node, size int, pktPerSec float64) uint32 {
+	if !(pktPerSec > 0) || math.IsInf(pktPerSec, 1) {
+		panic(fmt.Sprintf("core: bad Poisson rate %v packets/s: want a positive, finite rate", pktPerSec))
+	}
 	n.nextFlow++
 	id := n.nextFlow
 	dstAddr := dst.Address()
@@ -515,10 +503,19 @@ func (n *Network) Poisson(src, dst *Node, size int, pktPerSec float64) uint32 {
 
 // Broadcast attaches a CBR broadcast flow from src.
 func (n *Network) Broadcast(src *Node, size int, interval sim.Duration) uint32 {
+	return n.cbr(src, frame.Broadcast, size, interval)
+}
+
+// cbr attaches a CBR flow from src to dst. An interval that is not positive
+// panics: the source would reschedule itself at the same instant forever.
+func (n *Network) cbr(src *Node, dst frame.MACAddr, size int, interval sim.Duration) uint32 {
+	if interval <= 0 {
+		panic(fmt.Sprintf("core: bad CBR interval %v: want a positive interval", interval))
+	}
 	n.nextFlow++
 	id := n.nextFlow
 	g := traffic.NewCBR(n.kernel, id, size, interval, func(p []byte) bool {
-		return src.Send(frame.Broadcast, p)
+		return src.Send(dst, p)
 	})
 	n.gens = append(n.gens, g)
 	return id

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"repro/internal/geom"
+	"repro/internal/medium"
 	"repro/internal/net80211"
 	"repro/internal/sim"
 	"repro/internal/spectrum"
@@ -57,7 +58,7 @@ func TestConfigVariants(t *testing.T) {
 		{Mode: "802.11a", RateAdapt: "minstrel", Fading: "rayleigh"},
 		{Mode: "802.11g", RateAdapt: "arf", Fading: "rician:8"},
 		{Mode: "802.11", RateAdapt: "fixed:0", ShadowSigmaDB: 4},
-		{Mode: "802.11b", RateAdapt: "samplerate", Capture: true},
+		{Mode: "802.11b", RateAdapt: "samplerate", CaptureMarginDB: 10},
 		{Mode: "802.11b", RateAdapt: "aarf", RTSThreshold: 500, FragThreshold: 1000},
 	} {
 		net := NewNetwork(cfg)
@@ -87,10 +88,10 @@ var badConfigs = []struct {
 	{Config{ShadowSigmaDB: -4}, `bad shadowing sigma -4 dB`},
 	{Config{ShadowSigmaDB: math.NaN()}, `bad shadowing sigma NaN dB`},
 	{Config{ShadowSigmaDB: math.Inf(1)}, `bad shadowing sigma +Inf dB`},
-	{Config{Capture: true, CaptureMarginDB: math.NaN()}, `bad capture margin NaN dB`},
-	{Config{Capture: true, CaptureMarginDB: math.Inf(1)}, `bad capture margin +Inf dB`},
-	{Config{Capture: true, CaptureMarginDB: math.Inf(-1)}, `bad capture margin -Inf dB`},
-	{Config{Capture: true, CaptureMarginDB: -3}, `bad capture margin -3 dB`},
+	{Config{CaptureMarginDB: math.NaN()}, `bad capture margin NaN dB`},
+	{Config{CaptureMarginDB: math.Inf(1)}, `bad capture margin +Inf dB`},
+	{Config{CaptureMarginDB: math.Inf(-1)}, `bad capture margin -Inf dB`},
+	{Config{CaptureMarginDB: -3}, `bad capture margin -3 dB`},
 	{Config{TxPower: units.DBm(math.NaN())}, `bad transmit power NaN dBm`},
 	{Config{TxPower: units.DBm(math.Inf(1))}, `bad transmit power +Inf dBm`},
 	{Config{TxPower: units.DBm(math.Inf(-1))}, `bad transmit power -Inf dBm`},
@@ -127,7 +128,7 @@ func TestConfigValidate(t *testing.T) {
 	}
 	good = append(good, Config{Mode: "802.11g", RateAdapt: "fixed:7"},
 		Config{QueueCap: 1, CWmin: 1023, RTSThreshold: 1, FragThreshold: 256}, Config{CWmin: 7, CWmax: 7}, Config{TxPower: -20},
-		Config{Capture: true}, Config{Capture: true, CaptureMarginDB: 3}, Config{Capture: true, CaptureMarginDB: 30})
+		Config{CaptureMarginDB: 10}, Config{CaptureMarginDB: 3}, Config{CaptureMarginDB: 30})
 	for _, cfg := range good {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
@@ -150,9 +151,79 @@ func TestBadConfigsPanic(t *testing.T) {
 		}
 	}
 	for _, spec := range []string{"magic", "fixed:x", "fixed:4"} {
-		if panicOf(func() { NewNetwork(Config{}).AddAdhocRate("a", geom.Pt(0, 0), spec) }) == nil {
+		if panicOf(func() { NewNetwork(Config{}).AddAdhocOpts("a", geom.Pt(0, 0), NodeOpts{RateAdapt: spec}) }) == nil {
 			t.Errorf("per-node rate spec %q did not panic", spec)
 		}
+	}
+}
+
+// A flow whose source would reschedule itself at the same instant forever
+// is refused when it is attached, before anything runs.
+func TestBadFlowPanics(t *testing.T) {
+	net := NewNetwork(Config{})
+	a, b := net.AddAdhoc("a", geom.Pt(0, 0)), net.AddAdhoc("b", geom.Pt(5, 0))
+	for i, attach := range []func(){
+		func() { net.CBR(a, b, 100, 0) },
+		func() { net.CBR(a, b, 100, -sim.Millisecond) },
+		func() { net.Broadcast(a, 100, 0) },
+		func() { net.Broadcast(a, 100, -1) },
+		func() { net.Poisson(a, b, 100, 0) },
+		func() { net.Poisson(a, b, 100, -5) },
+		func() { net.Poisson(a, b, 100, math.NaN()) },
+		func() { net.Poisson(a, b, 100, math.Inf(1)) },
+	} {
+		func() {
+			defer func() {
+				if msg, _ := recover().(string); !strings.HasPrefix(msg, "core: bad ") {
+					t.Errorf("case %d panicked with %q, want a \"core: bad …\" message", i, msg)
+				}
+			}()
+			attach()
+		}()
+	}
+	if len(net.Generators()) != 0 {
+		t.Errorf("%d flows attached by refused calls", len(net.Generators()))
+	}
+}
+
+// A capture margin alone turns capture on: F9's near/far topology (hidden
+// senders 25 dB apart at the sink) run with CaptureMarginDB 10 gives the
+// sink exactly the counters it had when capture needed a separate switch
+// beside the margin. Without capture the far sender gets frames through.
+func TestCaptureMarginAloneEnablesCapture(t *testing.T) {
+	posSink, posNear, posFar := geom.Pt(0, 0), geom.Pt(5, 0), geom.Pt(40, 0)
+	names := map[geom.Point]string{posSink: "sink", posNear: "near", posFar: "far"}
+	pl := spectrum.MatrixLoss{
+		Default: 70,
+		Pairs: map[string]units.DB{
+			spectrum.PairKey("near", "sink"): 60, spectrum.PairKey("sink", "near"): 60,
+			spectrum.PairKey("far", "sink"): 85, spectrum.PairKey("sink", "far"): 85,
+			spectrum.PairKey("near", "far"): 200, spectrum.PairKey("far", "near"): 200,
+		},
+		Resolver: func(p geom.Point) string { return names[p] },
+	}
+	run := func(margin float64) (medium.RadioStats, [2]uint64) {
+		net := NewNetwork(Config{Seed: 900, CaptureMarginDB: margin, PathLoss: pl})
+		sink := net.AddAdhoc("sink", posSink)
+		near := net.AddAdhoc("near", posNear)
+		far := net.AddAdhoc("far", posFar)
+		flows := [2]uint32{net.Saturate(near, sink, 1000), net.Saturate(far, sink, 1000)}
+		net.Run(500 * sim.Millisecond)
+		var got [2]uint64
+		for i, id := range flows {
+			if fs := net.FlowStats(id); fs != nil {
+				got[i] = fs.Received
+			}
+		}
+		return sink.Radio.Stats, got
+	}
+	want := medium.RadioStats{TxFrames: 320, TxAirtime: 79360 * sim.Microsecond, RxFrames: 320,
+		RxAirtime: 302545600 * sim.Nanosecond, RxOverlaps: 77}
+	if st, rx := run(10); st != want || rx != [2]uint64{320, 0} {
+		t.Errorf("margin 10: sink %+v, near/far received %v; want %+v, [320 0]", st, rx, want)
+	}
+	if _, rx := run(0); rx[1] == 0 {
+		t.Errorf("margin 0: near/far received %v; the far sender should get through without capture", rx)
 	}
 }
 
@@ -305,7 +376,7 @@ func TestAdhocRateOverride(t *testing.T) {
 	net := NewNetwork(Config{Seed: 23, RateAdapt: "fixed:3", PathLoss: spectrum.FreeSpace{Freq: 2412 * units.MHz}})
 	sink := net.AddAdhoc("sink", geom.Pt(0, 0))
 	fast := net.AddAdhoc("fast", geom.Pt(5, 0))
-	slow := net.AddAdhocRate("slow", geom.Pt(0, 5), "fixed:0")
+	slow := net.AddAdhocOpts("slow", geom.Pt(0, 5), NodeOpts{RateAdapt: "fixed:0"})
 	ff := net.Saturate(fast, sink, 1000)
 	fs := net.Saturate(slow, sink, 1000)
 	net.Run(1 * sim.Second)

@@ -25,9 +25,6 @@ type MACAddr [6]byte
 // Broadcast is the all-ones broadcast address.
 var Broadcast = MACAddr{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
-// IsBroadcast reports whether a is the broadcast address.
-func (a MACAddr) IsBroadcast() bool { return a == Broadcast }
-
 // IsGroup reports whether a is a group (multicast or broadcast) address.
 func (a MACAddr) IsGroup() bool { return a[0]&0x01 != 0 }
 

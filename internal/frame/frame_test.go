@@ -248,14 +248,14 @@ func TestSNAP(t *testing.T) {
 }
 
 func TestAddrHelpers(t *testing.T) {
-	if !Broadcast.IsBroadcast() || !Broadcast.IsGroup() {
+	if !Broadcast.IsGroup() {
 		t.Error("broadcast flags wrong")
 	}
-	if addrA.IsBroadcast() || addrA.IsGroup() {
+	if addrA.IsGroup() {
 		t.Error("unicast misdetected")
 	}
 	multicast := MACAddr{0x01, 0, 0x5e, 0, 0, 1}
-	if !multicast.IsGroup() || multicast.IsBroadcast() {
+	if !multicast.IsGroup() {
 		t.Error("multicast flags wrong")
 	}
 	if !(MACAddr{}).IsZero() || addrA.IsZero() {

@@ -81,7 +81,7 @@ func gridA2(quick bool) *Grid {
 	return &Grid{Table: t, N: len(margins), Point: single(func(i int) []string {
 		margin := margins[i]
 		net := core.NewNetwork(core.Config{
-			Seed: 1500, Capture: true, CaptureMarginDB: margin, PathLoss: pl,
+			Seed: 1500, CaptureMarginDB: margin, PathLoss: pl,
 		})
 		sink := net.AddAdhoc("sink", posSink)
 		near := net.AddAdhoc("near", posNear)

@@ -79,7 +79,7 @@ func gridF5(quick bool) *Grid {
 			flows = append(flows, net.Saturate(s, sink, 1000))
 		}
 		if withSlow {
-			slow := net.AddAdhocRate("slow", pts[3], "fixed:0") // pinned to 1 Mbit/s
+			slow := net.AddAdhocOpts("slow", pts[3], core.NodeOpts{RateAdapt: "fixed:0"}) // pinned to 1 Mbit/s
 			flows = append(flows, net.Saturate(slow, sink, 1000))
 		}
 		net.Run(dur)

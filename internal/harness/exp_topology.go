@@ -102,8 +102,9 @@ func gridF9(quick bool) *Grid {
 	}
 
 	return &Grid{Table: t, N: 2, Point: single(func(i int) []string {
-		capture := i == 1
-		net := core.NewNetwork(core.Config{Seed: 900, Capture: capture, PathLoss: pl})
+		margin := [...]float64{0, 10}[i] // capture off, then on at 10 dB
+		capture := margin > 0
+		net := core.NewNetwork(core.Config{Seed: 900, CaptureMarginDB: margin, PathLoss: pl})
 		sink := net.AddAdhoc("sink", posSink)
 		near := net.AddAdhoc("near", posNear)
 		far := net.AddAdhoc("far", posFar)

@@ -48,7 +48,7 @@ func goldenAdhoc() []string {
 	for i, spec := range specs {
 		ang := 2 * math.Pi * float64(i) / float64(len(specs))
 		r := 25 + 15*float64(i)
-		s := net.AddAdhocRate(fmt.Sprintf("sta%d", i), geom.Pt(r*math.Cos(ang), r*math.Sin(ang)), spec)
+		s := net.AddAdhocOpts(fmt.Sprintf("sta%d", i), geom.Pt(r*math.Cos(ang), r*math.Sin(ang)), core.NodeOpts{RateAdapt: spec})
 		flows[i] = net.Saturate(s, sink, 1000)
 	}
 	net.Run(2 * sim.Second)
@@ -75,13 +75,13 @@ func goldenAdhoc() []string {
 // (scan/auth/assoc), the PS-Poll cycle and the capture/SINR paths.
 func goldenInfra() []string {
 	net := core.NewNetwork(core.Config{
-		Seed:          9,
-		Mode:          "802.11b",
-		RateAdapt:     "samplerate",
-		ShadowSigmaDB: 3,
-		ShortPreamble: true,
-		Capture:       true,
-		PathLoss:      spectrum.FreeSpace{Freq: 2412 * units.MHz},
+		Seed:            9,
+		Mode:            "802.11b",
+		RateAdapt:       "samplerate",
+		ShadowSigmaDB:   3,
+		ShortPreamble:   true,
+		CaptureMarginDB: 10,
+		PathLoss:        spectrum.FreeSpace{Freq: 2412 * units.MHz},
 	})
 	ap := net.AddAP("ap0", geom.Pt(0, 0), net80211.APConfig{SSID: "lab"})
 	dists := []float64{12, 30, 55, 80}

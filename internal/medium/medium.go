@@ -256,11 +256,10 @@ type RadioConfig struct {
 	Mobility geom.Mobility
 	TxPower  units.DBm
 	// CaptureMargin is the power advantage a later frame needs to steal the
-	// receiver lock. Zero disables capture unless CaptureEnabled is set
-	// with the default 10 dB margin.
-	CaptureMargin  units.DB
-	CaptureEnabled bool
-	Listener       Listener
+	// receiver lock: capture is on when it is above zero, and zero means
+	// no capture.
+	CaptureMargin units.DB
+	Listener      Listener
 }
 
 // Every radio's receiver noise figure and energy-detect busy threshold.
@@ -280,9 +279,6 @@ func (m *Medium) AddRadio(cfg RadioConfig) *Radio {
 	if cfg.Mobility == nil {
 		cfg.Mobility = geom.Static{}
 	}
-	if cfg.CaptureEnabled && cfg.CaptureMargin == 0 {
-		cfg.CaptureMargin = 10
-	}
 	if cfg.Listener == nil {
 		cfg.Listener = NopListener{}
 	}
@@ -295,7 +291,6 @@ func (m *Medium) AddRadio(cfg RadioConfig) *Radio {
 		txPower:     cfg.TxPower,
 		noiseFloor:  cfg.Mode.NoiseFloorDBm(noiseFigure),
 		csThreshMW:  csThreshold.MilliWatt(),
-		capture:     cfg.CaptureEnabled,
 		capMargin:   cfg.CaptureMargin,
 		listener:    cfg.Listener,
 		rng:         m.rng.Split("radio:" + cfg.Name),

@@ -123,7 +123,7 @@ func TestCaptureStrongLateFrame(t *testing.T) {
 	rec := &recorder{k: k}
 	m.AddRadio(RadioConfig{
 		Name: "rx", Mode: phy.Mode80211b(), Mobility: geom.Static{P: geom.Pt(0, 0)},
-		TxPower: 15, CaptureEnabled: true, Listener: rec,
+		TxPower: 15, CaptureMargin: 10, Listener: rec,
 	})
 
 	// Weak frame starts first; strong frame starts 100 µs later and is

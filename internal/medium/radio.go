@@ -173,10 +173,9 @@ type Radio struct {
 	txPower  units.DBm
 
 	noiseFloor   units.DBm
-	noiseFloorMW float64 // noiseFloor in linear mW, converted once
-	csThreshMW   float64 // csThreshold in linear mW, converted once
-	capture      bool
-	capMargin    units.DB
+	noiseFloorMW float64  // noiseFloor in linear mW, converted once
+	csThreshMW   float64  // csThreshold in linear mW, converted once
+	capMargin    units.DB // capture margin; 0 means no capture
 
 	listener Listener
 	rng      *rng.Source
@@ -360,7 +359,7 @@ func (r *Radio) arrivalStart(a *arrival) {
 		}
 	default:
 		r.Stats.RxOverlaps++
-		if r.capture && a.power >= r.lock.power.Add(r.capMargin) {
+		if r.capMargin > 0 && a.power >= r.lock.power.Add(r.capMargin) {
 			// Capture: the stronger late frame steals the receiver.
 			r.closeSegment()
 			r.beginLock(a)

@@ -370,7 +370,7 @@ func tinyWorkloads() []auditOp {
 	// dozing stations are the power-save path under contention.
 	ops = append(ops, auditOp{"power-save cell", 0, func(uint64) (*core.Network, sim.Duration) {
 		net := core.NewNetwork(core.Config{Seed: 9, Mode: "802.11b", RateAdapt: "samplerate",
-			ShadowSigmaDB: 3, ShortPreamble: true, Capture: true,
+			ShadowSigmaDB: 3, ShortPreamble: true, CaptureMarginDB: 10,
 			PathLoss: spectrum.FreeSpace{Freq: 2412 * units.MHz}})
 		ap := net.AddAP("ap0", geom.Pt(0, 0), net80211.APConfig{SSID: "lab"})
 		for i, d := range []float64{12, 30, 55, 80} {
@@ -381,16 +381,15 @@ func tinyWorkloads() []auditOp {
 		}
 		return net, 2900 * sim.Millisecond
 	}})
-	// Not a benchmark workload either: a burst of stations that active-scan
-	// one AP, switched on 0.3 ms apart — less than a probe request's
-	// airtime — so its probe responses queue behind each other. (Switched
-	// on at one instant, the DCF sends every first probe at once and they
-	// all collide.)
-	ops = append(ops, auditOp{"probe burst", 0, func(uint64) (*core.Network, sim.Duration) {
+	// Not a benchmark workload either: a burst of stations that scan for
+	// one AP, switched on 0.3 ms apart, so their authentication and
+	// association exchanges contend for the AP at once. TestSimcheckWorkloads
+	// holds every one of them to associating.
+	ops = append(ops, auditOp{"join burst", 0, func(uint64) (*core.Network, sim.Duration) {
 		net := core.NewNetwork(core.Config{Seed: 11, Mode: "802.11b"})
 		net.AddAP("ap0", geom.Pt(0, 0), net80211.APConfig{SSID: "burst"})
 		for i, p := range geom.Circle(8, 10, geom.Pt(0, 0)) {
-			net.AddStation(fmt.Sprintf("sta%d", i), p, net80211.STAConfig{SSID: "burst", ActiveScan: true})
+			net.AddStation(fmt.Sprintf("sta%d", i), p, net80211.STAConfig{SSID: "burst"})
 			net.Run(300 * sim.Microsecond)
 		}
 		return net, 400 * sim.Millisecond
@@ -400,7 +399,7 @@ func tinyWorkloads() []auditOp {
 
 // TestSimcheckWorkloads runs the audit over every op of the four benchmark
 // simulation workloads at -scale tiny, seed 1, over a power-save cell and
-// over a burst of active scans on one AP.
+// over a burst of joins on one AP, where every station must associate.
 func TestSimcheckWorkloads(t *testing.T) {
 	all := auditNetworks(t)
 	for _, op := range tinyWorkloads() {
@@ -410,6 +409,11 @@ func TestSimcheckWorkloads(t *testing.T) {
 		c := (*all)[len(*all)-1]
 		c.flush()
 		t.Logf("%s: %d events, %d radio changes audited", op.name, net.Kernel().Processed(), c.edges)
+		for _, n := range net.Nodes() {
+			if op.name == "join burst" && n.STA != nil && !n.STA.Associated() {
+				t.Errorf("%s: %s never associated", op.name, n.Name)
+			}
+		}
 	}
 }
 

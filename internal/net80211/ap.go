@@ -48,16 +48,9 @@ type APConfig struct {
 	SSID string
 	// BeaconInterval defaults to 100 TU.
 	BeaconInterval sim.Duration
-	// DTIMPeriod defaults to 1 (every beacon is a DTIM).
-	DTIMPeriod int
 	// WEPKey enables privacy: shared-key authentication and WEP-sealed
 	// data bodies.
 	WEPKey wep.Key
-	// WEPKeyID is the key slot (0-3) stamped into sealed frames and
-	// required of received ones; a frame carrying a different key ID
-	// counts as a decrypt error instead of being decrypted with the wrong
-	// key and failing on the ICV by luck.
-	WEPKeyID byte
 	// PSBufferCap bounds the per-station power-save buffer (default 32).
 	PSBufferCap int
 }
@@ -103,14 +96,14 @@ type AP struct {
 
 	port *ether.Port
 
-	dtimCount int
 	// codec builds every body the AP sends and opens every one it
 	// receives, so steady-state bridging is allocation-free.
 	codec bodyCodec
 	// rates is the supported-rates IE, fixed at construction (the mode
-	// never changes); beaconTIM is the reusable TIM scratch. Together with
-	// AppendBeacon into the codec's scratch they make beaconing — the one
-	// thing an idle BSS does — allocation-free.
+	// never changes); beaconTIM is the reusable TIM scratch, DTIM count 0
+	// and period 1 (every beacon is a DTIM). Together with AppendBeacon into
+	// the codec's scratch they make beaconing — the one thing an idle BSS
+	// does — allocation-free.
 	rates     []byte
 	beaconTIM frame.TIM
 
@@ -129,9 +122,6 @@ func NewAP(k *sim.Kernel, dcf *mac.DCF, cfg APConfig) *AP {
 	if cfg.BeaconInterval == 0 {
 		cfg.BeaconInterval = 100 * TU
 	}
-	if cfg.DTIMPeriod == 0 {
-		cfg.DTIMPeriod = 1
-	}
 	if cfg.PSBufferCap == 0 {
 		cfg.PSBufferCap = 32
 	}
@@ -142,9 +132,10 @@ func NewAP(k *sim.Kernel, dcf *mac.DCF, cfg APConfig) *AP {
 		ssid:     cfg.SSID,
 		stations: make(map[frame.MACAddr]*staEntry),
 		byAID:    make(map[uint16]*staEntry),
-		codec:    bodyCodec{mac: dcf, key: cfg.WEPKey, keyID: cfg.WEPKeyID},
+		codec:    bodyCodec{mac: dcf, key: cfg.WEPKey},
 	}
 	ap.rates = ap.rateIE()
+	ap.beaconTIM.DTIMPeriod = 1
 	dcf.SetReceiver(ap.receive)
 	// Stagger the beacon phase per BSSID: co-located APs with synchronized
 	// tickers would collide their beacons every interval, which real APs
@@ -204,17 +195,11 @@ func (ap *AP) privacy() bool { return len(ap.cfg.WEPKey) > 0 }
 
 func (ap *AP) name() string { return ap.dcf.Radio().Name() }
 
-// sendBeacon enqueues the periodic beacon with the current TIM, so an idle
-// BSS beacons forever without allocating.
+// sendBeacon enqueues the periodic beacon with the current TIM, built with
+// AppendBeacon into the codec's scratch, so an idle BSS beacons forever
+// without allocating.
 func (ap *AP) sendBeacon() {
-	ap.dtimCount--
-	if ap.dtimCount < 0 {
-		ap.dtimCount = ap.cfg.DTIMPeriod - 1
-	}
 	tim := &ap.beaconTIM
-	tim.DTIMCount = uint8(ap.dtimCount)
-	tim.DTIMPeriod = uint8(ap.cfg.DTIMPeriod)
-	tim.Multicast = false
 	tim.AIDs = tim.AIDs[:0]
 	//wlan:allow-nondeterminism TIM encodes as an AID bitmap, so the wire bytes are independent of collection order
 	for _, e := range ap.stations {
@@ -222,14 +207,6 @@ func (ap *AP) sendBeacon() {
 			tim.AIDs = append(tim.AIDs, e.aid)
 		}
 	}
-	if ap.codec.send(ap.mgmt(frame.SubtypeBeacon, frame.Broadcast, ap.beacon(tim))) {
-		ap.Stats.BeaconsSent++
-	}
-}
-
-// beacon builds a beacon body — a probe response's when tim is nil — with
-// AppendBeacon into the codec's scratch.
-func (ap *AP) beacon(tim *frame.TIM) []byte {
 	capBits := uint16(frame.CapESS)
 	if ap.privacy() {
 		capBits |= frame.CapPrivacy
@@ -243,7 +220,9 @@ func (ap *AP) beacon(tim *frame.TIM) []byte {
 		Channel:    1, // the DS Parameter Set: every radio is on channel 1
 		TIM:        tim,
 	}
-	return frame.AppendBeacon(ap.codec.body(), &b)
+	if ap.codec.send(ap.mgmt(frame.SubtypeBeacon, frame.Broadcast, frame.AppendBeacon(ap.codec.body(), &b))) {
+		ap.Stats.BeaconsSent++
+	}
 }
 
 // mgmt stamps the AP's addresses on a management frame to dst.
@@ -325,8 +304,6 @@ func (ap *AP) receive(f *frame.Frame, _ medium.RxInfo) {
 	case f.Type == frame.TypeControl && sub == frame.SubtypePSPoll:
 		ap.handlePSPoll(f, e)
 	case f.Type != frame.TypeManagement:
-	case sub == frame.SubtypeProbeReq:
-		ap.handleProbe(f)
 	case sub == frame.SubtypeAuth:
 		ap.handleAuth(f)
 	case sub == frame.SubtypeAssocReq || sub == frame.SubtypeReassocReq:
@@ -357,18 +334,6 @@ func (ap *AP) dropStation(addr frame.MACAddr) {
 		ap.leave(e)
 		ap.Stats.Handoffs++
 	}
-}
-
-func (ap *AP) handleProbe(f *frame.Frame) {
-	// A probe request body is a bare IE list; respond to wildcard probes
-	// and to probes naming our SSID. LookupIE reads the SSID as a view of
-	// the frame body — no element list is materialised.
-	if ssid, ok := frame.LookupIE(f.Body, frame.IESSID); ok && len(ssid) > 0 && string(ssid) != ap.ssid {
-		return
-	}
-	// The response body is the beacon's without a TIM: a probe storm makes
-	// the AP marshal nothing on the heap.
-	ap.codec.send(ap.mgmt(frame.SubtypeProbeResp, f.Addr2, ap.beacon(nil)))
 }
 
 func (ap *AP) entry(addr frame.MACAddr) *staEntry {

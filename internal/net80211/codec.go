@@ -6,8 +6,8 @@ import (
 	"repro/internal/wep"
 )
 
-// bodyCodec is one node's frame-body codec: its WEP key, key ID and IV
-// counter, and the scratch its bodies live in — buf the next send's body,
+// bodyCodec is one node's frame-body codec: its WEP key (always key slot 0)
+// and IV counter, and the scratch its bodies live in — buf the next send's body,
 // snap the plaintext seal reads, plain what open decrypts into.
 // mac.DCF.Enqueue copies what it accepts, so buf and snap are free again as
 // soon as send returns, and steady-state traffic reuses their grown
@@ -15,7 +15,6 @@ import (
 type bodyCodec struct {
 	mac   *mac.DCF
 	key   wep.Key
-	keyID byte
 	ivs   wep.IVCounter
 	buf   []byte
 	snap  []byte
@@ -47,7 +46,7 @@ func (c *bodyCodec) seal(hdr frame.Frame, plain []byte) (f frame.Frame, ok bool)
 	if cap(plain) > cap(c.snap) {
 		c.snap = plain[:0]
 	}
-	sealed, err := wep.SealTo(c.body(), c.key, c.ivs.Next(), c.keyID, plain)
+	sealed, err := wep.SealTo(c.body(), c.key, c.ivs.Next(), 0, plain)
 	if err != nil {
 		return hdr, false
 	}
@@ -59,7 +58,7 @@ func (c *bodyCodec) seal(hdr frame.Frame, plain []byte) (f frame.Frame, ok bool)
 // valid until the next open. Consumers copy what they keep (queueFromDS
 // re-encapsulates, the DS switch copies what it carries).
 func (c *bodyCodec) open(body []byte) ([]byte, error) {
-	plain, err := wep.OpenTo(c.plain[:0], c.key, c.keyID, body)
+	plain, err := wep.OpenTo(c.plain[:0], c.key, 0, body)
 	if err != nil {
 		return nil, err
 	}

@@ -34,10 +34,12 @@ var fuzzStates = [...]assocState{scanning, unauthenticated, authenticated, assoc
 // moves only 1→2 by Auth, 2→3 by (re)association request and to 1 by
 // Deauth or Disassoc, and keeps AID, PS state and buffer consistent with its
 // state; a class-3 frame from a sender not in state 3 changes no AP counter
-// and no PS state and queues nothing; a station moves only one state up on
+// and no PS state and queues nothing; a probe request changes nothing and
+// gets no reply, since scanning is passive; a data frame sealed under a key
+// slot other than 0 is relayed nowhere; a station moves only one state up on
 // the reply it awaits or back to scanning, and a frame not from its target
-// AP, or a management frame its state does not await — beacons and probe
-// responses apart — changes nothing. Plain go test runs the seeds.
+// AP, or a management frame its state does not await — beacons apart —
+// changes nothing. Plain go test runs the seeds.
 func FuzzReceive(f *testing.F) {
 	key := wallKey()
 	bodies := fuzzBodies(key)
@@ -57,6 +59,7 @@ func FuzzReceive(f *testing.F) {
 			{frame.TypeManagement, frame.SubtypeDeauth, 1, 0, 0, []byte{1, 0}},
 			{frame.TypeManagement, frame.SubtypeDisassoc, 0, 0, 0, []byte{8, 0}},
 			{frame.TypeManagement, frame.SubtypeProbeReq, 2, 0, 0, nil},
+			{frame.TypeManagement, frame.SubtypeProbeReq, 0, 0, 0, bodies["probeReq"]},
 			{frame.TypeManagement, frame.SubtypeBeacon, 0, fzPowerSave, 0, bodies["beacon"]},
 			{frame.TypeManagement, frame.SubtypeAuth, 0, 0, 0, bodies["auth2"]},
 			{frame.TypeManagement, frame.SubtypeAuth, 0, fzKeyed, 0, bodies["shared2"]},
@@ -66,6 +69,7 @@ func FuzzReceive(f *testing.F) {
 			{frame.TypeData, frame.SubtypeData, 3, fzToDS | fzDozing, 0, bodies["snap"]}, // S to P: a relay
 			{frame.TypeData, frame.SubtypeData, 0, fzToDS | fzProtected | fzKeyed, 0, bodies["sealed"]},
 			{frame.TypeData, frame.SubtypeData, 0, fzFromDS | fzProtected | fzKeyed | fzPowerSave, 0, bodies["sealed"]},
+			{frame.TypeData, frame.SubtypeData, 3, fzToDS | fzProtected | fzKeyed, 0, bodies["foreignSlot"]}, // S to P under slot 2
 			{frame.TypeData, frame.SubtypeData, 1, fzFromDS | fzMoreData | fzPowerSave, 0, bodies["snap"]},
 			{frame.TypeData, frame.SubtypeNullData, 0, fzToDS | fzPwrMgmt, 0, nil},
 			{frame.TypeData, frame.SubtypeNullData, 0, fzToDS | fzDozing, 0, nil},
@@ -94,10 +98,12 @@ func FuzzReceive(f *testing.F) {
 }
 
 // fuzzBodies are the well-formed bodies the seeds carry; "sealed" is a SNAP
-// payload sealed under key.
+// payload sealed under key, "foreignSlot" the same under key slot 2.
 func fuzzBodies(key wep.Key) map[string][]byte {
 	c := bodyCodec{key: key}
 	sealed, _ := c.data(frame.Frame{}, []byte("sealed payload"))
+	foreign, _ := wep.SealTo(nil, key, wep.IV{9, 9, 9}, foreignKeyID,
+		frame.AppendSNAP(nil, EtherTypePayload, []byte("sealed payload")))
 	return map[string][]byte{
 		"auth1":       frame.AppendAuth(nil, &frame.Auth{Algorithm: frame.AuthAlgoOpen, SeqNum: 1}),
 		"shared1":     frame.AppendAuth(nil, &frame.Auth{Algorithm: frame.AuthAlgoSharedKey, SeqNum: 1}),
@@ -109,6 +115,8 @@ func fuzzBodies(key wep.Key) map[string][]byte {
 		"beacon":      frame.AppendBeacon(nil, &frame.Beacon{IntervalTU: 100, SSID: "fuzz", Channel: 1, TIM: &frame.TIM{DTIMPeriod: 1, AIDs: []uint16{1}}}),
 		"snap":        frame.AppendSNAP(nil, EtherTypePayload, []byte("payload")),
 		"sealed":      sealed.Body,
+		"foreignSlot": foreign,
+		"probeReq":    frame.AppendIE(frame.AppendIE(nil, frame.IESSID, []byte("fuzz")), frame.IESupportedRates, []byte{0x82}),
 	}
 }
 
@@ -210,6 +218,15 @@ func fuzzAP(t *testing.T, fr frame.Frame, key wep.Key, st assocState, from uint8
 			t.Fatalf("%s from %v moved %v from state %d to %d", frame.Name(fr.Type, fr.Subtype), fr.Addr2, a, b, n)
 		}
 	}
+	unchanged := after.stats == before.stats && after.queued == before.queued && maps.Equal(after.state, before.state) &&
+		maps.Equal(after.ps, before.ps) && maps.Equal(after.held, before.held)
+	if mg && fr.Subtype == frame.SubtypeProbeReq && !unchanged {
+		t.Fatalf("probe request from %v in state %d had an effect: %+v, was %+v", fr.Addr2, before.state[fr.Addr2], after, before)
+	}
+	if fr.Type == frame.TypeData && fr.Protected && len(fr.Body) > 3 && fr.Body[3]>>6 != 0 &&
+		(after.stats.Relayed != before.stats.Relayed || after.stats.ToDS != before.stats.ToDS) {
+		t.Fatalf("frame sealed under key slot %d was relayed: %+v, was %+v", fr.Body[3]>>6, after.stats, before.stats)
+	}
 	if frameClass(&fr) == associated && before.state[fr.Addr2] != associated {
 		if after.stats != before.stats || after.queued != before.queued ||
 			!maps.Equal(after.ps, before.ps) || !maps.Equal(after.held, before.held) {
@@ -236,9 +253,8 @@ func fuzzSTA(t *testing.T, fr frame.Frame, key wep.Key, st assocState, from uint
 	stats := sta.Stats
 	sta.receive(&fr, medium.RxInfo{RSSI: -50})
 
-	scan := fr.Type == frame.TypeManagement && (fr.Subtype == frame.SubtypeBeacon || fr.Subtype == frame.SubtypeProbeResp)
 	n := sta.state
-	if scan {
+	if fr.Type == frame.TypeManagement && fr.Subtype == frame.SubtypeBeacon {
 		if n != st {
 			t.Fatalf("%s moved the station from state %d to %d", frame.Name(fr.Type, fr.Subtype), st, n)
 		}

@@ -10,68 +10,6 @@ import (
 	"repro/internal/units"
 )
 
-func TestActiveScanFasterThanPassive(t *testing.T) {
-	join := func(active bool) sim.Time {
-		w := newWorld(40, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-		NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "net"})
-		sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{SSID: "net", ActiveScan: active})
-		var joinedAt sim.Time
-		sta.OnAssociated = func(frame.MACAddr) {
-			if joinedAt == 0 {
-				joinedAt = w.k.Now()
-			}
-		}
-		w.k.RunUntil(sim.Time(10 * sim.Second))
-		if !sta.Associated() {
-			t.Fatalf("active=%v: never associated", active)
-		}
-		return joinedAt
-	}
-	passive := join(false)
-	active := join(true)
-	// A passive scan dwells 120 ms for beacons, an active one 30 ms after
-	// its probe, and the joins that follow cost about the same.
-	if active < sim.Time(probeDwell) || active >= sim.Time(scanDwell) {
-		t.Errorf("active scan joined at %v, want within [%v, %v)", active, probeDwell, scanDwell)
-	}
-	if d := passive.Sub(active); d < scanDwell-probeDwell-5*sim.Millisecond {
-		t.Errorf("passive join (%v) trails active (%v) by only %v", passive, active, d)
-	}
-}
-
-func TestProbeResponseCarriesPrivacy(t *testing.T) {
-	w := newWorld(41, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	key := []byte{1, 2, 3, 4, 5}
-	NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "sec", WEPKey: key})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{
-		SSID: "sec", WEPKey: key, ActiveScan: true,
-	})
-	w.k.RunUntil(sim.Time(3 * sim.Second))
-	if !sta.Associated() {
-		t.Fatal("active-scan shared-key join failed")
-	}
-	c := sta.cands[sta.BSSID()]
-	if c == nil || !c.privacy {
-		t.Error("candidate discovered by probe lacks the privacy capability")
-	}
-}
-
-func TestDirectedProbeIgnoredByOtherSSID(t *testing.T) {
-	w := newWorld(42, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	other := NewAP(w.k, w.dcf("other", geom.Pt(0, 5)), APConfig{SSID: "other-net"})
-	NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "mine"})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{
-		SSID: "mine", ActiveScan: true,
-	})
-	w.k.RunUntil(sim.Time(3 * sim.Second))
-	if !sta.Associated() {
-		t.Fatal("join failed")
-	}
-	if sta.BSSID() == other.BSSID() {
-		t.Error("station joined the wrong SSID")
-	}
-}
-
 func TestDeauthForcesRescan(t *testing.T) {
 	w := newWorld(43, spectrum.FreeSpace{Freq: 2412 * units.MHz})
 	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "net"})

@@ -17,10 +17,6 @@ type STAConfig struct {
 	SSID string
 	// WEPKey enables shared-key authentication and WEP data privacy.
 	WEPKey wep.Key
-	// WEPKeyID is the key slot (0-3) stamped into sealed frames and
-	// required of received ones; a frame carrying a different key ID is a
-	// decrypt error, not a candidate for trying the wrong key.
-	WEPKeyID byte
 	// RoamThreshold: when the serving AP's smoothed beacon RSSI falls
 	// below this level the station rescans. Default -75 dBm.
 	RoamThreshold units.DBm
@@ -32,17 +28,11 @@ type STAConfig struct {
 	BeaconMissLimit int
 	// PowerSave enables the PS-Poll doze cycle.
 	PowerSave bool
-	// ActiveScan sends a probe request instead of waiting a full beacon
-	// interval, shrinking the dwell to probeDwell.
-	ActiveScan bool
 }
 
-// Scan dwells: a passive scan waits just over one beacon interval, an
-// active scan this long after its probe request.
-const (
-	scanDwell  = 120 * sim.Millisecond
-	probeDwell = 30 * sim.Millisecond
-)
+// scanDwell is how long a scan listens for beacons: just over one beacon
+// interval. Scanning is passive; a station sends no probe request.
+const scanDwell = 120 * sim.Millisecond
 
 // candidate is a BSS discovered by scanning.
 type candidate struct {
@@ -88,9 +78,8 @@ type STA struct {
 	// receives, so steady-state traffic is allocation-free.
 	codec bodyCodec
 	// ssidBytes and rates are the SSID and supported-rates IE payloads,
-	// fixed at construction; management frames append them into the
-	// codec's scratch so scanning and (re)joining marshal nothing on the
-	// heap.
+	// fixed at construction; association requests append them into the
+	// codec's scratch so (re)joining marshals nothing on the heap.
 	ssidBytes []byte
 	rates     []byte
 	psWake    sim.Timer // pending pre-beacon wakeup
@@ -130,7 +119,7 @@ func NewSTA(k *sim.Kernel, dcf *mac.DCF, cfg STAConfig) *STA {
 		dcf:       dcf,
 		cfg:       cfg,
 		cands:     make(map[frame.MACAddr]*candidate),
-		codec:     bodyCodec{mac: dcf, key: cfg.WEPKey, keyID: cfg.WEPKeyID},
+		codec:     bodyCodec{mac: dcf, key: cfg.WEPKey},
 		ssidBytes: []byte(cfg.SSID),
 		rates:     []byte{frame.RateByte(2, true)},
 		beaconInt: 100 * TU,
@@ -190,28 +179,15 @@ func (s *STA) startScan() {
 	if s.dcf.Radio().Asleep() {
 		s.dcf.Radio().Wake()
 	}
-	dwell := scanDwell
-	if s.cfg.ActiveScan {
-		s.sendProbeReq()
-		dwell = probeDwell
-	}
-	s.k.Schedule(dwell, "scan-dwell", s.finishScan)
+	s.k.Schedule(scanDwell, "scan-dwell", s.finishScan)
 }
 
-// sendProbeReq broadcasts a directed probe request. The body is two cached
-// IE payloads appended into the codec's scratch, so an active scan allocates
-// nothing for its probe.
-func (s *STA) sendProbeReq() {
-	body := frame.AppendIE(s.codec.body(), frame.IESSID, s.ssidBytes)
-	s.codec.send(s.mgmt(frame.SubtypeProbeReq, frame.Broadcast, frame.AppendIE(body, frame.IESupportedRates, s.rates)))
-}
-
-// mgmt stamps the station's addresses on a management frame to dst, which
-// is also its BSSID field: the serving AP, or broadcast for a probe.
-func (s *STA) mgmt(sub frame.Subtype, dst frame.MACAddr, body []byte) frame.Frame {
+// mgmt stamps the station's addresses on a management frame to the target
+// AP, which is also its BSSID field.
+func (s *STA) mgmt(sub frame.Subtype, body []byte) frame.Frame {
 	return frame.Frame{
 		Type: frame.TypeManagement, Subtype: sub,
-		Addr1: dst, Addr2: s.Address(), Addr3: dst,
+		Addr1: s.bssid, Addr2: s.Address(), Addr3: s.bssid,
 		Body: body,
 	}
 }
@@ -289,7 +265,7 @@ func (s *STA) sendAuth1() {
 		algo = frame.AuthAlgoSharedKey
 	}
 	a := frame.Auth{Algorithm: algo, SeqNum: 1}
-	s.codec.send(s.mgmt(frame.SubtypeAuth, s.bssid, frame.AppendAuth(s.codec.body(), &a)))
+	s.codec.send(s.mgmt(frame.SubtypeAuth, frame.AppendAuth(s.codec.body(), &a)))
 	s.armMgmtTimer(s.sendAuth1)
 }
 
@@ -301,7 +277,7 @@ func (s *STA) sendAssocReq() {
 		SSID:       s.ssidBytes,
 		Rates:      s.rates,
 	}
-	s.codec.send(s.mgmt(frame.SubtypeAssocReq, s.bssid, frame.AppendAssocReq(s.codec.body(), &req)))
+	s.codec.send(s.mgmt(frame.SubtypeAssocReq, frame.AppendAssocReq(s.codec.body(), &req)))
 	s.armMgmtTimer(s.sendAssocReq)
 }
 
@@ -319,13 +295,13 @@ func (s *STA) armMgmtTimer(retry func()) {
 
 // --- frame handling ---------------------------------------------------------
 
-// receive handles every frame the MAC delivers. Beacons and probe
-// responses feed the scan from any AP; anything else must come from the
+// receive handles every frame the MAC delivers. Beacons feed the scan
+// from any AP; anything else must come from the
 // target AP in a class the station's state admits, and each management
 // reply is read only in the state that awaits it.
 func (s *STA) receive(f *frame.Frame, info medium.RxInfo) {
 	mgmt := f.Type == frame.TypeManagement
-	if mgmt && (f.Subtype == frame.SubtypeBeacon || f.Subtype == frame.SubtypeProbeResp) {
+	if mgmt && f.Subtype == frame.SubtypeBeacon {
 		s.handleBeacon(f, info)
 		return
 	}
@@ -346,7 +322,7 @@ func (s *STA) receive(f *frame.Frame, info medium.RxInfo) {
 	}
 }
 
-// handleBeacon consumes a beacon/probe-response through frame.ParseBeacon,
+// handleBeacon consumes a beacon through frame.ParseBeacon,
 // whose result is a view into the frame body, and ParseTIMInto into the
 // reusable TIM scratch — so steady-state beacon reception allocates nothing
 // (the SSID string is only materialised when it actually changes). A body
@@ -442,7 +418,7 @@ func (s *STA) handleAuth(f *frame.Frame) {
 		// Return the challenge WEP-sealed (sequence 3): marshal into the
 		// plaintext scratch, seal in one pass into the body scratch.
 		seq3 := frame.Auth{Algorithm: frame.AuthAlgoSharedKey, SeqNum: 3, Challenge: a.Challenge}
-		f, ok := s.codec.seal(s.mgmt(frame.SubtypeAuth, s.bssid, nil), frame.AppendAuth(s.codec.clear(), &seq3))
+		f, ok := s.codec.seal(s.mgmt(frame.SubtypeAuth, nil), frame.AppendAuth(s.codec.clear(), &seq3))
 		if !ok {
 			return
 		}

@@ -3,6 +3,7 @@ package net80211
 import (
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/mac"
 	"repro/internal/medium"
@@ -22,7 +23,8 @@ import (
 // wall drives one Send through the simulator until delivery and asserts
 // zero allocations per payload, mirroring the PR 2 rx decode walls.
 
-const wallWEPKeyID = 2
+// foreignKeyID is a key slot no node uses: every node seals under 0.
+const foreignKeyID = 2
 
 func wallKey() wep.Key { return wep.Key{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13} }
 
@@ -98,13 +100,9 @@ func TestAdhocFragmentedSendZeroAlloc(t *testing.T) {
 func infraPair(t *testing.T, seed uint64, key wep.Key) (*world, *AP, *STA) {
 	t.Helper()
 	w := newWorld(seed, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	var keyID byte
-	if key != nil {
-		keyID = wallWEPKeyID
-	}
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "wall", WEPKey: key, WEPKeyID: keyID})
+	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "wall", WEPKey: key})
 	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{
-		SSID: "wall", WEPKey: key, WEPKeyID: keyID, BeaconMissLimit: 1 << 30,
+		SSID: "wall", WEPKey: key, BeaconMissLimit: 1 << 30,
 	})
 	w.k.RunUntil(sim.Time(2 * sim.Second))
 	if !sta.Associated() {
@@ -154,34 +152,33 @@ func TestAPSendWEPZeroAlloc(t *testing.T) {
 	}
 }
 
-// A station keyed to one WEP slot must refuse frames stamped with another —
-// counted as decrypt errors, never delivered.
+// Every node seals and opens under key slot 0, so a frame stamped with
+// another slot — a foreign network sharing the key bytes — must be refused:
+// counted as a decrypt error, never delivered. The same body under slot 0
+// is delivered, so only the key-ID bits decide.
 func TestWEPKeyIDMismatchCountsDecryptError(t *testing.T) {
-	w := newWorld(26, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	key := wallKey()
-	// AP seals with key slot 0; the station demands slot 2 of the same key.
-	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "wall", WEPKey: key, WEPKeyID: 0})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{
-		SSID: "wall", WEPKey: key, WEPKeyID: wallWEPKeyID, BeaconMissLimit: 1 << 30,
-	})
-	w.k.RunUntil(sim.Time(2 * sim.Second))
-	if !sta.Associated() {
-		// Shared-key auth itself fails on the key-ID mismatch: the AP
-		// cannot read the slot-2 challenge response. That is the correct
-		// strict behaviour; assert the error was counted and stop.
-		if ap.Stats.DecryptErrors == 0 {
-			t.Fatal("mismatched key ID neither associated nor counted a decrypt error")
+	_, ap, sta := infraPair(t, 26, wallKey())
+	delivered := 0
+	ap.OnDeliver = func(_, _ frame.MACAddr, _ []byte) { delivered++ }
+	send := func(keyID byte) {
+		body, err := wep.SealTo(nil, wallKey(), wep.IV{1, 2, 3}, keyID,
+			frame.AppendSNAP(nil, EtherTypePayload, []byte("which slot")))
+		if err != nil {
+			t.Fatal(err)
 		}
-		return
+		ap.receive(&frame.Frame{
+			Type: frame.TypeData, Subtype: frame.SubtypeData, ToDS: true, Protected: true,
+			Addr1: ap.BSSID(), Addr2: sta.Address(), Addr3: ap.BSSID(), Body: body,
+		}, medium.RxInfo{})
 	}
-	before := sta.Stats.RxPayloads
-	ap.Send(sta.Address(), []byte("wrong slot"))
-	w.k.RunFor(100 * sim.Millisecond)
-	if sta.Stats.RxPayloads != before {
-		t.Fatal("station delivered a frame sealed under the wrong key ID")
+	send(foreignKeyID)
+	if delivered != 0 || ap.Stats.DecryptErrors != 1 {
+		t.Fatalf("key ID %d: %d delivered, %d decrypt errors; want 0 and 1",
+			foreignKeyID, delivered, ap.Stats.DecryptErrors)
 	}
-	if sta.Stats.DecryptErrors == 0 {
-		t.Fatal("key-ID mismatch not counted as a decrypt error")
+	send(0)
+	if delivered != 1 || ap.Stats.DecryptErrors != 1 {
+		t.Fatalf("key ID 0: %d delivered, %d decrypt errors; want 1 and 1", delivered, ap.Stats.DecryptErrors)
 	}
 }
 

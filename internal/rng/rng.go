@@ -156,17 +156,6 @@ func (s *Source) NormFloat64() float64 {
 	return u * f
 }
 
-// Perm returns a random permutation of [0, n).
-func (s *Source) Perm(n int) []int {
-	p := make([]int, n)
-	for i := range p {
-		j := s.Intn(i + 1)
-		p[i] = p[j]
-		p[j] = i
-	}
-	return p
-}
-
 // Shuffle randomizes the order of n elements using the provided swap.
 func (s *Source) Shuffle(n int, swap func(i, j int)) {
 	for i := n - 1; i > 0; i-- {

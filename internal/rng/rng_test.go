@@ -160,26 +160,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestPermIsPermutation(t *testing.T) {
-	if err := quick.Check(func(seed uint64, nRaw uint8) bool {
-		n := int(nRaw % 64)
-		p := New(seed).Perm(n)
-		if len(p) != n {
-			return false
-		}
-		seen := make([]bool, n)
-		for _, v := range p {
-			if v < 0 || v >= n || seen[v] {
-				return false
-			}
-			seen[v] = true
-		}
-		return true
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestShufflePreservesElements(t *testing.T) {
 	s := New(3)
 	xs := []int{1, 2, 3, 4, 5, 6, 7}
