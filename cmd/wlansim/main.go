@@ -10,6 +10,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"math"
@@ -72,14 +73,16 @@ func main() {
 		fmt.Fprintln(os.Stderr, "wlansim:", err)
 		os.Exit(2)
 	}
+	var traceFile *os.File
+	var traceBuf *bufio.Writer
 	if *traceOut != "" {
 		f, err := os.Create(*traceOut)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, "wlansim:", err)
 			os.Exit(1)
 		}
-		defer f.Close()
-		cfg.Tracer = trace.JSONL{W: f}
+		traceFile, traceBuf = f, bufio.NewWriter(f)
+		cfg.Tracer = trace.JSONL{W: traceBuf}
 	}
 
 	net := core.NewNetwork(cfg)
@@ -109,6 +112,18 @@ func main() {
 	}
 
 	net.Run(dur)
+	if traceFile != nil {
+		// bufio.Writer keeps its first write error, so Flush reports any
+		// the tracer met.
+		err := traceBuf.Flush()
+		if cerr := traceFile.Close(); err == nil {
+			err = cerr
+		}
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "wlansim: -trace:", err)
+			os.Exit(1)
+		}
+	}
 
 	table := stats.NewTable(
 		fmt.Sprintf("wlansim: %s, %d stations, %s, rate=%s, %v",

@@ -66,6 +66,31 @@ func TestPositionalArgumentRefused(t *testing.T) {
 	}
 }
 
+// TestTraceWriteErrorExits: a trace that cannot be written is one line on
+// stderr and exit status 1, not a silent empty file and a table.
+func TestTraceWriteErrorExits(t *testing.T) {
+	if _, err := os.Stat("/dev/full"); err != nil {
+		t.Skip("no /dev/full here")
+	}
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	args := []string{"-n", "2", "-duration", "100ms", "-trace", "/dev/full"}
+	cmd := exec.Command(self, args...)
+	cmd.Env = append(os.Environ(), asMainEnv+"=1")
+	var stdout, stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = &stdout, &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("wlansim %v: %v, want exit status 1", args, err)
+	}
+	if lines := strings.Count(stderr.String(), "\n"); lines != 1 || !strings.HasPrefix(stderr.String(), "wlansim: -trace:") || stdout.Len() != 0 {
+		t.Errorf("wlansim %v: stdout %q, stderr %q; want one wlansim: -trace: line on stderr only", args, stdout.String(), stderr.String())
+	}
+}
+
 // TestGoodputOverMeasuredDuration: a flow's Mbit/s is its delivered
 // payload over -duration. The infra topology runs an association phase
 // before it attaches its flows, and that phase must not dilute the rate.

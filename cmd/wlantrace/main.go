@@ -14,6 +14,7 @@ package main
 
 import (
 	"bufio"
+	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
@@ -55,8 +56,8 @@ func main() {
 		if len(line) == 0 {
 			continue
 		}
-		m, err := trace.ParseJSONL(line)
-		if err != nil {
+		var m map[string]any
+		if err := json.Unmarshal(line, &m); err != nil {
 			fmt.Fprintf(os.Stderr, "wlantrace: line %d: %v\n", lineNo, err)
 			continue
 		}

@@ -154,7 +154,7 @@ func checkHandler(pass *Pass, fn ast.Node, body *ast.BlockStmt, param *ast.Ident
 				if len(n.Rhs) == len(n.Lhs) {
 					rhs = n.Rhs[i]
 				} else if !holdsView(pass.TypesInfo.TypeOf(lhs)) {
-					// d, ok := frame.LookupIE(f.Body, id): of a decoder's
+					// et, p, err := frame.DecapSNAP(f.Body): of a decoder's
 					// results only slices and structs carry the view on.
 					continue
 				}
@@ -221,16 +221,16 @@ func isViewExpr(pass *Pass, tracked map[types.Object]bool, e ast.Expr) bool {
 	case *ast.StarExpr:
 		return isViewExpr(pass, tracked, e.X)
 	case *ast.CallExpr:
-		// frame's decoders return views of their input: LookupIE's data,
-		// DecapSNAP's payload, the []byte fields of a Parse* result (which
-		// the selector rule above picks out once the result is tracked).
+		// frame's decoders return views of their input: DecapSNAP's
+		// payload, the []byte fields of a Parse* result (which the selector
+		// rule above picks out once the result is tracked).
 		sel, _ := unparen(e.Fun).(*ast.SelectorExpr)
 		if sel == nil {
 			return false
 		}
 		fn, _ := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
 		if fn == nil || fn.Pkg() == nil || fn.Pkg().Name() != "frame" ||
-			fn.Name() != "LookupIE" && fn.Name() != "DecapSNAP" && !strings.HasPrefix(fn.Name(), "Parse") {
+			fn.Name() != "DecapSNAP" && !strings.HasPrefix(fn.Name(), "Parse") {
 			return false
 		}
 		for _, arg := range e.Args {

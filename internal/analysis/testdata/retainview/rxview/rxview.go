@@ -53,15 +53,13 @@ func (k *keeper) rxStore(f *frame.Frame) {
 	}
 }
 
-// handleMgmt: what frame's decoders return for a view is a view — element
-// data, a parsed body's []byte fields, a SNAP payload; scalars are not.
+// handleMgmt: what frame's decoders return for a view is a view — a parsed
+// body's []byte fields, a SNAP payload; scalars are not.
 func (k *keeper) handleMgmt(f *frame.Frame) {
-	ssid, _ := frame.LookupIE(f.Body, frame.IESSID)
-	k.body = ssid // want "valid only during the handler"
 	a, _ := frame.ParseAuth(f.Body)
 	k.body = a.Challenge // want "valid only during the handler"
 	et, payload, _ := frame.DecapSNAP(f.Body)
-	k.body, _ = frame.LookupIE(payload, 16) // want "valid only during the handler"
+	_, k.body, _ = frame.DecapSNAP(payload) // want "valid only during the handler"
 	k.seq = a.SeqNum + et
 	k.body = append(k.body[:0], a.Challenge...)
 }

@@ -115,10 +115,24 @@ func killAndResume(t *testing.T, id string, killAt int) {
 		t.Fatal(err)
 	}
 	exps := childExps(id)
-	wantCSV, points := "", 0
+	wantCSV, points, grids := "", 0, map[string]int{}
 	for _, e := range exps {
 		wantCSV += csvBlock(e, e.Run(true))
 		points += e.Grid(true).N
+		grids[e.ID] = e.Grid(true).N
+	}
+	// journaled counts the points the journal holds complete records of
+	// (one record per point).
+	journaled := func(data []byte) int {
+		done, _, err := sweep.ParseCheckpoint(data, true, grids)
+		if err != nil {
+			t.Fatalf("journal: %v", err)
+		}
+		n := 0
+		for _, pts := range done {
+			n += len(pts)
+		}
+		return n
 	}
 	ckpt := filepath.Join(t.TempDir(), "run.ckpt")
 
@@ -138,7 +152,7 @@ func killAndResume(t *testing.T, id string, killAt int) {
 	deadline := time.Now().Add(30 * time.Second)
 	for {
 		data, _ := os.ReadFile(ckpt)
-		if sweep.CountRecords(data) >= killAt {
+		if journaled(data) >= killAt {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -155,7 +169,7 @@ func killAndResume(t *testing.T, id string, killAt int) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	records := sweep.CountRecords(data)
+	records := journaled(data)
 	if records >= points {
 		t.Skipf("child finished all %d points before the kill landed; nothing left to resume", records)
 	}

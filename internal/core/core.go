@@ -58,8 +58,8 @@ type Config struct {
 	// "minstrel".
 	RateAdapt string
 
-	// MAC parameter overrides applied to every node (zero = defaults,
-	// negative or CWmin > CWmax: refused).
+	// MAC parameter overrides applied to every node (zero = defaults;
+	// negative, a FragThreshold of 1 to 255 or CWmin > CWmax: refused).
 	RTSThreshold  int
 	FragThreshold int
 	CWmin, CWmax  int
@@ -167,6 +167,9 @@ func (c Config) resolve() (s specs, err error) {
 		// A negative QueueCap fails every Enqueue, management frames included.
 		err = fmt.Errorf("core: bad MAC override, want 0 (the default) or more: QueueCap %d, CWmin %d, CWmax %d, RTSThreshold %d, FragThreshold %d",
 			c.QueueCap, c.CWmin, c.CWmax, c.RTSThreshold, c.FragThreshold)
+	} else if err == nil && c.FragThreshold > 0 && c.FragThreshold < minFragThreshold {
+		err = fmt.Errorf("core: bad fragmentation threshold %d: want %d or more, or 0 for none (a 4-bit fragment number cannot count the fragments of a large MSDU)",
+			c.FragThreshold, minFragThreshold)
 	} else if err == nil {
 		if lo, hi := pickInt(c.CWmin, s.mode.CWmin), pickInt(c.CWmax, s.mode.CWmax); lo > hi {
 			err = fmt.Errorf("core: bad contention window: CWmin %d above CWmax %d", lo, hi)
@@ -175,11 +178,18 @@ func (c Config) resolve() (s specs, err error) {
 	return s, err
 }
 
+// minFragThreshold is 802.11's smallest fragmentation threshold. It keeps
+// the largest MSDU (frame.MaxMSDU) to 11 fragments, inside what the 4-bit
+// fragment number counts; below it a large MSDU's fragment numbers wrap and
+// the receiver never reassembles it.
+const minFragThreshold = 256
+
 // Validate reports the first Mode, Fading or RateAdapt spec that does not
-// parse, a negative FadingCoherence, ShadowSigmaDB or MAC override, a TxPower
-// or CaptureMarginDB that is not finite, a negative CaptureMarginDB (0 is no
-// capture), or CWmin above CWmax — the error NewNetwork panics
-// with. Commands taking those from a user call it first.
+// parse, a negative FadingCoherence, ShadowSigmaDB or MAC override, a
+// FragThreshold between 1 and 255, a TxPower or CaptureMarginDB that is not
+// finite, a negative CaptureMarginDB (0 is no capture), or CWmin above
+// CWmax — the error NewNetwork panics with. Commands taking those from a
+// user call it first.
 func (c Config) Validate() error {
 	_, err := c.resolve()
 	return err
@@ -265,7 +275,7 @@ func NewNetwork(cfg Config) *Network {
 	if pl == nil {
 		pl = spectrum.NewLogDistance(2412*units.MHz, 3.0) // channel 1's centre frequency
 	}
-	var shadow spectrum.Fading
+	var shadow *spectrum.Shadowing
 	if cfg.ShadowSigmaDB > 0 {
 		shadow = spectrum.NewShadowing(root.Split("shadow"), cfg.ShadowSigmaDB)
 	}
@@ -349,7 +359,6 @@ func (n *Network) newStack(name string, mob geom.Mobility, opts NodeOpts) (*medi
 	})
 	d := mac.New(n.kernel, r, mac.Config{
 		Address:       n.alloc.Next(),
-		Mode:          n.mode,
 		RTSThreshold:  n.cfg.RTSThreshold,
 		FragThreshold: n.cfg.FragThreshold,
 		CWmin:         pickInt(opts.CWmin, n.cfg.CWmin),

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/frame"
 	"repro/internal/geom"
 	"repro/internal/medium"
 	"repro/internal/net80211"
@@ -100,6 +101,9 @@ var badConfigs = []struct {
 	{Config{CWmax: -1023}, `CWmax -1023,`},
 	{Config{RTSThreshold: -5}, `RTSThreshold -5,`},
 	{Config{FragThreshold: -256}, `FragThreshold -256`},
+	{Config{FragThreshold: 1}, `bad fragmentation threshold 1: want 256 or more`},
+	{Config{FragThreshold: 100}, `bad fragmentation threshold 100: want 256 or more`},
+	{Config{FragThreshold: 255}, `bad fragmentation threshold 255: want 256 or more`},
 	{Config{CWmin: 63, CWmax: 31}, `CWmin 63 above CWmax 31`},
 	{Config{CWmin: 2047}, `CWmin 2047 above CWmax 1023`},
 	{Config{Mode: "802.11a", CWmax: 7}, `CWmin 15 above CWmax 7`},
@@ -133,6 +137,27 @@ func TestConfigValidate(t *testing.T) {
 		if err := cfg.Validate(); err != nil {
 			t.Errorf("Validate(%+v) = %v, want nil", cfg, err)
 		}
+	}
+}
+
+// At the smallest threshold Validate accepts, the largest payload wlansim
+// sends (frame.MaxMSDU less the SNAP header) travels in 11 fragments, and
+// every MSDU reaches the sink whole.
+func TestFragThresholdFloorDeliversWhole(t *testing.T) {
+	const payload = frame.MaxMSDU - frame.SnapHeaderLen
+	net := NewNetwork(Config{Seed: 1, FragThreshold: 256})
+	a, b := net.AddAdhoc("a", geom.Pt(0, 0)), net.AddAdhoc("b", geom.Pt(5, 0))
+	id := net.CBR(a, b, payload, 20*sim.Millisecond)
+	net.Run(1 * sim.Second)
+	net.StopTraffic()
+	net.Run(100 * sim.Millisecond)
+	offered := net.Generators()[id-1].Offered
+	fs := net.FlowStats(id)
+	if offered < 50 || fs == nil || fs.Received != offered || fs.Bytes != offered*payload || net.Sink().Unparsed != 0 {
+		t.Fatalf("offered %d, flow %+v, unparsed %d: want every MSDU delivered whole", offered, fs, net.Sink().Unparsed)
+	}
+	if tx := a.MAC.Stats().DataTx; tx < 11*offered {
+		t.Errorf("%d data MPDUs for %d MSDUs, want at least 11 fragments each", tx, offered)
 	}
 }
 

@@ -114,11 +114,11 @@ func (w *parkWorld) snap() {
 		s.Radios = append(s.Radios, n.Radio.Stats)
 		s.Queues = append(s.Queues, n.MAC.QueueLen())
 	}
-	for _, g := range w.net.Generators() {
+	for i, g := range w.net.Generators() {
 		s.Gens = append(s.Gens, [2]uint64{g.Offered, g.Refused})
-	}
-	for _, id := range w.net.Sink().Flows() {
-		s.Flows = append(s.Flows, *w.net.FlowStats(id))
+		if fs := w.net.FlowStats(uint32(i + 1)); fs != nil {
+			s.Flows = append(s.Flows, *fs)
+		}
 	}
 	w.states = append(w.states, s)
 }

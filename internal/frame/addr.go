@@ -6,7 +6,7 @@
 // rather than structs.
 //
 // There is one codec, views in and appends out. Decoders (UnmarshalInto,
-// ForEachIE, LookupIE, Parse*, DecapSNAP) never copy: what they return
+// ForEachIE, Parse*, DecapSNAP) never copy: what they return
 // aliases the input and lives only as long as it (Frame.Clone or a copy
 // keeps one). Encoders (AppendWire, AppendIE, Append*, AppendSNAP) append
 // to the caller's buffer: capacity makes them allocation-free, nil one-off.
@@ -27,9 +27,6 @@ var Broadcast = MACAddr{0xff, 0xff, 0xff, 0xff, 0xff, 0xff}
 
 // IsGroup reports whether a is a group (multicast or broadcast) address.
 func (a MACAddr) IsGroup() bool { return a[0]&0x01 != 0 }
-
-// IsZero reports whether a is the all-zero address.
-func (a MACAddr) IsZero() bool { return a == MACAddr{} }
 
 func (a MACAddr) String() string {
 	return fmt.Sprintf("%02x:%02x:%02x:%02x:%02x:%02x", a[0], a[1], a[2], a[3], a[4], a[5])

@@ -159,12 +159,6 @@ type Frame struct {
 	Zeros int
 }
 
-// RA returns the receiver address (always Addr1).
-func (f *Frame) RA() MACAddr { return f.Addr1 }
-
-// TA returns the transmitter address (Addr2; zero for CTS/ACK).
-func (f *Frame) TA() MACAddr { return f.Addr2 }
-
 // DA returns the destination address according to the ToDS/FromDS bits.
 func (f *Frame) DA() MACAddr {
 	switch {
@@ -397,30 +391,6 @@ func (f *Frame) Clone() *Frame {
 func (f *Frame) String() string {
 	return fmt.Sprintf("%s ra=%v ta=%v seq=%d/%d len=%d",
 		Name(f.Type, f.Subtype), f.Addr1, f.Addr2, f.Seq, f.Frag, f.WireLen())
-}
-
-// Constructors for the frames the MAC emits. All timing-critical fields
-// (Duration) are filled by the MAC, which owns NAV computation.
-
-// NewRTS builds a request-to-send control frame.
-func NewRTS(ra, ta MACAddr, durationUs uint16) *Frame {
-	return &Frame{Type: TypeControl, Subtype: SubtypeRTS, Addr1: ra, Addr2: ta, Duration: durationUs}
-}
-
-// NewCTS builds a clear-to-send control frame.
-func NewCTS(ra MACAddr, durationUs uint16) *Frame {
-	return &Frame{Type: TypeControl, Subtype: SubtypeCTS, Addr1: ra, Duration: durationUs}
-}
-
-// NewACK builds an acknowledgement control frame.
-func NewACK(ra MACAddr, durationUs uint16) *Frame {
-	return &Frame{Type: TypeControl, Subtype: SubtypeACK, Addr1: ra, Duration: durationUs}
-}
-
-// NewPSPoll builds a power-save poll. Duration carries the association ID
-// with the two high bits set, per the standard.
-func NewPSPoll(bssid, ta MACAddr, aid uint16) *Frame {
-	return &Frame{Type: TypeControl, Subtype: SubtypePSPoll, Addr1: bssid, Addr2: ta, Duration: aid | 0xc000}
 }
 
 // NewData builds a 3-address data frame. The ToDS/FromDS bits and address

@@ -153,15 +153,15 @@ func TestUnmarshalIntoEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	valid := []*Frame{
-		NewRTS(addrA, addrB, 123),
-		NewCTS(addrA, 44),
-		NewACK(addrB, 0),
-		NewPSPoll(addrC, addrA, 7),
+		rtsFrame(addrA, addrB, 123),
+		ctsFrame(addrA, 44),
+		ackFrame(addrB, 0),
+		psPollFrame(addrC, addrA, 7),
 		NewData(addrA, addrB, addrC, true, false, []byte("payload")),
 		NewData(addrA, addrB, addrC, false, false, nil),
 		{Type: TypeData, Subtype: SubtypeData, ToDS: true, FromDS: true,
 			Addr1: addrA, Addr2: addrB, Addr3: addrC, Addr4: addrD, Body: []byte("wds body")},
-		NewMgmt(SubtypeBeacon, Broadcast, addrB, addrB, AppendBeacon(nil, &Beacon{SSID: "x", Rates: []byte{0x82}})),
+		mgmtFrame(SubtypeBeacon, Broadcast, addrB, addrB, AppendBeacon(nil, &Beacon{SSID: "x", Rates: []byte{0x82}})),
 	}
 	for _, f := range valid {
 		f.Seq, f.Frag, f.Duration = 0xabc, 0x0d, 0xbeef
@@ -187,7 +187,7 @@ func TestUnmarshalIntoPooledReuse(t *testing.T) {
 	if err := UnmarshalInto(&f, rich.AppendWire(nil)); err != nil {
 		t.Fatal(err)
 	}
-	cts := NewCTS(addrC, 1)
+	cts := ctsFrame(addrC, 1)
 	if err := UnmarshalInto(&f, cts.AppendWire(nil)); err != nil {
 		t.Fatal(err)
 	}
@@ -221,10 +221,10 @@ func TestCloneDetachesFromWire(t *testing.T) {
 // covers every frame layout plus truncations of a management frame.
 func FuzzUnmarshalInto(f *testing.F) {
 	f.Add([]byte{})
-	f.Add(NewACK(addrA, 9).AppendWire(nil))
-	f.Add(NewRTS(addrA, addrB, 88).AppendWire(nil))
+	f.Add(ackFrame(addrA, 9).AppendWire(nil))
+	f.Add(rtsFrame(addrA, addrB, 88).AppendWire(nil))
 	f.Add(NewData(addrA, addrB, addrC, true, false, []byte("seed payload")).AppendWire(nil))
-	beacon := NewMgmt(SubtypeBeacon, Broadcast, addrB, addrB,
+	beacon := mgmtFrame(SubtypeBeacon, Broadcast, addrB, addrB,
 		AppendBeacon(nil, &Beacon{SSID: "fuzz", Rates: []byte{0x82, 0x84}, Channel: 6,
 			TIM: &TIM{DTIMPeriod: 2, AIDs: []uint16{1, 9}}})).AppendWire(nil)
 	f.Add(beacon)
@@ -292,7 +292,7 @@ func TestTruncatedManagementElements(t *testing.T) {
 			t.Fatalf("%s: the full body does not end on an element boundary", m.name)
 		}
 		for cut := 0; cut <= len(m.full); cut++ {
-			wire := NewMgmt(SubtypeBeacon, Broadcast, addrB, addrB, m.full[:cut]).AppendWire(nil)
+			wire := mgmtFrame(SubtypeBeacon, Broadcast, addrB, addrB, m.full[:cut]).AppendWire(nil)
 			decodersAgree(t, wire)
 			got, err := decode(wire)
 			if err != nil {
@@ -305,11 +305,11 @@ func TestTruncatedManagementElements(t *testing.T) {
 				continue
 			}
 			// The element readers agree with the decoder: a clean walk exactly
-			// on a boundary, and LookupIE finds whatever the walk passed.
+			// on a boundary, and firstIE finds whatever the walk passed.
 			ies := got.Body[m.fixed:]
 			walkErr := ForEachIE(ies, func(id uint8, data []byte) bool {
-				if found, ok := LookupIE(ies, id); !ok || !bytes.Equal(found, data) {
-					t.Fatalf("%s cut=%d: LookupIE(%d) = %x, %v; the walk saw %x", m.name, cut, id, found, ok, data)
+				if found, ok := firstIE(ies, id); !ok || !bytes.Equal(found, data) {
+					t.Fatalf("%s cut=%d: firstIE(%d) = %x, %v; the walk saw %x", m.name, cut, id, found, ok, data)
 				}
 				return true
 			})
@@ -395,8 +395,8 @@ func checkMgmtBody(t *testing.T, b []byte) {
 	}
 	_ = ForEachIE(b, func(id uint8, data []byte) bool {
 		view("element data", data)
-		if found, ok := LookupIE(b, id); !ok || !inside(found, b) {
-			t.Fatalf("LookupIE(%x, %d) lost an element the walk passed", b, id)
+		if found, ok := firstIE(b, id); !ok || !inside(found, b) {
+			t.Fatalf("firstIE(%x, %d) lost an element the walk passed", b, id)
 		}
 		return true
 	})
@@ -486,7 +486,7 @@ func countIEs(b []byte) (n int, err error) {
 
 func TestIEsWithPathologicalLengths(t *testing.T) {
 	// An IE claiming more data than the buffer holds: the walk fails, every
-	// body decoder rejects the body, and LookupIE finds nothing behind it.
+	// body decoder rejects the body, and firstIE finds nothing behind it.
 	overlong := []byte{0, 255, 1, 2, 3}
 	if _, err := countIEs(overlong); err == nil {
 		t.Error("overlong IE accepted")
@@ -494,8 +494,8 @@ func TestIEsWithPathologicalLengths(t *testing.T) {
 	if _, err := ParseBeacon(append(make([]byte, 12), overlong...)); err == nil {
 		t.Error("beacon with an overlong IE accepted")
 	}
-	if _, ok := LookupIE(overlong, IEDSParam); ok {
-		t.Error("LookupIE found an element behind an overlong one")
+	if _, ok := firstIE(overlong, IEDSParam); ok {
+		t.Error("firstIE found an element behind an overlong one")
 	}
 	// Zero-length IEs are legal and must terminate.
 	if n, err := countIEs([]byte{0, 0, 3, 0, 5, 0}); err != nil || n != 3 {
@@ -516,7 +516,7 @@ func TestIEsWithPathologicalLengths(t *testing.T) {
 func TestBeaconFromGarbageBody(t *testing.T) {
 	// Valid MPDU whose beacon body is garbage: UnmarshalInto succeeds (FCS
 	// is over the garbage), ParseBeacon must fail cleanly.
-	f := NewMgmt(SubtypeBeacon, Broadcast, addrB, addrB, []byte{1, 2, 3})
+	f := mgmtFrame(SubtypeBeacon, Broadcast, addrB, addrB, []byte{1, 2, 3})
 	got, err := decode(f.AppendWire(nil))
 	if err != nil {
 		t.Fatal(err)

@@ -46,21 +46,6 @@ func ForEachIE(b []byte, fn func(id uint8, data []byte) bool) error {
 	return nil
 }
 
-// LookupIE returns the first element with the given ID as a view aliasing b,
-// without allocating (the early-exit closure does not escape). ok is false
-// when the element is absent or the list is malformed before it appears.
-// Callers that retain the data beyond b's lifetime must copy it.
-func LookupIE(b []byte, id uint8) (data []byte, ok bool) {
-	_ = ForEachIE(b, func(eid uint8, d []byte) bool {
-		if eid == id {
-			data, ok = d, true
-			return false
-		}
-		return true
-	})
-	return data, ok
-}
-
 // ieSlot is where firstIEs puts the first element with the given ID.
 type ieSlot struct {
 	id  uint8
@@ -69,8 +54,8 @@ type ieSlot struct {
 
 // firstIEs is the one rule every management-body decoder applies to its
 // element list: it must walk cleanly to its end or the body is rejected, of
-// a repeated element the first occurrence counts (as in LookupIE), unknown
-// elements are skipped. A slot's dst becomes a view of b, nil when absent.
+// a repeated element the first occurrence counts, unknown elements are
+// skipped. A slot's dst becomes a view of b, nil when absent.
 func firstIEs(b []byte, slots ...ieSlot) error {
 	return ForEachIE(b, func(id uint8, data []byte) bool {
 		for _, s := range slots {
@@ -358,12 +343,6 @@ func ParseAssocResp(body []byte) (AssocResp, error) {
 	}
 	err := firstIEs(body[6:], ieSlot{IESupportedRates, &a.Rates})
 	return a, err
-}
-
-// NewMgmt builds a management frame with the common 3-address layout: RA,
-// TA, BSSID.
-func NewMgmt(subtype Subtype, ra, ta, bssid MACAddr, body []byte) *Frame {
-	return &Frame{Type: TypeManagement, Subtype: subtype, Addr1: ra, Addr2: ta, Addr3: bssid, Body: body}
 }
 
 // RateByte encodes a rate in 500 kbit/s units with the basic-rate flag.

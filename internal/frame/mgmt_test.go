@@ -172,10 +172,10 @@ func TestIEParsing(t *testing.T) {
 	if len(ids) != 2 || ids[0] != IESSID || ids[1] != IEDSParam {
 		t.Fatalf("walked elements %v", ids)
 	}
-	if d, ok := LookupIE(raw, IESSID); !ok || string(d) != "abc" {
+	if d, ok := firstIE(raw, IESSID); !ok || string(d) != "abc" {
 		t.Error("SSID IE lost")
 	}
-	if _, ok := LookupIE(raw, IETIM); ok {
+	if _, ok := firstIE(raw, IETIM); ok {
 		t.Error("phantom TIM IE")
 	}
 	// Truncated IEs must error, not panic.
@@ -185,11 +185,11 @@ func TestIEParsing(t *testing.T) {
 	if _, err := countIEs([]byte{0}); err == nil {
 		t.Error("lone ID byte accepted")
 	}
-	// A repeated element: the first occurrence counts, in LookupIE and in
+	// A repeated element: the first occurrence counts, in firstIE and in
 	// every body decoder alike.
 	twice := AppendIE(AppendIE(nil, IESSID, []byte("first")), IESSID, []byte("second"))
-	if d, _ := LookupIE(twice, IESSID); string(d) != "first" {
-		t.Errorf("LookupIE on a repeated element = %q", d)
+	if d, _ := firstIE(twice, IESSID); string(d) != "first" {
+		t.Errorf("firstIE on a repeated element = %q", d)
 	}
 	v, err := ParseBeacon(append(make([]byte, 12), twice...))
 	if err != nil || string(v.SSID) != "first" {
@@ -208,7 +208,7 @@ func TestRateByte(t *testing.T) {
 
 func TestMgmtFrameInsideMPDU(t *testing.T) {
 	beacon := &Beacon{IntervalTU: 100, SSID: "x", Rates: []byte{0x82}, Channel: 1}
-	f := NewMgmt(SubtypeBeacon, Broadcast, addrB, addrB, AppendBeacon(nil, beacon))
+	f := mgmtFrame(SubtypeBeacon, Broadcast, addrB, addrB, AppendBeacon(nil, beacon))
 	got, err := decode(f.AppendWire(nil))
 	if err != nil {
 		t.Fatal(err)

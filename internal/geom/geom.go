@@ -36,24 +36,6 @@ type Vector struct {
 // Scale multiplies the vector by s.
 func (v Vector) Scale(s float64) Vector { return Vector{v.X * s, v.Y * s, v.Z * s} }
 
-// Length returns the vector magnitude.
-func (v Vector) Length() float64 {
-	return math.Sqrt(v.X*v.X + v.Y*v.Y + v.Z*v.Z)
-}
-
-// Unit returns the direction of v with length 1. The zero vector maps to the
-// zero vector.
-func (v Vector) Unit() Vector {
-	l := v.Length()
-	if l == 0 {
-		return Vector{}
-	}
-	return v.Scale(1 / l)
-}
-
-// Sub returns the vector from q to p.
-func Sub(p, q Point) Vector { return Vector{p.X - q.X, p.Y - q.Y, p.Z - q.Z} }
-
 // Placement helpers used by scenario builders and experiments.
 
 // Grid returns n points arranged row-major on a square-ish grid with the
@@ -90,17 +72,6 @@ func Circle(n int, r float64, centre Point) []Point {
 			Y: centre.Y + r*math.Sin(theta),
 			Z: centre.Z,
 		})
-	}
-	return pts
-}
-
-// Line returns n points on a straight line from start, stepping by spacing
-// along direction dir (which is normalised internally).
-func Line(n int, start Point, dir Vector, spacing float64) []Point {
-	u := dir.Unit()
-	pts := make([]Point, 0, n)
-	for i := 0; i < n; i++ {
-		pts = append(pts, start.Add(u.Scale(float64(i)*spacing)))
 	}
 	return pts
 }

@@ -41,17 +41,6 @@ func TestTriangleInequality(t *testing.T) {
 	}
 }
 
-func TestVectorUnit(t *testing.T) {
-	v := Vector{3, 4, 0}
-	u := v.Unit()
-	if math.Abs(u.Length()-1) > 1e-12 {
-		t.Errorf("unit length = %v", u.Length())
-	}
-	if z := (Vector{}).Unit(); z.Length() != 0 {
-		t.Errorf("zero vector unit = %v", z)
-	}
-}
-
 func TestGridCountAndSpacing(t *testing.T) {
 	pts := Grid(9, 10, Pt(0, 0))
 	if len(pts) != 9 {
@@ -78,15 +67,6 @@ func TestCircleEquidistant(t *testing.T) {
 	for i, p := range pts {
 		if d := p.Distance(centre); math.Abs(d-20) > 1e-9 {
 			t.Errorf("point %d at distance %v, want 20", i, d)
-		}
-	}
-}
-
-func TestLine(t *testing.T) {
-	pts := Line(4, Pt(0, 0), Vector{X: 2}, 5) // direction normalised
-	for i, p := range pts {
-		if math.Abs(p.X-float64(i)*5) > 1e-9 || p.Y != 0 {
-			t.Errorf("line point %d = %v", i, p)
 		}
 	}
 }

@@ -154,9 +154,21 @@ func goldenE2() []string {
 	rows := []string{
 		fmt.Sprintf("medium tx=%d handoffs=%d", r.net.Medium().Transmissions, r.ess.Handoffs()),
 	}
-	for i, ap := range r.ess.APs() {
+	i := 0
+	for _, n := range r.net.Nodes() {
+		ap := n.AP
+		if ap == nil {
+			continue
+		}
+		assoc := 0
+		for _, sta := range r.stas {
+			if ap.Associated(sta.Address()) {
+				assoc++
+			}
+		}
 		rows = append(rows, fmt.Sprintf("ap%d assoc=%d handoffs=%d beacons=%d",
-			i, ap.AssociatedCount(), ap.Stats.Handoffs, ap.Stats.BeaconsSent))
+			i, assoc, ap.Stats.Handoffs, ap.Stats.BeaconsSent))
+		i++
 	}
 	for j, sta := range r.stas {
 		st := sta.STA.Stats

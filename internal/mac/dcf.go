@@ -49,13 +49,13 @@ type DCF struct {
 	pending   respKind
 	respTimer sim.Timer
 
-	// Committed SIFS response in flight (scheduled or transmitting).
-	// Committed actions are queued in sifsQ — a FIFO ring drained in
-	// schedule order by sifsFireFn — so the hot path never allocates a
-	// closure or a control frame: each entry embeds the prepared response.
+	// The committed SIFS action and the event that fires it. Every commit
+	// follows a decoded reception, and the shortest frame (a 14 B ACK at
+	// the fastest rate) outlasts SIFS in every mode, so no two commitments
+	// are ever pending at once: one slot, which embeds the prepared
+	// response, keeps the hot path free of closures and control frames.
 	sifsEvent  sim.Timer
-	sifsQ      []sifsEntry
-	sifsHead   int
+	sifs       sifsEntry
 	sifsFireFn func()
 	lastTx     lastTxKind
 
@@ -77,14 +77,11 @@ type DCF struct {
 // New builds a DCF attached to the given radio and installs itself as the
 // radio's listener.
 func New(k *sim.Kernel, radio *medium.Radio, cfg Config, rc RateController, src *rng.Source) *DCF {
-	if cfg.Mode == nil {
-		cfg.Mode = radio.Mode()
-	}
-	cfg.fillDefaults(cfg.Mode)
+	cfg.fillDefaults(radio.Mode())
 	d := &DCF{
 		k:            k,
 		radio:        radio,
-		mode:         cfg.Mode,
+		mode:         radio.Mode(),
 		cfg:          cfg,
 		rc:           rc,
 		rng:          src.Split("dcf:" + radio.Name()),
@@ -600,10 +597,9 @@ const (
 	sifsFrag
 )
 
-// sifsEntry is one committed SIFS action. Entries embed the prepared
-// response frame so committing never allocates; for job actions the
-// (job, gen) pair guards against the job being recycled before the timer
-// fires.
+// sifsEntry is the committed SIFS action. It embeds the prepared response
+// frame so committing never allocates; for job actions the (job, gen) pair
+// guards against the job being recycled before the timer fires.
 type sifsEntry struct {
 	action sifsAction
 	kind   lastTxKind // txCTS or txACK for sifsRespond
@@ -613,31 +609,24 @@ type sifsEntry struct {
 	gen    uint64
 }
 
-// commitSIFS appends a SIFS commitment to the FIFO ring, schedules its
-// firing one SIFS from now (committed responses ignore CCA by design), and
-// returns the entry for the caller to fill. Entries fire strictly in commit
-// order: the kernel breaks timestamp ties by schedule order, so the ring
-// head always matches the event that pops it.
+// commitSIFS schedules a SIFS commitment one SIFS from now (committed
+// responses ignore CCA by design) and returns its emptied slot for the
+// caller to fill. A second commitment while one is pending would mean two
+// receptions decoded within one SIFS, which no PHY mode allows: it panics.
 func (d *DCF) commitSIFS() *sifsEntry {
-	if d.sifsHead == len(d.sifsQ) {
-		// Drained: rewind so the backing array is reused forever.
-		d.sifsQ = d.sifsQ[:0]
-		d.sifsHead = 0
+	if d.sifsEvent.Scheduled() {
+		panic("mac: SIFS commitment while another is pending at " + d.nameSIFS)
 	}
-	d.sifsQ = append(d.sifsQ, sifsEntry{})
+	d.sifs = sifsEntry{}
 	d.sifsEvent = d.k.Schedule(d.mode.SIFS, d.nameSIFS, d.sifsFireFn)
-	return &d.sifsQ[len(d.sifsQ)-1]
+	return &d.sifs
 }
 
-// sifsFire pops and executes the oldest committed SIFS action. The entry
-// pointer stays valid for the whole call: nothing on the transmit path
-// appends to sifsQ.
+// sifsFire executes the committed SIFS action. Its event no longer reads
+// as scheduled, so what it sets off may commit again; the radio has copied
+// the response by the time Transmit returns.
 func (d *DCF) sifsFire() {
-	if d.sifsHead >= len(d.sifsQ) {
-		return
-	}
-	e := &d.sifsQ[d.sifsHead]
-	d.sifsHead++
+	e := &d.sifs
 	switch e.action {
 	case sifsRespond:
 		// The radio may have started transmitting or dozed (power save)

@@ -40,15 +40,11 @@ func newBed(seed uint64, pl spectrum.PathLoss) *bed {
 
 func (b *bed) addNode(name string, p geom.Point, cfg Config) *node {
 	addr := b.alloc.Next()
-	mode := cfg.Mode
-	if mode == nil {
-		mode = phy.Mode80211b()
-	}
+	mode := phy.Mode80211b()
 	r := b.m.AddRadio(medium.RadioConfig{
 		Name: name, Mode: mode, Mobility: geom.Static{P: p}, TxPower: 16,
 	})
 	cfg.Address = addr
-	cfg.Mode = mode
 	d := New(b.k, r, cfg, rate.NewFixed(mode, mode.MaxRate()), b.src)
 	n := &node{radio: r, dcf: d}
 	d.SetReceiver(func(f *frame.Frame, _ medium.RxInfo) {

@@ -87,9 +87,9 @@ type Stats struct {
 }
 
 // Config parameterises a DCF instance.
+// The PHY mode is the radio's.
 type Config struct {
 	Address frame.MACAddr
-	Mode    *phy.Mode
 
 	// QueueCap bounds the transmit queue; default 64 MSDUs.
 	QueueCap int

@@ -85,7 +85,7 @@ func TestPooledDecodeNoResidue(t *testing.T) {
 
 	data := dataFrame(300)
 	data.Seq, data.Retry, data.PwrMgmt = 1234, true, true
-	ack := frame.NewACK(addrA, 77)
+	ack := &frame.Frame{Type: frame.TypeControl, Subtype: frame.SubtypeACK, Addr1: addrA, Duration: 77}
 
 	k.Schedule(0, "tx", func() { tx.Transmit(data, 3) })
 	k.Run()

@@ -103,7 +103,7 @@ func runDifferential(t *testing.T, k *sim.Kernel, m *Medium, steps int, mutate f
 				if step%8 != 0 {
 					continue
 				}
-				power := m.model.RxPower(r.txPower, q.txPos, c.pos, linkID(r, c.rx), at)
+				power := m.model.RxPowerFrom(r.txPower, m.model.RefLoss(q.txPos), q.txPos, c.pos, linkID(r, c.rx), at)
 				if !m.tooWeak(power, c.rx) {
 					t.Fatalf("step %d tx %d at %v: radio %d receives %v dBm but the pruned walk dropped it",
 						step, id, at, c.rx.id, power)

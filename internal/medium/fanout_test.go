@@ -43,7 +43,7 @@ func referenceArrivals(m *Medium, tx *Radio) []wantArrival {
 			continue
 		}
 		rxPos := rx.mobility.PositionAt(now)
-		power := m.model.RxPower(tx.txPower, txPos, rxPos, linkID(tx, rx), now)
+		power := m.model.RxPowerFrom(tx.txPower, m.model.RefLoss(txPos), txPos, rxPos, linkID(tx, rx), now)
 		if float64(power) < float64(rx.noiseFloor)-detectionMarginDB {
 			continue
 		}
@@ -475,7 +475,10 @@ func TestSortEdges(t *testing.T) {
 			}
 			slices.SortFunc(want, byEdge)
 		case 2:
-			src.Shuffle(len(got), func(i, j int) { got[i], got[j] = got[j], got[i] })
+			for i := len(got) - 1; i > 0; i-- {
+				j := src.Intn(i + 1)
+				got[i], got[j] = got[j], got[i]
+			}
 		}
 		if sortEdges(got, arrs); !slices.Equal(got, want) {
 			t.Fatalf("round %d: sorted to %v, want %v", round, got, want)

@@ -204,10 +204,9 @@ type Medium struct {
 	GridMigrations   uint64 // always zero: the medium keeps no cell index; kept for readers that report it
 
 	// Fast-path state: pooled transmissions/decoded frames.
-	txPool      []*transmission
-	framePool   []*frame.Frame
-	shadowConst bool // shadow gain is time-invariant: static links precomputable
-	noFast      bool // no fast fading: row power is the exact rx power
+	txPool    []*transmission
+	framePool []*frame.Frame
+	noFast    bool // no fast fading: row power is the exact rx power
 
 	// topoGen is the topology generation: fan-out rows (Radio.row) and the
 	// spatial state are valid only for the generation they were built in.
@@ -227,27 +226,18 @@ func New(k *sim.Kernel, model *spectrum.Model, src *rng.Source) *Medium {
 		model:  model,
 		rng:    src.Split("medium"),
 	}
-	_, noShadow := model.Shadow.(spectrum.NoFading)
-	_, shadowing := model.Shadow.(*spectrum.Shadowing)
-	m.shadowConst = noShadow || shadowing
 	_, m.noFast = model.Fast.(spectrum.NoFading)
 	// Range pruning needs loss to be a pure, invertible function of
 	// distance: no fast fading, no shadowing, and a range-boundable
 	// path-loss model. Shadowing is excluded even though it is
 	// time-invariant — its per-link Gaussian offset is unbounded, so no
 	// distance can guarantee a link stays below the detection threshold.
-	if rb, ok := model.PathLoss.(spectrum.RangeBounder); ok && m.noFast && noShadow {
+	if rb, ok := model.PathLoss.(spectrum.RangeBounder); ok && m.noFast && model.Shadow == nil {
 		m.sp.bounder = rb
 		m.sp.enabled = true
 	}
 	return m
 }
-
-// Kernel returns the simulation kernel the medium schedules on.
-func (m *Medium) Kernel() *sim.Kernel { return m.kernel }
-
-// Model returns the propagation model (for experiments that inspect it).
-func (m *Medium) Model() *spectrum.Model { return m.model }
 
 // RadioConfig parameterises a new radio.
 type RadioConfig struct {
@@ -486,14 +476,17 @@ func propDelay(d float64) sim.Duration {
 // buildRow computes static transmitter r's fan-out row from its static
 // candidates. An entry reproduces the per-transmission computation
 // bit-for-bit: it stores txPower-loss+shadow with the same operation order
-// RxPower uses, and fast fading (when present) is applied per coherence
+// RxPowerFrom uses, and fast fading (when present) is applied per coherence
 // block by fanout.
 func (m *Medium) buildRow(r *Radio, t *transmission) {
 	row := m.rowScratch[:0]
 	for _, c := range m.candidates(r, t, true, false) {
 		rx, rxPos := c.rx, c.pos
 		m.LinkCacheMisses++
-		base := r.txPower.Add(-m.model.PathLoss.Loss(t.txPos, rxPos)).Add(m.model.Shadow.Gain(linkID(r, rx), t.start))
+		base := r.txPower.Add(-m.model.PathLoss.Loss(t.txPos, rxPos))
+		if m.model.Shadow != nil {
+			base = base.Add(m.model.Shadow.Gain(linkID(r, rx)))
+		}
 		if m.noFast && m.tooWeak(base, rx) {
 			continue
 		}
@@ -565,7 +558,7 @@ func (m *Medium) fanout(r *Radio, t *transmission) {
 	var fade []fadeSlot    // the row's fast-fading memo, nil without fast fading
 	var others []candidate // receivers whose link is computed per transmission
 	m.spatialReady()
-	if r.static && m.shadowConst {
+	if r.static {
 		if r.rowGen != m.topoGen {
 			m.buildRow(r, t)
 		}

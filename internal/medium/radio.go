@@ -213,9 +213,6 @@ func (r *Radio) Name() string { return r.name }
 // Mode returns the radio's PHY mode.
 func (r *Radio) Mode() *phy.Mode { return r.mode }
 
-// TxPower returns the configured transmit power.
-func (r *Radio) TxPower() units.DBm { return r.txPower }
-
 // Position returns the radio's current position.
 func (r *Radio) Position() geom.Point {
 	return r.mobility.PositionAt(r.medium.kernel.Now())

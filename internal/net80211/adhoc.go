@@ -39,9 +39,6 @@ func IBSSID() frame.MACAddr { return frame.MACAddr{0x02, 0xad, 0x0c, 0, 0, 0x01}
 // Address returns the node's MAC address.
 func (a *Adhoc) Address() frame.MACAddr { return a.dcf.Address() }
 
-// MAC exposes the underlying DCF.
-func (a *Adhoc) MAC() *mac.DCF { return a.dcf }
-
 // Send transmits an application payload directly to dst (or broadcast).
 // The MAC queue admits the send before the frame is built, so a refused
 // send touches nothing but the MAC's QueueDrops.

@@ -51,7 +51,7 @@ func (b *aidBench) disassoc(addr frame.MACAddr) {
 
 // receive hands the AP a management frame from addr.
 func (b *aidBench) receive(addr frame.MACAddr, sub frame.Subtype, body []byte) {
-	b.ap.receive(frame.NewMgmt(sub, b.ap.BSSID(), addr, b.ap.BSSID(), body), medium.RxInfo{})
+	b.ap.receive(mgmtFrame(sub, b.ap.BSSID(), addr, b.ap.BSSID(), body), medium.RxInfo{})
 }
 
 // TestAIDsStayInRange: an AP hands out AIDs round robin inside 1..2007 and

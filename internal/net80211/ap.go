@@ -165,9 +165,6 @@ func (ap *AP) BSSID() frame.MACAddr { return ap.dcf.Address() }
 // Stop halts beaconing.
 func (ap *AP) Stop() { ap.stopBeacons() }
 
-// MAC exposes the underlying DCF (for stats in experiments).
-func (ap *AP) MAC() *mac.DCF { return ap.dcf }
-
 // AttachDS connects the AP to a wired distribution system switch.
 func (ap *AP) AttachDS(sw *ether.Switch) {
 	ap.port = sw.AddPort(ap.fromDS)
@@ -177,18 +174,6 @@ func (ap *AP) AttachDS(sw *ether.Switch) {
 func (ap *AP) Associated(addr frame.MACAddr) bool {
 	e := ap.stations[addr]
 	return e != nil && e.state == associated
-}
-
-// AssociatedCount returns the number of associated stations.
-func (ap *AP) AssociatedCount() int {
-	n := 0
-	//wlan:allow-nondeterminism order-independent count over the station map
-	for _, e := range ap.stations {
-		if e.state == associated {
-			n++
-		}
-	}
-	return n
 }
 
 func (ap *AP) privacy() bool { return len(ap.cfg.WEPKey) > 0 }

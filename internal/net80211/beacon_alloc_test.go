@@ -67,7 +67,7 @@ func TestHandleBeaconTruncatedBodies(t *testing.T) {
 	var alloc frame.AddrAllocator
 	for cut := 0; cut <= len(full); cut++ {
 		bssid := alloc.Next()
-		wire := frame.NewMgmt(frame.SubtypeBeacon, frame.Broadcast, bssid, bssid, full[:cut]).AppendWire(nil)
+		wire := mgmtFrame(frame.SubtypeBeacon, frame.Broadcast, bssid, bssid, full[:cut]).AppendWire(nil)
 		var f frame.Frame
 		if err := frame.UnmarshalInto(&f, wire); err != nil {
 			t.Fatalf("cut=%d: %v", cut, err)

@@ -20,9 +20,10 @@ func TestDebugPS(t *testing.T) {
 		t.Skip("debug only")
 	}
 	w := newWorld(8, spectrum.FreeSpace{Freq: 2412 * units.MHz})
-	w.m.Tracer = trace.Text{W: os.Stdout}
+	w.m.Tracer = trace.JSONL{W: os.Stdout}
 	ap := NewAP(w.k, w.dcf("ap", geom.Pt(0, 0)), APConfig{SSID: "ps"})
-	sta := NewSTA(w.k, w.dcf("sta", geom.Pt(10, 0)), STAConfig{SSID: "ps", PowerSave: true})
+	staMAC := w.dcf("sta", geom.Pt(10, 0))
+	sta := NewSTA(w.k, staMAC, STAConfig{SSID: "ps", PowerSave: true})
 
 	var got int
 	sta.OnReceive = func(_, _ frame.MACAddr, _ []byte) { got++ }
@@ -38,5 +39,5 @@ func TestDebugPS(t *testing.T) {
 	w.k.RunUntil(sim.Time(1500 * sim.Millisecond))
 	fmt.Printf("=== sent=%d got=%d buffered=%d psDelivered=%d polls=%d sleep=%v assoc=%v\n",
 		sent, got, ap.Stats.PSBuffered, ap.Stats.PSDelivered, sta.Stats.PSPollsSent,
-		sta.MAC().Radio().Stats.SleepTime, sta.Associated())
+		staMAC.Radio().Stats.SleepTime, sta.Associated())
 }

@@ -17,9 +17,6 @@ type ESS struct {
 // NewESS creates an empty ESS for the given SSID.
 func NewESS(ssid string) *ESS { return &ESS{ssid: ssid} }
 
-// SSID returns the service set identifier shared by the member APs.
-func (e *ESS) SSID() string { return e.ssid }
-
 // Add registers an AP as a member. The AP must already beacon the ESS's
 // SSID and be attached to the shared DS; Add panics on an SSID mismatch
 // because a mixed ESS would silently never hand off.
@@ -29,9 +26,6 @@ func (e *ESS) Add(ap *AP) {
 	}
 	e.aps = append(e.aps, ap)
 }
-
-// APs returns the member APs in Add order.
-func (e *ESS) APs() []*AP { return e.aps }
 
 // ServingAP returns the member AP a station is currently associated with,
 // or nil. After a roam, the handoff announcement leaves at most one member

@@ -28,8 +28,8 @@ func TestESSTracksRoam(t *testing.T) {
 	ap2.AttachDS(sw)
 	ess.Add(ap1)
 	ess.Add(ap2)
-	if ess.SSID() != "ess" || len(ess.APs()) != 2 {
-		t.Fatalf("ess = %q with %d APs", ess.SSID(), len(ess.APs()))
+	if ess.ssid != "ess" || len(ess.aps) != 2 {
+		t.Fatalf("ess = %q with %d APs", ess.ssid, len(ess.aps))
 	}
 
 	mob := geom.Linear{Start: geom.Pt(5, 0), Velocity: geom.Vector{X: 10}}
@@ -41,7 +41,7 @@ func TestESSTracksRoam(t *testing.T) {
 	if got := ess.ServingAP(sta.Address()); got != ap1 {
 		t.Fatalf("before the walk ServingAP = %v, want ap1", got)
 	}
-	if c1, c2 := ap1.AssociatedCount(), ap2.AssociatedCount(); c1 != 1 || c2 != 0 {
+	if c1, c2 := associatedCount(ap1), associatedCount(ap2); c1 != 1 || c2 != 0 {
 		t.Fatalf("associated counts before roam = %d, %d", c1, c2)
 	}
 
@@ -58,7 +58,7 @@ func TestESSTracksRoam(t *testing.T) {
 	if got := ess.ServingAP(sta.Address()); got != ap2 {
 		t.Fatalf("after the walk ServingAP = %v, want ap2", got)
 	}
-	if c1, c2 := ap1.AssociatedCount(), ap2.AssociatedCount(); c1 != 0 || c2 != 1 {
+	if c1, c2 := associatedCount(ap1), associatedCount(ap2); c1 != 0 || c2 != 1 {
 		t.Fatalf("associated counts after roam = %d, %d (stale association not dropped)", c1, c2)
 	}
 	if ess.Handoffs() == 0 || ap1.Stats.Handoffs == 0 {
@@ -104,9 +104,9 @@ func TestAPEventsNameTheAP(t *testing.T) {
 		sta := frame.MACAddr{0x02, 0xee, 0, 0, 0, byte(i + 1)}
 		stas = append(stas, sta)
 		for _, f := range []*frame.Frame{
-			frame.NewMgmt(frame.SubtypeAuth, ap.BSSID(), sta, ap.BSSID(),
+			mgmtFrame(frame.SubtypeAuth, ap.BSSID(), sta, ap.BSSID(),
 				frame.AppendAuth(nil, &frame.Auth{Algorithm: frame.AuthAlgoOpen, SeqNum: 1})),
-			frame.NewMgmt(frame.SubtypeAssocReq, ap.BSSID(), sta, ap.BSSID(),
+			mgmtFrame(frame.SubtypeAssocReq, ap.BSSID(), sta, ap.BSSID(),
 				frame.AppendAssocReq(nil, &frame.AssocReq{SSID: []byte("city"), Rates: ap.rates})),
 			{Type: frame.TypeData, Subtype: frame.SubtypeNullData, ToDS: true, PwrMgmt: true,
 				Addr1: ap.BSSID(), Addr2: sta, Addr3: ap.BSSID()},

@@ -150,7 +150,7 @@ func fuzzAP(t *testing.T, fr frame.Frame, key wep.Key, st assocState, from uint8
 	peer, sender, unknown := frame.MACAddr{2, 0xf, 0, 0, 0, 1}, frame.MACAddr{2, 0xf, 0, 0, 0, 2}, frame.MACAddr{2, 0xf, 0, 0, 0, 3}
 	rx := func(f *frame.Frame) { ap.receive(f, medium.RxInfo{}) }
 	mgmt := func(a frame.MACAddr, sub frame.Subtype, body []byte) {
-		rx(frame.NewMgmt(sub, bssid, a, bssid, body))
+		rx(mgmtFrame(sub, bssid, a, bssid, body))
 	}
 	auth := func(a frame.MACAddr) {
 		if len(key) == 0 {
@@ -160,7 +160,7 @@ func fuzzAP(t *testing.T, fr frame.Frame, key wep.Key, st assocState, from uint8
 		mgmt(a, frame.SubtypeAuth, frame.AppendAuth(nil, &frame.Auth{Algorithm: frame.AuthAlgoSharedKey, SeqNum: 1}))
 		c := bodyCodec{key: key}
 		seq3 := frame.Auth{Algorithm: frame.AuthAlgoSharedKey, SeqNum: 3, Challenge: ap.stations[a].challenge}
-		f, _ := c.seal(*frame.NewMgmt(frame.SubtypeAuth, bssid, a, bssid, nil), frame.AppendAuth(c.clear(), &seq3))
+		f, _ := c.seal(*mgmtFrame(frame.SubtypeAuth, bssid, a, bssid, nil), frame.AppendAuth(c.clear(), &seq3))
 		rx(&f)
 	}
 	toState := func(a frame.MACAddr, st assocState) {
@@ -204,8 +204,8 @@ func fuzzAP(t *testing.T, fr frame.Frame, key wep.Key, st assocState, from uint8
 				e.addr, e.state, e.aid, ap.byAID[e.aid], e, e.ps, len(e.psBuf))
 		}
 	}
-	if len(ap.byAID) != ap.AssociatedCount() {
-		t.Fatalf("%d AIDs held, %d stations associated", len(ap.byAID), ap.AssociatedCount())
+	if len(ap.byAID) != associatedCount(ap) {
+		t.Fatalf("%d AIDs held, %d stations associated", len(ap.byAID), associatedCount(ap))
 	}
 	mg := fr.Type == frame.TypeManagement
 	for _, a := range addrs {

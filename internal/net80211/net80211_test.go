@@ -25,6 +25,23 @@ type world struct {
 	alloc frame.AddrAllocator
 }
 
+// mgmtFrame is a management frame with the common 3-address layout: RA,
+// TA, BSSID.
+func mgmtFrame(sub frame.Subtype, ra, ta, bssid frame.MACAddr, body []byte) *frame.Frame {
+	return &frame.Frame{Type: frame.TypeManagement, Subtype: sub, Addr1: ra, Addr2: ta, Addr3: bssid, Body: body}
+}
+
+// associatedCount is the number of stations in state 3 at ap.
+func associatedCount(ap *AP) int {
+	n := 0
+	for _, e := range ap.stations {
+		if e.state == associated {
+			n++
+		}
+	}
+	return n
+}
+
 func newWorld(seed uint64, pl spectrum.PathLoss) *world {
 	k := sim.NewKernel()
 	src := rng.New(seed)
@@ -37,7 +54,7 @@ func (w *world) dcf(name string, p geom.Point) *mac.DCF {
 		Name: name, Mode: mode,
 		Mobility: geom.Static{P: p}, TxPower: 16,
 	})
-	return mac.New(w.k, r, mac.Config{Address: w.alloc.Next(), Mode: mode},
+	return mac.New(w.k, r, mac.Config{Address: w.alloc.Next()},
 		rate.NewFixed(mode, 3), w.src)
 }
 
@@ -47,7 +64,7 @@ func (w *world) mobileDCF(name string, mob geom.Mobility) *mac.DCF {
 		Name: name, Mode: mode,
 		Mobility: mob, TxPower: 16,
 	})
-	return mac.New(w.k, r, mac.Config{Address: w.alloc.Next(), Mode: mode},
+	return mac.New(w.k, r, mac.Config{Address: w.alloc.Next()},
 		rate.NewFixed(mode, 3), w.src)
 }
 
@@ -232,7 +249,7 @@ func TestPowerSaveBuffering(t *testing.T) {
 	if sta.Stats.PSPollsSent == 0 {
 		t.Error("station never sent PS-Poll")
 	}
-	if sta.MAC().Radio().Stats.SleepTime == 0 {
+	if sta.dcf.Radio().Stats.SleepTime == 0 {
 		t.Error("station radio never slept")
 	}
 }
@@ -247,7 +264,7 @@ func TestPowerSaveSleepFraction(t *testing.T) {
 	if !sta.Associated() {
 		t.Fatal("not associated")
 	}
-	slept := sta.MAC().Radio().Stats.SleepTime
+	slept := sta.dcf.Radio().Stats.SleepTime
 	frac := slept.Seconds() / run.Seconds()
 	if frac < 0.5 {
 		t.Errorf("idle PS station slept only %.0f%% of the run", frac*100)

@@ -23,8 +23,8 @@ func TestDeauthForcesRescan(t *testing.T) {
 	// AP kicks the station. Neither side reads a deauth body; 4 is the
 	// standard's reason code for inactivity.
 	w.k.Schedule(0, "deauth", func() {
-		f := frame.NewMgmt(frame.SubtypeDeauth, sta.Address(), ap.BSSID(), ap.BSSID(), []byte{4, 0})
-		ap.MAC().Enqueue(f)
+		f := mgmtFrame(frame.SubtypeDeauth, sta.Address(), ap.BSSID(), ap.BSSID(), []byte{4, 0})
+		ap.dcf.Enqueue(f)
 	})
 	w.k.RunUntil(sim.Time(4 * sim.Second))
 
@@ -50,7 +50,7 @@ func TestPSBufferCapDropsExcess(t *testing.T) {
 	// Burst 10 downlink frames while the station dozes between beacons:
 	// only 2 fit the buffer.
 	w.k.Schedule(30*sim.Millisecond, "burst", func() {
-		if !sta.MAC().Radio().Asleep() {
+		if !sta.dcf.Radio().Asleep() {
 			return // timing raced a wake window; counters below still guard
 		}
 		for i := 0; i < 10; i++ {

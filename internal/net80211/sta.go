@@ -1,6 +1,7 @@
 package net80211
 
 import (
+	"bytes"
 	"fmt"
 
 	"repro/internal/frame"
@@ -133,9 +134,6 @@ func NewSTA(k *sim.Kernel, dcf *mac.DCF, cfg STAConfig) *STA {
 // Address returns the station MAC address.
 func (s *STA) Address() frame.MACAddr { return s.dcf.Address() }
 
-// MAC exposes the underlying DCF.
-func (s *STA) MAC() *mac.DCF { return s.dcf }
-
 // Associated reports whether the station is associated.
 func (s *STA) Associated() bool { return s.state == associated }
 
@@ -231,16 +229,7 @@ func betterCandidate(a, b *candidate) bool {
 	if a.rssi != b.rssi {
 		return a.rssi > b.rssi
 	}
-	return lowerMAC(a.bssid, b.bssid)
-}
-
-func lowerMAC(a, b frame.MACAddr) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return a[i] < b[i]
-		}
-	}
-	return false
+	return bytes.Compare(a.bssid[:], b.bssid[:]) < 0
 }
 
 // --- join state machine -----------------------------------------------------

@@ -64,7 +64,7 @@ func newCell(t testing.TB, seed uint64) *cell {
 }
 
 func (c *cell) mgmt(from frame.MACAddr, sub frame.Subtype, body []byte) {
-	c.ap.receive(frame.NewMgmt(sub, c.ap.BSSID(), from, c.ap.BSSID(), body), medium.RxInfo{})
+	c.ap.receive(mgmtFrame(sub, c.ap.BSSID(), from, c.ap.BSSID(), body), medium.RxInfo{})
 }
 
 func (c *cell) auth(from frame.MACAddr) {
@@ -104,7 +104,7 @@ func (c *cell) null(from frame.MACAddr, pwrMgmt bool) {
 }
 
 func (c *cell) psPoll(from frame.MACAddr, aid uint16) {
-	c.ap.receive(frame.NewPSPoll(c.ap.BSSID(), from, aid), medium.RxInfo{})
+	c.ap.receive(&frame.Frame{Type: frame.TypeControl, Subtype: frame.SubtypePSPoll, Addr1: c.ap.BSSID(), Addr2: from, Duration: aid | 0xc000}, medium.RxInfo{})
 }
 
 // TestAPClass3OnlyFromState3 is the AP's half of the table: data, null
@@ -195,8 +195,8 @@ func TestAssocReqFromState1Refused(t *testing.T) {
 		if !strings.HasSuffix(traced.s, " aid=0 status=1") || e.state != unauthenticated || e.aid != 0 {
 			t.Errorf("%v: answered %q, entry in state %d with aid %d", from, traced.s, e.state, e.aid)
 		}
-		if c.ap.Stats.Assocs != assocs || c.ap.AssociatedCount() != 1 || len(c.ap.byAID) != 1 {
-			t.Errorf("%v: %d associations, %d associated, %d AIDs held", from, c.ap.Stats.Assocs, c.ap.AssociatedCount(), len(c.ap.byAID))
+		if c.ap.Stats.Assocs != assocs || associatedCount(c.ap) != 1 || len(c.ap.byAID) != 1 {
+			t.Errorf("%v: %d associations, %d associated, %d AIDs held", from, c.ap.Stats.Assocs, associatedCount(c.ap), len(c.ap.byAID))
 		}
 	}
 }

@@ -74,7 +74,7 @@ func TestAdhocFragmentedSendZeroAlloc(t *testing.T) {
 			Name: name, Mode: mode,
 			Mobility: geom.Static{P: p}, TxPower: 16,
 		})
-		return mac.New(w.k, r, mac.Config{Address: w.alloc.Next(), Mode: mode, FragThreshold: 400},
+		return mac.New(w.k, r, mac.Config{Address: w.alloc.Next(), FragThreshold: 400},
 			rate.NewFixed(mode, 3), w.src)
 	}
 	a := NewAdhoc(w.k, mk("a", geom.Pt(0, 0)), IBSSID())
@@ -194,7 +194,7 @@ func TestAdhocSendRefillsToCapacity(t *testing.T) {
 			Name: name, Mode: mode,
 			Mobility: geom.Static{P: p}, TxPower: 16,
 		})
-		return mac.New(w.k, r, mac.Config{Address: w.alloc.Next(), Mode: mode, QueueCap: queueCap},
+		return mac.New(w.k, r, mac.Config{Address: w.alloc.Next(), QueueCap: queueCap},
 			rate.NewFixed(mode, 3), w.src)
 	}
 	const cap = 4

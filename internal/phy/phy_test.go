@@ -5,6 +5,7 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/frame"
 	"repro/internal/sim"
 	"repro/internal/units"
 )
@@ -227,6 +228,21 @@ func TestAirtimePreambleSwitch(t *testing.T) {
 }
 
 // Airtime runs once per transmission and per NAV computation: 0 allocs.
+// TestShortestFrameOutlastsSIFS is the precondition of the DCF's single
+// SIFS commitment slot: a commitment follows a decoded reception, and the
+// next reception a station decodes ends at least one frame later. The
+// shortest frame, a 14 B ACK at the fastest rate with the short preamble
+// wherever the mode has one, must last longer than SIFS in every mode.
+func TestShortestFrameOutlastsSIFS(t *testing.T) {
+	for _, m := range allModes() {
+		m.UseShortPreamble()
+		if air := m.Airtime(m.MaxRate(), frame.ACKLen); air <= m.SIFS {
+			t.Errorf("%s: a %d B ACK at %v lasts %v, not longer than SIFS %v",
+				m.Name, frame.ACKLen, m.Rate(m.MaxRate()), air, m.SIFS)
+		}
+	}
+}
+
 func TestAirtimeZeroAlloc(t *testing.T) {
 	for _, m := range bothPreambles() {
 		n := 0

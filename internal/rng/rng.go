@@ -155,11 +155,3 @@ func (s *Source) NormFloat64() float64 {
 	s.haveGauss = true
 	return u * f
 }
-
-// Shuffle randomizes the order of n elements using the provided swap.
-func (s *Source) Shuffle(n int, swap func(i, j int)) {
-	for i := n - 1; i > 0; i-- {
-		j := s.Intn(i + 1)
-		swap(i, j)
-	}
-}

@@ -160,19 +160,6 @@ func TestNormFloat64Moments(t *testing.T) {
 	}
 }
 
-func TestShufflePreservesElements(t *testing.T) {
-	s := New(3)
-	xs := []int{1, 2, 3, 4, 5, 6, 7}
-	sum := 0
-	s.Shuffle(len(xs), func(i, j int) { xs[i], xs[j] = xs[j], xs[i] })
-	for _, v := range xs {
-		sum += v
-	}
-	if sum != 28 {
-		t.Fatalf("shuffle lost elements: sum=%d", sum)
-	}
-}
-
 func TestUint64BitBalance(t *testing.T) {
 	// Each bit position should be set roughly half the time.
 	s := New(11)

@@ -202,9 +202,9 @@ func NewShadowing(src *rng.Source, sigmaDB float64) *Shadowing {
 	return &Shadowing{SigmaDB: sigmaDB, rng: src, cache: make(map[uint64]units.DB)}
 }
 
-// Gain implements Fading. The per-link offset is drawn once and cached so
-// the link is consistent for the whole run.
-func (s *Shadowing) Gain(linkID uint64, _ sim.Time) units.DB {
+// Gain returns the directed link's offset in dB. It is drawn once and
+// cached, so the link is consistent for the whole run.
+func (s *Shadowing) Gain(linkID uint64) units.DB {
 	if g, ok := s.cache[linkID]; ok {
 		return g
 	}
@@ -214,9 +214,6 @@ func (s *Shadowing) Gain(linkID uint64, _ sim.Time) units.DB {
 	s.cache[linkID] = g
 	return g
 }
-
-// Block implements Fading: the offset never changes.
-func (*Shadowing) Block(sim.Time) uint64 { return 0 }
 
 func shadowLabel(linkID uint64) string {
 	buf := [20]byte{'s', 'h', 'a', 'd', ':'}
@@ -313,25 +310,17 @@ func fadeLabel(linkID, block uint64) string {
 // shadowing and fast fading.
 type Model struct {
 	PathLoss PathLoss
-	Shadow   Fading // usually *Shadowing or NoFading
-	Fast     Fading // usually *Rayleigh, *Rician or NoFading
+	Shadow   *Shadowing // nil: no shadowing
+	Fast     Fading     // usually *Rayleigh, *Rician or NoFading
 }
 
-// NewModel assembles a composite model; nil shadow/fast default to none.
-func NewModel(pl PathLoss, shadow, fast Fading) *Model {
-	if shadow == nil {
-		shadow = NoFading{}
-	}
+// NewModel assembles a composite model; a nil shadow is none, and a nil
+// fast defaults to NoFading.
+func NewModel(pl PathLoss, shadow *Shadowing, fast Fading) *Model {
 	if fast == nil {
 		fast = NoFading{}
 	}
 	return &Model{PathLoss: pl, Shadow: shadow, Fast: fast}
-}
-
-// RxPower returns the received power for a transmission at txPower from tx
-// to rx on the directed link linkID at time t.
-func (m *Model) RxPower(txPower units.DBm, txPos, rxPos geom.Point, linkID uint64, t sim.Time) units.DBm {
-	return m.RxPowerFrom(txPower, m.RefLoss(txPos), txPos, rxPos, linkID, t)
 }
 
 // RefLoss is the share of the path loss from txPos that every receiver has
@@ -344,7 +333,9 @@ func (m *Model) RefLoss(txPos geom.Point) units.DB {
 	return 0
 }
 
-// RxPowerFrom is RxPower given refLoss = RefLoss(txPos).
+// RxPowerFrom returns the received power for a transmission at txPower
+// from txPos to rxPos on the directed link linkID at time t, given
+// refLoss = RefLoss(txPos).
 func (m *Model) RxPowerFrom(txPower units.DBm, refLoss units.DB, txPos, rxPos geom.Point, linkID uint64, t sim.Time) units.DBm {
 	var loss units.DB
 	if l, ok := m.PathLoss.(LogDistance); ok {
@@ -353,7 +344,9 @@ func (m *Model) RxPowerFrom(txPower units.DBm, refLoss units.DB, txPos, rxPos ge
 		loss = m.PathLoss.Loss(txPos, rxPos)
 	}
 	p := txPower.Add(-loss)
-	p = p.Add(m.Shadow.Gain(linkID, t))
+	if m.Shadow != nil {
+		p = p.Add(m.Shadow.Gain(linkID))
+	}
 	p = p.Add(m.Fast.Gain(linkID, t))
 	return p
 }

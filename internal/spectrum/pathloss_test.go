@@ -110,12 +110,11 @@ func TestMatrixLoss(t *testing.T) {
 
 func TestShadowingConsistentPerLink(t *testing.T) {
 	s := NewShadowing(rng.New(1), 6)
-	g1 := s.Gain(42, 0)
-	g2 := s.Gain(42, sim.Time(5*sim.Second))
-	if g1 != g2 {
-		t.Errorf("shadowing changed over time on one link: %v vs %v", g1, g2)
+	g1 := s.Gain(42)
+	if g2 := s.Gain(42); g1 != g2 {
+		t.Errorf("shadowing changed on one link: %v vs %v", g1, g2)
 	}
-	if s.Gain(43, 0) == g1 {
+	if s.Gain(43) == g1 {
 		t.Error("distinct links got identical shadowing (unlikely)")
 	}
 }
@@ -125,7 +124,7 @@ func TestShadowingMoments(t *testing.T) {
 	var sum, sumSq float64
 	const n = 5000
 	for i := uint64(0); i < n; i++ {
-		g := float64(s.Gain(i, 0))
+		g := float64(s.Gain(i))
 		sum += g
 		sumSq += g * g
 	}
@@ -160,7 +159,6 @@ func TestFadingBlockContract(t *testing.T) {
 	const coh = 3 * sim.Millisecond
 	for name, f := range map[string]Fading{
 		"none":     NoFading{},
-		"shadow":   NewShadowing(rng.New(8), 6),
 		"rayleigh": NewRayleigh(rng.New(8), coh),
 		"rician":   NewRician(rng.New(8), 3, coh),
 	} {
@@ -246,7 +244,7 @@ func TestRicianVarianceDecreasesWithK(t *testing.T) {
 
 func TestCompositeModel(t *testing.T) {
 	m := NewModel(FixedLoss{DB: 50}, nil, nil)
-	p := m.RxPower(20, geom.Pt(0, 0), geom.Pt(10, 0), 1, 0)
+	p := m.RxPowerFrom(20, m.RefLoss(geom.Pt(0, 0)), geom.Pt(0, 0), geom.Pt(10, 0), 1, 0)
 	if p != units.DBm(-30) {
 		t.Errorf("20 dBm through 50 dB loss = %v, want -30 dBm", p)
 	}
@@ -257,7 +255,7 @@ func TestCompositeModelWithFading(t *testing.T) {
 	// With fading the power varies around -30 dBm.
 	var min, max units.DBm = 1000, -1000
 	for i := 0; i < 200; i++ {
-		p := m.RxPower(20, geom.Pt(0, 0), geom.Pt(10, 0), uint64(i), sim.Time(i)*sim.Time(sim.Millisecond))
+		p := m.RxPowerFrom(20, m.RefLoss(geom.Pt(0, 0)), geom.Pt(0, 0), geom.Pt(10, 0), uint64(i), sim.Time(i)*sim.Time(sim.Millisecond))
 		if p < min {
 			min = p
 		}

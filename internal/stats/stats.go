@@ -15,23 +15,11 @@ type Welford struct {
 	n    uint64
 	mean float64
 	m2   float64
-	min  float64
-	max  float64
 }
 
 // Add folds one observation into the accumulator.
 func (w *Welford) Add(x float64) {
 	w.n++
-	if w.n == 1 {
-		w.min, w.max = x, x
-	} else {
-		if x < w.min {
-			w.min = x
-		}
-		if x > w.max {
-			w.max = x
-		}
-	}
 	delta := x - w.mean
 	w.mean += delta / float64(w.n)
 	w.m2 += delta * (x - w.mean)
@@ -53,12 +41,6 @@ func (w *Welford) Variance() float64 {
 
 // StdDev returns the sample standard deviation.
 func (w *Welford) StdDev() float64 { return math.Sqrt(w.Variance()) }
-
-// Min returns the smallest observation (0 for empty).
-func (w *Welford) Min() float64 { return w.min }
-
-// Max returns the largest observation (0 for empty).
-func (w *Welford) Max() float64 { return w.max }
 
 // tTable holds two-sided 95% Student-t critical values for small samples;
 // beyond 30 degrees of freedom the normal value is used.
@@ -157,9 +139,6 @@ func (h *Histogram) Quantile(q float64) float64 {
 	}
 	return h.xs[lo]*(1-frac) + h.xs[lo+1]*frac
 }
-
-// Median returns the 0.5 quantile.
-func (h *Histogram) Median() float64 { return h.Quantile(0.5) }
 
 // JainIndex computes Jain's fairness index: (Σx)² / (n·Σx²). It is 1 for
 // perfect fairness and 1/n when one member takes everything.

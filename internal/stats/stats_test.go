@@ -24,9 +24,6 @@ func TestWelfordKnownValues(t *testing.T) {
 	if math.Abs(w.Variance()-32.0/7) > 1e-12 {
 		t.Errorf("variance = %v, want %v", w.Variance(), 32.0/7)
 	}
-	if w.Min() != 2 || w.Max() != 9 {
-		t.Errorf("min/max = %v/%v", w.Min(), w.Max())
-	}
 }
 
 func TestWelfordEmptyAndSingle(t *testing.T) {
@@ -87,7 +84,7 @@ func TestHistogramQuantiles(t *testing.T) {
 	if q := h.Quantile(1); q != 100 {
 		t.Errorf("q1 = %v", q)
 	}
-	if q := h.Median(); math.Abs(q-50.5) > 1e-9 {
+	if q := h.Quantile(0.5); math.Abs(q-50.5) > 1e-9 {
 		t.Errorf("median = %v, want 50.5", q)
 	}
 	if q := h.Quantile(0.99); q < 99 || q > 100 {
@@ -104,8 +101,8 @@ func TestHistogramUnsortedInput(t *testing.T) {
 	for _, x := range []float64{5, 1, 4, 2, 3} {
 		h.Add(x)
 	}
-	if h.Median() != 3 {
-		t.Errorf("median = %v", h.Median())
+	if q := h.Quantile(0.5); q != 3 {
+		t.Errorf("median = %v", q)
 	}
 	// Adding after a query re-sorts.
 	h.Add(0)

@@ -221,18 +221,3 @@ func (cp *Checkpoint) Close() error {
 	defer cp.mu.Unlock()
 	return cp.f.Close()
 }
-
-// CountRecords reports how many complete records data holds — a cheap
-// progress probe for orchestration and tests (records, not points:
-// duplicate records count individually).
-func CountRecords(data []byte) int {
-	n := 0
-	for {
-		l := recordLen(data)
-		if l < 0 {
-			return n
-		}
-		n++
-		data = data[l:]
-	}
-}

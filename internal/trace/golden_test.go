@@ -1,6 +1,6 @@
-// Golden-output tests for the built-in tracers: a fixed-seed scenario is
-// traced through Text and JSONL and the full output is compared
-// byte-for-byte against checked-in goldens. Any drift — field order, a
+// Golden-output test for the JSONL tracer: a fixed-seed scenario is traced
+// and the full output is compared byte-for-byte against a checked-in
+// golden. Any drift — field order, a
 // formatting tweak, a renamed kind, an extra event — fails loudly here
 // before it breaks downstream log parsers. The package is trace_test so
 // the scenario can come from internal/core without an import cycle.
@@ -40,45 +40,34 @@ func TestTracerGoldens(t *testing.T) {
 		// goldens are generated on amd64 (the CI architecture).
 		t.Skip("golden traces are pinned for amd64")
 	}
-	tracers := []struct {
-		name string
-		make func(w *bytes.Buffer) trace.Tracer
-	}{
-		{"text", func(w *bytes.Buffer) trace.Tracer { return trace.Text{W: w} }},
-		{"jsonl", func(w *bytes.Buffer) trace.Tracer { return trace.JSONL{W: w} }},
-	}
-	for _, tc := range tracers {
-		tc := tc
-		t.Run(tc.name, func(t *testing.T) {
-			t.Parallel()
-			var buf bytes.Buffer
-			goldenScenario(tc.make(&buf))
-			if buf.Len() == 0 {
-				t.Fatal("scenario emitted no trace output")
+	t.Run("jsonl", func(t *testing.T) {
+		var buf bytes.Buffer
+		goldenScenario(trace.JSONL{W: &buf})
+		if buf.Len() == 0 {
+			t.Fatal("scenario emitted no trace output")
+		}
+		path := filepath.Join("testdata", "golden_jsonl.txt")
+		if os.Getenv("REGEN_GOLDEN") != "" {
+			if err := os.MkdirAll("testdata", 0o755); err != nil {
+				t.Fatal(err)
 			}
-			path := filepath.Join("testdata", "golden_"+tc.name+".txt")
-			if os.Getenv("REGEN_GOLDEN") != "" {
-				if err := os.MkdirAll("testdata", 0o755); err != nil {
-					t.Fatal(err)
-				}
-				if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
-					t.Fatal(err)
-				}
-				t.Logf("regenerated %s (%d bytes)", path, buf.Len())
-				return
+			if err := os.WriteFile(path, buf.Bytes(), 0o644); err != nil {
+				t.Fatal(err)
 			}
-			want, err := os.ReadFile(path)
-			if err != nil {
-				t.Fatalf("missing golden file (run with REGEN_GOLDEN=1 to create): %v", err)
-			}
-			if !bytes.Equal(buf.Bytes(), want) {
-				t.Fatalf("%s tracer output drifted from %s.\nIf the format change is "+
-					"intentional, regenerate with REGEN_GOLDEN=1 and flag it in the "+
-					"PR — downstream parsers key on this format.\ngot %d bytes, want %d",
-					tc.name, path, buf.Len(), len(want))
-			}
-		})
-	}
+			t.Logf("regenerated %s (%d bytes)", path, buf.Len())
+			return
+		}
+		want, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatalf("missing golden file (run with REGEN_GOLDEN=1 to create): %v", err)
+		}
+		if !bytes.Equal(buf.Bytes(), want) {
+			t.Fatalf("tracer output drifted from %s.\nIf the format change is "+
+				"intentional, regenerate with REGEN_GOLDEN=1 and flag it in the "+
+				"PR — downstream parsers key on this format.\ngot %d bytes, want %d",
+				path, buf.Len(), len(want))
+		}
+	})
 }
 
 // retained is one buffered event: the raw Frame view exactly as Trace saw

@@ -1,12 +1,11 @@
 // Package trace provides frame-level event tracing: a pluggable Tracer
-// interface with human-readable text and JSON-lines implementations. The
-// medium emits one event per transmission and per reception outcome,
-// which is enough to reconstruct every exchange.
+// interface and its JSON-lines implementation. The medium emits one event
+// per transmission and per reception outcome, which is enough to
+// reconstruct every exchange.
 package trace
 
 import (
 	"encoding/json"
-	"fmt"
 	"io"
 
 	"repro/internal/frame"
@@ -35,8 +34,8 @@ type Event struct {
 	// state (rx events carry the medium's pooled zero-copy decode, tx
 	// events the sender's in-flight frame), valid only for the duration of
 	// the Trace call: tracers that buffer events must store
-	// Frame.Clone() — or, like the built-in tracers, render what they
-	// need before returning.
+	// Frame.Clone() — or, like JSONL, render what they need before
+	// returning.
 	Frame  *frame.Frame
 	Detail string
 }
@@ -44,23 +43,6 @@ type Event struct {
 // Tracer consumes events synchronously from the simulation hot path.
 type Tracer interface {
 	Trace(ev Event)
-}
-
-// Text writes one human-readable line per event.
-type Text struct {
-	W io.Writer
-}
-
-// Trace implements Tracer.
-func (t Text) Trace(ev Event) {
-	if t.W == nil {
-		return
-	}
-	if ev.Frame != nil {
-		fmt.Fprintf(t.W, "%12s %-10s %-6s %s %s\n", ev.At, ev.Node, ev.Kind, ev.Frame, ev.Detail)
-	} else {
-		fmt.Fprintf(t.W, "%12s %-10s %-6s %s\n", ev.At, ev.Node, ev.Kind, ev.Detail)
-	}
 }
 
 // jsonEvent is the serialized form of an Event.
@@ -77,7 +59,8 @@ type jsonEvent struct {
 }
 
 // JSONL writes one JSON object per line, suitable for offline analysis and
-// the wlantrace tool.
+// the wlantrace tool. Trace has no error to return, so W must keep its own:
+// a bufio.Writer holds its first write error, and its Flush reports it.
 type JSONL struct {
 	W io.Writer
 }
@@ -101,15 +84,6 @@ func (j JSONL) Trace(ev Event) {
 	}
 	b = append(b, '\n')
 	_, _ = j.W.Write(b)
-}
-
-// ParseJSONL decodes one line produced by JSONL (for wlantrace).
-func ParseJSONL(line []byte) (map[string]any, error) {
-	var m map[string]any
-	if err := json.Unmarshal(line, &m); err != nil {
-		return nil, err
-	}
-	return m, nil
 }
 
 // Kinds lists every event kind in a stable summary order.

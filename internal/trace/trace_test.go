@@ -2,6 +2,7 @@ package trace
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -22,33 +23,13 @@ func sampleEvent() Event {
 	}
 }
 
-func TestTextTracer(t *testing.T) {
-	var buf bytes.Buffer
-	tr := Text{W: &buf}
-	tr.Trace(sampleEvent())
-	out := buf.String()
-	for _, want := range []string{"sta1", "tx", "data", "seq=42", "rate=11"} {
-		if !strings.Contains(out, want) {
-			t.Errorf("text trace missing %q: %s", want, out)
-		}
-	}
-	// Frameless events work too.
-	buf.Reset()
-	tr.Trace(Event{At: 0, Node: "ap", Kind: KindRoam, Detail: "a->b"})
-	if !strings.Contains(buf.String(), "roam") {
-		t.Errorf("frameless event: %s", buf.String())
-	}
-	// Nil writer must not panic.
-	Text{}.Trace(sampleEvent())
-}
-
 func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	tr := JSONL{W: &buf}
 	tr.Trace(sampleEvent())
 	line := strings.TrimSpace(buf.String())
-	m, err := ParseJSONL([]byte(line))
-	if err != nil {
+	var m map[string]any
+	if err := json.Unmarshal([]byte(line), &m); err != nil {
 		t.Fatalf("parse: %v", err)
 	}
 	if m["node"] != "sta1" || m["kind"] != "tx" || m["type"] != "data" {
@@ -59,8 +40,5 @@ func TestJSONLRoundTrip(t *testing.T) {
 	}
 	if m["seq"].(float64) != 42 {
 		t.Errorf("seq = %v", m["seq"])
-	}
-	if _, err := ParseJSONL([]byte("{broken")); err == nil {
-		t.Error("broken JSON accepted")
 	}
 }

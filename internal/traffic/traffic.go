@@ -12,7 +12,6 @@ package traffic
 
 import (
 	"encoding/binary"
-	"sort"
 
 	"repro/internal/rng"
 	"repro/internal/sim"
@@ -358,19 +357,6 @@ func (f *FlowStats) seen(seq uint64) bool {
 
 // Flow returns stats for a flow ID (nil if nothing arrived).
 func (s *Sink) Flow(id uint32) *FlowStats { return s.flows[id] }
-
-// Flows returns all flow IDs observed, in ascending order: callers fold
-// the result into tables and traces, so the order must not leak map
-// iteration (determinism contract).
-func (s *Sink) Flows() []uint32 {
-	ids := make([]uint32, 0, len(s.flows))
-	//wlan:allow-nondeterminism collection order is erased by the sort below
-	for id := range s.flows {
-		ids = append(ids, id)
-	}
-	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
-	return ids
-}
 
 // TotalBytes sums payload bytes over flows.
 func (s *Sink) TotalBytes() uint64 {

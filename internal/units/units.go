@@ -87,9 +87,6 @@ func init() {
 // Add applies a gain (or loss, when negative) to a power level.
 func (p DBm) Add(g DB) DBm { return p + DBm(g) }
 
-// Sub returns the ratio between two power levels as a gain in dB.
-func (p DBm) Sub(q DBm) DB { return DB(p - q) }
-
 func (p DBm) String() string { return fmt.Sprintf("%.1f dBm", float64(p)) }
 
 func (g DB) String() string { return fmt.Sprintf("%.1f dB", float64(g)) }

@@ -26,15 +26,6 @@ const (
 // strictly increasing.
 type PN uint64
 
-// PNCounter issues sequential packet numbers.
-type PNCounter struct{ n PN }
-
-// Next returns the next packet number (starting at 1).
-func (c *PNCounter) Next() PN {
-	c.n++
-	return c.n
-}
-
 // ccmNonce builds the 13-byte CCM nonce from the transmitter address and PN.
 //
 //wlan:hotpath
