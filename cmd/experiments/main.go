@@ -60,6 +60,7 @@
 package main
 
 import (
+	"bufio"
 	"flag"
 	"fmt"
 	"net"
@@ -134,10 +135,12 @@ func main() {
 		fmt.Fprintf(os.Stderr, "metrics listening %s\n", addr)
 	}
 
+	out := bufio.NewWriter(os.Stdout)
 	if *list {
 		for _, e := range harness.All() {
-			fmt.Printf("%-4s %s\n     expect: %s\n", e.ID, e.Title, e.Expect)
+			fmt.Fprintf(out, "%-4s %s\n     expect: %s\n", e.ID, e.Title, e.Expect)
 		}
+		flush(out)
 		return
 	}
 
@@ -202,10 +205,11 @@ func main() {
 	res, err := coord.Run(exps, func(i int, t *stats.Table) {
 		e := exps[i]
 		if *csv {
-			fmt.Printf("# %s: %s\n%s\n", e.ID, e.Title, t.CSV())
+			fmt.Fprintf(out, "# %s: %s\n%s\n", e.ID, e.Title, t.CSV())
 		} else {
-			fmt.Printf("%s\nexpected shape: %s\n(%v into the run)\n\n", t.Render(), e.Expect, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(out, "%s\nexpected shape: %s\n(%v into the run)\n\n", t.Render(), e.Expect, time.Since(start).Round(time.Millisecond))
 		}
+		flush(out)
 	})
 	if err != nil {
 		fatal(err)
@@ -238,6 +242,13 @@ func clusterSummary(res *cluster.Result) string {
 func usage(format string, args ...any) {
 	fmt.Fprintf(os.Stderr, "experiments: "+format+"\n", args...)
 	os.Exit(2)
+}
+
+// flush writes out w's tables as they complete; a write error is fatal.
+func flush(w *bufio.Writer) {
+	if err := w.Flush(); err != nil {
+		fatal(fmt.Errorf("experiments: stdout: %v", err))
+	}
 }
 
 func fatal(err error) {

@@ -128,3 +128,26 @@ func TestListAlone(t *testing.T) {
 		t.Errorf("experiments -list printed %d entries, want %d", got, len(harness.All()))
 	}
 }
+
+// TestStdoutWriteErrorExits: tables that cannot be written are one line on
+// stderr and exit status 1, not exit status 0 with nothing written.
+func TestStdoutWriteErrorExits(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full here")
+	}
+	defer full.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	cmd := command(t, ctx, "-quick", "-csv", "-experiment", "T1")
+	var stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = full, &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("experiments > /dev/full: %v, want exit status 1", err)
+	}
+	if strings.Count(stderr.String(), "\n") != 1 || !strings.HasPrefix(stderr.String(), "experiments: stdout:") {
+		t.Errorf("experiments > /dev/full: stderr %q, want one experiments: stdout: line", stderr.String())
+	}
+}

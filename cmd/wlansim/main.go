@@ -148,7 +148,11 @@ func main() {
 			stats.F(100*fs.LossRatio(), 1), stats.F(fs.Latency.Mean()*1000, 2),
 			fmt.Sprint(node.MAC.Stats().Retries))
 	}
-	fmt.Println(table.Render())
-	fmt.Printf("aggregate: %s Mbit/s   jain fairness: %s\n",
-		stats.Mbps(agg), stats.F(stats.JainIndex(per), 4))
+	out := bufio.NewWriter(os.Stdout)
+	fmt.Fprintf(out, "%s\naggregate: %s Mbit/s   jain fairness: %s\n",
+		table.Render(), stats.Mbps(agg), stats.F(stats.JainIndex(per), 4))
+	if err := out.Flush(); err != nil {
+		fmt.Fprintln(os.Stderr, "wlansim: stdout:", err)
+		os.Exit(1)
+	}
 }

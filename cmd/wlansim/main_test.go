@@ -91,6 +91,32 @@ func TestTraceWriteErrorExits(t *testing.T) {
 	}
 }
 
+// TestStdoutWriteErrorExits: a table that cannot be written is one line on
+// stderr and exit status 1, not exit status 0 with nothing written.
+func TestStdoutWriteErrorExits(t *testing.T) {
+	full, err := os.OpenFile("/dev/full", os.O_WRONLY, 0)
+	if err != nil {
+		t.Skip("no /dev/full here")
+	}
+	defer full.Close()
+	self, err := os.Executable()
+	if err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(self, "-n", "1", "-duration", "100ms")
+	cmd.Env = append(os.Environ(), asMainEnv+"=1")
+	var stderr bytes.Buffer
+	cmd.Stdout, cmd.Stderr = full, &stderr
+	err = cmd.Run()
+	var exit *exec.ExitError
+	if !errors.As(err, &exit) || exit.ExitCode() != 1 {
+		t.Fatalf("wlansim > /dev/full: %v, want exit status 1", err)
+	}
+	if strings.Count(stderr.String(), "\n") != 1 || !strings.HasPrefix(stderr.String(), "wlansim: stdout:") {
+		t.Errorf("wlansim > /dev/full: stderr %q, want one wlansim: stdout: line", stderr.String())
+	}
+}
+
 // TestGoodputOverMeasuredDuration: a flow's Mbit/s is its delivered
 // payload over -duration. The infra topology runs an association phase
 // before it attaches its flows, and that phase must not dilute the rate.

@@ -11,6 +11,7 @@ import (
 	"repro/internal/rng"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/traffic"
 )
 
 // The E family is the city-scale suite enabled by the medium's
@@ -43,11 +44,10 @@ func init() {
 // e1Point holds one evaluated E1 density point (shared with the golden
 // trace, which pins a small fixed instance of the same scenario).
 type e1Point struct {
-	net      *core.Network
-	flows    []uint32
-	events   uint64
-	sent     uint64
-	received uint64
+	net    *core.Network
+	flows  []uint32
+	events uint64
+	flowTotals
 }
 
 // e1Scenario builds and runs an n-radio adhoc grid: radios on a 15 m
@@ -69,16 +69,7 @@ func e1Scenario(seed uint64, n int, dur sim.Duration) e1Point {
 	}
 	net.Run(dur)
 
-	p := e1Point{net: net, flows: flows, events: net.Kernel().Processed()}
-	for _, g := range net.Generators() {
-		p.sent += g.Sent()
-	}
-	for _, f := range flows {
-		if fs := net.FlowStats(f); fs != nil {
-			p.received += fs.Received
-		}
-	}
-	return p
+	return e1Point{net: net, flows: flows, events: net.Kernel().Processed(), flowTotals: totals(net, flows, false, nil)}
 }
 
 func gridE1(quick bool) *Grid {
@@ -92,18 +83,10 @@ func gridE1(quick bool) *Grid {
 		Point: single(func(i int) []string {
 			n := sizes[i]
 			p := e1Scenario(sim.DeriveSeed(0xE1, uint64(n)), n, dur)
-			perNode := 0.0
-			for _, f := range p.flows {
-				perNode += p.net.FlowThroughput(f)
-			}
-			perNode /= float64(n)
-			delivery := 0.0
-			if p.sent > 0 {
-				delivery = 100 * float64(p.received) / float64(p.sent)
-			}
+			perNode := sumThroughput(p.net, p.flows) / float64(n)
 			evPerVS := float64(p.events) / dur.Seconds()
 			return []string{fmt.Sprint(n), stats.F(evPerVS, 0),
-				stats.F(perNode, 0), stats.F(delivery, 1)}
+				stats.F(perNode, 0), stats.F(p.delivery(), 1)}
 		})}
 }
 
@@ -173,24 +156,14 @@ func gridE2(quick bool) *Grid {
 					final++
 				}
 			}
-			sent, received, outage := uint64(0), uint64(0), 0.0
-			for _, f := range r.flows {
-				if fs := r.net.FlowStats(f); fs != nil {
-					received += fs.Received
-					if o := fs.MaxGap.Seconds() * 1000; o > outage {
-						outage = o
-					}
+			outage := 0.0
+			f := totals(r.net, r.flows, false, func(fs *traffic.FlowStats) {
+				if o := fs.MaxGap.Seconds() * 1000; o > outage {
+					outage = o
 				}
-			}
-			for _, g := range r.net.Generators() {
-				sent += g.Sent()
-			}
-			delivery := 0.0
-			if sent > 0 {
-				delivery = 100 * float64(received) / float64(sent)
-			}
+			})
 			return []string{fmt.Sprint(p.aps), fmt.Sprint(p.stas), fmt.Sprint(roams),
-				fmt.Sprint(r.ess.Handoffs()), stats.F(delivery, 1),
+				fmt.Sprint(r.ess.Handoffs()), stats.F(f.delivery(), 1),
 				stats.F(outage, 0), fmt.Sprint(final)}
 		})}
 }
@@ -249,32 +222,15 @@ func gridE3(quick bool) *Grid {
 		Point: single(func(i int) []string {
 			stas := crowds[i]
 			r := e3Scenario(sim.DeriveSeed(0xE3, uint64(stas)), stas, window, tail)
-			var sent, received uint64
-			var bits, meanSum, worstP95 float64
-			for _, f := range r.flows {
-				fs := r.net.FlowStats(f)
-				if fs == nil {
-					continue
-				}
-				received += fs.Received
+			var bits, worstP95 float64
+			f := totals(r.net, r.flows, false, func(fs *traffic.FlowStats) {
 				bits += float64(fs.Bytes) * 8
-				meanSum += fs.Latency.Mean() * float64(fs.Received)
 				if p := fs.LatencyH.Quantile(0.95); p > worstP95 {
 					worstP95 = p
 				}
-			}
-			for _, g := range r.net.Generators() {
-				sent += g.Sent()
-			}
-			delivery, mean := 0.0, 0.0
-			if sent > 0 {
-				delivery = 100 * float64(received) / float64(sent)
-			}
-			if received > 0 {
-				mean = meanSum / float64(received)
-			}
+			})
 			agg := bits / r.dur.Seconds() / 1e6
-			return []string{fmt.Sprint(stas), stats.F(agg, 2), stats.F(delivery, 1),
-				stats.F(mean*1000, 2), stats.F(worstP95*1000, 2)}
+			return []string{fmt.Sprint(stas), stats.F(agg, 2), stats.F(f.delivery(), 1),
+				stats.F(f.meanDelay*1000, 2), stats.F(worstP95*1000, 2)}
 		})}
 }

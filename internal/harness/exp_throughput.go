@@ -9,6 +9,7 @@ import (
 	"repro/internal/phy"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/traffic"
 )
 
 func init() {
@@ -125,28 +126,13 @@ func gridF2(quick bool) *Grid {
 
 		delivered := sumThroughput(net, flows)
 		var latH stats.Histogram
-		var offered, got uint64
-		for _, g := range net.Generators() {
-			offered += g.Offered
-		}
-		var totalLat float64 // per-flow mean delay weighted by frames received
-		for _, id := range flows {
-			if fs := net.FlowStats(id); fs != nil {
-				got += fs.Received
-				totalLat += fs.Latency.Mean() * float64(fs.Received)
-				latH.Add(fs.LatencyH.Quantile(0.95))
-			}
-		}
-		var meanDelay float64
-		if got > 0 {
-			meanDelay = totalLat / float64(got)
-		}
+		f := totals(net, flows, true, func(fs *traffic.FlowStats) { latH.Add(fs.LatencyH.Quantile(0.95)) })
 		loss := 0.0
-		if offered > 0 {
-			loss = 100 * (1 - float64(got)/float64(offered))
+		if f.sent > 0 {
+			loss = 100 * (1 - float64(f.received)/float64(f.sent))
 		}
 		return []string{stats.Mbps(load), stats.Mbps(delivered), stats.F(loss, 1),
-			stats.F(meanDelay*1000, 2), stats.F(latH.Quantile(1)*1000, 2)}
+			stats.F(f.meanDelay*1000, 2), stats.F(latH.Quantile(1)*1000, 2)}
 	})}
 }
 

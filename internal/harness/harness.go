@@ -27,6 +27,7 @@ import (
 	"repro/internal/geom"
 	"repro/internal/sim"
 	"repro/internal/stats"
+	"repro/internal/traffic"
 )
 
 // Experiment is one reproducible table/figure.
@@ -180,6 +181,47 @@ func sumThroughput(net *core.Network, flows []uint32) float64 {
 		total += net.FlowThroughput(f)
 	}
 	return total
+}
+
+// flowTotals is what a network's generators sent and its sink received.
+type flowTotals struct {
+	sent, received uint64
+	meanDelay      float64 // seconds: per-flow means weighted by frames received
+}
+
+// delivery returns received as a percentage of sent, 0 when nothing was sent.
+func (t flowTotals) delivery() float64 {
+	if t.sent == 0 {
+		return 0
+	}
+	return 100 * float64(t.received) / float64(t.sent)
+}
+
+// totals sums every generator's Offered (offered set) or Sent(), and flows'
+// sink statistics, handed in order to each when it is not nil.
+func totals(net *core.Network, flows []uint32, offered bool, each func(*traffic.FlowStats)) flowTotals {
+	var t flowTotals
+	for _, g := range net.Generators() {
+		if offered {
+			t.sent += g.Offered
+		} else {
+			t.sent += g.Sent()
+		}
+	}
+	var delaySum float64
+	for _, id := range flows {
+		if fs := net.FlowStats(id); fs != nil {
+			t.received += fs.Received
+			delaySum += fs.Latency.Mean() * float64(fs.Received)
+			if each != nil {
+				each(fs)
+			}
+		}
+	}
+	if t.received > 0 {
+		t.meanDelay = delaySum / float64(t.received)
+	}
+	return t
 }
 
 // perFlowThroughput returns each flow's goodput.

@@ -22,8 +22,7 @@ const (
 	statsWindow   = 25
 )
 
-// rateStat is the bookkeeping both SampleRate and Minstrel keep per
-// (destination, rate).
+// rateStat is the bookkeeping Minstrel keeps per (destination, rate).
 type rateStat struct {
 	// ewmaProb is the smoothed delivery probability in [0,1]; -1 until the
 	// first observation.
@@ -48,7 +47,9 @@ type SampleRate struct {
 }
 
 type srState struct {
-	stats   [maxRates]rateStat
+	// ewma is the smoothed delivery probability per rate in [0,1]; -1
+	// until the first observation.
+	ewma    [maxRates]float64
 	counter int
 }
 
@@ -68,8 +69,8 @@ func (s *SampleRate) Name() string { return "samplerate" }
 func (s *SampleRate) state(dst frame.MACAddr) *srState {
 	st, fresh := s.peers.Get(dst)
 	if fresh {
-		for i := range st.stats {
-			st.stats[i].ewmaProb = -1
+		for i := range st.ewma {
+			st.ewma[i] = -1
 		}
 	}
 	return st
@@ -78,7 +79,7 @@ func (s *SampleRate) state(dst frame.MACAddr) *srState {
 // prob returns the estimated delivery probability, optimistic (1.0) for
 // untried rates so they get sampled.
 func (st *srState) prob(i phy.RateIdx) float64 {
-	p := st.stats[i].ewmaProb
+	p := st.ewma[i]
 	if p < 0 {
 		return 1.0
 	}
@@ -157,17 +158,16 @@ func (s *SampleRate) OnTxResult(dst frame.MACAddr, ri phy.RateIdx, success bool)
 	if dst.IsGroup() {
 		return
 	}
-	st := s.state(dst)
-	stat := &st.stats[ri]
+	ewma := &s.state(dst).ewma[ri]
 	// EWMA with alpha 0.1 per observation.
 	obs := 0.0
 	if success {
 		obs = 1.0
 	}
-	if stat.ewmaProb < 0 {
-		stat.ewmaProb = obs
+	if *ewma < 0 {
+		*ewma = obs
 	} else {
-		stat.ewmaProb = 0.9*stat.ewmaProb + 0.1*obs
+		*ewma = 0.9*(*ewma) + 0.1*obs
 	}
 }
 

@@ -12,8 +12,8 @@ import (
 //
 // refHeap is a deliberately naive binary min-heap on (at, seq) with lazy
 // cancellation: the simplest credible model of the kernel's ordering
-// contract. The differential test below drives it in lock-step with the
-// struct-of-arrays 4-ary heap and demands identical pop sequences.
+// contract. FuzzKernelOps drives it in lock-step with the kernel's 4-ary
+// heap and demands identical pop sequences.
 
 type refKey struct {
 	at  Time
@@ -86,125 +86,6 @@ func (h *refHeap) pop() (refKey, bool) {
 		return min, true
 	}
 	return refKey{}, false
-}
-
-// --- differential workload ------------------------------------------------
-
-// TestDifferentialHeap drives the kernel and the naive reference heap with
-// the same seeded randomized schedule/cancel/reschedule/pop workload for
-// over a million operations and requires bit-identical pop sequences and
-// live-event counts. Delays are quantized so many events collide on the same
-// timestamp, making the seq tie-break carry the order constantly.
-func TestDifferentialHeap(t *testing.T) {
-	const loopOps = 1_000_000
-
-	rng := rand.New(rand.NewSource(0xD157))
-	k := NewKernel()
-	ref := newRefHeap()
-
-	type entry struct {
-		id     int
-		tm     Timer
-		seq    uint64
-		popped bool
-		dead   bool
-	}
-	var entries []*entry
-	nextID := 0
-	var seq uint64 // mirrors the kernel's internal schedule counter
-	var got []int  // ids delivered by the kernel, appended by callbacks
-	refNow := Time(0)
-	ops := 0
-
-	schedule := func(d Duration) {
-		id := nextID
-		nextID++
-		e := &entry{id: id, seq: seq}
-		e.tm = k.Schedule(d, "diff", func() {
-			got = append(got, id)
-			k.Stop() // one event per Run call
-		})
-		ref.push(refKey{at: k.Now().Add(d), seq: seq, id: id})
-		seq++
-		entries = append(entries, e)
-		ops++
-	}
-
-	cancel := func(e *entry) {
-		k.Cancel(e.tm)
-		if !e.popped && !e.dead {
-			ref.cancelled[e.seq] = true
-			e.dead = true
-		}
-		ops++
-	}
-
-	// popOne runs exactly one kernel event (every callback calls Stop) and
-	// checks it against the reference pop. Returns false when both agree the
-	// queue is empty.
-	popOne := func() bool {
-		before := k.Processed()
-		k.Run()
-		kernelPopped := k.Processed() != before
-		key, refPopped := ref.pop()
-		if kernelPopped != refPopped {
-			t.Fatalf("op %d: kernel popped=%v, reference popped=%v", ops, kernelPopped, refPopped)
-		}
-		if !kernelPopped {
-			return false
-		}
-		id := got[len(got)-1]
-		if id != key.id {
-			t.Fatalf("op %d: pop #%d diverged: kernel delivered id %d, reference id %d", ops, len(got), id, key.id)
-		}
-		if key.at < refNow {
-			t.Fatalf("reference time went backwards: %v after %v", key.at, refNow)
-		}
-		refNow = key.at
-		if k.Now() != key.at {
-			t.Fatalf("clock mismatch: kernel %v, reference %v", k.Now(), key.at)
-		}
-		entries[id].popped = true
-		if live := len(ref.keys) - len(ref.cancelled); k.Pending() != live {
-			t.Fatalf("op %d: kernel reports %d pending, reference holds %d live keys", ops, k.Pending(), live)
-		}
-		ops++
-		return true
-	}
-
-	for i := 0; i < loopOps; i++ {
-		switch c := rng.Intn(100); {
-		case c < 45:
-			// Quantized delays (including zero) force timestamp collisions.
-			schedule(Duration(rng.Intn(64)) * 10 * Microsecond)
-		case c < 60:
-			if len(entries) > 0 {
-				cancel(entries[rng.Intn(len(entries))])
-			}
-		case c < 72:
-			// Reschedule: cancel a random (possibly stale) timer, then
-			// schedule a replacement — often landing on the same tick.
-			if len(entries) > 0 {
-				cancel(entries[rng.Intn(len(entries))])
-				schedule(Duration(rng.Intn(8)) * 10 * Microsecond)
-			}
-		default:
-			popOne()
-		}
-	}
-	// Drain to empty: the full tail must agree too.
-	for popOne() {
-	}
-	if ops < 1_000_000 {
-		t.Fatalf("workload ran only %d operations, want >= 1M", ops)
-	}
-	if k.Pending() != 0 {
-		t.Fatalf("kernel reports %d pending after drain", k.Pending())
-	}
-	if k.seq != seq {
-		t.Fatalf("schedule counter mismatch: kernel %d, mirror %d", k.seq, seq)
-	}
-	t.Logf("differential workload: %d ops, %d schedules, %d pops, all identical", ops, nextID, len(got))
 }
 
 // TestCohortDrainProperty checks the same-timestamp ordering contract
