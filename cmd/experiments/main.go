@@ -13,6 +13,10 @@
 //	experiments -agents h1:7101,h2:7101   # add TCP agents to the worker list
 //	experiments -metrics :9090  # serve Prometheus /metrics (+ pprof) while running
 //
+// In text mode each table is followed by its experiment's expected shape and
+// the verdict of the experiment's Check on that table: "holds", or each
+// failed clause. CSV output carries tables only.
+//
 // Every invocation is one run of the sweep engine (repro/internal/cluster):
 // one queue over every (experiment, grid point) of the invocation hands the
 // first unfinished point, in (experiment, cost descending) order, to
@@ -207,7 +211,7 @@ func main() {
 		if *csv {
 			fmt.Fprintf(out, "# %s: %s\n%s\n", e.ID, e.Title, t.CSV())
 		} else {
-			fmt.Fprintf(out, "%s\nexpected shape: %s\n(%v into the run)\n\n", t.Render(), e.Expect, time.Since(start).Round(time.Millisecond))
+			fmt.Fprintf(out, "%s\nexpected shape: %s — %s\n(%v into the run)\n\n", t.Render(), e.Expect, verdict(e.Check(t)), time.Since(start).Round(time.Millisecond))
 		}
 		flush(out)
 	})
@@ -217,6 +221,15 @@ func main() {
 	if *shards > 1 || addrs != nil {
 		fmt.Fprintf(os.Stderr, "experiments: %d workers;%s\n", len(workers), clusterSummary(res))
 	}
+}
+
+// verdict renders what a table's Check returned: "holds", or "fails:" and
+// one indented line per failed clause.
+func verdict(fails []string) string {
+	if len(fails) == 0 {
+		return "holds"
+	}
+	return "fails:\n  " + strings.Join(fails, "\n  ")
 }
 
 // clusterSummary renders the run's per-worker point counts, e.g.

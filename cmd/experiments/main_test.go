@@ -151,3 +151,28 @@ func TestStdoutWriteErrorExits(t *testing.T) {
 		t.Errorf("experiments > /dev/full: stderr %q, want one experiments: stdout: line", stderr.String())
 	}
 }
+
+// TestVerdictLine: text output carries each table's verdict on its
+// expected-shape line; CSV output carries none.
+func TestVerdictLine(t *testing.T) {
+	for _, tc := range []struct {
+		args string
+		want int
+	}{{"-quick -experiment F6", 1}, {"-quick -csv -experiment F6", 0}} {
+		ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+		out, err := command(t, ctx, strings.Fields(tc.args)...).Output()
+		cancel()
+		if err != nil {
+			t.Fatalf("experiments %s: %v", tc.args, err)
+		}
+		n := 0
+		for _, line := range strings.Split(string(out), "\n") {
+			if strings.HasPrefix(line, "expected shape: ") && strings.HasSuffix(line, " — holds") {
+				n++
+			}
+		}
+		if n != tc.want {
+			t.Errorf("experiments %s: %d \"expected shape: … holds\" lines, want %d:\n%s", tc.args, n, tc.want, out)
+		}
+	}
+}

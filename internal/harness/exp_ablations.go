@@ -15,14 +15,26 @@ func init() {
 	register(&Experiment{
 		ID:     "A1",
 		Title:  "Ablation: DSSS short vs long preamble across frame sizes",
-		Expect: "short preamble saves a fixed 96 µs per frame, so the relative gain is largest for small frames",
+		Expect: "short preamble never loses, gains 5 % or more on the smallest payload, and gains less on the largest: its 96 µs saving is fixed per frame",
 		Grid:   gridA1,
+		Check: holds(func(c *claim) {
+			small, big := c.ends()
+			c.that(c.num(small, 3) > c.num(big, 3), "gain does not shrink with size: %s %% at %s B, %s %% at %s B", c.str(small, 3), c.str(small, 0), c.str(big, 3), c.str(big, 0))
+			c.that(c.num(small, 3) >= 5, "payload %s B: gain only %s %%", c.str(small, 0), c.str(small, 3))
+			for _, r := range c.t.Rows {
+				c.that(c.num(r, 3) >= 0, "%s: negative gain %s %%", c.name(r), c.str(r, 3))
+			}
+		}),
 	})
 	register(&Experiment{
 		ID:     "A2",
 		Title:  "Ablation: capture margin sweep on the hidden near/far topology",
-		Expect: "small margins capture aggressively (near station feasts); very large margins behave like capture off",
+		Expect: "the near station gets more at a 3 dB margin, which captures, than at 30 dB, above the 25 dB power gap, where capture is off",
 		Grid:   gridA2,
+		Check: holds(func(c *claim) {
+			small, huge := c.num(c.row("3"), 1), c.num(c.row("30"), 1)
+			c.that(small > huge, "near station: %.2f Mbit/s at a 3 dB margin does not beat %.2f at 30 dB", small, huge)
+		}),
 	})
 }
 

@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"fmt"
+	"math"
 
 	"repro/internal/analytical"
 	"repro/internal/core"
@@ -23,14 +24,36 @@ func init() {
 	register(&Experiment{
 		ID:     "F11",
 		Title:  "MAC comparison: ALOHA, slotted ALOHA, DCF, TDMA vs offered load",
-		Expect: "ALOHA peaks at 0.18, slotted at 0.37 and both collapse; DCF holds its plateau; TDMA tracks min(G,1)",
+		Expect: "at G = 1 TDMA beats DCF, DCF beats slotted ALOHA and slotted beats pure ALOHA; the pure-ALOHA theory column is G·e^(−2G) within 0.01",
 		Grid:   gridF11,
+		Check: holds(func(c *claim) {
+			r := c.row("1.00")
+			aloha, slotted, dcf, tdma := c.num(r, 1), c.num(r, 2), c.num(r, 3), c.num(r, 4)
+			c.that(slotted > aloha, "G 1.00: slotted %.3f does not beat pure ALOHA %.3f", slotted, aloha)
+			c.that(dcf > slotted, "G 1.00: DCF %.3f does not beat slotted ALOHA %.3f", dcf, slotted)
+			c.that(tdma > dcf, "G 1.00: TDMA %.3f does not beat DCF %.3f", tdma, dcf)
+			for _, r := range c.t.Rows {
+				g, got := c.num(r, 0), c.num(r, 5)
+				c.that(math.Abs(got-g*math.Exp(-2*g)) <= 0.01, "%s: pure ALOHA theory %.3f, want %.3f", c.name(r), got, g*math.Exp(-2*g))
+			}
+		}),
 	})
 	register(&Experiment{
 		ID:     "S1",
 		Title:  "Link privacy: WEP bit-flip forgery vs CCMP integrity",
 		Expect: "the CRC-linearity forgery passes WEP's ICV; CCMP rejects forgery and replay",
 		Grid:   gridS1,
+		Check: holds(func(c *claim) {
+			for _, a := range [][3]string{
+				{"WEP", "CRC bit-flip forgery", "true"},
+				{"WEP", "random corruption", "false"},
+				{"CCMP", "CTR bit-flip forgery", "false"},
+				{"CCMP", "replay (stale PN)", "false"},
+			} {
+				got := c.str(c.row(a[0], a[1]), 2)
+				c.that(got == a[2], "%s %s: accepted? %q, want %s", a[0], a[1], got, a[2])
+			}
+		}),
 	})
 }
 

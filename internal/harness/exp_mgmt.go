@@ -16,14 +16,30 @@ func init() {
 	register(&Experiment{
 		ID:     "F10",
 		Title:  "ESS roaming: handoff behaviour vs hysteresis",
-		Expect: "small hysteresis roams early (short outage); large hysteresis clings to the old AP and suffers a longer gap",
+		Expect: "at every hysteresis the walking station roams to the far AP, and delivery stays at 50 % or more through the handoff",
 		Grid:   gridF10,
+		Check: holds(func(c *claim) {
+			for _, r := range c.t.Rows {
+				c.that(c.str(r, 4) == "ap2", "%s: station ended on %q, not ap2", c.name(r), c.str(r, 4))
+				c.that(c.num(r, 2) >= 50, "%s: delivery %s %% below 50 %%", c.name(r), c.str(r, 2))
+			}
+		}),
 	})
 	register(&Experiment{
 		ID:     "F12",
 		Title:  "Power save: latency and sleep fraction vs beacon interval",
-		Expect: "PS sleeps >80% when idle; delivery latency rises to about half the beacon interval",
+		Expect: "at a 100 TU beacon interval the PS station sleeps 70 % or more and uses under half the awake energy; its mean delay is at least 5× the awake station's and within 25–90 ms, about half the interval",
 		Grid:   gridF12,
+		Check: holds(func(c *claim) {
+			awake, ps := c.row("awake", "100"), c.row("power-save", "100")
+			awakeDelay, psDelay := c.num(awake, 2), c.num(ps, 2)
+			c.that(psDelay >= 5*awakeDelay, "power-save 100 TU: mean delay %.2f ms not 5× awake %.2f ms", psDelay, awakeDelay)
+			c.that(psDelay >= 25 && psDelay <= 90, "power-save 100 TU: mean delay %.2f ms outside 25–90 ms", psDelay)
+			c.that(c.num(awake, 4) == 0, "awake 100 TU: slept %s %%", c.str(awake, 4))
+			c.that(c.num(ps, 4) >= 70, "power-save 100 TU: slept only %s %%", c.str(ps, 4))
+			awakeEnergy, psEnergy := c.num(awake, 5), c.num(ps, 5)
+			c.that(psEnergy < awakeEnergy/2, "power-save 100 TU: energy %.2f J not under half awake %.2f J", psEnergy, awakeEnergy)
+		}),
 	})
 }
 

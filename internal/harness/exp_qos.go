@@ -13,8 +13,16 @@ func init() {
 	register(&Experiment{
 		ID:     "F13",
 		Title:  "Priority access (EDCA-style AIFS/CW differentiation) under load",
-		Expect: "a voice-class station (AIFSN 2, CW 7) keeps millisecond latency while background saturators (AIFSN 7, CW 63+) absorb the queueing; without differentiation voice latency blows up",
+		Expect: "a voice-class station (AIFSN 2, CW 7) keeps its mean latency at 5 ms or less and under a fifth of legacy DCF's, while background saturators (AIFSN 7, CW 63+) keep 80 % or more of their throughput",
 		Grid:   gridF13,
+		Check: holds(func(c *claim) {
+			legacy, edca := c.row("legacy DCF"), c.row("EDCA-style")
+			legacyMean, edcaMean := c.num(legacy, 1), c.num(edca, 1)
+			c.that(edcaMean < legacyMean/5, "EDCA-style: voice mean %.2f ms not under a fifth of legacy DCF's %.2f ms", edcaMean, legacyMean)
+			c.that(edcaMean <= 5, "EDCA-style: voice mean %.2f ms above 5 ms", edcaMean)
+			legacyBG, edcaBG := c.num(legacy, 4), c.num(edca, 4)
+			c.that(edcaBG >= 0.8*legacyBG, "EDCA-style: background %.2f Mbit/s below 80 %% of legacy DCF's %.2f", edcaBG, legacyBG)
+		}),
 	})
 }
 

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -16,20 +17,42 @@ func init() {
 	register(&Experiment{
 		ID:     "F4",
 		Title:  "Rate adaptation vs distance under Rayleigh fading",
-		Expect: "fixed top-rate collapses with range; adaptive drivers track the channel, throughput-samplers (samplerate/minstrel) degrade most gracefully",
+		Expect: "every controller delivers 1 Mbit/s or more at the nearest distance; at the farthest, fixed top rate has collapsed below the best adaptive driver",
 		Grid:   gridF4,
+		Check: holds(func(c *claim) {
+			near, far := c.ends()
+			for col := 1; col <= 5; col++ {
+				c.that(c.num(near, col) >= 1, "distance %s m: %s only %s Mbit/s", c.str(near, 0), c.t.Columns[col], c.str(near, col))
+			}
+			best := math.Inf(-1)
+			for col := 2; col <= 5; col++ {
+				best = max(best, c.num(far, col))
+			}
+			c.that(best > c.num(far, 1), "distance %s m: best adaptive %.2f Mbit/s does not beat fixed %s", c.str(far, 0), best, c.str(far, 1))
+		}),
 	})
 	register(&Experiment{
 		ID:     "F5",
 		Title:  "802.11b performance anomaly: one slow station drags everyone down",
-		Expect: "adding a 1 Mbit/s station collapses every 11 Mbit/s station to roughly the slow station's throughput",
+		Expect: "adding a 1 Mbit/s station at least halves an 11 Mbit/s station's throughput and brings it within 3× of the slow station's",
 		Grid:   gridF5,
+		Check: holds(func(c *claim) {
+			before, with := c.row("3 fast stations"), c.row("3 fast + 1 slow (1 Mbit/s)")
+			fastBefore, fast, slow := c.num(before, 1), c.num(with, 1), c.num(with, 4)
+			c.that(fast <= fastBefore/2, "fast1 barely affected by the slow station: %.2f -> %.2f Mbit/s", fastBefore, fast)
+			c.that(fast <= 3*slow && slow <= 3*fast, "with the slow station: fast1 %.2f and slow %.2f Mbit/s are not within 3×", fast, slow)
+		}),
 	})
 	register(&Experiment{
 		ID:     "F8",
 		Title:  "Fragmentation threshold on an erasure channel",
-		Expect: "on a noisy link an intermediate fragment size wins; on a clean link fragmentation is pure overhead",
+		Expect: "on the noisy link 512-byte fragments beat unfragmented frames; on the clean link the same fragmentation is pure overhead",
 		Grid:   gridF8,
+		Check: holds(func(c *claim) {
+			whole, frag := c.row("2346"), c.row("512")
+			c.that(c.num(frag, 1) > c.num(whole, 1), "noisy: threshold 512 %s Mbit/s does not beat 2346's %s", c.str(frag, 1), c.str(whole, 1))
+			c.that(c.num(frag, 2) < c.num(whole, 2), "clean: threshold 512 %s Mbit/s does not cost against 2346's %s", c.str(frag, 2), c.str(whole, 2))
+		}),
 	})
 }
 

@@ -16,32 +16,63 @@ func init() {
 	register(&Experiment{
 		ID:     "T1",
 		Title:  "PHY comparison: nominal vs achieved throughput per standard",
-		Expect: "achieved goodput well below nominal; legacy FHSS is most efficient, ERP-g pays slot+signal-extension overhead",
+		Expect: "achieved goodput below nominal; legacy FHSS is more efficient than 802.11a, and ERP-g trails 802.11a by its slot+signal-extension overhead",
 		Grid:   gridT1,
+		Check: holds(func(c *claim) {
+			for _, r := range c.t.Rows {
+				nominal, achieved := c.num(r, 1), c.num(r, 2)
+				c.that(achieved > 0 && achieved < nominal, "%s: achieved %.2f Mbit/s, want above 0 and below nominal %.2f", c.name(r), achieved, nominal)
+			}
+			legacy, a, g := c.num(c.row("802.11"), 3), c.num(c.row("802.11a"), 3), c.num(c.row("802.11g"), 3)
+			c.that(legacy > a, "standard 802.11: efficiency %.1f %% does not exceed 802.11a's %.1f %%", legacy, a)
+			c.that(g < a, "standard 802.11g: efficiency %.1f %% does not trail 802.11a's %.1f %%", g, a)
+		}),
 	})
 	register(&Experiment{
 		ID:     "F1",
 		Title:  "DCF saturation throughput vs station count (basic vs RTS/CTS) vs Bianchi",
-		Expect: "gentle decay with n; simulation tracks the analytical model within a few percent",
+		Expect: "simulated basic-access throughput is within ±15 % of Bianchi's model at every n",
 		Grid:   gridF1,
+		Check: holds(func(c *claim) {
+			for _, r := range c.t.Rows {
+				sim, bianchi := c.num(r, 1), c.num(r, 3)
+				rel := (sim - bianchi) / bianchi
+				c.that(sim > 0 && rel >= -0.15 && rel <= 0.15, "%s: basic %.2f Mbit/s vs Bianchi %.2f (%+.1f %%)", c.name(r), sim, bianchi, 100*rel)
+			}
+		}),
 	})
 	register(&Experiment{
 		ID:     "F2",
 		Title:  "Delivered throughput and delay vs offered load",
-		Expect: "linear until the capacity knee, then saturation and delay blow-up",
+		Expect: "the lowest offered load loses at most 3 %; past the capacity knee the highest loses at least 10 % and its mean delay is at least 3× the lowest load's",
 		Grid:   gridF2,
+		Check: holds(func(c *claim) {
+			lo, hi := c.ends()
+			c.that(c.num(lo, 2) <= 3, "offered %s: loss %s %% above 3 %%", c.str(lo, 0), c.str(lo, 2))
+			c.that(c.num(hi, 2) >= 10, "offered %s: loss %s %% below 10 %%", c.str(hi, 0), c.str(hi, 2))
+			c.that(c.num(hi, 3) >= 3*c.num(lo, 3), "offered %s: mean delay %s ms not 3× the %s ms at %s", c.str(hi, 0), c.str(hi, 3), c.str(lo, 3), c.str(lo, 0))
+		}),
 	})
 	register(&Experiment{
 		ID:     "F6",
 		Title:  "Jain fairness index vs station count (saturated DCF)",
 		Expect: "long-run per-station fairness stays near 1.0",
 		Grid:   gridF6,
+		Check: holds(func(c *claim) {
+			for _, r := range c.t.Rows {
+				c.that(c.num(r, 1) >= 0.9, "%s: Jain index %s below 0.9", c.name(r), c.str(r, 1))
+			}
+		}),
 	})
 	register(&Experiment{
 		ID:     "F7",
 		Title:  "Contention window ablation: CWmin vs throughput at low/high n",
-		Expect: "small CW collapses at high n (collisions); large CW wastes idle slots at low n",
+		Expect: "at n = 20 a small CW collapses on collisions: CWmin 7 loses to CWmin 255",
 		Grid:   gridF7,
+		Check: holds(func(c *claim) {
+			small, big := c.num(c.row("7"), 2), c.num(c.row("255"), 2)
+			c.that(small < big, "n=20: CWmin 7 %.2f Mbit/s does not lose to CWmin 255 %.2f", small, big)
+		}),
 	})
 }
 
@@ -72,7 +103,7 @@ func gridT1(quick bool) *Grid {
 func gridF1(quick bool) *Grid {
 	t := stats.NewTable("F1: saturation throughput vs n (802.11b, 11 Mbit/s, 1500B)",
 		"n", "basic Mbit/s", "rts Mbit/s", "bianchi basic", "bianchi rts")
-	t.Note = "simulated points should track Bianchi within a few percent"
+	t.Note = "bianchi columns are the analytical saturation throughput at the same PHY, rate and payload"
 	ns := pick(quick, []int{1, 5, 10}, []int{1, 2, 5, 10, 15, 20, 30, 40, 50})
 	dur := runDur(quick, 1500*sim.Millisecond, 5*sim.Second)
 	const payload = 1500

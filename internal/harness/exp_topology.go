@@ -15,14 +15,23 @@ func init() {
 	register(&Experiment{
 		ID:     "F3",
 		Title:  "Hidden terminal: RTS/CTS on vs off (2 Mbit/s, 1500B: long collision window)",
-		Expect: "basic access collapses under hidden-node collisions; RTS/CTS restores most throughput",
+		Expect: "basic access collapses under hidden-node collisions; RTS/CTS delivers more than 1.3× its aggregate",
 		Grid:   gridF3,
+		Check: holds(func(c *claim) {
+			basic, rts := c.num(c.row("basic"), 1), c.num(c.row("rts/cts"), 1)
+			c.that(rts > 1.3*basic, "rts/cts %.2f Mbit/s is not 1.3× basic's %.2f", rts, basic)
+		}),
 	})
 	register(&Experiment{
 		ID:     "F9",
 		Title:  "Capture effect: near/far contention with capture on vs off",
-		Expect: "capture raises total throughput but skews it toward the near station",
+		Expect: "capture does not lower total throughput but skews it toward the near station: the Jain index does not rise",
 		Grid:   gridF9,
+		Check: holds(func(c *claim) {
+			off, on := c.row("false"), c.row("true")
+			c.that(c.num(on, 3) >= c.num(off, 3), "capture lowered total throughput: %s -> %s Mbit/s", c.str(off, 3), c.str(on, 3))
+			c.that(c.num(on, 4) <= c.num(off, 4), "capture raised the Jain index: %s -> %s", c.str(off, 4), c.str(on, 4))
+		}),
 	})
 }
 

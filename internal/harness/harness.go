@@ -21,7 +21,11 @@ package harness
 
 import (
 	"fmt"
+	"math"
+	"slices"
 	"sort"
+	"strconv"
+	"strings"
 
 	"repro/internal/core"
 	"repro/internal/geom"
@@ -36,11 +40,16 @@ type Experiment struct {
 	ID string
 	// Title is the human-readable name.
 	Title string
-	// Expect describes the shape the literature predicts.
+	// Expect describes the shape the literature predicts, as far as Check
+	// checks it.
 	Expect string
 	// Grid describes the experiment's parameter grid; quick mode trades
 	// points/runtime for speed (used by tests).
 	Grid func(quick bool) *Grid
+	// Check holds a finished table to Expect: it returns the clauses that
+	// fail, each naming its row, or nothing when the claim holds. Clauses
+	// pick rows by value, so they hold at both scales.
+	Check func(*stats.Table) []string
 }
 
 // Run evaluates every point of the experiment's grid in point order and
@@ -107,6 +116,87 @@ func (g *Grid) Run() *stats.Table {
 		g.Table.AddRows(g.Point(i))
 	}
 	return g.Table
+}
+
+// claim collects the failed clauses of one Check. A missing row, a missing
+// cell or a cell that is not a number is a failed clause and reads as NaN
+// (or ""), which every clause after it, written as what must hold, fails
+// too.
+type claim struct {
+	t     *stats.Table
+	fails []string
+}
+
+// holds adapts clauses over a claim to Experiment.Check.
+func holds(clauses func(c *claim)) func(*stats.Table) []string {
+	return func(t *stats.Table) []string {
+		c := &claim{t: t}
+		c.that(len(t.Rows) > 0, "no rows")
+		clauses(c)
+		return c.fails
+	}
+}
+
+// that records a failed clause, formatted from format and args, unless ok.
+func (c *claim) that(ok bool, format string, args ...any) {
+	if !ok {
+		c.fails = append(c.fails, fmt.Sprintf(format, args...))
+	}
+}
+
+// row returns the row whose leading cells are keys.
+func (c *claim) row(keys ...string) []string {
+	for _, r := range c.t.Rows {
+		if len(r) >= len(keys) && slices.Equal(r[:len(keys)], keys) {
+			return r
+		}
+	}
+	c.that(false, "no row %s", strings.Join(keys, " "))
+	return nil
+}
+
+// ends returns the rows with the smallest and the largest first cell.
+func (c *claim) ends() (lo, hi []string) {
+	var lv, hv float64
+	for _, r := range c.t.Rows {
+		v := c.num(r, 0)
+		if lo == nil || v < lv {
+			lo, lv = r, v
+		}
+		if hi == nil || v > hv {
+			hi, hv = r, v
+		}
+	}
+	return lo, hi
+}
+
+// name is how a clause names row r: its first column and first cell.
+func (c *claim) name(r []string) string {
+	return c.t.Columns[0] + " = " + c.str(r, 0)
+}
+
+// str returns cell col of r.
+func (c *claim) str(r []string, col int) string {
+	if col < len(r) {
+		return r[col]
+	}
+	if r != nil { // a nil row is already a failed clause
+		c.that(false, "a row of %d cells has no column %d", len(r), col)
+	}
+	return ""
+}
+
+// num returns cell col of r as a number.
+func (c *claim) num(r []string, col int) float64 {
+	s := c.str(r, col)
+	v, err := strconv.ParseFloat(s, 64)
+	if err != nil {
+		if col < len(r) {
+			c.that(false, "%q is not a number", s)
+		}
+		return math.NaN()
+	}
+	return v
 }
 
 // registry holds all experiments keyed by ID.

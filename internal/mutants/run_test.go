@@ -59,7 +59,9 @@ func TestMutants(t *testing.T) {
 }
 
 // run applies m through an overlay, runs the walls and returns the
-// top-level tests that failed, as package.Test, sorted.
+// top-level tests that failed, as package.Test, sorted. A panic ends a test
+// binary and hides every test after it, so a package that panicked runs
+// again without the tests that finished, until no test is left to run.
 func run(t *testing.T, dir string, m mutant, walls []string) []string {
 	src, err := os.ReadFile(filepath.Join(dir, m.file))
 	if err != nil {
@@ -75,15 +77,34 @@ func run(t *testing.T, dir string, m mutant, walls []string) []string {
 	if err := os.WriteFile(overlay, spec, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	cmd := exec.Command("go", append([]string{"test", "-json", "-overlay", overlay}, walls...)...)
+	var kills []string
+	done := map[string][]string{} // package → its top-level tests that finished
+	crashed := goTest(t, dir, overlay, walls, "", done, &kills)
+	for len(crashed) > 0 {
+		p := crashed[0]
+		crashed = append(crashed[1:], goTest(t, dir, overlay, []string{p}, "^("+strings.Join(done[p], "|")+")$", done, &kills)...)
+	}
+	slices.Sort(kills)
+	return slices.Compact(kills)
+}
+
+// goTest runs the tests of pkgs but those skip matches, adds each top-level
+// test that finished to done and each that failed to kills, and returns the
+// packages that panicked after a test finished.
+func goTest(t *testing.T, dir, overlay string, pkgs []string, skip string, done map[string][]string, kills *[]string) (crashed []string) {
+	args := []string{"test", "-json", "-overlay", overlay}
+	if skip != "" {
+		args = append(args, "-skip", skip)
+	}
+	cmd := exec.Command("go", append(args, pkgs...)...)
 	cmd.Dir = dir
 	var stderr bytes.Buffer
 	cmd.Stderr = &stderr
 	stdout, _ := cmd.Output() // a killed mutant exits non-zero
-	var kills []string
 	pkgFailed := map[string]bool{}
 	pkgOutput := map[string]string{} // what a package printed outside its tests
-	var build string                 // compiler errors, reported apart from any package
+	panicked, finished := map[string]bool{}, map[string]bool{}
+	var build string // compiler errors, reported apart from any package
 	sc := bufio.NewScanner(bytes.NewReader(stdout))
 	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
@@ -92,6 +113,14 @@ func run(t *testing.T, dir string, m mutant, walls []string) []string {
 			continue
 		}
 		pkg := ev.Package[strings.LastIndexByte(ev.Package, '/')+1:]
+		if strings.HasPrefix(ev.Output, "panic: ") {
+			panicked[ev.Package] = true
+		}
+		top := ev.Test != "" && !strings.Contains(ev.Test, "/")
+		if top && (ev.Action == "pass" || ev.Action == "skip" || ev.Action == "fail") {
+			done[ev.Package] = append(done[ev.Package], ev.Test)
+			finished[ev.Package] = true
+		}
 		switch {
 		case ev.Action == "build-output":
 			build += ev.Output
@@ -100,15 +129,20 @@ func run(t *testing.T, dir string, m mutant, walls []string) []string {
 		case ev.Action != "fail":
 		case ev.Test == "":
 			pkgFailed[pkg] = true
-		case !strings.Contains(ev.Test, "/"):
-			kills = append(kills, pkg+"."+ev.Test)
+		case top:
+			*kills = append(*kills, pkg+"."+ev.Test)
 		}
 	}
 	for pkg := range pkgFailed {
-		if !slices.ContainsFunc(kills, func(k string) bool { return strings.HasPrefix(k, pkg+".") }) {
+		if !slices.ContainsFunc(*kills, func(k string) bool { return strings.HasPrefix(k, pkg+".") }) {
 			t.Fatalf("package %s failed outside any test:\n%s%s%s", pkg, build, pkgOutput[pkg], stderr.String())
 		}
 	}
-	slices.Sort(kills)
-	return slices.Compact(kills)
+	for p := range panicked {
+		if finished[p] { // else a rerun would meet the same panic
+			crashed = append(crashed, p)
+		}
+	}
+	slices.Sort(crashed)
+	return crashed
 }

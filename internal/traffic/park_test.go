@@ -410,6 +410,16 @@ func TestSaturatorParkScripted(t *testing.T) {
 			t.Fatalf("sent %d refused %d settled %d events %d, want 1025 4 3 3", g.Sent(), g.Refused, w.q.settled, w.k.Processed())
 		}
 	})
+	t.Run("a top-up that fills the queue exactly re-queues", func(t *testing.T) {
+		// 1 023 slots + flight: the top-up at 0 accepts 512, the one at 1 ms
+		// accepts 512 more and fills the queue without a refusal, so it
+		// queues the 2 ms top-up instead of waiting on the backlog; that one
+		// is refused and parks, and 3–5 ms are settled.
+		w := checkParkEqualsPoll(t, scenario{capacity: 1023, reads: []sim.Time{5 * ms}})
+		if g := w.gens[0]; g.Sent() != 1024 || g.Refused != 4 || w.q.settled != 3 || w.k.Processed() != 3 {
+			t.Fatalf("sent %d refused %d settled %d events %d, want 1024 4 3 3", g.Sent(), g.Refused, w.q.settled, w.k.Processed())
+		}
+	})
 	t.Run("a stolen slot parks the saturator again", func(t *testing.T) {
 		sc := scenario{capacity: 2, reads: []sim.Time{4 * ms},
 			ops: []op{{at: ms + 500*us, kind: opDrain, n: 1}, {at: ms + 600*us, kind: opSteal, n: 1}}}
