@@ -7,10 +7,11 @@
 // regenerates the full evaluation suite.
 //
 // Start with README.md (architecture map, quickstart and the experiment
-// index with expected shapes) and PERFORMANCE.md (fast-path architecture,
-// regression walls and measurements). The public scenario API lives in
-// internal/core; the runnable entry points are cmd/wlansim,
-// cmd/experiments, cmd/wlantrace, cmd/wlanlint and the examples tree.
+// index with expected shapes) and PERFORMANCE.md (where the time goes,
+// and each fast-path mechanism with its last measured verdict and its
+// walls). The public scenario API lives in internal/core; the runnable
+// entry points are cmd/wlansim, cmd/experiments, cmd/wlantrace,
+// cmd/wlanlint and the examples tree.
 //
 // # Performance architecture
 //

@@ -156,7 +156,10 @@ var mutants = []mutant{
 		old: "for n >= w && bytes.Equal(b[n-w:n], zeroBlock[:w]) {", new: "for n > w && bytes.Equal(b[n-w:n], zeroBlock[:w]) {",
 		kills: []string{"frame.FuzzZeroTail"}},
 
-	// phy: the chunk bounds.
+	// phy: the rate table and the chunk bounds.
+	{name: "48 Mbit/s labelled 16-QAM", file: "internal/phy/modes.go",
+		old: "{BitRate: 48 * units.Mbps, Mod: ModQAM64, Basic: false}", new: "{BitRate: 48 * units.Mbps, Mod: ModQAM16, Basic: false}",
+		kills: []string{"harness.TestGoldenTrace", "phy.TestSensitivityLadder"}},
 	{name: "ChunkBounds: knot index off by one upward", file: "internal/phy/error.go",
 		old: "switch i := int(math.Float64bits(ebN0)>>48) - knotBase; {", new: "switch i := int(math.Float64bits(ebN0)>>48) - knotBase + 1; {",
 		kills: []string{"harness.TestGoldenTrace", "harness.TestQuickClaimsHold", "medium.TestBufferCapacities", "medium.TestPartialOverlapMatchesExpectedPER", "medium.TestSegAccumMatchesNaiveTimeline", "phy.FuzzChunkBounds", "phy.TestChunkBoundsContain"}},

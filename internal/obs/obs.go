@@ -31,6 +31,7 @@ package obs
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -259,8 +260,10 @@ func escapeLabelValue(v string) string {
 	return r.Replace(v)
 }
 
-// register returns the existing entry for (name, labels) or creates one.
-func (r *Registry) register(name, help string, kind metricKind, labels []Label) *metric {
+// register returns the existing entry for (name, labels) or creates one
+// with its instrument, under r.mu: two goroutines registering the same
+// metric get the same instrument. bounds is read only for a new histogram.
+func (r *Registry) register(name, help string, kind metricKind, labels []Label, bounds []uint64) *metric {
 	lb := renderLabels(labels)
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -276,26 +279,26 @@ func (r *Registry) register(name, help string, kind metricKind, labels []Label) 
 		return m
 	}
 	m := &metric{name: name, labels: lb, kind: kind}
+	switch kind {
+	case counterKind:
+		m.c = &Counter{}
+	case gaugeKind:
+		m.g = &Gauge{}
+	case histogramKind:
+		m.h = &Histogram{buckets: make([]atomic.Uint64, len(bounds)+1), bounds: slices.Clone(bounds)}
+	}
 	r.metrics[key] = m
 	return m
 }
 
 // Counter registers (or finds) a counter.
 func (r *Registry) Counter(name, help string, labels ...Label) *Counter {
-	m := r.register(name, help, counterKind, labels)
-	if m.c == nil {
-		m.c = &Counter{}
-	}
-	return m.c
+	return r.register(name, help, counterKind, labels, nil).c
 }
 
 // Gauge registers (or finds) a gauge.
 func (r *Registry) Gauge(name, help string, labels ...Label) *Gauge {
-	m := r.register(name, help, gaugeKind, labels)
-	if m.g == nil {
-		m.g = &Gauge{}
-	}
-	return m.g
+	return r.register(name, help, gaugeKind, labels, nil).g
 }
 
 // Histogram registers (or finds) a histogram with the given inclusive
@@ -308,11 +311,5 @@ func (r *Registry) Histogram(name, help string, bounds []uint64, labels ...Label
 			panic(fmt.Sprintf("obs: histogram %s bounds not ascending: %v", name, bounds))
 		}
 	}
-	m := r.register(name, help, histogramKind, labels)
-	if m.h == nil {
-		b := make([]uint64, len(bounds))
-		copy(b, bounds)
-		m.h = &Histogram{buckets: make([]atomic.Uint64, len(b)+1), bounds: b}
-	}
-	return m.h
+	return r.register(name, help, histogramKind, labels, bounds).h
 }

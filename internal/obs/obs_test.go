@@ -5,6 +5,7 @@ import (
 	"io"
 	"net/http"
 	"strings"
+	"sync"
 	"testing"
 )
 
@@ -32,6 +33,35 @@ func TestRegistryIdempotent(t *testing.T) {
 	}
 	if got := len(h1.bounds); got != 3 {
 		t.Fatalf("first registration's bounds should win, got %d bounds", got)
+	}
+}
+
+// TestConcurrentRegistrationSharesOneInstrument registers one histogram
+// and one counter from several goroutines, as two cluster supervisors do
+// with the same agent bundle. Each must get the same instrument, and under
+// -race the registration must not race with itself.
+func TestConcurrentRegistrationSharesOneInstrument(t *testing.T) {
+	r := NewRegistry()
+	const n = 8
+	hs := make([]*Histogram, n)
+	cs := make([]*Counter, n)
+	var start, done sync.WaitGroup
+	start.Add(1)
+	for i := range n {
+		done.Add(1)
+		go func() {
+			defer done.Done()
+			start.Wait()
+			hs[i] = r.Histogram("rtt", "h", []uint64{1, 2, 4}, Label{Key: "agent", Value: "a"})
+			cs[i] = r.Counter("chunks_total", "h", Label{Key: "agent", Value: "a"})
+		}()
+	}
+	start.Done()
+	done.Wait()
+	for i := 1; i < n; i++ {
+		if hs[i] != hs[0] || cs[i] != cs[0] {
+			t.Fatalf("goroutine %d got its own instrument", i)
+		}
 	}
 }
 
